@@ -9,14 +9,13 @@
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use gpa_pipeline::{AnalysisJob, Session};
-use gpa_serve::{serve, serve_on, ServeClient, ServerConfig, ServerEngine};
+use gpa_serve::{serve, serve_on, ServeClient, ServerConfig};
 use std::sync::Arc;
 
 const CLIENTS: usize = 8;
 
-/// The engine-comparison concurrency level: enough connections that
-/// thread-per-connection pays real scheduler and stack cost, while the
-/// reactor keeps them all on one thread.
+/// The swarm concurrency level: enough connections that accept and
+/// frame handling, not the worker pool, are what is measured.
 const SWARM: usize = 64;
 
 fn sweep(addr: std::net::SocketAddr, jobs: &[AnalysisJob]) {
@@ -106,38 +105,33 @@ fn swarm_sweep(addr: std::net::SocketAddr, frames: &[String]) {
     });
 }
 
-/// The engine comparison behind the reactor rewrite: 64 concurrent
-/// connections of 21-app repeat (warm-store) traffic against the
-/// reactor and against the legacy thread-per-connection engine. Warm
-/// traffic never touches the worker pool, so this isolates exactly
-/// what the rewrite changed: connection and frame handling.
-fn bench_engine_swarm(c: &mut Criterion) {
-    for (name, engine) in [
-        ("serve/64_clients_21_apps_warm_reactor", ServerEngine::Reactor),
-        ("serve/64_clients_21_apps_warm_threads", ServerEngine::Threads),
-    ] {
-        let session = Arc::new(Session::test());
-        let jobs = session.jobs_for_all_apps();
-        let config =
-            ServerConfig { workers: CLIENTS, queue: 64, engine, ..ServerConfig::ephemeral() };
-        let handle = serve(session, config).expect("daemon starts");
-        let addr = handle.local_addr();
-        // Warm the store so every benched request is a cache hit.
-        sweep(addr, &jobs);
-        let frames: Vec<String> = jobs
-            .iter()
-            .map(|job| {
-                let request = gpa_serve::Request::Analyze {
-                    job: job.clone(),
-                    options: gpa_serve::WireOptions::default(),
-                };
-                format!("{}\n", request.to_wire())
-            })
-            .collect();
-        c.bench_function(name, |b| b.iter(|| swarm_sweep(addr, &frames)));
-        handle.shutdown();
-        handle.join();
-    }
+/// 64 concurrent connections of 21-app repeat (warm-store) traffic
+/// against a default-config daemon. Warm traffic never touches the
+/// worker pool, so this isolates connection and frame handling. (The
+/// row name is the one BENCH_6/BENCH_10 recorded.)
+fn bench_swarm(c: &mut Criterion) {
+    let session = Arc::new(Session::test());
+    let jobs = session.jobs_for_all_apps();
+    let config = ServerConfig { workers: CLIENTS, queue: 64, ..ServerConfig::ephemeral() };
+    let handle = serve(session, config).expect("daemon starts");
+    let addr = handle.local_addr();
+    // Warm the store so every benched request is a cache hit.
+    sweep(addr, &jobs);
+    let frames: Vec<String> = jobs
+        .iter()
+        .map(|job| {
+            let request = gpa_serve::Request::Analyze {
+                job: job.clone(),
+                options: gpa_serve::WireOptions::default(),
+            };
+            format!("{}\n", request.to_wire())
+        })
+        .collect();
+    c.bench_function("serve/64_clients_21_apps_warm_reactor", |b| {
+        b.iter(|| swarm_sweep(addr, &frames))
+    });
+    handle.shutdown();
+    handle.join();
 }
 
 /// One persistent-pipelined pass: `CLIENTS` long-lived connections,
@@ -277,7 +271,7 @@ fn bench_owner_down_swarm(c: &mut Criterion) {
 criterion_group! {
     name = benches;
     config = Criterion::default().sample_size(10);
-    targets = bench_serve_throughput, bench_engine_swarm, bench_reactor_scaling,
+    targets = bench_serve_throughput, bench_swarm, bench_reactor_scaling,
         bench_owner_down_swarm
 }
 criterion_main!(benches);

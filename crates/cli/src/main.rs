@@ -22,8 +22,8 @@ use gpa_json::Json;
 use gpa_kernels::all_apps;
 use gpa_pipeline::{AnalysisError, AnalysisJob, Session};
 use gpa_serve::{
-    serve, FaultPlan, PeerMeta, Request, ServeClient, ServerConfig, ServerEngine, WireOptions,
-    DEFAULT_ADDR, MAX_REPEAT,
+    serve, FaultPlan, PeerMeta, Request, ServeClient, ServerConfig, WireOptions, DEFAULT_ADDR,
+    MAX_REPEAT,
 };
 use std::io::Write as _;
 use std::path::PathBuf;
@@ -46,8 +46,7 @@ const USAGE: &str = "usage: gpa <command> [args] [flags]\n\n  \
      [--reactors N]                             reactor threads (default: CPU count, capped at 8)\n           \
      [--peers A,B,..] [--advertise A]           shard with peer daemons (consistent hashing)\n           \
      [--join A]                                 join a running cluster member at startup\n           \
-     [--faults SPEC]                            seeded peer fault injection (chaos testing)\n           \
-     [--engine reactor|threads]                 connection engine (default reactor)\n  \
+     [--faults SPEC]                            seeded peer fault injection (chaos testing)\n  \
      request analyze <app> [variant] [--addr A]          analyze on the daemon\n  \
      request analyze_profile <app> [variant] --profile F advise on a saved profile\n  \
      request status|shutdown [--addr A]                  daemon control\n  \
@@ -87,7 +86,6 @@ struct Flags {
     advertise: Option<String>,
     join: Option<String>,
     faults: Option<String>,
-    engine: Option<String>,
     reactors: Option<usize>,
 }
 
@@ -161,7 +159,6 @@ fn parse_cmdline(args: &[String]) -> Result<(Vec<String>, Flags), String> {
                 "advertise" => flags.advertise = Some(take_value(name, inline, &mut rest)?),
                 "join" => flags.join = Some(take_value(name, inline, &mut rest)?),
                 "faults" => flags.faults = Some(take_value(name, inline, &mut rest)?),
-                "engine" => flags.engine = Some(take_value(name, inline, &mut rest)?),
                 "reactors" => flags.reactors = Some(take_usize(name, inline, &mut rest)?),
                 _ => return Err(format!("unknown flag `{arg}` (see usage)")),
             }
@@ -196,7 +193,6 @@ fn stray_flag(flags: &Flags, allowed: &[&str]) -> Option<String> {
         ("advertise", flags.advertise.is_some()),
         ("join", flags.join.is_some()),
         ("faults", flags.faults.is_some()),
-        ("engine", flags.engine.is_some()),
         ("reactors", flags.reactors.is_some()),
     ];
     set.iter()
@@ -281,7 +277,6 @@ fn main() -> ExitCode {
             "advertise",
             "join",
             "faults",
-            "engine",
             "reactors",
         ],
         "request" => {
@@ -492,13 +487,6 @@ fn analyze_all(json: bool, options: &WireOptions) -> ExitCode {
 /// `gpa serve`: run the daemon until a client sends `shutdown`.
 fn run_serve(flags: &Flags) -> ExitCode {
     let defaults = ServerConfig::default();
-    let engine = match flags.engine.as_deref() {
-        None | Some("reactor") => ServerEngine::Reactor,
-        Some("threads") => ServerEngine::Threads,
-        Some(other) => {
-            return usage(&format!("unknown engine `{other}` (expected reactor or threads)"))
-        }
-    };
     let peers: Vec<String> = flags
         .peers
         .as_deref()
@@ -519,9 +507,6 @@ fn run_serve(flags: &Flags) -> ExitCode {
     if flags.reactors == Some(0) {
         return usage("flag --reactors expects a count of at least 1 (omit it for the default)");
     }
-    if flags.reactors.is_some() && engine == ServerEngine::Threads {
-        return usage("flag --reactors only applies to the reactor engine");
-    }
     let config = ServerConfig {
         addr: flags.addr.clone().unwrap_or(defaults.addr),
         workers: flags.workers.unwrap_or(defaults.workers),
@@ -529,7 +514,6 @@ fn run_serve(flags: &Flags) -> ExitCode {
         queue: flags.queue.unwrap_or(defaults.queue),
         store_capacity: flags.store.unwrap_or(defaults.store_capacity),
         persist_dir: flags.persist.clone(),
-        engine,
         peers,
         advertise: flags.advertise.clone(),
         join: flags.join.clone(),
@@ -549,13 +533,11 @@ fn run_serve(flags: &Flags) -> ExitCode {
     // The exact line scripts (and CI) parse to discover an ephemeral
     // port; keep the `listening on <addr>` phrasing stable.
     println!("gpa-serve listening on {} ({workers} workers, queue {queue})", handle.local_addr());
-    if handle.reactors() > 0 {
-        // The *effective* count: a request above the cap (or `0` = auto)
-        // reports what actually runs, matching `status.reactor.count`.
-        println!("gpa-serve reactors: {} ({} accept)", handle.reactors(), handle.accept_path());
-    }
+    // The *effective* count: a request above the cap (or `0` = auto)
+    // reports what actually runs, matching `status.reactor.count`.
+    println!("gpa-serve reactors: {} ({} accept)", handle.reactors(), handle.accept_path());
     if peer_count > 0 {
-        println!("gpa-serve sharding with {peer_count} peer(s) ({} engine)", engine.name());
+        println!("gpa-serve sharding with {peer_count} peer(s)");
     }
     if let Some(seed) = joined {
         println!("gpa-serve joined the ring via {seed}");

@@ -21,9 +21,9 @@
 //! # Ok::<(), std::io::Error>(())
 //! ```
 //!
-//! The daemon's default engine is a nonblocking epoll reactor (one
-//! thread, per-connection state machines — see `docs/serving.md`), and
-//! with `--peers` several daemons shard the report store over a
+//! The daemon drives every connection from a few nonblocking epoll
+//! reactor threads (per-connection state machines — see
+//! `docs/serving.md`), and with `--peers` several daemons shard the report store over a
 //! consistent-hash [`Ring`], forwarding requests to their owning shard
 //! and replicating computed bodies to each shard's ring successor.
 //!
@@ -33,6 +33,10 @@
 //! [`Session`]: gpa_pipeline::Session
 
 pub mod client;
+mod cluster;
+mod conn;
+mod dispatch;
+mod event_loop;
 pub mod faults;
 pub mod metrics;
 mod peer;
@@ -40,7 +44,9 @@ pub mod protocol;
 pub mod reactor;
 pub mod ring;
 pub mod server;
+mod status;
 pub mod store;
+mod uploads;
 
 pub use client::{ClientError, Response, ServeClient};
 pub use faults::{FaultAction, FaultPlan, FAULTS_ENV};
@@ -49,5 +55,5 @@ pub use protocol::{
     PeerMeta, Request, WireOptions, DEFAULT_ADDR, DEFAULT_SCHEMA, MAX_REPEAT, SCHEMA_VERSIONS,
 };
 pub use ring::{Ring, Roster};
-pub use server::{serve, serve_on, ServerConfig, ServerEngine, ServerHandle, MAX_REACTORS};
+pub use server::{serve, serve_on, ServerConfig, ServerHandle, MAX_REACTORS};
 pub use store::{ReportStore, StoreStats};

@@ -6,11 +6,10 @@
 use crate::Request;
 use gpa_json::Json;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::time::Instant;
 
 /// The daemon's live counters.
+#[derive(Default)]
 pub struct Metrics {
-    started: Instant,
     /// `analyze` requests received.
     pub analyze: AtomicU64,
     /// `analyze_profile` requests received.
@@ -39,20 +38,10 @@ pub struct Metrics {
     pub queue_depth: AtomicU64,
     /// High-water mark of [`Metrics::queue_depth`].
     pub queue_peak: AtomicU64,
-    /// Connections accepted over the daemon's lifetime.
-    pub connections: AtomicU64,
     /// `store_get` peer requests received.
     pub store_get: AtomicU64,
     /// `store_put` peer requests received.
     pub store_put: AtomicU64,
-    /// Connections currently open (reactor gauge).
-    pub open_connections: AtomicU64,
-    /// Response bytes buffered but not yet written (reactor gauge).
-    pub pending_bytes: AtomicU64,
-    /// Requests shed because [`Metrics::pending_bytes`] hit the budget.
-    pub byte_sheds: AtomicU64,
-    /// Idle connections reaped by the reactor's deadline sweep.
-    pub idle_reaped: AtomicU64,
     /// Requests forwarded to their owning shard.
     pub forwards_out: AtomicU64,
     /// Forwarded requests received from a peer shard.
@@ -104,60 +93,8 @@ pub struct Metrics {
     pub last_replication_error: std::sync::Mutex<Option<String>>,
 }
 
-impl Default for Metrics {
-    fn default() -> Self {
-        Metrics {
-            started: Instant::now(),
-            analyze: AtomicU64::new(0),
-            analyze_profile: AtomicU64::new(0),
-            profile_begin: AtomicU64::new(0),
-            profile_chunk: AtomicU64::new(0),
-            profile_end: AtomicU64::new(0),
-            profile_abort: AtomicU64::new(0),
-            status: AtomicU64::new(0),
-            shutdown: AtomicU64::new(0),
-            sleep: AtomicU64::new(0),
-            protocol_errors: AtomicU64::new(0),
-            analysis_errors: AtomicU64::new(0),
-            rejected: AtomicU64::new(0),
-            queue_depth: AtomicU64::new(0),
-            queue_peak: AtomicU64::new(0),
-            connections: AtomicU64::new(0),
-            store_get: AtomicU64::new(0),
-            store_put: AtomicU64::new(0),
-            open_connections: AtomicU64::new(0),
-            pending_bytes: AtomicU64::new(0),
-            byte_sheds: AtomicU64::new(0),
-            idle_reaped: AtomicU64::new(0),
-            forwards_out: AtomicU64::new(0),
-            forwards_in: AtomicU64::new(0),
-            forward_failures: AtomicU64::new(0),
-            replicated_out: AtomicU64::new(0),
-            replicated_in: AtomicU64::new(0),
-            replication_dropped: AtomicU64::new(0),
-            peer_warm_hits: AtomicU64::new(0),
-            join: AtomicU64::new(0),
-            leave: AtomicU64::new(0),
-            ring_status: AtomicU64::new(0),
-            stale_epoch_rejected: AtomicU64::new(0),
-            ring_refreshes: AtomicU64::new(0),
-            handoff_shipped: AtomicU64::new(0),
-            handoff_failed: AtomicU64::new(0),
-            replication_queued: AtomicU64::new(0),
-            retries_spent: AtomicU64::new(0),
-            retries_denied: AtomicU64::new(0),
-            stale_retries: AtomicU64::new(0),
-            breaker_trips: AtomicU64::new(0),
-            breaker_fast_fails: AtomicU64::new(0),
-            peer_probes: AtomicU64::new(0),
-            heartbeats: AtomicU64::new(0),
-            last_replication_error: std::sync::Mutex::new(None),
-        }
-    }
-}
-
 impl Metrics {
-    /// Fresh counters with the uptime clock starting now.
+    /// Fresh zeroed counters.
     pub fn new() -> Self {
         Metrics::default()
     }
@@ -228,17 +165,6 @@ impl Metrics {
             .with("ring_status", self.ring_status.load(Ordering::Relaxed))
     }
 
-    /// The reactor/connection gauge object used inside `status`
-    /// responses.
-    pub fn reactor_json(&self) -> Json {
-        Json::object()
-            .with("open_connections", self.open_connections.load(Ordering::Relaxed))
-            .with("pending_jobs", self.queue_depth.load(Ordering::Relaxed))
-            .with("pending_bytes", self.pending_bytes.load(Ordering::Relaxed))
-            .with("byte_sheds", self.byte_sheds.load(Ordering::Relaxed))
-            .with("idle_reaped", self.idle_reaped.load(Ordering::Relaxed))
-    }
-
     /// The cluster counter object used inside `status` responses.
     pub fn cluster_json(&self) -> Json {
         Json::object()
@@ -250,18 +176,14 @@ impl Metrics {
             .with("replication_dropped", self.replication_dropped.load(Ordering::Relaxed))
             .with("peer_warm_hits", self.peer_warm_hits.load(Ordering::Relaxed))
     }
-
-    /// Milliseconds since the daemon started.
-    pub fn uptime_ms(&self) -> u64 {
-        self.started.elapsed().as_millis() as u64
-    }
 }
 
-/// One reactor thread's counters. The daemon-wide [`Metrics`] gauges
-/// keep counting everything (so `status.reactor` stays the roll-up it
-/// always was); these split the same events by owning reactor for the
-/// `status.reactors` array, and `pending_bytes` doubles as the gauge
-/// the reactor's *own* byte-budget share is enforced against.
+/// One reactor thread's counters: the only place connection-level
+/// events are counted. Each is one entry of the `status.reactors`
+/// array; `status.connections` and the `status.reactor` roll-up are
+/// sums over them taken at `status` time, and `pending_bytes` doubles
+/// as the gauge the reactor's *own* byte-budget share is enforced
+/// against.
 #[derive(Default)]
 pub struct ReactorStats {
     /// Connections this reactor accepted (or was handed) over the

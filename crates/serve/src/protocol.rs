@@ -760,13 +760,29 @@ pub fn stale_epoch_frame(epoch: u64, members: &[String]) -> String {
         .with("ok", false)
         .with("error", format!("stale ring epoch: cluster is at {epoch}"))
         .with("stale_epoch", true)
-        .with(
-            "ring",
-            Json::object()
-                .with("epoch", epoch)
-                .with("members", Json::Arr(members.iter().map(|m| m.as_str().into()).collect())),
-        )
+        .with("ring", Json::object().with("epoch", epoch).with("members", members_json(members)))
         .compact()
+}
+
+/// A roster's member list as every emitter puts it on the wire.
+pub(crate) fn members_json(members: &[String]) -> Json {
+    Json::Arr(members.iter().map(|m| Json::from(m.as_str())).collect())
+}
+
+/// Reads a roster snapshot — `epoch` plus `members` — out of the JSON
+/// object carrying it: the `result` of a `join`/`ring_status` reply or
+/// the `ring` of a [`stale_epoch_frame`]. Emitters keep their own field
+/// order; this is the one reader.
+pub fn parse_roster(doc: &Json) -> Option<(u64, Vec<String>)> {
+    let epoch = doc.get("epoch")?.as_u64().ok()?;
+    let members = doc
+        .get("members")?
+        .as_array()
+        .ok()?
+        .iter()
+        .filter_map(|m| m.as_str().ok().map(str::to_string))
+        .collect();
+    Some((epoch, members))
 }
 
 /// Recognizes a [`stale_epoch_frame`] response and extracts the
@@ -777,16 +793,7 @@ pub fn parse_stale_epoch(frame: &str) -> Option<(u64, Vec<String>)> {
     if !doc.get("stale_epoch")?.as_bool().ok()? {
         return None;
     }
-    let ring = doc.get("ring")?;
-    let epoch = ring.get("epoch")?.as_u64().ok()?;
-    let members = ring
-        .get("members")?
-        .as_array()
-        .ok()?
-        .iter()
-        .filter_map(|m| m.as_str().ok().map(str::to_string))
-        .collect();
-    Some((epoch, members))
+    parse_roster(doc.get("ring")?)
 }
 
 /// An error frame for a failed analysis, carrying the job identity like
@@ -1033,7 +1040,7 @@ mod tests {
     fn parses_the_peer_store_ops() {
         // Content addresses contain NUL separators; they must survive
         // the wire as escaped JSON strings.
-        let key = "analyze\0rodinia/nw\00\0s1|r1|t-|c|o|m1.001|h5|e1";
+        let key = "analyze\0rodinia/nw\x000\0s1|r1|t-|c|o|m1.001|h5|e1";
         let get = Request::StoreGet { key: key.to_string() };
         let parsed = Request::parse(&get.to_wire()).unwrap();
         let Request::StoreGet { key: parsed_key } = parsed else { panic!("wrong parse") };

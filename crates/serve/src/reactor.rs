@@ -2,9 +2,9 @@
 //! the worker pool uses to hand completed jobs back to the reactor
 //! thread.
 //!
-//! The daemon's nonblocking engine (see `server.rs`) runs one or more
-//! reactor threads, each driving its share of the connections: sockets
-//! are registered here with a `u64` token, [`Poller::wait`] reports
+//! The daemon (see `event_loop.rs`) runs one or more reactor threads,
+//! each driving its share of the connections: sockets are registered
+//! here with a `u64` token, [`Poller::wait`] reports
 //! which are readable/writable, and the per-connection state machines
 //! advance without ever blocking on I/O. std already links libc on
 //! Unix, so the syscalls are bound directly with `extern "C"` — no new
@@ -110,7 +110,7 @@ fn check(ret: c_int) -> io::Result<c_int> {
 
 /// Binds a listener with `SO_REUSEPORT` set, so several listeners can
 /// share one address and the kernel load-balances incoming connections
-/// across them — the accept path of the multi-reactor engine. Every
+/// across them — the accept path of a multi-reactor daemon. Every
 /// listener in a group must be created this way (the option has to be
 /// set *before* `bind`, which is why `std`'s `TcpListener::bind` cannot
 /// do it), so joining a port owned by a non-reuseport socket fails with

@@ -12,7 +12,7 @@ use gpa::json::Json;
 use gpa::pipeline::{AnalysisJob, Session};
 use gpa::serve::{
     protocol, serve, serve_on, FaultPlan, PeerMeta, Request, Ring, ServeClient, ServerConfig,
-    ServerEngine, WireOptions,
+    WireOptions,
 };
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{TcpListener, TcpStream};
@@ -715,28 +715,6 @@ fn client_read_timeout_bounds_a_slow_daemon() {
     // The daemon itself is healthy; a fresh client still gets answers.
     let mut client = ServeClient::connect(handle.local_addr()).expect("connect");
     assert!(client.analyze("rodinia/hotspot", 0).expect("analyze").ok);
-    handle.shutdown();
-    handle.join();
-}
-
-/// The legacy thread-per-connection engine stays wire-compatible (it is
-/// the bench baseline): same bytes, same cache behavior, clean shutdown.
-#[test]
-fn threads_engine_remains_byte_compatible() {
-    let config = ServerConfig { engine: ServerEngine::Threads, ..ephemeral() };
-    let handle = test_server(config);
-    let reference = Session::test();
-    let mut client = ServeClient::connect(handle.local_addr()).expect("connect");
-    for app in ["rodinia/hotspot", "rodinia/gaussian"] {
-        let job = AnalysisJob::new(app, 0);
-        let r = client.analyze(app, 0).expect("analyze");
-        assert!(r.ok, "{:?}", r.error);
-        assert_eq!(r.result.unwrap().compact(), reference_body(&reference, &job));
-        let again = client.analyze(app, 0).expect("repeat");
-        assert!(again.cached, "store works under the threads engine");
-    }
-    let status = client.status().expect("status").into_result().expect("ok");
-    assert_eq!(status.field("engine").unwrap().as_str().unwrap(), "threads");
     handle.shutdown();
     handle.join();
 }
