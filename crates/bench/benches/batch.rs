@@ -2,14 +2,9 @@
 //! `run_batch` (rayon fan-out) against the serial reference. On a
 //! multi-core host the parallel path should win by roughly the worker
 //! count; on a single-core host the two are equivalent.
-//!
-//! The `dense_reference` variants run the same sweep on the dense
-//! per-cycle scheduler loop — the before/after pair for the event-driven
-//! core (recorded in `BENCH_3.json` at the repo root).
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use gpa_pipeline::Session;
-use gpa_sim::SimConfig;
 
 fn warmed(session: Session) -> Session {
     // Warm the artifact cache so every path measures run time, not
@@ -29,21 +24,9 @@ fn bench_batch_paths(c: &mut Criterion) {
     c.bench_function("pipeline/parallel_21_apps", |b| b.iter(|| session.run_batch(&jobs)));
 }
 
-fn bench_batch_dense_reference(c: &mut Criterion) {
-    let dense = SimConfig { dense_reference: true, sampling_period: 127, ..SimConfig::default() };
-    let session = warmed(Session::test().with_sim(dense));
-    let jobs = session.jobs_for_all_apps();
-    c.bench_function("pipeline/serial_21_apps_dense_reference", |b| {
-        b.iter(|| session.run_batch_serial(&jobs))
-    });
-    c.bench_function("pipeline/parallel_21_apps_dense_reference", |b| {
-        b.iter(|| session.run_batch(&jobs))
-    });
-}
-
 criterion_group! {
     name = benches;
     config = Criterion::default().sample_size(10);
-    targets = bench_batch_paths, bench_batch_dense_reference
+    targets = bench_batch_paths
 }
 criterion_main!(benches);

@@ -2,10 +2,11 @@
 //! blamer, and end-to-end advise latency. (The paper argues PC sampling's
 //! post-mortem analysis is cheap — these benches quantify our analogue.)
 //!
-//! The `sim/*` group compares the event-driven scheduler core against the
-//! dense per-cycle reference loop (`SimConfig::dense_reference`) on both
-//! a real app and a long-latency-dominated kernel, plus the compiled
-//! program reuse path. The `sampling/*` group measures the streaming
+//! The `sim/*` group times the scheduler core on a real app and on a
+//! long-latency-dominated kernel, plus the compiled program reuse path
+//! and the two memory models (`BENCH_3.json` records the dense-vs-event
+//! verdict; the dense core is now a test oracle, see
+//! `tests/sim_equivalence.rs`). The `sampling/*` group measures the streaming
 //! measurement layer: the default at-source aggregating `SampleSink`
 //! against the old raw-buffered `Vec<RawSample>` path on a sample-heavy
 //! run. Quick mode for CI: set `GPA_BENCH_SAMPLES=3`.
@@ -18,16 +19,10 @@ use gpa_kernels::apps;
 use gpa_kernels::runner::{
     arch_for, launch_spec_with, launch_spec_with_sink, run_spec, sim_config,
 };
-use gpa_kernels::{KernelSpec, Params};
+use gpa_kernels::Params;
 use gpa_sampling::KernelProfile;
 use gpa_sim::{GpuSim, LaunchResult, RawSample, SampleSet, SimConfig};
 use gpa_structure::ProgramStructure;
-
-/// Launches a spec under the chosen scheduler core.
-fn launch_with_core(spec: &KernelSpec, arch: &ArchConfig, dense: bool) -> LaunchResult {
-    let cfg = SimConfig { dense_reference: dense, ..sim_config() };
-    launch_spec_with(spec, arch, cfg).expect("launch")
-}
 
 fn bench_simulator(c: &mut Criterion) {
     let p = Params::test();
@@ -38,27 +33,9 @@ fn bench_simulator(c: &mut Criterion) {
     });
 }
 
-/// Dense-vs-event comparison on a real app: the two cores produce
-/// byte-identical results (asserted once up front), so the timing delta
-/// is pure scheduler overhead.
-fn bench_dense_vs_event(c: &mut Criterion) {
-    let p = Params::test();
-    let arch = arch_for(&p);
-    let spec = (apps::hotspot::app().build)(0, &p);
-    let dense = launch_with_core(&spec, &arch, true);
-    let event = launch_with_core(&spec, &arch, false);
-    assert_eq!(dense, event, "cores must agree before timing them");
-    c.bench_function("sim/dense_vs_event/hotspot_dense", |b| {
-        b.iter(|| launch_with_core(&spec, &arch, true))
-    });
-    c.bench_function("sim/dense_vs_event/hotspot_event", |b| {
-        b.iter(|| launch_with_core(&spec, &arch, false))
-    });
-}
-
 /// A serial pointer-chase: one warp, 96 dependent global loads. Nearly
 /// every cycle is an idle wait on DRAM latency — the event core's best
-/// case, and the dense loop's worst.
+/// case.
 const CHASE: &str = r#"
 .module chase
 .kernel chase
@@ -83,16 +60,13 @@ loop:
 fn bench_long_latency(c: &mut Criterion) {
     let arch = ArchConfig::small(1);
     let module = parse_module(CHASE).expect("chase kernel parses");
-    let run = |dense: bool| {
-        let cfg = SimConfig { dense_reference: dense, ..sim_config() };
-        let mut gpu = GpuSim::new(arch.clone(), cfg);
+    let run = || {
+        let mut gpu = GpuSim::new(arch.clone(), sim_config());
         let buf = gpu.global_mut().alloc(4 * 32);
         let params: Vec<u8> = buf.to_le_bytes().to_vec();
         gpu.launch(&module, "chase", &LaunchConfig::new(1, 32), &params).expect("launch")
     };
-    assert_eq!(run(true), run(false), "cores must agree before timing them");
-    c.bench_function("sim/dense_vs_event/long_latency_dense", |b| b.iter(|| run(true)));
-    c.bench_function("sim/dense_vs_event/long_latency_event", |b| b.iter(|| run(false)));
+    c.bench_function("sim/dense_vs_event/long_latency_event", |b| b.iter(run));
 }
 
 /// Per-launch lowering vs a compiled program reused across launches —
@@ -227,7 +201,7 @@ fn bench_static_analysis(c: &mut Criterion) {
 criterion_group! {
     name = benches;
     config = Criterion::default().sample_size(10);
-    targets = bench_simulator, bench_dense_vs_event, bench_long_latency, bench_compiled_reuse,
+    targets = bench_simulator, bench_long_latency, bench_compiled_reuse,
         bench_sampling_sink, bench_flat_vs_hierarchy, bench_blamer, bench_advisor,
         bench_static_analysis
 }

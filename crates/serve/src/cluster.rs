@@ -5,7 +5,7 @@
 //! probes, heartbeats).
 
 use crate::client::ClientError;
-use crate::faults::FaultPlan;
+use crate::faults::{FaultPlan, PeerOp};
 use crate::metrics::Metrics;
 use crate::peer::PeerTable;
 use crate::protocol::{self, members_json, PeerMeta, Request};
@@ -192,17 +192,18 @@ impl Cluster {
         })
     }
 
-    /// Sends one request line to `addr` over the hardened peer path and
-    /// returns the reply line; `retry` lets a failed call spend a
-    /// budget token.
+    /// Sends one `op`-class request line to `addr` over the hardened
+    /// peer path and returns the reply line; `retry` lets a failed call
+    /// spend a budget token.
     pub(crate) fn ask(
         &self,
         addr: &str,
+        op: PeerOp,
         metrics: &Metrics,
         retry: bool,
         wire: &str,
     ) -> Result<String, ClientError> {
-        self.peers.call(addr, metrics, retry, |client| {
+        self.peers.call(addr, op, metrics, retry, |client| {
             Ok(client.request_line(wire)?.trim_end().to_string())
         })
     }
@@ -255,9 +256,10 @@ fn reply_roster(line: &str) -> Option<(u64, Vec<String>)> {
 pub(crate) fn join_cluster(shared: &Shared, seed: &str) -> io::Result<()> {
     let cluster = shared.cluster.as_ref().expect("join implies cluster mode");
     let wire = Request::Join { addr: cluster.self_addr.clone(), meta: cluster.meta() }.to_wire();
-    let line = cluster.ask(seed, &shared.metrics, true, &wire).map_err(|e| {
-        io::Error::new(io::ErrorKind::ConnectionRefused, format!("join via {seed}: {e}"))
-    })?;
+    let line =
+        cluster.ask(seed, PeerOp::Membership, &shared.metrics, true, &wire).map_err(|e| {
+            io::Error::new(io::ErrorKind::ConnectionRefused, format!("join via {seed}: {e}"))
+        })?;
     let (epoch, members) = reply_roster(&line).ok_or_else(|| {
         io::Error::new(io::ErrorKind::InvalidData, format!("join via {seed}: no roster in {line}"))
     })?;
@@ -401,7 +403,7 @@ pub(crate) fn drain_self(shared: &Shared) -> String {
     let announce =
         Request::Leave { addr: Some(cluster.self_addr.clone()), meta: cluster.meta() }.to_wire();
     for member in &members {
-        let _ = cluster.ask(member, &shared.metrics, false, &announce);
+        let _ = cluster.ask(member, PeerOp::Membership, &shared.metrics, false, &announce);
     }
     let body = Json::object()
         .with("left", true)
@@ -417,7 +419,7 @@ fn ship_entry(shared: &Shared, cluster: &Cluster, owner: &str, key: &str, body: 
     let wire =
         Request::StorePut { key: key.to_string(), body: body.to_string(), meta: cluster.meta() }
             .to_wire();
-    match cluster.ask(owner, &shared.metrics, false, &wire) {
+    match cluster.ask(owner, PeerOp::Store, &shared.metrics, false, &wire) {
         Ok(_) => {
             shared.metrics.handoff_shipped.fetch_add(1, Ordering::Relaxed);
             true
@@ -441,7 +443,7 @@ pub(crate) fn replicator_loop(shared: &Shared, rx: &mpsc::Receiver<(String, Stri
         // replicate to — not a drop.
         let Some(successor) = cluster.successor() else { continue };
         let wire = Request::StorePut { key, body, meta: cluster.meta() }.to_wire();
-        match cluster.ask(&successor, &shared.metrics, false, &wire) {
+        match cluster.ask(&successor, PeerOp::Store, &shared.metrics, false, &wire) {
             Ok(_) => {
                 shared.metrics.replicated_out.fetch_add(1, Ordering::Relaxed);
             }
@@ -465,7 +467,7 @@ pub(crate) fn cluster_loop(shared: &Shared, rx: &mpsc::Receiver<ClusterTask>) {
             break;
         }
         match rx.recv_timeout(CLUSTER_TICK) {
-            Ok(ClusterTask::Refresh(addr)) => refresh_from(shared, &addr),
+            Ok(ClusterTask::Refresh(addr)) => refresh_from(shared, &addr, PeerOp::Membership),
             Ok(ClusterTask::Handoff) => run_handoff(shared),
             Err(mpsc::RecvTimeoutError::Timeout) => {
                 probe_tripped_peers(shared);
@@ -495,19 +497,20 @@ fn heartbeat_members(shared: &Shared) {
             continue;
         }
         shared.metrics.heartbeats.fetch_add(1, Ordering::Relaxed);
-        refresh_from(shared, &addr);
+        refresh_from(shared, &addr, PeerOp::Heartbeat);
     }
 }
 
 /// Pulls `ring_status` from `addr` and adopts anything newer than the
-/// local roster.
-fn refresh_from(shared: &Shared, addr: &str) {
+/// local roster; `op` says on whose behalf (a liveness probe or a
+/// roster refresh).
+fn refresh_from(shared: &Shared, addr: &str, op: PeerOp) {
     let Some(cluster) = &shared.cluster else { return };
     if addr == cluster.self_addr {
         return;
     }
     let wire = Request::RingStatus.to_wire();
-    let Ok(line) = cluster.ask(addr, &shared.metrics, false, &wire) else { return };
+    let Ok(line) = cluster.ask(addr, op, &shared.metrics, false, &wire) else { return };
     let Some((epoch, members)) = reply_roster(&line) else { return };
     if cluster.adopt(epoch, &members) {
         shared.metrics.ring_refreshes.fetch_add(1, Ordering::Relaxed);
@@ -549,6 +552,6 @@ fn probe_tripped_peers(shared: &Shared) {
         if shared.shutting_down.load(Ordering::Acquire) {
             return;
         }
-        refresh_from(shared, &addr);
+        refresh_from(shared, &addr, PeerOp::Heartbeat);
     }
 }

@@ -4,6 +4,7 @@
 //! stale-epoch re-route, local fallback, warm-from-successor).
 
 use crate::cluster::{self, ClusterTask};
+use crate::faults::PeerOp;
 use crate::protocol::{self, Request};
 use crate::server::Shared;
 use crate::status::status_body;
@@ -296,7 +297,7 @@ fn forward(shared: &Shared, owner: &str, request: &Request) -> Result<Forwarded,
     }
     let wire = forwarded.to_wire();
     let line = cluster
-        .ask(owner, &shared.metrics, true, &wire)
+        .ask(owner, PeerOp::Forward, &shared.metrics, true, &wire)
         .map_err(crate::client::ClientError::into_io)?;
     if let Some((epoch, members)) = protocol::parse_stale_epoch(&line) {
         if cluster.adopt(epoch, &members) {
@@ -318,7 +319,7 @@ fn warm_from_successor(shared: &Shared, key: &str) -> Option<String> {
         return None;
     }
     let wire = Request::StoreGet { key: key.to_string() }.to_wire();
-    let line = cluster.ask(&successor, &shared.metrics, false, &wire).ok()?;
+    let line = cluster.ask(&successor, PeerOp::Store, &shared.metrics, false, &wire).ok()?;
     let doc = Json::parse(&line).ok()?;
     if !doc.get("ok")?.as_bool().ok()? {
         return None;

@@ -14,9 +14,14 @@
 //! ```
 //!
 //! Each rule names an action (`deny`, `delay`, `sever`), a peer
-//! address (or `*` for every peer), and optional windowing parameters:
-//! `after=N` skips the first N matching calls, `count=N` limits the
-//! rule to N firings (0 = unlimited), and `ms=N` sets the delay. The
+//! address (or `*` for every peer), and optional parameters:
+//! `op=CLASS` restricts the rule to one class of peer call (`forward`,
+//! `store`, `heartbeat`, `membership`; absent or `*` = all — see
+//! [`PeerOp`]), `after=N` skips the first N matching calls, `count=N`
+//! limits the rule to N firings (0 = unlimited), and `ms=N` sets the
+//! delay. Background calls (heartbeats, replication) run on wall-clock
+//! ticks, so a plan that scripts *user-visible* failures by count should
+//! name the class it means. The
 //! address/parameter split is positional — the last `:`-segment is
 //! parameters exactly when it contains `=`, so bare `host:port`
 //! addresses need no escaping. Rules are checked in order; the first
@@ -44,11 +49,39 @@ pub enum FaultAction {
     Sever,
 }
 
+/// What a peer call is for: the class a rule's `op=` parameter filters
+/// on. Every wire line a daemon sends a peer belongs to exactly one.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum PeerOp {
+    /// A user request forwarded to its owner.
+    Forward,
+    /// `store_get` / `store_put`: replication, handoff, warm-from-successor.
+    Store,
+    /// The periodic liveness probe and the tripped-peer cooldown probe.
+    Heartbeat,
+    /// `join` / `leave` announcements and roster refreshes.
+    Membership,
+}
+
+impl PeerOp {
+    fn parse(name: &str) -> Option<PeerOp> {
+        Some(match name {
+            "forward" => PeerOp::Forward,
+            "store" => PeerOp::Store,
+            "heartbeat" => PeerOp::Heartbeat,
+            "membership" => PeerOp::Membership,
+            _ => return None,
+        })
+    }
+}
+
 #[derive(Debug)]
 struct FaultRule {
     action: FaultAction,
     /// Peer address the rule applies to; `*` matches every peer.
     peer: String,
+    /// Call class the rule applies to; `None` matches every class.
+    op: Option<PeerOp>,
     /// Matching calls to let through before the rule starts firing.
     after: u64,
     /// Firings before the rule burns out (0 = unlimited).
@@ -118,11 +151,20 @@ impl FaultPlan {
                     "fault spec: `{peer}` is not a peer address (`host:port` or `*`)"
                 ));
             }
-            let (mut after, mut count, mut ms) = (0u64, 0u64, None);
+            let (mut after, mut count, mut ms, mut op) = (0u64, 0u64, None, None);
             for param in params.split(',').map(str::trim).filter(|p| !p.is_empty()) {
                 let (key, value) = param
                     .split_once('=')
                     .ok_or_else(|| format!("fault spec: parameter `{param}` is not key=value"))?;
+                if key == "op" {
+                    if value != "*" {
+                        op =
+                            Some(PeerOp::parse(value).ok_or_else(|| {
+                                format!("fault spec: unknown op class `{value}`")
+                            })?);
+                    }
+                    continue;
+                }
                 let value: u64 = value
                     .parse()
                     .map_err(|_| format!("fault spec: `{key}` expects a number, got `{value}`"))?;
@@ -147,6 +189,7 @@ impl FaultPlan {
             rules.push(FaultRule {
                 action,
                 peer: peer.to_string(),
+                op,
                 after,
                 count,
                 seen: AtomicU64::new(0),
@@ -179,14 +222,15 @@ impl FaultPlan {
         self.seed
     }
 
-    /// Evaluates the plan for one call to `peer`: the first rule whose
-    /// window covers this call decides. Counters advance only on rules
-    /// that match the peer, so per-peer windows are stable no matter
-    /// how other peers are trafficked.
-    pub fn check(&self, peer: &str) -> Option<FaultAction> {
+    /// Evaluates the plan for one `op`-class call to `peer`: the first
+    /// rule whose window covers this call decides. Counters advance
+    /// only on rules that match the peer and the class, so a rule's
+    /// window is stable no matter how other peers are trafficked or
+    /// when background calls of another class happen to run.
+    pub fn check(&self, peer: &str, op: PeerOp) -> Option<FaultAction> {
         let mut fired = None;
         for rule in self.rules.iter() {
-            if rule.peer != "*" && rule.peer != peer {
+            if (rule.peer != "*" && rule.peer != peer) || rule.op.is_some_and(|o| o != op) {
                 continue;
             }
             if rule.fire() && fired.is_none() {
@@ -225,15 +269,15 @@ mod tests {
         assert_eq!(plan.seed(), 42);
         // First call to the denied peer is within `after`, so the
         // wildcard delay (unlimited) fires instead.
-        assert_eq!(plan.check("127.0.0.1:7072"), Some(FaultAction::Delay(10)));
+        assert_eq!(plan.check("127.0.0.1:7072", PeerOp::Forward), Some(FaultAction::Delay(10)));
         // The next two are denied (rule order wins over the wildcard).
-        assert_eq!(plan.check("127.0.0.1:7072"), Some(FaultAction::Deny));
-        assert_eq!(plan.check("127.0.0.1:7072"), Some(FaultAction::Deny));
+        assert_eq!(plan.check("127.0.0.1:7072", PeerOp::Forward), Some(FaultAction::Deny));
+        assert_eq!(plan.check("127.0.0.1:7072", PeerOp::Forward), Some(FaultAction::Deny));
         // The window is spent; back to the delay.
-        assert_eq!(plan.check("127.0.0.1:7072"), Some(FaultAction::Delay(10)));
+        assert_eq!(plan.check("127.0.0.1:7072", PeerOp::Forward), Some(FaultAction::Delay(10)));
         // Other peers only see the wildcard and never burn the deny
         // window.
-        assert_eq!(plan.check("127.0.0.1:7073"), Some(FaultAction::Delay(10)));
+        assert_eq!(plan.check("127.0.0.1:7073", PeerOp::Forward), Some(FaultAction::Delay(10)));
         assert!(plan.fired() >= 5);
     }
 
@@ -241,14 +285,14 @@ mod tests {
     fn windows_are_shared_across_clones() {
         let plan = FaultPlan::parse("sever:*:count=1").unwrap();
         let replica = plan.clone();
-        assert_eq!(replica.check("a"), Some(FaultAction::Sever));
-        assert_eq!(plan.check("a"), None, "the clone burned the only firing");
+        assert_eq!(replica.check("a", PeerOp::Forward), Some(FaultAction::Sever));
+        assert_eq!(plan.check("a", PeerOp::Forward), None, "the clone burned the only firing");
     }
 
     #[test]
     fn quiet_peers_pass_through() {
         let plan = FaultPlan::parse("deny:127.0.0.1:1:count=1").unwrap();
-        assert_eq!(plan.check("127.0.0.1:2"), None);
+        assert_eq!(plan.check("127.0.0.1:2", PeerOp::Forward), None);
     }
 
     #[test]
@@ -258,14 +302,54 @@ mod tests {
             "seed=abc",
             "explode:*",
             "deny",
-            "delay:*",         // delay needs ms=
-            "deny:*:ms=5",     // ms= is delay-only
-            "deny::after=1",   // empty peer
-            "deny:*:after=x",  // non-numeric
-            "deny:*:jitter=1", // unknown key
-            "deny:*:after",    // not key=value
+            "delay:*",          // delay needs ms=
+            "deny:*:ms=5",      // ms= is delay-only
+            "deny::after=1",    // empty peer
+            "deny:*:after=x",   // non-numeric
+            "deny:*:jitter=1",  // unknown key
+            "deny:*:after",     // not key=value
+            "deny:*:op=gossip", // unknown class
+            "deny:*:op",        // not key=value
         ] {
             assert!(FaultPlan::parse(spec).is_err(), "spec `{spec}` should be rejected");
         }
+    }
+
+    #[test]
+    fn op_class_filters_which_calls_a_rule_sees() {
+        let plan = FaultPlan::parse("deny:*:op=forward,count=2").unwrap();
+        // Background classes pass through and never burn the window,
+        // however many of them run between the two forwards.
+        for op in [PeerOp::Heartbeat, PeerOp::Store, PeerOp::Membership, PeerOp::Heartbeat] {
+            assert_eq!(plan.check("a", op), None);
+        }
+        assert_eq!(plan.check("a", PeerOp::Forward), Some(FaultAction::Deny));
+        assert_eq!(plan.check("b", PeerOp::Heartbeat), None);
+        assert_eq!(plan.check("b", PeerOp::Forward), Some(FaultAction::Deny));
+        assert_eq!(plan.check("a", PeerOp::Forward), None, "both firings went to forwards");
+        assert_eq!(plan.fired(), 2);
+    }
+
+    #[test]
+    fn op_star_and_absent_match_every_class() {
+        for spec in ["sever:*:op=*,count=4", "sever:*:count=4"] {
+            let plan = FaultPlan::parse(spec).unwrap();
+            for op in [PeerOp::Forward, PeerOp::Store, PeerOp::Heartbeat, PeerOp::Membership] {
+                assert_eq!(plan.check("a", op), Some(FaultAction::Sever), "{spec} / {op:?}");
+            }
+            assert_eq!(plan.check("a", PeerOp::Forward), None, "{spec}: window spent");
+        }
+    }
+
+    #[test]
+    fn after_windows_count_matching_classes_only() {
+        let plan =
+            FaultPlan::parse("delay:*:op=store,after=1,count=1,ms=5;deny:*:op=heartbeat").unwrap();
+        assert_eq!(plan.check("a", PeerOp::Heartbeat), Some(FaultAction::Deny));
+        assert_eq!(plan.check("a", PeerOp::Store), None, "first store call is within `after`");
+        assert_eq!(plan.check("a", PeerOp::Heartbeat), Some(FaultAction::Deny));
+        assert_eq!(plan.check("a", PeerOp::Store), Some(FaultAction::Delay(5)));
+        assert_eq!(plan.check("a", PeerOp::Store), None);
+        assert_eq!(plan.check("a", PeerOp::Forward), None, "no rule names forwards");
     }
 }

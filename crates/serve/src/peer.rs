@@ -27,7 +27,7 @@
 //! `status`.
 
 use crate::client::{ClientError, ServeClient};
-use crate::faults::{FaultAction, FaultPlan};
+use crate::faults::{FaultAction, FaultPlan, PeerOp};
 use crate::metrics::Metrics;
 use gpa_json::Json;
 use std::collections::HashMap;
@@ -112,8 +112,9 @@ impl PeerTable {
     }
 
     /// Runs `f` against a connection to `addr`, through the full
-    /// hardening stack. `retry` decides whether a failed fresh call
-    /// may spend a budget token on one backed-off retry.
+    /// hardening stack. `op` is the call's class, for the fault plan;
+    /// `retry` decides whether a failed fresh call may spend a budget
+    /// token on one backed-off retry.
     ///
     /// # Errors
     ///
@@ -122,11 +123,12 @@ impl PeerTable {
     pub(crate) fn call<T>(
         &self,
         addr: &str,
+        op: PeerOp,
         metrics: &Metrics,
         retry: bool,
         mut f: impl FnMut(&mut ServeClient) -> io::Result<T>,
     ) -> Result<T, ClientError> {
-        match self.faults.as_ref().and_then(|plan| plan.check(addr)) {
+        match self.faults.as_ref().and_then(|plan| plan.check(addr, op)) {
             Some(FaultAction::Deny) => {
                 self.record_failure(addr, metrics);
                 return Err(ClientError::Io(io::Error::new(
@@ -368,17 +370,17 @@ mod tests {
         let metrics = Metrics::default();
         let peers = table(None);
         for _ in 0..TRIP_THRESHOLD {
-            let err = peers.call(DEAD, &metrics, false, |_| Ok(())).unwrap_err();
+            let err = peers.call(DEAD, PeerOp::Forward, &metrics, false, |_| Ok(())).unwrap_err();
             assert!(!err.is_retryable());
         }
         assert_eq!(metrics.breaker_trips.load(Ordering::Relaxed), 1);
-        let err = peers.call(DEAD, &metrics, false, |_| Ok(())).unwrap_err();
+        let err = peers.call(DEAD, PeerOp::Forward, &metrics, false, |_| Ok(())).unwrap_err();
         assert!(err.as_io().to_string().contains("breaker open"), "{err}");
         assert_eq!(metrics.breaker_fast_fails.load(Ordering::Relaxed), 1);
         // After the cooldown the next call probes (and fails again,
         // re-tripping).
         std::thread::sleep(Duration::from_millis(120));
-        let _ = peers.call(DEAD, &metrics, false, |_| Ok(()));
+        let _ = peers.call(DEAD, PeerOp::Forward, &metrics, false, |_| Ok(()));
         assert_eq!(metrics.peer_probes.load(Ordering::Relaxed), 1);
         assert_eq!(metrics.breaker_trips.load(Ordering::Relaxed), 2);
     }
@@ -389,7 +391,7 @@ mod tests {
         let peers = table(None);
         // One budgeted end-to-end retry against a dead peer spends a
         // token...
-        let _ = peers.call(DEAD, &metrics, true, |_| Ok(()));
+        let _ = peers.call(DEAD, PeerOp::Forward, &metrics, true, |_| Ok(()));
         assert_eq!(metrics.retries_spent.load(Ordering::Relaxed), 1);
         // ...then drain the bucket directly: capacity 2 leaves one
         // token, and the request after it is denied.
@@ -404,13 +406,13 @@ mod tests {
         let plan = FaultPlan::parse("seed=7;deny:*:count=2").unwrap();
         let peers = table(Some(plan.clone()));
         for _ in 0..2 {
-            let err = peers.call(DEAD, &metrics, false, |_| Ok(())).unwrap_err();
+            let err = peers.call(DEAD, PeerOp::Forward, &metrics, false, |_| Ok(())).unwrap_err();
             assert!(err.as_io().to_string().contains("fault injection"), "{err}");
         }
         assert_eq!(plan.fired(), 2);
         // The window is spent; the next call reaches the (dead) peer
         // and fails with a real dial error instead.
-        let err = peers.call(DEAD, &metrics, false, |_| Ok(())).unwrap_err();
+        let err = peers.call(DEAD, PeerOp::Forward, &metrics, false, |_| Ok(())).unwrap_err();
         assert!(!err.as_io().to_string().contains("fault injection"), "{err}");
     }
 

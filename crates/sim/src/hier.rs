@@ -1,22 +1,18 @@
-//! Timed memory-hierarchy servers ([`gpa_arch::MemModel::Hierarchy`]).
+//! [`TimedServer`]: the one bounded in-flight queue of the machine.
 //!
-//! The flat model charges each memory instruction a fixed per-space
-//! latency; nothing in the machine can be *full*. This module adds the
-//! structural half of a memory subsystem: a [`TimedServer`] is a bounded
-//! pool of in-flight requests ordered by completion time, and [`SmHier`]
-//! bundles the per-SM instances (L1 tag array, MSHR file, L2 request
-//! queue) that the issue path consults.
+//! A `TimedServer` is a bounded pool of in-flight requests ordered by
+//! completion time. Three things in an SM are one: the LSU in-flight
+//! limit (every launch), and the hierarchy model's MSHR file and L2
+//! request queue ([`gpa_arch::MemModel::Hierarchy`]). When one is full,
+//! memory instructions cannot issue.
 //!
 //! The design constraint is the event core's bound validity: occupancy
 //! may only *rise* from new issues (which happen under the scheduler's
 //! eye) and *fall* at completion times that were fixed at admission.
-//! `clear_time` is therefore a pure prefix scan over frozen state — the
-//! same shape as the LSU `throttle_clear_time` — so cached
-//! `sched_next_ready` bounds stay valid lower bounds and dense vs. event
-//! scheduling stays byte-identical with the hierarchy enabled.
-
-use crate::mem::DirectCache;
-use gpa_arch::HierarchyConfig;
+//! [`TimedServer::clear_time`] is therefore a pure prefix scan over
+//! frozen state, so cached `sched_next_ready` bounds built from it stay
+//! valid lower bounds and dense vs. event scheduling stays
+//! byte-identical under either memory model.
 
 /// A bounded pool of in-flight requests, each occupying `n` slots until
 /// a completion time fixed at admission.
@@ -101,39 +97,6 @@ impl TimedServer {
     }
 }
 
-/// Per-SM memory-hierarchy state: the L1 data-cache tag array plus the
-/// two bounded servers whose fullness back-pressures issue (MSHR file,
-/// this SM's share of the L2 request queue).
-#[derive(Debug, Clone)]
-pub struct SmHier {
-    /// The hierarchy knobs this SM was built with.
-    pub cfg: HierarchyConfig,
-    /// Per-SM L1 data cache (direct-mapped tag array, fills on miss).
-    pub l1: DirectCache,
-    /// Miss-status holding registers: one slot per in-flight L1 miss.
-    pub mshr: TimedServer,
-    /// This SM's share of the L2 request queue.
-    pub l2q: TimedServer,
-}
-
-impl SmHier {
-    /// Fresh per-SM state for one launch.
-    pub fn new(cfg: &HierarchyConfig) -> Self {
-        SmHier {
-            cfg: cfg.clone(),
-            l1: DirectCache::new(cfg.l1_size, cfg.l1_line),
-            mshr: TimedServer::new(cfg.mshr_capacity),
-            l2q: TimedServer::new(cfg.l2_queue_capacity),
-        }
-    }
-
-    /// Retires both servers up to `now` (top of every SM step).
-    pub fn retire(&mut self, now: u64) {
-        self.mshr.retire(now);
-        self.l2q.retire(now);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -190,16 +153,5 @@ mod tests {
         event.retire(15);
         assert_eq!(dense.occupancy(), event.occupancy());
         assert_eq!(dense.clear_time(), event.clear_time());
-    }
-
-    #[test]
-    fn sm_hier_builds_from_config() {
-        let cfg = HierarchyConfig::default();
-        let mut h = SmHier::new(&cfg);
-        assert!(!h.mshr.is_full());
-        assert!(!h.l2q.is_full());
-        assert!(!h.l1.access(0), "cold cache misses");
-        assert!(h.l1.access(0), "fills on miss");
-        h.retire(0);
     }
 }

@@ -35,12 +35,13 @@
 //!
 //! The scheduler core is **event-driven**: on cycles where no warp can
 //! issue anywhere, the clock jumps straight to the next warp-ready time or
-//! sampling tick instead of spinning (see `docs/simulator.md`). The dense
-//! per-cycle loop survives behind [`SimConfig::dense_reference`] and the
-//! differential tests assert both cores produce byte-identical
-//! [`LaunchResult`]s. Lowering a module for simulation is separable and
-//! cacheable: [`CompiledProgram`] is built once per (module, entry) and
-//! reused across launches via [`GpuSim::launch_compiled`].
+//! sampling tick instead of spinning (see `docs/simulator.md`). It is the
+//! only core a launch can run; the dense per-cycle loop is a reference
+//! implementation in [`mod@reference`] that the differential tests call to
+//! assert byte-identical [`LaunchResult`]s. Lowering a module for
+//! simulation is separable and cacheable: [`CompiledProgram`] is built
+//! once per (module, entry) and reused across launches via
+//! [`GpuSim::launch_compiled`].
 //!
 //! # Example
 //!
@@ -69,14 +70,19 @@ pub mod exec;
 pub mod hier;
 pub mod machine;
 pub mod mem;
+mod memory;
+pub mod program;
 pub mod reconv;
+pub mod reference;
 pub mod sample;
+mod sm;
 pub mod stall;
 pub mod warp;
 
-pub use hier::{SmHier, TimedServer};
-pub use machine::{CompiledProgram, GpuSim, LaunchResult, RawSample, SimConfig, SmStats};
+pub use hier::TimedServer;
+pub use machine::{GpuSim, LaunchResult, RawSample, SimConfig, SmStats};
 pub use mem::GlobalMem;
+pub use program::CompiledProgram;
 pub use sample::{SampleSet, SampleSink, N_REASONS};
 pub use stall::StallReason;
 

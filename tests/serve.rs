@@ -1391,13 +1391,13 @@ fn heartbeat_trips_a_dead_peers_breaker_before_any_user_call() {
     }
 }
 
-/// A seeded fault plan scripts the peer path: `deny:*:count=2` on
+/// A seeded fault plan scripts the peer path: `deny:*:op=forward,count=2` on
 /// shard 0 kills exactly the first two forwards (each falling back to
 /// a byte-identical local compute) and the third sails through — the
 /// same way on every run.
 #[test]
 fn a_seeded_fault_plan_scripts_forward_failures_deterministically() {
-    let plan = FaultPlan::parse("seed=7;deny:*:count=2").expect("plan parses");
+    let plan = FaultPlan::parse("seed=7;deny:*:op=forward,count=2").expect("plan parses");
     let (handles, addrs) = test_cluster_with(2, |i, config| match i {
         0 => ServerConfig { faults: Some(plan.clone()), ..config },
         _ => config,

@@ -1,37 +1,64 @@
-//! Differential tests for the simulator's two scheduler cores: the
-//! event-driven cycle-skipping core (the default) must produce results
-//! **byte-identical** to the dense per-cycle reference loop
-//! (`SimConfig::dense_reference`) — cycles, the full **raw** sample
-//! stream (per-sample cycle, SM, scheduler, PC, stall — collected via
-//! the raw-buffering sink, since the default aggregate could mask a
-//! sample taken at the wrong cycle by a warp in the same state), per-PC
-//! issue counts, memory/L2/i-cache counters, and per-SM stats — across
-//! every app in the benchmark registry.
+//! Differential tests for the simulator's scheduler core: the
+//! event-driven cycle-skipping core every `GpuSim::launch*` runs must
+//! produce results **byte-identical** to the dense per-cycle reference
+//! implementation (`gpa_sim::reference::launch_dense`, a test oracle no
+//! configuration reaches) — cycles, the full **raw** sample stream
+//! (per-sample cycle, SM, scheduler, PC, stall — collected via the
+//! raw-buffering sink, since the default aggregate could mask a sample
+//! taken at the wrong cycle by a warp in the same state), per-PC issue
+//! counts, memory/L2/i-cache counters, and per-SM stats — across every
+//! app in the benchmark registry.
 
 use gpa::arch::ArchConfig;
-use gpa::kernels::runner::{arch_for, launch_spec_with, launch_spec_with_sink, sim_config};
+use gpa::kernels::runner::{
+    arch_for, armed_gpu_with, launch_spec_with, launch_spec_with_sink, sim_config,
+};
 use gpa::kernels::{all_apps, KernelSpec, Params};
 use gpa::sampling::KernelProfile;
-use gpa::sim::{LaunchResult, RawSample, SampleSet, SimConfig};
+use gpa::sim::reference::launch_dense;
+use gpa::sim::{LaunchResult, RawSample, SampleSet, SampleSink, SimConfig};
 
-/// Runs one spec to completion under the given scheduler core.
-fn launch_with(spec: &KernelSpec, arch: &ArchConfig, cfg: SimConfig) -> LaunchResult {
-    launch_spec_with(spec, arch, cfg).expect("launch succeeds")
+/// The oracle side of every comparison: arms a device exactly as the
+/// production launch does and hands it to the dense reference core.
+fn launch_oracle(
+    spec: &KernelSpec,
+    arch: &ArchConfig,
+    cfg: SimConfig,
+    sink: &mut dyn SampleSink,
+) -> LaunchResult {
+    let (mut gpu, params) = armed_gpu_with(spec, arch, cfg);
+    let prog = gpu.compile(&spec.module, &spec.entry).expect("kernel compiles");
+    launch_dense(&mut gpu, &prog, &spec.launch, &params, sink).expect("launch succeeds")
 }
 
-/// Like [`launch_with`], but buffering the raw sample stream.
+/// Runs one spec to completion on the chosen core, buffering the raw
+/// sample stream.
 fn launch_raw(
     spec: &KernelSpec,
     arch: &ArchConfig,
     cfg: SimConfig,
+    dense: bool,
 ) -> (LaunchResult, Vec<RawSample>) {
     let mut raw = Vec::new();
-    let result = launch_spec_with_sink(spec, arch, cfg, &mut raw).expect("launch succeeds");
+    let result = if dense {
+        launch_oracle(spec, arch, cfg, &mut raw)
+    } else {
+        launch_spec_with_sink(spec, arch, cfg, &mut raw).expect("launch succeeds")
+    };
     (result, raw)
 }
 
-fn cfg(dense: bool) -> SimConfig {
-    SimConfig { dense_reference: dense, ..sim_config() }
+/// Like [`launch_raw`], but aggregating at the source into the result's
+/// `SampleSet`, as the default sink does.
+fn launch_with(spec: &KernelSpec, arch: &ArchConfig, cfg: SimConfig, dense: bool) -> LaunchResult {
+    if dense {
+        let mut set = SampleSet::new();
+        let mut result = launch_oracle(spec, arch, cfg, &mut set);
+        result.samples = set;
+        result
+    } else {
+        launch_spec_with(spec, arch, cfg).expect("launch succeeds")
+    }
 }
 
 #[test]
@@ -40,8 +67,8 @@ fn all_apps_dense_vs_event_driven_identical() {
     let arch = arch_for(&p);
     for app in all_apps() {
         let spec = (app.build)(0, &p);
-        let dense = launch_with(&spec, &arch, cfg(true));
-        let event = launch_with(&spec, &arch, cfg(false));
+        let dense = launch_with(&spec, &arch, sim_config(), true);
+        let event = launch_with(&spec, &arch, sim_config(), false);
         // Named comparisons first so a mismatch reads well, then the
         // whole result (covers occupancy, launch, and future fields).
         assert_eq!(dense.cycles, event.cycles, "{}: cycles", app.name);
@@ -69,15 +96,15 @@ fn all_apps_raw_sample_streams_identical() {
     for app in all_apps() {
         let spec = (app.build)(0, &p);
         for phase in [0, 7] {
-            let with_phase = |dense: bool| SimConfig { sampling_phase: phase, ..cfg(dense) };
-            let (_, dense_raw) = launch_raw(&spec, &arch, with_phase(true));
-            let (_, event_raw) = launch_raw(&spec, &arch, with_phase(false));
+            let with_phase = || SimConfig { sampling_phase: phase, ..sim_config() };
+            let (_, dense_raw) = launch_raw(&spec, &arch, with_phase(), true);
+            let (_, event_raw) = launch_raw(&spec, &arch, with_phase(), false);
             assert_eq!(
                 dense_raw, event_raw,
                 "{} (phase {phase}): raw sample streams differ",
                 app.name
             );
-            let aggregated = launch_with(&spec, &arch, with_phase(false));
+            let aggregated = launch_with(&spec, &arch, with_phase(), false);
             assert_eq!(
                 SampleSet::from_raw(&event_raw),
                 aggregated.samples,
@@ -85,6 +112,24 @@ fn all_apps_raw_sample_streams_identical() {
                 app.name
             );
         }
+    }
+}
+
+/// Every registry app at scale `p`, plus the demo kernel built to
+/// saturate the hierarchy's servers as the 22nd subject when `demo`.
+fn subjects(p: &Params, demo: bool) -> Vec<(&'static str, KernelSpec)> {
+    let demo = demo.then(|| ("demo/membound", (gpa::kernels::apps::membound::app().build)(0, p)));
+    all_apps().iter().map(|app| (app.name, (app.build)(0, p))).chain(demo).collect()
+}
+
+/// Full `LaunchResult` and raw-stream identity for every subject.
+fn assert_cores_identical(specs: &[(&str, KernelSpec)], arch: &ArchConfig, what: &str) {
+    for (name, spec) in specs {
+        let (dense, dense_raw) = launch_raw(spec, arch, sim_config(), true);
+        let (event, event_raw) = launch_raw(spec, arch, sim_config(), false);
+        assert_eq!(dense.cycles, event.cycles, "{name}: cycles {what}");
+        assert_eq!(dense_raw, event_raw, "{name}: raw sample streams {what}");
+        assert_eq!(dense, event, "{name}: full LaunchResult {what}");
     }
 }
 
@@ -98,18 +143,22 @@ fn all_apps_raw_sample_streams_identical() {
 fn all_apps_dense_vs_event_driven_identical_with_hierarchy() {
     let p = Params::test();
     let arch = arch_for(&p).with_hierarchy();
-    let specs = all_apps()
-        .iter()
-        .map(|app| (app.name, (app.build)(0, &p)))
-        .chain([("demo/membound", (gpa::kernels::apps::membound::app().build)(0, &p))])
-        .collect::<Vec<_>>();
-    for (name, spec) in &specs {
-        let (dense, dense_raw) = launch_raw(spec, &arch, cfg(true));
-        let (event, event_raw) = launch_raw(spec, &arch, cfg(false));
-        assert_eq!(dense.cycles, event.cycles, "{name}: cycles under hierarchy");
-        assert_eq!(dense_raw, event_raw, "{name}: raw sample streams under hierarchy");
-        assert_eq!(dense, event, "{name}: full LaunchResult under hierarchy");
-    }
+    assert_cores_identical(&subjects(&p, true), &arch, "under hierarchy");
+}
+
+/// The differential at the scale people run: the daemon and the
+/// benchmark harness use `Params::full()` (8 SMs, scale 4), every test
+/// above `Params::test()` (2 SMs, scale 1). Ignored by default because
+/// the dense oracle at this scale is slow in a debug build; CI runs it
+/// in release (`cargo test --release --test sim_equivalence --
+/// --include-ignored`).
+#[test]
+#[ignore = "dense oracle at full scale: run in release with --include-ignored"]
+fn all_apps_dense_vs_event_driven_identical_at_full_scale() {
+    let p = Params::full();
+    assert_cores_identical(&subjects(&p, false), &arch_for(&p), "at full scale, flat");
+    let hier = arch_for(&p).with_hierarchy();
+    assert_cores_identical(&subjects(&p, true), &hier, "at full scale, hierarchy");
 }
 
 #[test]
@@ -122,7 +171,7 @@ fn aggregated_profiles_are_identical_too() {
         let spec = (app.build)(0, &p);
         let period = sim_config().sampling_period;
         let profile = |dense: bool| {
-            let r = launch_with(&spec, &arch, cfg(dense));
+            let r = launch_with(&spec, &arch, sim_config(), dense);
             KernelProfile::from_launch(
                 &spec.entry,
                 &spec.module.name,
