@@ -1,16 +1,21 @@
 //! Functional (value-level) execution of instructions.
 //!
-//! Execution happens lane-wise at issue time: values land in registers
-//! immediately while the *timing* layer (scoreboards, barriers) decides
-//! when consumers may observe them. This keeps functional correctness
+//! Execution happens at issue time: values land in registers immediately
+//! while the *timing* layer (scoreboards, barriers) decides when
+//! consumers may observe them. This keeps functional correctness
 //! independent of the timing model.
+//!
+//! The executor runs [`Plan`]s — instructions decoded once, when the
+//! program was lowered — and works on 32-lane rows: every arithmetic arm
+//! materialises its sources (`fill32`/`fill64`) and applies one closure
+//! across them; only the memory ops and `SHFL` read operands lane by
+//! lane. Nothing on this path allocates.
 
 use crate::mem::{ConstMem, GlobalMem};
+use crate::program::{CmpOp, Plan, Src};
 use crate::warp::{DivEntry, WarpState, WARP_LANES};
 use crate::{Result, SimError};
-use gpa_isa::{
-    Instruction, MemSpace, Modifier, Opcode, Operand, Register, SpecialReg, INSTR_BYTES,
-};
+use gpa_isa::{MemRef, MemSpace, Modifier, Opcode, Register, INSTR_BYTES};
 
 /// Shared-state view handed to the executor for one instruction.
 pub struct ExecCtx<'a> {
@@ -46,71 +51,54 @@ pub enum Outcome {
 }
 
 /// The memory traffic of one issued instruction, for the timing model.
+/// The caller of [`execute`] owns one and lends it to every instruction:
+/// the lane addresses live inline, so the memory path allocates nothing
+/// and nothing this large is returned by value.
 #[derive(Debug, Clone)]
 pub struct MemAccess {
     /// Which space was touched.
     pub space: MemSpace,
-    /// Per-lane byte addresses (only executing lanes).
-    pub addrs: Vec<u64>,
     /// Whether this was a store.
     pub store: bool,
+    lane_addrs: [u64; WARP_LANES],
+    lanes: usize,
+}
+
+impl MemAccess {
+    /// An empty access for [`execute`] to fill.
+    pub fn new() -> Self {
+        MemAccess { space: MemSpace::Global, store: false, lane_addrs: [0; WARP_LANES], lanes: 0 }
+    }
+
+    /// Per-lane byte addresses (only executing lanes).
+    pub fn addrs(&self) -> &[u64] {
+        &self.lane_addrs[..self.lanes]
+    }
+
+    /// Appends the next executing lane's address (at most one per lane).
+    fn push(&mut self, addr: u64) {
+        self.lane_addrs[self.lanes] = addr;
+        self.lanes += 1;
+    }
+}
+
+impl Default for MemAccess {
+    fn default() -> Self {
+        Self::new()
+    }
 }
 
 /// Result of functionally executing one instruction.
 #[derive(Debug, Clone)]
-pub struct ExecResult {
+pub struct ExecResult<'m> {
     /// Where control flow goes.
     pub outcome: Outcome,
-    /// Memory traffic, if any.
-    pub mem: Option<MemAccess>,
+    /// Memory traffic, if any (the access lent to [`execute`], filled).
+    pub mem: Option<&'m MemAccess>,
 }
 
 fn fault(pc: u64, message: impl Into<String>) -> SimError {
     SimError::Fault { pc, message: message.into() }
-}
-
-/// A source operand resolved once per instruction: lane-invariant values
-/// (immediates, constant-bank reads) are computed up front so the hot
-/// per-lane loops only touch the register file.
-#[derive(Clone, Copy)]
-enum Src {
-    /// Lane-invariant 32-bit value.
-    Val(u32),
-    /// Lane-invariant 64-bit value.
-    Val64(u64),
-    /// Per-lane register read (zero-extended in 64-bit contexts).
-    Reg(Register),
-    /// Per-lane register-pair read (low half in 32-bit contexts).
-    Pair(Register),
-    /// Per-lane special-register read.
-    SReg(SpecialReg),
-}
-
-/// Resolves an operand for 32-bit lane reads.
-#[inline]
-fn resolve32(w: &WarpState, op: &Operand, ctx: &ExecCtx) -> Result<Src> {
-    Ok(match *op {
-        Operand::Reg(r) => Src::Reg(r),
-        Operand::Imm(v) => Src::Val(v as i32 as u32),
-        Operand::FImm(v) => Src::Val((v as f32).to_bits()),
-        Operand::CMem { bank, offset } => Src::Val(ctx.consts.read_u32(bank, offset as u32)),
-        Operand::SReg(s) => Src::SReg(s),
-        Operand::RegPair(r) => Src::Pair(r), // low half
-        _ => return Err(fault(w.pc, format!("operand {op:?} is not a 32-bit source"))),
-    })
-}
-
-/// Resolves an operand for 64-bit lane reads.
-#[inline]
-fn resolve64(w: &WarpState, op: &Operand, ctx: &ExecCtx) -> Result<Src> {
-    Ok(match *op {
-        Operand::RegPair(r) => Src::Pair(r),
-        Operand::Reg(r) => Src::Reg(r),
-        Operand::Imm(v) => Src::Val64(v as u64),
-        Operand::FImm(v) => Src::Val64(v.to_bits()),
-        Operand::CMem { bank, offset } => Src::Val64(ctx.consts.read_u64(bank, offset as u32)),
-        _ => return Err(fault(w.pc, format!("operand {op:?} is not a 64-bit source"))),
-    })
 }
 
 /// Reads a resolved 32-bit source for one lane.
@@ -121,6 +109,7 @@ fn get32(w: &WarpState, lane: usize, s: Src, ctx: &ExecCtx) -> u32 {
         Src::Val64(v) => v as u32,
         Src::Reg(r) | Src::Pair(r) => w.read_reg(lane, r),
         Src::SReg(sr) => w.special(lane, sr, ctx.block_id, ctx.grid_blocks, ctx.block_threads),
+        Src::CMem { bank, offset } => ctx.consts.read_u32(bank, offset as u32),
     }
 }
 
@@ -135,6 +124,7 @@ fn get64(w: &WarpState, lane: usize, s: Src, ctx: &ExecCtx) -> u64 {
         Src::SReg(sr) => {
             w.special(lane, sr, ctx.block_id, ctx.grid_blocks, ctx.block_threads) as u64
         }
+        Src::CMem { bank, offset } => ctx.consts.read_u64(bank, offset as u32),
     }
 }
 
@@ -171,6 +161,7 @@ fn fill32(w: &WarpState, s: Src, ctx: &ExecCtx, out: &mut [u32; WARP_LANES]) {
                 *slot = w.special(l, sr, ctx.block_id, ctx.grid_blocks, ctx.block_threads);
             }
         }
+        Src::CMem { bank, offset } => out.fill(ctx.consts.read_u32(bank, offset as u32)),
     }
 }
 
@@ -195,6 +186,7 @@ fn fill64(w: &WarpState, s: Src, ctx: &ExecCtx, out: &mut [u64; WARP_LANES]) {
                 *slot = w.special(l, sr, ctx.block_id, ctx.grid_blocks, ctx.block_threads) as u64;
             }
         }
+        Src::CMem { bank, offset } => out.fill(ctx.consts.read_u64(bank, offset as u32)),
     }
 }
 
@@ -434,44 +426,6 @@ fn f32v(bits: u32) -> f32 {
     f32::from_bits(bits)
 }
 
-fn dst_reg(instr: &Instruction, pc: u64) -> Result<gpa_isa::Register> {
-    match instr.dsts.first() {
-        Some(Operand::Reg(r)) | Some(Operand::RegPair(r)) => Ok(*r),
-        _ => Err(fault(pc, format!("{} missing register destination", instr.opcode))),
-    }
-}
-
-fn dst_is_pair(instr: &Instruction) -> bool {
-    matches!(instr.dsts.first(), Some(Operand::RegPair(_)))
-}
-
-/// A comparison selected once per instruction (the first ordering
-/// modifier wins; no modifier means equality, matching `ISETP` defaults).
-#[derive(Clone, Copy)]
-enum CmpOp {
-    Lt,
-    Le,
-    Gt,
-    Ge,
-    Eq,
-    Ne,
-}
-
-fn cmp_op(mods: &[Modifier]) -> CmpOp {
-    for m in mods {
-        return match m {
-            Modifier::Lt => CmpOp::Lt,
-            Modifier::Le => CmpOp::Le,
-            Modifier::Gt => CmpOp::Gt,
-            Modifier::Ge => CmpOp::Ge,
-            Modifier::Eq => CmpOp::Eq,
-            Modifier::Ne => CmpOp::Ne,
-            _ => continue,
-        };
-    }
-    CmpOp::Eq
-}
-
 #[inline]
 fn cmp_apply(op: CmpOp, ord: std::cmp::Ordering) -> bool {
     use std::cmp::Ordering::*;
@@ -485,38 +439,32 @@ fn cmp_apply(op: CmpOp, ord: std::cmp::Ordering) -> bool {
     }
 }
 
-fn load_width(instr: &Instruction) -> u64 {
-    if instr.mods.contains(&Modifier::Sz64) || dst_is_pair(instr) {
-        8
-    } else {
-        4
-    }
-}
-
 /// Executes one instruction functionally for all guarded active lanes.
 ///
-/// `reconv_pc` is the precomputed reconvergence point of the instruction's
-/// basic block (needed only for divergent predicated branches).
+/// `plan` is the instruction as [`Plan::lower`] decoded it; `reconv_pc` is
+/// the precomputed reconvergence point of its basic block (needed only
+/// for divergent predicated branches). A memory instruction reports its
+/// traffic in `access`.
 ///
 /// # Errors
 ///
 /// Returns [`SimError::Fault`] on malformed operands, divergent branches
 /// without a reconvergence point, partial-warp `EXIT`, shared-memory
 /// overflow, or `RET` with an empty call stack.
-pub fn execute(
+pub fn execute<'m>(
     w: &mut WarpState,
-    instr: &Instruction,
+    plan: &Plan,
     reconv_pc: Option<u64>,
     ctx: &mut ExecCtx,
-) -> Result<ExecResult> {
-    let exec_mask = w.active & w.pred_mask(instr.pred);
+    access: &'m mut MemAccess,
+) -> Result<ExecResult<'m>> {
+    let exec_mask = w.active & w.pred_mask(plan.pred);
     let pc = w.pc;
 
     // Control flow first: BRA handles divergence on its own.
-    match instr.opcode {
+    match plan.opcode {
         Opcode::Bra => {
-            let target =
-                instr.branch_target().ok_or_else(|| fault(pc, "BRA without resolved target"))?;
+            let target = plan.target.ok_or_else(|| fault(pc, "BRA without resolved target"))?;
             let taken = exec_mask;
             let outcome = if taken == 0 {
                 Outcome::Next
@@ -544,8 +492,7 @@ pub fn execute(
             return Ok(ExecResult { outcome: Outcome::Exit, mem: None });
         }
         Opcode::Cal => {
-            let target =
-                instr.branch_target().ok_or_else(|| fault(pc, "CAL without resolved target"))?;
+            let target = plan.target.ok_or_else(|| fault(pc, "CAL without resolved target"))?;
             return Ok(ExecResult { outcome: Outcome::Call(target), mem: None });
         }
         Opcode::Ret => {
@@ -564,8 +511,10 @@ pub fn execute(
         // Predicated off for every lane: issues, but no effects.
         return Ok(ExecResult { outcome: Outcome::Next, mem: None });
     }
+    if let Some(message) = &plan.fault {
+        return Err(fault(pc, message.as_str()));
+    }
 
-    let mut mem: Option<MemAccess> = None;
     // Full warps are the common case: reuse a constant lane list and only
     // build one for partial masks.
     let mut lanes_buf = [0usize; WARP_LANES];
@@ -583,119 +532,60 @@ pub fn execute(
     };
 
     use Opcode::*;
-    match instr.opcode {
-        Mov | Mov32i | I2i => {
-            let d = dst_reg(instr, pc)?;
-            if dst_is_pair(instr) {
-                let sa = resolve64(w, &instr.srcs[0], ctx)?;
-                un64(w, d, lanes, sa, ctx, |a| a);
-            } else {
-                let sa = resolve32(w, &instr.srcs[0], ctx)?;
-                un32(w, d, lanes, sa, ctx, |a| a);
+    let (d, p) = (plan.d, plan.p);
+    let [sa, sb, sc] = plan.srcs;
+    match plan.opcode {
+        Mov | Mov32i | I2i if plan.pair => un64(w, d, lanes, sa, ctx, |a| a),
+        Mov | Mov32i | I2i | S2r | Cs2r => un32(w, d, lanes, sa, ctx, |a| a),
+        Iadd if plan.pair => bin64(w, d, lanes, sa, sb, ctx, |a, b| a.wrapping_add(b)),
+        Iadd => bin32(w, d, lanes, sa, sb, ctx, |a, b| a.wrapping_add(b)),
+        Iadd3 => tri32(w, d, lanes, sa, sb, sc, ctx, |a, b, c| a.wrapping_add(b).wrapping_add(c)),
+        Imad if plan.has(Modifier::Wide) => {
+            let signed = plan.has(Modifier::S32);
+            let mut a = [0u32; WARP_LANES];
+            let mut b = [0u32; WARP_LANES];
+            let mut c = [0u64; WARP_LANES];
+            fill32(w, sa, ctx, &mut a);
+            fill32(w, sb, ctx, &mut b);
+            fill64(w, sc, ctx, &mut c);
+            let mut o = [0u64; WARP_LANES];
+            for &l in lanes {
+                let prod = if signed {
+                    (a[l] as i32 as i64).wrapping_mul(b[l] as i32 as i64) as u64
+                } else {
+                    (a[l] as u64).wrapping_mul(b[l] as u64)
+                };
+                o[l] = prod.wrapping_add(c[l]);
             }
+            store64(w, d, lanes, &o);
         }
-        Iadd => {
-            let d = dst_reg(instr, pc)?;
-            if dst_is_pair(instr) {
-                let sa = resolve64(w, &instr.srcs[0], ctx)?;
-                let sb = resolve64(w, &instr.srcs[1], ctx)?;
-                bin64(w, d, lanes, sa, sb, ctx, |a, b| a.wrapping_add(b));
-            } else {
-                let sa = resolve32(w, &instr.srcs[0], ctx)?;
-                let sb = resolve32(w, &instr.srcs[1], ctx)?;
-                bin32(w, d, lanes, sa, sb, ctx, |a, b| a.wrapping_add(b));
-            }
-        }
-        Iadd3 => {
-            let d = dst_reg(instr, pc)?;
-            let sa = resolve32(w, &instr.srcs[0], ctx)?;
-            let sb = resolve32(w, &instr.srcs[1], ctx)?;
-            let sc = resolve32(w, &instr.srcs[2], ctx)?;
-            tri32(w, d, lanes, sa, sb, sc, ctx, |a, b, c| a.wrapping_add(b).wrapping_add(c));
-        }
-        Imad => {
-            let d = dst_reg(instr, pc)?;
-            let signed = instr.mods.contains(&Modifier::S32);
-            if instr.mods.contains(&Modifier::Wide) {
-                let sa = resolve32(w, &instr.srcs[0], ctx)?;
-                let sb = resolve32(w, &instr.srcs[1], ctx)?;
-                let sc = resolve64(w, &instr.srcs[2], ctx)?;
-                let mut a = [0u32; WARP_LANES];
-                let mut b = [0u32; WARP_LANES];
-                let mut c = [0u64; WARP_LANES];
-                fill32(w, sa, ctx, &mut a);
-                fill32(w, sb, ctx, &mut b);
-                fill64(w, sc, ctx, &mut c);
-                let mut o = [0u64; WARP_LANES];
-                for &l in lanes {
-                    let prod = if signed {
-                        (a[l] as i32 as i64).wrapping_mul(b[l] as i32 as i64) as u64
-                    } else {
-                        (a[l] as u64).wrapping_mul(b[l] as u64)
-                    };
-                    o[l] = prod.wrapping_add(c[l]);
-                }
-                store64(w, d, lanes, &o);
-            } else {
-                let sa = resolve32(w, &instr.srcs[0], ctx)?;
-                let sb = resolve32(w, &instr.srcs[1], ctx)?;
-                let sc = resolve32(w, &instr.srcs[2], ctx)?;
-                tri32(w, d, lanes, sa, sb, sc, ctx, |a, b, c| a.wrapping_mul(b).wrapping_add(c));
-            }
-        }
-        Imul => {
-            let d = dst_reg(instr, pc)?;
-            let sa = resolve32(w, &instr.srcs[0], ctx)?;
-            let sb = resolve32(w, &instr.srcs[1], ctx)?;
-            bin32(w, d, lanes, sa, sb, ctx, |a, b| a.wrapping_mul(b));
-        }
+        Imad => tri32(w, d, lanes, sa, sb, sc, ctx, |a, b, c| a.wrapping_mul(b).wrapping_add(c)),
+        Imul => bin32(w, d, lanes, sa, sb, ctx, |a, b| a.wrapping_mul(b)),
         Isetp => {
-            let p = instr.dsts[0]
-                .pred()
-                .ok_or_else(|| fault(pc, "ISETP needs a predicate destination"))?;
-            let sa = resolve32(w, &instr.srcs[0], ctx)?;
-            let sb = resolve32(w, &instr.srcs[1], ctx)?;
-            let op = cmp_op(&instr.mods);
-            let unsigned = instr.mods.contains(&Modifier::U32);
+            let (op, unsigned) = (plan.cmp, plan.has(Modifier::U32));
             setp32(w, p, lanes, sa, sb, ctx, |a, b| {
                 let ord = if unsigned { a.cmp(&b) } else { (a as i32).cmp(&(b as i32)) };
                 cmp_apply(op, ord)
             });
         }
-        Lea => {
-            let d = dst_reg(instr, pc)?;
-            let shift = if instr.srcs.len() > 2 {
-                match instr.srcs[2] {
-                    Operand::Imm(v) => v as u32 & 63,
-                    _ => 0,
-                }
-            } else {
-                0
-            };
-            if dst_is_pair(instr) {
-                let sa = resolve32(w, &instr.srcs[0], ctx)?;
-                let sb = resolve64(w, &instr.srcs[1], ctx)?;
-                let mut a = [0u32; WARP_LANES];
-                let mut b = [0u64; WARP_LANES];
-                fill32(w, sa, ctx, &mut a);
-                fill64(w, sb, ctx, &mut b);
-                let mut o = [0u64; WARP_LANES];
-                for &l in lanes {
-                    o[l] = b[l].wrapping_add((a[l] as u64) << shift);
-                }
-                store64(w, d, lanes, &o);
-            } else {
-                let sa = resolve32(w, &instr.srcs[0], ctx)?;
-                let sb = resolve32(w, &instr.srcs[1], ctx)?;
-                bin32(w, d, lanes, sa, sb, ctx, |a, b| b.wrapping_add(a << shift));
+        Lea if plan.pair => {
+            let shift = plan.shift;
+            let mut a = [0u32; WARP_LANES];
+            let mut b = [0u64; WARP_LANES];
+            fill32(w, sa, ctx, &mut a);
+            fill64(w, sb, ctx, &mut b);
+            let mut o = [0u64; WARP_LANES];
+            for &l in lanes {
+                o[l] = b[l].wrapping_add((a[l] as u64) << shift);
             }
+            store64(w, d, lanes, &o);
+        }
+        Lea => {
+            let shift = plan.shift;
+            bin32(w, d, lanes, sa, sb, ctx, |a, b| b.wrapping_add(a << shift));
         }
         Lop3 => {
-            let d = dst_reg(instr, pc)?;
-            let sa = resolve32(w, &instr.srcs[0], ctx)?;
-            let sb = resolve32(w, &instr.srcs[1], ctx)?;
-            let or = instr.mods.contains(&Modifier::Or);
-            let xor = instr.mods.contains(&Modifier::Xor);
+            let (or, xor) = (plan.has(Modifier::Or), plan.has(Modifier::Xor));
             bin32(w, d, lanes, sa, sb, ctx, |a, b| {
                 if or {
                     a | b
@@ -707,12 +597,8 @@ pub fn execute(
             });
         }
         Shl | Shr | Shf => {
-            let d = dst_reg(instr, pc)?;
-            let right =
-                instr.opcode == Shr || (instr.opcode == Shf && instr.mods.contains(&Modifier::R));
-            let arith = instr.mods.contains(&Modifier::S32);
-            let sa = resolve32(w, &instr.srcs[0], ctx)?;
-            let sb = resolve32(w, &instr.srcs[1], ctx)?;
+            let right = plan.opcode == Shr || (plan.opcode == Shf && plan.has(Modifier::R));
+            let arith = plan.has(Modifier::S32);
             bin32(w, d, lanes, sa, sb, ctx, |a, s| {
                 let s = s & 31;
                 if !right {
@@ -725,11 +611,7 @@ pub fn execute(
             });
         }
         Imnmx => {
-            let d = dst_reg(instr, pc)?;
-            let take_max = instr.mods.contains(&Modifier::Gt);
-            let unsigned = instr.mods.contains(&Modifier::U32);
-            let sa = resolve32(w, &instr.srcs[0], ctx)?;
-            let sb = resolve32(w, &instr.srcs[1], ctx)?;
+            let (unsigned, take_max) = (plan.has(Modifier::U32), plan.has(Modifier::Gt));
             bin32(w, d, lanes, sa, sb, ctx, |a, b| match (unsigned, take_max) {
                 (true, true) => a.max(b),
                 (true, false) => a.min(b),
@@ -737,22 +619,9 @@ pub fn execute(
                 (false, false) => (a as i32).min(b as i32) as u32,
             });
         }
-        Iabs => {
-            let d = dst_reg(instr, pc)?;
-            let sa = resolve32(w, &instr.srcs[0], ctx)?;
-            un32(w, d, lanes, sa, ctx, |a| (a as i32).unsigned_abs());
-        }
-        Popc => {
-            let d = dst_reg(instr, pc)?;
-            let sa = resolve32(w, &instr.srcs[0], ctx)?;
-            un32(w, d, lanes, sa, ctx, |a| a.count_ones());
-        }
+        Iabs => un32(w, d, lanes, sa, ctx, |a| (a as i32).unsigned_abs()),
+        Popc => un32(w, d, lanes, sa, ctx, |a| a.count_ones()),
         Sel => {
-            let d = dst_reg(instr, pc)?;
-            let p =
-                instr.srcs[2].pred().ok_or_else(|| fault(pc, "SEL needs a predicate source"))?;
-            let sa = resolve32(w, &instr.srcs[0], ctx)?;
-            let sb = resolve32(w, &instr.srcs[1], ctx)?;
             let mut a = [0u32; WARP_LANES];
             let mut b = [0u32; WARP_LANES];
             fill32(w, sa, ctx, &mut a);
@@ -763,66 +632,24 @@ pub fn execute(
             }
             store32(w, d, lanes, &o);
         }
-        Fadd | Fmul | Ffma | Fmnmx => {
-            let d = dst_reg(instr, pc)?;
-
-            let sa = resolve32(w, &instr.srcs[0], ctx)?;
-            let sb = resolve32(w, &instr.srcs[1], ctx)?;
-            let sc =
-                if instr.opcode == Ffma { Some(resolve32(w, &instr.srcs[2], ctx)?) } else { None };
-            let take_max = instr.opcode == Fmnmx && instr.mods.contains(&Modifier::Gt);
-            for &l in lanes {
-                let a = f32v(get32(w, l, sa, ctx));
-                let b = f32v(get32(w, l, sb, ctx));
-                let v = match instr.opcode {
-                    Fadd => a + b,
-                    Fmul => a * b,
-                    Ffma => {
-                        let c = f32v(get32(w, l, sc.expect("resolved above"), ctx));
-                        a.mul_add(b, c)
-                    }
-                    _ => {
-                        if take_max {
-                            a.max(b)
-                        } else {
-                            a.min(b)
-                        }
-                    }
-                };
-                w.write_reg(l, d, v.to_bits());
-            }
+        Fadd => bin32(w, d, lanes, sa, sb, ctx, |a, b| (f32v(a) + f32v(b)).to_bits()),
+        Fmul => bin32(w, d, lanes, sa, sb, ctx, |a, b| (f32v(a) * f32v(b)).to_bits()),
+        Ffma => tri32(w, d, lanes, sa, sb, sc, ctx, |a, b, c| {
+            f32v(a).mul_add(f32v(b), f32v(c)).to_bits()
+        }),
+        Fmnmx if plan.has(Modifier::Gt) => {
+            bin32(w, d, lanes, sa, sb, ctx, |a, b| f32v(a).max(f32v(b)).to_bits());
         }
+        Fmnmx => bin32(w, d, lanes, sa, sb, ctx, |a, b| f32v(a).min(f32v(b)).to_bits()),
         Fsetp => {
-            let p = instr.dsts[0]
-                .pred()
-                .ok_or_else(|| fault(pc, "FSETP needs a predicate destination"))?;
-            let sa = resolve32(w, &instr.srcs[0], ctx)?;
-            let sb = resolve32(w, &instr.srcs[1], ctx)?;
-            let op = cmp_op(&instr.mods);
+            let op = plan.cmp;
             setp32(w, p, lanes, sa, sb, ctx, |a, b| {
                 let ord = f32v(a).partial_cmp(&f32v(b)).unwrap_or(std::cmp::Ordering::Greater);
                 cmp_apply(op, ord)
             });
         }
         Mufu => {
-            let d = dst_reg(instr, pc)?;
-            let sa = resolve32(w, &instr.srcs[0], ctx)?;
-            let func = instr
-                .mods
-                .iter()
-                .find(|m| {
-                    matches!(
-                        m,
-                        Modifier::Rcp
-                            | Modifier::Rsq
-                            | Modifier::Sqrt
-                            | Modifier::Sin
-                            | Modifier::Cos
-                            | Modifier::Ex2
-                            | Modifier::Lg2
-                    )
-                })
-                .ok_or_else(|| fault(pc, "MUFU needs a function modifier"))?;
+            let func = plan.mufu;
             un32(w, d, lanes, sa, ctx, |a| {
                 let a = f32v(a);
                 let v = match func {
@@ -837,32 +664,17 @@ pub fn execute(
                 v.to_bits()
             });
         }
-        Dadd | Dmul | Dfma => {
-            let d = dst_reg(instr, pc)?;
-            let sa = resolve64(w, &instr.srcs[0], ctx)?;
-            let sb = resolve64(w, &instr.srcs[1], ctx)?;
-            match instr.opcode {
-                Dadd => bin64(w, d, lanes, sa, sb, ctx, |a, b| {
-                    (f64::from_bits(a) + f64::from_bits(b)).to_bits()
-                }),
-                Dmul => bin64(w, d, lanes, sa, sb, ctx, |a, b| {
-                    (f64::from_bits(a) * f64::from_bits(b)).to_bits()
-                }),
-                _ => {
-                    let sc = resolve64(w, &instr.srcs[2], ctx)?;
-                    tri64(w, d, lanes, sa, sb, sc, ctx, |a, b, c| {
-                        f64::from_bits(a).mul_add(f64::from_bits(b), f64::from_bits(c)).to_bits()
-                    });
-                }
-            }
-        }
+        Dadd => bin64(w, d, lanes, sa, sb, ctx, |a, b| {
+            (f64::from_bits(a) + f64::from_bits(b)).to_bits()
+        }),
+        Dmul => bin64(w, d, lanes, sa, sb, ctx, |a, b| {
+            (f64::from_bits(a) * f64::from_bits(b)).to_bits()
+        }),
+        Dfma => tri64(w, d, lanes, sa, sb, sc, ctx, |a, b, c| {
+            f64::from_bits(a).mul_add(f64::from_bits(b), f64::from_bits(c)).to_bits()
+        }),
         Dsetp => {
-            let p = instr.dsts[0]
-                .pred()
-                .ok_or_else(|| fault(pc, "DSETP needs a predicate destination"))?;
-            let sa = resolve64(w, &instr.srcs[0], ctx)?;
-            let sb = resolve64(w, &instr.srcs[1], ctx)?;
-            let op = cmp_op(&instr.mods);
+            let op = plan.cmp;
             setp64(w, p, lanes, sa, sb, ctx, |a, b| {
                 let ord = f64::from_bits(a)
                     .partial_cmp(&f64::from_bits(b))
@@ -870,135 +682,88 @@ pub fn execute(
                 cmp_apply(op, ord)
             });
         }
-        F2f => {
-            let d = dst_reg(instr, pc)?;
-            // Modifier order is [dst, src].
-            let to64 = instr.mods.first() == Some(&Modifier::F64);
-            if to64 {
-                let sa = resolve32(w, &instr.srcs[0], ctx)?;
-                cvt32to64(w, d, lanes, sa, ctx, |a| (f32v(a) as f64).to_bits());
-            } else {
-                let sa = resolve64(w, &instr.srcs[0], ctx)?;
-                cvt64to32(w, d, lanes, sa, ctx, |a| (f64::from_bits(a) as f32).to_bits());
-            }
+        // Modifier order is [dst, src].
+        F2f if plan.first_mod == Some(Modifier::F64) => {
+            cvt32to64(w, d, lanes, sa, ctx, |a| (f32v(a) as f64).to_bits());
         }
-        F2i => {
-            let d = dst_reg(instr, pc)?;
-            let from64 = instr.mods.contains(&Modifier::F64);
-            if from64 {
-                let sa = resolve64(w, &instr.srcs[0], ctx)?;
-                cvt64to32(w, d, lanes, sa, ctx, |a| f64::from_bits(a) as i32 as u32);
-            } else {
-                let sa = resolve32(w, &instr.srcs[0], ctx)?;
-                un32(w, d, lanes, sa, ctx, |a| f32v(a) as i32 as u32);
-            }
+        F2f => cvt64to32(w, d, lanes, sa, ctx, |a| (f64::from_bits(a) as f32).to_bits()),
+        F2i if plan.has(Modifier::F64) => {
+            cvt64to32(w, d, lanes, sa, ctx, |a| f64::from_bits(a) as i32 as u32);
         }
-        I2f => {
-            let d = dst_reg(instr, pc)?;
-            let to64 = instr.mods.contains(&Modifier::F64);
-            let sa = resolve32(w, &instr.srcs[0], ctx)?;
-            if to64 {
-                cvt32to64(w, d, lanes, sa, ctx, |a| (a as i32 as f64).to_bits());
-            } else {
-                un32(w, d, lanes, sa, ctx, |a| (a as i32 as f32).to_bits());
-            }
+        F2i => un32(w, d, lanes, sa, ctx, |a| f32v(a) as i32 as u32),
+        I2f if plan.has(Modifier::F64) => {
+            cvt32to64(w, d, lanes, sa, ctx, |a| (a as i32 as f64).to_bits());
         }
-        S2r | Cs2r => {
-            let d = dst_reg(instr, pc)?;
-            let s = match instr.srcs[0] {
-                Operand::SReg(s) => s,
-                _ => return Err(fault(pc, "S2R needs a special-register source")),
-            };
-            for &l in lanes {
-                let v = w.special(l, s, ctx.block_id, ctx.grid_blocks, ctx.block_threads);
-                w.write_reg(l, d, v);
-            }
-        }
+        I2f => un32(w, d, lanes, sa, ctx, |a| (a as i32 as f32).to_bits()),
         Shfl => {
-            let d = dst_reg(instr, pc)?;
-            let src_r = match instr.srcs[0] {
-                Operand::Reg(r) => r,
-                _ => return Err(fault(pc, "SHFL needs a register source")),
-            };
             // Snapshot before writing (source and destination may alias).
-            let snapshot =
-                if src_r.is_zero() { [0u32; WARP_LANES] } else { w.regs[src_r.index() as usize] };
-            let si = resolve32(w, &instr.srcs[1], ctx)?;
+            let mut snapshot = [0u32; WARP_LANES];
+            fill32(w, sa, ctx, &mut snapshot);
             for &l in lanes {
-                let idx = (get32(w, l, si, ctx) as usize) % WARP_LANES;
+                let idx = (get32(w, l, sb, ctx) as usize) % WARP_LANES;
                 w.write_reg(l, d, snapshot[idx]);
             }
         }
         Vote => {
-            let d = dst_reg(instr, pc)?;
-            let p =
-                instr.srcs[0].pred().ok_or_else(|| fault(pc, "VOTE needs a predicate source"))?;
-            let all_mode = instr.mods.contains(&Modifier::All);
-            let votes: Vec<bool> = lanes.iter().map(|&l| w.read_pred(l, p)).collect();
-            let agg = if all_mode { votes.iter().all(|&v| v) } else { votes.iter().any(|&v| v) };
+            let mut votes = lanes.iter().map(|&l| w.read_pred(l, p));
+            let agg = if plan.has(Modifier::All) { votes.all(|v| v) } else { votes.any(|v| v) };
             for &l in lanes {
                 w.write_reg(l, d, agg as u32);
             }
         }
-        Prmt => {
-            let d = dst_reg(instr, pc)?;
-            let sa = resolve32(w, &instr.srcs[0], ctx)?;
-            let sb = resolve32(w, &instr.srcs[1], ctx)?;
-            let ss = resolve32(w, &instr.srcs[2], ctx)?;
-            tri32(w, d, lanes, sa, sb, ss, ctx, |a, b, sel| {
-                let pool = ((b as u64) << 32) | a as u64;
-                let mut v = 0u32;
-                for i in 0..4 {
-                    let s = ((sel >> (4 * i)) & 0x7) as u64;
-                    let byte = (pool >> (8 * s)) & 0xFF;
-                    v |= (byte as u32) << (8 * i);
-                }
-                v
-            });
-        }
+        Prmt => tri32(w, d, lanes, sa, sb, sc, ctx, |a, b, sel| {
+            let pool = ((b as u64) << 32) | a as u64;
+            let mut v = 0u32;
+            for i in 0..4 {
+                let s = ((sel >> (4 * i)) & 0x7) as u64;
+                let byte = (pool >> (8 * s)) & 0xFF;
+                v |= (byte as u32) << (8 * i);
+            }
+            v
+        }),
         Ldg | Stg | Lds | Sts | Ldl | Stl | Ldc | AtomG | AtomS => {
-            mem = Some(memory_op(w, instr, lanes, ctx)?);
+            memory_op(w, plan, lanes, ctx, access)?;
+            return Ok(ExecResult { outcome: Outcome::Next, mem: Some(access) });
         }
         Bra | Exit | Cal | Ret | Bar | Nop | Membar | Bssy | Bsync => unreachable!(),
     }
 
-    Ok(ExecResult { outcome: Outcome::Next, mem })
+    Ok(ExecResult { outcome: Outcome::Next, mem: None })
+}
+
+/// Lane `l`'s address through memory operand `m`, whose base is a
+/// register pair when `wide`.
+#[inline]
+fn lane_addr(w: &WarpState, l: usize, m: MemRef, wide: bool) -> u64 {
+    let base = if wide { w.read_pair(l, m.base) } else { w.read_reg(l, m.base) as u64 };
+    base.wrapping_add(m.offset as i64 as u64)
 }
 
 fn memory_op(
     w: &mut WarpState,
-    instr: &Instruction,
+    plan: &Plan,
     lanes: &[usize],
     ctx: &mut ExecCtx,
-) -> Result<MemAccess> {
+    access: &mut MemAccess,
+) -> Result<()> {
     use Opcode::*;
     let pc = w.pc;
-    let space = instr.opcode.mem_space().expect("memory opcode");
-    let store = instr.opcode.is_store();
-    let width = load_width(instr);
-    let mut addrs = Vec::with_capacity(lanes.len());
+    access.space = plan.opcode.mem_space().expect("memory opcode");
+    access.store = plan.opcode.is_store();
+    access.lanes = 0;
+    let (d, width, sdata) = (plan.d, plan.width, plan.srcs[0]);
+    // For every opcode that addresses through it, lowering stored a fault
+    // if the memory operand was missing, and `execute` raised it.
+    let mem_operand = || plan.mem.expect("lowering checked the memory operand");
 
-    // Locate the memory operand and the data operand.
-    let mem_op = instr.dsts.iter().chain(instr.srcs.iter()).find_map(|o| match o {
-        Operand::Mem(m) => Some(*m),
-        _ => None,
-    });
-    let cmem_op = instr.srcs.iter().find_map(|o| match o {
-        Operand::CMem { bank, offset } => Some((*bank, *offset)),
-        _ => None,
-    });
-
-    match instr.opcode {
+    match plan.opcode {
         Ldg => {
-            let m = mem_op.ok_or_else(|| fault(pc, "load needs a memory operand"))?;
-            let d = dst_reg(instr, pc)?;
+            let m = mem_operand();
             // Page-memoized reads: lanes usually share one or two pages.
             let mut rd = ctx.global.reader();
             for &l in lanes {
-                let base =
-                    if m.wide { w.read_pair(l, m.base) } else { w.read_reg(l, m.base) as u64 };
-                let addr = base.wrapping_add(m.offset as i64 as u64);
-                addrs.push(addr);
+                let addr = lane_addr(w, l, m, m.wide);
+                access.push(addr);
                 if width == 8 {
                     let v = rd.read_u64(addr);
                     w.write_pair(l, d, v);
@@ -1009,13 +774,10 @@ fn memory_op(
             }
         }
         Ldl => {
-            let m = mem_op.ok_or_else(|| fault(pc, "load needs a memory operand"))?;
-            let d = dst_reg(instr, pc)?;
+            let m = mem_operand();
             for &l in lanes {
-                let base =
-                    if m.wide { w.read_pair(l, m.base) } else { w.read_reg(l, m.base) as u64 };
-                let addr = base.wrapping_add(m.offset as i64 as u64);
-                addrs.push(addr);
+                let addr = lane_addr(w, l, m, m.wide);
+                access.push(addr);
                 let v = read_local(w, l, addr, width, pc)?;
                 if width == 8 {
                     w.write_pair(l, d, v);
@@ -1024,60 +786,50 @@ fn memory_op(
                 }
             }
         }
-        Stg | Stl => {
-            let m = mem_op.ok_or_else(|| fault(pc, "store needs a memory operand"))?;
-            let data = instr
-                .srcs
-                .iter()
-                .find(|o| !matches!(o, Operand::Mem(_)))
-                .ok_or_else(|| fault(pc, "store needs a data operand"))?;
-            let sdata =
-                if width == 8 { resolve64(w, data, ctx)? } else { resolve32(w, data, ctx)? };
-            if instr.opcode == Stg {
-                // Collect the warp's stores and commit them page-run at a
-                // time (stores never feed back into this instruction's
-                // register reads, so deferring them is exact).
-                let mut b32 = [(0u64, 0u32); WARP_LANES];
-                let mut b64 = [(0u64, 0u64); WARP_LANES];
-                let mut n = 0;
-                for &l in lanes {
-                    let base =
-                        if m.wide { w.read_pair(l, m.base) } else { w.read_reg(l, m.base) as u64 };
-                    let addr = base.wrapping_add(m.offset as i64 as u64);
-                    addrs.push(addr);
-                    if width == 8 {
-                        b64[n] = (addr, get64(w, l, sdata, ctx));
-                    } else {
-                        b32[n] = (addr, get32(w, l, sdata, ctx));
-                    }
-                    n += 1;
-                }
+        Stg => {
+            let m = mem_operand();
+            // Collect the warp's stores and commit them page-run at a
+            // time (stores never feed back into this instruction's
+            // register reads, so deferring them is exact).
+            let mut b32 = [(0u64, 0u32); WARP_LANES];
+            let mut b64 = [(0u64, 0u64); WARP_LANES];
+            for (n, &l) in lanes.iter().enumerate() {
+                let addr = lane_addr(w, l, m, m.wide);
+                access.push(addr);
                 if width == 8 {
-                    ctx.global.write_batch_u64(&b64[..n]);
+                    b64[n] = (addr, get64(w, l, sdata, ctx));
                 } else {
-                    ctx.global.write_batch_u32(&b32[..n]);
+                    b32[n] = (addr, get32(w, l, sdata, ctx));
                 }
+            }
+            if width == 8 {
+                ctx.global.write_batch_u64(&b64[..lanes.len()]);
             } else {
-                for &l in lanes {
-                    let base =
-                        if m.wide { w.read_pair(l, m.base) } else { w.read_reg(l, m.base) as u64 };
-                    let addr = base.wrapping_add(m.offset as i64 as u64);
-                    addrs.push(addr);
-                    let v: u64 = if width == 8 {
-                        get64(w, l, sdata, ctx)
-                    } else {
-                        get32(w, l, sdata, ctx) as u64
-                    };
+                ctx.global.write_batch_u32(&b32[..lanes.len()]);
+            }
+        }
+        Stl | Sts => {
+            let m = mem_operand();
+            for &l in lanes {
+                let addr = lane_addr(w, l, m, m.wide && plan.opcode == Stl);
+                access.push(addr);
+                let v: u64 = if width == 8 {
+                    get64(w, l, sdata, ctx)
+                } else {
+                    get32(w, l, sdata, ctx) as u64
+                };
+                if plan.opcode == Stl {
                     write_local(w, l, addr, v, width, pc)?;
+                } else {
+                    write_smem(ctx.smem, addr, v, width, pc)?;
                 }
             }
         }
         Lds => {
-            let m = mem_op.ok_or_else(|| fault(pc, "LDS needs a memory operand"))?;
-            let d = dst_reg(instr, pc)?;
+            let m = mem_operand();
             for &l in lanes {
-                let addr = (w.read_reg(l, m.base) as u64).wrapping_add(m.offset as i64 as u64);
-                addrs.push(addr);
+                let addr = lane_addr(w, l, m, false);
+                access.push(addr);
                 let v = read_smem(ctx.smem, addr, width, pc)?;
                 if width == 8 {
                     w.write_pair(l, d, v);
@@ -1086,66 +838,26 @@ fn memory_op(
                 }
             }
         }
-        Sts => {
-            let m = mem_op.ok_or_else(|| fault(pc, "STS needs a memory operand"))?;
-            let data = instr
-                .srcs
-                .iter()
-                .find(|o| !matches!(o, Operand::Mem(_)))
-                .ok_or_else(|| fault(pc, "STS needs a data operand"))?;
-            let sdata =
-                if width == 8 { resolve64(w, data, ctx)? } else { resolve32(w, data, ctx)? };
-            for &l in lanes {
-                let addr = (w.read_reg(l, m.base) as u64).wrapping_add(m.offset as i64 as u64);
-                addrs.push(addr);
-                let v: u64 = if width == 8 {
-                    get64(w, l, sdata, ctx)
-                } else {
-                    get32(w, l, sdata, ctx) as u64
-                };
-                write_smem(ctx.smem, addr, v, width, pc)?;
-            }
-        }
         Ldc => {
-            let d = dst_reg(instr, pc)?;
-            if let Some((bank, offset)) = cmem_op {
-                for &l in lanes {
-                    addrs.push(offset as u64);
-                    if width == 8 {
-                        w.write_pair(l, d, ctx.consts.read_u64(bank, offset as u32));
-                    } else {
-                        w.write_reg(l, d, ctx.consts.read_u32(bank, offset as u32));
-                    }
+            for &l in lanes {
+                // `c[bank][offset]`, else register-indexed from bank 1.
+                let (bank, addr) = match plan.cmem {
+                    Some((bank, offset)) => (bank, offset as u64),
+                    None => (1, lane_addr(w, l, mem_operand(), false)),
+                };
+                access.push(addr);
+                if width == 8 {
+                    w.write_pair(l, d, ctx.consts.read_u64(bank, addr as u32));
+                } else {
+                    w.write_reg(l, d, ctx.consts.read_u32(bank, addr as u32));
                 }
-            } else if let Some(m) = mem_op {
-                // Register-indexed constant load from bank 1.
-                for &l in lanes {
-                    let addr = (w.read_reg(l, m.base) as u64).wrapping_add(m.offset as i64 as u64);
-                    addrs.push(addr);
-                    if width == 8 {
-                        w.write_pair(l, d, ctx.consts.read_u64(1, addr as u32));
-                    } else {
-                        w.write_reg(l, d, ctx.consts.read_u32(1, addr as u32));
-                    }
-                }
-            } else {
-                return Err(fault(pc, "LDC needs a constant or memory operand"));
             }
         }
         AtomG => {
-            let m = mem_op.ok_or_else(|| fault(pc, "ATOMG needs a memory operand"))?;
-            let d = dst_reg(instr, pc)?;
-            let data = instr
-                .srcs
-                .iter()
-                .find(|o| !matches!(o, Operand::Mem(_)))
-                .ok_or_else(|| fault(pc, "ATOMG needs a data operand"))?;
-            let sdata = resolve32(w, data, ctx)?;
+            let m = mem_operand();
             for &l in lanes {
-                let base =
-                    if m.wide { w.read_pair(l, m.base) } else { w.read_reg(l, m.base) as u64 };
-                let addr = base.wrapping_add(m.offset as i64 as u64);
-                addrs.push(addr);
+                let addr = lane_addr(w, l, m, m.wide);
+                access.push(addr);
                 let old = ctx.global.read_u32(addr);
                 let v = get32(w, l, sdata, ctx);
                 ctx.global.write_u32(addr, old.wrapping_add(v));
@@ -1153,17 +865,10 @@ fn memory_op(
             }
         }
         AtomS => {
-            let m = mem_op.ok_or_else(|| fault(pc, "ATOMS needs a memory operand"))?;
-            let d = dst_reg(instr, pc)?;
-            let data = instr
-                .srcs
-                .iter()
-                .find(|o| !matches!(o, Operand::Mem(_)))
-                .ok_or_else(|| fault(pc, "ATOMS needs a data operand"))?;
-            let sdata = resolve32(w, data, ctx)?;
+            let m = mem_operand();
             for &l in lanes {
-                let addr = (w.read_reg(l, m.base) as u64).wrapping_add(m.offset as i64 as u64);
-                addrs.push(addr);
+                let addr = lane_addr(w, l, m, false);
+                access.push(addr);
                 let old = read_smem(ctx.smem, addr, 4, pc)? as u32;
                 let v = get32(w, l, sdata, ctx);
                 write_smem(ctx.smem, addr, old.wrapping_add(v) as u64, 4, pc)?;
@@ -1173,14 +878,14 @@ fn memory_op(
         _ => unreachable!("non-memory opcode in memory_op"),
     }
 
-    Ok(MemAccess { space, addrs, store })
+    Ok(())
 }
 
 const MAX_SMEM: u64 = 96 * 1024;
 const MAX_LOCAL: u64 = 64 * 1024;
 
 fn read_smem(smem: &mut Vec<u8>, addr: u64, width: u64, pc: u64) -> Result<u64> {
-    ensure_smem(smem, addr + width, pc)?;
+    ensure_smem(smem, addr, width, pc)?;
     let mut v = 0u64;
     for i in 0..width {
         v |= (smem[(addr + i) as usize] as u64) << (8 * i);
@@ -1189,14 +894,18 @@ fn read_smem(smem: &mut Vec<u8>, addr: u64, width: u64, pc: u64) -> Result<u64> 
 }
 
 fn write_smem(smem: &mut Vec<u8>, addr: u64, v: u64, width: u64, pc: u64) -> Result<()> {
-    ensure_smem(smem, addr + width, pc)?;
+    ensure_smem(smem, addr, width, pc)?;
     for i in 0..width {
         smem[(addr + i) as usize] = (v >> (8 * i)) as u8;
     }
     Ok(())
 }
 
-fn ensure_smem(smem: &mut Vec<u8>, end: u64, pc: u64) -> Result<()> {
+/// Grows `smem` to cover `addr .. addr + width`. `addr` comes from a
+/// wrapping add of a signed offset, so the end may not fit a `u64`: it
+/// saturates, and faults like any other end beyond the limit.
+fn ensure_smem(smem: &mut Vec<u8>, addr: u64, width: u64, pc: u64) -> Result<()> {
+    let end = addr.saturating_add(width);
     if end > MAX_SMEM {
         return Err(fault(pc, format!("shared-memory access at {end:#x} exceeds 96 KiB")));
     }
@@ -1207,7 +916,7 @@ fn ensure_smem(smem: &mut Vec<u8>, end: u64, pc: u64) -> Result<()> {
 }
 
 fn read_local(w: &mut WarpState, lane: usize, addr: u64, width: u64, pc: u64) -> Result<u64> {
-    ensure_local(w, lane, addr + width, pc)?;
+    ensure_local(w, lane, addr, width, pc)?;
     let buf = &w.local[lane];
     let mut v = 0u64;
     for i in 0..width {
@@ -1224,7 +933,7 @@ fn write_local(
     width: u64,
     pc: u64,
 ) -> Result<()> {
-    ensure_local(w, lane, addr + width, pc)?;
+    ensure_local(w, lane, addr, width, pc)?;
     let buf = &mut w.local[lane];
     for i in 0..width {
         buf[(addr + i) as usize] = (v >> (8 * i)) as u8;
@@ -1232,7 +941,9 @@ fn write_local(
     Ok(())
 }
 
-fn ensure_local(w: &mut WarpState, lane: usize, end: u64, pc: u64) -> Result<()> {
+/// [`ensure_smem`] for one lane's local memory.
+fn ensure_local(w: &mut WarpState, lane: usize, addr: u64, width: u64, pc: u64) -> Result<()> {
+    let end = addr.saturating_add(width);
     if end > MAX_LOCAL {
         return Err(fault(pc, format!("local-memory access at {end:#x} exceeds 64 KiB")));
     }
@@ -1245,7 +956,27 @@ fn ensure_local(w: &mut WarpState, lane: usize, end: u64, pc: u64) -> Result<()>
 #[cfg(test)]
 mod tests {
     use super::*;
-    use gpa_isa::{MemRef, PredReg, Predicate, Register};
+    use gpa_isa::{Instruction, Operand, PredReg, Predicate, SpecialReg};
+
+    /// What a test sees of one executed instruction.
+    #[derive(Debug)]
+    struct Executed {
+        outcome: Outcome,
+        mem: Option<MemAccess>,
+    }
+
+    /// [`super::execute`] on an instruction lowered on the spot, with its
+    /// traffic copied out of the lent access.
+    fn execute(
+        w: &mut WarpState,
+        instr: &Instruction,
+        reconv_pc: Option<u64>,
+        ctx: &mut ExecCtx,
+    ) -> Result<Executed> {
+        let mut access = MemAccess::new();
+        let res = super::execute(w, &Plan::lower(instr), reconv_pc, ctx, &mut access)?;
+        Ok(Executed { outcome: res.outcome, mem: res.mem.cloned() })
+    }
 
     fn r(n: u8) -> Register {
         Register::from_u8(n)
@@ -1282,6 +1013,143 @@ mod tests {
         );
         execute(&mut w, &ffma, None, &mut cx).unwrap();
         assert_eq!(f32::from_bits(w.read_reg(0, r(3))), 7.0);
+    }
+
+    /// FP32 semantics, pinned bit for bit against scalar `std` ops: every
+    /// pair of the special values below meets in some lane of some
+    /// rotation, for each opcode, with sources from registers, `FImm` and
+    /// `c[0][..]`, under a full mask, a guard predicate and an `RZ`
+    /// destination.
+    #[test]
+    fn fp32_arithmetic_matches_scalar_std_ops_bit_for_bit() {
+        // Quiet NaN with a payload, negative signalling NaN, both zeros,
+        // smallest and largest subnormals of either sign, the normal
+        // boundary, both infinities, ordinary values, and a triple
+        // (1+2^-23, 1+2^-22, -1) whose fused and unfused multiply-add
+        // differ in the last bit.
+        const SPECIALS: [u32; 16] = [
+            0x7fc0_1234,
+            0xff80_0001,
+            0x0000_0000,
+            0x8000_0000,
+            0x0000_0001,
+            0x807f_ffff,
+            0x0080_0000,
+            0x7f80_0000,
+            0xff80_0000,
+            0x7f7f_ffff,
+            0x3f80_0000,
+            0xbf80_0000,
+            0x3f80_0001,
+            0x3f80_0002,
+            0x4049_0fdb,
+            0xc2f6_e979,
+        ];
+        let (fa, fb) = (f32::from_bits(0x3f80_0001), f32::from_bits(0x3f80_0002));
+        assert_eq!(fa.mul_add(fb, -1.0).to_bits(), (fa * fb - 1.0).to_bits() + 1);
+
+        #[derive(Clone, Copy)]
+        enum From {
+            Row(u8),
+            FImm(f64),
+            Bank0(u16),
+        }
+        let n = SPECIALS.len();
+        // Through `black_box`, so expectations come from the same machine
+        // operations the executor runs, not from compile-time folding.
+        let special = |i: usize| std::hint::black_box(SPECIALS[i % n]);
+        let mut c = ConstMem::new();
+        c.set_bank(0, SPECIALS.iter().flat_map(|b| b.to_le_bytes()).collect());
+        let (mut w, mut g, mut s, _) = setup();
+        let mut cx = ctx(&mut g, &mut s, &c);
+        let p0 = PredReg::new(0).unwrap();
+        const GUARD: u32 = 0x0f0f_f00f;
+        w.preds[0] = GUARD;
+        const SENTINEL: u32 = 0xdead_beef;
+
+        type Scalar = fn(f32, f32, f32) -> f32;
+        let ops: [(Opcode, Option<Modifier>, Scalar); 5] = [
+            (Opcode::Fadd, None, |a, b, _| a + b),
+            (Opcode::Fmul, None, |a, b, _| a * b),
+            (Opcode::Ffma, None, |a, b, c| a.mul_add(b, c)),
+            (Opcode::Fmnmx, None, |a, b, _| a.min(b)),
+            (Opcode::Fmnmx, Some(Modifier::Gt), |a, b, _| a.max(b)),
+        ];
+        for rot in 0..n {
+            for l in 0..WARP_LANES {
+                w.write_reg(l, r(1), special(l));
+                w.write_reg(l, r(2), special(l + rot));
+                w.write_reg(l, r(3), special(3 * l + rot + 1));
+            }
+            let cword = 4 * rot as u16;
+            let shapes: [([From; 3], bool, Register); 5] = [
+                ([From::Row(1), From::Row(2), From::Row(3)], false, r(4)),
+                ([From::Row(2), From::Bank0(cword), From::FImm(-0.0)], false, r(4)),
+                ([From::Bank0(cword), From::Row(1), From::FImm(1e-40)], true, r(4)),
+                ([From::FImm(f64::INFINITY), From::Row(3), From::Bank0(cword)], true, r(4)),
+                ([From::Row(1), From::Row(2), From::Row(3)], false, Register::ZERO),
+            ];
+            for (opcode, modifier, scalar) in ops {
+                for (from, guarded, dst) in shapes {
+                    let nsrc = if opcode == Opcode::Ffma { 3 } else { 2 };
+                    let srcs = from[..nsrc]
+                        .iter()
+                        .map(|f| match *f {
+                            From::Row(n) => Operand::Reg(r(n)),
+                            From::FImm(v) => Operand::FImm(v),
+                            From::Bank0(offset) => Operand::CMem { bank: 0, offset },
+                        })
+                        .collect();
+                    let mut instr = Instruction::new(opcode, vec![Operand::Reg(dst)], srcs);
+                    if let Some(m) = modifier {
+                        instr = instr.with_mod(m);
+                    }
+                    if guarded {
+                        instr = instr.with_pred(Predicate::pos(p0));
+                    }
+                    for l in 0..WARP_LANES {
+                        w.write_reg(l, r(4), SENTINEL);
+                    }
+                    let before = w.regs.clone();
+                    let res = execute(&mut w, &instr, None, &mut cx).unwrap();
+                    assert_eq!(res.outcome, Outcome::Next);
+                    assert!(res.mem.is_none());
+                    if dst.is_zero() {
+                        assert_eq!(w.regs, before, "{instr}: an RZ destination writes nothing");
+                        continue;
+                    }
+                    for (l, got) in w.regs[dst.index() as usize].into_iter().enumerate() {
+                        if guarded && GUARD & (1 << l) == 0 {
+                            assert_eq!(got, SENTINEL, "{instr}: lane {l} is guarded off");
+                            continue;
+                        }
+                        let [a, b, c] = from.map(|f| match f {
+                            From::Row(n) => before[n as usize][l],
+                            From::FImm(v) => std::hint::black_box(v as f32).to_bits(),
+                            From::Bank0(offset) => special(offset as usize / 4),
+                        });
+                        let want = scalar(f32v(a), f32v(b), f32v(c));
+                        // Which of several distinct NaN operands survives
+                        // is the one thing an operand order may decide.
+                        let mut nans: Vec<u32> = [a, b, c][..nsrc]
+                            .iter()
+                            .copied()
+                            .filter(|v| f32v(*v).is_nan())
+                            .collect();
+                        nans.dedup();
+                        if nans.len() > 1 {
+                            assert!(f32v(got).is_nan(), "{instr}: lane {l} of NaNs {nans:x?}");
+                        } else {
+                            assert_eq!(
+                                got,
+                                want.to_bits(),
+                                "{instr}: lane {l}, operands {a:#x} {b:#x} {c:#x}"
+                            );
+                        }
+                    }
+                }
+            }
+        }
     }
 
     #[test]
@@ -1340,7 +1208,7 @@ mod tests {
         let res = execute(&mut w, &stg, None, &mut cx).unwrap();
         let mem = res.mem.unwrap();
         assert!(mem.store);
-        assert_eq!(mem.addrs.len(), 32);
+        assert_eq!(mem.addrs().len(), 32);
         assert_eq!(g.read_u32(base + 4 * 31), 131);
 
         let mut cx = ctx(&mut g, &mut s, &c);
@@ -1466,5 +1334,118 @@ mod tests {
         assert_eq!(g.read_u32(base), 32, "32 lanes each added 1");
         assert_eq!(w.read_reg(0, r(4)), 0);
         assert_eq!(w.read_reg(31, r(4)), 31, "serialized lane order");
+    }
+
+    /// `[RZ-4]` wraps to the top of the address space; `addr + width` used
+    /// to overflow (debug) or pass the limit check wrapped and index out
+    /// of bounds (release). Every shared and local access must fault.
+    #[test]
+    fn negative_offsets_from_rz_fault_instead_of_panicking() {
+        let below = Operand::Mem(MemRef { base: Register::ZERO, offset: -4, wide: false });
+        let load = |op| Instruction::new(op, vec![Operand::Reg(r(1))], vec![below]);
+        let store = |op| Instruction::new(op, vec![], vec![below, Operand::Reg(r(0))]);
+        let atoms = Instruction::new(
+            Opcode::AtomS,
+            vec![Operand::Reg(r(1))],
+            vec![below, Operand::Reg(r(0))],
+        );
+        let cases = [
+            (load(Opcode::Lds), "shared-memory access at 0xffffffffffffffff exceeds 96 KiB"),
+            (store(Opcode::Sts), "shared-memory access at 0xffffffffffffffff exceeds 96 KiB"),
+            (atoms, "shared-memory access at 0xffffffffffffffff exceeds 96 KiB"),
+            (load(Opcode::Ldl), "local-memory access at 0xffffffffffffffff exceeds 64 KiB"),
+            (store(Opcode::Stl), "local-memory access at 0xffffffffffffffff exceeds 64 KiB"),
+        ];
+        for (instr, message) in cases {
+            let (mut w, mut g, mut s, c) = setup();
+            w.pc = 0x40;
+            let mut cx = ctx(&mut g, &mut s, &c);
+            let err = execute(&mut w, &instr, None, &mut cx).unwrap_err();
+            assert_eq!(err, fault(0x40, message), "{instr}");
+            assert!(s.is_empty(), "{instr}: shared memory must not grow on the way to the fault");
+        }
+        // The last in-range word is still fine, and one byte further is the
+        // fault it always was.
+        let (mut w, mut g, mut s, c) = setup();
+        let mut cx = ctx(&mut g, &mut s, &c);
+        let at = |offset| {
+            let m = Operand::Mem(MemRef { base: Register::ZERO, offset, wide: false });
+            Instruction::new(Opcode::Lds, vec![Operand::Reg(r(1))], vec![m])
+        };
+        execute(&mut w, &at(96 * 1024 - 4), None, &mut cx).unwrap();
+        let err = execute(&mut w, &at(96 * 1024 - 3), None, &mut cx).unwrap_err();
+        assert_eq!(err, fault(0, "shared-memory access at 0x18001 exceeds 96 KiB"));
+    }
+
+    /// A malformed operand is found when the program is lowered but
+    /// raised when the instruction issues with a lane to execute — with
+    /// the message the executor gave when it decoded at issue time. A
+    /// missing operand is a fault too, not an index panic.
+    #[test]
+    fn lowering_faults_are_raised_at_issue() {
+        let p0 = PredReg::new(0).unwrap();
+        let pred = Operand::Pred(p0);
+        let cases = [
+            (
+                Instruction::new(Opcode::Iadd, vec![pred], vec![Operand::Imm(1), Operand::Imm(2)]),
+                "IADD missing register destination".to_string(),
+            ),
+            (
+                Instruction::new(
+                    Opcode::Iadd,
+                    vec![Operand::Reg(r(0))],
+                    vec![Operand::Imm(1), pred],
+                ),
+                format!("operand {pred:?} is not a 32-bit source"),
+            ),
+            (
+                Instruction::new(
+                    Opcode::Dadd,
+                    vec![Operand::RegPair(r(0))],
+                    vec![Operand::SReg(SpecialReg::TidX), Operand::Imm(2)],
+                ),
+                format!("operand {:?} is not a 64-bit source", Operand::SReg(SpecialReg::TidX)),
+            ),
+            (
+                Instruction::new(Opcode::Iadd, vec![Operand::Reg(r(0))], vec![Operand::Imm(1)]),
+                "IADD missing source operand 1".to_string(),
+            ),
+            (
+                Instruction::new(Opcode::Isetp, vec![], vec![Operand::Imm(1), Operand::Imm(2)]),
+                "ISETP needs a predicate destination".to_string(),
+            ),
+            (
+                Instruction::new(Opcode::Mufu, vec![Operand::Reg(r(0))], vec![Operand::Reg(r(1))]),
+                "MUFU needs a function modifier".to_string(),
+            ),
+            (
+                Instruction::new(Opcode::Ldg, vec![Operand::Reg(r(0))], vec![]),
+                "load needs a memory operand".to_string(),
+            ),
+            (
+                Instruction::new(
+                    Opcode::Sts,
+                    vec![],
+                    vec![Operand::Mem(MemRef { base: r(1), offset: 0, wide: false })],
+                ),
+                "STS needs a data operand".to_string(),
+            ),
+            (
+                Instruction::new(Opcode::AtomG, vec![Operand::Reg(r(0))], vec![Operand::Reg(r(1))]),
+                "ATOMG needs a memory operand".to_string(),
+            ),
+        ];
+        for (instr, message) in cases {
+            let (mut w, mut g, mut s, c) = setup();
+            w.pc = 0x80;
+            let mut cx = ctx(&mut g, &mut s, &c);
+            let err = execute(&mut w, &instr, None, &mut cx).unwrap_err();
+            assert_eq!(err, fault(0x80, message), "{instr}");
+            // Guarded off for every lane it issues without effect, as it
+            // always did: the fault belongs to a lane that executes.
+            let off = instr.clone().with_pred(Predicate::pos(p0));
+            let outcome = execute(&mut w, &off, None, &mut cx).unwrap().outcome;
+            assert_eq!(outcome, Outcome::Next, "{off}");
+        }
     }
 }

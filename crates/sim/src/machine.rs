@@ -1,10 +1,11 @@
 //! The device: [`GpuSim`], the launch loop, and the issue path.
 //!
 //! The timing core is **event-driven**: instead of re-evaluating every
-//! warp on every cycle, the scheduler computes, per warp, the earliest
-//! cycle it could possibly issue (`Sm::ready_at`) and jumps the clock
-//! straight to the next interesting cycle — the minimum over all warps'
-//! ready times and the next PC-sampling tick. Nothing can change while no
+//! warp on every cycle, the scheduler reads, per warp, the earliest
+//! cycle it could possibly issue (`Sm::ready_at`, over a horizon cached
+//! when the warp last changed) and jumps the clock straight to the next
+//! interesting cycle — the minimum over all warps' ready times and the
+//! next PC-sampling tick. Nothing can change while no
 //! warp issues (all scoreboard/barrier/pipe clear times are frozen), so
 //! samples taken at skipped-period boundaries and the final
 //! [`LaunchResult`] are byte-identical to a dense per-cycle loop — which
@@ -14,7 +15,7 @@
 //! both are types chosen once in `GpuSim::launch_on` and monomorphised
 //! through the cycle loop.
 
-use crate::exec::{execute, ExecCtx, Outcome};
+use crate::exec::{execute, ExecCtx, MemAccess, Outcome};
 use crate::mem::{ConstMem, DirectCache, GlobalMem};
 use crate::memory::{Flat, Hierarchy, MemoryModel};
 use crate::program::{CompiledProgram, NO_IDX};
@@ -307,7 +308,8 @@ impl GpuSim {
             next_block: 0,
             blocks_done: 0,
             sink,
-            issue_counts: vec![0; prog.instrs.len()],
+            access: MemAccess::new(),
+            issue_counts: vec![0; prog.plans.len()],
             issued_total: 0,
             mem_transactions: 0,
             icache_misses: 0,
@@ -345,10 +347,12 @@ pub(crate) struct EventCore;
 impl IssueCore for EventCore {
     /// A scheduler whose next-ready bound lies in the future is skipped
     /// without touching its warps — it provably cannot issue. Otherwise
-    /// fold each warp's readiness horizon in round-robin order; the
+    /// fold its columns' readiness horizons in round-robin order (from
+    /// the pointer to the end, then from the start to the pointer); the
     /// first warp whose horizon has arrived issues. When none has, the
     /// fold's minimum becomes the scheduler's next-ready bound — the
-    /// cycles in between cannot issue and are never scanned again.
+    /// cycles in between cannot issue and are never scanned again. Debug
+    /// builds check every cached horizon they read against a recompute.
     fn scan<M: MemoryModel>(
         sm: &mut Sm<M>,
         sched: usize,
@@ -359,17 +363,24 @@ impl IssueCore for EventCore {
             return None;
         }
         let throttle_clear = sm.throttle_clear();
-        let list_len = sm.sched_warps[sched].len();
+        let cols = sm.sched_cols[sched].clone();
+        let rr = cols.start + sm.rr_issue[sched];
         let mut earliest = u64::MAX;
-        for k in 0..list_len {
-            let pos = (sm.rr_issue[sched] + k) % list_len;
-            let wi = sm.sched_warps[sched][pos];
-            let t = sm.ready_at(wi, prog, throttle_clear);
+        for col in (rr..cols.end).chain(cols.start..rr) {
+            let horizon = sm.horizons[col];
+            debug_assert_eq!(
+                horizon,
+                sm.horizon_of(sm.col_warp[col], prog),
+                "stale horizon: SM {} scheduler {sched} warp {} cycle {cycle}",
+                sm.id,
+                sm.col_warp[col],
+            );
+            let t = sm.ready_at(horizon, throttle_clear);
             if t <= cycle {
-                sm.rr_issue[sched] = (pos + 1) % list_len;
+                sm.rr_issue[sched] = if col + 1 == cols.end { 0 } else { col + 1 - cols.start };
                 // One issue per scheduler per cycle; rescan next cycle.
                 sm.sched_next_ready[sched] = cycle + 1;
-                return Some(wi);
+                return Some(sm.col_warp[col]);
             }
             earliest = earliest.min(t);
         }
@@ -420,6 +431,8 @@ struct LaunchState<'a> {
     next_block: u32,
     blocks_done: u32,
     sink: &'a mut dyn SampleSink,
+    /// Lent to every `execute`, which reports memory traffic in it.
+    access: MemAccess,
     issue_counts: Vec<u64>,
     issued_total: u64,
     mem_transactions: u64,
@@ -453,8 +466,9 @@ impl LaunchState<'_> {
             if cycle > self.cfg.max_cycles {
                 return Err(SimError::CycleLimit(self.cfg.max_cycles));
             }
+            let sample_sched = self.sample_sched(cycle);
             for sm in &mut sms {
-                self.step_sm::<C, M>(sm, cycle)?;
+                self.step_sm::<C, M>(sm, cycle, sample_sched)?;
             }
             cycle += 1;
             if self.blocks_done < launch.grid_blocks {
@@ -484,27 +498,33 @@ impl LaunchState<'_> {
         })
     }
 
+    /// The scheduler every SM samples at `cycle`, when it is a sampling
+    /// tick: ticks rotate over the schedulers by period index.
+    fn sample_sched(&self, cycle: u64) -> Option<usize> {
+        let period = self.cfg.sampling_period as u64;
+        let since = cycle.checked_sub(self.cfg.sampling_phase as u64)?;
+        (period > 0 && since.is_multiple_of(period))
+            .then(|| (since / period) as usize % self.nsched)
+    }
+
     /// Runs one cycle on one SM: retire memory requests, then give each
-    /// scheduler one issue opportunity (sampling the designated scheduler
-    /// first, pre-issue, so samples see the cycle's initial state). Full
-    /// stall classification runs only for the sampled warp on sampling
-    /// ticks; how a scheduler finds its issue is the core's business.
-    fn step_sm<C: IssueCore, M: MemoryModel>(&mut self, sm: &mut Sm<M>, cycle: u64) -> Result<()> {
+    /// scheduler one issue opportunity (sampling `sample_sched` first,
+    /// pre-issue, so samples see the cycle's initial state). Full stall
+    /// classification runs only for the sampled warp on sampling ticks;
+    /// how a scheduler finds its issue is the core's business.
+    fn step_sm<C: IssueCore, M: MemoryModel>(
+        &mut self,
+        sm: &mut Sm<M>,
+        cycle: u64,
+        sample_sched: Option<usize>,
+    ) -> Result<()> {
         sm.lsu.retire(cycle);
         sm.mem.retire(cycle);
-        let period = self.cfg.sampling_period as u64;
-        let phase = self.cfg.sampling_phase as u64;
-        let sample_due = period > 0 && cycle >= phase && (cycle - phase).is_multiple_of(period);
-        let sample_sched = if period == 0 || cycle < phase {
-            0
-        } else {
-            (((cycle - phase) / period) as usize) % self.nsched
-        };
         for sched in 0..self.nsched {
             // Pre-issue snapshot of the warp this scheduler would sample,
             // so samples see the cycle's initial state.
             let sampled =
-                if sample_due && sched == sample_sched { sm.pick_sample_warp(sched) } else { None };
+                if sample_sched == Some(sched) { sm.pick_sample_warp(sched) } else { None };
             let sampled_status = sampled.map(|wi| (wi, sm.classify(wi, self.prog, cycle)));
             let issued_warp = C::scan(sm, sched, cycle, self.prog);
             if let Some(wi) = issued_warp {
@@ -539,7 +559,7 @@ impl LaunchState<'_> {
     fn issue_one<M: MemoryModel>(&mut self, sm: &mut Sm<M>, wi: usize, now: u64) -> Result<()> {
         let prog = self.prog;
         let idx = sm.warps[wi].cur_idx as usize;
-        let instr = &prog.instrs[idx];
+        let plan = &prog.plans[idx];
         let meta = &prog.meta[idx];
 
         // Functional execution.
@@ -556,7 +576,7 @@ impl LaunchState<'_> {
                 grid_blocks: self.launch.grid_blocks,
                 block_threads: self.launch.block_threads,
             };
-            execute(warp, instr, meta.reconv, &mut ctx)?
+            execute(warp, plan, meta.reconv, &mut ctx, &mut self.access)?
         };
 
         self.issue_counts[idx] += 1;
@@ -566,8 +586,8 @@ impl LaunchState<'_> {
         // Result latency and blame classification.
         let (lat, reason) = if let Some(l) = meta.fixed_lat {
             (l, StallReason::ExecutionDependency)
-        } else if let Some(mem) = &res.mem {
-            let atomic = matches!(instr.opcode, Opcode::AtomG | Opcode::AtomS);
+        } else if let Some(mem) = res.mem {
+            let atomic = matches!(plan.opcode, Opcode::AtomG | Opcode::AtomS);
             let atom = if atomic { self.cfg.atom_extra } else { 0 };
             let (lat, txns, reason) = sm.mem.access(&mut self.l2, self.arch, mem, atom, now);
             sm.lsu.admit(now + lat as u64, txns);
@@ -575,7 +595,7 @@ impl LaunchState<'_> {
             (lat, reason)
         } else {
             // Non-memory variable latency.
-            let lat = match instr.opcode {
+            let lat = match plan.opcode {
                 Opcode::Mufu => self.cfg.mufu_latency,
                 Opcode::S2r => self.cfg.s2r_latency,
                 Opcode::Shfl => self.cfg.shfl_latency,
@@ -597,15 +617,15 @@ impl LaunchState<'_> {
                 }
             }
         }
-        if let Some(b) = instr.ctrl.write_barrier {
+        if let Some(b) = plan.ctrl.write_barrier {
             w.bar_clear[b.index() as usize] = done_at;
             w.bar_reason[b.index() as usize] = reason.code();
         }
-        if let Some(b) = instr.ctrl.read_barrier {
+        if let Some(b) = plan.ctrl.read_barrier {
             w.bar_clear[b.index() as usize] = now + self.cfg.war_read_cycles as u64;
             w.bar_reason[b.index() as usize] = StallReason::ExecutionDependency.code();
         }
-        w.next_issue = now + instr.ctrl.stall.max(1) as u64;
+        w.next_issue = now + plan.ctrl.stall.max(1) as u64;
         let sched = w.scheduler as usize;
         sm.pipe_free[sched * N_PIPES + pipe_idx(meta.pipe)] =
             now + self.arch.pipe_interval(meta.pipe) as u64;
@@ -671,6 +691,9 @@ impl LaunchState<'_> {
                 self.icache_misses += 1;
             }
         }
+        // Everything the warp's horizon folds is settled; the barrier
+        // bookkeeping below may un-park this same warp and refresh again.
+        sm.refresh(wi, prog);
 
         // Block barrier / completion bookkeeping.
         let slot = sm.warps[wi].block_slot;
@@ -678,7 +701,7 @@ impl LaunchState<'_> {
             Outcome::Sync => {
                 let block = sm.block_slots[slot].as_mut().expect("resident block");
                 block.arrived += 1;
-                sm.try_release_barrier(slot, now);
+                sm.try_release_barrier(slot, now, prog);
             }
             Outcome::Exit => {
                 let block = sm.block_slots[slot].as_mut().expect("resident block");
@@ -693,7 +716,7 @@ impl LaunchState<'_> {
                         sm.start_block(slot, b, self.wpb, self.launch, prog, start);
                     }
                 } else {
-                    sm.try_release_barrier(slot, now);
+                    sm.try_release_barrier(slot, now, prog);
                 }
             }
             _ => {}

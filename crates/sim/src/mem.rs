@@ -174,16 +174,32 @@ impl GlobalMem {
         write_u64
     );
 
-    /// Copies a byte slice into memory.
-    pub fn write_bytes(&mut self, addr: u64, bytes: &[u8]) {
-        for (i, b) in bytes.iter().enumerate() {
-            self.write_u8(addr + i as u64, *b);
+    /// Copies a byte slice into memory, one page lookup per page touched.
+    pub fn write_bytes(&mut self, mut addr: u64, mut bytes: &[u8]) {
+        while !bytes.is_empty() {
+            let off = (addr % PAGE_SIZE) as usize;
+            let (run, rest) = bytes.split_at(bytes.len().min(PAGE_SIZE as usize - off));
+            self.page_mut(addr)[off..off + run.len()].copy_from_slice(run);
+            addr += run.len() as u64;
+            bytes = rest;
         }
     }
 
-    /// Reads `len` bytes.
-    pub fn read_bytes(&self, addr: u64, len: usize) -> Vec<u8> {
-        (0..len).map(|i| self.read_u8(addr + i as u64)).collect()
+    /// Reads `len` bytes, one page lookup per page touched (unwritten
+    /// pages read zero).
+    pub fn read_bytes(&self, mut addr: u64, len: usize) -> Vec<u8> {
+        let mut out = vec![0u8; len];
+        let mut rest = &mut out[..];
+        while !rest.is_empty() {
+            let off = (addr % PAGE_SIZE) as usize;
+            let (run, tail) = rest.split_at_mut(rest.len().min(PAGE_SIZE as usize - off));
+            if let Some(page) = self.pages.get(&(addr / PAGE_SIZE)) {
+                run.copy_from_slice(&page[off..off + run.len()]);
+            }
+            addr += run.len() as u64;
+            rest = tail;
+        }
+        out
     }
 
     /// A read cursor that memoizes the last page lookup — the warp-wide
@@ -331,6 +347,37 @@ mod tests {
         assert_eq!(m.read_u32(edge), 0x11223344);
         // Unwritten memory reads zero.
         assert_eq!(m.read_u32(0x9999_0000), 0);
+    }
+
+    /// The page-run copies against the per-byte paths they replaced: an
+    /// empty slice, an unaligned start, a page-straddling span and one
+    /// over three pages.
+    #[test]
+    fn byte_spans_copy_page_runs_exactly_like_per_byte_access() {
+        let page = PAGE_SIZE;
+        let (mut fast, mut slow) = (GlobalMem::new(), GlobalMem::new());
+        fast.write_bytes(5 * page + 17, &[]);
+        assert!(fast.pages.is_empty(), "an empty write maps nothing");
+        assert_eq!(fast.read_bytes(5 * page + 17, 0), Vec::<u8>::new());
+
+        for (addr, len) in [(5 * page + 17, 100), (7 * page - 3, 10), (9 * page - 5, 4106)] {
+            let bytes: Vec<u8> = (0..len).map(|i| (i * 7 + 3) as u8).collect();
+            fast.write_bytes(addr, &bytes);
+            for (i, b) in bytes.iter().enumerate() {
+                slow.write_u8(addr + i as u64, *b);
+            }
+            assert_eq!(fast.read_bytes(addr, len), bytes, "read-back of {len} bytes at {addr:#x}");
+            // With one byte either side of the span: untouched, and the
+            // same through the per-byte read.
+            let per_byte: Vec<u8> =
+                (0..len as u64 + 2).map(|i| fast.read_u8(addr - 1 + i)).collect();
+            assert_eq!(fast.read_bytes(addr - 1, len + 2), per_byte);
+        }
+        assert_eq!(fast.pages, slow.pages, "page for page what the per-byte loop writes");
+        assert_eq!(fast.pages.len(), 1 + 2 + 3, "pages 5, 6-7 and 8-10");
+        // Unmapped memory reads zero, across pages, and stays unmapped.
+        assert_eq!(fast.read_bytes(100 * page - 2, 5000), vec![0u8; 5000]);
+        assert_eq!(fast.pages.len(), 6);
     }
 
     #[test]

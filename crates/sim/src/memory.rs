@@ -13,6 +13,7 @@ use crate::exec::MemAccess;
 use crate::hier::TimedServer;
 use crate::mem::DirectCache;
 use crate::stall::StallReason;
+use crate::warp::WARP_LANES;
 use gpa_arch::{ArchConfig, HierarchyConfig};
 use gpa_isa::MemSpace;
 
@@ -40,18 +41,29 @@ pub(crate) trait MemoryModel {
 }
 
 /// The distinct `line`-byte lines a warp's lane addresses touch, in
-/// ascending order (the order the caches are probed in). Always inlined:
+/// ascending order (the order the caches are probed in), as a stack
+/// array and its length. Lanes that walk memory in order — the
+/// unit-stride case — arrive sorted and skip the sort. Always inlined:
 /// the flat model's sector size is a constant, and its per-lane division
 /// must fold into a shift rather than share the hierarchy's runtime one.
 #[inline(always)]
-fn coalesce(addrs: &[u64], line: u64) -> Vec<u64> {
-    let mut lines = Vec::with_capacity(addrs.len());
-    for a in addrs {
-        lines.push(a / line);
+fn coalesce(addrs: &[u64], line: u64) -> ([u64; WARP_LANES], usize) {
+    let mut lines = [0u64; WARP_LANES];
+    let n = addrs.len().min(WARP_LANES);
+    for (slot, a) in lines.iter_mut().zip(addrs) {
+        *slot = a / line;
     }
-    lines.sort_unstable();
-    lines.dedup();
-    lines
+    if !lines[..n].is_sorted() {
+        lines[..n].sort_unstable();
+    }
+    let mut distinct = 0;
+    for i in 0..n {
+        if distinct == 0 || lines[i] != lines[distinct - 1] {
+            lines[distinct] = lines[i];
+            distinct += 1;
+        }
+    }
+    (lines, distinct)
 }
 
 /// Shared-memory serialisation factor: the most lanes that land in one
@@ -74,9 +86,9 @@ fn global_access(
     arch: &ArchConfig,
     mut line_latency: impl FnMut(u64) -> u32,
 ) -> (u32, u32) {
-    let lines = coalesce(addrs, line);
-    let worst = lines.iter().fold(0, |worst, &l| worst.max(line_latency(l * line)));
-    let n = lines.len() as u32;
+    let (lines, n) = coalesce(addrs, line);
+    let worst = lines[..n].iter().fold(0, |worst, &l| worst.max(line_latency(l * line)));
+    let n = n as u32;
     (worst + n.saturating_sub(1) * arch.lat_per_extra_transaction, n)
 }
 
@@ -110,19 +122,19 @@ impl MemoryModel for Flat {
     ) -> (u32, u32, StallReason) {
         match mem.space {
             MemSpace::Global => {
-                let (lat, n) = global_access(&mem.addrs, 32, arch, |a| l2_latency(l2, arch, a));
+                let (lat, n) = global_access(mem.addrs(), 32, arch, |a| l2_latency(l2, arch, a));
                 (lat + atom, n, StallReason::MemoryDependency)
             }
             MemSpace::Local => {
                 // Thread-private accesses are interleaved by hardware and
                 // mostly L1-resident: cheap, well-coalesced traffic.
-                let n = (mem.addrs.len() as u32).div_ceil(8).max(1);
+                let n = (mem.addrs().len() as u32).div_ceil(8).max(1);
                 let lat = arch.lat_local + (n - 1) * arch.lat_per_extra_transaction;
                 (lat, n, StallReason::MemoryDependency)
             }
             MemSpace::Shared => {
                 // Bank conflicts serialize.
-                let lat = arch.lat_shared + (bank_conflicts(&mem.addrs) - 1) * 2 + atom;
+                let lat = arch.lat_shared + (bank_conflicts(mem.addrs()) - 1) * 2 + atom;
                 (lat, 0, StallReason::ExecutionDependency)
             }
             MemSpace::Constant => (arch.lat_constant, 0, StallReason::MemoryDependency),
@@ -187,7 +199,7 @@ impl MemoryModel for Hierarchy {
                 let (l1, l1_hit) = (&mut self.l1, self.cfg.lat_l1_hit);
                 let mut misses = 0u32;
                 let (lat, n) =
-                    global_access(&mem.addrs, self.cfg.l1_line.max(1) as u64, arch, |addr| {
+                    global_access(mem.addrs(), self.cfg.l1_line.max(1) as u64, arch, |addr| {
                         if l1.access(addr) {
                             l1_hit
                         } else {
@@ -206,7 +218,7 @@ impl MemoryModel for Hierarchy {
                 (lat, n, reason)
             }
             MemSpace::Shared => {
-                let conflict = bank_conflicts(&mem.addrs);
+                let conflict = bank_conflicts(mem.addrs());
                 let lat = arch.lat_shared + (conflict - 1) * self.cfg.smem_bank_interval + atom;
                 let reason = if conflict >= 2 {
                     StallReason::BankConflict
@@ -233,12 +245,19 @@ mod tests {
         // 32 consecutive words: four 32-byte sectors, one 128-byte line,
         // one lane per bank.
         let unit: Vec<u64> = (0..32).map(|lane| 0x1000 + 4 * lane).collect();
-        assert_eq!(coalesce(&unit, 32), vec![0x80, 0x81, 0x82, 0x83]);
-        assert_eq!(coalesce(&unit, 128), vec![0x20]);
+        let distinct = |addrs: &[u64], line| {
+            let (lines, n) = coalesce(addrs, line);
+            lines[..n].to_vec()
+        };
+        assert_eq!(distinct(&unit, 32), vec![0x80, 0x81, 0x82, 0x83]);
+        assert_eq!(distinct(&unit, 128), vec![0x20]);
         assert_eq!(bank_conflicts(&unit), 1);
         // Stride 128: a line per lane, every lane in bank 0.
         let strided: Vec<u64> = (0..32).map(|lane| 128 * lane).collect();
-        assert_eq!(coalesce(&strided, 128).len(), 32);
+        assert_eq!(distinct(&strided, 128).len(), 32);
+        // Out of order and repeating: sorted, each line once.
+        assert_eq!(distinct(&[0x300, 0x100, 0x304, 0x200, 0x100], 32), vec![8, 16, 24]);
+        assert_eq!(distinct(&[], 32), vec![]);
         assert_eq!(bank_conflicts(&strided), 32);
         assert_eq!(bank_conflicts(&[]), 1);
     }

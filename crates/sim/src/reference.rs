@@ -8,8 +8,9 @@
 //! require byte-identical [`LaunchResult`]s and raw sample streams.
 //! Nothing outside tests calls it and no configuration reaches it. It
 //! shares everything but the `IssueCore` policy with production, so a
-//! divergence isolates what the event core adds: the `ready_at` horizons
-//! and the bounds and clock jumps built on them.
+//! divergence isolates what the event core adds: the cached `ready_at`
+//! horizons and the bounds and clock jumps built on them. It decides
+//! readiness with `classify` alone; the horizons it only asserts against.
 
 use crate::machine::{GpuSim, IssueCore, LaunchResult, SimConfig};
 use crate::memory::MemoryModel;
@@ -47,12 +48,13 @@ impl IssueCore for DenseCore {
         prog: &CompiledProgram,
     ) -> Option<usize> {
         let throttle_clear = sm.throttle_clear();
-        let list_len = sm.sched_warps[sched].len();
+        let cols = sm.sched_cols[sched].clone();
+        let list_len = cols.len();
         for k in 0..list_len {
             let pos = (sm.rr_issue[sched] + k) % list_len;
-            let wi = sm.sched_warps[sched][pos];
+            let wi = sm.col_warp[cols.start + pos];
             let status = sm.classify(wi, prog, cycle);
-            let horizon = sm.ready_at(wi, prog, throttle_clear);
+            let horizon = sm.ready_at(sm.horizons[cols.start + pos], throttle_clear);
             assert_eq!(
                 status == Status::Ready,
                 horizon <= cycle,

@@ -4,9 +4,20 @@
 //! [`Sm::ready_at`] (the integer horizon the event core folds) answer
 //! one question two ways and live side by side because their lock-step
 //! is the simulator's central invariant: for any frozen machine state,
-//! `classify(..) == Ready` exactly when `ready_at(..) <= now`. The two
-//! events that *lower* a horizon from outside — block starts and barrier
-//! releases — are here too, next to the bound they must invalidate.
+//! `classify(..) == Ready` exactly when `ready_at(..) <= now`.
+//!
+//! `ready_at` reads a **cached** value. Most of a warp's horizon — fetch,
+//! stall count, waited scoreboard barriers, register and predicate
+//! interlocks of its *next* instruction — can only change when that warp
+//! itself issues, when a barrier releases it, or when a block starts in
+//! its slot. [`Sm::refresh`] folds those terms into the warp's
+//! [`Horizon`] at exactly those three moments and lowers the scheduler's
+//! next-ready bound in the same call, so a bound and the horizon it was
+//! built from cannot drift apart. Only the two shared terms (the pipe's
+//! free time and the memory throttle) are read when a scan happens. The
+//! dense oracle (`crate::reference`) asserts the lock-step on this cached
+//! value for every warp of every cycle, and debug builds of the
+//! production scan assert each horizon they read against a recompute.
 
 use crate::hier::TimedServer;
 use crate::machine::SmStats;
@@ -17,6 +28,7 @@ use crate::stall::StallReason;
 use crate::warp::WarpState;
 use gpa_arch::{ArchConfig, LaunchConfig};
 use gpa_isa::Pipe;
+use std::ops::Range;
 
 pub(crate) struct BlockCtx {
     pub(crate) block_id: u32,
@@ -47,12 +59,41 @@ pub(crate) enum Status {
     NotResident,
 }
 
+/// Everything a scan reads of one warp: the part of its readiness that
+/// only its own issue, a barrier release or a block start can change,
+/// and which shared terms its next instruction adds at scan time.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct Horizon {
+    /// Earliest cycle the warp's own state allows its next instruction:
+    /// the max of its fetch, stall-count, waited-barrier, register and
+    /// predicate clear times. `u64::MAX` when only another warp's
+    /// progress can unblock it (parked at `BAR`, exited, slot empty).
+    pub(crate) own: u64,
+    /// Index into [`Sm::pipe_free`] of the next instruction's pipe.
+    pub(crate) pipe: u16,
+    /// Whether the next instruction waits on memory back-pressure.
+    pub(crate) throttled: bool,
+}
+
+impl Horizon {
+    /// A warp nothing of its own can wake.
+    const PARKED: Horizon = Horizon { own: u64::MAX, pipe: 0, throttled: false };
+}
+
 /// One streaming multiprocessor, generic over the launch's memory model.
 pub(crate) struct Sm<M> {
     pub(crate) id: u32,
     pub(crate) block_slots: Vec<Option<BlockCtx>>,
     pub(crate) warps: Vec<WarpState>,
-    pub(crate) sched_warps: Vec<Vec<usize>>,
+    /// The scan columns, scheduler after scheduler, each scheduler's
+    /// warps in its round-robin order: `col_warp` names the warp of a
+    /// column, `horizons` caches what a scan reads of it (written only
+    /// by [`Sm::refresh`]), `sched_cols` is a scheduler's column range
+    /// and `col_of` maps a warp back to its column.
+    pub(crate) col_warp: Vec<usize>,
+    pub(crate) horizons: Vec<Horizon>,
+    pub(crate) sched_cols: Vec<Range<usize>>,
+    col_of: Vec<usize>,
     pub(crate) icache: DirectCache,
     /// In-flight global/local transactions against the LSU limit
     /// (`max_mem_inflight_per_sm`); full means memory-throttle stalls.
@@ -87,9 +128,16 @@ impl<M: MemoryModel> Sm<M> {
     ) -> Self {
         let nsched = arch.schedulers_per_sm as usize;
         let total_warps = slots * wpb as usize;
-        let mut sched_warps = vec![Vec::new(); nsched];
-        for wi in 0..total_warps {
-            sched_warps[wi % nsched].push(wi);
+        let mut col_warp = Vec::with_capacity(total_warps);
+        let mut sched_cols = Vec::with_capacity(nsched);
+        for sched in 0..nsched {
+            let start = col_warp.len();
+            col_warp.extend((sched..total_warps).step_by(nsched));
+            sched_cols.push(start..col_warp.len());
+        }
+        let mut col_of = vec![0; total_warps];
+        for (col, &wi) in col_warp.iter().enumerate() {
+            col_of[wi] = col;
         }
         Sm {
             id,
@@ -106,7 +154,10 @@ impl<M: MemoryModel> Sm<M> {
                     )
                 })
                 .collect(),
-            sched_warps,
+            col_warp,
+            horizons: vec![Horizon::PARKED; total_warps],
+            sched_cols,
+            col_of,
             icache: DirectCache::new(arch.icache_size, arch.icache_line),
             lsu: TimedServer::new(arch.max_mem_inflight_per_sm),
             mem,
@@ -147,28 +198,19 @@ impl<M: MemoryModel> Sm<M> {
         for w in 0..wpb as usize {
             let wi = slot * wpb as usize + w;
             let warp = &mut self.warps[wi];
-            let scheduler = warp.scheduler;
-            *warp = WarpState::new(
-                wi as u32,
-                scheduler,
-                slot,
-                w as u32,
-                launch.block_threads,
-                prog.nregs,
-            );
+            warp.reset(launch.block_threads);
             warp.pc = prog.entry_pc;
             warp.cur_idx = prog.entry_idx;
             warp.next_issue = start_cycle;
             // Fresh warps invalidate their scheduler's next-ready bound.
-            let bound = &mut self.sched_next_ready[scheduler as usize];
-            *bound = (*bound).min(start_cycle);
+            self.refresh(wi, prog);
         }
     }
 
     /// Picks the warp a scheduler samples this period (round-robin over
     /// resident warps). Returns `None` when the scheduler has no resident warp.
     pub(crate) fn pick_sample_warp(&mut self, sched: usize) -> Option<usize> {
-        let list = &self.sched_warps[sched];
+        let list = &self.col_warp[self.sched_cols[sched].clone()];
         if list.is_empty() {
             return None;
         }
@@ -254,24 +296,19 @@ impl<M: MemoryModel> Sm<M> {
         Status::Ready
     }
 
-    /// The cheap readiness horizon: the earliest cycle `wi` could issue,
-    /// assuming no other warp's issue wakes it first. `u64::MAX` when only
-    /// another warp's progress can unblock it (barrier parking, exited).
-    /// `throttle_clear` is [`Sm::throttle_clear`], hoisted by the caller
-    /// because it is the same for every warp of a scan.
+    /// The warp's [`Horizon`] from scratch: the terms of its readiness
+    /// that stay fixed until it issues, is released from a barrier, or
+    /// its slot gets a new block.
     ///
-    /// Every condition [`Sm::classify`] checks is of the form `time >= T` with `T`
-    /// fixed while the warp's own state is untouched, so the earliest ready
-    /// cycle is just the max of the clear times — an integer fold, no reason
-    /// bookkeeping. Events that can lower the horizon from outside (barrier
-    /// release, block replacement) explicitly invalidate the scheduler bounds
-    /// built from it; later memory traffic can only *raise* the throttle
-    /// component, which keeps cached bounds valid lower bounds.
-    #[inline]
-    pub(crate) fn ready_at(&self, wi: usize, prog: &CompiledProgram, throttle_clear: u64) -> u64 {
+    /// Every condition [`Sm::classify`] checks is of the form `time >= T`,
+    /// so the earliest ready cycle is just the max of the clear times — an
+    /// integer fold, no reason bookkeeping. The pipe and throttle clear
+    /// times are shared with other warps and therefore left to
+    /// [`Sm::ready_at`]; this records only *which* of them apply.
+    pub(crate) fn horizon_of(&self, wi: usize, prog: &CompiledProgram) -> Horizon {
         let w = &self.warps[wi];
         if w.done || self.block_slots[w.block_slot].is_none() || w.at_barrier {
-            return u64::MAX;
+            return Horizon::PARKED;
         }
         let mut t = w.fetch_ready.max(w.next_issue);
         let meta = &prog.meta[w.cur_idx as usize];
@@ -292,30 +329,206 @@ impl<M: MemoryModel> Sm<M> {
                 }
             }
         }
-        if meta.throttled_mem {
-            t = t.max(throttle_clear);
+        Horizon {
+            own: t,
+            pipe: (w.scheduler as usize * N_PIPES + pipe_idx(meta.pipe)) as u16,
+            throttled: meta.throttled_mem,
         }
-        t.max(self.pipe_free[w.scheduler as usize * N_PIPES + pipe_idx(meta.pipe)])
+    }
+
+    /// Re-derives warp `wi`'s cached [`Horizon`] and lowers its
+    /// scheduler's next-ready bound to it. Called wherever the inputs of
+    /// [`Sm::horizon_of`] change: at the end of the warp's own issue, when
+    /// a barrier releases it, and when a block starts in its slot. The
+    /// last two wake a warp from outside its scheduler's scan, so the
+    /// bound (computed while the warp looked unwakeable) must drop with
+    /// the horizon; after the warp's own issue the scan has already set
+    /// the bound to the next cycle and the `min` is a no-op.
+    pub(crate) fn refresh(&mut self, wi: usize, prog: &CompiledProgram) {
+        let horizon = self.horizon_of(wi, prog);
+        self.horizons[self.col_of[wi]] = horizon;
+        let bound = &mut self.sched_next_ready[self.warps[wi].scheduler as usize];
+        *bound = (*bound).min(horizon.own);
+    }
+
+    /// The cheap readiness horizon: the earliest cycle the warp cached as
+    /// `h` could issue, assuming no other warp's issue wakes it first.
+    /// `u64::MAX` when only another warp's progress can unblock it.
+    /// `throttle_clear` is [`Sm::throttle_clear`], hoisted by the caller
+    /// because it is the same for every warp of a scan.
+    ///
+    /// Events that can lower the cached part from outside (barrier
+    /// release, block replacement) go through [`Sm::refresh`]; later memory
+    /// traffic can only *raise* the throttle component, which keeps the
+    /// scheduler bounds built from this valid lower bounds.
+    #[inline]
+    pub(crate) fn ready_at(&self, h: Horizon, throttle_clear: u64) -> u64 {
+        let shared = if h.throttled { throttle_clear } else { 0 };
+        h.own.max(self.pipe_free[h.pipe as usize]).max(shared)
     }
 
     /// Releases a block barrier once every live warp has arrived.
-    pub(crate) fn try_release_barrier(&mut self, slot: usize, now: u64) {
-        let Some(block) = self.block_slots[slot].as_ref() else { return };
+    pub(crate) fn try_release_barrier(&mut self, slot: usize, now: u64, prog: &CompiledProgram) {
+        let Some(block) = self.block_slots[slot].as_mut() else { return };
         let live = block.total_warps - block.done_warps;
         if live == 0 || block.arrived < live {
             return;
         }
-        self.block_slots[slot].as_mut().expect("checked above").arrived = 0;
-        let Sm { warps, sched_next_ready, .. } = self;
-        for w in warps.iter_mut() {
-            if w.block_slot == slot && w.at_barrier && !w.done {
+        block.arrived = 0;
+        let wpb = block.total_warps as usize;
+        for wi in slot * wpb..(slot + 1) * wpb {
+            let w = &mut self.warps[wi];
+            if w.at_barrier && !w.done {
                 w.at_barrier = false;
                 w.next_issue = w.next_issue.max(now + 1);
                 // Unparked warps invalidate their scheduler's next-ready
                 // bound (it was computed while they looked unwakeable).
-                let bound = &mut sched_next_ready[w.scheduler as usize];
-                *bound = (*bound).min(now + 1);
+                self.refresh(wi, prog);
             }
         }
+    }
+}
+
+/// Tests of the horizon cache: each event that must refresh it.
+///
+/// Mutation note, checked once by hand when the cache was introduced:
+/// with any one of the three `refresh` calls removed, all four
+/// un-ignored tests of `cargo test --release --test sim_equivalence` fail
+/// on the dense oracle's lock-step assert at the first stale warp —
+/// without the one in `start_block`, warp 0 at cycle 0 ("classify says
+/// Ready, ready_at says 18446744073709551615"); without the one in
+/// `try_release_barrier`, the first released warp, the same way; without
+/// the one that ends `issue_one`, cycle 8 ("classify says
+/// Stalled(InstructionFetch), ready_at says 8"). Debug builds trip the
+/// `stale horizon` assert in `EventCore::scan` before that.
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::machine::tests::{params_u64, BARRIER, CALL, DIVERGE};
+    use crate::machine::{EventCore, GpuSim, IssueCore, SimConfig};
+    use crate::memory::Flat;
+    use gpa_isa::parse_module;
+    use std::cell::Cell;
+
+    /// One SM with one two-warp slot of the `barrier` kernel, no block
+    /// started yet.
+    fn barrier_sm() -> (Sm<Flat>, CompiledProgram, LaunchConfig) {
+        let arch = ArchConfig::small(1);
+        let launch = LaunchConfig::new(1, 64);
+        let prog = CompiledProgram::build(&parse_module(BARRIER).unwrap(), "barrier", &arch)
+            .expect("kernel compiles");
+        (Sm::new(0, 1, 2, &launch, &prog, &arch, Flat), prog, launch)
+    }
+
+    #[test]
+    fn start_block_arms_fresh_warps_at_the_start_cycle() {
+        let (mut sm, prog, launch) = barrier_sm();
+        assert!(sm.horizons.iter().all(|h| *h == Horizon::PARKED), "empty slots are parked");
+        // As scans over the empty slot would have left the bounds.
+        sm.sched_next_ready.fill(u64::MAX);
+        sm.start_block(0, 0, 2, &launch, &prog, 40);
+        let entry = &prog.meta[prog.entry_idx as usize];
+        for wi in 0..2 {
+            let sched = sm.warps[wi].scheduler as usize;
+            let pipe = (sched * N_PIPES + pipe_idx(entry.pipe)) as u16;
+            assert_eq!(
+                sm.horizons[sm.col_of[wi]],
+                Horizon { own: 40, pipe, throttled: entry.throttled_mem }
+            );
+            assert_eq!(sm.sched_next_ready[sched], 40, "the bound drops with the horizon");
+        }
+        assert!(
+            sm.sched_next_ready[2..].iter().all(|&b| b == u64::MAX),
+            "idle schedulers keep theirs"
+        );
+    }
+
+    #[test]
+    fn barrier_release_wakes_parked_warps_and_lowers_their_bounds() {
+        let (mut sm, prog, launch) = barrier_sm();
+        sm.start_block(0, 0, 2, &launch, &prog, 0);
+        // Both warps arrive, as two `BAR` issues would leave them.
+        for wi in 0..2 {
+            sm.warps[wi].at_barrier = true;
+            sm.refresh(wi, &prog);
+            assert_eq!(sm.horizons[sm.col_of[wi]], Horizon::PARKED, "BAR parks the warp");
+        }
+        sm.block_slots[0].as_mut().unwrap().arrived = 2;
+        sm.sched_next_ready.fill(u64::MAX);
+        sm.try_release_barrier(0, 100, &prog);
+        for wi in 0..2 {
+            assert!(!sm.warps[wi].at_barrier);
+            assert_eq!(sm.horizons[sm.col_of[wi]].own, 101, "u64::MAX became now + 1");
+            assert_eq!(sm.sched_next_ready[sm.warps[wi].scheduler as usize], 101);
+        }
+        // An exited warp stays parked whatever else changes.
+        sm.warps[1].done = true;
+        sm.refresh(1, &prog);
+        assert_eq!(sm.horizons[sm.col_of[1]], Horizon::PARKED, "EXIT parks the warp");
+    }
+
+    thread_local! {
+        /// What [`Probe`] saw on this thread: warps parked by `EXIT`, warps
+        /// parked by `BAR`, horizons raised to an i-cache fill time.
+        static SEEN: Cell<[u64; 3]> = const { Cell::new([0; 3]) };
+    }
+
+    /// The production core, checking before every scan that *every* warp
+    /// of the SM — not only the ones the scan will visit — has the
+    /// horizon a from-scratch recompute gives, i.e. that every issue so
+    /// far refreshed everything it changed.
+    struct Probe;
+
+    impl IssueCore for Probe {
+        fn scan<M: MemoryModel>(
+            sm: &mut Sm<M>,
+            sched: usize,
+            cycle: u64,
+            prog: &CompiledProgram,
+        ) -> Option<usize> {
+            let mut seen = SEEN.get();
+            for (col, &wi) in sm.col_warp.iter().enumerate() {
+                let (w, cached) = (&sm.warps[wi], sm.horizons[col]);
+                assert_eq!(cached, sm.horizon_of(wi, prog), "warp {wi} at cycle {cycle}");
+                if sm.block_slots[w.block_slot].is_none() {
+                    continue;
+                }
+                if w.done || w.at_barrier {
+                    assert_eq!(cached, Horizon::PARKED, "warp {wi} at cycle {cycle}");
+                    seen[w.at_barrier as usize] += 1;
+                } else if w.fetch_ready > w.next_issue {
+                    assert_eq!(cached.own, w.fetch_ready, "warp {wi} waits for its i-cache fill");
+                    seen[2] += 1;
+                }
+            }
+            SEEN.set(seen);
+            EventCore::scan(sm, sched, cycle, prog)
+        }
+
+        fn advance<M>(sms: &[Sm<M>], next: u64, cfg: &SimConfig) -> u64 {
+            EventCore::advance(sms, next, cfg)
+        }
+    }
+
+    #[test]
+    fn every_issue_leaves_every_cached_horizon_fresh() {
+        let arch = ArchConfig::small(2);
+        let run = |text: &str, entry: &str, launch: LaunchConfig, words: u64| {
+            let mut gpu = GpuSim::new(arch.clone(), SimConfig::default());
+            let out = gpu.global_mut().alloc(4 * words);
+            let prog = gpu.compile(&parse_module(text).unwrap(), entry).unwrap();
+            gpu.launch_on::<Probe>(&prog, &launch, &params_u64(&[out]), &mut Vec::new()).unwrap();
+        };
+        // More blocks than slots, so blocks also start mid-launch, at a
+        // non-zero cycle, in slots whose warps have exited.
+        let refilling = LaunchConfig::new(100, 64);
+        assert!(refilling.grid_blocks > arch.occupancy(&refilling).blocks_per_sm * arch.num_sms);
+        run(BARRIER, "barrier", refilling, 0);
+        run(DIVERGE, "diverge", LaunchConfig::new(2, 32), 64);
+        run(CALL, "main", LaunchConfig::new(2, 32), 64);
+        let [exited, at_bar, filling] = SEEN.get();
+        assert!(exited > 0, "never saw a warp parked by EXIT");
+        assert!(at_bar > 0, "never saw a warp parked at BAR");
+        assert!(filling > 0, "never saw a horizon raised to an i-cache fill time");
     }
 }

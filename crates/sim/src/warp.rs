@@ -1,7 +1,7 @@
 //! Per-warp functional and timing state.
 
 use crate::stall::StallReason;
-use gpa_isa::{Operand, PredReg, Register, SpecialReg};
+use gpa_isa::{PredReg, Register, SpecialReg};
 
 /// Number of lanes per warp (fixed at 32, like every NVIDIA part).
 pub const WARP_LANES: usize = 32;
@@ -22,7 +22,7 @@ pub struct DivEntry {
 }
 
 /// Full state of a resident warp.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct WarpState {
     /// Warp slot id within the SM.
     pub warp_id: u32,
@@ -75,8 +75,6 @@ pub struct WarpState {
     pub done: bool,
     /// The previous issued instruction redirected the front end.
     pub prev_was_ctrl: bool,
-    /// Instructions issued by this warp.
-    pub issued: u64,
 }
 
 impl WarpState {
@@ -92,34 +90,68 @@ impl WarpState {
         block_threads: u32,
         nregs: usize,
     ) -> Self {
-        let first_tid = warp_in_block * WARP_LANES as u32;
-        let lanes = (block_threads.saturating_sub(first_tid)).min(WARP_LANES as u32);
-        let active = if lanes >= 32 { u32::MAX } else { (1u32 << lanes) - 1 };
-        WarpState {
+        let mut w = WarpState {
             warp_id,
             scheduler,
             block_slot,
             warp_in_block,
-            pc: 0,
-            cur_idx: 0,
-            active,
-            regs: vec![[0u32; WARP_LANES]; nregs],
-            preds: [0; 7],
-            div_stack: Vec::new(),
-            call_stack: Vec::new(),
+            regs: vec![[0; WARP_LANES]; nregs],
             local: vec![Vec::new(); WARP_LANES],
-            next_issue: 0,
-            fetch_ready: 0,
             reg_ready: vec![0; nregs],
-            reg_reason: vec![StallReason::ExecutionDependency.code(); nregs],
-            pred_ready: [0; 7],
-            bar_clear: [0; 6],
-            bar_reason: [StallReason::ExecutionDependency.code(); 6],
-            at_barrier: false,
-            done: false,
-            prev_was_ctrl: false,
-            issued: 0,
-        }
+            reg_reason: vec![0; nregs],
+            ..WarpState::default()
+        };
+        w.reset(block_threads);
+        w
+    }
+
+    /// Returns the warp to the state a block start finds it in — zeroed
+    /// registers and scoreboards, empty stacks and local memory, all of
+    /// the block's lanes active — keeping its identity, its register-file
+    /// size and every heap buffer it already owns.
+    pub fn reset(&mut self, block_threads: u32) {
+        // Exhaustive on purpose: a new field must decide what a reset
+        // does to it.
+        let WarpState {
+            warp_id: _,
+            scheduler: _,
+            block_slot: _,
+            warp_in_block,
+            pc,
+            cur_idx,
+            active,
+            regs,
+            preds,
+            div_stack,
+            call_stack,
+            local,
+            next_issue,
+            fetch_ready,
+            reg_ready,
+            reg_reason,
+            pred_ready,
+            bar_clear,
+            bar_reason,
+            at_barrier,
+            done,
+            prev_was_ctrl,
+        } = self;
+        let first_tid = *warp_in_block * WARP_LANES as u32;
+        let lanes = (block_threads.saturating_sub(first_tid)).min(WARP_LANES as u32);
+        *active = if lanes >= 32 { u32::MAX } else { (1u32 << lanes) - 1 };
+        (*pc, *cur_idx) = (0, 0);
+        regs.fill([0; WARP_LANES]);
+        *preds = [0; 7];
+        div_stack.clear();
+        call_stack.clear();
+        local.iter_mut().for_each(Vec::clear);
+        (*next_issue, *fetch_ready) = (0, 0);
+        reg_ready.fill(0);
+        reg_reason.fill(StallReason::ExecutionDependency.code());
+        *pred_ready = [0; 7];
+        *bar_clear = [0; 6];
+        *bar_reason = [StallReason::ExecutionDependency.code(); 6];
+        (*at_barrier, *done, *prev_was_ctrl) = (false, false, false);
     }
 
     /// Reads a register for one lane (`RZ` reads zero).
@@ -246,19 +278,6 @@ impl WarpState {
         }
         changed
     }
-
-    /// Reads a 32-bit source operand for one lane. Constant and special
-    /// operands are resolved by the caller (the executor) — this helper
-    /// handles the register/immediate cases.
-    #[inline]
-    pub fn operand_u32(&self, lane: usize, op: &Operand) -> Option<u32> {
-        match *op {
-            Operand::Reg(r) => Some(self.read_reg(lane, r)),
-            Operand::Imm(v) => Some(v as i32 as u32),
-            Operand::FImm(v) => Some((v as f32).to_bits()),
-            _ => None,
-        }
-    }
 }
 
 #[cfg(test)]
@@ -274,6 +293,34 @@ mod tests {
         assert_eq!(w2.active, 0xFF, "second warp of a 40-thread block has 8 lanes");
         let w3 = WarpState::new(0, 0, 0, 0, 64, 256);
         assert_eq!(w3.active, u32::MAX);
+    }
+
+    #[test]
+    fn reset_returns_a_used_warp_to_its_fresh_state() {
+        let mut w = WarpState::new(3, 1, 2, 1, 40, 16);
+        let fresh = format!("{w:?}");
+        (w.pc, w.cur_idx, w.active) = (0x140, 20, 1);
+        w.regs[5][7] = 9;
+        w.preds[2] = 0xff;
+        w.div_stack.push(DivEntry {
+            reconv: 1,
+            else_pc: 2,
+            else_mask: 3,
+            merged: 4,
+            else_done: true,
+        });
+        w.call_stack.push(0x80);
+        w.local[4].resize(64, 0xaa);
+        (w.next_issue, w.fetch_ready) = (70, 90);
+        w.reg_ready[5] = 100;
+        w.reg_reason[5] = StallReason::MemoryDependency.code();
+        w.pred_ready[2] = 50;
+        w.bar_clear[1] = 60;
+        w.bar_reason[1] = StallReason::MemoryDependency.code();
+        (w.at_barrier, w.done, w.prev_was_ctrl) = (true, true, true);
+        assert_ne!(format!("{w:?}"), fresh);
+        w.reset(40);
+        assert_eq!(format!("{w:?}"), fresh, "identity kept, everything else as new");
     }
 
     #[test]
