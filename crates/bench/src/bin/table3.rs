@@ -4,7 +4,7 @@
 //! Run with `cargo run --release -p gpa-bench --bin table3`. Pass an app
 //! name (e.g. `rodinia/hotspot`) to run a single application.
 
-use gpa_bench::{geomean, print_table3_header, print_table3_row, run_apps_parallel};
+use gpa_bench::{print_table3_header, print_table3_row, run_apps_parallel, summarize_table3};
 use gpa_kernels::all_apps;
 use gpa_pipeline::Session;
 
@@ -36,13 +36,12 @@ fn main() {
         }
     }
     println!("{}", "-".repeat(128));
-    let g_ach = geomean(rows.iter().map(|r| r.achieved));
-    let g_est = geomean(rows.iter().map(|r| r.estimated));
-    let g_err = geomean(rows.iter().map(|r| r.error.max(0.001)));
-    let in_top5 = rows.iter().filter(|r| r.rank.is_some_and(|k| k <= 5)).count();
+    let summary = summarize_table3(&rows);
     println!(
-        "geomean: achieved {g_ach:.2}x  estimated {g_est:.2}x  error {:.1}%  (paper: 1.22x / 1.26x / 4.0%)",
-        100.0 * g_err
+        "geomean: achieved {:.2}x  estimated {:.2}x  error {:.1}%  (paper: 1.22x / 1.26x / 4.0%)",
+        summary.achieved,
+        summary.estimated,
+        100.0 * summary.error
     );
-    println!("expected optimizer in top-5 advice: {}/{} rows", in_top5, rows.len());
+    println!("expected optimizer in top-5 advice: {}/{} rows", summary.in_top5, rows.len());
 }

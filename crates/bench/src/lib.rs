@@ -146,6 +146,30 @@ pub fn geomean(xs: impl Iterator<Item = f64>) -> f64 {
     }
 }
 
+/// Table 3's bottom line over a set of rows.
+#[derive(Debug, Clone, Copy)]
+pub struct Table3Summary {
+    /// Geomean achieved speedup.
+    pub achieved: f64,
+    /// Geomean estimated speedup.
+    pub estimated: f64,
+    /// Geomean estimate error, each row's clamped at 0.001 so that one
+    /// exact estimate cannot zero the mean.
+    pub error: f64,
+    /// Rows whose expected optimizer ranks in the top 5 of the advice.
+    pub in_top5: usize,
+}
+
+/// Summarizes Table 3 rows the way the paper's last line does.
+pub fn summarize_table3(rows: &[Table3Row]) -> Table3Summary {
+    Table3Summary {
+        achieved: geomean(rows.iter().map(|r| r.achieved)),
+        estimated: geomean(rows.iter().map(|r| r.estimated)),
+        error: geomean(rows.iter().map(|r| r.error.max(0.001))),
+        in_top5: rows.iter().filter(|r| r.rank.is_some_and(|k| k <= 5)).count(),
+    }
+}
+
 /// Renders an advice report the way the CLI does.
 pub fn render_report(r: &AdviceReport, top: usize) -> String {
     report::render(r, top)

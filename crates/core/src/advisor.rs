@@ -85,11 +85,6 @@ impl<'a> AnalysisCtx<'a> {
             .sum()
     }
 
-    /// Observed (unattributed) stalls of one reason at one PC.
-    pub fn stalls_at(&self, pc: u64, reason: StallReason) -> f64 {
-        self.profile.pc(pc).map_or(0.0, |st| st.stalls(reason) as f64)
-    }
-
     /// Whether a PC lies in CUDA-math-library code (by containing function
     /// or inline stack).
     pub fn is_math_pc(&self, pc: u64) -> bool {

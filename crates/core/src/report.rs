@@ -90,19 +90,3 @@ fn render_loc(loc: &LocationReport) -> String {
     }
     s
 }
-
-/// Renders a one-line summary per item (for tables and logs).
-pub fn render_summary(report: &AdviceReport) -> String {
-    let mut out = String::new();
-    for item in &report.items {
-        let _ = writeln!(
-            out,
-            "{:<45} {:>8} ratio {:>7.3}%  speedup {:>6.3}x",
-            item.optimizer(),
-            format!("[{}]", item.category),
-            100.0 * item.matched_ratio,
-            item.estimated_speedup
-        );
-    }
-    out
-}

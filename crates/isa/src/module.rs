@@ -271,11 +271,6 @@ impl Module {
         self.functions.iter().find(|f| f.name == name)
     }
 
-    /// Index of a function by name.
-    pub fn function_index(&self, name: &str) -> Option<usize> {
-        self.functions.iter().position(|f| f.name == name)
-    }
-
     /// Kernel entry points (functions with global visibility).
     pub fn kernels(&self) -> impl Iterator<Item = &Function> {
         self.functions.iter().filter(|f| f.visibility == Visibility::Global)
@@ -287,11 +282,6 @@ impl Module {
             .iter()
             .enumerate()
             .find_map(|(fi, f)| f.index_of_pc(pc).map(|idx| InstrRef { func: fi, idx }))
-    }
-
-    /// The instruction at an absolute PC.
-    pub fn instruction_at(&self, pc: u64) -> Option<&Instruction> {
-        self.locate(pc).map(|r| &self.functions[r.func].instrs[r.idx])
     }
 
     /// Total instruction count across all functions.

@@ -288,11 +288,6 @@ impl Opcode {
         matches!(self, Opcode::Stg | Opcode::Sts | Opcode::Stl | Opcode::AtomG | Opcode::AtomS)
     }
 
-    /// Whether this is any memory instruction.
-    pub fn is_memory(self) -> bool {
-        self.mem_space().is_some() || self == Opcode::Membar
-    }
-
     /// Whether this opcode can change control flow.
     pub fn is_control(self) -> bool {
         matches!(self, Opcode::Bra | Opcode::Exit | Opcode::Cal | Opcode::Ret | Opcode::Bsync)

@@ -14,13 +14,12 @@ use std::fmt::Write;
 #[derive(Debug)]
 pub struct Asm {
     text: String,
-    labels: u32,
 }
 
 impl Asm {
     /// Starts a module.
     pub fn module(name: &str) -> Self {
-        let mut a = Asm { text: String::new(), labels: 0 };
+        let mut a = Asm { text: String::new() };
         let _ = writeln!(a.text, ".module {name}");
         a
     }
@@ -71,12 +70,6 @@ impl Asm {
     pub fn label(&mut self, name: &str) -> &mut Self {
         let _ = writeln!(self.text, "{name}:");
         self
-    }
-
-    /// Returns a fresh unique label name.
-    pub fn fresh_label(&mut self, stem: &str) -> String {
-        self.labels += 1;
-        format!("{stem}_{}", self.labels)
     }
 
     /// Standard prologue: R0 = global thread id (ctaid*ntid + tid).

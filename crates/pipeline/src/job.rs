@@ -65,34 +65,50 @@ impl fmt::Debug for AnalysisOutcome {
     }
 }
 
-impl AnalysisOutcome {
-    /// A machine-readable summary: identity, counters, and the ranked
-    /// advice (optimizer, estimated speedup, matched ratio). This is the
-    /// **v1** advice shape, kept byte-stable for existing consumers; the
-    /// full structured report is [`AnalysisOutcome::to_json_v2`].
-    pub fn to_json(&self) -> Json {
-        let advice: Vec<Json> = self
-            .report
-            .items
-            .iter()
-            .enumerate()
-            .map(|(rank, item)| {
-                Json::object()
-                    .with("rank", rank + 1)
-                    .with("optimizer", item.optimizer())
-                    .with("estimated_speedup", item.estimated_speedup)
-                    .with("matched_ratio", item.matched_ratio)
-            })
-            .collect();
+/// The six identity-and-counter fields every rendering of an analysis
+/// opens with, in wire order: the CLI's `--json` documents and the
+/// daemon's result bodies, in both schema versions.
+pub fn outcome_envelope(
+    job: &AnalysisJob,
+    kernel: &str,
+    cycles: u64,
+    profile: &KernelProfile,
+) -> Json {
+    Json::object()
+        .with("app", job.app.clone())
+        .with("variant", job.variant)
+        .with("kernel", kernel)
+        .with("cycles", cycles)
+        .with("total_samples", profile.total_samples)
+        .with("issue_ratio", profile.issue_ratio())
+}
+
+/// The flat **v1** advice summary — rank, optimizer, estimated speedup
+/// and matched ratio per item — kept byte-stable: it is what every
+/// request that negotiates no schema gets.
+pub fn advice_v1(report: &AdviceReport) -> Json {
+    let items = report.items.iter().enumerate().map(|(rank, item)| {
         Json::object()
-            .with("app", self.job.app.clone())
-            .with("variant", self.job.variant)
-            .with("kernel", self.kernel.clone())
-            .with("cycles", self.cycles)
-            .with("total_samples", self.profile.total_samples)
-            .with("issue_ratio", self.profile.issue_ratio())
+            .with("rank", rank + 1)
+            .with("optimizer", item.optimizer())
+            .with("estimated_speedup", item.estimated_speedup)
+            .with("matched_ratio", item.matched_ratio)
+    });
+    Json::Arr(items.collect())
+}
+
+impl AnalysisOutcome {
+    /// [`outcome_envelope`] plus this run's wall-clock time.
+    fn envelope(&self) -> Json {
+        outcome_envelope(&self.job, &self.kernel, self.cycles, &self.profile)
             .with("wall_ms", self.wall.as_secs_f64() * 1e3)
-            .with("advice", Json::Arr(advice))
+    }
+
+    /// A machine-readable summary: identity, counters, and the ranked
+    /// advice in the [v1 shape](advice_v1); the full structured report is
+    /// [`AnalysisOutcome::to_json_v2`].
+    pub fn to_json(&self) -> Json {
+        self.envelope().with("advice", advice_v1(&self.report))
     }
 
     /// The outcome with its advice as the full machine-readable **v2**
@@ -100,15 +116,7 @@ impl AnalysisOutcome {
     /// [`AnalysisOutcome::to_json`], plus the versioned `report`
     /// document instead of the flat `advice` summary.
     pub fn to_json_v2(&self) -> Json {
-        Json::object()
-            .with("app", self.job.app.clone())
-            .with("variant", self.job.variant)
-            .with("kernel", self.kernel.clone())
-            .with("cycles", self.cycles)
-            .with("total_samples", self.profile.total_samples)
-            .with("issue_ratio", self.profile.issue_ratio())
-            .with("wall_ms", self.wall.as_secs_f64() * 1e3)
-            .with("report", gpa_core::schema::report_to_json(&self.report))
+        self.envelope().with("report", gpa_core::schema::report_to_json(&self.report))
     }
 }
 

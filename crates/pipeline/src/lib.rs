@@ -49,5 +49,5 @@
 pub mod job;
 pub mod session;
 
-pub use job::{AnalysisError, AnalysisJob, AnalysisOutcome};
+pub use job::{advice_v1, outcome_envelope, AnalysisError, AnalysisJob, AnalysisOutcome};
 pub use session::{ModuleArtifacts, Session};

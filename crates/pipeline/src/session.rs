@@ -5,7 +5,7 @@ use crate::{AnalysisError, AnalysisJob, AnalysisOutcome};
 use gpa_arch::{ArchConfig, LatencyTable};
 use gpa_core::{AdviceRequest, Advisor, ModuleBlame};
 use gpa_kernels::apps::app_by_name;
-use gpa_kernels::{KernelSpec, Params};
+use gpa_kernels::{runner, KernelSpec, Params};
 use gpa_sampling::{KernelProfile, Profiler};
 use gpa_sim::{CompiledProgram, GpuSim, SimConfig};
 use gpa_structure::ProgramStructure;
@@ -75,12 +75,10 @@ impl Session {
     }
 
     /// The configuration the experiment harnesses use: the scaled-down
-    /// paper device and sampling period (previously duplicated as
-    /// `runner::sim_config`/`runner::arch_for` call sites everywhere).
+    /// paper device and sampling period, as [`gpa_kernels::runner`]
+    /// spells them.
     pub fn for_params(params: Params) -> Self {
-        let arch = ArchConfig::small(params.sms);
-        let sim = SimConfig { sampling_period: 127, ..SimConfig::default() };
-        Session::new(arch, sim, params)
+        Session::new(runner::arch_for(&params), runner::sim_config(), params)
     }
 
     /// The full-scale suite session (Table 3 harness, CLI).
@@ -100,37 +98,15 @@ impl Session {
         self
     }
 
-    /// Replaces the simulator configuration (e.g. to run the dense
-    /// reference scheduler for differential benchmarks). Clears the
-    /// artifact cache: compiled programs embed nothing config-dependent,
-    /// but cached outcomes should not mix configurations mid-session.
+    /// Makes the timed memory hierarchy ([`gpa_arch::MemModel`], default
+    /// [`gpa_arch::HierarchyConfig`]) the session's default model. The
+    /// model is read only when a launch is timed: artifacts, the latency
+    /// table and advice are the same under either, so one session serves
+    /// both (see [`Session::run_one_request_repeat`]).
     #[must_use]
-    pub fn with_sim(mut self, sim: SimConfig) -> Self {
-        self.sim = sim;
-        self.cache = Mutex::new(HashMap::new());
+    pub fn with_hierarchy(mut self) -> Self {
+        self.arch = self.arch.with_hierarchy();
         self
-    }
-
-    /// Replaces the memory timing model ([`gpa_arch::MemModel`]) without
-    /// touching the rest of the device description. The arch *name* is
-    /// unchanged, so cached [`CompiledProgram`]s stay valid — but cached
-    /// outcomes must not mix models, so the artifact cache is cleared.
-    #[must_use]
-    pub fn with_mem_model(mut self, mem: gpa_arch::MemModel) -> Self {
-        self.arch.mem = mem;
-        self.latency = LatencyTable::for_arch(&self.arch);
-        self.cache = Mutex::new(HashMap::new());
-        self
-    }
-
-    /// Enables the timed memory hierarchy with its default
-    /// configuration — shorthand for
-    /// [`with_mem_model`](Session::with_mem_model) with a default
-    /// [`gpa_arch::HierarchyConfig`].
-    #[must_use]
-    pub fn with_hierarchy(self) -> Self {
-        let mem = gpa_arch::MemModel::Hierarchy(gpa_arch::HierarchyConfig::default());
-        self.with_mem_model(mem)
     }
 
     /// Sets the session's default profiling-repeat count: every sampling
@@ -142,11 +118,6 @@ impl Session {
     pub fn with_repeat(mut self, repeat: u32) -> Self {
         self.repeat = repeat.max(1);
         self
-    }
-
-    /// The session's default profiling-repeat count.
-    pub fn repeat(&self) -> u32 {
-        self.repeat
     }
 
     /// The device configuration.
@@ -211,28 +182,25 @@ impl Session {
         self.cache.lock().expect("cache lock").len()
     }
 
-    /// A fresh simulator wired with a spec's constant bank.
-    fn gpu_for(&self, spec: &KernelSpec) -> GpuSim {
-        let mut gpu = GpuSim::new(self.arch.clone(), self.sim.clone());
-        if let Some(bank) = &spec.const_bank1 {
-            gpu.set_const_bank(1, bank.clone());
-        }
-        gpu
-    }
-
     /// A simulator armed for an artifact's kernel: device built, constant
     /// bank wired, inputs initialized. The first call per artifact runs
     /// the spec's setup closure and snapshots the resulting device
     /// memory; later calls clone the snapshot instead of replaying the
     /// element-wise host writes (a large share of repeat-launch cost).
-    fn armed_gpu(&self, artifacts: &ModuleArtifacts) -> (GpuSim, Vec<u8>) {
+    /// `hierarchy` times this device's memory through the hierarchy; the
+    /// session's own model applies otherwise.
+    fn armed_gpu(&self, artifacts: &ModuleArtifacts, hierarchy: bool) -> (GpuSim, Vec<u8>) {
         let spec = &artifacts.spec;
         let init = artifacts.init.get_or_init(|| {
-            let mut gpu = self.gpu_for(spec);
-            let params = (spec.setup)(&mut gpu);
+            let (gpu, params) = runner::armed_gpu_with(spec, &self.arch, self.sim.clone());
             MemInit { global: gpu.global().clone(), params }
         });
-        let mut gpu = self.gpu_for(spec);
+        let arch = self.arch.clone();
+        let arch = if hierarchy { arch.with_hierarchy() } else { arch };
+        let mut gpu = GpuSim::new(arch, self.sim.clone());
+        if let Some(bank) = &spec.const_bank1 {
+            gpu.set_const_bank(1, bank.clone());
+        }
         *gpu.global_mut() = init.global.clone();
         (gpu, init.params.clone())
     }
@@ -248,8 +216,9 @@ impl Session {
         job: &AnalysisJob,
         artifacts: &ModuleArtifacts,
         repeat: u32,
+        hierarchy: bool,
     ) -> Result<(KernelProfile, u64), AnalysisError> {
-        let (gpu, host_params) = self.armed_gpu(artifacts);
+        let (gpu, host_params) = self.armed_gpu(artifacts, hierarchy);
         let mut profiler = Profiler::new(gpu);
         let (profile, result) = profiler
             .profile_repeat_compiled(
@@ -293,22 +262,19 @@ impl Session {
         &self,
         job: &AnalysisJob,
     ) -> Result<(Arc<ModuleArtifacts>, KernelProfile, u64), AnalysisError> {
-        self.profile_one_repeat(job, self.repeat)
+        self.profile_one_repeat(job, self.repeat, false)
     }
 
-    /// [`Session::profile_one`] with an explicit repeat count overriding
-    /// the session default (the daemon's per-request `repeat` option).
-    ///
-    /// # Errors
-    ///
-    /// Unknown app/variant, or a simulator fault.
-    pub fn profile_one_repeat(
+    /// [`Session::profile_one`] with the per-call repeat count and
+    /// memory model of [`Session::run_one_request_repeat`].
+    fn profile_one_repeat(
         &self,
         job: &AnalysisJob,
         repeat: u32,
+        hierarchy: bool,
     ) -> Result<(Arc<ModuleArtifacts>, KernelProfile, u64), AnalysisError> {
         let artifacts = self.artifacts(job)?;
-        let (profile, cycles) = self.sample_artifacts(job, &artifacts, repeat)?;
+        let (profile, cycles) = self.sample_artifacts(job, &artifacts, repeat, hierarchy)?;
         Ok((artifacts, profile, cycles))
     }
 
@@ -334,12 +300,16 @@ impl Session {
         job: &AnalysisJob,
         request: &AdviceRequest,
     ) -> Result<AnalysisOutcome, AnalysisError> {
-        self.run_one_request_repeat(job, request, self.repeat)
+        self.run_one_request_repeat(job, request, self.repeat, false)
     }
 
-    /// [`Session::run_one_request`] with an explicit repeat count: the
-    /// profile the advisor sees is the merge of `repeat` replayed
-    /// launches (see [`Session::with_repeat`]).
+    /// [`Session::run_one_request`] with the two per-run values a daemon
+    /// request can carry. `repeat`: the profile the advisor sees is the
+    /// merge of that many replayed launches (see
+    /// [`Session::with_repeat`]). `hierarchy`: time memory through the
+    /// hierarchy for this run, as [`Session::with_hierarchy`] does for
+    /// every run; `false` keeps the session's own model. Both models
+    /// share the session's artifacts.
     ///
     /// # Errors
     ///
@@ -349,9 +319,10 @@ impl Session {
         job: &AnalysisJob,
         request: &AdviceRequest,
         repeat: u32,
+        hierarchy: bool,
     ) -> Result<AnalysisOutcome, AnalysisError> {
         let t0 = Instant::now();
-        let (artifacts, profile, cycles) = self.profile_one_repeat(job, repeat)?;
+        let (artifacts, profile, cycles) = self.profile_one_repeat(job, repeat, hierarchy)?;
         let report = self.advise_artifacts(&artifacts, &profile, request);
         Ok(AnalysisOutcome {
             job: job.clone(),
@@ -430,7 +401,7 @@ impl Session {
             .map_err(|e| AnalysisError::new(&job, e.to_string()))?;
         let artifacts =
             Arc::new(ModuleArtifacts { spec, structure, program, init: OnceLock::new() });
-        let (profile, cycles) = self.sample_artifacts(&job, &artifacts, self.repeat)?;
+        let (profile, cycles) = self.sample_artifacts(&job, &artifacts, self.repeat, false)?;
         let report = self.advise_artifacts(&artifacts, &profile, self.advisor.defaults());
         Ok(AnalysisOutcome {
             job,
@@ -451,7 +422,7 @@ impl Session {
     /// Unknown app/variant, or a simulator fault.
     pub fn time_one(&self, job: &AnalysisJob) -> Result<u64, AnalysisError> {
         let artifacts = self.artifacts(job)?;
-        let (gpu, host_params) = self.armed_gpu(&artifacts);
+        let (gpu, host_params) = self.armed_gpu(&artifacts, false);
         let mut profiler = Profiler::new(gpu);
         profiler
             .time_only_compiled(&artifacts.program, &artifacts.spec.launch, &host_params)
@@ -465,8 +436,7 @@ impl Session {
     ///
     /// A simulator fault.
     pub fn time_spec(&self, spec: &KernelSpec) -> Result<u64, AnalysisError> {
-        let mut gpu = self.gpu_for(spec);
-        let host_params = (spec.setup)(&mut gpu);
+        let (gpu, host_params) = runner::armed_gpu_with(spec, &self.arch, self.sim.clone());
         let mut profiler = Profiler::new(gpu);
         profiler.time_only(&spec.module, &spec.entry, &spec.launch, &host_params).map_err(|e| {
             AnalysisError::new(&AnalysisJob::new(spec.module.name.clone(), 0), e.to_string())
@@ -488,15 +458,6 @@ impl Session {
         request: &AdviceRequest,
     ) -> Vec<Result<AnalysisOutcome, AnalysisError>> {
         jobs.par_iter().map(|job| self.run_one_request(job, request)).collect()
-    }
-
-    /// The serial reference for [`Session::run_batch`] (used by the
-    /// `batch` bench to measure the parallel speedup).
-    pub fn run_batch_serial(
-        &self,
-        jobs: &[AnalysisJob],
-    ) -> Vec<Result<AnalysisOutcome, AnalysisError>> {
-        jobs.iter().map(|job| self.run_one(job)).collect()
     }
 
     /// One baseline job per registry app, in Table 3 order (the CLI's
@@ -553,7 +514,7 @@ mod tests {
         );
         // Per-request override beats the session default.
         let s = Session::test().with_repeat(3);
-        let overridden = s.run_one_request_repeat(&job, s.advisor.defaults(), 1).unwrap();
+        let overridden = s.run_one_request_repeat(&job, s.advisor.defaults(), 1, false).unwrap();
         assert_eq!(overridden.profile, single.profile);
     }
 

@@ -4,7 +4,7 @@
 
 use gpa_arch::{LaunchConfig, OccLimiter, Occupancy};
 use gpa_json::Json;
-use gpa_sim::{LaunchResult, RawSample, SampleSet, StallReason};
+use gpa_sim::{LaunchResult, SampleSet, StallReason};
 use std::collections::BTreeMap;
 use std::fmt;
 use std::io;
@@ -303,17 +303,6 @@ impl KernelProfile {
         let mut h = [0u64; N_REASONS];
         for st in self.pcs.values() {
             for (i, c) in st.by_reason.iter().enumerate() {
-                h[i] += c;
-            }
-        }
-        h
-    }
-
-    /// Kernel-level latency-sample histogram.
-    pub fn latency_histogram(&self) -> [u64; N_REASONS] {
-        let mut h = [0u64; N_REASONS];
-        for st in self.pcs.values() {
-            for (i, c) in st.latency_by_reason.iter().enumerate() {
                 h[i] += c;
             }
         }
@@ -735,13 +724,6 @@ fn reason_array(v: &Json) -> gpa_json::Result<[u64; N_REASONS]> {
     Ok(out)
 }
 
-/// Builds the paper's Figure 1 style classification for a sample.
-///
-/// Returns `(is_active, is_latency, is_stall)`.
-pub fn classify_sample(s: &RawSample) -> (bool, bool, bool) {
-    (s.scheduler_active, !s.scheduler_active, s.stall.is_stall())
-}
-
 impl PcStats {
     /// Total latency samples (scheduler idle) at this PC.
     pub fn latency_total(&self) -> u64 {
@@ -758,6 +740,7 @@ impl PcStats {
 mod tests {
     use super::*;
     use gpa_arch::ArchConfig;
+    use gpa_sim::RawSample;
 
     fn fake_result(samples: Vec<RawSample>) -> LaunchResult {
         let arch = ArchConfig::small(1);

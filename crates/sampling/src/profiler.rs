@@ -33,11 +33,6 @@ impl Profiler {
         &mut self.gpu
     }
 
-    /// Consumes the profiler, returning the device.
-    pub fn into_gpu(self) -> GpuSim {
-        self.gpu
-    }
-
     /// Launches `entry` and aggregates its PC samples into a profile.
     ///
     /// # Errors

@@ -2,8 +2,7 @@
 //!
 //! One [`ServeClient`] owns one TCP connection and issues requests
 //! serially (the protocol is strictly request/response per connection);
-//! open several clients for concurrency — the throughput bench and the
-//! integration tests do.
+//! open several clients for concurrency, as the integration tests do.
 
 use crate::protocol::{Request, WireOptions};
 use gpa_json::Json;

@@ -10,10 +10,8 @@ use crate::server::Shared;
 use crate::status::status_body;
 use crate::uploads::{self, UploadTicket, Uploads};
 use gpa_json::Json;
-use gpa_pipeline::Session;
 use std::io;
 use std::sync::atomic::Ordering;
-use std::sync::Arc;
 use std::time::Duration;
 
 /// A forward that comes back `stale_epoch` re-routes on the adopted
@@ -336,27 +334,6 @@ fn warm_from_successor(shared: &Shared, key: &str) -> Option<String> {
     Some(body)
 }
 
-/// The session a request's negotiated memory model selects: the shared
-/// flat session, or (for `"mem": "hierarchy"`) its lazily-built twin
-/// with the timed L1/L2/shared servers enabled. The twin shares the
-/// device, simulator configuration, scaling parameters, and repeat
-/// count — only [`ArchConfig::mem`](gpa_arch::ArchConfig) differs.
-fn session_for(shared: &Shared, hierarchy: bool) -> &Session {
-    if !hierarchy {
-        return &shared.session;
-    }
-    shared.hier_session.get_or_init(|| {
-        let base = &shared.session;
-        let session = Session::new(
-            base.arch().clone().with_hierarchy(),
-            base.sim_config().clone(),
-            *base.params(),
-        )
-        .with_repeat(base.repeat());
-        Arc::new(session)
-    })
-}
-
 /// Computes one request on the shared session. Successful bodies go
 /// into the report store under the request's content address (which
 /// fires replication in cluster mode).
@@ -368,14 +345,16 @@ fn execute_local(shared: &Shared, request: Request) -> String {
         }
     }
     let body = match request {
-        Request::Analyze { job, options } => session_for(shared, options.hierarchy)
-            .run_one_request_repeat(&job, &options.request, options.repeat)
+        Request::Analyze { job, options } => shared
+            .session
+            .run_one_request_repeat(&job, &options.request, options.repeat, options.hierarchy)
             .map(|outcome| protocol::analyze_body(&outcome, options.schema)),
-        Request::AnalyzeProfile { job, profile, options, .. } => {
-            session_for(shared, options.hierarchy)
-                .advise_profile_request(&job, &profile, &options.request)
-                .map(|report| protocol::profile_body(&job, &profile, &report, options.schema))
-        }
+        // Advice never consults the memory model: on an upload `mem`
+        // only addresses the store.
+        Request::AnalyzeProfile { job, profile, options, .. } => shared
+            .session
+            .advise_profile_request(&job, &profile, &options.request)
+            .map(|report| protocol::profile_body(&job, &profile, &report, options.schema)),
         Request::Sleep { ms } => {
             std::thread::sleep(Duration::from_millis(ms));
             return protocol::ok_frame(false, &format!("{{\"slept_ms\":{ms}}}"));

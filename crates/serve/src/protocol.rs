@@ -15,7 +15,7 @@
 
 use gpa_core::{report, schema, AdviceReport, AdviceRequest, OptimizerCategory, OptimizerId};
 use gpa_json::Json;
-use gpa_pipeline::{AnalysisError, AnalysisJob, AnalysisOutcome};
+use gpa_pipeline::{advice_v1, outcome_envelope, AnalysisError, AnalysisJob, AnalysisOutcome};
 use gpa_sampling::KernelProfile;
 
 /// The default daemon address (`gpa serve` / `gpa request` without
@@ -193,7 +193,12 @@ impl WireOptions {
             }
         }
         if let Some(v) = doc.get("min_speedup") {
+            // `1e999` parses to infinity, which JSON cannot carry back
+            // out: a forwarded copy would reach the owner as `null`.
             request.min_speedup = v.as_f64().map_err(|_| "`min_speedup` must be a number")?;
+            if !request.min_speedup.is_finite() {
+                return Err("`min_speedup` must be finite".to_string());
+            }
         }
         if let Some(v) = doc.get("hotspots") {
             let n = v.as_u64().map_err(|_| "`hotspots` must be an unsigned integer")?;
@@ -431,7 +436,7 @@ pub enum Request {
     /// Stop accepting work and exit cleanly.
     Shutdown,
     /// Diagnostic: occupy a worker for `ms` milliseconds (used by the
-    /// backpressure tests and the throughput bench).
+    /// backpressure tests).
     Sleep {
         /// Sleep duration in milliseconds (capped at [`MAX_SLEEP_MS`]).
         ms: u64,
@@ -831,44 +836,20 @@ fn result_body(
     advice: &AdviceReport,
     schema: u32,
 ) -> Json {
-    let envelope = Json::object()
-        .with("app", job.app.clone())
-        .with("variant", job.variant)
-        .with("kernel", kernel.to_string())
-        .with("cycles", profile.cycles)
-        .with("total_samples", profile.total_samples)
-        .with("issue_ratio", profile.issue_ratio());
-    match schema {
+    let envelope = outcome_envelope(job, kernel, profile.cycles, profile);
+    let body = match schema {
         // v2: the versioned machine-readable report document.
-        2 => envelope
-            .with("schema", 2u64)
-            .with("report", schema::report_to_json(advice))
-            .with("text", report::render(advice, REPORT_TOP)),
-        // v1 (compatibility renderer): the flat pre-v2 advice summary,
-        // byte-identical to what pre-v2 daemons produced.
-        _ => {
-            let items: Vec<Json> = advice
-                .items
-                .iter()
-                .enumerate()
-                .map(|(rank, item)| {
-                    Json::object()
-                        .with("rank", rank + 1)
-                        .with("optimizer", item.optimizer())
-                        .with("estimated_speedup", item.estimated_speedup)
-                        .with("matched_ratio", item.matched_ratio)
-                })
-                .collect();
-            envelope
-                .with("advice", Json::Arr(items))
-                .with("text", report::render(advice, REPORT_TOP))
-        }
-    }
+        2 => envelope.with("schema", 2u64).with("report", schema::report_to_json(advice)),
+        // v1: the flat advice summary every unversioned frame gets.
+        _ => envelope.with("advice", advice_v1(advice)),
+    };
+    body.with("text", report::render(advice, REPORT_TOP))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     #[test]
     fn parses_the_documented_ops() {
@@ -933,6 +914,77 @@ mod tests {
         ] {
             let err = Request::parse(line).unwrap_err();
             assert!(err.contains(needle), "{line}: {err}");
+        }
+    }
+
+    #[test]
+    fn rejects_a_non_finite_min_speedup_where_it_enters() {
+        // `1e999` is valid JSON that parses to infinity and re-renders as
+        // `null`: accepted here, the frame a non-owner forwards would be
+        // refused by the owner, and the answer would depend on the shard.
+        for op in ["analyze", "profile_begin"] {
+            for literal in ["1e999", "-1e999"] {
+                let line = format!(r#"{{"op":"{op}","app":"a","min_speedup":{literal}}}"#);
+                assert_eq!(Request::parse(&line).unwrap_err(), "`min_speedup` must be finite");
+            }
+        }
+        let largest = r#"{"op":"analyze","app":"a","min_speedup":1.7976931348623157e308}"#;
+        assert!(Request::parse(largest).is_ok(), "every finite double is a threshold");
+    }
+
+    proptest! {
+        /// A shard forwards `to_wire()` of what it parsed, so that frame
+        /// must parse — on any shard — to the same options and the same
+        /// content address, however the client spelled the line.
+        #[test]
+        fn parsed_requests_survive_their_own_wire_rendering(
+            fields in 0u32..1 << 10,
+            upload in 0u32..2,
+            small in 0usize..1000,
+            large in 0u64..u64::MAX,
+            categories in 0usize..1 << 3,
+            optimizers in 0usize..1 << 13,
+            mantissa in -9.0f64..9.0,
+            exponent in -330i32..330,
+        ) {
+            let on = |bit: u32| fields & (1 << bit) != 0;
+            let picked = |mask: usize, slugs: Vec<&str>| {
+                let picked = slugs.iter().enumerate().filter(|(i, _)| mask & (1 << i) != 0);
+                Json::Arr(picked.map(|(_, s)| Json::from(*s)).collect()).compact()
+            };
+            let op = if upload == 1 { "profile_begin" } else { "analyze" };
+            let mut line = format!(r#"{{"op":"{op}","app":"a/b","variant":{small}"#);
+            let mut field = |on: bool, text: String| line.push_str(if on { &text } else { "" });
+            field(on(0), format!(r#","schema":{}"#, ["1", "2", "\"v1\"", "\"v2\""][small % 4]));
+            field(on(1) && upload == 0, format!(r#","repeat":{}"#, 1 + small % 64));
+            field(on(2), format!(r#","mem":"{}""#, ["flat", "hierarchy"][small % 2]));
+            field(on(3), format!(r#","top":{large}"#));
+            let slugs = OptimizerCategory::ALL.iter().map(|c| c.slug()).collect();
+            field(on(4), format!(r#","categories":{}"#, picked(categories, slugs)));
+            let slugs = OptimizerId::ALL.iter().map(|o| o.slug()).collect();
+            field(on(5), format!(r#","optimizers":{}"#, picked(optimizers, slugs)));
+            field(on(6), format!(r#","min_speedup":{mantissa}e{exponent}"#));
+            field(on(7), format!(r#","hotspots":{small}"#));
+            field(on(8), format!(r#","evidence":{}"#, small % 3 == 0));
+            field(on(9), format!(r#","fwd":true,"epoch":{large},"from":"s:{small}""#));
+            line.push('}');
+
+            let options = |r: &Request| match r {
+                Request::Analyze { options, .. } | Request::ProfileBegin { options, .. } => {
+                    options.clone()
+                }
+                other => panic!("{line}: parsed as {other:?}"),
+            };
+            let threshold: f64 = format!("{mantissa}e{exponent}").parse().unwrap();
+            match Request::parse(&line) {
+                Ok(parsed) => {
+                    let wire = parsed.to_wire();
+                    let again = Request::parse(&wire).unwrap_or_else(|e| panic!("{wire}: {e}"));
+                    prop_assert_eq!(options(&again), options(&parsed), "{}", wire);
+                    prop_assert_eq!(again.cache_key(), parsed.cache_key(), "{}", wire);
+                }
+                Err(e) => prop_assert!(on(6) && threshold.is_infinite(), "{line}: {e}"),
+            }
         }
     }
 

@@ -78,7 +78,7 @@ use std::io;
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex, OnceLock};
+use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -105,7 +105,6 @@ pub struct ServerConfig {
     pub store_capacity: usize,
     /// Optional on-disk report persistence directory.
     pub persist_dir: Option<PathBuf>,
-    /// Connection engine.
     /// Peer shard addresses (cluster mode when nonempty). The ring is
     /// built over `peers ∪ {advertise}`, sorted and deduplicated, so
     /// every shard handed the same roster agrees on ownership.
@@ -226,11 +225,6 @@ pub(crate) struct ReactorShared {
 /// The state every daemon thread sees.
 pub(crate) struct Shared {
     pub(crate) session: Arc<Session>,
-    /// Lazily-built twin of `session` running the timed memory
-    /// hierarchy ([`gpa_arch::MemModel::Hierarchy`]), serving requests
-    /// that negotiate `"mem": "hierarchy"`. Built on first use so
-    /// flat-only daemons pay nothing.
-    pub(crate) hier_session: OnceLock<Arc<Session>>,
     pub(crate) store: ReportStore,
     pub(crate) metrics: Metrics,
     /// When the daemon came up (the `status.uptime_ms` clock).
@@ -372,7 +366,6 @@ fn serve_listeners(
     };
     let shared = Arc::new(Shared {
         session,
-        hier_session: OnceLock::new(),
         store,
         metrics: Metrics::new(),
         started: Instant::now(),

@@ -135,16 +135,6 @@ impl GlobalMem {
         self.write_u32(addr + 4, (v >> 32) as u32);
     }
 
-    /// Reads an `f32`.
-    pub fn read_f32(&self, addr: u64) -> f32 {
-        f32::from_bits(self.read_u32(addr))
-    }
-
-    /// Writes an `f32`.
-    pub fn write_f32(&mut self, addr: u64, v: f32) {
-        self.write_u32(addr, v.to_bits());
-    }
-
     /// Reads an `f64`.
     pub fn read_f64(&self, addr: u64) -> f64 {
         f64::from_bits(self.read_u64(addr))

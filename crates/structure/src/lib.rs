@@ -12,7 +12,7 @@
 //!   Fast Math optimizers match on.
 
 use gpa_cfg::{Cfg, LoopForest, LoopId};
-use gpa_isa::{InlineFrame, Module, SourceLoc, Visibility};
+use gpa_isa::{InlineFrame, Module, Visibility};
 use std::fmt;
 
 /// Analyzed structure of one function.
@@ -202,13 +202,6 @@ impl ProgramStructure {
                 }
             }
         }
-    }
-
-    /// The source loc of a loop header, when line info exists.
-    pub fn loop_header_loc(&self, module: &Module, fi: usize, l: LoopId) -> Option<SourceLoc> {
-        let f = &self.functions[fi];
-        let head_idx = f.cfg.block(f.loops.get(l).header).start;
-        module.functions[fi].lines.get(head_idx).copied().flatten()
     }
 }
 

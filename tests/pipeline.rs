@@ -63,7 +63,7 @@ fn batch_agrees_with_single_run_and_serial_paths() {
     let session = Session::test();
     let jobs = jobs3();
     let batch = session.run_batch(&jobs);
-    let serial = session.run_batch_serial(&jobs);
+    let serial: Vec<_> = jobs.iter().map(|job| session.run_one(job)).collect();
     for (job, (b, s)) in jobs.iter().zip(batch.iter().zip(&serial)) {
         let (b, s) = (b.as_ref().unwrap(), s.as_ref().unwrap());
         let single = session.run_one(job).expect("single path runs");

@@ -7,7 +7,7 @@
 //! store (cache hits observable via `status`), a full queue rejects
 //! instead of growing, and shutdown is clean.
 
-use gpa::core::schema;
+use gpa::core::{schema, Advisor, OptimizerId, OptimizerRegistry};
 use gpa::json::Json;
 use gpa::pipeline::{AnalysisJob, Session};
 use gpa::serve::{
@@ -391,12 +391,70 @@ fn analyze_repeat_merges_replays_daemon_side() {
     assert_eq!(cycles(&repeated_body), cycles(&single_body), "ground truth unchanged");
 
     let local = reference
-        .run_one_request_repeat(&job, &options.request, 3)
+        .run_one_request_repeat(&job, &options.request, 3, false)
         .expect("local repeat reference");
     let expected = protocol::analyze_body(&local, 1).compact();
     assert_eq!(repeated_body.compact(), expected, "daemon repeat equals local repeat");
     handle.shutdown();
     handle.join();
+}
+
+/// One session answers both memory models: `"mem": "hierarchy"` is a
+/// per-request value on the daemon's own session, so it shares that
+/// session's artifacts — and its advisor, which the second session the
+/// daemon used to build for the hierarchy dropped.
+#[test]
+fn one_session_answers_both_memory_models() {
+    let two = [OptimizerId::ThreadIncrease, OptimizerId::BlockIncrease];
+    let make = |custom: bool| match custom {
+        false => Session::test(),
+        true => Session::test()
+            .with_advisor(Advisor::builder().registry(OptimizerRegistry::of(&two)).build()),
+    };
+    let job = AnalysisJob::new("rodinia/gaussian", 0);
+    let hier = WireOptions { hierarchy: true, ..WireOptions::default() };
+    for custom in [false, true] {
+        let session = Arc::new(make(custom));
+        let handle = serve(Arc::clone(&session), ephemeral()).expect("daemon binds");
+        let mut client = ServeClient::connect(handle.local_addr()).expect("connect");
+        let (flat_ref, hier_ref) = (make(custom), make(custom).with_hierarchy());
+
+        let flat = client.analyze(&job.app, job.variant).expect("flat").into_result().unwrap();
+        assert_eq!(flat.compact(), reference_body(&flat_ref, &job), "custom {custom}: flat");
+        let timed = client.analyze_with(&job.app, job.variant, &hier).expect("hierarchy");
+        assert!(!timed.cached, "the model is part of the content address");
+        let timed = timed.into_result().unwrap();
+        assert_eq!(timed.compact(), reference_body(&hier_ref, &job), "custom {custom}: hierarchy");
+        assert_ne!(timed.compact(), flat.compact(), "the models time gaussian apart");
+
+        let (_, profile, _) = hier_ref.profile_one(&job).expect("local hierarchy profile");
+        let doc = Json::parse(&profile.to_json()).expect("profile serializes");
+        let advised = client
+            .analyze_profile_with(&job.app, job.variant, &doc, &hier)
+            .expect("hierarchy upload")
+            .into_result()
+            .unwrap();
+        let report = hier_ref.advise_profile(&job, &profile).expect("local advising");
+        let expected = protocol::profile_body(&job, &profile, &report, 1).compact();
+        assert_eq!(advised.compact(), expected, "custom {custom}: hierarchy upload");
+
+        for body in [&flat, &timed, &advised] {
+            let advice = body.field("advice").unwrap().as_array().unwrap();
+            assert!(!advice.is_empty(), "gaussian's tiny blocks match a parallel optimizer");
+            let theirs = advice.iter().all(|item| {
+                let name = item.field("optimizer").unwrap().as_str().unwrap();
+                two.iter().any(|id| id.name() == name)
+            });
+            assert!(theirs || !custom, "only the embedder's optimizers: {}", body.compact());
+        }
+
+        let status = client.status().expect("status").into_result().expect("ok");
+        let entries = status.field("store").unwrap().field("entries").unwrap().as_u64().unwrap();
+        assert_eq!(entries, 3, "two models and the upload are three store entries");
+        assert_eq!(session.cached_modules(), 1, "one job, built once for both models");
+        handle.shutdown();
+        handle.join();
+    }
 }
 
 /// A backpressure-rejected `profile_end` says "retry later" — and the
@@ -1255,7 +1313,13 @@ fn owner_down_falls_back_locally_and_trips_the_breaker() {
     dead.shutdown();
     dead.join();
 
-    let live = addrs.iter().find(|a| **a != dead_addr).expect("a survivor");
+    // Through the survivor whose ring successor is alive: the other one
+    // replicates to the corpse, and those `store_put`s can trip its
+    // breaker before the first forward gets to spend a retry token.
+    let live = addrs
+        .iter()
+        .find(|a| **a != dead_addr && ring.successor(a) != Some(dead_addr.as_str()))
+        .expect("a survivor");
     let mut client = ServeClient::connect(live.as_str()).expect("connect survivor");
     for job in &jobs {
         let r = client.analyze(&job.app, job.variant).expect("degraded wave");
