@@ -14,6 +14,13 @@
 use crate::config::ArchConfig;
 use gpa_isa::{Instruction, Modifier, Opcode};
 
+/// Result latency the simulator charges `MUFU`, cycles.
+pub const MUFU_LATENCY: u32 = 20;
+/// Result latency the simulator charges `S2R`, cycles.
+pub const S2R_LATENCY: u32 = 20;
+/// Result latency the simulator charges `SHFL`, cycles.
+pub const SHFL_LATENCY: u32 = 25;
+
 /// Fixed latencies and variable-latency upper bounds.
 #[derive(Debug, Clone, PartialEq)]
 pub struct LatencyTable {
@@ -138,6 +145,16 @@ mod tests {
         assert_eq!(t.fixed_latency(&instr(Opcode::Ldg)), None);
         assert!(t.upper_bound(&instr(Opcode::Ldg)) > 500, "TLB-miss upper bound");
         assert!(t.upper_bound(&instr(Opcode::Lds)) < t.upper_bound(&instr(Opcode::Ldg)));
+    }
+
+    /// The pruning rule drops a dependency longer than its upper bound:
+    /// sound only while no bound undercuts what the simulator charges.
+    #[test]
+    fn upper_bounds_cover_what_the_simulator_charges() {
+        let t = LatencyTable::default();
+        assert!(t.upper_bound(&instr(Opcode::Mufu)) >= MUFU_LATENCY);
+        assert!(t.upper_bound(&instr(Opcode::S2r)) >= S2R_LATENCY);
+        assert!(t.upper_bound(&instr(Opcode::Shfl)) >= SHFL_LATENCY);
     }
 
     #[test]

@@ -34,7 +34,9 @@ loop:
     // Per-sample timelines need the raw stream: collect through the
     // raw-buffering sink instead of the default aggregating one.
     let mut samples: Vec<RawSample> = Vec::new();
-    gpu.launch_with_sink(&m, "k", &LaunchConfig::new(2, 64), &params, &mut samples).expect("runs");
+    let prog = gpu.compile(&m, "k").expect("compiles");
+    gpu.launch_compiled_with_sink(&prog, &LaunchConfig::new(2, 64), &params, &mut samples)
+        .expect("runs");
 
     println!("Figure 1 — PC sampling on one SM (period N = 64 cycles)\n");
     println!("{:<8} {:<10} {:<10} {:<18} pc", "cycle", "scheduler", "class", "stall reason");

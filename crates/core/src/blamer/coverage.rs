@@ -7,8 +7,8 @@
 //! paper reports most Rodinia benchmarks above 0.8 after pruning, with
 //! `bfs` (64-bit address pairs) and `nw` (intricate control flow) lower.
 
+use super::graph::REASONS;
 use super::{DetailedReason, ModuleBlame};
-use gpa_sampling::StallReason;
 
 /// Coverage before and after pruning.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -42,11 +42,7 @@ pub fn single_dependency_coverage(blame: &ModuleBlame) -> CoverageReport {
 }
 
 fn is_single(fb: &super::FunctionBlame, node: usize, include_pruned: bool) -> bool {
-    for base in [
-        StallReason::MemoryDependency,
-        StallReason::ExecutionDependency,
-        StallReason::Synchronization,
-    ] {
+    for base in REASONS {
         let count = fb
             .graph
             .incoming(node, include_pruned)

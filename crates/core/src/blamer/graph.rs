@@ -73,7 +73,7 @@ pub struct BlamedEdge {
 }
 
 /// The attributable stall reasons.
-const REASONS: [StallReason; 3] =
+pub(super) const REASONS: [StallReason; 3] =
     [StallReason::MemoryDependency, StallReason::ExecutionDependency, StallReason::Synchronization];
 
 /// Runs the blame pipeline for one function.

@@ -79,7 +79,8 @@ pub fn launch_spec_with_sink(
     sink: &mut dyn gpa_sim::SampleSink,
 ) -> Result<gpa_sim::LaunchResult> {
     let (mut gpu, params) = armed_gpu_with(spec, arch, cfg);
-    gpu.launch_with_sink(&spec.module, &spec.entry, &spec.launch, &params, sink)
+    let prog = gpu.compile(&spec.module, &spec.entry)?;
+    gpu.launch_compiled_with_sink(&prog, &spec.launch, &params, sink)
 }
 
 /// Runs one kernel variant with sampling and returns profile + cycles.

@@ -7,9 +7,16 @@
 //!
 //! The executor runs [`Plan`]s — instructions decoded once, when the
 //! program was lowered — and works on 32-lane rows: every arithmetic arm
-//! materialises its sources (`fill32`/`fill64`) and applies one closure
-//! across them; only the memory ops and `SHFL` read operands lane by
-//! lane. Nothing on this path allocates.
+//! materialises its sources (`Word::fill`) and applies one closure
+//! across them (`row1`/`row2`/`row3`/`setp`); only the memory ops and
+//! `SHFL` read operands lane by lane. Whether a value is 32 or 64 bits
+//! wide is a type (`Word`), spelled in each arm's closure signature.
+//! Nothing on this path allocates.
+//!
+//! No operand can panic the executor or make a debug and a release
+//! build disagree: malformed operands are faults, shift counts act
+//! modulo the width of the shifted value, global addresses and constant
+//! offsets wrap, scratch (shared, local) addresses are bounds-checked.
 
 use crate::mem::{ConstMem, GlobalMem};
 use crate::program::{CmpOp, Plan, Src};
@@ -101,33 +108,6 @@ fn fault(pc: u64, message: impl Into<String>) -> SimError {
     SimError::Fault { pc, message: message.into() }
 }
 
-/// Reads a resolved 32-bit source for one lane.
-#[inline]
-fn get32(w: &WarpState, lane: usize, s: Src, ctx: &ExecCtx) -> u32 {
-    match s {
-        Src::Val(v) => v,
-        Src::Val64(v) => v as u32,
-        Src::Reg(r) | Src::Pair(r) => w.read_reg(lane, r),
-        Src::SReg(sr) => w.special(lane, sr, ctx.block_id, ctx.grid_blocks, ctx.block_threads),
-        Src::CMem { bank, offset } => ctx.consts.read_u32(bank, offset as u32),
-    }
-}
-
-/// Reads a resolved 64-bit source for one lane.
-#[inline]
-fn get64(w: &WarpState, lane: usize, s: Src, ctx: &ExecCtx) -> u64 {
-    match s {
-        Src::Val(v) => v as u64,
-        Src::Val64(v) => v,
-        Src::Reg(r) => w.read_reg(lane, r) as u64,
-        Src::Pair(r) => w.read_pair(lane, r),
-        Src::SReg(sr) => {
-            w.special(lane, sr, ctx.block_id, ctx.grid_blocks, ctx.block_threads) as u64
-        }
-        Src::CMem { bank, offset } => ctx.consts.read_u64(bank, offset as u32),
-    }
-}
-
 /// Lane indices of a fully active warp.
 const ALL_LANES: [usize; WARP_LANES] = {
     let mut a = [0usize; WARP_LANES];
@@ -139,284 +119,199 @@ const ALL_LANES: [usize; WARP_LANES] = {
     a
 };
 
-/// Materializes a resolved 32-bit source into per-lane values: one row
-/// copy (or broadcast) per instruction instead of an enum match per lane.
-/// Safe because lane writes are strictly lane-local — no instruction
-/// observes another lane's same-instruction result through the register
-/// file (SHFL snapshots explicitly).
-#[inline]
-fn fill32(w: &WarpState, s: Src, ctx: &ExecCtx, out: &mut [u32; WARP_LANES]) {
-    match s {
-        Src::Val(v) => out.fill(v),
-        Src::Val64(v) => out.fill(v as u32),
-        Src::Reg(r) | Src::Pair(r) => {
-            if r.is_zero() {
-                out.fill(0);
-            } else {
-                *out = w.regs[r.index() as usize];
-            }
+/// The width of a lane value, `u32` or `u64`: what reading a resolved
+/// source and writing a destination do differently for a register and a
+/// register pair. Everything above this trait is generic over it.
+trait Word: Copy + Default {
+    /// Reads a resolved source for one lane.
+    fn get(w: &WarpState, lane: usize, s: Src, ctx: &ExecCtx) -> Self;
+
+    /// Materializes a resolved source into per-lane values: one row copy
+    /// (or broadcast) per instruction instead of an enum match per lane.
+    /// Safe because lane writes are strictly lane-local — no instruction
+    /// observes another lane's same-instruction result through the
+    /// register file (SHFL snapshots explicitly).
+    fn fill(w: &WarpState, s: Src, ctx: &ExecCtx, out: &mut [Self; WARP_LANES]);
+
+    /// Writes per-lane results to a destination register — a pair when
+    /// `Self` is 64 bits wide — for the given lanes.
+    fn store(w: &mut WarpState, d: Register, lanes: &[usize], vals: &[Self; WARP_LANES]);
+}
+
+impl Word for u32 {
+    #[inline]
+    fn get(w: &WarpState, lane: usize, s: Src, ctx: &ExecCtx) -> u32 {
+        match s {
+            Src::Val(v) => v,
+            Src::Val64(v) => v as u32,
+            Src::Reg(r) | Src::Pair(r) => w.read_reg(lane, r),
+            Src::SReg(sr) => w.special(lane, sr, ctx.block_id, ctx.grid_blocks, ctx.block_threads),
+            Src::Pred(p) => w.read_pred(lane, p) as u32,
+            Src::CMem { bank, offset } => ctx.consts.read_u32(bank, offset as u32),
         }
-        Src::SReg(sr) => {
-            for (l, slot) in out.iter_mut().enumerate() {
-                *slot = w.special(l, sr, ctx.block_id, ctx.grid_blocks, ctx.block_threads);
+    }
+
+    #[inline]
+    fn fill(w: &WarpState, s: Src, ctx: &ExecCtx, out: &mut [u32; WARP_LANES]) {
+        match s {
+            Src::Val(v) => out.fill(v),
+            Src::Val64(v) => out.fill(v as u32),
+            Src::Reg(r) | Src::Pair(r) => {
+                if r.is_zero() {
+                    out.fill(0);
+                } else {
+                    *out = w.regs[r.index() as usize];
+                }
             }
+            Src::SReg(sr) => {
+                for (l, slot) in out.iter_mut().enumerate() {
+                    *slot = w.special(l, sr, ctx.block_id, ctx.grid_blocks, ctx.block_threads);
+                }
+            }
+            Src::Pred(p) => {
+                for (l, slot) in out.iter_mut().enumerate() {
+                    *slot = w.read_pred(l, p) as u32;
+                }
+            }
+            Src::CMem { bank, offset } => out.fill(ctx.consts.read_u32(bank, offset as u32)),
         }
-        Src::CMem { bank, offset } => out.fill(ctx.consts.read_u32(bank, offset as u32)),
+    }
+
+    #[inline]
+    fn store(w: &mut WarpState, d: Register, lanes: &[usize], vals: &[u32; WARP_LANES]) {
+        if d.is_zero() {
+            return;
+        }
+        let row = &mut w.regs[d.index() as usize];
+        for &l in lanes {
+            row[l] = vals[l];
+        }
     }
 }
 
-/// Materializes a resolved 64-bit source into per-lane values.
-#[inline]
-fn fill64(w: &WarpState, s: Src, ctx: &ExecCtx, out: &mut [u64; WARP_LANES]) {
-    match s {
-        Src::Val(v) => out.fill(v as u64),
-        Src::Val64(v) => out.fill(v),
-        Src::Reg(r) => {
-            for (l, slot) in out.iter_mut().enumerate() {
-                *slot = w.read_reg(l, r) as u64;
+impl Word for u64 {
+    #[inline]
+    fn get(w: &WarpState, lane: usize, s: Src, ctx: &ExecCtx) -> u64 {
+        match s {
+            Src::Val64(v) => v,
+            Src::Pair(r) => w.read_pair(lane, r),
+            Src::CMem { bank, offset } => ctx.consts.read_u64(bank, offset as u32),
+            // Everything else is a 32-bit value, zero-extended.
+            Src::Val(_) | Src::Reg(_) | Src::SReg(_) | Src::Pred(_) => {
+                u32::get(w, lane, s, ctx) as u64
             }
         }
-        Src::Pair(r) => {
-            for (l, slot) in out.iter_mut().enumerate() {
-                *slot = w.read_pair(l, r);
+    }
+
+    #[inline]
+    fn fill(w: &WarpState, s: Src, ctx: &ExecCtx, out: &mut [u64; WARP_LANES]) {
+        match s {
+            Src::Val(v) => out.fill(v as u64),
+            Src::Val64(v) => out.fill(v),
+            Src::Reg(r) => {
+                for (l, slot) in out.iter_mut().enumerate() {
+                    *slot = w.read_reg(l, r) as u64;
+                }
             }
-        }
-        Src::SReg(sr) => {
-            for (l, slot) in out.iter_mut().enumerate() {
-                *slot = w.special(l, sr, ctx.block_id, ctx.grid_blocks, ctx.block_threads) as u64;
+            Src::Pair(r) => {
+                for (l, slot) in out.iter_mut().enumerate() {
+                    *slot = w.read_pair(l, r);
+                }
             }
+            Src::SReg(_) | Src::Pred(_) => {
+                for (l, slot) in out.iter_mut().enumerate() {
+                    *slot = u64::get(w, l, s, ctx);
+                }
+            }
+            Src::CMem { bank, offset } => out.fill(ctx.consts.read_u64(bank, offset as u32)),
         }
-        Src::CMem { bank, offset } => out.fill(ctx.consts.read_u64(bank, offset as u32)),
+    }
+
+    #[inline]
+    fn store(w: &mut WarpState, d: Register, lanes: &[usize], vals: &[u64; WARP_LANES]) {
+        for &l in lanes {
+            w.write_pair(l, d, vals[l]);
+        }
     }
 }
 
-/// Writes per-lane results to a destination register for the given lanes.
+/// Unary lane op: `f` of the first source read as `A`s, written as `O`s.
 #[inline]
-fn store32(w: &mut WarpState, d: Register, lanes: &[usize], vals: &[u32; WARP_LANES]) {
-    if d.is_zero() {
-        return;
-    }
-    let row = &mut w.regs[d.index() as usize];
-    for &l in lanes {
-        row[l] = vals[l];
-    }
-}
-
-/// Writes per-lane results to a destination register pair.
-#[inline]
-fn store64(w: &mut WarpState, d: Register, lanes: &[usize], vals: &[u64; WARP_LANES]) {
-    for &l in lanes {
-        w.write_pair(l, d, vals[l]);
-    }
-}
-
-/// Unary 32-bit lane op over materialized sources.
-#[inline]
-fn un32(
+fn row1<A: Word, O: Word>(
     w: &mut WarpState,
     d: Register,
     lanes: &[usize],
-    sa: Src,
+    [sa, ..]: [Src; 3],
     ctx: &ExecCtx,
-    f: impl Fn(u32) -> u32,
+    f: impl Fn(A) -> O,
 ) {
-    let mut a = [0u32; WARP_LANES];
-    fill32(w, sa, ctx, &mut a);
-    let mut o = [0u32; WARP_LANES];
+    let mut a = [A::default(); WARP_LANES];
+    A::fill(w, sa, ctx, &mut a);
+    let mut o = [O::default(); WARP_LANES];
     for &l in lanes {
         o[l] = f(a[l]);
     }
-    store32(w, d, lanes, &o);
+    O::store(w, d, lanes, &o);
 }
 
-/// Binary 32-bit lane op over materialized sources.
+/// Binary lane op over the first two sources, each at its own width.
 #[inline]
-fn bin32(
+fn row2<A: Word, B: Word, O: Word>(
     w: &mut WarpState,
     d: Register,
     lanes: &[usize],
-    sa: Src,
-    sb: Src,
+    [sa, sb, _]: [Src; 3],
     ctx: &ExecCtx,
-    f: impl Fn(u32, u32) -> u32,
+    f: impl Fn(A, B) -> O,
 ) {
-    let mut a = [0u32; WARP_LANES];
-    let mut b = [0u32; WARP_LANES];
-    fill32(w, sa, ctx, &mut a);
-    fill32(w, sb, ctx, &mut b);
-    let mut o = [0u32; WARP_LANES];
+    let mut a = [A::default(); WARP_LANES];
+    let mut b = [B::default(); WARP_LANES];
+    A::fill(w, sa, ctx, &mut a);
+    B::fill(w, sb, ctx, &mut b);
+    let mut o = [O::default(); WARP_LANES];
     for &l in lanes {
         o[l] = f(a[l], b[l]);
     }
-    store32(w, d, lanes, &o);
+    O::store(w, d, lanes, &o);
 }
 
-/// Ternary 32-bit lane op over materialized sources.
+/// Ternary lane op over materialized sources, each at its own width.
 #[inline]
-#[allow(clippy::too_many_arguments)]
-fn tri32(
+fn row3<A: Word, B: Word, C: Word, O: Word>(
     w: &mut WarpState,
     d: Register,
     lanes: &[usize],
-    sa: Src,
-    sb: Src,
-    sc: Src,
+    [sa, sb, sc]: [Src; 3],
     ctx: &ExecCtx,
-    f: impl Fn(u32, u32, u32) -> u32,
+    f: impl Fn(A, B, C) -> O,
 ) {
-    let mut a = [0u32; WARP_LANES];
-    let mut b = [0u32; WARP_LANES];
-    let mut c = [0u32; WARP_LANES];
-    fill32(w, sa, ctx, &mut a);
-    fill32(w, sb, ctx, &mut b);
-    fill32(w, sc, ctx, &mut c);
-    let mut o = [0u32; WARP_LANES];
+    let mut a = [A::default(); WARP_LANES];
+    let mut b = [B::default(); WARP_LANES];
+    let mut c = [C::default(); WARP_LANES];
+    A::fill(w, sa, ctx, &mut a);
+    B::fill(w, sb, ctx, &mut b);
+    C::fill(w, sc, ctx, &mut c);
+    let mut o = [O::default(); WARP_LANES];
     for &l in lanes {
         o[l] = f(a[l], b[l], c[l]);
     }
-    store32(w, d, lanes, &o);
+    O::store(w, d, lanes, &o);
 }
 
-/// Unary 64-bit lane op over materialized sources.
+/// Predicate-setting comparison of the first two sources.
 #[inline]
-fn un64(
-    w: &mut WarpState,
-    d: Register,
-    lanes: &[usize],
-    sa: Src,
-    ctx: &ExecCtx,
-    f: impl Fn(u64) -> u64,
-) {
-    let mut a = [0u64; WARP_LANES];
-    fill64(w, sa, ctx, &mut a);
-    let mut o = [0u64; WARP_LANES];
-    for &l in lanes {
-        o[l] = f(a[l]);
-    }
-    store64(w, d, lanes, &o);
-}
-
-/// Binary 64-bit lane op over materialized sources.
-#[inline]
-fn bin64(
-    w: &mut WarpState,
-    d: Register,
-    lanes: &[usize],
-    sa: Src,
-    sb: Src,
-    ctx: &ExecCtx,
-    f: impl Fn(u64, u64) -> u64,
-) {
-    let mut a = [0u64; WARP_LANES];
-    let mut b = [0u64; WARP_LANES];
-    fill64(w, sa, ctx, &mut a);
-    fill64(w, sb, ctx, &mut b);
-    let mut o = [0u64; WARP_LANES];
-    for &l in lanes {
-        o[l] = f(a[l], b[l]);
-    }
-    store64(w, d, lanes, &o);
-}
-
-/// Ternary 64-bit lane op over materialized sources.
-#[inline]
-#[allow(clippy::too_many_arguments)]
-fn tri64(
-    w: &mut WarpState,
-    d: Register,
-    lanes: &[usize],
-    sa: Src,
-    sb: Src,
-    sc: Src,
-    ctx: &ExecCtx,
-    f: impl Fn(u64, u64, u64) -> u64,
-) {
-    let mut a = [0u64; WARP_LANES];
-    let mut b = [0u64; WARP_LANES];
-    let mut c = [0u64; WARP_LANES];
-    fill64(w, sa, ctx, &mut a);
-    fill64(w, sb, ctx, &mut b);
-    fill64(w, sc, ctx, &mut c);
-    let mut o = [0u64; WARP_LANES];
-    for &l in lanes {
-        o[l] = f(a[l], b[l], c[l]);
-    }
-    store64(w, d, lanes, &o);
-}
-
-/// 32→64-bit conversion lane op.
-#[inline]
-fn cvt32to64(
-    w: &mut WarpState,
-    d: Register,
-    lanes: &[usize],
-    sa: Src,
-    ctx: &ExecCtx,
-    f: impl Fn(u32) -> u64,
-) {
-    let mut a = [0u32; WARP_LANES];
-    fill32(w, sa, ctx, &mut a);
-    let mut o = [0u64; WARP_LANES];
-    for &l in lanes {
-        o[l] = f(a[l]);
-    }
-    store64(w, d, lanes, &o);
-}
-
-/// 64→32-bit conversion lane op.
-#[inline]
-fn cvt64to32(
-    w: &mut WarpState,
-    d: Register,
-    lanes: &[usize],
-    sa: Src,
-    ctx: &ExecCtx,
-    f: impl Fn(u64) -> u32,
-) {
-    let mut a = [0u64; WARP_LANES];
-    fill64(w, sa, ctx, &mut a);
-    let mut o = [0u32; WARP_LANES];
-    for &l in lanes {
-        o[l] = f(a[l]);
-    }
-    store32(w, d, lanes, &o);
-}
-
-/// Predicate-setting comparison over materialized 32-bit sources.
-#[inline]
-fn setp32(
+fn setp<A: Word>(
     w: &mut WarpState,
     p: gpa_isa::PredReg,
     lanes: &[usize],
-    sa: Src,
-    sb: Src,
+    [sa, sb, _]: [Src; 3],
     ctx: &ExecCtx,
-    f: impl Fn(u32, u32) -> bool,
+    f: impl Fn(A, A) -> bool,
 ) {
-    let mut a = [0u32; WARP_LANES];
-    let mut b = [0u32; WARP_LANES];
-    fill32(w, sa, ctx, &mut a);
-    fill32(w, sb, ctx, &mut b);
-    for &l in lanes {
-        w.write_pred(l, p, f(a[l], b[l]));
-    }
-}
-
-/// Predicate-setting comparison over materialized 64-bit sources.
-#[inline]
-fn setp64(
-    w: &mut WarpState,
-    p: gpa_isa::PredReg,
-    lanes: &[usize],
-    sa: Src,
-    sb: Src,
-    ctx: &ExecCtx,
-    f: impl Fn(u64, u64) -> bool,
-) {
-    let mut a = [0u64; WARP_LANES];
-    let mut b = [0u64; WARP_LANES];
-    fill64(w, sa, ctx, &mut a);
-    fill64(w, sb, ctx, &mut b);
+    let mut a = [A::default(); WARP_LANES];
+    let mut b = [A::default(); WARP_LANES];
+    A::fill(w, sa, ctx, &mut a);
+    A::fill(w, sb, ctx, &mut b);
     for &l in lanes {
         w.write_pred(l, p, f(a[l], b[l]));
     }
@@ -424,6 +319,10 @@ fn setp64(
 
 fn f32v(bits: u32) -> f32 {
     f32::from_bits(bits)
+}
+
+fn f64v(bits: u64) -> f64 {
+    f64::from_bits(bits)
 }
 
 #[inline]
@@ -533,60 +432,52 @@ pub fn execute<'m>(
 
     use Opcode::*;
     let (d, p) = (plan.d, plan.p);
-    let [sa, sb, sc] = plan.srcs;
+    let srcs = plan.srcs;
     match plan.opcode {
-        Mov | Mov32i | I2i if plan.pair => un64(w, d, lanes, sa, ctx, |a| a),
-        Mov | Mov32i | I2i | S2r | Cs2r => un32(w, d, lanes, sa, ctx, |a| a),
-        Iadd if plan.pair => bin64(w, d, lanes, sa, sb, ctx, |a, b| a.wrapping_add(b)),
-        Iadd => bin32(w, d, lanes, sa, sb, ctx, |a, b| a.wrapping_add(b)),
-        Iadd3 => tri32(w, d, lanes, sa, sb, sc, ctx, |a, b, c| a.wrapping_add(b).wrapping_add(c)),
+        Mov | Mov32i | I2i if plan.pair => row1(w, d, lanes, srcs, ctx, |a: u64| a),
+        Mov | Mov32i | I2i | S2r | Cs2r => row1(w, d, lanes, srcs, ctx, |a: u32| a),
+        Iadd if plan.pair => row2(w, d, lanes, srcs, ctx, |a: u64, b: u64| a.wrapping_add(b)),
+        Iadd => row2(w, d, lanes, srcs, ctx, |a: u32, b: u32| a.wrapping_add(b)),
+        Iadd3 => {
+            row3(w, d, lanes, srcs, ctx, |a: u32, b: u32, c: u32| a.wrapping_add(b).wrapping_add(c))
+        }
         Imad if plan.has(Modifier::Wide) => {
             let signed = plan.has(Modifier::S32);
-            let mut a = [0u32; WARP_LANES];
-            let mut b = [0u32; WARP_LANES];
-            let mut c = [0u64; WARP_LANES];
-            fill32(w, sa, ctx, &mut a);
-            fill32(w, sb, ctx, &mut b);
-            fill64(w, sc, ctx, &mut c);
-            let mut o = [0u64; WARP_LANES];
-            for &l in lanes {
+            row3(w, d, lanes, srcs, ctx, |a: u32, b: u32, c: u64| {
                 let prod = if signed {
-                    (a[l] as i32 as i64).wrapping_mul(b[l] as i32 as i64) as u64
+                    (a as i32 as i64).wrapping_mul(b as i32 as i64) as u64
                 } else {
-                    (a[l] as u64).wrapping_mul(b[l] as u64)
+                    (a as u64).wrapping_mul(b as u64)
                 };
-                o[l] = prod.wrapping_add(c[l]);
-            }
-            store64(w, d, lanes, &o);
+                prod.wrapping_add(c)
+            });
         }
-        Imad => tri32(w, d, lanes, sa, sb, sc, ctx, |a, b, c| a.wrapping_mul(b).wrapping_add(c)),
-        Imul => bin32(w, d, lanes, sa, sb, ctx, |a, b| a.wrapping_mul(b)),
+        Imad => {
+            row3(w, d, lanes, srcs, ctx, |a: u32, b: u32, c: u32| a.wrapping_mul(b).wrapping_add(c))
+        }
+        Imul => row2(w, d, lanes, srcs, ctx, |a: u32, b: u32| a.wrapping_mul(b)),
         Isetp => {
             let (op, unsigned) = (plan.cmp, plan.has(Modifier::U32));
-            setp32(w, p, lanes, sa, sb, ctx, |a, b| {
+            setp(w, p, lanes, srcs, ctx, |a: u32, b: u32| {
                 let ord = if unsigned { a.cmp(&b) } else { (a as i32).cmp(&(b as i32)) };
                 cmp_apply(op, ord)
             });
         }
+        // The shift count acts modulo the width of the shifted value, in
+        // every build profile (as `SHL`'s does).
         Lea if plan.pair => {
             let shift = plan.shift;
-            let mut a = [0u32; WARP_LANES];
-            let mut b = [0u64; WARP_LANES];
-            fill32(w, sa, ctx, &mut a);
-            fill64(w, sb, ctx, &mut b);
-            let mut o = [0u64; WARP_LANES];
-            for &l in lanes {
-                o[l] = b[l].wrapping_add((a[l] as u64) << shift);
-            }
-            store64(w, d, lanes, &o);
+            row2(w, d, lanes, srcs, ctx, |a: u32, b: u64| {
+                b.wrapping_add((a as u64).wrapping_shl(shift))
+            });
         }
         Lea => {
             let shift = plan.shift;
-            bin32(w, d, lanes, sa, sb, ctx, |a, b| b.wrapping_add(a << shift));
+            row2(w, d, lanes, srcs, ctx, |a: u32, b: u32| b.wrapping_add(a.wrapping_shl(shift)));
         }
         Lop3 => {
             let (or, xor) = (plan.has(Modifier::Or), plan.has(Modifier::Xor));
-            bin32(w, d, lanes, sa, sb, ctx, |a, b| {
+            row2(w, d, lanes, srcs, ctx, |a: u32, b: u32| {
                 if or {
                     a | b
                 } else if xor {
@@ -599,7 +490,7 @@ pub fn execute<'m>(
         Shl | Shr | Shf => {
             let right = plan.opcode == Shr || (plan.opcode == Shf && plan.has(Modifier::R));
             let arith = plan.has(Modifier::S32);
-            bin32(w, d, lanes, sa, sb, ctx, |a, s| {
+            row2(w, d, lanes, srcs, ctx, |a: u32, s: u32| {
                 let s = s & 31;
                 if !right {
                     a << s
@@ -612,45 +503,36 @@ pub fn execute<'m>(
         }
         Imnmx => {
             let (unsigned, take_max) = (plan.has(Modifier::U32), plan.has(Modifier::Gt));
-            bin32(w, d, lanes, sa, sb, ctx, |a, b| match (unsigned, take_max) {
+            row2(w, d, lanes, srcs, ctx, |a: u32, b: u32| match (unsigned, take_max) {
                 (true, true) => a.max(b),
                 (true, false) => a.min(b),
                 (false, true) => (a as i32).max(b as i32) as u32,
                 (false, false) => (a as i32).min(b as i32) as u32,
             });
         }
-        Iabs => un32(w, d, lanes, sa, ctx, |a| (a as i32).unsigned_abs()),
-        Popc => un32(w, d, lanes, sa, ctx, |a| a.count_ones()),
-        Sel => {
-            let mut a = [0u32; WARP_LANES];
-            let mut b = [0u32; WARP_LANES];
-            fill32(w, sa, ctx, &mut a);
-            fill32(w, sb, ctx, &mut b);
-            let mut o = [0u32; WARP_LANES];
-            for &l in lanes {
-                o[l] = if w.read_pred(l, p) { a[l] } else { b[l] };
-            }
-            store32(w, d, lanes, &o);
-        }
-        Fadd => bin32(w, d, lanes, sa, sb, ctx, |a, b| (f32v(a) + f32v(b)).to_bits()),
-        Fmul => bin32(w, d, lanes, sa, sb, ctx, |a, b| (f32v(a) * f32v(b)).to_bits()),
-        Ffma => tri32(w, d, lanes, sa, sb, sc, ctx, |a, b, c| {
+        Iabs => row1(w, d, lanes, srcs, ctx, |a: u32| (a as i32).unsigned_abs()),
+        Popc => row1(w, d, lanes, srcs, ctx, |a: u32| a.count_ones()),
+        // The third source is the selecting predicate, as 0 or 1.
+        Sel => row3(w, d, lanes, srcs, ctx, |a: u32, b: u32, p: u32| if p != 0 { a } else { b }),
+        Fadd => row2(w, d, lanes, srcs, ctx, |a: u32, b: u32| (f32v(a) + f32v(b)).to_bits()),
+        Fmul => row2(w, d, lanes, srcs, ctx, |a: u32, b: u32| (f32v(a) * f32v(b)).to_bits()),
+        Ffma => row3(w, d, lanes, srcs, ctx, |a: u32, b: u32, c: u32| {
             f32v(a).mul_add(f32v(b), f32v(c)).to_bits()
         }),
         Fmnmx if plan.has(Modifier::Gt) => {
-            bin32(w, d, lanes, sa, sb, ctx, |a, b| f32v(a).max(f32v(b)).to_bits());
+            row2(w, d, lanes, srcs, ctx, |a: u32, b: u32| f32v(a).max(f32v(b)).to_bits());
         }
-        Fmnmx => bin32(w, d, lanes, sa, sb, ctx, |a, b| f32v(a).min(f32v(b)).to_bits()),
+        Fmnmx => row2(w, d, lanes, srcs, ctx, |a: u32, b: u32| f32v(a).min(f32v(b)).to_bits()),
         Fsetp => {
             let op = plan.cmp;
-            setp32(w, p, lanes, sa, sb, ctx, |a, b| {
+            setp(w, p, lanes, srcs, ctx, |a: u32, b: u32| {
                 let ord = f32v(a).partial_cmp(&f32v(b)).unwrap_or(std::cmp::Ordering::Greater);
                 cmp_apply(op, ord)
             });
         }
         Mufu => {
             let func = plan.mufu;
-            un32(w, d, lanes, sa, ctx, |a| {
+            row1(w, d, lanes, srcs, ctx, |a: u32| {
                 let a = f32v(a);
                 let v = match func {
                     Modifier::Rcp => 1.0 / a,
@@ -664,43 +546,38 @@ pub fn execute<'m>(
                 v.to_bits()
             });
         }
-        Dadd => bin64(w, d, lanes, sa, sb, ctx, |a, b| {
-            (f64::from_bits(a) + f64::from_bits(b)).to_bits()
-        }),
-        Dmul => bin64(w, d, lanes, sa, sb, ctx, |a, b| {
-            (f64::from_bits(a) * f64::from_bits(b)).to_bits()
-        }),
-        Dfma => tri64(w, d, lanes, sa, sb, sc, ctx, |a, b, c| {
-            f64::from_bits(a).mul_add(f64::from_bits(b), f64::from_bits(c)).to_bits()
+        Dadd => row2(w, d, lanes, srcs, ctx, |a: u64, b: u64| (f64v(a) + f64v(b)).to_bits()),
+        Dmul => row2(w, d, lanes, srcs, ctx, |a: u64, b: u64| (f64v(a) * f64v(b)).to_bits()),
+        Dfma => row3(w, d, lanes, srcs, ctx, |a: u64, b: u64, c: u64| {
+            f64v(a).mul_add(f64v(b), f64v(c)).to_bits()
         }),
         Dsetp => {
             let op = plan.cmp;
-            setp64(w, p, lanes, sa, sb, ctx, |a, b| {
-                let ord = f64::from_bits(a)
-                    .partial_cmp(&f64::from_bits(b))
-                    .unwrap_or(std::cmp::Ordering::Greater);
+            setp(w, p, lanes, srcs, ctx, |a: u64, b: u64| {
+                let ord = f64v(a).partial_cmp(&f64v(b)).unwrap_or(std::cmp::Ordering::Greater);
                 cmp_apply(op, ord)
             });
         }
         // Modifier order is [dst, src].
         F2f if plan.first_mod == Some(Modifier::F64) => {
-            cvt32to64(w, d, lanes, sa, ctx, |a| (f32v(a) as f64).to_bits());
+            row1(w, d, lanes, srcs, ctx, |a: u32| (f32v(a) as f64).to_bits());
         }
-        F2f => cvt64to32(w, d, lanes, sa, ctx, |a| (f64::from_bits(a) as f32).to_bits()),
+        F2f => row1(w, d, lanes, srcs, ctx, |a: u64| (f64v(a) as f32).to_bits()),
         F2i if plan.has(Modifier::F64) => {
-            cvt64to32(w, d, lanes, sa, ctx, |a| f64::from_bits(a) as i32 as u32);
+            row1(w, d, lanes, srcs, ctx, |a: u64| f64v(a) as i32 as u32)
         }
-        F2i => un32(w, d, lanes, sa, ctx, |a| f32v(a) as i32 as u32),
+        F2i => row1(w, d, lanes, srcs, ctx, |a: u32| f32v(a) as i32 as u32),
         I2f if plan.has(Modifier::F64) => {
-            cvt32to64(w, d, lanes, sa, ctx, |a| (a as i32 as f64).to_bits());
+            row1(w, d, lanes, srcs, ctx, |a: u32| (a as i32 as f64).to_bits());
         }
-        I2f => un32(w, d, lanes, sa, ctx, |a| (a as i32 as f32).to_bits()),
+        I2f => row1(w, d, lanes, srcs, ctx, |a: u32| (a as i32 as f32).to_bits()),
         Shfl => {
+            let [sa, sb, _] = srcs;
             // Snapshot before writing (source and destination may alias).
             let mut snapshot = [0u32; WARP_LANES];
-            fill32(w, sa, ctx, &mut snapshot);
+            u32::fill(w, sa, ctx, &mut snapshot);
             for &l in lanes {
-                let idx = (get32(w, l, sb, ctx) as usize) % WARP_LANES;
+                let idx = (u32::get(w, l, sb, ctx) as usize) % WARP_LANES;
                 w.write_reg(l, d, snapshot[idx]);
             }
         }
@@ -711,7 +588,7 @@ pub fn execute<'m>(
                 w.write_reg(l, d, agg as u32);
             }
         }
-        Prmt => tri32(w, d, lanes, sa, sb, sc, ctx, |a, b, sel| {
+        Prmt => row3(w, d, lanes, srcs, ctx, |a: u32, b: u32, sel: u32| {
             let pool = ((b as u64) << 32) | a as u64;
             let mut v = 0u32;
             for i in 0..4 {
@@ -722,7 +599,10 @@ pub fn execute<'m>(
             v
         }),
         Ldg | Stg | Lds | Sts | Ldl | Stl | Ldc | AtomG | AtomS => {
-            memory_op(w, plan, lanes, ctx, access)?;
+            match plan.width {
+                8 => memory_op::<8>(w, plan, lanes, ctx, access)?,
+                _ => memory_op::<4>(w, plan, lanes, ctx, access)?,
+            }
             return Ok(ExecResult { outcome: Outcome::Next, mem: Some(access) });
         }
         Bra | Exit | Cal | Ret | Bar | Nop | Membar | Bssy | Bsync => unreachable!(),
@@ -739,7 +619,9 @@ fn lane_addr(w: &WarpState, l: usize, m: MemRef, wide: bool) -> u64 {
     base.wrapping_add(m.offset as i64 as u64)
 }
 
-fn memory_op(
+/// A memory instruction whose access is `N` bytes wide (4 or 8; atomics
+/// are always 4). Loaded and stored values travel zero-extended.
+fn memory_op<const N: usize>(
     w: &mut WarpState,
     plan: &Plan,
     lanes: &[usize],
@@ -751,7 +633,20 @@ fn memory_op(
     access.space = plan.opcode.mem_space().expect("memory opcode");
     access.store = plan.opcode.is_store();
     access.lanes = 0;
-    let (d, width, sdata) = (plan.d, plan.width, plan.srcs[0]);
+    let (d, sdata) = (plan.d, plan.srcs[0]);
+    let local = access.space == MemSpace::Local;
+    // Puts a loaded value in lane `l`'s destination (a pair when wide).
+    let put = |w: &mut WarpState, l: usize, v: u64| match N {
+        8 => w.write_pair(l, d, v),
+        _ => w.write_reg(l, d, v as u32),
+    };
+    // Lane `l`'s store data.
+    let data = |w: &WarpState, l: usize, ctx: &ExecCtx| -> [u8; N] {
+        to_le(match N {
+            8 => u64::get(w, l, sdata, ctx),
+            _ => u32::get(w, l, sdata, ctx) as u64,
+        })
+    };
     // For every opcode that addresses through it, lowering stored a fault
     // if the memory operand was missing, and `execute` raised it.
     let mem_operand = || plan.mem.expect("lowering checked the memory operand");
@@ -764,26 +659,16 @@ fn memory_op(
             for &l in lanes {
                 let addr = lane_addr(w, l, m, m.wide);
                 access.push(addr);
-                if width == 8 {
-                    let v = rd.read_u64(addr);
-                    w.write_pair(l, d, v);
-                } else {
-                    let v = rd.read_u32(addr);
-                    w.write_reg(l, d, v);
-                }
+                put(w, l, from_le(rd.read::<N>(addr)));
             }
         }
-        Ldl => {
+        Ldl | Lds => {
             let m = mem_operand();
             for &l in lanes {
-                let addr = lane_addr(w, l, m, m.wide);
+                let addr = lane_addr(w, l, m, m.wide && local);
                 access.push(addr);
-                let v = read_local(w, l, addr, width, pc)?;
-                if width == 8 {
-                    w.write_pair(l, d, v);
-                } else {
-                    w.write_reg(l, d, v as u32);
-                }
+                let v = from_le(*scratch::<N>(w, ctx, local, l, addr, pc)?);
+                put(w, l, v);
             }
         }
         Stg => {
@@ -791,51 +676,21 @@ fn memory_op(
             // Collect the warp's stores and commit them page-run at a
             // time (stores never feed back into this instruction's
             // register reads, so deferring them is exact).
-            let mut b32 = [(0u64, 0u32); WARP_LANES];
-            let mut b64 = [(0u64, 0u64); WARP_LANES];
-            for (n, &l) in lanes.iter().enumerate() {
+            let mut batch = [(0u64, [0u8; N]); WARP_LANES];
+            for (slot, &l) in batch.iter_mut().zip(lanes) {
                 let addr = lane_addr(w, l, m, m.wide);
                 access.push(addr);
-                if width == 8 {
-                    b64[n] = (addr, get64(w, l, sdata, ctx));
-                } else {
-                    b32[n] = (addr, get32(w, l, sdata, ctx));
-                }
+                *slot = (addr, data(w, l, ctx));
             }
-            if width == 8 {
-                ctx.global.write_batch_u64(&b64[..lanes.len()]);
-            } else {
-                ctx.global.write_batch_u32(&b32[..lanes.len()]);
-            }
+            ctx.global.write_batch(&batch[..lanes.len()]);
         }
         Stl | Sts => {
             let m = mem_operand();
             for &l in lanes {
-                let addr = lane_addr(w, l, m, m.wide && plan.opcode == Stl);
+                let addr = lane_addr(w, l, m, m.wide && local);
                 access.push(addr);
-                let v: u64 = if width == 8 {
-                    get64(w, l, sdata, ctx)
-                } else {
-                    get32(w, l, sdata, ctx) as u64
-                };
-                if plan.opcode == Stl {
-                    write_local(w, l, addr, v, width, pc)?;
-                } else {
-                    write_smem(ctx.smem, addr, v, width, pc)?;
-                }
-            }
-        }
-        Lds => {
-            let m = mem_operand();
-            for &l in lanes {
-                let addr = lane_addr(w, l, m, false);
-                access.push(addr);
-                let v = read_smem(ctx.smem, addr, width, pc)?;
-                if width == 8 {
-                    w.write_pair(l, d, v);
-                } else {
-                    w.write_reg(l, d, v as u32);
-                }
+                let v = data(w, l, ctx);
+                *scratch::<N>(w, ctx, local, l, addr, pc)? = v;
             }
         }
         Ldc => {
@@ -846,11 +701,11 @@ fn memory_op(
                     None => (1, lane_addr(w, l, mem_operand(), false)),
                 };
                 access.push(addr);
-                if width == 8 {
-                    w.write_pair(l, d, ctx.consts.read_u64(bank, addr as u32));
-                } else {
-                    w.write_reg(l, d, ctx.consts.read_u32(bank, addr as u32));
-                }
+                let v = match N {
+                    8 => ctx.consts.read_u64(bank, addr as u32),
+                    _ => ctx.consts.read_u32(bank, addr as u32) as u64,
+                };
+                put(w, l, v);
             }
         }
         AtomG => {
@@ -859,7 +714,7 @@ fn memory_op(
                 let addr = lane_addr(w, l, m, m.wide);
                 access.push(addr);
                 let old = ctx.global.read_u32(addr);
-                let v = get32(w, l, sdata, ctx);
+                let v = u32::get(w, l, sdata, ctx);
                 ctx.global.write_u32(addr, old.wrapping_add(v));
                 w.write_reg(l, d, old);
             }
@@ -869,9 +724,10 @@ fn memory_op(
             for &l in lanes {
                 let addr = lane_addr(w, l, m, false);
                 access.push(addr);
-                let old = read_smem(ctx.smem, addr, 4, pc)? as u32;
-                let v = get32(w, l, sdata, ctx);
-                write_smem(ctx.smem, addr, old.wrapping_add(v) as u64, 4, pc)?;
+                let v = u32::get(w, l, sdata, ctx);
+                let word = scratch::<4>(w, ctx, false, l, addr, pc)?;
+                let old = u32::from_le_bytes(*word);
+                *word = old.wrapping_add(v).to_le_bytes();
                 w.write_reg(l, d, old);
             }
         }
@@ -881,571 +737,47 @@ fn memory_op(
     Ok(())
 }
 
-const MAX_SMEM: u64 = 96 * 1024;
-const MAX_LOCAL: u64 = 64 * 1024;
-
-fn read_smem(smem: &mut Vec<u8>, addr: u64, width: u64, pc: u64) -> Result<u64> {
-    ensure_smem(smem, addr, width, pc)?;
-    let mut v = 0u64;
-    for i in 0..width {
-        v |= (smem[(addr + i) as usize] as u64) << (8 * i);
-    }
-    Ok(v)
-}
-
-fn write_smem(smem: &mut Vec<u8>, addr: u64, v: u64, width: u64, pc: u64) -> Result<()> {
-    ensure_smem(smem, addr, width, pc)?;
-    for i in 0..width {
-        smem[(addr + i) as usize] = (v >> (8 * i)) as u8;
-    }
-    Ok(())
-}
-
-/// Grows `smem` to cover `addr .. addr + width`. `addr` comes from a
-/// wrapping add of a signed offset, so the end may not fit a `u64`: it
-/// saturates, and faults like any other end beyond the limit.
-fn ensure_smem(smem: &mut Vec<u8>, addr: u64, width: u64, pc: u64) -> Result<()> {
-    let end = addr.saturating_add(width);
-    if end > MAX_SMEM {
-        return Err(fault(pc, format!("shared-memory access at {end:#x} exceeds 96 KiB")));
-    }
-    if smem.len() < end as usize {
-        smem.resize(end as usize, 0);
-    }
-    Ok(())
-}
-
-fn read_local(w: &mut WarpState, lane: usize, addr: u64, width: u64, pc: u64) -> Result<u64> {
-    ensure_local(w, lane, addr, width, pc)?;
-    let buf = &w.local[lane];
-    let mut v = 0u64;
-    for i in 0..width {
-        v |= (buf[(addr + i) as usize] as u64) << (8 * i);
-    }
-    Ok(v)
-}
-
-fn write_local(
-    w: &mut WarpState,
-    lane: usize,
+/// The `N` bytes at `addr` of a lazily grown scratch memory — lane `l`'s
+/// local memory when `local`, else the block's shared memory — grown to
+/// cover them. `addr` comes from a wrapping add of a signed offset, so
+/// the end may not fit a `u64`: it saturates, and faults like any other
+/// end beyond the limit.
+#[inline]
+fn scratch<'a, const N: usize>(
+    w: &'a mut WarpState,
+    ctx: &'a mut ExecCtx,
+    local: bool,
+    l: usize,
     addr: u64,
-    v: u64,
-    width: u64,
     pc: u64,
-) -> Result<()> {
-    ensure_local(w, lane, addr, width, pc)?;
-    let buf = &mut w.local[lane];
-    for i in 0..width {
-        buf[(addr + i) as usize] = (v >> (8 * i)) as u8;
+) -> Result<&'a mut [u8; N]> {
+    let (buf, kib, name) = match local {
+        true => (&mut w.local[l], 64, "local-memory"),
+        false => (&mut *ctx.smem, 96, "shared-memory"),
+    };
+    let end = addr.saturating_add(N as u64);
+    if end > kib * 1024 {
+        return Err(fault(pc, format!("{name} access at {end:#x} exceeds {kib} KiB")));
     }
-    Ok(())
+    if buf.len() < end as usize {
+        buf.resize(end as usize, 0);
+    }
+    Ok((&mut buf[addr as usize..end as usize]).try_into().expect("N bytes"))
 }
 
-/// [`ensure_smem`] for one lane's local memory.
-fn ensure_local(w: &mut WarpState, lane: usize, addr: u64, width: u64, pc: u64) -> Result<()> {
-    let end = addr.saturating_add(width);
-    if end > MAX_LOCAL {
-        return Err(fault(pc, format!("local-memory access at {end:#x} exceeds 64 KiB")));
-    }
-    if w.local[lane].len() < end as usize {
-        w.local[lane].resize(end as usize, 0);
-    }
-    Ok(())
+/// The value of `N <= 8` little-endian bytes, zero-extended.
+#[inline]
+fn from_le<const N: usize>(bytes: [u8; N]) -> u64 {
+    let mut le = [0u8; 8];
+    le[..N].copy_from_slice(&bytes);
+    u64::from_le_bytes(le)
+}
+
+/// The low `N <= 8` bytes of `v`, little-endian.
+#[inline]
+fn to_le<const N: usize>(v: u64) -> [u8; N] {
+    v.to_le_bytes()[..N].try_into().expect("N <= 8")
 }
 
 #[cfg(test)]
-mod tests {
-    use super::*;
-    use gpa_isa::{Instruction, Operand, PredReg, Predicate, SpecialReg};
-
-    /// What a test sees of one executed instruction.
-    #[derive(Debug)]
-    struct Executed {
-        outcome: Outcome,
-        mem: Option<MemAccess>,
-    }
-
-    /// [`super::execute`] on an instruction lowered on the spot, with its
-    /// traffic copied out of the lent access.
-    fn execute(
-        w: &mut WarpState,
-        instr: &Instruction,
-        reconv_pc: Option<u64>,
-        ctx: &mut ExecCtx,
-    ) -> Result<Executed> {
-        let mut access = MemAccess::new();
-        let res = super::execute(w, &Plan::lower(instr), reconv_pc, ctx, &mut access)?;
-        Ok(Executed { outcome: res.outcome, mem: res.mem.cloned() })
-    }
-
-    fn r(n: u8) -> Register {
-        Register::from_u8(n)
-    }
-
-    fn setup() -> (WarpState, GlobalMem, Vec<u8>, ConstMem) {
-        (WarpState::new(0, 0, 0, 0, 32, 256), GlobalMem::new(), Vec::new(), ConstMem::new())
-    }
-
-    fn ctx<'a>(g: &'a mut GlobalMem, s: &'a mut Vec<u8>, c: &'a ConstMem) -> ExecCtx<'a> {
-        ExecCtx { global: g, smem: s, consts: c, block_id: 3, grid_blocks: 8, block_threads: 64 }
-    }
-
-    #[test]
-    fn integer_and_float_arithmetic() {
-        let (mut w, mut g, mut s, c) = setup();
-        let mut cx = ctx(&mut g, &mut s, &c);
-        for l in 0..32 {
-            w.write_reg(l, r(1), l as u32);
-            w.write_reg(l, r(2), 10);
-        }
-        let iadd = Instruction::new(
-            Opcode::Iadd,
-            vec![Operand::Reg(r(0))],
-            vec![Operand::Reg(r(1)), Operand::Reg(r(2))],
-        );
-        execute(&mut w, &iadd, None, &mut cx).unwrap();
-        assert_eq!(w.read_reg(5, r(0)), 15);
-
-        let ffma = Instruction::new(
-            Opcode::Ffma,
-            vec![Operand::Reg(r(3))],
-            vec![Operand::FImm(2.0), Operand::FImm(3.0), Operand::FImm(1.0)],
-        );
-        execute(&mut w, &ffma, None, &mut cx).unwrap();
-        assert_eq!(f32::from_bits(w.read_reg(0, r(3))), 7.0);
-    }
-
-    /// FP32 semantics, pinned bit for bit against scalar `std` ops: every
-    /// pair of the special values below meets in some lane of some
-    /// rotation, for each opcode, with sources from registers, `FImm` and
-    /// `c[0][..]`, under a full mask, a guard predicate and an `RZ`
-    /// destination.
-    #[test]
-    fn fp32_arithmetic_matches_scalar_std_ops_bit_for_bit() {
-        // Quiet NaN with a payload, negative signalling NaN, both zeros,
-        // smallest and largest subnormals of either sign, the normal
-        // boundary, both infinities, ordinary values, and a triple
-        // (1+2^-23, 1+2^-22, -1) whose fused and unfused multiply-add
-        // differ in the last bit.
-        const SPECIALS: [u32; 16] = [
-            0x7fc0_1234,
-            0xff80_0001,
-            0x0000_0000,
-            0x8000_0000,
-            0x0000_0001,
-            0x807f_ffff,
-            0x0080_0000,
-            0x7f80_0000,
-            0xff80_0000,
-            0x7f7f_ffff,
-            0x3f80_0000,
-            0xbf80_0000,
-            0x3f80_0001,
-            0x3f80_0002,
-            0x4049_0fdb,
-            0xc2f6_e979,
-        ];
-        let (fa, fb) = (f32::from_bits(0x3f80_0001), f32::from_bits(0x3f80_0002));
-        assert_eq!(fa.mul_add(fb, -1.0).to_bits(), (fa * fb - 1.0).to_bits() + 1);
-
-        #[derive(Clone, Copy)]
-        enum From {
-            Row(u8),
-            FImm(f64),
-            Bank0(u16),
-        }
-        let n = SPECIALS.len();
-        // Through `black_box`, so expectations come from the same machine
-        // operations the executor runs, not from compile-time folding.
-        let special = |i: usize| std::hint::black_box(SPECIALS[i % n]);
-        let mut c = ConstMem::new();
-        c.set_bank(0, SPECIALS.iter().flat_map(|b| b.to_le_bytes()).collect());
-        let (mut w, mut g, mut s, _) = setup();
-        let mut cx = ctx(&mut g, &mut s, &c);
-        let p0 = PredReg::new(0).unwrap();
-        const GUARD: u32 = 0x0f0f_f00f;
-        w.preds[0] = GUARD;
-        const SENTINEL: u32 = 0xdead_beef;
-
-        type Scalar = fn(f32, f32, f32) -> f32;
-        let ops: [(Opcode, Option<Modifier>, Scalar); 5] = [
-            (Opcode::Fadd, None, |a, b, _| a + b),
-            (Opcode::Fmul, None, |a, b, _| a * b),
-            (Opcode::Ffma, None, |a, b, c| a.mul_add(b, c)),
-            (Opcode::Fmnmx, None, |a, b, _| a.min(b)),
-            (Opcode::Fmnmx, Some(Modifier::Gt), |a, b, _| a.max(b)),
-        ];
-        for rot in 0..n {
-            for l in 0..WARP_LANES {
-                w.write_reg(l, r(1), special(l));
-                w.write_reg(l, r(2), special(l + rot));
-                w.write_reg(l, r(3), special(3 * l + rot + 1));
-            }
-            let cword = 4 * rot as u16;
-            let shapes: [([From; 3], bool, Register); 5] = [
-                ([From::Row(1), From::Row(2), From::Row(3)], false, r(4)),
-                ([From::Row(2), From::Bank0(cword), From::FImm(-0.0)], false, r(4)),
-                ([From::Bank0(cword), From::Row(1), From::FImm(1e-40)], true, r(4)),
-                ([From::FImm(f64::INFINITY), From::Row(3), From::Bank0(cword)], true, r(4)),
-                ([From::Row(1), From::Row(2), From::Row(3)], false, Register::ZERO),
-            ];
-            for (opcode, modifier, scalar) in ops {
-                for (from, guarded, dst) in shapes {
-                    let nsrc = if opcode == Opcode::Ffma { 3 } else { 2 };
-                    let srcs = from[..nsrc]
-                        .iter()
-                        .map(|f| match *f {
-                            From::Row(n) => Operand::Reg(r(n)),
-                            From::FImm(v) => Operand::FImm(v),
-                            From::Bank0(offset) => Operand::CMem { bank: 0, offset },
-                        })
-                        .collect();
-                    let mut instr = Instruction::new(opcode, vec![Operand::Reg(dst)], srcs);
-                    if let Some(m) = modifier {
-                        instr = instr.with_mod(m);
-                    }
-                    if guarded {
-                        instr = instr.with_pred(Predicate::pos(p0));
-                    }
-                    for l in 0..WARP_LANES {
-                        w.write_reg(l, r(4), SENTINEL);
-                    }
-                    let before = w.regs.clone();
-                    let res = execute(&mut w, &instr, None, &mut cx).unwrap();
-                    assert_eq!(res.outcome, Outcome::Next);
-                    assert!(res.mem.is_none());
-                    if dst.is_zero() {
-                        assert_eq!(w.regs, before, "{instr}: an RZ destination writes nothing");
-                        continue;
-                    }
-                    for (l, got) in w.regs[dst.index() as usize].into_iter().enumerate() {
-                        if guarded && GUARD & (1 << l) == 0 {
-                            assert_eq!(got, SENTINEL, "{instr}: lane {l} is guarded off");
-                            continue;
-                        }
-                        let [a, b, c] = from.map(|f| match f {
-                            From::Row(n) => before[n as usize][l],
-                            From::FImm(v) => std::hint::black_box(v as f32).to_bits(),
-                            From::Bank0(offset) => special(offset as usize / 4),
-                        });
-                        let want = scalar(f32v(a), f32v(b), f32v(c));
-                        // Which of several distinct NaN operands survives
-                        // is the one thing an operand order may decide.
-                        let mut nans: Vec<u32> = [a, b, c][..nsrc]
-                            .iter()
-                            .copied()
-                            .filter(|v| f32v(*v).is_nan())
-                            .collect();
-                        nans.dedup();
-                        if nans.len() > 1 {
-                            assert!(f32v(got).is_nan(), "{instr}: lane {l} of NaNs {nans:x?}");
-                        } else {
-                            assert_eq!(
-                                got,
-                                want.to_bits(),
-                                "{instr}: lane {l}, operands {a:#x} {b:#x} {c:#x}"
-                            );
-                        }
-                    }
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn f64_demotion_roundtrip() {
-        let (mut w, mut g, mut s, c) = setup();
-        let mut cx = ctx(&mut g, &mut s, &c);
-        // Write 2.5f32, promote to f64, demote back.
-        for l in 0..32 {
-            w.write_reg(l, r(1), 2.5f32.to_bits());
-        }
-        let promote =
-            Instruction::new(Opcode::F2f, vec![Operand::RegPair(r(4))], vec![Operand::Reg(r(1))])
-                .with_mod(Modifier::F64)
-                .with_mod(Modifier::F32);
-        execute(&mut w, &promote, None, &mut cx).unwrap();
-        assert_eq!(f64::from_bits(w.read_pair(7, r(4))), 2.5);
-        let demote =
-            Instruction::new(Opcode::F2f, vec![Operand::Reg(r(6))], vec![Operand::RegPair(r(4))])
-                .with_mod(Modifier::F32)
-                .with_mod(Modifier::F64);
-        execute(&mut w, &demote, None, &mut cx).unwrap();
-        assert_eq!(f32::from_bits(w.read_reg(7, r(6))), 2.5);
-    }
-
-    #[test]
-    fn guarded_execution_skips_lanes() {
-        let (mut w, mut g, mut s, c) = setup();
-        let mut cx = ctx(&mut g, &mut s, &c);
-        let p0 = PredReg::new(0).unwrap();
-        for l in 0..16 {
-            w.write_pred(l, p0, true);
-        }
-        let mov = Instruction::new(Opcode::Mov32i, vec![Operand::Reg(r(0))], vec![Operand::Imm(9)])
-            .with_pred(Predicate::pos(p0));
-        execute(&mut w, &mov, None, &mut cx).unwrap();
-        assert_eq!(w.read_reg(3, r(0)), 9);
-        assert_eq!(w.read_reg(20, r(0)), 0, "lane 20 guarded off");
-    }
-
-    #[test]
-    fn global_load_store_and_coalescing_addresses() {
-        let (mut w, mut g, mut s, c) = setup();
-        let base = g.alloc(4096);
-        for l in 0..32 {
-            w.write_pair(l, r(2), base + l as u64 * 4);
-            w.write_reg(l, r(0), 100 + l as u32);
-        }
-        let mut cx = ctx(&mut g, &mut s, &c);
-        let stg = Instruction::new(
-            Opcode::Stg,
-            vec![],
-            vec![Operand::Mem(MemRef { base: r(2), offset: 0, wide: true }), Operand::Reg(r(0))],
-        )
-        .with_mod(Modifier::E)
-        .with_mod(Modifier::Sz32);
-        let res = execute(&mut w, &stg, None, &mut cx).unwrap();
-        let mem = res.mem.unwrap();
-        assert!(mem.store);
-        assert_eq!(mem.addrs().len(), 32);
-        assert_eq!(g.read_u32(base + 4 * 31), 131);
-
-        let mut cx = ctx(&mut g, &mut s, &c);
-        let ldg = Instruction::new(
-            Opcode::Ldg,
-            vec![Operand::Reg(r(5))],
-            vec![Operand::Mem(MemRef { base: r(2), offset: 0, wide: true })],
-        );
-        execute(&mut w, &ldg, None, &mut cx).unwrap();
-        assert_eq!(w.read_reg(31, r(5)), 131);
-    }
-
-    #[test]
-    fn shared_and_local_memory() {
-        let (mut w, mut g, mut s, c) = setup();
-        for l in 0..32 {
-            w.write_reg(l, r(1), l as u32 * 4);
-            w.write_reg(l, r(0), l as u32 + 7);
-        }
-        let mut cx = ctx(&mut g, &mut s, &c);
-        let sts = Instruction::new(
-            Opcode::Sts,
-            vec![],
-            vec![Operand::Mem(MemRef { base: r(1), offset: 0, wide: false }), Operand::Reg(r(0))],
-        );
-        execute(&mut w, &sts, None, &mut cx).unwrap();
-        let mut cx = ctx(&mut g, &mut s, &c);
-        let lds = Instruction::new(
-            Opcode::Lds,
-            vec![Operand::Reg(r(3))],
-            vec![Operand::Mem(MemRef { base: r(1), offset: 0, wide: false })],
-        );
-        execute(&mut w, &lds, None, &mut cx).unwrap();
-        assert_eq!(w.read_reg(9, r(3)), 16);
-
-        // Local spill: each lane sees private storage.
-        let mut cx = ctx(&mut g, &mut s, &c);
-        let stl = Instruction::new(
-            Opcode::Stl,
-            vec![],
-            vec![
-                Operand::Mem(MemRef { base: Register::ZERO, offset: 16, wide: false }),
-                Operand::Reg(r(0)),
-            ],
-        );
-        execute(&mut w, &stl, None, &mut cx).unwrap();
-        let mut cx = ctx(&mut g, &mut s, &c);
-        let ldl = Instruction::new(
-            Opcode::Ldl,
-            vec![Operand::Reg(r(4))],
-            vec![Operand::Mem(MemRef { base: Register::ZERO, offset: 16, wide: false })],
-        );
-        execute(&mut w, &ldl, None, &mut cx).unwrap();
-        assert_eq!(w.read_reg(0, r(4)), 7);
-        assert_eq!(w.read_reg(10, r(4)), 17, "lane-private local memory");
-    }
-
-    #[test]
-    fn divergent_branch_pushes_stack() {
-        let (mut w, mut g, mut s, c) = setup();
-        let mut cx = ctx(&mut g, &mut s, &c);
-        let p0 = PredReg::new(0).unwrap();
-        for l in 0..8 {
-            w.write_pred(l, p0, true);
-        }
-        w.pc = 0x1000;
-        let bra = Instruction::new(Opcode::Bra, vec![], vec![Operand::Imm(0x1100)])
-            .with_pred(Predicate::pos(p0));
-        let res = execute(&mut w, &bra, Some(0x1200), &mut cx).unwrap();
-        assert_eq!(res.outcome, Outcome::Jump(0x1100));
-        assert_eq!(w.active, 0xFF);
-        assert_eq!(w.div_stack.len(), 1);
-        assert_eq!(w.div_stack[0].else_pc, 0x1010);
-        assert_eq!(w.div_stack[0].else_mask, !0xFFu32);
-    }
-
-    #[test]
-    fn uniform_branch_does_not_diverge() {
-        let (mut w, mut g, mut s, c) = setup();
-        let mut cx = ctx(&mut g, &mut s, &c);
-        w.pc = 0x1000;
-        let bra = Instruction::new(Opcode::Bra, vec![], vec![Operand::Imm(0x1040)]);
-        let res = execute(&mut w, &bra, None, &mut cx).unwrap();
-        assert_eq!(res.outcome, Outcome::Jump(0x1040));
-        assert!(w.div_stack.is_empty());
-    }
-
-    #[test]
-    fn special_registers() {
-        let (mut w, mut g, mut s, c) = setup();
-        let mut cx = ctx(&mut g, &mut s, &c);
-        let s2r = Instruction::new(
-            Opcode::S2r,
-            vec![Operand::Reg(r(0))],
-            vec![Operand::SReg(gpa_isa::SpecialReg::TidX)],
-        );
-        execute(&mut w, &s2r, None, &mut cx).unwrap();
-        assert_eq!(w.read_reg(13, r(0)), 13);
-        let s2r2 = Instruction::new(
-            Opcode::S2r,
-            vec![Operand::Reg(r(1))],
-            vec![Operand::SReg(gpa_isa::SpecialReg::CtaIdX)],
-        );
-        execute(&mut w, &s2r2, None, &mut cx).unwrap();
-        assert_eq!(w.read_reg(0, r(1)), 3);
-    }
-
-    #[test]
-    fn atomics_accumulate() {
-        let (mut w, mut g, mut s, c) = setup();
-        let base = g.alloc(64);
-        for l in 0..32 {
-            w.write_pair(l, r(2), base); // all lanes hit the same address
-            w.write_reg(l, r(0), 1);
-        }
-        let mut cx = ctx(&mut g, &mut s, &c);
-        let atom = Instruction::new(
-            Opcode::AtomG,
-            vec![Operand::Reg(r(4))],
-            vec![Operand::Mem(MemRef { base: r(2), offset: 0, wide: true }), Operand::Reg(r(0))],
-        );
-        execute(&mut w, &atom, None, &mut cx).unwrap();
-        assert_eq!(g.read_u32(base), 32, "32 lanes each added 1");
-        assert_eq!(w.read_reg(0, r(4)), 0);
-        assert_eq!(w.read_reg(31, r(4)), 31, "serialized lane order");
-    }
-
-    /// `[RZ-4]` wraps to the top of the address space; `addr + width` used
-    /// to overflow (debug) or pass the limit check wrapped and index out
-    /// of bounds (release). Every shared and local access must fault.
-    #[test]
-    fn negative_offsets_from_rz_fault_instead_of_panicking() {
-        let below = Operand::Mem(MemRef { base: Register::ZERO, offset: -4, wide: false });
-        let load = |op| Instruction::new(op, vec![Operand::Reg(r(1))], vec![below]);
-        let store = |op| Instruction::new(op, vec![], vec![below, Operand::Reg(r(0))]);
-        let atoms = Instruction::new(
-            Opcode::AtomS,
-            vec![Operand::Reg(r(1))],
-            vec![below, Operand::Reg(r(0))],
-        );
-        let cases = [
-            (load(Opcode::Lds), "shared-memory access at 0xffffffffffffffff exceeds 96 KiB"),
-            (store(Opcode::Sts), "shared-memory access at 0xffffffffffffffff exceeds 96 KiB"),
-            (atoms, "shared-memory access at 0xffffffffffffffff exceeds 96 KiB"),
-            (load(Opcode::Ldl), "local-memory access at 0xffffffffffffffff exceeds 64 KiB"),
-            (store(Opcode::Stl), "local-memory access at 0xffffffffffffffff exceeds 64 KiB"),
-        ];
-        for (instr, message) in cases {
-            let (mut w, mut g, mut s, c) = setup();
-            w.pc = 0x40;
-            let mut cx = ctx(&mut g, &mut s, &c);
-            let err = execute(&mut w, &instr, None, &mut cx).unwrap_err();
-            assert_eq!(err, fault(0x40, message), "{instr}");
-            assert!(s.is_empty(), "{instr}: shared memory must not grow on the way to the fault");
-        }
-        // The last in-range word is still fine, and one byte further is the
-        // fault it always was.
-        let (mut w, mut g, mut s, c) = setup();
-        let mut cx = ctx(&mut g, &mut s, &c);
-        let at = |offset| {
-            let m = Operand::Mem(MemRef { base: Register::ZERO, offset, wide: false });
-            Instruction::new(Opcode::Lds, vec![Operand::Reg(r(1))], vec![m])
-        };
-        execute(&mut w, &at(96 * 1024 - 4), None, &mut cx).unwrap();
-        let err = execute(&mut w, &at(96 * 1024 - 3), None, &mut cx).unwrap_err();
-        assert_eq!(err, fault(0, "shared-memory access at 0x18001 exceeds 96 KiB"));
-    }
-
-    /// A malformed operand is found when the program is lowered but
-    /// raised when the instruction issues with a lane to execute — with
-    /// the message the executor gave when it decoded at issue time. A
-    /// missing operand is a fault too, not an index panic.
-    #[test]
-    fn lowering_faults_are_raised_at_issue() {
-        let p0 = PredReg::new(0).unwrap();
-        let pred = Operand::Pred(p0);
-        let cases = [
-            (
-                Instruction::new(Opcode::Iadd, vec![pred], vec![Operand::Imm(1), Operand::Imm(2)]),
-                "IADD missing register destination".to_string(),
-            ),
-            (
-                Instruction::new(
-                    Opcode::Iadd,
-                    vec![Operand::Reg(r(0))],
-                    vec![Operand::Imm(1), pred],
-                ),
-                format!("operand {pred:?} is not a 32-bit source"),
-            ),
-            (
-                Instruction::new(
-                    Opcode::Dadd,
-                    vec![Operand::RegPair(r(0))],
-                    vec![Operand::SReg(SpecialReg::TidX), Operand::Imm(2)],
-                ),
-                format!("operand {:?} is not a 64-bit source", Operand::SReg(SpecialReg::TidX)),
-            ),
-            (
-                Instruction::new(Opcode::Iadd, vec![Operand::Reg(r(0))], vec![Operand::Imm(1)]),
-                "IADD missing source operand 1".to_string(),
-            ),
-            (
-                Instruction::new(Opcode::Isetp, vec![], vec![Operand::Imm(1), Operand::Imm(2)]),
-                "ISETP needs a predicate destination".to_string(),
-            ),
-            (
-                Instruction::new(Opcode::Mufu, vec![Operand::Reg(r(0))], vec![Operand::Reg(r(1))]),
-                "MUFU needs a function modifier".to_string(),
-            ),
-            (
-                Instruction::new(Opcode::Ldg, vec![Operand::Reg(r(0))], vec![]),
-                "load needs a memory operand".to_string(),
-            ),
-            (
-                Instruction::new(
-                    Opcode::Sts,
-                    vec![],
-                    vec![Operand::Mem(MemRef { base: r(1), offset: 0, wide: false })],
-                ),
-                "STS needs a data operand".to_string(),
-            ),
-            (
-                Instruction::new(Opcode::AtomG, vec![Operand::Reg(r(0))], vec![Operand::Reg(r(1))]),
-                "ATOMG needs a memory operand".to_string(),
-            ),
-        ];
-        for (instr, message) in cases {
-            let (mut w, mut g, mut s, c) = setup();
-            w.pc = 0x80;
-            let mut cx = ctx(&mut g, &mut s, &c);
-            let err = execute(&mut w, &instr, None, &mut cx).unwrap_err();
-            assert_eq!(err, fault(0x80, message), "{instr}");
-            // Guarded off for every lane it issues without effect, as it
-            // always did: the fault belongs to a lane that executes.
-            let off = instr.clone().with_pred(Predicate::pos(p0));
-            let outcome = execute(&mut w, &off, None, &mut cx).unwrap().outcome;
-            assert_eq!(outcome, Outcome::Next, "{off}");
-        }
-    }
-}
+mod tests;

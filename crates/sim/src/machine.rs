@@ -20,15 +20,20 @@ use crate::mem::{ConstMem, DirectCache, GlobalMem};
 use crate::memory::{Flat, Hierarchy, MemoryModel};
 use crate::program::{CompiledProgram, NO_IDX};
 use crate::sample::{SampleSet, SampleSink};
-use crate::sm::{pipe_idx, Sm, Status, N_PIPES};
+use crate::sm::{Sm, Status, N_PIPES};
 use crate::stall::StallReason;
 use crate::{Result, SimError};
 use gpa_arch::{ArchConfig, LaunchConfig, MemModel, Occupancy};
-use gpa_isa::{Module, Opcode, INSTR_BYTES};
+use gpa_isa::{Module, INSTR_BYTES};
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
-/// Tunable simulator knobs (separate from the machine description).
+/// Cycles to swap a finished block for a queued one.
+const BLOCK_LAUNCH_OVERHEAD: u64 = 25;
+/// Cycles until a store's read barrier clears (WAR window).
+const WAR_READ_CYCLES: u64 = 15;
+
+/// What one run can vary (the machine description is [`ArchConfig`]).
 #[derive(Debug, Clone, PartialEq)]
 pub struct SimConfig {
     /// Abort the launch after this many cycles.
@@ -39,33 +44,11 @@ pub struct SimConfig {
     /// profiling varies the phase per launch so merged profiles observe
     /// different cycles of the same deterministic execution.
     pub sampling_phase: u32,
-    /// Cycles to swap a finished block for a queued one.
-    pub block_launch_overhead: u32,
-    /// Cycles until a store's read barrier clears (WAR window).
-    pub war_read_cycles: u32,
-    /// MUFU result latency.
-    pub mufu_latency: u32,
-    /// S2R result latency.
-    pub s2r_latency: u32,
-    /// SHFL result latency.
-    pub shfl_latency: u32,
-    /// Extra latency per atomic operation.
-    pub atom_extra: u32,
 }
 
 impl Default for SimConfig {
     fn default() -> Self {
-        SimConfig {
-            max_cycles: 500_000_000,
-            sampling_period: 509,
-            sampling_phase: 0,
-            block_launch_overhead: 25,
-            war_read_cycles: 15,
-            mufu_latency: 20,
-            s2r_latency: 20,
-            shfl_latency: 25,
-            atom_extra: 12,
-        }
+        SimConfig { max_cycles: 500_000_000, sampling_period: 509, sampling_phase: 0 }
     }
 }
 
@@ -141,11 +124,6 @@ impl GpuSim {
         GpuSim { arch, cfg, global: GlobalMem::new(), user_banks: Vec::new() }
     }
 
-    /// The machine description.
-    pub fn arch(&self) -> &ArchConfig {
-        &self.arch
-    }
-
     /// The simulator knobs.
     pub fn config(&self) -> &SimConfig {
         &self.cfg
@@ -207,26 +185,6 @@ impl GpuSim {
         self.launch_compiled(&prog, launch, params)
     }
 
-    /// [`GpuSim::launch`] with a caller-supplied [`SampleSink`]: every
-    /// raw sample streams into `sink` and `LaunchResult::samples` stays
-    /// empty. Pass a `Vec<RawSample>` to buffer the raw stream (tests,
-    /// per-sample inspection, differential checks).
-    ///
-    /// # Errors
-    ///
-    /// Same as [`GpuSim::launch`].
-    pub fn launch_with_sink(
-        &mut self,
-        module: &Module,
-        entry: &str,
-        launch: &LaunchConfig,
-        params: &[u8],
-        sink: &mut dyn SampleSink,
-    ) -> Result<LaunchResult> {
-        let prog = CompiledProgram::build(module, entry, &self.arch)?;
-        self.launch_compiled_with_sink(&prog, launch, params, sink)
-    }
-
     /// Launches an already-compiled program (see [`GpuSim::compile`]),
     /// skipping the per-launch lowering work. Samples aggregate into the
     /// result's [`SampleSet`].
@@ -247,8 +205,10 @@ impl GpuSim {
         Ok(result)
     }
 
-    /// [`GpuSim::launch_compiled`] with a caller-supplied [`SampleSink`]
-    /// (the result's own `samples` set stays empty).
+    /// [`GpuSim::launch_compiled`] with a caller-supplied [`SampleSink`]:
+    /// every raw sample streams into `sink` and `LaunchResult::samples`
+    /// stays empty. Pass a `Vec<RawSample>` to buffer the raw stream
+    /// (tests, per-sample inspection, differential checks).
     ///
     /// # Errors
     ///
@@ -583,25 +543,17 @@ impl LaunchState<'_> {
         self.issued_total += 1;
         sm.stats.issued += 1;
 
-        // Result latency and blame classification.
-        let (lat, reason) = if let Some(l) = meta.fixed_lat {
-            (l, StallReason::ExecutionDependency)
-        } else if let Some(mem) = res.mem {
-            let atomic = matches!(plan.opcode, Opcode::AtomG | Opcode::AtomS);
-            let atom = if atomic { self.cfg.atom_extra } else { 0 };
-            let (lat, txns, reason) = sm.mem.access(&mut self.l2, self.arch, mem, atom, now);
-            sm.lsu.admit(now + lat as u64, txns);
-            self.mem_transactions += txns as u64;
-            (lat, reason)
-        } else {
-            // Non-memory variable latency.
-            let lat = match plan.opcode {
-                Opcode::Mufu => self.cfg.mufu_latency,
-                Opcode::S2r => self.cfg.s2r_latency,
-                Opcode::Shfl => self.cfg.shfl_latency,
-                _ => 8,
-            };
-            (lat, StallReason::ExecutionDependency)
+        // Result latency and blame classification: the memory model's
+        // for an access, else what lowering decided.
+        let (lat, reason) = match res.mem {
+            Some(mem) => {
+                let (lat, txns, reason) =
+                    sm.mem.access(&mut self.l2, self.arch, mem, meta.atomic_extra, now);
+                sm.lsu.admit(now + lat as u64, txns);
+                self.mem_transactions += txns as u64;
+                (lat, reason)
+            }
+            None => (meta.lat, StallReason::ExecutionDependency),
         };
 
         let w = &mut sm.warps[wi];
@@ -622,12 +574,12 @@ impl LaunchState<'_> {
             w.bar_reason[b.index() as usize] = reason.code();
         }
         if let Some(b) = plan.ctrl.read_barrier {
-            w.bar_clear[b.index() as usize] = now + self.cfg.war_read_cycles as u64;
+            w.bar_clear[b.index() as usize] = now + WAR_READ_CYCLES;
             w.bar_reason[b.index() as usize] = StallReason::ExecutionDependency.code();
         }
         w.next_issue = now + plan.ctrl.stall.max(1) as u64;
         let sched = w.scheduler as usize;
-        sm.pipe_free[sched * N_PIPES + pipe_idx(meta.pipe)] =
+        sm.pipe_free[sched * N_PIPES + meta.pipe as usize] =
             now + self.arch.pipe_interval(meta.pipe) as u64;
 
         // Control flow. The next instruction index comes from the
@@ -712,7 +664,7 @@ impl LaunchState<'_> {
                     if self.next_block < self.launch.grid_blocks {
                         let b = self.next_block;
                         self.next_block += 1;
-                        let start = now + self.cfg.block_launch_overhead as u64;
+                        let start = now + BLOCK_LAUNCH_OVERHEAD;
                         sm.start_block(slot, b, self.wpb, self.launch, prog, start);
                     }
                 } else {

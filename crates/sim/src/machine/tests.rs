@@ -294,10 +294,10 @@ fn sampling_phase_shifts_which_cycles_are_observed() {
         let b = gpu.global_mut().alloc(4 * 256);
         let out = gpu.global_mut().alloc(4 * 256);
         let mut raw: Vec<RawSample> = Vec::new();
+        let prog = gpu.compile(&m, "vecadd").unwrap();
         let r = gpu
-            .launch_with_sink(
-                &m,
-                "vecadd",
+            .launch_compiled_with_sink(
+                &prog,
                 &LaunchConfig::new(4, 64),
                 &params_u64(&[a, b, out]),
                 &mut raw,
@@ -331,7 +331,8 @@ fn external_sink_sees_the_stream_the_default_sink_aggregates() {
     let mut gpu = GpuSim::new(ArchConfig::small(1), cfg);
     let params = alloc(&mut gpu);
     let mut raw: Vec<RawSample> = Vec::new();
-    let buffered = gpu.launch_with_sink(&m, "vecadd", &launch, &params, &mut raw).unwrap();
+    let prog = gpu.compile(&m, "vecadd").unwrap();
+    let buffered = gpu.launch_compiled_with_sink(&prog, &launch, &params, &mut raw).unwrap();
     assert!(buffered.samples.is_empty(), "external sink owns the samples");
     assert_eq!(
         SampleSet::from_raw(&raw),

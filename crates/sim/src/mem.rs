@@ -4,42 +4,6 @@ use std::collections::HashMap;
 
 const PAGE_SIZE: u64 = 4096;
 
-/// Generates an ordered batch-write method: words are committed page-run
-/// at a time (one page lookup per run of same-page addresses), with
-/// page-straddling words falling back to the byte path in place so write
-/// order — and thus same-address last-lane-wins semantics — is preserved.
-macro_rules! gen_write_batch {
-    ($(#[$doc:meta])* $name:ident, $ty:ty, $width:expr, $fallback:ident) => {
-        $(#[$doc])*
-        pub fn $name(&mut self, items: &[(u64, $ty)]) {
-            let mut i = 0;
-            while i < items.len() {
-                let (addr, v) = items[i];
-                let off = (addr % PAGE_SIZE) as usize;
-                if off + $width > PAGE_SIZE as usize {
-                    self.$fallback(addr, v);
-                    i += 1;
-                    continue;
-                }
-                let id = addr / PAGE_SIZE;
-                let mut j = i;
-                while j < items.len()
-                    && items[j].0 / PAGE_SIZE == id
-                    && (items[j].0 % PAGE_SIZE) as usize + $width <= PAGE_SIZE as usize
-                {
-                    j += 1;
-                }
-                let page = self.page_mut(addr);
-                for &(a, v) in &items[i..j] {
-                    let o = (a % PAGE_SIZE) as usize;
-                    page[o..o + $width].copy_from_slice(&v.to_le_bytes());
-                }
-                i = j;
-            }
-        }
-    };
-}
-
 /// Paged device (global) memory.
 ///
 /// Reads of unwritten memory return zero, like freshly `cudaMalloc`ed and
@@ -70,99 +34,84 @@ impl GlobalMem {
             .or_insert_with(|| vec![0u8; PAGE_SIZE as usize].into_boxed_slice())
     }
 
+    /// Reads the `N`-byte little-endian word at `addr` (see
+    /// [`GlobalReader::read`]; a fresh cursor costs nothing).
+    #[inline]
+    pub fn read<const N: usize>(&self, addr: u64) -> [u8; N] {
+        self.reader().read(addr)
+    }
+
+    /// Writes an `N`-byte little-endian word. A word that lies within one
+    /// page resolves the page once; one that straddles a page goes byte
+    /// by byte, each address wrapping at the top of the address space.
+    pub fn write<const N: usize>(&mut self, addr: u64, bytes: [u8; N]) {
+        let off = (addr % PAGE_SIZE) as usize;
+        if off + N <= PAGE_SIZE as usize {
+            self.page_mut(addr)[off..off + N].copy_from_slice(&bytes);
+            return;
+        }
+        for (i, b) in bytes.into_iter().enumerate() {
+            self.write(addr.wrapping_add(i as u64), [b]);
+        }
+    }
+
     /// Reads one byte.
     pub fn read_u8(&self, addr: u64) -> u8 {
-        self.pages.get(&(addr / PAGE_SIZE)).map_or(0, |p| p[(addr % PAGE_SIZE) as usize])
+        self.read::<1>(addr)[0]
     }
 
     /// Writes one byte.
     pub fn write_u8(&mut self, addr: u64, v: u8) {
-        let off = (addr % PAGE_SIZE) as usize;
-        self.page_mut(addr)[off] = v;
+        self.write(addr, [v]);
     }
 
     /// Reads a little-endian `u32`.
-    ///
-    /// The simulator issues these for every lane of every load, so the
-    /// common case — the word lies within one page — resolves the page
-    /// once instead of hashing per byte.
     pub fn read_u32(&self, addr: u64) -> u32 {
-        let off = (addr % PAGE_SIZE) as usize;
-        if off + 4 <= PAGE_SIZE as usize {
-            return self.pages.get(&(addr / PAGE_SIZE)).map_or(0, |p| {
-                u32::from_le_bytes(p[off..off + 4].try_into().expect("4-byte slice"))
-            });
-        }
-        u32::from_le_bytes([
-            self.read_u8(addr),
-            self.read_u8(addr + 1),
-            self.read_u8(addr + 2),
-            self.read_u8(addr + 3),
-        ])
+        u32::from_le_bytes(self.read(addr))
     }
 
     /// Writes a little-endian `u32`.
     pub fn write_u32(&mut self, addr: u64, v: u32) {
-        let off = (addr % PAGE_SIZE) as usize;
-        if off + 4 <= PAGE_SIZE as usize {
-            self.page_mut(addr)[off..off + 4].copy_from_slice(&v.to_le_bytes());
-            return;
-        }
-        for (i, b) in v.to_le_bytes().iter().enumerate() {
-            self.write_u8(addr + i as u64, *b);
-        }
+        self.write(addr, v.to_le_bytes());
     }
 
     /// Reads a little-endian `u64`.
     pub fn read_u64(&self, addr: u64) -> u64 {
-        let off = (addr % PAGE_SIZE) as usize;
-        if off + 8 <= PAGE_SIZE as usize {
-            return self.pages.get(&(addr / PAGE_SIZE)).map_or(0, |p| {
-                u64::from_le_bytes(p[off..off + 8].try_into().expect("8-byte slice"))
-            });
-        }
-        (self.read_u32(addr) as u64) | ((self.read_u32(addr + 4) as u64) << 32)
+        u64::from_le_bytes(self.read(addr))
     }
 
     /// Writes a little-endian `u64`.
     pub fn write_u64(&mut self, addr: u64, v: u64) {
-        let off = (addr % PAGE_SIZE) as usize;
-        if off + 8 <= PAGE_SIZE as usize {
-            self.page_mut(addr)[off..off + 8].copy_from_slice(&v.to_le_bytes());
-            return;
+        self.write(addr, v.to_le_bytes());
+    }
+
+    /// Writes a batch of `N`-byte little-endian words in order — the
+    /// warp-wide store path. Words are committed page-run at a time (32
+    /// lanes usually span one or two pages, so per-lane hashing is
+    /// wasted), with page-straddling words falling back to
+    /// [`GlobalMem::write`] in place so write order — and thus
+    /// same-address last-lane-wins semantics — is preserved.
+    pub fn write_batch<const N: usize>(&mut self, items: &[(u64, [u8; N])]) {
+        let in_page = |addr: u64| (addr % PAGE_SIZE) as usize + N <= PAGE_SIZE as usize;
+        let mut i = 0;
+        while i < items.len() {
+            let (addr, bytes) = items[i];
+            if !in_page(addr) {
+                self.write(addr, bytes);
+                i += 1;
+                continue;
+            }
+            let id = addr / PAGE_SIZE;
+            let run = items[i..].iter().take_while(|(a, _)| a / PAGE_SIZE == id && in_page(*a));
+            let end = i + run.count();
+            let page = self.page_mut(addr);
+            for (a, bytes) in &items[i..end] {
+                let o = (a % PAGE_SIZE) as usize;
+                page[o..o + N].copy_from_slice(bytes);
+            }
+            i = end;
         }
-        self.write_u32(addr, v as u32);
-        self.write_u32(addr + 4, (v >> 32) as u32);
     }
-
-    /// Reads an `f64`.
-    pub fn read_f64(&self, addr: u64) -> f64 {
-        f64::from_bits(self.read_u64(addr))
-    }
-
-    /// Writes an `f64`.
-    pub fn write_f64(&mut self, addr: u64, v: f64) {
-        self.write_u64(addr, v.to_bits());
-    }
-
-    gen_write_batch!(
-        /// Writes a batch of `u32`s in order, resolving each page once per
-        /// run of same-page addresses — the warp-wide store path (32 lanes
-        /// usually span one or two pages, so per-lane hashing is wasted).
-        write_batch_u32,
-        u32,
-        4,
-        write_u32
-    );
-
-    gen_write_batch!(
-        /// Writes a batch of `u64`s in order; see
-        /// [`GlobalMem::write_batch_u32`].
-        write_batch_u64,
-        u64,
-        8,
-        write_u64
-    );
 
     /// Copies a byte slice into memory, one page lookup per page touched.
     pub fn write_bytes(&mut self, mut addr: u64, mut bytes: &[u8]) {
@@ -218,28 +167,21 @@ impl GlobalReader<'_> {
         self.page
     }
 
-    /// Reads a little-endian `u32`.
+    /// Reads the `N`-byte little-endian word at `addr`; unwritten memory
+    /// reads zero. The simulator issues these for every lane of every
+    /// load, so the common case — the word lies within one page —
+    /// resolves the page once instead of hashing per byte. A word that
+    /// straddles a page is read byte by byte, each address wrapping at
+    /// the top of the address space.
     #[inline]
-    pub fn read_u32(&mut self, addr: u64) -> u32 {
+    pub fn read<const N: usize>(&mut self, addr: u64) -> [u8; N] {
         let off = (addr % PAGE_SIZE) as usize;
-        if off + 4 <= PAGE_SIZE as usize {
-            return self.page_for(addr).map_or(0, |p| {
-                u32::from_le_bytes(p[off..off + 4].try_into().expect("4-byte slice"))
-            });
+        if off + N <= PAGE_SIZE as usize {
+            return self
+                .page_for(addr)
+                .map_or([0; N], |p| p[off..off + N].try_into().expect("N-byte slice"));
         }
-        self.mem.read_u32(addr)
-    }
-
-    /// Reads a little-endian `u64`.
-    #[inline]
-    pub fn read_u64(&mut self, addr: u64) -> u64 {
-        let off = (addr % PAGE_SIZE) as usize;
-        if off + 8 <= PAGE_SIZE as usize {
-            return self.page_for(addr).map_or(0, |p| {
-                u64::from_le_bytes(p[off..off + 8].try_into().expect("8-byte slice"))
-            });
-        }
-        self.mem.read_u64(addr)
+        std::array::from_fn(|i| self.read::<1>(addr.wrapping_add(i as u64))[0])
     }
 }
 
@@ -312,9 +254,10 @@ impl ConstMem {
         u32::from_le_bytes(bytes)
     }
 
-    /// Reads a `u64` from a bank.
+    /// Reads a `u64` from a bank; the upper word's offset wraps.
     pub fn read_u64(&self, bank: u8, offset: u32) -> u64 {
-        (self.read_u32(bank, offset) as u64) | ((self.read_u32(bank, offset + 4) as u64) << 32)
+        let hi = self.read_u32(bank, offset.wrapping_add(4));
+        (self.read_u32(bank, offset) as u64) | ((hi as u64) << 32)
     }
 }
 
@@ -329,8 +272,6 @@ mod tests {
         assert_eq!(a % 256, 0);
         m.write_u32(a, 0xdeadbeef);
         assert_eq!(m.read_u32(a), 0xdeadbeef);
-        m.write_f64(a + 8, 2.5);
-        assert_eq!(m.read_f64(a + 8), 2.5);
         // Cross-page access.
         let edge = a + PAGE_SIZE - 2;
         m.write_u32(edge, 0x11223344);

@@ -287,10 +287,10 @@ mod tests {
                 gpu.global_mut().write_u32(input + 4 * i, i as u32);
             }
             let mut raw: Vec<RawSample> = Vec::new();
+            let prog = gpu.compile(&m, "membound").unwrap();
             let r = gpu
-                .launch_with_sink(
-                    &m,
-                    "membound",
+                .launch_compiled_with_sink(
+                    &prog,
                     &membound_launch(8),
                     &params_u64(&[input, out]),
                     &mut raw,

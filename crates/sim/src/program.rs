@@ -7,6 +7,7 @@
 
 use crate::reconv::build_reconvergence;
 use crate::{Result, SimError};
+use gpa_arch::latency::{MUFU_LATENCY, S2R_LATENCY, SHFL_LATENCY};
 use gpa_arch::{ArchConfig, LatencyTable};
 use gpa_isa::{
     ControlCode, Instruction, MemRef, MemSpace, Modifier, Module, Opcode, Operand, Pipe, PredReg,
@@ -33,6 +34,8 @@ pub(crate) enum Src {
     Pair(Register),
     /// Per-lane special-register read.
     SReg(SpecialReg),
+    /// Per-lane predicate read, as 0 or 1 (`SEL`'s selector).
+    Pred(PredReg),
     /// Lane-invariant constant-bank read, at the width of whoever reads
     /// it. The banks belong to a launch, not to the program, so the read
     /// itself stays at issue time.
@@ -108,11 +111,11 @@ pub struct Plan {
     pub(crate) d: Register,
     /// Whether the destination is written as a pair.
     pub(crate) pair: bool,
-    /// Predicate destination of a `SETP`, predicate source of `SEL` and
-    /// `VOTE`.
+    /// Predicate destination of a `SETP`, predicate source of `VOTE`.
     pub(crate) p: PredReg,
     /// Sources in operand order. A store's or atomic's data operand is
-    /// `srcs[0]`, wherever the memory operand stood.
+    /// `srcs[0]`, wherever the memory operand stood; `SEL`'s selecting
+    /// predicate is `srcs[2]`.
     pub(crate) srcs: [Src; 3],
     /// `LEA`'s immediate shift.
     pub(crate) shift: u32,
@@ -183,7 +186,7 @@ impl Plan {
     fn decode(&mut self, instr: &Instruction) -> Lowered<()> {
         use Opcode::*;
         let op = instr.opcode;
-        let (pair, wide_store) = (self.pair, self.width == 8);
+        let (pair, wide_access) = (self.pair, self.width == 8);
         match op {
             Bra | Exit | Cal | Ret | Bar | Nop | Membar | Bssy | Bsync => {}
             Mov | Mov32i | I2i => self.alu(instr, &[pair])?,
@@ -224,9 +227,10 @@ impl Plan {
             }
             Sel => {
                 self.d = Plan::reg_dst(instr)?;
-                self.p = (instr.srcs.get(2).and_then(Operand::pred))
+                let p = (instr.srcs.get(2).and_then(Operand::pred))
                     .ok_or("SEL needs a predicate source")?;
                 self.sources(instr, &[false; 2])?;
+                self.srcs[2] = Src::Pred(p);
             }
             Vote => {
                 self.d = Plan::reg_dst(instr)?;
@@ -256,7 +260,7 @@ impl Plan {
             Stg | Stl | Sts => {
                 let what = if op == Sts { "STS" } else { "store" };
                 self.mem.ok_or_else(|| format!("{what} needs a memory operand"))?;
-                self.srcs[0] = Plan::data(instr, what, wide_store)?;
+                self.srcs[0] = Plan::data(instr, what, wide_access)?;
             }
             Ldc => {
                 self.d = Plan::reg_dst(instr)?;
@@ -269,6 +273,20 @@ impl Plan {
                 self.d = Plan::reg_dst(instr)?;
                 self.srcs[0] = Plan::data(instr, op.name(), false)?;
             }
+        }
+        // The executor writes these results as pairs whatever the
+        // destination was spelled as; the register file and the
+        // scoreboard are sized and keyed by the spelling.
+        let wide_result = match op {
+            Dadd | Dmul | Dfma => true,
+            Imad => self.has(Modifier::Wide),
+            F2f => self.first_mod == Some(Modifier::F64),
+            I2f => self.has(Modifier::F64),
+            Ldg | Ldl | Lds | Ldc => wide_access,
+            _ => false,
+        };
+        if wide_result && !pair && !self.d.is_zero() {
+            return Err(format!("{op} writes 64 bits and needs a register-pair destination"));
         }
         Ok(())
     }
@@ -315,7 +333,12 @@ pub(crate) struct InstrMeta {
     pub(crate) wait_mask: u8,
     pub(crate) def_regs: Vec<u8>,
     pub(crate) def_preds: u8,
-    pub(crate) fixed_lat: Option<u32>,
+    /// Result latency when the instruction makes no memory access: its
+    /// fixed latency, else the `MUFU`/`S2R`/`SHFL` constant, else what a
+    /// memory instruction costs whose guard is false on every lane.
+    pub(crate) lat: u32,
+    /// Extra result latency when the access is atomic (0 otherwise).
+    pub(crate) atomic_extra: u32,
     pub(crate) pipe: Pipe,
     pub(crate) throttled_mem: bool,
     pub(crate) reconv: Option<u64>,
@@ -326,6 +349,12 @@ pub(crate) struct InstrMeta {
     /// non-control instructions or targets outside the program).
     pub(crate) target_idx: u32,
 }
+
+/// Result latency of a memory instruction that accessed nothing (its
+/// guard was false on every lane), in cycles.
+const GUARDED_OFF_MEM_LATENCY: u32 = 8;
+/// Extra result latency of an atomic access, in cycles.
+const ATOMIC_EXTRA_LATENCY: u32 = 12;
 
 /// Sentinel for "no instruction index" in the control-flow index tables.
 pub(crate) const NO_IDX: u32 = u32::MAX;
@@ -422,7 +451,16 @@ impl CompiledProgram {
                     wait_mask: instr.ctrl.wait_mask,
                     def_regs,
                     def_preds,
-                    fixed_lat: lat.fixed_latency(instr),
+                    lat: lat.fixed_latency(instr).unwrap_or(match instr.opcode {
+                        Opcode::Mufu => MUFU_LATENCY,
+                        Opcode::S2r => S2R_LATENCY,
+                        Opcode::Shfl => SHFL_LATENCY,
+                        _ => GUARDED_OFF_MEM_LATENCY,
+                    }),
+                    atomic_extra: match instr.opcode {
+                        Opcode::AtomG | Opcode::AtomS => ATOMIC_EXTRA_LATENCY,
+                        _ => 0,
+                    },
                     pipe: instr.opcode.pipe(),
                     throttled_mem: matches!(space, Some(MemSpace::Global) | Some(MemSpace::Local)),
                     reconv: reconv_map.get(&pc).copied(),

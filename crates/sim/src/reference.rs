@@ -144,11 +144,11 @@ mod tests {
             }
             let params = params_u64(&bufs);
             let mut raw: Vec<RawSample> = Vec::new();
+            let prog = gpu.compile(&m, entry).unwrap();
             let result = if dense {
-                let prog = gpu.compile(&m, entry).unwrap();
                 launch_dense(&mut gpu, &prog, &launch, &params, &mut raw)
             } else if collect_raw {
-                gpu.launch_with_sink(&m, entry, &launch, &params, &mut raw)
+                gpu.launch_compiled_with_sink(&prog, &launch, &params, &mut raw)
             } else {
                 gpu.launch(&m, entry, &launch, &params)
             };

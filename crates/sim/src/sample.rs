@@ -90,11 +90,6 @@ impl SampleSet {
         i
     }
 
-    /// Number of distinct sampled PCs.
-    pub fn num_pcs(&self) -> usize {
-        self.pcs.len()
-    }
-
     /// Whether the set holds no samples at all.
     pub fn is_empty(&self) -> bool {
         self.total_samples == 0
@@ -139,12 +134,6 @@ impl SampleSet {
         let code = r.code() as usize;
         self.by_reason.iter().map(|row| row[code]).sum()
     }
-
-    /// Latency samples with the given stall reason, across all PCs.
-    pub fn latency_reason_total(&self, r: StallReason) -> u64 {
-        let code = r.code() as usize;
-        self.latency_by_reason.iter().map(|row| row[code]).sum()
-    }
 }
 
 /// The default, at-source aggregating sink.
@@ -184,9 +173,7 @@ mod tests {
         assert_eq!(set.active_samples(), 2);
         assert_eq!(set.latency_samples(), 2);
         assert_eq!(set.stall_samples(), 3);
-        assert_eq!(set.num_pcs(), 3);
         assert_eq!(set.reason_total(StallReason::MemoryDependency), 2);
-        assert_eq!(set.latency_reason_total(StallReason::MemoryDependency), 1);
         let (by, lat) = set.pc(0x20).unwrap();
         assert_eq!(by[StallReason::MemoryDependency.code() as usize], 2);
         assert_eq!(lat[StallReason::MemoryDependency.code() as usize], 1);

@@ -27,7 +27,6 @@ use crate::program::CompiledProgram;
 use crate::stall::StallReason;
 use crate::warp::WarpState;
 use gpa_arch::{ArchConfig, LaunchConfig};
-use gpa_isa::Pipe;
 use std::ops::Range;
 
 pub(crate) struct BlockCtx {
@@ -38,19 +37,9 @@ pub(crate) struct BlockCtx {
     pub(crate) arrived: u32,
 }
 
+/// Issue pipes per scheduler; a [`gpa_isa::Pipe`] indexes them by its
+/// discriminant.
 pub(crate) const N_PIPES: usize = 7;
-
-pub(crate) fn pipe_idx(p: Pipe) -> usize {
-    match p {
-        Pipe::Alu => 0,
-        Pipe::Fma => 1,
-        Pipe::Fp64 => 2,
-        Pipe::Sfu => 3,
-        Pipe::Lsu => 4,
-        Pipe::Branch => 5,
-        Pipe::Misc => 6,
-    }
-}
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) enum Status {
@@ -290,7 +279,7 @@ impl<M: MemoryModel> Sm<M> {
         }
         // Pipe throughput.
         let sched = w.scheduler as usize;
-        if self.pipe_free[sched * N_PIPES + pipe_idx(meta.pipe)] > now {
+        if self.pipe_free[sched * N_PIPES + meta.pipe as usize] > now {
             return Status::Stalled(StallReason::PipeBusy);
         }
         Status::Ready
@@ -331,7 +320,7 @@ impl<M: MemoryModel> Sm<M> {
         }
         Horizon {
             own: t,
-            pipe: (w.scheduler as usize * N_PIPES + pipe_idx(meta.pipe)) as u16,
+            pipe: (w.scheduler as usize * N_PIPES + meta.pipe as usize) as u16,
             throttled: meta.throttled_mem,
         }
     }
@@ -420,6 +409,27 @@ mod tests {
         (Sm::new(0, 1, 2, &launch, &prog, &arch, Flat), prog, launch)
     }
 
+    /// `pipe_free` is indexed by `Pipe as usize`: every pipe has a slot
+    /// of its own below `N_PIPES`. The match is exhaustive, so a new pipe
+    /// has to come through here.
+    #[test]
+    fn pipe_discriminants_index_the_pipe_table() {
+        use gpa_isa::Pipe::{self, *};
+        let slot = |p: Pipe| match p {
+            Alu => 0,
+            Fma => 1,
+            Fp64 => 2,
+            Sfu => 3,
+            Lsu => 4,
+            Branch => 5,
+            Misc => 6,
+        };
+        for p in [Alu, Fma, Fp64, Sfu, Lsu, Branch, Misc] {
+            assert_eq!(p as usize, slot(p));
+            assert!(slot(p) < N_PIPES);
+        }
+    }
+
     #[test]
     fn start_block_arms_fresh_warps_at_the_start_cycle() {
         let (mut sm, prog, launch) = barrier_sm();
@@ -430,7 +440,7 @@ mod tests {
         let entry = &prog.meta[prog.entry_idx as usize];
         for wi in 0..2 {
             let sched = sm.warps[wi].scheduler as usize;
-            let pipe = (sched * N_PIPES + pipe_idx(entry.pipe)) as u16;
+            let pipe = (sched * N_PIPES + entry.pipe as usize) as u16;
             assert_eq!(
                 sm.horizons[sm.col_of[wi]],
                 Horizon { own: 40, pipe, throttled: entry.throttled_mem }

@@ -47,8 +47,9 @@ impl StallReason {
     /// All reasons, for histograms and encoding.
     ///
     /// Order is a wire/storage contract: codes are positions in this
-    /// array, and existing profiles persist them, so new reasons are only
-    /// ever **appended** (the hierarchy-model reasons sit after `Other`,
+    /// array (and in the enum: declaration order is the same), and
+    /// existing profiles persist them, so new reasons are only ever
+    /// **appended** (the hierarchy-model reasons sit after `Other`,
     /// leaving codes 0–8 exactly as the flat model wrote them).
     pub const ALL: [StallReason; 13] = [
         StallReason::Selected,
@@ -68,7 +69,7 @@ impl StallReason {
 
     /// Dense code for array-indexed histograms.
     pub fn code(self) -> u8 {
-        Self::ALL.iter().position(|&r| r == self).unwrap() as u8
+        self as u8
     }
 
     /// Inverse of [`StallReason::code`].
@@ -80,21 +81,6 @@ impl StallReason {
     /// `Selected`).
     pub fn is_stall(self) -> bool {
         self != StallReason::Selected
-    }
-
-    /// Whether the stall is caused by a *source* instruction rather than
-    /// the stalled instruction itself — these are the reasons the paper's
-    /// instruction blamer attributes backwards (memory dependency,
-    /// execution dependency, synchronization).
-    pub fn is_attributable(self) -> bool {
-        matches!(
-            self,
-            StallReason::MemoryDependency
-                | StallReason::ExecutionDependency
-                | StallReason::Synchronization
-                | StallReason::BankConflict
-                | StallReason::Uncoalesced
-        )
     }
 
     /// Short name used in reports.
@@ -139,13 +125,6 @@ mod tests {
     fn classification() {
         assert!(!StallReason::Selected.is_stall());
         assert!(StallReason::NotSelected.is_stall());
-        assert!(StallReason::MemoryDependency.is_attributable());
-        assert!(StallReason::Synchronization.is_attributable());
-        assert!(!StallReason::MemoryThrottle.is_attributable());
-        assert!(StallReason::BankConflict.is_attributable());
-        assert!(StallReason::Uncoalesced.is_attributable());
-        assert!(!StallReason::MshrFull.is_attributable());
-        assert!(!StallReason::L2Queue.is_attributable());
     }
 
     /// Codes 0–8 are persisted by pre-hierarchy profiles; appending the
