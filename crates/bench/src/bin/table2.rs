@@ -1,19 +1,18 @@
-//! Reproduces **Table 2**: the optimizer catalog — name, category, and
-//! what each optimizer matches.
-
-use gpa_core::optimizers::OptimizerRegistry;
+//! Reproduces **Table 2**: the optimizer catalog — name, category,
+//! estimator, and what each optimizer matches — straight from the rows
+//! of `gpa_core::TABLE2`.
 
 fn main() {
     println!("Table 2 — GPU optimizers in GPA\n");
-    println!("{:<45} {:<20} first hint", "Optimizer", "Category");
-    println!("{}", "-".repeat(110));
-    for opt in OptimizerRegistry::full().iter() {
-        let hints = opt.hints();
+    println!("{:<45} {:<20} {:<22} first hint", "Optimizer", "Category", "Estimator");
+    println!("{}", "-".repeat(132));
+    for opt in &gpa_core::TABLE2 {
         println!(
-            "{:<45} {:<20} {}",
-            opt.id().name(),
-            opt.id().category().to_string(),
-            hints.first().copied().unwrap_or("")
+            "{:<45} {:<20} {:<22} {}",
+            opt.name,
+            opt.category.to_string(),
+            format!("{:?}", opt.estimator),
+            opt.hints.first().copied().unwrap_or("")
         );
     }
 }

@@ -19,7 +19,7 @@ use crate::estimators::{
     stall_elimination_speedup, ParallelParams,
 };
 use crate::optimizers::{
-    Hint, Hotspot, Optimizer, OptimizerCategory, OptimizerId, OptimizerRegistry,
+    Estimator, Hint, Hotspot, Optimizer, OptimizerCategory, OptimizerId, OptimizerRegistry,
 };
 use gpa_arch::{ArchConfig, LatencyTable};
 use gpa_isa::Module;
@@ -394,18 +394,18 @@ impl AdvisorBuilder {
         self
     }
 
-    /// Restrict the registry to the built-in matchers for `ids`.
+    /// Restrict the registry to the built-in rows for `ids`.
     #[must_use]
     pub fn only(mut self, ids: &[OptimizerId]) -> Self {
         self.registry = Some(OptimizerRegistry::of(ids));
         self
     }
 
-    /// Register a matcher (custom or built-in), replacing the current
-    /// holder of its catalog slot. Starts from the full catalog when no
-    /// registry was set yet.
+    /// Register a row (custom or built-in), replacing the current holder
+    /// of its catalog slot. Starts from the full catalog when no registry
+    /// was set yet.
     #[must_use]
-    pub fn register(mut self, opt: Box<dyn Optimizer>) -> Self {
+    pub fn register(mut self, opt: Optimizer) -> Self {
         self.registry.get_or_insert_with(OptimizerRegistry::full).insert(opt);
         self
     }
@@ -425,9 +425,9 @@ impl AdvisorBuilder {
 }
 
 /// The GPA advisor: a typed optimizer registry plus default request
-/// options. One advisor is shared across threads ([`Optimizer`]s are
-/// `Send + Sync` and stateless); per-call variation goes through
-/// [`AdviceRequest`].
+/// options. One advisor is shared across threads ([`Optimizer`] rows are
+/// plain data and their rules stateless functions); per-call variation
+/// goes through [`AdviceRequest`].
 pub struct Advisor {
     registry: OptimizerRegistry,
     defaults: AdviceRequest,
@@ -520,57 +520,40 @@ impl Advisor {
         let active = profile.active_samples as f64;
         let mut items = Vec::new();
         for opt in self.registry.iter() {
-            let id = opt.id();
-            if !request.wants(id) {
+            if !request.wants(opt.id) {
                 continue;
             }
-            let mut m = opt.match_stalls(&ctx);
+            let mut m = (opt.rule)(&ctx);
             if m.is_empty() || total == 0.0 {
                 continue;
             }
             m.keep_top_hotspots(request.hotspots);
-            // The memory-hierarchy advisors use the residual estimator
-            // (their rewrites shrink accesses, not remove them); every
-            // other optimizer dispatches on its category.
-            let residual = match id {
-                OptimizerId::MemoryCoalescing => Some(crate::estimators::COALESCING_RESIDUAL),
-                OptimizerId::BankConflictResolution => {
-                    Some(crate::estimators::BANK_CONFLICT_RESIDUAL)
-                }
-                _ => None,
-            };
-            let (estimated_speedup, estimator) = if let Some(residual) = residual {
-                (
+            let (estimated_speedup, estimator) = match opt.estimator {
+                Estimator::StallElimination => (
+                    stall_elimination_speedup(total, m.matched),
+                    EstimatorInputs::StallElimination { total, matched: m.matched },
+                ),
+                Estimator::Residual(residual) => (
                     residual_elimination_speedup(total, m.matched, residual),
                     EstimatorInputs::ResidualElimination { total, matched: m.matched, residual },
-                )
-            } else {
-                match id.category() {
-                    OptimizerCategory::StallElimination => (
-                        stall_elimination_speedup(total, m.matched),
-                        EstimatorInputs::StallElimination { total, matched: m.matched },
-                    ),
-                    OptimizerCategory::LatencyHiding => {
-                        let pairs: Vec<(f64, f64)> =
-                            m.scopes.iter().map(|(s, ml)| (ctx.active_in_scope(*s), *ml)).collect();
-                        (
-                            scoped_latency_hiding_speedup(total, active, &pairs),
-                            EstimatorInputs::LatencyHiding {
-                                total,
-                                active,
-                                matched_latency: m.matched_latency,
-                                scopes: m.scopes.len() as u32,
-                            },
-                        )
-                    }
-                    OptimizerCategory::Parallel => {
-                        let issue_ratio = profile.issue_ratio();
-                        let speedup = match &m.parallel {
-                            Some(p) => parallel_speedup(issue_ratio, p),
-                            None => 1.0,
-                        };
-                        (speedup, EstimatorInputs::Parallel { issue_ratio, params: m.parallel })
-                    }
+                ),
+                Estimator::LatencyHiding => {
+                    let pairs: Vec<(f64, f64)> =
+                        m.scopes.iter().map(|(s, ml)| (ctx.active_in_scope(*s), *ml)).collect();
+                    (
+                        scoped_latency_hiding_speedup(total, active, &pairs),
+                        EstimatorInputs::LatencyHiding {
+                            total,
+                            active,
+                            matched_latency: m.matched_latency,
+                            scopes: m.scopes.len() as u32,
+                        },
+                    )
+                }
+                Estimator::Parallel => {
+                    let issue_ratio = profile.issue_ratio();
+                    let speedup = m.parallel.map_or(1.0, |p| parallel_speedup(issue_ratio, &p));
+                    (speedup, EstimatorInputs::Parallel { issue_ratio, params: m.parallel })
                 }
             };
             if estimated_speedup < request.min_speedup {
@@ -581,11 +564,11 @@ impl Advisor {
             } else {
                 Vec::new()
             };
-            let mut hints: Vec<Hint> = opt.hints().into_iter().map(Hint::guidance).collect();
+            let mut hints: Vec<Hint> = opt.hints.iter().copied().map(Hint::guidance).collect();
             hints.extend(m.notes.iter().cloned().map(Hint::finding));
             items.push(AdviceItem {
-                id,
-                category: id.category(),
+                id: opt.id,
+                category: opt.id.category(),
                 matched_ratio: if m.matched > 0.0 {
                     m.matched / total
                 } else {
@@ -740,6 +723,20 @@ mod tests {
         ];
         rank_items(&mut permuted);
         assert_eq!(permuted, items);
+    }
+
+    /// The paper's "users can add custom optimizers": a struct literal
+    /// with the caller's own rule takes over its catalog slot.
+    #[test]
+    fn a_custom_row_takes_over_its_catalog_slot() {
+        fn never(_: &AnalysisCtx<'_>) -> crate::MatchResult {
+            crate::MatchResult::default()
+        }
+        let custom = Optimizer { name: "MyFastMath", rule: never, ..*OptimizerId::FastMath.row() };
+        let advisor = Advisor::builder().register(custom).build();
+        assert_eq!(advisor.registry().ids(), OptimizerId::ALL.to_vec());
+        let row = advisor.registry().get(OptimizerId::FastMath).expect("slot filled");
+        assert_eq!((row.name, row.slug), ("MyFastMath", "fast-math"));
     }
 
     #[test]

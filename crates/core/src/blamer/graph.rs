@@ -4,7 +4,7 @@
 use super::slice::{immediate_defs, nearest_barriers};
 use super::{DetailedReason, FunctionBlame};
 use gpa_arch::LatencyTable;
-use gpa_cfg::{Cfg, Dominators};
+use gpa_cfg::Cfg;
 use gpa_isa::{Function, Module, Slot};
 use gpa_sampling::{KernelProfile, PcStats, StallReason};
 use gpa_structure::FunctionInfo;
@@ -84,7 +84,7 @@ pub fn blame_function(
     latency: &LatencyTable,
 ) -> FunctionBlame {
     let f = &module.functions[finfo.index];
-    let cfg = &finfo.cfg;
+    let (cfg, dom) = (&finfo.cfg, &finfo.dom);
     let empty = PcStats::default();
     let stats_of = |idx: usize| -> &PcStats { profile.pc(f.pc_of(idx)).unwrap_or(&empty) };
 
@@ -100,7 +100,6 @@ pub fn blame_function(
             unattributed: Vec::new(),
         };
     }
-    let dom = Dominators::build(cfg);
 
     // Build raw edges from backward slicing.
     let mut edges: Vec<DepEdge> = Vec::new();
@@ -160,7 +159,7 @@ pub fn blame_function(
                 .map(|e| {
                     let issued = stats_of(e.def).issued_samples().max(1) as f64;
                     let path =
-                        cfg.max_instrs_between_with(&dom, e.def, j).map_or(1.0, |p| (p + 1) as f64);
+                        cfg.max_instrs_between_with(dom, e.def, j).map_or(1.0, |p| (p + 1) as f64);
                     issued / path
                 })
                 .collect();

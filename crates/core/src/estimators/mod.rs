@@ -21,16 +21,6 @@ pub fn stall_elimination_speedup(total: f64, matched: f64) -> f64 {
     total / (total - m)
 }
 
-/// Fraction of a matched *uncoalesced* stall that survives coalescing:
-/// a perfectly coalesced warp access still performs one transaction, so
-/// roughly a sector's worth of latency remains.
-pub const COALESCING_RESIDUAL: f64 = 0.25;
-
-/// Fraction of a matched *bank-conflict* stall that survives fixing the
-/// conflict: a conflict-free access still pays one bank's service time
-/// (1 of up to 32 serialized accesses).
-pub const BANK_CONFLICT_RESIDUAL: f64 = 1.0 / 32.0;
-
 /// Eq. 2 with a residual: the speedup of *shrinking* (not removing)
 /// `matched` of `total` samples, leaving `residual · matched` behind —
 /// the Theorem-5.1-style bound for memory-access rewrites that cannot
@@ -45,18 +35,6 @@ pub fn residual_elimination_speedup(total: f64, matched: f64, residual: f64) -> 
     let r = residual.clamp(0.0, 1.0);
     let m = (matched * (1.0 - r)).min(total * 0.999);
     total / (total - m)
-}
-
-/// The coalescing advisor's estimator: residual elimination with a
-/// one-transaction floor ([`COALESCING_RESIDUAL`]).
-pub fn coalescing_speedup(total: f64, matched: f64) -> f64 {
-    residual_elimination_speedup(total, matched, COALESCING_RESIDUAL)
-}
-
-/// The bank-conflict advisor's estimator: residual elimination with a
-/// single-bank floor ([`BANK_CONFLICT_RESIDUAL`]).
-pub fn bank_conflict_speedup(total: f64, matched: f64) -> f64 {
-    residual_elimination_speedup(total, matched, BANK_CONFLICT_RESIDUAL)
 }
 
 /// Eq. 4 — latency hiding bounded by the kernel's active samples.
@@ -129,6 +107,7 @@ pub fn parallel_speedup(issue_ratio: f64, p: &ParallelParams) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::optimizers::{Estimator, OptimizerId};
     use proptest::prelude::*;
 
     #[test]
@@ -270,18 +249,25 @@ mod tests {
             prop_assert!((residual_elimination_speedup(total, matched, 1.0) - 1.0).abs() < 1e-12);
         }
 
-        /// The memory advisors' concrete estimators satisfy S ≥ 1 and
-        /// the residual bound.
+        /// The residuals the memory-hierarchy rows of Table 2 name
+        /// satisfy S ≥ 1 and the residual bound.
         #[test]
         fn memory_estimators_at_least_one(total in 1.0f64..1e9, matched in 0.0f64..1e9) {
-            for s in [coalescing_speedup(total, matched), bank_conflict_speedup(total, matched)] {
+            let residual_of = |id: OptimizerId| match id.row().estimator {
+                Estimator::Residual(r) => r,
+                other => panic!("{id} names {other:?}"),
+            };
+            let coalescing = residual_elimination_speedup(
+                total, matched, residual_of(OptimizerId::MemoryCoalescing));
+            let bank_conflict = residual_elimination_speedup(
+                total, matched, residual_of(OptimizerId::BankConflictResolution));
+            for s in [coalescing, bank_conflict] {
                 prop_assert!(s >= 1.0 && s.is_finite());
                 prop_assert!(s <= stall_elimination_speedup(total, matched) + 1e-9);
             }
             // The bank-conflict residual is smaller, so its estimate for
             // the same match is at least the coalescing one.
-            prop_assert!(bank_conflict_speedup(total, matched)
-                         >= coalescing_speedup(total, matched) - 1e-9);
+            prop_assert!(bank_conflict >= coalescing - 1e-9);
         }
 
         /// More warps never predict a slowdown (all else equal).

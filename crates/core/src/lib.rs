@@ -12,8 +12,10 @@
 //!    sub-classification.
 //! 2. **Performance optimizers** ([`optimizers`]): the Table 2 catalog —
 //!    six stall-elimination, three latency-hiding, and two parallel
-//!    optimizers, each matching its inefficiency pattern against the
-//!    blamed stalls and program structure.
+//!    optimizers (plus two for the timed memory hierarchy), one row of
+//!    [`TABLE2`] each: names, family, estimator, hints, and the rule that
+//!    matches its inefficiency pattern against the blamed stalls and
+//!    program structure.
 //! 3. **Performance estimators** ([`estimators`]): `Se = T/(T−M)`
 //!    (Eq. 2), scope-aware latency hiding `Sh = T/(T−min(ΣA, M_L))`
 //!    (Eqs. 4–5, with Theorem 5.1's 2× bound), and the parallel model of
@@ -36,6 +38,6 @@ pub use blamer::{
     BlamedEdge, DepEdge, DepGraph, DetailedReason, FunctionBlame, ModuleBlame, PruneRule,
 };
 pub use optimizers::{
-    Hint, HintKind, Hotspot, MatchResult, Optimizer, OptimizerCategory, OptimizerId,
-    OptimizerRegistry,
+    Estimator, Hint, HintKind, Hotspot, MatchResult, Optimizer, OptimizerCategory, OptimizerId,
+    OptimizerRegistry, TABLE2,
 };

@@ -4,34 +4,27 @@
 //! blamed dependency edges and the program structure, lifting the job of
 //! associating stalls with optimizations from the user to the advisor.
 //!
-//! | Category | Optimizer | Matches |
-//! |---|---|---|
-//! | Stall elimination | Register Reuse | local-memory dependency stalls |
-//! | | Strength Reduction | execution-dependency stalls of long-latency arithmetic |
-//! | | Function Split | instruction-fetch stalls in large functions |
-//! | | Fast Math | stalls inside CUDA math functions |
-//! | | Warp Balance | synchronization stalls |
-//! | | Memory Transaction Reduction | memory-throttle stalls |
-//! | Latency hiding | Loop Unrolling | global-memory/execution stalls with def and use in one loop |
-//! | | Code Reordering | short-distance global-memory/execution stalls |
-//! | | Function Inlining | stalls in device functions and call sites |
-//! | Parallel | Block Increase | fewer blocks than the device can host |
-//! | | Thread Increase | occupancy limited by threads per block |
-//! | Stall elimination | Memory Coalescing | uncoalesced/MSHR/L2-queue stalls (hierarchy model) |
-//! | | Bank Conflict Resolution | shared-memory bank-conflict stalls (hierarchy model) |
+//! [`TABLE2`] is the source — an optimizer *is* its row: names, family,
+//! estimator, hints, rule. The table below is a reading aid kept beside
+//! it; `cargo run -p gpa-bench --bin table2` prints the rows themselves.
+//!
+//! | Category | Optimizer | Matches | Estimator |
+//! |---|---|---|---|
+//! | Stall elimination | Register Reuse | local-memory dependency stalls | Eq. 2 |
+//! | | Strength Reduction | execution-dependency stalls of long-latency arithmetic | Eq. 2 |
+//! | | Function Split | instruction-fetch stalls in large functions | Eq. 2 |
+//! | | Fast Math | stalls inside CUDA math functions | Eq. 2 |
+//! | | Warp Balance | synchronization stalls | Eq. 2 |
+//! | | Memory Transaction Reduction | memory-throttle stalls | Eq. 2 |
+//! | Latency hiding | Loop Unrolling | global-memory/execution stalls with def and use in one loop | Eqs. 4–5 |
+//! | | Code Reordering | short-distance global-memory/execution stalls | Eqs. 4–5 |
+//! | | Function Inlining | stalls in device functions and call sites | Eqs. 4–5 |
+//! | Parallel | Block Increase | fewer blocks than the device can host | Eqs. 6–10 |
+//! | | Thread Increase | occupancy limited by threads per block | Eqs. 6–10 |
+//! | Stall elimination | Memory Coalescing | uncoalesced/MSHR/L2-queue stalls (hierarchy model) | Eq. 2, residual 1/4 |
+//! | | Bank Conflict Resolution | shared-memory bank-conflict stalls (hierarchy model) | Eq. 2, residual 1/32 |
 
-mod latency_hiding;
-mod memory;
-mod parallel;
-mod stall_elim;
-
-pub use latency_hiding::{CodeReordering, FunctionInlining, LoopUnrolling};
-pub use memory::{BankConflictResolution, MemoryCoalescing};
-pub use parallel::{BlockIncrease, ThreadIncrease};
-pub use stall_elim::{
-    FastMath, FunctionSplit, MemoryTransactionReduction, RegisterReuse, StrengthReduction,
-    WarpBalance,
-};
+mod rules;
 
 use crate::advisor::AnalysisCtx;
 use crate::estimators::ParallelParams;
@@ -140,60 +133,24 @@ impl OptimizerId {
         OptimizerId::BankConflictResolution,
     ];
 
+    /// The built-in row of Table 2 for this id.
+    pub(crate) fn row(self) -> &'static Optimizer {
+        &TABLE2[self as usize]
+    }
+
     /// The paper-style display name (e.g. `GPURegisterReuseOptimizer`).
     pub fn name(self) -> &'static str {
-        match self {
-            OptimizerId::RegisterReuse => "GPURegisterReuseOptimizer",
-            OptimizerId::StrengthReduction => "GPUStrengthReductionOptimizer",
-            OptimizerId::FunctionSplit => "GPUFunctionSplitOptimizer",
-            OptimizerId::FastMath => "GPUFastMathOptimizer",
-            OptimizerId::WarpBalance => "GPUWarpBalanceOptimizer",
-            OptimizerId::MemoryTransactionReduction => "GPUMemoryTransactionReductionOptimizer",
-            OptimizerId::LoopUnrolling => "GPULoopUnrollOptimizer",
-            OptimizerId::CodeReordering => "GPUCodeReorderOptimizer",
-            OptimizerId::FunctionInlining => "GPUFunctionInliningOptimizer",
-            OptimizerId::BlockIncrease => "GPUBlockIncreaseOptimizer",
-            OptimizerId::ThreadIncrease => "GPUThreadIncreaseOptimizer",
-            OptimizerId::MemoryCoalescing => "GPUMemoryCoalescingOptimizer",
-            OptimizerId::BankConflictResolution => "GPUBankConflictResolutionOptimizer",
-        }
+        self.row().name
     }
 
     /// Stable machine-readable name (advice schema v2, CLI filters).
     pub fn slug(self) -> &'static str {
-        match self {
-            OptimizerId::RegisterReuse => "register-reuse",
-            OptimizerId::StrengthReduction => "strength-reduction",
-            OptimizerId::FunctionSplit => "function-split",
-            OptimizerId::FastMath => "fast-math",
-            OptimizerId::WarpBalance => "warp-balance",
-            OptimizerId::MemoryTransactionReduction => "memory-transaction-reduction",
-            OptimizerId::LoopUnrolling => "loop-unrolling",
-            OptimizerId::CodeReordering => "code-reordering",
-            OptimizerId::FunctionInlining => "function-inlining",
-            OptimizerId::BlockIncrease => "block-increase",
-            OptimizerId::ThreadIncrease => "thread-increase",
-            OptimizerId::MemoryCoalescing => "memory-coalescing",
-            OptimizerId::BankConflictResolution => "bank-conflict-resolution",
-        }
+        self.row().slug
     }
 
     /// The Table 2 family the optimizer belongs to.
     pub fn category(self) -> OptimizerCategory {
-        match self {
-            OptimizerId::RegisterReuse
-            | OptimizerId::StrengthReduction
-            | OptimizerId::FunctionSplit
-            | OptimizerId::FastMath
-            | OptimizerId::WarpBalance
-            | OptimizerId::MemoryTransactionReduction
-            | OptimizerId::MemoryCoalescing
-            | OptimizerId::BankConflictResolution => OptimizerCategory::StallElimination,
-            OptimizerId::LoopUnrolling
-            | OptimizerId::CodeReordering
-            | OptimizerId::FunctionInlining => OptimizerCategory::LatencyHiding,
-            OptimizerId::BlockIncrease | OptimizerId::ThreadIncrease => OptimizerCategory::Parallel,
-        }
+        self.row().category
     }
 
     /// Parses either form of the name: the paper-style display name
@@ -322,34 +279,236 @@ impl MatchResult {
     }
 }
 
-/// A performance optimizer: matches an inefficiency pattern and describes
-/// the fix. Name and category derive from [`Optimizer::id`], so an
-/// optimizer is identified by one typed value everywhere (reports,
-/// filters, wire protocol) instead of a free-form string.
-///
-/// `Send + Sync` so one [`Advisor`](crate::Advisor) can be shared across
-/// the pipeline's worker threads; optimizers are stateless matchers.
-pub trait Optimizer: Send + Sync {
-    /// Which catalog slot this matcher fills.
-    fn id(&self) -> OptimizerId;
-
-    /// Static optimization hints shown in the report (the numbered
-    /// suggestions of Figure 8).
-    fn hints(&self) -> Vec<&'static str>;
-
-    /// Computes matching stalls against an analysis context.
-    fn match_stalls(&self, ctx: &AnalysisCtx<'_>) -> MatchResult;
+/// Which Section 5.2 estimator turns an optimizer's match into a
+/// speedup. The row names it, so the advisor never dispatches on an id.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum Estimator {
+    /// Eq. 2 on the matched stalls.
+    StallElimination,
+    /// Eq. 2 with this fraction of every matched stall surviving the fix
+    /// ([`crate::estimators::residual_elimination_speedup`]): rewriting
+    /// an access pattern shrinks its serialization but cannot remove the
+    /// access, so the estimate is bounded above by plain Eq. 2 on the
+    /// same match — the Theorem-5.1 shape for memory rewrites.
+    Residual(f64),
+    /// Eqs. 4–5 on the matched latency, scope by scope.
+    LatencyHiding,
+    /// Eqs. 6–10 on the launch configuration the rule proposes.
+    Parallel,
 }
 
-/// The typed optimizer catalog: at most one matcher per [`OptimizerId`],
+/// A performance optimizer: one row of Table 2. It matches an
+/// inefficiency pattern (`rule`), says how the match becomes a speedup
+/// (`estimator`) and describes the fix (`hints`). Plain `Copy` data — the
+/// paper's "users can add custom optimizers" is a struct literal with the
+/// caller's own `fn`, registered through
+/// [`AdvisorBuilder::register`](crate::AdvisorBuilder::register).
+#[derive(Debug, Clone, Copy)]
+pub struct Optimizer {
+    /// Which catalog slot this row fills.
+    pub id: OptimizerId,
+    /// The paper-style display name (e.g. `GPURegisterReuseOptimizer`).
+    pub name: &'static str,
+    /// Stable machine-readable name (advice schema v2, CLI filters).
+    pub slug: &'static str,
+    /// The Table 2 family. Reports, filters and the schema reader key the
+    /// family on `id`, so a row taking over a built-in slot keeps it.
+    pub category: OptimizerCategory,
+    /// The estimator applied to what `rule` matched.
+    pub estimator: Estimator,
+    /// Static optimization hints shown in the report (the numbered
+    /// suggestions of Figure 8).
+    pub hints: &'static [&'static str],
+    /// Computes matching stalls against an analysis context.
+    pub rule: fn(&AnalysisCtx<'_>) -> MatchResult,
+}
+
+/// Table 2: one row per [`OptimizerId`], in [`OptimizerId::ALL`] order
+/// (row `i` is the variant with discriminant `i`).
+pub static TABLE2: [Optimizer; 13] = [
+    Optimizer {
+        id: OptimizerId::RegisterReuse,
+        name: "GPURegisterReuseOptimizer",
+        slug: "register-reuse",
+        category: OptimizerCategory::StallElimination,
+        estimator: Estimator::StallElimination,
+        hints: &[
+            "Local memory loads indicate register spills. Reduce live values per thread.",
+            "Split hot loops or functions so fewer values are live across them.",
+            "Lower the launch bound or recompute cheap values instead of keeping them live.",
+        ],
+        rule: rules::register_reuse,
+    },
+    Optimizer {
+        id: OptimizerId::StrengthReduction,
+        name: "GPUStrengthReductionOptimizer",
+        slug: "strength-reduction",
+        category: OptimizerCategory::StallElimination,
+        estimator: Estimator::StallElimination,
+        hints: &[
+            "Avoid integer division. It expands to a special-function sequence; multiply by a reciprocal instead.",
+            "Avoid conversion. A double constant multiplied with a 32-bit float promotes the whole expression to 64 bits; write the constant as `2.0f`.",
+            "Replace repeated expensive operations with mathematically equivalent cheaper forms.",
+        ],
+        rule: rules::strength_reduction,
+    },
+    Optimizer {
+        id: OptimizerId::FunctionSplit,
+        name: "GPUFunctionSplitOptimizer",
+        slug: "function-split",
+        category: OptimizerCategory::StallElimination,
+        estimator: Estimator::StallElimination,
+        hints: &[
+            "The function body exceeds the instruction cache; sequential fetches keep missing.",
+            "Split the function (or a huge loop body) into parts so each hot region fits the i-cache.",
+        ],
+        rule: rules::function_split,
+    },
+    Optimizer {
+        id: OptimizerId::FastMath,
+        name: "GPUFastMathOptimizer",
+        slug: "fast-math",
+        category: OptimizerCategory::StallElimination,
+        estimator: Estimator::StallElimination,
+        hints: &[
+            "Stalls concentrate in precise CUDA math functions.",
+            "Compile with --use_fast_math, or call the __func intrinsics directly, if the accuracy loss is acceptable.",
+        ],
+        rule: rules::fast_math,
+    },
+    Optimizer {
+        id: OptimizerId::WarpBalance,
+        name: "GPUWarpBalanceOptimizer",
+        slug: "warp-balance",
+        category: OptimizerCategory::StallElimination,
+        estimator: Estimator::StallElimination,
+        hints: &[
+            "Warps wait long at __syncthreads(): work is unbalanced across the block's warps.",
+            "Distribute iterations evenly over warps (e.g. tree-shaped reductions instead of a single working warp).",
+            "Remove barriers that protect nothing, or narrow their scope.",
+        ],
+        rule: rules::warp_balance,
+    },
+    Optimizer {
+        id: OptimizerId::MemoryTransactionReduction,
+        name: "GPUMemoryTransactionReductionOptimizer",
+        slug: "memory-transaction-reduction",
+        category: OptimizerCategory::StallElimination,
+        estimator: Estimator::StallElimination,
+        hints: &[
+            "The LSU queue is saturated: reduce the number of memory transactions.",
+            "Coalesce warp accesses into contiguous 32-byte sectors.",
+            "Move values shared by all threads and constant during execution into constant memory.",
+            "Vectorize loads (e.g. 64/128-bit) where alignment allows.",
+        ],
+        rule: rules::memory_transaction_reduction,
+    },
+    Optimizer {
+        id: OptimizerId::LoopUnrolling,
+        name: "GPULoopUnrollOptimizer",
+        slug: "loop-unrolling",
+        category: OptimizerCategory::LatencyHiding,
+        estimator: Estimator::LatencyHiding,
+        hints: &[
+            "Dependent instructions inside the loop leave issue slots empty.",
+            "Add `#pragma unroll` (or unroll by hand) so independent iterations overlap the latency.",
+            "If the compiler refuses (unknown trip count), hoist the bound into a constant.",
+        ],
+        rule: rules::loop_unrolling,
+    },
+    Optimizer {
+        id: OptimizerId::CodeReordering,
+        name: "GPUCodeReorderOptimizer",
+        slug: "code-reordering",
+        category: OptimizerCategory::LatencyHiding,
+        estimator: Estimator::LatencyHiding,
+        hints: &[
+            "The distance between the producing load/operation and its use is short.",
+            "Hoist subscripted loads well before their use (e.g. read the next iteration's address before the synchronization).",
+            "Separate address computation from dereference so the compiler can schedule them apart.",
+        ],
+        rule: rules::code_reordering,
+    },
+    Optimizer {
+        id: OptimizerId::FunctionInlining,
+        name: "GPUFunctionInliningOptimizer",
+        slug: "function-inlining",
+        category: OptimizerCategory::LatencyHiding,
+        estimator: Estimator::LatencyHiding,
+        hints: &[
+            "Hot device functions are called out of line: calls serialize the pipeline and hide nothing.",
+            "Mark small hot callees __forceinline__, or inline their bodies by hand when the compiler refuses for size reasons.",
+        ],
+        rule: rules::function_inlining,
+    },
+    Optimizer {
+        id: OptimizerId::BlockIncrease,
+        name: "GPUBlockIncreaseOptimizer",
+        slug: "block-increase",
+        category: OptimizerCategory::Parallel,
+        estimator: Estimator::Parallel,
+        hints: &[
+            "The grid has fewer blocks than the device has SMs: most SMs idle.",
+            "Halve the threads per block and double the block count (total threads unchanged) until every SM hosts work.",
+        ],
+        rule: rules::block_increase,
+    },
+    Optimizer {
+        id: OptimizerId::ThreadIncrease,
+        name: "GPUThreadIncreaseOptimizer",
+        slug: "thread-increase",
+        category: OptimizerCategory::Parallel,
+        estimator: Estimator::Parallel,
+        hints: &[
+            "Blocks are too small: the per-SM block-slot limit caps resident warps, and sub-warp blocks waste lanes.",
+            "Increase threads per block (merging blocks) so each SM hosts more full warps.",
+        ],
+        rule: rules::thread_increase,
+    },
+    // The two memory-hierarchy rows only ever match under the timed memory
+    // model ([`gpa_arch::MemModel::Hierarchy`]): the flat model never
+    // emits their stall reasons, so they are silent (and omitted from
+    // reports) under the default configuration.
+    Optimizer {
+        id: OptimizerId::MemoryCoalescing,
+        name: "GPUMemoryCoalescingOptimizer",
+        slug: "memory-coalescing",
+        category: OptimizerCategory::StallElimination,
+        // A perfectly coalesced warp access still performs one
+        // transaction, so roughly a sector's worth of latency remains.
+        estimator: Estimator::Residual(0.25),
+        hints: &[
+            "Warp accesses split into many memory sectors: make consecutive lanes touch consecutive addresses.",
+            "Restructure array-of-structs into struct-of-arrays so a warp's loads share cache lines.",
+            "Stage strided data through shared memory with a coalesced global access pattern.",
+            "A full MSHR file or L2 queue means the sector storm is saturating the memory pipeline; coalescing shrinks it at the source.",
+        ],
+        rule: rules::memory_coalescing,
+    },
+    Optimizer {
+        id: OptimizerId::BankConflictResolution,
+        name: "GPUBankConflictResolutionOptimizer",
+        slug: "bank-conflict-resolution",
+        category: OptimizerCategory::StallElimination,
+        // A conflict-free access still pays one bank's service time (1 of
+        // up to 32 serialized accesses).
+        estimator: Estimator::Residual(1.0 / 32.0),
+        hints: &[
+            "Lanes of a warp hit the same shared-memory bank; accesses serialize up to 32-way.",
+            "Pad shared arrays (e.g. [32][33] instead of [32][32]) so column walks touch distinct banks.",
+            "Swizzle indices (xor the row into the column) to spread accesses over banks.",
+        ],
+        rule: rules::bank_conflict_resolution,
+    },
+];
+
+/// The typed optimizer catalog: at most one row per [`OptimizerId`],
 /// iterated in catalog order regardless of registration order, so the
 /// advisor's output is deterministic for any registry composition.
-///
-/// Replaces the seed-era anonymous `Vec<Box<dyn Optimizer>>`: callers
-/// select, replace, or restrict matchers by id instead of by position.
+/// Callers select, replace, or restrict rows by id, never by position.
 pub struct OptimizerRegistry {
-    /// Kept sorted by `entry.id()`; ids are unique.
-    entries: Vec<Box<dyn Optimizer>>,
+    /// Kept sorted by `entry.id`; ids are unique.
+    entries: Vec<Optimizer>,
 }
 
 impl fmt::Debug for OptimizerRegistry {
@@ -375,47 +534,47 @@ impl OptimizerRegistry {
         Self::of(&OptimizerId::ALL)
     }
 
-    /// A registry of the built-in matchers for `ids` (duplicates are
+    /// A registry of the built-in rows for `ids` (duplicates are
     /// collapsed).
     pub fn of(ids: &[OptimizerId]) -> Self {
         let mut registry = Self::empty();
         for &id in ids {
-            registry.insert(builtin(id));
+            registry.insert(*id.row());
         }
         registry
     }
 
-    /// Adds a matcher, replacing any existing matcher with the same id
-    /// (the paper notes users can add custom optimizers; a custom
-    /// matcher takes over its catalog slot).
-    pub fn insert(&mut self, opt: Box<dyn Optimizer>) {
-        match self.entries.binary_search_by_key(&opt.id(), |e| e.id()) {
+    /// Adds a row, replacing any existing row with the same id (the
+    /// paper notes users can add custom optimizers; a custom row takes
+    /// over its catalog slot).
+    pub fn insert(&mut self, opt: Optimizer) {
+        match self.entries.binary_search_by_key(&opt.id, |e| e.id) {
             Ok(i) => self.entries[i] = opt,
             Err(i) => self.entries.insert(i, opt),
         }
     }
 
-    /// Removes the matcher for `id`, if present.
+    /// Removes the row for `id`, if present.
     pub fn remove(&mut self, id: OptimizerId) {
-        self.entries.retain(|e| e.id() != id);
+        self.entries.retain(|e| e.id != id);
     }
 
-    /// The matcher registered for `id`.
-    pub fn get(&self, id: OptimizerId) -> Option<&dyn Optimizer> {
-        self.entries.binary_search_by_key(&id, |e| e.id()).ok().map(|i| self.entries[i].as_ref())
+    /// The row registered for `id`.
+    pub fn get(&self, id: OptimizerId) -> Option<&Optimizer> {
+        self.entries.binary_search_by_key(&id, |e| e.id).ok().map(|i| &self.entries[i])
     }
 
-    /// All matchers, in catalog order.
-    pub fn iter(&self) -> impl Iterator<Item = &dyn Optimizer> {
-        self.entries.iter().map(Box::as_ref)
+    /// All rows, in catalog order.
+    pub fn iter(&self) -> impl Iterator<Item = &Optimizer> {
+        self.entries.iter()
     }
 
     /// The registered ids, in catalog order.
     pub fn ids(&self) -> Vec<OptimizerId> {
-        self.entries.iter().map(|e| e.id()).collect()
+        self.entries.iter().map(|e| e.id).collect()
     }
 
-    /// Number of registered matchers.
+    /// Number of registered rows.
     pub fn len(&self) -> usize {
         self.entries.len()
     }
@@ -423,25 +582,6 @@ impl OptimizerRegistry {
     /// Whether the registry is empty.
     pub fn is_empty(&self) -> bool {
         self.entries.is_empty()
-    }
-}
-
-/// The built-in matcher for a catalog id.
-pub fn builtin(id: OptimizerId) -> Box<dyn Optimizer> {
-    match id {
-        OptimizerId::RegisterReuse => Box::new(RegisterReuse),
-        OptimizerId::StrengthReduction => Box::new(StrengthReduction),
-        OptimizerId::FunctionSplit => Box::new(FunctionSplit),
-        OptimizerId::FastMath => Box::new(FastMath),
-        OptimizerId::WarpBalance => Box::new(WarpBalance),
-        OptimizerId::MemoryTransactionReduction => Box::new(MemoryTransactionReduction),
-        OptimizerId::LoopUnrolling => Box::new(LoopUnrolling),
-        OptimizerId::CodeReordering => Box::new(CodeReordering),
-        OptimizerId::FunctionInlining => Box::new(FunctionInlining),
-        OptimizerId::BlockIncrease => Box::new(BlockIncrease),
-        OptimizerId::ThreadIncrease => Box::new(ThreadIncrease),
-        OptimizerId::MemoryCoalescing => Box::new(MemoryCoalescing),
-        OptimizerId::BankConflictResolution => Box::new(BankConflictResolution),
     }
 }
 
@@ -454,11 +594,43 @@ mod tests {
         for id in OptimizerId::ALL {
             assert_eq!(OptimizerId::from_name(id.name()), Some(id));
             assert_eq!(OptimizerId::from_name(id.slug()), Some(id));
-            assert_eq!(builtin(id).id(), id);
+            assert_eq!(id.row().id, id);
         }
         assert_eq!(OptimizerId::from_name("GPUWarpDriveOptimizer"), None);
         for cat in OptimizerCategory::ALL {
             assert_eq!(OptimizerCategory::from_slug(cat.slug()), Some(cat));
+        }
+    }
+
+    /// `OptimizerId::{name, slug, category}` index the table by
+    /// discriminant: row `i` must be the variant with discriminant `i`,
+    /// and `ALL` the same list.
+    #[test]
+    fn table2_rows_are_the_ids_in_catalog_order() {
+        assert_eq!(TABLE2.len(), OptimizerId::ALL.len());
+        for (i, (row, id)) in TABLE2.iter().zip(OptimizerId::ALL).enumerate() {
+            assert_eq!(row.id, id, "row {i}");
+            assert_eq!(id as usize, i, "{id}");
+        }
+    }
+
+    /// Every row names an estimator of its own family (a residual is a
+    /// stall elimination). `tests/advice_api.rs` checks this per emitted
+    /// item, but under the flat model, where no residual item exists.
+    #[test]
+    fn every_row_names_an_estimator_of_its_family() {
+        for row in &TABLE2 {
+            let family = match row.estimator {
+                Estimator::StallElimination => OptimizerCategory::StallElimination,
+                Estimator::Residual(r) => {
+                    assert!((0.0..1.0).contains(&r), "{}: residual {r}", row.name);
+                    OptimizerCategory::StallElimination
+                }
+                Estimator::LatencyHiding => OptimizerCategory::LatencyHiding,
+                Estimator::Parallel => OptimizerCategory::Parallel,
+            };
+            assert_eq!(row.category, family, "{}", row.name);
+            assert!(!row.hints.is_empty(), "{}: every optimizer ships guidance", row.name);
         }
     }
 
@@ -467,13 +639,13 @@ mod tests {
         // Register in reverse: iteration order must still be catalog order.
         let mut r = OptimizerRegistry::empty();
         for id in OptimizerId::ALL.iter().rev() {
-            r.insert(builtin(*id));
+            r.insert(*id.row());
         }
         assert_eq!(r.ids(), OptimizerId::ALL.to_vec());
         assert_eq!(r.len(), 13);
 
         // Replacing a slot keeps the registry unique.
-        r.insert(builtin(OptimizerId::FastMath));
+        r.insert(*OptimizerId::FastMath.row());
         assert_eq!(r.len(), 13);
         r.remove(OptimizerId::FastMath);
         assert!(r.get(OptimizerId::FastMath).is_none());

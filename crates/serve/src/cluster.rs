@@ -5,7 +5,7 @@
 //! probes, heartbeats).
 
 use crate::client::ClientError;
-use crate::faults::{FaultPlan, PeerOp};
+use crate::faults::PeerOp;
 use crate::metrics::Metrics;
 use crate::peer::PeerTable;
 use crate::protocol::{self, members_json, PeerMeta, Request};
@@ -111,10 +111,6 @@ impl Cluster {
                 "--join {self_addr} points at this daemon; join an existing member"
             )));
         }
-        let faults = match &config.faults {
-            Some(plan) => Some(plan.clone()),
-            None => FaultPlan::from_env().map_err(invalid)?,
-        };
         let roster = Roster::new(config.peers.iter().cloned().chain([self_addr.clone()]));
         let state = ClusterState::new(roster, &self_addr);
         let (repl_tx, repl_rx) = mpsc::sync_channel(REPLICATION_QUEUE);
@@ -126,7 +122,7 @@ impl Cluster {
                 PEER_IO_TIMEOUT,
                 config.peer_trip_cooldown,
                 config.peer_retry_budget,
-                faults,
+                config.faults.clone(),
             ),
             repl_tx: Mutex::new(Some(repl_tx)),
             task_tx: Mutex::new(Some(task_tx)),

@@ -3,9 +3,9 @@
 //! A [`FaultPlan`] is a seeded script of failures — drop a call, delay
 //! it, or sever a peer's pooled connections — evaluated every time the
 //! daemon dials a peer. Chaos tests (and operators reproducing an
-//! outage) gate it through [`ServerConfig::faults`] or the
-//! `GPA_FAULTS` environment variable; production runs carry no plan
-//! and pay one branch per peer call.
+//! outage) gate it through [`ServerConfig::faults`] (`gpa serve
+//! --faults SPEC`); production runs carry no plan and pay one branch
+//! per peer call.
 //!
 //! The spec grammar is a `;`-separated list of parts:
 //!
@@ -33,9 +33,6 @@
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-
-/// The environment variable [`FaultPlan::from_env`] reads.
-pub const FAULTS_ENV: &str = "GPA_FAULTS";
 
 /// What an active fault rule does to the current peer call.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -199,21 +196,6 @@ impl FaultPlan {
             return Err("fault spec: no rules (expected `action:peer[:params]` parts)".to_string());
         }
         Ok(FaultPlan { seed, rules: rules.into() })
-    }
-
-    /// Reads a plan from [`FAULTS_ENV`]. `Ok(None)` when unset or
-    /// empty.
-    ///
-    /// # Errors
-    ///
-    /// The parse error for a set-but-malformed spec — the daemon
-    /// refuses to start on one rather than silently running without
-    /// its faults.
-    pub fn from_env() -> Result<Option<FaultPlan>, String> {
-        match std::env::var(FAULTS_ENV) {
-            Ok(spec) if !spec.trim().is_empty() => Self::parse(&spec).map(Some),
-            _ => Ok(None),
-        }
     }
 
     /// The plan's seed — shared with the retry backoff jitter so runs

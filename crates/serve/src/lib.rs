@@ -49,7 +49,7 @@ pub mod store;
 mod uploads;
 
 pub use client::{ClientError, Response, ServeClient};
-pub use faults::{FaultAction, FaultPlan, PeerOp, FAULTS_ENV};
+pub use faults::{FaultAction, FaultPlan, PeerOp};
 pub use metrics::{Metrics, ReactorStats};
 pub use protocol::{
     PeerMeta, Request, WireOptions, DEFAULT_ADDR, DEFAULT_SCHEMA, MAX_REPEAT, SCHEMA_VERSIONS,

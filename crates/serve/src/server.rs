@@ -54,7 +54,7 @@
 //! bump a background handoff pass re-ships entries the new ring maps
 //! elsewhere. Every peer call rides the hardened path in `peer.rs`:
 //! pooled connections, a circuit breaker per peer, a shared retry
-//! budget, and deterministic fault injection (`GPA_FAULTS`).
+//! budget, and deterministic fault injection (`--faults`).
 //!
 //! [`stale_epoch_frame`]: crate::protocol::stale_epoch_frame
 //! [`Roster`]: crate::ring::Roster
@@ -116,8 +116,8 @@ pub struct ServerConfig {
     /// itself there, adopts the answered roster, and enters the ring
     /// without any shard restarting. Implies cluster mode.
     pub join: Option<String>,
-    /// Deterministic peer-path fault plan (chaos tests). `None` falls
-    /// back to the `GPA_FAULTS` environment variable.
+    /// Deterministic peer-path fault plan (chaos tests); `None` injects
+    /// nothing.
     pub faults: Option<FaultPlan>,
     /// Retry-budget capacity: the token bucket shared by every
     /// budgeted peer retry (forwards).

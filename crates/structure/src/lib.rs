@@ -11,7 +11,7 @@
 //!   function (`__nv_*` / `__internal_*`), which the Function Inlining and
 //!   Fast Math optimizers match on.
 
-use gpa_cfg::{Cfg, LoopForest, LoopId};
+use gpa_cfg::{Cfg, Dominators, LoopForest, LoopId};
 use gpa_isa::{InlineFrame, Module, Visibility};
 use std::fmt;
 
@@ -30,6 +30,8 @@ pub struct FunctionInfo {
     pub end: u64,
     /// Control-flow graph.
     pub cfg: Cfg,
+    /// Dominator tree of `cfg` (the loop forest and the blamer read it).
+    pub dom: Dominators,
     /// Natural-loop forest.
     pub loops: LoopForest,
 }
@@ -76,7 +78,8 @@ impl ProgramStructure {
             .enumerate()
             .map(|(index, f)| {
                 let cfg = Cfg::build(f);
-                let loops = LoopForest::build(&cfg);
+                let dom = Dominators::build(&cfg);
+                let loops = LoopForest::build_with_dominators(&cfg, &dom);
                 FunctionInfo {
                     index,
                     name: f.name.clone(),
@@ -84,6 +87,7 @@ impl ProgramStructure {
                     base: f.base,
                     end: f.end(),
                     cfg,
+                    dom,
                     loops,
                 }
             })
