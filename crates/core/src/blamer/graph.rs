@@ -1,14 +1,18 @@
 //! Dependency graph construction, cold-edge pruning, and Eq. 1
 //! apportioning (paper Figures 4b–4d).
+//!
+//! The candidate edges, rule 2's verdict and the path lengths are
+//! functions of the module alone and come memoised from the function's
+//! [`FunctionInfo`] ([`StaticEdge`]); what is left per profile is node
+//! selection, rule 1, rule 3's latency bound (a per-session table) and
+//! Eq. 1's issue weights.
 
-use super::slice::{immediate_defs, nearest_barriers};
 use super::{DetailedReason, FunctionBlame};
 use gpa_arch::LatencyTable;
-use gpa_cfg::Cfg;
 use gpa_isa::{Function, Module, Slot};
 use gpa_sampling::{KernelProfile, PcStats, StallReason};
-use gpa_structure::FunctionInfo;
-use std::collections::BTreeMap;
+use gpa_structure::{FunctionInfo, StaticEdge};
+use std::sync::Arc;
 
 /// Which rule removed a cold edge.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -29,7 +33,7 @@ pub struct DepEdge {
     /// Stalled use instruction index.
     pub use_: usize,
     /// Slots carrying the dependency (empty for synchronization edges).
-    pub slots: Vec<Slot>,
+    pub slots: Arc<[Slot]>,
     /// Figure 5 classification by the source opcode.
     pub detail: DetailedReason,
     /// Why the edge was pruned, if it was.
@@ -39,18 +43,21 @@ pub struct DepEdge {
 /// The instruction dependency graph of one function.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct DepGraph {
-    /// Instructions with attributable stalls (graph nodes).
+    /// Instructions with attributable stalls (graph nodes), ascending.
     pub nodes: Vec<usize>,
-    /// All discovered edges, pruned ones flagged.
+    /// All discovered edges, pruned ones flagged, grouped by use in node
+    /// order.
     pub edges: Vec<DepEdge>,
 }
 
 impl DepGraph {
     /// Incoming edges of `node`, optionally skipping pruned ones.
     pub fn incoming(&self, node: usize, include_pruned: bool) -> Vec<&DepEdge> {
-        self.edges
+        let first = self.edges.partition_point(|e| e.use_ < node);
+        self.edges[first..]
             .iter()
-            .filter(|e| e.use_ == node && (include_pruned || e.pruned.is_none()))
+            .take_while(|e| e.use_ == node)
+            .filter(|e| include_pruned || e.pruned.is_none())
             .collect()
     }
 }
@@ -84,7 +91,6 @@ pub fn blame_function(
     latency: &LatencyTable,
 ) -> FunctionBlame {
     let f = &module.functions[finfo.index];
-    let (cfg, dom) = (&finfo.cfg, &finfo.dom);
     let empty = PcStats::default();
     let stats_of = |idx: usize| -> &PcStats { profile.pc(f.pc_of(idx)).unwrap_or(&empty) };
 
@@ -92,79 +98,50 @@ pub fn blame_function(
     let nodes: Vec<usize> = (0..f.instrs.len())
         .filter(|&i| REASONS.iter().any(|&r| stats_of(i).stalls(r) > 0))
         .collect();
-    if nodes.is_empty() {
-        return FunctionBlame {
-            func: finfo.index,
-            graph: DepGraph::default(),
-            edges: Vec::new(),
-            unattributed: Vec::new(),
-        };
-    }
 
-    // Build raw edges from backward slicing.
     let mut edges: Vec<DepEdge> = Vec::new();
-    for &j in &nodes {
-        let mut by_def: BTreeMap<usize, Vec<Slot>> = BTreeMap::new();
-        let mut slots: Vec<Slot> = f.instrs[j].uses();
-        slots.sort_unstable();
-        slots.dedup();
-        for slot in slots {
-            for d in immediate_defs(f, cfg, j, slot) {
-                by_def.entry(d).or_default().push(slot);
-            }
-        }
-        for (d, slots) in by_def {
-            let detail = DetailedReason::of_def(f.instrs[d].opcode);
-            edges.push(DepEdge { def: d, use_: j, slots, detail, pruned: None });
-        }
-        if stats_of(j).stalls(StallReason::Synchronization) > 0 {
-            for b in nearest_barriers(f, cfg, j) {
-                edges.push(DepEdge {
-                    def: b,
-                    use_: j,
-                    slots: Vec::new(),
-                    detail: DetailedReason::Sync,
-                    pruned: None,
-                });
-            }
-        }
-    }
-
-    // Pruning rules.
-    prune(f, cfg, latency, &mut edges, &stats_of);
-
-    // Apportioning.
     let mut blamed: Vec<BlamedEdge> = Vec::new();
     let mut unattributed: Vec<(usize, StallReason, f64, f64)> = Vec::new();
     for &j in &nodes {
         let st = stats_of(j);
+        // This node's edges: backward slices, then the nearest barriers
+        // when it waited on one, each with its pruning verdict.
+        let defs = finfo.def_edges(f, j);
+        let barriers = match st.stalls(StallReason::Synchronization) {
+            0 => &[],
+            _ => finfo.barrier_edges(f, j),
+        };
+        let first = edges.len();
+        edges.extend(defs.iter().map(|s| {
+            let detail = DetailedReason::of_def(f.instrs[s.def].opcode);
+            dep_edge(s, detail, prune(f, finfo, latency, s, detail, st))
+        }));
+        edges.extend(barriers.iter().map(|s| dep_edge(s, DetailedReason::Sync, None)));
+
+        // Apportioning, over this node's range of the edge list.
         for &r in &REASONS {
             let stalls = st.stalls(r) as f64;
             let lat_stalls = st.latency_stalls(r) as f64;
             if stalls == 0.0 && lat_stalls == 0.0 {
                 continue;
             }
-            let live: Vec<&DepEdge> = edges
+            // Eq. 1 weights: R_issue × R_path, with R_path = 1 / longest
+            // path ("the longer the path, the less stalls are blamed").
+            let live: Vec<(&DepEdge, &StaticEdge, f64)> = edges[first..]
                 .iter()
-                .filter(|e| e.use_ == j && e.pruned.is_none() && e.detail.base() == r)
+                .zip(defs.iter().chain(barriers))
+                .filter(|(e, _)| e.pruned.is_none() && e.detail.base() == r)
+                .map(|(e, s)| {
+                    let issued = stats_of(e.def).issued_samples().max(1) as f64;
+                    (e, s, issued / finfo.max_path(s).map_or(1.0, |p| (p + 1) as f64))
+                })
                 .collect();
             if live.is_empty() {
                 unattributed.push((j, r, stalls, lat_stalls));
                 continue;
             }
-            // Eq. 1 weights: R_issue × R_path, with R_path = 1 / longest
-            // path ("the longer the path, the less stalls are blamed").
-            let weights: Vec<f64> = live
-                .iter()
-                .map(|e| {
-                    let issued = stats_of(e.def).issued_samples().max(1) as f64;
-                    let path =
-                        cfg.max_instrs_between_with(dom, e.def, j).map_or(1.0, |p| (p + 1) as f64);
-                    issued / path
-                })
-                .collect();
-            let total: f64 = weights.iter().sum();
-            for (e, w) in live.iter().zip(weights.iter()) {
+            let total: f64 = live.iter().map(|(_, _, w)| w).sum();
+            for &(e, s, w) in &live {
                 let share = w / total;
                 blamed.push(BlamedEdge {
                     def: e.def,
@@ -172,7 +149,7 @@ pub fn blame_function(
                     detail: e.detail,
                     stalls: stalls * share,
                     latency: lat_stalls * share,
-                    distance: cfg.min_instrs_between(e.def, j).map_or(1, |d| d + 1),
+                    distance: finfo.min_path(s).map_or(1, |d| d + 1),
                 });
             }
         }
@@ -186,54 +163,37 @@ pub fn blame_function(
     }
 }
 
-fn prune<'p>(
+fn dep_edge(s: &StaticEdge, detail: DetailedReason, pruned: Option<PruneRule>) -> DepEdge {
+    DepEdge { def: s.def, use_: s.use_, slots: Arc::clone(&s.slots), detail, pruned }
+}
+
+/// The three cold-edge rules, in order, for one def edge into a node with
+/// stats `st`.
+fn prune(
     f: &Function,
-    cfg: &Cfg,
+    finfo: &FunctionInfo,
     latency: &LatencyTable,
-    edges: &mut [DepEdge],
-    stats_of: &dyn Fn(usize) -> &'p PcStats,
-) {
-    // Rule 2 needs: unpredicated instructions using each slot.
-    let mut users: BTreeMap<Slot, Vec<usize>> = BTreeMap::new();
-    for (i, instr) in f.instrs.iter().enumerate() {
-        if instr.pred.is_some_and(|p| !p.always()) {
-            continue;
-        }
-        for s in instr.uses() {
-            users.entry(s).or_default().push(i);
-        }
+    s: &StaticEdge,
+    detail: DetailedReason,
+    st: &PcStats,
+) -> Option<PruneRule> {
+    if detail == DetailedReason::Sync {
+        return None; // synchronization edges carry no slots
     }
-    for e in edges.iter_mut() {
-        if e.detail == DetailedReason::Sync {
-            continue; // synchronization edges carry no slots
-        }
-        // Rule 1: opcode-based. The edge's reason class must actually be
-        // observed at the stalled node.
-        let observed = stats_of(e.use_).stalls(e.detail.base()) > 0
-            || stats_of(e.use_).latency_stalls(e.detail.base()) > 0;
-        if !observed {
-            e.pruned = Some(PruneRule::Opcode);
-            continue;
-        }
-        // Rule 2: dominator-based. A non-predicated re-reader of the same
-        // slot on every def→use path would have absorbed the stall.
-        let dominated = e.slots.iter().any(|s| {
-            users.get(s).is_some_and(|ks| {
-                ks.iter().any(|&k| k != e.def && k != e.use_ && cfg.on_every_path(e.def, k, e.use_))
-            })
-        });
-        if dominated {
-            e.pruned = Some(PruneRule::Dominator);
-            continue;
-        }
-        // Rule 3: latency-based. If even the shortest path outlives the
-        // source's (upper-bound) latency, the stall cannot come from it.
-        let min_path = cfg.min_instrs_between(e.def, e.use_);
-        let bound = latency.upper_bound(&f.instrs[e.def]);
-        if min_path.is_some_and(|p| p > bound) {
-            e.pruned = Some(PruneRule::Latency);
-        }
+    // Rule 1: opcode-based. The edge's reason class must actually be
+    // observed at the stalled node.
+    if st.stalls(detail.base()) == 0 && st.latency_stalls(detail.base()) == 0 {
+        return Some(PruneRule::Opcode);
     }
+    // Rule 2: dominator-based. A non-predicated re-reader of the same
+    // slot on every def→use path would have absorbed the stall.
+    if finfo.dominated(f, s) {
+        return Some(PruneRule::Dominator);
+    }
+    // Rule 3: latency-based. If even the shortest path outlives the
+    // source's (upper-bound) latency, the stall cannot come from it.
+    let bound = latency.upper_bound(&f.instrs[s.def]);
+    finfo.min_path(s).is_some_and(|p| p > bound).then_some(PruneRule::Latency)
 }
 
 #[cfg(test)]

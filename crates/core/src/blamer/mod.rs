@@ -5,14 +5,16 @@
 //! are caused by *source* instructions. The blamer finds those sources:
 //!
 //! 1. [`slice`](mod@slice) — backward slicing over def–use chains, with virtual
-//!    barrier registers (Figure 3) and predicate-cover search (Figure 4a),
+//!    barrier registers (Figure 3) and predicate-cover search (Figure 4a);
+//!    it needs the module alone, so it lives in `gpa_structure` and its
+//!    results are memoised there,
 //! 2. [`graph`] — dependency-graph construction, the three cold-edge
 //!    pruning rules, and Eq. 1 apportioning (Figures 4b–4d),
 //! 3. [`coverage`] — the single-dependency coverage metric of Figure 7.
 
 pub mod coverage;
 pub mod graph;
-pub mod slice;
+pub use gpa_structure::slice;
 
 pub use coverage::{single_dependency_coverage, CoverageReport};
 pub use graph::{BlamedEdge, DepEdge, DepGraph, PruneRule};
@@ -99,7 +101,7 @@ impl fmt::Display for DetailedReason {
 }
 
 /// Blame analysis of one function.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct FunctionBlame {
     /// Function index in the module.
     pub func: usize,
@@ -113,7 +115,7 @@ pub struct FunctionBlame {
 }
 
 /// Blame analysis of a whole module against one profile.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ModuleBlame {
     /// Per-function results, aligned with `Module::functions`.
     pub functions: Vec<FunctionBlame>,

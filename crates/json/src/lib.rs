@@ -7,6 +7,7 @@
 //! across runs; numbers keep full `u64`/`i64` precision instead of going
 //! through `f64`.
 
+use std::borrow::Cow;
 use std::fmt;
 
 /// A JSON number preserving integer precision.
@@ -247,13 +248,9 @@ impl Json {
     ///
     /// On malformed input (with byte offset context).
     pub fn parse(text: &str) -> Result<Json> {
-        let mut p = Parser { bytes: text.as_bytes(), pos: 0, depth: 0 };
-        p.skip_ws();
-        let v = p.value()?;
-        p.skip_ws();
-        if p.pos != p.bytes.len() {
-            return Err(p.err("trailing characters"));
-        }
+        let mut r = Reader::new(text);
+        let v = r.value()?;
+        r.finish()?;
         Ok(v)
     }
 
@@ -410,25 +407,70 @@ impl fmt::Display for Json {
 /// deeply-nested input into an `Err` instead of a stack overflow.
 const MAX_DEPTH: u32 = 128;
 
-struct Parser<'a> {
-    bytes: &'a [u8],
+/// A pull reader over JSON text: the one lexer under [`Json::parse`],
+/// [`Reader::skip`] and [`compact`], so all three accept the same
+/// documents and report the same errors at the same byte offsets (every
+/// `Result` below is that error).
+///
+/// A decoder that does not want the tree walks a document with
+/// [`open`](Reader::open) / [`key`](Reader::key) /
+/// [`element`](Reader::element) and takes each member as a tree
+/// ([`value`](Reader::value)), as its validated text
+/// ([`skip`](Reader::skip), which allocates nothing) or, the common
+/// case in a counter table, as a number ([`unsigned`](Reader::unsigned)).
+pub struct Reader<'a> {
+    text: &'a str,
     pos: usize,
     depth: u32,
+    /// The container just opened has not yielded a member yet.
+    fresh: bool,
 }
 
-impl Parser<'_> {
+impl<'a> Reader<'a> {
+    /// A reader at the start of `text`.
+    pub fn new(text: &'a str) -> Self {
+        Reader { text, pos: 0, depth: 0, fresh: false }
+    }
+
     fn err(&self, msg: &str) -> JsonError {
         JsonError::new(format!("{msg} at byte {}", self.pos))
     }
 
     fn peek(&self) -> Option<u8> {
-        self.bytes.get(self.pos).copied()
+        self.text.as_bytes().get(self.pos).copied()
     }
 
     fn skip_ws(&mut self) {
         while matches!(self.peek(), Some(b' ' | b'\t' | b'\n' | b'\r')) {
             self.pos += 1;
         }
+    }
+
+    /// Byte offset of the next unread byte.
+    pub fn offset(&self) -> usize {
+        self.pos
+    }
+
+    /// The digits of the next number when digits are all it is (no sign,
+    /// fraction or exponent); nothing is consumed.
+    fn digits(&self) -> Option<&'a str> {
+        let bytes = self.text.as_bytes();
+        let mut end = self.pos;
+        while bytes.get(end).is_some_and(u8::is_ascii_digit) {
+            end += 1;
+        }
+        let plain = end > self.pos && !matches!(bytes.get(end), Some(b'.' | b'e' | b'E'));
+        plain.then(|| &self.text[self.pos..end])
+    }
+
+    /// Consumes the next value when it is a plain unsigned integer that
+    /// fits `u64`; `None` (nothing consumed) for everything else.
+    pub fn unsigned(&mut self) -> Option<u64> {
+        self.skip_ws();
+        let digits = self.digits()?;
+        let v = digits.parse().ok()?;
+        self.pos += digits.len();
+        Some(v)
     }
 
     fn expect(&mut self, b: u8) -> Result<()> {
@@ -440,146 +482,212 @@ impl Parser<'_> {
         }
     }
 
-    fn literal(&mut self, word: &str, value: Json) -> Result<Json> {
-        if self.bytes[self.pos..].starts_with(word.as_bytes()) {
-            self.pos += word.len();
-            Ok(value)
+    /// Enters the next value when it is the container that opens with
+    /// `bracket` (`{` or `[`); `Ok(false)`, nothing consumed, when it is
+    /// anything else.
+    pub fn open(&mut self, bracket: u8) -> Result<bool> {
+        self.skip_ws();
+        if self.peek() != Some(bracket) {
+            return Ok(false);
+        }
+        self.pos += 1;
+        self.depth += 1;
+        if self.depth > MAX_DEPTH {
+            return Err(self.err("nesting too deep"));
+        }
+        self.fresh = true;
+        Ok(true)
+    }
+
+    /// Steps to the next member of the open container: `Ok(false)` once
+    /// its closing `close` bracket is consumed.
+    fn step(&mut self, close: u8) -> Result<bool> {
+        let fresh = std::mem::take(&mut self.fresh);
+        self.skip_ws();
+        match self.peek() {
+            Some(b) if b == close => {
+                self.pos += 1;
+                self.depth -= 1;
+                return Ok(false);
+            }
+            Some(b',') if !fresh => self.pos += 1,
+            _ if fresh => {}
+            _ => return Err(self.err(&format!("expected `,` or `{}`", close as char))),
+        }
+        self.skip_ws();
+        Ok(true)
+    }
+
+    /// The next member key of the open object (borrowed unless it holds
+    /// escapes), or `None` once the object is closed.
+    pub fn key(&mut self) -> Result<Option<Cow<'a, str>>> {
+        if !self.step(b'}')? {
+            return Ok(None);
+        }
+        let key = self.string()?;
+        self.skip_ws();
+        self.expect(b':')?;
+        Ok(Some(key))
+    }
+
+    /// Whether the open array has another element (its closing bracket is
+    /// consumed when not).
+    pub fn element(&mut self) -> Result<bool> {
+        self.step(b']')
+    }
+
+    /// Requires that only whitespace remains.
+    pub fn finish(&mut self) -> Result<()> {
+        self.skip_ws();
+        if self.pos != self.text.len() {
+            return Err(self.err("trailing characters"));
+        }
+        Ok(())
+    }
+
+    /// Parses the next value into a tree.
+    pub fn value(&mut self) -> Result<Json> {
+        if self.open(b'[')? {
+            let mut items = Vec::new();
+            while self.element()? {
+                items.push(self.value()?);
+            }
+            Ok(Json::Arr(items))
+        } else if self.open(b'{')? {
+            let mut entries = Vec::new();
+            while let Some(key) = self.key()? {
+                entries.push((key.into_owned(), self.value()?));
+            }
+            Ok(Json::Obj(entries))
+        } else if self.peek() == Some(b'"') {
+            Ok(Json::Str(self.string()?.into_owned()))
         } else {
-            Err(self.err("invalid literal"))
+            self.scalar()
         }
     }
 
-    fn value(&mut self) -> Result<Json> {
+    /// Validates the next value without building it and returns its
+    /// text.
+    pub fn skip(&mut self) -> Result<&'a str> {
+        self.skip_ws();
+        let start = self.pos;
+        self.walk(&mut None)?;
+        Ok(&self.text[start..self.pos])
+    }
+
+    /// Walks the next value, writing its compact rendering when asked.
+    fn walk(&mut self, out: &mut Option<&mut String>) -> Result<()> {
+        fn put(out: &mut Option<&mut String>, s: &str) {
+            if let Some(out) = out {
+                out.push_str(s);
+            }
+        }
+        let mut sep = "";
+        if self.open(b'[')? {
+            put(out, "[");
+            while self.element()? {
+                put(out, std::mem::replace(&mut sep, ","));
+                self.walk(out)?;
+            }
+            put(out, "]");
+        } else if self.open(b'{')? {
+            put(out, "{");
+            while let Some(key) = self.key()? {
+                if let Some(out) = out {
+                    out.push_str(std::mem::replace(&mut sep, ","));
+                    write_escaped(out, &key);
+                    out.push(':');
+                }
+                self.walk(out)?;
+            }
+            put(out, "}");
+        } else if self.peek() == Some(b'"') {
+            let s = self.string()?;
+            if let Some(out) = out {
+                write_escaped(out, &s);
+            }
+        } else if let Some(digits) =
+            self.digits().filter(|d| d.len() < 20 && (d.len() == 1 || !d.starts_with('0')))
+        {
+            // A canonical unsigned integer is its own rendering.
+            self.pos += digits.len();
+            put(out, digits);
+        } else {
+            let v = self.scalar()?;
+            if let Some(out) = out {
+                v.write_compact(out);
+            }
+        }
+        Ok(())
+    }
+
+    /// A literal or a number.
+    fn scalar(&mut self) -> Result<Json> {
+        let literal = |r: &mut Self, word: &str, value: Json| {
+            if r.text.as_bytes()[r.pos..].starts_with(word.as_bytes()) {
+                r.pos += word.len();
+                Ok(value)
+            } else {
+                Err(r.err("invalid literal"))
+            }
+        };
         match self.peek() {
-            Some(b'n') => self.literal("null", Json::Null),
-            Some(b't') => self.literal("true", Json::Bool(true)),
-            Some(b'f') => self.literal("false", Json::Bool(false)),
-            Some(b'"') => Ok(Json::Str(self.string()?)),
-            Some(b'[') => self.array(),
-            Some(b'{') => self.object(),
+            Some(b'n') => literal(self, "null", Json::Null),
+            Some(b't') => literal(self, "true", Json::Bool(true)),
+            Some(b'f') => literal(self, "false", Json::Bool(false)),
             Some(c) if c == b'-' || c.is_ascii_digit() => self.number(),
             _ => Err(self.err("expected a value")),
         }
     }
 
-    fn enter(&mut self) -> Result<()> {
-        self.depth += 1;
-        if self.depth > MAX_DEPTH {
-            return Err(self.err("nesting too deep"));
-        }
-        Ok(())
-    }
-
-    fn array(&mut self) -> Result<Json> {
-        self.expect(b'[')?;
-        self.enter()?;
-        let mut items = Vec::new();
-        self.skip_ws();
-        if self.peek() == Some(b']') {
-            self.pos += 1;
-            self.depth -= 1;
-            return Ok(Json::Arr(items));
-        }
-        loop {
-            self.skip_ws();
-            items.push(self.value()?);
-            self.skip_ws();
-            match self.peek() {
-                Some(b',') => self.pos += 1,
-                Some(b']') => {
-                    self.pos += 1;
-                    self.depth -= 1;
-                    return Ok(Json::Arr(items));
-                }
-                _ => return Err(self.err("expected `,` or `]`")),
-            }
-        }
-    }
-
-    fn object(&mut self) -> Result<Json> {
-        self.expect(b'{')?;
-        self.enter()?;
-        let mut entries = Vec::new();
-        self.skip_ws();
-        if self.peek() == Some(b'}') {
-            self.pos += 1;
-            self.depth -= 1;
-            return Ok(Json::Obj(entries));
-        }
-        loop {
-            self.skip_ws();
-            let key = self.string()?;
-            self.skip_ws();
-            self.expect(b':')?;
-            self.skip_ws();
-            entries.push((key, self.value()?));
-            self.skip_ws();
-            match self.peek() {
-                Some(b',') => self.pos += 1,
-                Some(b'}') => {
-                    self.pos += 1;
-                    self.depth -= 1;
-                    return Ok(Json::Obj(entries));
-                }
-                _ => return Err(self.err("expected `,` or `}`")),
-            }
-        }
-    }
-
-    fn string(&mut self) -> Result<String> {
+    fn string(&mut self) -> Result<Cow<'a, str>> {
         self.expect(b'"')?;
-        let mut out = String::new();
+        let mut out = Cow::Borrowed("");
         loop {
+            let run = self.pos;
+            while !matches!(self.peek(), None | Some(b'"' | b'\\')) {
+                self.pos += 1;
+            }
+            // Up to its first escape a string is its own text (a `str`:
+            // the UTF-8 needs no re-checking), and most have none.
+            match &mut out {
+                Cow::Borrowed("") => out = Cow::Borrowed(&self.text[run..self.pos]),
+                out => out.to_mut().push_str(&self.text[run..self.pos]),
+            }
             let Some(b) = self.peek() else { return Err(self.err("unterminated string")) };
             self.pos += 1;
-            match b {
-                b'"' => return Ok(out),
-                b'\\' => {
-                    let Some(esc) = self.peek() else {
-                        return Err(self.err("unterminated escape"));
-                    };
-                    self.pos += 1;
-                    match esc {
-                        b'"' => out.push('"'),
-                        b'\\' => out.push('\\'),
-                        b'/' => out.push('/'),
-                        b'n' => out.push('\n'),
-                        b'r' => out.push('\r'),
-                        b't' => out.push('\t'),
-                        b'b' => out.push('\u{8}'),
-                        b'f' => out.push('\u{c}'),
-                        b'u' => {
-                            let hex = self
-                                .bytes
-                                .get(self.pos..self.pos + 4)
-                                .ok_or_else(|| self.err("truncated \\u escape"))?;
-                            let hex =
-                                std::str::from_utf8(hex).map_err(|_| self.err("bad \\u escape"))?;
-                            let code = u32::from_str_radix(hex, 16)
-                                .map_err(|_| self.err("bad \\u escape"))?;
-                            self.pos += 4;
-                            // Surrogate pairs are not needed by our own
-                            // output (which never escapes above 0x1F).
-                            out.push(
-                                char::from_u32(code)
-                                    .ok_or_else(|| self.err("bad \\u code point"))?,
-                            );
-                        }
-                        _ => return Err(self.err("unknown escape")),
-                    }
-                }
-                _ => {
-                    // Re-decode the UTF-8 sequence starting at b.
-                    let start = self.pos - 1;
-                    let len = utf8_len(b);
-                    let end = start + len;
-                    let chunk =
-                        self.bytes.get(start..end).ok_or_else(|| self.err("truncated utf-8"))?;
-                    let s = std::str::from_utf8(chunk).map_err(|_| self.err("invalid utf-8"))?;
-                    out.push_str(s);
-                    self.pos = end;
-                }
+            if b == b'"' {
+                return Ok(out);
             }
+            let Some(esc) = self.peek() else {
+                return Err(self.err("unterminated escape"));
+            };
+            self.pos += 1;
+            out.to_mut().push(match esc {
+                b'"' => '"',
+                b'\\' => '\\',
+                b'/' => '/',
+                b'n' => '\n',
+                b'r' => '\r',
+                b't' => '\t',
+                b'b' => '\u{8}',
+                b'f' => '\u{c}',
+                b'u' => {
+                    let hex = self
+                        .text
+                        .as_bytes()
+                        .get(self.pos..self.pos + 4)
+                        .ok_or_else(|| self.err("truncated \\u escape"))?;
+                    let hex = std::str::from_utf8(hex).map_err(|_| self.err("bad \\u escape"))?;
+                    let code =
+                        u32::from_str_radix(hex, 16).map_err(|_| self.err("bad \\u escape"))?;
+                    self.pos += 4;
+                    // Surrogate pairs are not needed by our own
+                    // output (which never escapes above 0x1F).
+                    char::from_u32(code).ok_or_else(|| self.err("bad \\u code point"))?
+                }
+                _ => return Err(self.err("unknown escape")),
+            });
         }
     }
 
@@ -609,8 +717,7 @@ impl Parser<'_> {
                 self.pos += 1;
             }
         }
-        let text =
-            std::str::from_utf8(&self.bytes[start..self.pos]).expect("number bytes are ascii");
+        let text = &self.text[start..self.pos];
         if !is_float {
             if let Ok(v) = text.parse::<u64>() {
                 return Ok(Json::Num(Num::U(v)));
@@ -623,13 +730,16 @@ impl Parser<'_> {
     }
 }
 
-fn utf8_len(first: u8) -> usize {
-    match first {
-        0x00..=0x7F => 1,
-        0xC0..=0xDF => 2,
-        0xE0..=0xEF => 3,
-        _ => 4,
-    }
+/// The compact rendering of one JSON value's text, byte-identical to
+/// `Json::parse(text)?.compact()` without building the tree — how the
+/// daemon canonicalises an uploaded document for content addressing. It
+/// fails exactly where, and with what, [`Json::parse`] would.
+pub fn compact(text: &str) -> Result<String> {
+    let mut out = String::with_capacity(text.len());
+    let mut r = Reader::new(text);
+    r.walk(&mut Some(&mut out))?;
+    r.finish()?;
+    Ok(out)
 }
 
 #[cfg(test)]

@@ -140,3 +140,60 @@ fn deep_nesting_error_mentions_depth() {
     let err = Json::parse(&deep).unwrap_err();
     assert!(err.to_string().contains("nesting too deep"), "{err}");
 }
+
+/// `compact`, `Reader::skip` and `Json::parse` are one lexer: over token
+/// soups and nested documents with awkward numbers, spacing and escapes
+/// they accept the same texts, fail with the same message at the same
+/// byte, and `compact` writes the tree's compact rendering byte for byte.
+#[test]
+fn reader_skip_and_compact_agree_with_the_tree() {
+    #[rustfmt::skip]
+    const ATOMS: &[&str] = &[
+        "{", "}", "[", "]", ",", ":", "\"", "\\", "\\u0041", "\\u00", "\\n", "\\q", "null", "true",
+        "false", "tru", "0", "-0", "-", "1", "12", "007", "1.5", "1e2", "1e", "1.", "-.5", "e",
+        "18446744073709551615", "18446744073709551616", "-9223372036854775809", " ", "\n", "\t",
+        "a", "é", "\u{1}", "\"k\"", "\"k\":1", "{\"a\":[1,2,{\"b\":null}]}", "[[]]", "{}",
+    ];
+    fn document(g: &mut Gen, depth: u32) -> String {
+        let ws = ["", " ", "\r\n\t"][(g.next() % 3) as usize];
+        let members = g.next() % 4;
+        match g.next() % if depth > 3 { 4 } else { 6 } {
+            0 => ["null", "true", "false"][(g.next() % 3) as usize].to_string(),
+            1 | 2 => ATOMS[16 + (g.next() % 15) as usize].to_string(),
+            3 => format!(
+                "\"{}\"",
+                ["", "a", "é\\n", "\\u0041\\/", "x\u{1}y"][(g.next() % 5) as usize]
+            ),
+            4 => {
+                let items: Vec<String> = (0..members).map(|_| document(g, depth + 1)).collect();
+                format!("[{ws}{}{ws}]", items.join(&format!("{ws},{ws}")))
+            }
+            _ => {
+                let entries: Vec<String> = (0..members)
+                    .map(|i| format!("\"k{}\"{ws}:{ws}{}", i % 2, document(g, depth + 1)))
+                    .collect();
+                format!("{{{ws}{}{ws}}}", entries.join(&format!("{ws},{ws}")))
+            }
+        }
+    }
+    let mut g = Gen(21);
+    let (mut accepted, mut rejected) = (0, 0);
+    for case in 0..20_000 {
+        let text: String = if case % 2 == 0 {
+            (0..1 + g.next() % 10).map(|_| ATOMS[(g.next() as usize) % ATOMS.len()]).collect()
+        } else {
+            document(&mut g, 0)
+        };
+        let tree = Json::parse(&text).map(|v| v.compact()).map_err(|e| e.to_string());
+        assert_eq!(gpa_json::compact(&text).map_err(|e| e.to_string()), tree, "compact {text:?}");
+        let mut reader = gpa_json::Reader::new(&text);
+        let span = reader.skip().and_then(|span| reader.finish().map(|()| span));
+        match (&tree, span) {
+            (Ok(_), Ok(span)) => assert_eq!(span, text.trim_matches([' ', '\t', '\n', '\r'])),
+            (Err(want), Err(got)) => assert_eq!(&got.to_string(), want, "skip {text:?}"),
+            (want, got) => panic!("skip disagrees on {text:?}: {want:?} vs {got:?}"),
+        }
+        *if tree.is_ok() { &mut accepted } else { &mut rejected } += 1;
+    }
+    assert!(accepted > 5_000 && rejected > 5_000, "{accepted} accepted, {rejected} rejected");
+}

@@ -51,7 +51,7 @@ pub fn armed_gpu_with(spec: &KernelSpec, arch: &ArchConfig, cfg: SimConfig) -> (
 /// Arms a device for a spec under an explicit simulator configuration
 /// and launches it — the shared glue for harnesses that need a raw
 /// [`gpa_sim::LaunchResult`] (e.g. the dense-vs-event differential
-/// tests and benches).
+/// tests).
 ///
 /// # Errors
 ///

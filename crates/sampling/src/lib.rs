@@ -27,6 +27,9 @@
 //! [`Profiler::profile_repeat`] drives CUPTI-replay-style noise
 //! reduction on top. See `docs/profiling.md` for the full model.
 
+mod decode;
+#[cfg(test)]
+mod oracle;
 pub mod profile;
 pub mod profiler;
 

@@ -10,7 +10,7 @@ use std::fmt;
 use std::io;
 use std::path::Path;
 
-const N_REASONS: usize = gpa_sim::N_REASONS;
+pub(crate) const N_REASONS: usize = gpa_sim::N_REASONS;
 
 /// Sample statistics for one program counter.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
@@ -378,160 +378,28 @@ impl KernelProfile {
             .with("icache_misses", self.icache_misses)
     }
 
-    /// Parses a profile from JSON text.
+    /// Parses a profile from JSON text, straight into the profile (no
+    /// document tree is built).
+    ///
+    /// Validation is **strict**: unknown and repeated fields (at the top
+    /// level, in `launch`, `occupancy` and each per-PC stats object) are
+    /// rejected rather than silently dropped, a PC key must be its own
+    /// canonical decimal rendering and may not repeat, and the document
+    /// must be internally consistent — each PC's `total` must equal the
+    /// sum of its stall-reason counters, latency counters can never
+    /// exceed their all-sample counterparts, and the kernel totals must
+    /// equal the sums over the `pcs` table.
     ///
     /// # Errors
     ///
-    /// Returns a [`gpa_json::JsonError`] on malformed input.
+    /// Returns a [`gpa_json::JsonError`] on malformed JSON, or when
+    /// fields are missing, of the wrong type, unknown, repeated, or
+    /// inconsistent.
     pub fn from_json(s: &str) -> gpa_json::Result<Self> {
-        Self::from_doc(&Json::parse(s)?)
-    }
-
-    /// Builds a profile from an already-parsed JSON document (e.g. a
-    /// subtree of a larger request object).
-    ///
-    /// Validation is **strict**: unknown fields (at the top level and
-    /// inside each per-PC stats object) are rejected rather than
-    /// silently dropped, and the document must be internally consistent
-    /// — each PC's `total` must equal the sum of its stall-reason
-    /// counters, latency counters can never exceed their all-sample
-    /// counterparts, and the kernel totals must equal the sums over the
-    /// `pcs` table.
-    ///
-    /// # Errors
-    ///
-    /// Returns a [`gpa_json::JsonError`] when fields are missing, of
-    /// the wrong type, unknown, or inconsistent.
-    pub fn from_doc(doc: &Json) -> gpa_json::Result<Self> {
-        let launch = doc.field("launch")?;
-        let occ = doc.field("occupancy")?;
-        let mut pcs = BTreeMap::new();
-        for (key, stats) in doc.field("pcs")?.entries()? {
-            let pc: u64 = key
-                .parse()
-                .map_err(|_| gpa_json::JsonError::from_msg(format!("bad pc key `{key}`")))?;
-            let st = PcStats {
-                total: stats.field("total")?.as_u64()?,
-                by_reason: reason_array(stats.field("by_reason")?)?,
-                latency_by_reason: reason_array(stats.field("latency_by_reason")?)?,
-            };
-            reject_unknown_keys(stats, &["total", "by_reason", "latency_by_reason"], "pc stats")?;
-            // Checked sum: a crafted document whose counters overflow
-            // u64 must be rejected, not silently wrapped past the very
-            // consistency check below.
-            let sum = checked_sum(st.by_reason.iter().copied()).ok_or_else(|| {
-                gpa_json::JsonError::from_msg(format!("pc {pc}: stall-reason counters overflow"))
-            })?;
-            if sum != st.total {
-                return Err(gpa_json::JsonError::from_msg(format!(
-                    "pc {pc}: `total` is {} but its stall-reason counters sum to {sum}",
-                    st.total
-                )));
-            }
-            for (i, (&all, &lat)) in st.by_reason.iter().zip(&st.latency_by_reason).enumerate() {
-                if lat > all {
-                    let reason = StallReason::from_code(i as u8).expect("index within ALL");
-                    return Err(gpa_json::JsonError::from_msg(format!(
-                        "pc {pc}: {lat} latency samples exceed {all} total for reason `{reason}`"
-                    )));
-                }
-            }
-            pcs.insert(pc, st);
-        }
-        let profile = KernelProfile {
-            kernel: doc.field("kernel")?.as_str()?.to_string(),
-            module_name: doc.field("module_name")?.as_str()?.to_string(),
-            arch: doc.field("arch")?.as_str()?.to_string(),
-            period: doc.field("period")?.as_u32()?,
-            launch: LaunchConfig {
-                grid_blocks: launch.field("grid_blocks")?.as_u32()?,
-                block_threads: launch.field("block_threads")?.as_u32()?,
-                regs_per_thread: launch.field("regs_per_thread")?.as_u32()?,
-                smem_per_block: launch.field("smem_per_block")?.as_u32()?,
-            },
-            occupancy: Occupancy {
-                blocks_per_sm: occ.field("blocks_per_sm")?.as_u32()?,
-                warps_per_sm: occ.field("warps_per_sm")?.as_u32()?,
-                warps_per_scheduler: occ.field("warps_per_scheduler")?.as_f64()?,
-                limiter: limiter_from_str(occ.field("limiter")?.as_str()?)?,
-                ratio: occ.field("ratio")?.as_f64()?,
-            },
-            cycles: doc.field("cycles")?.as_u64()?,
-            issued: doc.field("issued")?.as_u64()?,
-            pcs,
-            total_samples: doc.field("total_samples")?.as_u64()?,
-            active_samples: doc.field("active_samples")?.as_u64()?,
-            latency_samples: doc.field("latency_samples")?.as_u64()?,
-            mem_transactions: doc.field("mem_transactions")?.as_u64()?,
-            l2_hits: doc.field("l2_hits")?.as_u64()?,
-            l2_misses: doc.field("l2_misses")?.as_u64()?,
-            icache_misses: doc.field("icache_misses")?.as_u64()?,
-        };
-        reject_unknown_keys(
-            doc,
-            &[
-                "kernel",
-                "module_name",
-                "arch",
-                "period",
-                "launch",
-                "occupancy",
-                "cycles",
-                "issued",
-                "pcs",
-                "total_samples",
-                "active_samples",
-                "latency_samples",
-                "mem_transactions",
-                "l2_hits",
-                "l2_misses",
-                "icache_misses",
-            ],
-            "profile",
-        )?;
-        reject_unknown_keys(
-            launch,
-            &["grid_blocks", "block_threads", "regs_per_thread", "smem_per_block"],
-            "launch",
-        )?;
-        reject_unknown_keys(
-            occ,
-            &["blocks_per_sm", "warps_per_sm", "warps_per_scheduler", "limiter", "ratio"],
-            "occupancy",
-        )?;
-        // Kernel totals must agree with the per-PC table — a truncated
-        // or hand-edited profile is rejected, not silently accepted.
-        // Sums are checked: an overflowing table can never match a
-        // (necessarily in-range) declared total.
-        let pc_total = checked_sum(profile.pcs.values().map(|s| s.total));
-        if pc_total != Some(profile.total_samples) {
-            return Err(gpa_json::JsonError::from_msg(format!(
-                "`total_samples` is {} but the pcs table sums to {}",
-                profile.total_samples,
-                pc_total.map_or_else(|| "more than u64::MAX".to_string(), |t| t.to_string()),
-            )));
-        }
-        // Per-PC validation above bounds each entry's latency sum by its
-        // (in-range) total, so this checked sum can only overflow if the
-        // pc_total check would already have failed; it stays checked for
-        // symmetry.
-        let pc_latency = checked_sum(profile.pcs.values().map(PcStats::latency_total));
-        if pc_latency != Some(profile.latency_samples) {
-            return Err(gpa_json::JsonError::from_msg(format!(
-                "`latency_samples` is {} but the pcs table sums to {}",
-                profile.latency_samples,
-                pc_latency.map_or_else(|| "more than u64::MAX".to_string(), |t| t.to_string()),
-            )));
-        }
-        if profile.active_samples.checked_add(profile.latency_samples)
-            != Some(profile.total_samples)
-        {
-            return Err(gpa_json::JsonError::from_msg(format!(
-                "`active_samples` ({}) + `latency_samples` ({}) != `total_samples` ({})",
-                profile.active_samples, profile.latency_samples, profile.total_samples
-            )));
-        }
-        Ok(profile)
+        let mut reader = gpa_json::Reader::new(s);
+        let profile = Self::from_reader(&mut reader)?;
+        reader.finish()?;
+        profile
     }
 
     /// Writes the profile to a file.
@@ -665,29 +533,6 @@ impl ProfileBuilder {
     }
 }
 
-/// Overflow-checked sum for validating untrusted counter tables.
-fn checked_sum(values: impl Iterator<Item = u64>) -> Option<u64> {
-    let mut acc = 0u64;
-    for v in values {
-        acc = acc.checked_add(v)?;
-    }
-    Some(acc)
-}
-
-/// Rejects fields outside `known` so schema typos and foreign data are
-/// surfaced instead of silently accepted.
-fn reject_unknown_keys(doc: &Json, known: &[&str], what: &str) -> gpa_json::Result<()> {
-    for (key, _) in doc.entries()? {
-        if !known.contains(&key.as_str()) {
-            return Err(gpa_json::JsonError::from_msg(format!(
-                "unknown field `{key}` in {what} (expected one of: {})",
-                known.join(", ")
-            )));
-        }
-    }
-    Ok(())
-}
-
 fn limiter_str(l: OccLimiter) -> &'static str {
     match l {
         OccLimiter::Warps => "Warps",
@@ -698,7 +543,7 @@ fn limiter_str(l: OccLimiter) -> &'static str {
     }
 }
 
-fn limiter_from_str(s: &str) -> gpa_json::Result<OccLimiter> {
+pub(crate) fn limiter_from_str(s: &str) -> gpa_json::Result<OccLimiter> {
     Ok(match s {
         "Warps" => OccLimiter::Warps,
         "Registers" => OccLimiter::Registers,
@@ -707,21 +552,6 @@ fn limiter_from_str(s: &str) -> gpa_json::Result<OccLimiter> {
         "GridSize" => OccLimiter::GridSize,
         _ => return Err(gpa_json::JsonError::from_msg(format!("unknown limiter `{s}`"))),
     })
-}
-
-fn reason_array(v: &Json) -> gpa_json::Result<[u64; N_REASONS]> {
-    let items = v.as_array()?;
-    if items.len() != N_REASONS {
-        return Err(gpa_json::JsonError::from_msg(format!(
-            "expected {N_REASONS} stall-reason counters, got {}",
-            items.len()
-        )));
-    }
-    let mut out = [0u64; N_REASONS];
-    for (slot, item) in out.iter_mut().zip(items) {
-        *slot = item.as_u64()?;
-    }
-    Ok(out)
 }
 
 impl PcStats {

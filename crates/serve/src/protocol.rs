@@ -323,6 +323,43 @@ fn strings_of(v: &Json, field: &str) -> Result<Vec<String>, String> {
     }
 }
 
+/// One request line's top-level members: the control fields as a small
+/// tree, the two bulk payloads (first occurrence) without one — an
+/// uploaded `profile` decoded in the same pass, with its schema verdict
+/// and its text; a replicated `body` as validated text.
+struct Frame<'a> {
+    doc: Json,
+    profile: Option<(gpa_json::Result<KernelProfile>, &'a str)>,
+    body: Option<&'a str>,
+}
+
+impl<'a> Frame<'a> {
+    fn scan(line: &'a str) -> gpa_json::Result<Self> {
+        let mut reader = gpa_json::Reader::new(line);
+        let (mut profile, mut body) = (None, None);
+        let doc = if reader.open(b'{')? {
+            let mut fields = Vec::new();
+            while let Some(key) = reader.key()? {
+                match &*key {
+                    "profile" if profile.is_none() => {
+                        let start = reader.offset();
+                        let decoded = KernelProfile::from_reader(&mut reader)?;
+                        profile = Some((decoded, &line[start..reader.offset()]));
+                    }
+                    "body" if body.is_none() => body = Some(reader.skip()?),
+                    "profile" | "body" => drop(reader.skip()?),
+                    _ => fields.push((key.into_owned(), reader.value()?)),
+                }
+            }
+            Json::Obj(fields)
+        } else {
+            reader.value()?
+        };
+        reader.finish()?;
+        Ok(Frame { doc, profile, body })
+    }
+}
+
 /// A parsed client request.
 #[derive(Debug, Clone)]
 pub enum Request {
@@ -451,7 +488,8 @@ impl Request {
     /// A human-readable message on malformed JSON, a missing/unknown
     /// `op`, or invalid op arguments.
     pub fn parse(line: &str) -> Result<Request, String> {
-        let doc = Json::parse(line).map_err(|e| format!("malformed request: {e}"))?;
+        let Frame { doc, profile, body } =
+            Frame::scan(line).map_err(|e| format!("malformed request: {e}"))?;
         let op = doc
             .get("op")
             .ok_or("missing `op` field")?
@@ -466,15 +504,9 @@ impl Request {
                 // document, which can be megabytes.
                 let job = job_from(&doc)?;
                 let options = no_repeat(WireOptions::parse(&doc)?, op)?;
-                let profile_doc = doc.get("profile").ok_or("missing `profile` field")?;
-                let profile = KernelProfile::from_doc(profile_doc)
-                    .map_err(|e| format!("bad `profile`: {e}"))?;
-                Ok(Request::AnalyzeProfile {
-                    job,
-                    profile: Box::new(profile),
-                    canon: profile_doc.compact(),
-                    options,
-                })
+                let (profile, text) = profile_from(profile)?;
+                let canon = gpa_json::compact(text).map_err(|e| e.to_string())?;
+                Ok(Request::AnalyzeProfile { job, profile, canon, options })
             }
             "profile_begin" => Ok(Request::ProfileBegin {
                 job: job_from(&doc)?,
@@ -482,10 +514,7 @@ impl Request {
             }),
             "profile_chunk" => {
                 let upload_id = upload_id_from(&doc)?;
-                let profile_doc = doc.get("profile").ok_or("missing `profile` field")?;
-                let profile = KernelProfile::from_doc(profile_doc)
-                    .map_err(|e| format!("bad `profile`: {e}"))?;
-                Ok(Request::ProfileChunk { upload_id, profile: Box::new(profile) })
+                Ok(Request::ProfileChunk { upload_id, profile: profile_from(profile)?.0 })
             }
             "profile_end" => Ok(Request::ProfileEnd { upload_id: upload_id_from(&doc)? }),
             "profile_abort" => Ok(Request::ProfileAbort { upload_id: upload_id_from(&doc)? }),
@@ -495,7 +524,8 @@ impl Request {
                 // The body is re-rendered compactly; compact JSON
                 // round-trips byte-identically (gpa-json's proptests),
                 // so the admitted replica equals the owner's bytes.
-                let body = doc.get("body").ok_or("missing `body` field")?.compact();
+                let body = gpa_json::compact(body.ok_or("missing `body` field")?)
+                    .map_err(|e| e.to_string())?;
                 Ok(Request::StorePut { key, body, meta: PeerMeta::parse(&doc)? })
             }
             "join" => {
@@ -710,6 +740,14 @@ fn no_repeat(options: WireOptions, op: &str) -> Result<WireOptions, String> {
         return Err(format!("`repeat` is not supported by `{op}` (use it on `analyze`)"));
     }
     Ok(options)
+}
+
+/// A frame's decoded profile document and its text (for canonicalising).
+fn profile_from(
+    profile: Option<(gpa_json::Result<KernelProfile>, &str)>,
+) -> Result<(Box<KernelProfile>, &str), String> {
+    let (decoded, text) = profile.ok_or("missing `profile` field")?;
+    Ok((Box::new(decoded.map_err(|e| format!("bad `profile`: {e}"))?), text))
 }
 
 fn key_from(doc: &Json) -> Result<String, String> {

@@ -9,7 +9,15 @@
 //! * the [`Scope`] hierarchy for Eq. 5's scope-limited latency hiding,
 //! * whether a function is a device function or a CUDA-math-library
 //!   function (`__nv_*` / `__internal_*`), which the Function Inlining and
-//!   Fast Math optimizers match on.
+//!   Fast Math optimizers match on,
+//! * the blamer's static def→use skeleton ([`StaticEdge`]), memoised per
+//!   function the first time a profile stalls on an instruction.
+
+pub mod slice;
+
+mod skeleton;
+
+pub use skeleton::StaticEdge;
 
 use gpa_cfg::{Cfg, Dominators, LoopForest, LoopId};
 use gpa_isa::{InlineFrame, Module, Visibility};
@@ -34,6 +42,8 @@ pub struct FunctionInfo {
     pub dom: Dominators,
     /// Natural-loop forest.
     pub loops: LoopForest,
+    /// Lazily memoised blame skeleton (see [`StaticEdge`]).
+    skeleton: skeleton::BlameSkeleton,
 }
 
 impl FunctionInfo {
@@ -89,6 +99,7 @@ impl ProgramStructure {
                     cfg,
                     dom,
                     loops,
+                    skeleton: skeleton::BlameSkeleton::new(f.instrs.len()),
                 }
             })
             .collect();
