@@ -20,6 +20,9 @@ pub const MUFU_LATENCY: u32 = 20;
 pub const S2R_LATENCY: u32 = 20;
 /// Result latency the simulator charges `SHFL`, cycles.
 pub const SHFL_LATENCY: u32 = 25;
+/// Result latency the simulator charges a memory instruction that
+/// accessed nothing (its guard was false on every lane), cycles.
+pub const GUARDED_OFF_MEM_LATENCY: u32 = 8;
 
 /// Fixed latencies and variable-latency upper bounds.
 #[derive(Debug, Clone, PartialEq)]
@@ -54,38 +57,34 @@ impl LatencyTable {
     /// Modifiers matter: 64-bit conversions (`F2F.F32.F64`) take longer
     /// than 32-bit ones — the hotspot case study hinges on that cost.
     pub fn fixed_latency(&self, instr: &Instruction) -> Option<u32> {
+        (!instr.opcode.has_variable_latency()).then(|| self.result_latency(instr))
+    }
+
+    /// Cycles from issue to result when the instruction accesses no
+    /// memory: its fixed latency, else what the simulator charges a
+    /// scoreboard-completed one. Every opcode has an arm — a new one does
+    /// not compile until the machine says what it costs.
+    pub fn result_latency(&self, instr: &Instruction) -> u32 {
         use Opcode::*;
-        if instr.opcode.has_variable_latency() {
-            return None;
-        }
         let wide = instr.mods.contains(&Modifier::F64)
             || instr.mods.contains(&Modifier::Sz64)
             || instr.mods.contains(&Modifier::Wide);
-        let lat = match instr.opcode {
+        match instr.opcode {
+            Ldg | Stg | Lds | Sts | Ldl | Stl | Ldc | AtomG | AtomS => GUARDED_OFF_MEM_LATENCY,
+            Mufu => MUFU_LATENCY,
+            S2r => S2R_LATENCY,
+            Shfl => SHFL_LATENCY,
             Iadd | Iadd3 | Lop3 | Shf | Shl | Shr | Imnmx | Iabs | Sel | Mov | Isetp | Prmt => 4,
+            Fadd | Fmul | Ffma | Fsetp | Fmnmx | Vote => 4,
             Mov32i | Nop | Cs2r => 1,
-            Imad | Imul | Lea => {
-                if wide {
-                    7
-                } else {
-                    5
-                }
-            }
+            Imad | Imul | Lea if wide => 7,
+            Imad | Imul | Lea => 5,
             Popc => 10,
-            Fadd | Fmul | Ffma | Fsetp | Fmnmx => 4,
             Dadd | Dmul | Dfma | Dsetp => 8,
-            F2f | F2i | I2f | I2i => {
-                if wide {
-                    13
-                } else {
-                    10
-                }
-            }
-            Vote => 4,
+            F2f | F2i | I2f | I2i if wide => 13,
+            F2f | F2i | I2f | I2i => 10,
             Bra | Exit | Cal | Ret | Bssy | Bsync | Bar | Membar => 1,
-            _ => 4,
-        };
-        Some(lat)
+        }
     }
 
     /// Conservative upper-bound latency for any instruction, used by the

@@ -20,7 +20,7 @@ pub use coverage::{single_dependency_coverage, CoverageReport};
 pub use graph::{BlamedEdge, DepEdge, DepGraph, PruneRule};
 
 use gpa_arch::LatencyTable;
-use gpa_isa::{Module, Opcode};
+use gpa_isa::{Access, MemSpace, Module, Opcode};
 use gpa_sampling::{KernelProfile, StallReason};
 use gpa_structure::ProgramStructure;
 use std::collections::HashMap;
@@ -62,14 +62,14 @@ impl DetailedReason {
 
     /// Classifies a dependency by its source instruction, per Figure 5.
     pub fn of_def(op: Opcode) -> DetailedReason {
-        match op {
-            Opcode::Ldc => DetailedReason::ConstMem,
-            Opcode::Ldl => DetailedReason::LocalMem,
-            Opcode::Ldg | Opcode::AtomG => DetailedReason::GlobalMem,
-            Opcode::Lds | Opcode::AtomS => DetailedReason::SharedMem,
-            Opcode::Stg | Opcode::Sts | Opcode::Stl => DetailedReason::War,
-            Opcode::Bar => DetailedReason::Sync,
-            _ => DetailedReason::Arith,
+        match op.mem() {
+            Some((_, Access::Store)) => DetailedReason::War,
+            Some((MemSpace::Global, _)) => DetailedReason::GlobalMem,
+            Some((MemSpace::Local, _)) => DetailedReason::LocalMem,
+            Some((MemSpace::Constant, _)) => DetailedReason::ConstMem,
+            Some((MemSpace::Shared, _)) => DetailedReason::SharedMem,
+            None if op.is_block_sync() => DetailedReason::Sync,
+            None => DetailedReason::Arith,
         }
     }
 

@@ -7,7 +7,7 @@
 //!
 //! ```text
 //! bits   0..8    opcode
-//! bits   8..12   guard predicate (0xF = none; bit 3 = negated, bits 0..3 = reg)
+//! bits   8..12   guard predicate (bit 3 = negated, bits 0..3 = reg; 7 = unguarded)
 //! bits  12..32   modifiers (four 5-bit slots, 0 = empty)
 //! bits  32..49   control code (stall:4, yield:1, wbar:3, rbar:3, wait:6)
 //! bits  49..51   destination-operand count
@@ -15,9 +15,24 @@
 //! bits  54..128  operand stream (4-bit tag + payload each)
 //! ```
 //!
-//! Instructions whose operands exceed the 74-bit stream cannot be encoded
-//! and yield [`IsaError::EncodingOverflow`]; the assembler and the kernel
-//! builders stay within the limit (as a real ISA's operand formats would).
+//! Sixteen nibbles hold seventeen guards: an unguarded instruction and
+//! `@PT` execute identically, so both take nibble 7 and it decodes as
+//! unguarded; `0xF` is `@!PT`, the never-executing guard.
+//!
+//! # What the word holds
+//!
+//! The word exists for the paper's Table 1 ([`dissect`]): opcode, guard,
+//! modifiers, control code and the operands' registers decode exactly
+//! whenever an instruction encodes. Immediates are the limit. A 32-bit or
+//! float immediate takes 36 bits of the 74-bit stream with its tag, so two
+//! beside two registers (`FFMA R, R, fimm, fimm`, 96 bits) yield
+//! [`IsaError::EncodingOverflow`] — 2,583 of the registry's 4,494
+//! instructions, 2,520 of them myocyte's — and an [`Operand::FImm`] is an
+//! `f64` stored as `f32`, so 142 more decode to a neighbouring value.
+//! Nothing downstream reads words (modules are held, linked, printed and
+//! simulated as [`Instruction`]s), so neither limit reaches an analysis.
+//! `tests/isa_roundtrip.rs` pins both counts and that every other registry
+//! instruction decodes to itself.
 
 use crate::control::ControlCode;
 use crate::instruction::{Instruction, Modifier};
@@ -196,11 +211,8 @@ pub fn encode(instr: &Instruction) -> Result<EncodedInstruction> {
     }
     let mut w = BitWriter::new();
     w.write(instr.opcode.code() as u64, 8)?;
-    let pred_bits = match instr.pred {
-        None => 0xF,
-        Some(p) => (p.reg.index() as u64) | ((p.negated as u64) << 3),
-    };
-    w.write(pred_bits, 4)?;
+    let guard = instr.pred.map_or(7, |p| p.reg.index() | (p.negated as u8) << 3);
+    w.write(guard as u64, 4)?;
     for slot in 0..4 {
         let code = instr.mods.get(slot).map_or(0, |m| m.code());
         w.write(code as u64, 5)?;
@@ -231,13 +243,10 @@ pub fn decode(word: &EncodedInstruction) -> Result<Instruction> {
     let mut r = BitReader::new(u128::from_le_bytes(*word));
     let opcode = Opcode::from_code(r.read(8) as u8)
         .ok_or_else(|| IsaError::DecodeError("unknown opcode".into()))?;
-    let pred_bits = r.read(4);
-    let pred = if pred_bits == 0xF {
-        None
-    } else {
-        let reg = PredReg::new((pred_bits & 0x7) as u32)
-            .map_err(|_| IsaError::DecodeError("bad predicate".into()))?;
-        Some(Predicate { reg, negated: pred_bits & 0x8 != 0 })
+    let guard = r.read(4) as u32;
+    let pred = match guard {
+        7 => None,
+        _ => Some(Predicate { reg: PredReg::new(guard & 7)?, negated: guard & 8 != 0 }),
     };
     let mut mods = Vec::new();
     for _ in 0..4 {
@@ -376,6 +385,32 @@ mod tests {
             let word = encode(&i).unwrap();
             assert_eq!(decode(&word).unwrap(), i, "roundtrip failed for {i}");
         }
+    }
+
+    /// Seventeen guards, sixteen nibbles: the two that share one execute
+    /// identically, and every nibble decodes to a guard that encodes back
+    /// to it.
+    #[test]
+    fn no_two_guards_that_execute_differently_share_a_nibble() {
+        let nibble = |pred: Option<Predicate>| {
+            let nop = Instruction { pred, ..Instruction::new(Opcode::Nop, vec![], vec![]) };
+            let word = encode(&nop).unwrap();
+            (word[1] & 0xF, decode(&word).unwrap().pred)
+        };
+        // What executes: `None` for always, else (register, sense).
+        let executes = |pred: Option<Predicate>| pred.filter(|p| !p.always());
+        let regs = (0..8).map(|n| PredReg::new(n).unwrap());
+        let guards: Vec<_> = std::iter::once(None)
+            .chain(regs.flat_map(|r| [Some(Predicate::pos(r)), Some(Predicate::neg(r))]))
+            .collect();
+        let mut seen = [false; 16];
+        for &g in &guards {
+            let (n, back) = nibble(g);
+            assert_eq!(executes(back), executes(g), "{g:?} came back as {back:?}");
+            assert_eq!(nibble(back).0, n, "nibble {n:#x} does not decode to itself");
+            seen[n as usize] = true;
+        }
+        assert_eq!(seen, [true; 16], "every nibble is some guard's");
     }
 
     #[test]

@@ -4,143 +4,52 @@ use crate::control::ControlCode;
 use crate::opcode::Opcode;
 use crate::operand::Operand;
 use crate::register::{BarrierReg, PredReg, Predicate, Register};
+use crate::vocabulary::vocabulary;
 use std::fmt;
 
-/// An opcode modifier (`LDG.E.32`, `ISETP.LT.AND`, `MUFU.RCP`, ...).
-///
-/// Modifiers are **ordered**: `F2F.F32.F64` (demote a 64-bit float to
-/// 32 bits) differs from `F2F.F64.F32` (promote). Up to four modifiers fit
-/// in the binary encoding.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-#[allow(missing_docs)]
-pub enum Modifier {
-    Sz32,
-    Sz64,
-    Sz128,
-    E,
-    Wide,
-    U32,
-    S32,
-    F32,
-    F64,
-    Lt,
-    Le,
-    Gt,
-    Ge,
-    Eq,
-    Ne,
-    And,
-    Or,
-    Xor,
-    Rcp,
-    Rsq,
-    Sqrt,
-    Sin,
-    Cos,
-    Ex2,
-    Lg2,
-    L,
-    R,
-    Sync,
-    Any,
-    All,
-}
-
-impl Modifier {
-    /// All modifiers; index + 1 is the 5-bit encoding code (0 = absent).
-    pub const ALL: [Modifier; 30] = [
-        Modifier::Sz32,
-        Modifier::Sz64,
-        Modifier::Sz128,
-        Modifier::E,
-        Modifier::Wide,
-        Modifier::U32,
-        Modifier::S32,
-        Modifier::F32,
-        Modifier::F64,
-        Modifier::Lt,
-        Modifier::Le,
-        Modifier::Gt,
-        Modifier::Ge,
-        Modifier::Eq,
-        Modifier::Ne,
-        Modifier::And,
-        Modifier::Or,
-        Modifier::Xor,
-        Modifier::Rcp,
-        Modifier::Rsq,
-        Modifier::Sqrt,
-        Modifier::Sin,
-        Modifier::Cos,
-        Modifier::Ex2,
-        Modifier::Lg2,
-        Modifier::L,
-        Modifier::R,
-        Modifier::Sync,
-        Modifier::Any,
-        Modifier::All,
-    ];
-
-    /// Stable non-zero code used by the binary encoding.
-    pub fn code(self) -> u8 {
-        Self::ALL.iter().position(|&m| m == self).unwrap() as u8 + 1
-    }
-
-    /// Inverse of [`Modifier::code`].
-    pub fn from_code(code: u8) -> Option<Self> {
-        if code == 0 {
-            return None;
-        }
-        Self::ALL.get(code as usize - 1).copied()
-    }
-
-    /// The assembly spelling (without the leading dot).
-    pub fn name(self) -> &'static str {
-        match self {
-            Modifier::Sz32 => "32",
-            Modifier::Sz64 => "64",
-            Modifier::Sz128 => "128",
-            Modifier::E => "E",
-            Modifier::Wide => "WIDE",
-            Modifier::U32 => "U32",
-            Modifier::S32 => "S32",
-            Modifier::F32 => "F32",
-            Modifier::F64 => "F64",
-            Modifier::Lt => "LT",
-            Modifier::Le => "LE",
-            Modifier::Gt => "GT",
-            Modifier::Ge => "GE",
-            Modifier::Eq => "EQ",
-            Modifier::Ne => "NE",
-            Modifier::And => "AND",
-            Modifier::Or => "OR",
-            Modifier::Xor => "XOR",
-            Modifier::Rcp => "RCP",
-            Modifier::Rsq => "RSQ",
-            Modifier::Sqrt => "SQRT",
-            Modifier::Sin => "SIN",
-            Modifier::Cos => "COS",
-            Modifier::Ex2 => "EX2",
-            Modifier::Lg2 => "LG2",
-            Modifier::L => "L",
-            Modifier::R => "R",
-            Modifier::Sync => "SYNC",
-            Modifier::Any => "ANY",
-            Modifier::All => "ALL",
-        }
-    }
-
-    /// Parses the assembly spelling.
-    pub fn from_name(name: &str) -> Option<Self> {
-        Self::ALL.iter().copied().find(|m| m.name() == name)
+vocabulary! {
+    /// An opcode modifier (`LDG.E.32`, `ISETP.LT.AND`, `MUFU.RCP`, ...).
+    ///
+    /// Modifiers are **ordered**: `F2F.F32.F64` (demote a 64-bit float to
+    /// 32 bits) differs from `F2F.F64.F32` (promote). Up to four modifiers fit
+    /// in the binary encoding, one 5-bit code each (0 = empty slot), and
+    /// `gpa_sim`'s lowering keeps an instruction's modifier set as one bit
+    /// per discriminant of a `u32`: at most 31 variants, checked below.
+    pub enum Modifier, first code 1 {
+        Sz32 = "32",
+        Sz64 = "64",
+        Sz128 = "128",
+        E = "E",
+        Wide = "WIDE",
+        U32 = "U32",
+        S32 = "S32",
+        F32 = "F32",
+        F64 = "F64",
+        Lt = "LT",
+        Le = "LE",
+        Gt = "GT",
+        Ge = "GE",
+        Eq = "EQ",
+        Ne = "NE",
+        And = "AND",
+        Or = "OR",
+        Xor = "XOR",
+        Rcp = "RCP",
+        Rsq = "RSQ",
+        Sqrt = "SQRT",
+        Sin = "SIN",
+        Cos = "COS",
+        Ex2 = "EX2",
+        Lg2 = "LG2",
+        L = "L",
+        R = "R",
+        Sync = "SYNC",
+        Any = "ANY",
+        All = "ALL",
     }
 }
 
-impl fmt::Display for Modifier {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(self.name())
-    }
-}
+const _: () = assert!(Modifier::ALL.len() <= 31);
 
 /// A storage location for def/use analysis: a general-purpose register, a
 /// predicate register, or a **virtual barrier register**.

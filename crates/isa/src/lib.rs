@@ -3,6 +3,11 @@
 //! This crate is the substrate GPA's static analyzer works on. It models the
 //! parts of NVIDIA's Volta SASS that matter for stall attribution:
 //!
+//! * one table of opcodes — a row per [`Opcode`] holding its mnemonic,
+//!   pipe, class, completion, destination count and memory access, from
+//!   which every static question about an opcode is answered
+//!   ([`opcode`]); [`Modifier`] and [`SpecialReg`] are declared the same
+//!   way, one `Variant = "SPELLING"` line each,
 //! * fixed-length 128-bit instruction words ([`encode`](mod@encode)),
 //! * **control codes** — stall cycles, yield flag, write/read barrier
 //!   indices and a wait mask over six scoreboard barriers ([`ControlCode`]),
@@ -47,6 +52,7 @@ pub mod opcode;
 pub mod operand;
 pub mod parse;
 pub mod register;
+mod vocabulary;
 
 pub use control::ControlCode;
 pub use encode::{decode, dissect, encode, EncodedInstruction};
@@ -54,7 +60,7 @@ pub use instruction::{Instruction, Modifier, Slot};
 pub use module::{
     FixupTarget, Function, InlineFrame, InstrRef, Module, SourceLoc, Visibility, INSTR_BYTES,
 };
-pub use opcode::{MemSpace, OpClass, Opcode, Pipe};
+pub use opcode::{Access, MemSpace, OpClass, Opcode, Pipe};
 pub use operand::{MemRef, Operand};
 pub use parse::parse_module;
 pub use register::{BarrierReg, PredReg, Predicate, Register, SpecialReg};

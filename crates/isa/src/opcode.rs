@@ -1,6 +1,13 @@
-//! Opcodes and their static classification.
+//! Opcodes and their static classification: one row per opcode.
+//!
+//! The table below is the only place an opcode is declared. Its row says
+//! what the assembler, the blamer, the optimizers and the simulator ask
+//! of an opcode *statically*; what an opcode costs is the machine's to
+//! say (`gpa_arch::LatencyTable`) and what it does is the executor's
+//! (`gpa_sim`), each in one exhaustive `match` (docs/simulator.md,
+//! "Adding an opcode").
 
-use std::fmt;
+use crate::vocabulary::vocabulary;
 
 /// GPU memory spaces addressable by load/store opcodes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -60,237 +67,160 @@ pub enum OpClass {
     Other,
 }
 
-/// A Volta-like opcode.
-///
-/// The set covers the instructions the GPA paper's analyses distinguish:
-/// global/shared/local/constant loads and stores, fixed-latency integer and
-/// FP32 arithmetic, long-latency FP64 and conversion instructions,
-/// transcendentals (`MUFU`), predicate-setting compares, control flow and
-/// barriers.
+/// How a memory opcode touches its space.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-#[allow(missing_docs)]
-pub enum Opcode {
+pub enum Access {
+    /// Reads memory into a register.
+    Load,
+    /// Writes a register to memory.
+    Store,
+    /// Read-modify-write: both a load and a store.
+    Atomic,
+}
+
+/// How an instruction's result becomes available.
+enum Completion {
+    /// A fixed pipeline latency, covered by the consumer's stall count.
+    Fixed,
+    /// A variable latency, signalled through a scoreboard barrier.
+    Barrier,
+}
+
+/// One row of the opcode table, minus the mnemonic.
+struct Facts {
+    pipe: Pipe,
+    class: OpClass,
+    completion: Completion,
+    dsts: usize,
+    mem: Option<(MemSpace, Access)>,
+}
+
+/// Emits [`Opcode`] (through [`vocabulary!`]) and `FACTS` from one list of
+/// `Variant = "MNEMONIC", pipe, class, completion, dsts[, space access];`.
+macro_rules! opcodes {
+    (@mem) => { None };
+    (@mem $space:ident $access:ident) => { Some((MemSpace::$space, Access::$access)) };
+    (
+        $(#[$meta:meta])*
+        $($op:ident = $name:literal, $pipe:ident, $class:ident, $done:ident, $dsts:literal
+            $(, $space:ident $access:ident)?;)*
+    ) => {
+        vocabulary! {
+            $(#[$meta])*
+            pub enum Opcode, first code 0 { $($op = $name,)* }
+        }
+
+        const FACTS: [Facts; Opcode::ALL.len()] = [$(Facts {
+            pipe: Pipe::$pipe,
+            class: OpClass::$class,
+            completion: Completion::$done,
+            dsts: $dsts,
+            mem: opcodes!(@mem $($space $access)?),
+        },)*];
+    };
+}
+
+opcodes! {
+    /// A Volta-like opcode.
+    ///
+    /// The set covers the instructions the GPA paper's analyses distinguish:
+    /// global/shared/local/constant loads and stores, fixed-latency integer and
+    /// FP32 arithmetic, long-latency FP64 and conversion instructions,
+    /// transcendentals (`MUFU`), predicate-setting compares, control flow and
+    /// barriers.
+    // variant, mnemonic, pipe, class, completion, leading destination
+    // operands, memory space and access.
     // Memory.
-    Ldg,
-    Stg,
-    Lds,
-    Sts,
-    Ldl,
-    Stl,
-    Ldc,
-    AtomG,
-    AtomS,
-    Membar,
+    Ldg    = "LDG",    Lsu,    Memory,     Barrier, 1, Global Load;
+    Stg    = "STG",    Lsu,    Memory,     Barrier, 0, Global Store;
+    Lds    = "LDS",    Lsu,    Memory,     Barrier, 1, Shared Load;
+    Sts    = "STS",    Lsu,    Memory,     Barrier, 0, Shared Store;
+    Ldl    = "LDL",    Lsu,    Memory,     Barrier, 1, Local Load;
+    Stl    = "STL",    Lsu,    Memory,     Barrier, 0, Local Store;
+    Ldc    = "LDC",    Lsu,    Memory,     Barrier, 1, Constant Load;
+    AtomG  = "ATOMG",  Lsu,    Memory,     Barrier, 1, Global Atomic;
+    AtomS  = "ATOMS",  Lsu,    Memory,     Barrier, 1, Shared Atomic;
+    Membar = "MEMBAR", Lsu,    Memory,     Fixed,   0;
     // Integer.
-    Mov,
-    Mov32i,
-    Iadd,
-    Iadd3,
-    Imad,
-    Imul,
-    Isetp,
-    Lea,
-    Lop3,
-    Shf,
-    Shl,
-    Shr,
-    Imnmx,
-    Iabs,
-    Popc,
-    Sel,
+    Mov    = "MOV",    Alu,    Other,      Fixed,   1;
+    Mov32i = "MOV32I", Alu,    Other,      Fixed,   1;
+    Iadd   = "IADD",   Alu,    IntAlu,     Fixed,   1;
+    Iadd3  = "IADD3",  Alu,    IntAlu,     Fixed,   1;
+    Imad   = "IMAD",   Alu,    IntAlu,     Fixed,   1;
+    Imul   = "IMUL",   Alu,    IntAlu,     Fixed,   1;
+    Isetp  = "ISETP",  Alu,    IntAlu,     Fixed,   1;
+    Lea    = "LEA",    Alu,    IntAlu,     Fixed,   1;
+    Lop3   = "LOP3",   Alu,    IntAlu,     Fixed,   1;
+    Shf    = "SHF",    Alu,    IntAlu,     Fixed,   1;
+    Shl    = "SHL",    Alu,    IntAlu,     Fixed,   1;
+    Shr    = "SHR",    Alu,    IntAlu,     Fixed,   1;
+    Imnmx  = "IMNMX",  Alu,    IntAlu,     Fixed,   1;
+    Iabs   = "IABS",   Alu,    IntAlu,     Fixed,   1;
+    Popc   = "POPC",   Alu,    IntAlu,     Fixed,   1;
+    Sel    = "SEL",    Alu,    Other,      Fixed,   1;
     // FP32.
-    Fadd,
-    Fmul,
-    Ffma,
-    Fsetp,
-    Fmnmx,
-    Mufu,
+    Fadd   = "FADD",   Fma,    FpAlu,      Fixed,   1;
+    Fmul   = "FMUL",   Fma,    FpAlu,      Fixed,   1;
+    Ffma   = "FFMA",   Fma,    FpAlu,      Fixed,   1;
+    Fsetp  = "FSETP",  Fma,    FpAlu,      Fixed,   1;
+    Fmnmx  = "FMNMX",  Fma,    FpAlu,      Fixed,   1;
+    Mufu   = "MUFU",   Sfu,    Mufu,       Barrier, 1;
     // FP64.
-    Dadd,
-    Dmul,
-    Dfma,
-    Dsetp,
+    Dadd   = "DADD",   Fp64,   Fp64,       Fixed,   1;
+    Dmul   = "DMUL",   Fp64,   Fp64,       Fixed,   1;
+    Dfma   = "DFMA",   Fp64,   Fp64,       Fixed,   1;
+    Dsetp  = "DSETP",  Fp64,   Fp64,       Fixed,   1;
     // Conversions.
-    F2f,
-    F2i,
-    I2f,
-    I2i,
+    F2f    = "F2F",    Alu,    Conversion, Fixed,   1;
+    F2i    = "F2I",    Alu,    Conversion, Fixed,   1;
+    I2f    = "I2F",    Alu,    Conversion, Fixed,   1;
+    I2i    = "I2I",    Alu,    Conversion, Fixed,   1;
     // Control.
-    Bra,
-    Exit,
-    Cal,
-    Ret,
-    Bssy,
-    Bsync,
-    Bar,
-    Nop,
+    Bra    = "BRA",    Branch, Control,    Fixed,   0;
+    Exit   = "EXIT",   Branch, Control,    Fixed,   0;
+    Cal    = "CAL",    Branch, Control,    Fixed,   0;
+    Ret    = "RET",    Branch, Control,    Fixed,   0;
+    Bssy   = "BSSY",   Branch, Control,    Fixed,   0;
+    Bsync  = "BSYNC",  Branch, Control,    Fixed,   0;
+    Bar    = "BAR",    Branch, Sync,       Fixed,   0;
+    Nop    = "NOP",    Misc,   Other,      Fixed,   0;
     // Misc.
-    S2r,
-    Cs2r,
-    Shfl,
-    Vote,
-    Prmt,
+    S2r    = "S2R",    Misc,   Other,      Barrier, 1;
+    Cs2r   = "CS2R",   Misc,   Other,      Fixed,   1;
+    Shfl   = "SHFL",   Misc,   Other,      Barrier, 1;
+    Vote   = "VOTE",   Misc,   Other,      Fixed,   1;
+    Prmt   = "PRMT",   Alu,    Other,      Fixed,   1;
 }
 
 impl Opcode {
-    /// All opcodes, in encoding order.
-    pub const ALL: [Opcode; 53] = [
-        Opcode::Ldg,
-        Opcode::Stg,
-        Opcode::Lds,
-        Opcode::Sts,
-        Opcode::Ldl,
-        Opcode::Stl,
-        Opcode::Ldc,
-        Opcode::AtomG,
-        Opcode::AtomS,
-        Opcode::Membar,
-        Opcode::Mov,
-        Opcode::Mov32i,
-        Opcode::Iadd,
-        Opcode::Iadd3,
-        Opcode::Imad,
-        Opcode::Imul,
-        Opcode::Isetp,
-        Opcode::Lea,
-        Opcode::Lop3,
-        Opcode::Shf,
-        Opcode::Shl,
-        Opcode::Shr,
-        Opcode::Imnmx,
-        Opcode::Iabs,
-        Opcode::Popc,
-        Opcode::Sel,
-        Opcode::Fadd,
-        Opcode::Fmul,
-        Opcode::Ffma,
-        Opcode::Fsetp,
-        Opcode::Fmnmx,
-        Opcode::Mufu,
-        Opcode::Dadd,
-        Opcode::Dmul,
-        Opcode::Dfma,
-        Opcode::Dsetp,
-        Opcode::F2f,
-        Opcode::F2i,
-        Opcode::I2f,
-        Opcode::I2i,
-        Opcode::Bra,
-        Opcode::Exit,
-        Opcode::Cal,
-        Opcode::Ret,
-        Opcode::Bssy,
-        Opcode::Bsync,
-        Opcode::Bar,
-        Opcode::Nop,
-        Opcode::S2r,
-        Opcode::Cs2r,
-        Opcode::Shfl,
-        Opcode::Vote,
-        Opcode::Prmt,
-    ];
-
-    /// Stable numeric code used by the binary encoding.
-    pub fn code(self) -> u8 {
-        Self::ALL.iter().position(|&o| o == self).unwrap() as u8
+    fn facts(self) -> &'static Facts {
+        &FACTS[self as usize]
     }
 
-    /// Inverse of [`Opcode::code`].
-    pub fn from_code(code: u8) -> Option<Self> {
-        Self::ALL.get(code as usize).copied()
-    }
-
-    /// The assembly mnemonic.
-    pub fn name(self) -> &'static str {
-        match self {
-            Opcode::Ldg => "LDG",
-            Opcode::Stg => "STG",
-            Opcode::Lds => "LDS",
-            Opcode::Sts => "STS",
-            Opcode::Ldl => "LDL",
-            Opcode::Stl => "STL",
-            Opcode::Ldc => "LDC",
-            Opcode::AtomG => "ATOMG",
-            Opcode::AtomS => "ATOMS",
-            Opcode::Membar => "MEMBAR",
-            Opcode::Mov => "MOV",
-            Opcode::Mov32i => "MOV32I",
-            Opcode::Iadd => "IADD",
-            Opcode::Iadd3 => "IADD3",
-            Opcode::Imad => "IMAD",
-            Opcode::Imul => "IMUL",
-            Opcode::Isetp => "ISETP",
-            Opcode::Lea => "LEA",
-            Opcode::Lop3 => "LOP3",
-            Opcode::Shf => "SHF",
-            Opcode::Shl => "SHL",
-            Opcode::Shr => "SHR",
-            Opcode::Imnmx => "IMNMX",
-            Opcode::Iabs => "IABS",
-            Opcode::Popc => "POPC",
-            Opcode::Sel => "SEL",
-            Opcode::Fadd => "FADD",
-            Opcode::Fmul => "FMUL",
-            Opcode::Ffma => "FFMA",
-            Opcode::Fsetp => "FSETP",
-            Opcode::Fmnmx => "FMNMX",
-            Opcode::Mufu => "MUFU",
-            Opcode::Dadd => "DADD",
-            Opcode::Dmul => "DMUL",
-            Opcode::Dfma => "DFMA",
-            Opcode::Dsetp => "DSETP",
-            Opcode::F2f => "F2F",
-            Opcode::F2i => "F2I",
-            Opcode::I2f => "I2F",
-            Opcode::I2i => "I2I",
-            Opcode::Bra => "BRA",
-            Opcode::Exit => "EXIT",
-            Opcode::Cal => "CAL",
-            Opcode::Ret => "RET",
-            Opcode::Bssy => "BSSY",
-            Opcode::Bsync => "BSYNC",
-            Opcode::Bar => "BAR",
-            Opcode::Nop => "NOP",
-            Opcode::S2r => "S2R",
-            Opcode::Cs2r => "CS2R",
-            Opcode::Shfl => "SHFL",
-            Opcode::Vote => "VOTE",
-            Opcode::Prmt => "PRMT",
-        }
-    }
-
-    /// Parses the assembly mnemonic.
-    pub fn from_name(name: &str) -> Option<Self> {
-        Self::ALL.iter().copied().find(|o| o.name() == name)
+    /// The memory space touched and how, if this is a load/store/atomic.
+    pub fn mem(self) -> Option<(MemSpace, Access)> {
+        self.facts().mem
     }
 
     /// The memory space touched, if this is a load/store/atomic.
     pub fn mem_space(self) -> Option<MemSpace> {
-        match self {
-            Opcode::Ldg | Opcode::Stg | Opcode::AtomG => Some(MemSpace::Global),
-            Opcode::Lds | Opcode::Sts | Opcode::AtomS => Some(MemSpace::Shared),
-            Opcode::Ldl | Opcode::Stl => Some(MemSpace::Local),
-            Opcode::Ldc => Some(MemSpace::Constant),
-            _ => None,
-        }
+        self.mem().map(|(space, _)| space)
     }
 
     /// Whether this opcode reads memory into a register.
     pub fn is_load(self) -> bool {
-        matches!(
-            self,
-            Opcode::Ldg | Opcode::Lds | Opcode::Ldl | Opcode::Ldc | Opcode::AtomG | Opcode::AtomS
-        )
+        matches!(self.mem(), Some((_, Access::Load | Access::Atomic)))
     }
 
     /// Whether this opcode writes memory.
     pub fn is_store(self) -> bool {
-        matches!(self, Opcode::Stg | Opcode::Sts | Opcode::Stl | Opcode::AtomG | Opcode::AtomS)
+        matches!(self.mem(), Some((_, Access::Store | Access::Atomic)))
     }
 
-    /// Whether this opcode can change control flow.
+    /// Whether this opcode can change control flow (`BSSY` only records a
+    /// reconvergence point).
     pub fn is_control(self) -> bool {
-        matches!(self, Opcode::Bra | Opcode::Exit | Opcode::Cal | Opcode::Ret | Opcode::Bsync)
+        self.class() == OpClass::Control && self != Opcode::Bssy
     }
 
     /// Whether this is the block-wide execution barrier (`BAR.SYNC`).
@@ -301,86 +231,23 @@ impl Opcode {
     /// Whether the result latency is variable (completed through a
     /// scoreboard barrier) rather than a fixed pipeline latency.
     pub fn has_variable_latency(self) -> bool {
-        matches!(
-            self,
-            Opcode::Ldg
-                | Opcode::Stg
-                | Opcode::Lds
-                | Opcode::Sts
-                | Opcode::Ldl
-                | Opcode::Stl
-                | Opcode::Ldc
-                | Opcode::AtomG
-                | Opcode::AtomS
-                | Opcode::Mufu
-                | Opcode::S2r
-                | Opcode::Shfl
-        )
+        matches!(self.facts().completion, Completion::Barrier)
     }
 
     /// The issue pipe.
     pub fn pipe(self) -> Pipe {
-        match self {
-            Opcode::Ldg
-            | Opcode::Stg
-            | Opcode::Lds
-            | Opcode::Sts
-            | Opcode::Ldl
-            | Opcode::Stl
-            | Opcode::Ldc
-            | Opcode::AtomG
-            | Opcode::AtomS
-            | Opcode::Membar => Pipe::Lsu,
-            Opcode::Fadd | Opcode::Fmul | Opcode::Ffma | Opcode::Fsetp | Opcode::Fmnmx => Pipe::Fma,
-            Opcode::Dadd | Opcode::Dmul | Opcode::Dfma | Opcode::Dsetp => Pipe::Fp64,
-            Opcode::Mufu => Pipe::Sfu,
-            Opcode::Bra
-            | Opcode::Exit
-            | Opcode::Cal
-            | Opcode::Ret
-            | Opcode::Bssy
-            | Opcode::Bsync
-            | Opcode::Bar => Pipe::Branch,
-            Opcode::S2r | Opcode::Cs2r | Opcode::Shfl | Opcode::Vote | Opcode::Nop => Pipe::Misc,
-            _ => Pipe::Alu,
-        }
+        self.facts().pipe
     }
 
     /// Coarse class for optimizer matching.
     pub fn class(self) -> OpClass {
-        match self {
-            _ if self.mem_space().is_some() => OpClass::Memory,
-            Opcode::Membar => OpClass::Memory,
-            Opcode::Fadd | Opcode::Fmul | Opcode::Ffma | Opcode::Fsetp | Opcode::Fmnmx => {
-                OpClass::FpAlu
-            }
-            Opcode::Dadd | Opcode::Dmul | Opcode::Dfma | Opcode::Dsetp => OpClass::Fp64,
-            Opcode::Mufu => OpClass::Mufu,
-            Opcode::F2f | Opcode::F2i | Opcode::I2f | Opcode::I2i => OpClass::Conversion,
-            Opcode::Bra
-            | Opcode::Exit
-            | Opcode::Cal
-            | Opcode::Ret
-            | Opcode::Bssy
-            | Opcode::Bsync => OpClass::Control,
-            Opcode::Bar => OpClass::Sync,
-            Opcode::Mov
-            | Opcode::Mov32i
-            | Opcode::Sel
-            | Opcode::S2r
-            | Opcode::Cs2r
-            | Opcode::Shfl
-            | Opcode::Vote
-            | Opcode::Prmt
-            | Opcode::Nop => OpClass::Other,
-            _ => OpClass::IntAlu,
-        }
+        self.facts().class
     }
-}
 
-impl fmt::Display for Opcode {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(self.name())
+    /// How many leading assembly operands are destinations: one, or none
+    /// for stores, control flow, barriers and `NOP`.
+    pub fn dst_count(self) -> usize {
+        self.facts().dsts
     }
 }
 

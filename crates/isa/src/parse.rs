@@ -169,10 +169,10 @@ impl Parser {
         }
         // Split off the `{ctrl}` suffix first: its commas are not operand
         // separators.
-        let (body, ctrl) = match text.find('{') {
-            Some(i) => {
-                let close = text.rfind('}').ok_or_else(|| err(ln, "unterminated `{`"))?;
-                (text[..i].trim(), Some(&text[i + 1..close]))
+        let (body, ctrl) = match text.split_once('{') {
+            Some((body, rest)) => {
+                let close = rest.rfind('}').ok_or_else(|| err(ln, "unterminated `{`"))?;
+                (body.trim(), Some(&rest[..close]))
             }
             None => (text, None),
         };
@@ -220,7 +220,7 @@ impl Parser {
             Some(c) => parse_ctrl(ln, c)?,
             None => ControlCode::none(),
         };
-        let ndst = dst_count(opcode, &operands);
+        let ndst = opcode.dst_count().min(operands.len());
         let mut dsts = Vec::new();
         let mut srcs = Vec::new();
         let mut fixups = Vec::new();
@@ -271,17 +271,6 @@ impl Parser {
 enum ParsedOperand {
     Concrete(Operand),
     Symbol(String),
-}
-
-/// How many leading operands are destinations for this opcode.
-fn dst_count(opcode: Opcode, operands: &[ParsedOperand]) -> usize {
-    use Opcode::*;
-    match opcode {
-        // Stores and control flow have no register destinations.
-        Stg | Sts | Stl | Membar | Bra | Exit | Cal | Ret | Bssy | Bsync | Bar | Nop => 0,
-        // Everything else writes its first operand (loads, ALU, setp, ...).
-        _ => usize::from(!operands.is_empty()),
-    }
 }
 
 fn is_ident(s: &str) -> bool {
@@ -515,10 +504,15 @@ top:
 
     #[test]
     fn errors_carry_line_numbers() {
-        let bad = ".module x\n.kernel k\n  FROB R0\n.endfunc\n";
-        match parse_module(bad) {
-            Err(IsaError::ParseError { line, .. }) => assert_eq!(line, 3),
-            other => panic!("expected parse error, got {other:?}"),
+        // The second text closes its control code before opening it.
+        for (bad, at) in [
+            (".module x\n.kernel k\n  FROB R0\n.endfunc\n", 3),
+            (".kernel k\n  NOP } {S:1\n  EXIT\n.endfunc\n", 2),
+        ] {
+            match parse_module(bad) {
+                Err(IsaError::ParseError { line, .. }) => assert_eq!(line, at),
+                other => panic!("expected parse error, got {other:?}"),
+            }
         }
     }
 

@@ -1,5 +1,6 @@
 //! Register, predicate, barrier and special-register names.
 
+use crate::vocabulary::vocabulary;
 use crate::{IsaError, Result};
 use std::fmt;
 
@@ -184,90 +185,25 @@ impl fmt::Display for BarrierReg {
     }
 }
 
-/// Read-only special registers exposed through `S2R`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-#[allow(missing_docs)]
-pub enum SpecialReg {
-    TidX,
-    TidY,
-    TidZ,
-    CtaIdX,
-    CtaIdY,
-    CtaIdZ,
-    NTidX,
-    NTidY,
-    NTidZ,
-    NCtaIdX,
-    NCtaIdY,
-    NCtaIdZ,
-    LaneId,
-    WarpId,
-    SmId,
-    Clock,
-}
-
-impl SpecialReg {
-    /// All special registers in encoding order.
-    pub const ALL: [SpecialReg; 16] = [
-        SpecialReg::TidX,
-        SpecialReg::TidY,
-        SpecialReg::TidZ,
-        SpecialReg::CtaIdX,
-        SpecialReg::CtaIdY,
-        SpecialReg::CtaIdZ,
-        SpecialReg::NTidX,
-        SpecialReg::NTidY,
-        SpecialReg::NTidZ,
-        SpecialReg::NCtaIdX,
-        SpecialReg::NCtaIdY,
-        SpecialReg::NCtaIdZ,
-        SpecialReg::LaneId,
-        SpecialReg::WarpId,
-        SpecialReg::SmId,
-        SpecialReg::Clock,
-    ];
-
-    /// Stable numeric code used by the binary encoding.
-    pub fn code(self) -> u8 {
-        Self::ALL.iter().position(|&s| s == self).unwrap() as u8
-    }
-
-    /// Inverse of [`SpecialReg::code`].
-    pub fn from_code(code: u8) -> Option<Self> {
-        Self::ALL.get(code as usize).copied()
-    }
-
-    /// The assembly spelling (e.g. `SR_TID.X`).
-    pub fn name(self) -> &'static str {
-        match self {
-            SpecialReg::TidX => "SR_TID.X",
-            SpecialReg::TidY => "SR_TID.Y",
-            SpecialReg::TidZ => "SR_TID.Z",
-            SpecialReg::CtaIdX => "SR_CTAID.X",
-            SpecialReg::CtaIdY => "SR_CTAID.Y",
-            SpecialReg::CtaIdZ => "SR_CTAID.Z",
-            SpecialReg::NTidX => "SR_NTID.X",
-            SpecialReg::NTidY => "SR_NTID.Y",
-            SpecialReg::NTidZ => "SR_NTID.Z",
-            SpecialReg::NCtaIdX => "SR_NCTAID.X",
-            SpecialReg::NCtaIdY => "SR_NCTAID.Y",
-            SpecialReg::NCtaIdZ => "SR_NCTAID.Z",
-            SpecialReg::LaneId => "SR_LANEID",
-            SpecialReg::WarpId => "SR_WARPID",
-            SpecialReg::SmId => "SR_SMID",
-            SpecialReg::Clock => "SR_CLOCK",
-        }
-    }
-
-    /// Parses the assembly spelling.
-    pub fn from_name(name: &str) -> Option<Self> {
-        Self::ALL.iter().copied().find(|s| s.name() == name)
-    }
-}
-
-impl fmt::Display for SpecialReg {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(self.name())
+vocabulary! {
+    /// Read-only special registers exposed through `S2R`.
+    pub enum SpecialReg, first code 0 {
+        TidX = "SR_TID.X",
+        TidY = "SR_TID.Y",
+        TidZ = "SR_TID.Z",
+        CtaIdX = "SR_CTAID.X",
+        CtaIdY = "SR_CTAID.Y",
+        CtaIdZ = "SR_CTAID.Z",
+        NTidX = "SR_NTID.X",
+        NTidY = "SR_NTID.Y",
+        NTidZ = "SR_NTID.Z",
+        NCtaIdX = "SR_NCTAID.X",
+        NCtaIdY = "SR_NCTAID.Y",
+        NCtaIdZ = "SR_NCTAID.Z",
+        LaneId = "SR_LANEID",
+        WarpId = "SR_WARPID",
+        SmId = "SR_SMID",
+        Clock = "SR_CLOCK",
     }
 }
 

@@ -7,11 +7,10 @@
 
 use crate::reconv::build_reconvergence;
 use crate::{Result, SimError};
-use gpa_arch::latency::{MUFU_LATENCY, S2R_LATENCY, SHFL_LATENCY};
 use gpa_arch::{ArchConfig, LatencyTable};
 use gpa_isa::{
-    ControlCode, Instruction, MemRef, MemSpace, Modifier, Module, Opcode, Operand, Pipe, PredReg,
-    Predicate, Register, Slot, SpecialReg, Visibility, INSTR_BYTES,
+    Access, ControlCode, Instruction, MemRef, MemSpace, Modifier, Module, Opcode, Operand, Pipe,
+    PredReg, Predicate, Register, Slot, SpecialReg, Visibility, INSTR_BYTES,
 };
 use std::collections::HashMap;
 
@@ -350,9 +349,6 @@ pub(crate) struct InstrMeta {
     pub(crate) target_idx: u32,
 }
 
-/// Result latency of a memory instruction that accessed nothing (its
-/// guard was false on every lane), in cycles.
-const GUARDED_OFF_MEM_LATENCY: u32 = 8;
 /// Extra result latency of an atomic access, in cycles.
 const ATOMIC_EXTRA_LATENCY: u32 = 12;
 
@@ -444,25 +440,20 @@ impl CompiledProgram {
                         }
                     }
                 }
-                let space = instr.opcode.mem_space();
+                let mem = instr.opcode.mem();
                 meta.push(InstrMeta {
                     use_regs,
                     use_preds,
                     wait_mask: instr.ctrl.wait_mask,
                     def_regs,
                     def_preds,
-                    lat: lat.fixed_latency(instr).unwrap_or(match instr.opcode {
-                        Opcode::Mufu => MUFU_LATENCY,
-                        Opcode::S2r => S2R_LATENCY,
-                        Opcode::Shfl => SHFL_LATENCY,
-                        _ => GUARDED_OFF_MEM_LATENCY,
-                    }),
-                    atomic_extra: match instr.opcode {
-                        Opcode::AtomG | Opcode::AtomS => ATOMIC_EXTRA_LATENCY,
-                        _ => 0,
+                    lat: lat.result_latency(instr),
+                    atomic_extra: match mem {
+                        Some((_, Access::Atomic)) => ATOMIC_EXTRA_LATENCY,
+                        Some((_, Access::Load | Access::Store)) | None => 0,
                     },
                     pipe: instr.opcode.pipe(),
-                    throttled_mem: matches!(space, Some(MemSpace::Global) | Some(MemSpace::Local)),
+                    throttled_mem: matches!(mem, Some((MemSpace::Global | MemSpace::Local, _))),
                     reconv: reconv_map.get(&pc).copied(),
                     next_idx: if i + 1 < f.instrs.len() { plans.len() as u32 + 1 } else { NO_IDX },
                     target_idx: NO_IDX,
