@@ -4,29 +4,36 @@
 //! automates profiling and analysis stages". Subcommands:
 //!
 //! ```text
-//! gpa list                              enumerate built-in benchmark kernels
-//! gpa analyze <app> [variant] [--json]  profile a kernel and print the advice report
-//! gpa analyze --all [--json]            analyze all 21 apps in parallel, with a summary
-//! gpa profile <app> [variant]           dump the PC-sampling profile as JSON
-//! gpa asm <app> [variant]               print the kernel's assembly
-//! gpa serve [flags]                     run the advisor daemon (see docs/protocol.md)
-//! gpa request <op> [app] [variant]      issue one request to a running daemon
+//! gpa list                                     enumerate built-in benchmark kernels
+//! gpa analyze <app> [variant] [--json]         profile a kernel and print the advice report
+//! gpa analyze --all [--json]                   analyze all 21 apps in parallel, with a summary
+//! gpa profile <app> [variant] [--out FILE]     dump the PC-sampling profile as JSON
+//! gpa asm <app> [variant]                      print the kernel's assembly
+//! gpa serve [flags]                            run the advisor daemon (see docs/protocol.md)
+//! gpa request analyze <app> [variant]          analyze on a running daemon
+//! gpa request analyze_profile <app> [variant] --profile F
+//!                                              advise on a saved profile
+//! gpa request status|shutdown|ring             daemon control, roster epoch and members
+//! gpa request leave [ADDR]                     drain the daemon (or evict ADDR)
 //! ```
 //!
-//! Flags are parsed strictly: an unknown `--flag` is a usage error, not
-//! a positional argument. Under `analyze --json`, failures are reported
-//! as machine-readable JSON on stdout (still with a nonzero exit code).
+//! The command line is parsed strictly: an unknown `--flag`, a flag the
+//! command does not take, a flag given twice and a surplus positional
+//! are all usage errors (exit 2), never silently dropped. Every flag is
+//! one row of `FLAGS`, and the advice flags' values are judged by the
+//! wire's own validator, so `gpa analyze` and `gpa request analyze`
+//! accept exactly the same values. Under `analyze --json`, failures are
+//! reported as machine-readable JSON on stdout (still with a nonzero
+//! exit code).
 
-use gpa_core::{report, OptimizerCategory};
+use gpa_core::report;
 use gpa_json::Json;
 use gpa_kernels::all_apps;
 use gpa_pipeline::{AnalysisError, AnalysisJob, Session};
 use gpa_serve::{
     serve, FaultPlan, PeerMeta, Request, ServeClient, ServerConfig, WireOptions, DEFAULT_ADDR,
-    MAX_REPEAT,
 };
 use std::io::Write as _;
-use std::path::PathBuf;
 use std::process::ExitCode;
 use std::sync::Arc;
 
@@ -64,140 +71,168 @@ fn usage(msg: &str) -> ExitCode {
     ExitCode::from(2)
 }
 
-/// Every flag the tool understands, across all subcommands.
-#[derive(Debug, Default)]
-struct Flags {
-    json: bool,
-    all: bool,
-    addr: Option<String>,
-    workers: Option<usize>,
-    queue: Option<usize>,
-    store: Option<usize>,
-    persist: Option<PathBuf>,
-    profile: Option<PathBuf>,
-    top: Option<usize>,
-    category: Option<String>,
-    min_speedup: Option<f64>,
-    schema: Option<String>,
-    repeat: Option<usize>,
-    mem_model: Option<String>,
-    out: Option<PathBuf>,
-    peers: Option<String>,
-    advertise: Option<String>,
-    join: Option<String>,
-    faults: Option<String>,
-    reactors: Option<usize>,
+/// What a flag takes on the command line.
+#[derive(Clone, Copy, PartialEq)]
+enum Takes {
+    /// Nothing: present or absent.
+    Switch,
+    /// An unsigned integer.
+    Count,
+    /// A floating-point number.
+    Number,
+    /// Any text; what it means is the reader's business.
+    Text,
+}
+use Takes::{Count, Number, Switch, Text};
+
+/// One flag. Its row is the only place the name is spelled outside
+/// `USAGE` and the code that reads its value.
+struct Flag {
+    name: &'static str,
+    takes: Takes,
+    /// The commands that accept it; `request <op>` scopes it to one op
+    /// of `request`, plain `request` to all of them.
+    commands: &'static [&'static str],
+    /// For an advice flag, the request member it is on the wire.
+    member: Option<&'static str>,
 }
 
-fn take_value(
-    name: &str,
-    inline: Option<String>,
-    rest: &mut std::slice::Iter<'_, String>,
-) -> Result<String, String> {
-    if let Some(v) = inline {
-        return Ok(v);
-    }
-    rest.next().cloned().ok_or_else(|| format!("flag --{name} requires a value"))
+/// Where the advisor runs, and where it is simulated for first.
+const ADVISING: &[&str] = &["analyze", "request analyze", "request analyze_profile"];
+const SIMULATING: &[&str] = &["analyze", "profile", "request analyze", "request analyze_profile"];
+/// Repeat profiling happens during `analyze`'s simulation; a submitted
+/// profile is already gathered (and possibly merged).
+const REPLAYING: &[&str] = &["analyze", "profile", "request analyze"];
+
+#[rustfmt::skip]
+const FLAGS: [Flag; 20] = [
+    Flag { name: "json",        takes: Switch, commands: &["analyze"],          member: None },
+    Flag { name: "all",         takes: Switch, commands: &["analyze"],          member: None },
+    Flag { name: "addr",        takes: Text,   commands: &["serve", "request"], member: None },
+    Flag { name: "workers",     takes: Count,  commands: &["serve"],            member: None },
+    Flag { name: "queue",       takes: Count,  commands: &["serve"],            member: None },
+    Flag { name: "store",       takes: Count,  commands: &["serve"],            member: None },
+    Flag { name: "persist",     takes: Text,   commands: &["serve"],            member: None },
+    Flag { name: "profile",     takes: Text,   commands: &["request"],          member: None },
+    Flag { name: "top",         takes: Count,  commands: ADVISING,              member: Some("top") },
+    Flag { name: "category",    takes: Text,   commands: ADVISING,              member: Some("categories") },
+    Flag { name: "min-speedup", takes: Number, commands: ADVISING,              member: Some("min_speedup") },
+    Flag { name: "schema",      takes: Text,   commands: ADVISING,              member: Some("schema") },
+    Flag { name: "repeat",      takes: Count,  commands: REPLAYING,             member: Some("repeat") },
+    Flag { name: "mem-model",   takes: Text,   commands: SIMULATING,            member: Some("mem") },
+    Flag { name: "out",         takes: Text,   commands: &["profile"],          member: None },
+    Flag { name: "peers",       takes: Text,   commands: &["serve"],            member: None },
+    Flag { name: "advertise",   takes: Text,   commands: &["serve"],            member: None },
+    Flag { name: "join",        takes: Text,   commands: &["serve"],            member: None },
+    Flag { name: "faults",      takes: Text,   commands: &["serve"],            member: None },
+    Flag { name: "reactors",    takes: Count,  commands: &["serve"],            member: None },
+];
+
+/// A parsed command line: the positionals and each flag given, once,
+/// with its value as the JSON it would be on the wire.
+struct Args {
+    pos: Vec<String>,
+    given: Vec<(&'static Flag, Json)>,
 }
 
-fn take_usize(
-    name: &str,
-    inline: Option<String>,
-    rest: &mut std::slice::Iter<'_, String>,
-) -> Result<usize, String> {
-    let v = take_value(name, inline, rest)?;
-    v.parse().map_err(|_| format!("flag --{name} expects a number, got `{v}`"))
-}
-
-/// Splits the command line into positionals and known flags, rejecting
-/// anything that looks like a flag but isn't one.
-fn parse_cmdline(args: &[String]) -> Result<(Vec<String>, Flags), String> {
-    let mut flags = Flags::default();
-    let mut positionals = Vec::new();
-    let mut rest = args.iter();
-    while let Some(arg) = rest.next() {
-        if let Some(body) = arg.strip_prefix("--") {
+impl Args {
+    /// Splits the command line into positionals and table flags,
+    /// rejecting anything that looks like a flag but is not a row, a
+    /// value of the wrong kind, and a flag given twice.
+    fn parse(argv: &[String]) -> Result<Args, String> {
+        let mut args = Args { pos: Vec::new(), given: Vec::new() };
+        let mut rest = argv.iter();
+        while let Some(arg) = rest.next() {
+            let Some(body) = arg.strip_prefix("--") else {
+                if arg.starts_with('-') && arg.len() > 1 {
+                    return Err(format!("unknown flag `{arg}` (see usage)"));
+                }
+                args.pos.push(arg.clone());
+                continue;
+            };
             let (name, inline) = match body.split_once('=') {
-                Some((n, v)) => (n, Some(v.to_string())),
+                Some((name, value)) => (name, Some(value)),
                 None => (body, None),
             };
-            match name {
-                "json" | "all" => {
-                    if inline.is_some() {
-                        return Err(format!("flag --{name} takes no value"));
-                    }
-                    if name == "json" {
-                        flags.json = true;
-                    } else {
-                        flags.all = true;
-                    }
-                }
-                "addr" => flags.addr = Some(take_value(name, inline, &mut rest)?),
-                "workers" => flags.workers = Some(take_usize(name, inline, &mut rest)?),
-                "queue" => flags.queue = Some(take_usize(name, inline, &mut rest)?),
-                "store" => flags.store = Some(take_usize(name, inline, &mut rest)?),
-                "persist" => {
-                    flags.persist = Some(PathBuf::from(take_value(name, inline, &mut rest)?));
-                }
-                "profile" => {
-                    flags.profile = Some(PathBuf::from(take_value(name, inline, &mut rest)?));
-                }
-                "top" => flags.top = Some(take_usize(name, inline, &mut rest)?),
-                "category" => flags.category = Some(take_value(name, inline, &mut rest)?),
-                "min-speedup" => {
-                    let v = take_value(name, inline, &mut rest)?;
-                    flags.min_speedup = Some(
-                        v.parse()
-                            .map_err(|_| format!("flag --{name} expects a number, got `{v}`"))?,
-                    );
-                }
-                "schema" => flags.schema = Some(take_value(name, inline, &mut rest)?),
-                "repeat" => flags.repeat = Some(take_usize(name, inline, &mut rest)?),
-                "mem-model" => flags.mem_model = Some(take_value(name, inline, &mut rest)?),
-                "out" => flags.out = Some(PathBuf::from(take_value(name, inline, &mut rest)?)),
-                "peers" => flags.peers = Some(take_value(name, inline, &mut rest)?),
-                "advertise" => flags.advertise = Some(take_value(name, inline, &mut rest)?),
-                "join" => flags.join = Some(take_value(name, inline, &mut rest)?),
-                "faults" => flags.faults = Some(take_value(name, inline, &mut rest)?),
-                "reactors" => flags.reactors = Some(take_usize(name, inline, &mut rest)?),
-                _ => return Err(format!("unknown flag `{arg}` (see usage)")),
+            let flag = FLAGS
+                .iter()
+                .find(|f| f.name == name)
+                .ok_or_else(|| format!("unknown flag `{arg}` (see usage)"))?;
+            if args.get(name).is_some() {
+                return Err(format!("flag --{name} given more than once"));
             }
-        } else if arg.starts_with('-') && arg.len() > 1 {
-            return Err(format!("unknown flag `{arg}` (see usage)"));
-        } else {
-            positionals.push(arg.clone());
+            let value = if flag.takes == Switch {
+                if inline.is_some() {
+                    return Err(format!("flag --{name} takes no value"));
+                }
+                Json::Bool(true)
+            } else {
+                let v = match inline {
+                    Some(v) => v,
+                    None => rest.next().ok_or_else(|| format!("flag --{name} requires a value"))?,
+                };
+                match flag.takes {
+                    Count => v.parse::<usize>().ok().map(Json::from),
+                    Number => v.parse::<f64>().ok().map(Json::from),
+                    _ => Some(Json::from(v)),
+                }
+                .ok_or_else(|| format!("flag --{name} expects a number, got `{v}`"))?
+            };
+            args.given.push((flag, value));
         }
+        Ok(args)
     }
-    Ok((positionals, flags))
-}
 
-/// The first flag set but not in `allowed`, as a usage message.
-fn stray_flag(flags: &Flags, allowed: &[&str]) -> Option<String> {
-    let set = [
-        ("json", flags.json),
-        ("all", flags.all),
-        ("addr", flags.addr.is_some()),
-        ("workers", flags.workers.is_some()),
-        ("queue", flags.queue.is_some()),
-        ("store", flags.store.is_some()),
-        ("persist", flags.persist.is_some()),
-        ("profile", flags.profile.is_some()),
-        ("top", flags.top.is_some()),
-        ("category", flags.category.is_some()),
-        ("min-speedup", flags.min_speedup.is_some()),
-        ("schema", flags.schema.is_some()),
-        ("repeat", flags.repeat.is_some()),
-        ("mem-model", flags.mem_model.is_some()),
-        ("out", flags.out.is_some()),
-        ("peers", flags.peers.is_some()),
-        ("advertise", flags.advertise.is_some()),
-        ("join", flags.join.is_some()),
-        ("faults", flags.faults.is_some()),
-        ("reactors", flags.reactors.is_some()),
-    ];
-    set.iter()
-        .find(|(name, on)| *on && !allowed.contains(name))
-        .map(|(name, _)| format!("flag --{name} is not supported by this command"))
+    /// Refuses the first flag that `cmd` — or, for `request`, this `op`
+    /// of it — does not take.
+    fn check_scope(&self, cmd: &str, op: Option<&str>) -> Result<(), String> {
+        let scoped = op.map(|op| format!("{cmd} {op}"));
+        for (Flag { name, commands, .. }, _) in &self.given {
+            if commands.iter().any(|c| *c == cmd || Some(*c) == scoped.as_deref()) {
+                continue;
+            }
+            // Another op of this command takes it: name the one that does not.
+            return Err(match &scoped {
+                Some(scoped) if commands.iter().any(|c| c.starts_with(cmd)) => {
+                    format!("flag --{name} is not supported by `{scoped}`")
+                }
+                _ => format!("flag --{name} is not supported by this command"),
+            });
+        }
+        Ok(())
+    }
+
+    /// Refuses positionals beyond the first `max`.
+    fn at_most(&self, max: usize) -> Result<(), String> {
+        self.pos.get(max).map_or(Ok(()), |surplus| Err(format!("unexpected argument `{surplus}`")))
+    }
+
+    /// The value of flag `name` (a table row), if it was given.
+    fn get(&self, name: &str) -> Option<&Json> {
+        debug_assert!(FLAGS.iter().any(|f| f.name == name), "--{name} is not a row of FLAGS");
+        self.given.iter().find(|(flag, _)| flag.name == name).map(|(_, value)| value)
+    }
+
+    fn text(&self, name: &str) -> Option<String> {
+        self.get(name).map(|v| v.as_str().expect("a text flag").to_string())
+    }
+
+    fn count(&self, name: &str) -> Option<usize> {
+        self.get(name).map(|v| v.as_u64().expect("a count flag") as usize)
+    }
+
+    /// The advice flags as the request members they are on the wire,
+    /// judged by the wire's own validator: local `analyze` and daemon
+    /// `request`s accept exactly the same values, in the same words.
+    fn advice_options(&self) -> Result<WireOptions, String> {
+        let mut members = Json::object();
+        for (flag, value) in &self.given {
+            if let Some(member) = flag.member {
+                members = members.with(member, value.clone());
+            }
+        }
+        WireOptions::parse(&members)
+    }
 }
 
 fn parse_variant(arg: Option<&String>) -> Result<usize, String> {
@@ -207,122 +242,73 @@ fn parse_variant(arg: Option<&String>) -> Result<usize, String> {
     }
 }
 
-/// Maps the advice flags onto the wire/advisor options shared by local
-/// `analyze` and daemon `request`s.
-fn advice_options(flags: &Flags) -> Result<WireOptions, String> {
-    let mut options = WireOptions::default();
-    if let Some(s) = &flags.schema {
-        options.schema = match s.as_str() {
-            "v1" | "1" => 1,
-            "v2" | "2" => 2,
-            other => return Err(format!("unknown schema `{other}` (expected v1 or v2)")),
-        };
-    }
-    if let Some(top) = flags.top {
-        options.request.top = Some(top);
-    }
-    if let Some(c) = &flags.category {
-        let cat = OptimizerCategory::from_slug(c).ok_or_else(|| {
-            format!(
-                "unknown category `{c}` (expected stall-elimination, latency-hiding or parallel)"
-            )
-        })?;
-        options.request.categories.push(cat);
-    }
-    if let Some(m) = flags.min_speedup {
-        options.request.min_speedup = m;
-    }
-    if let Some(m) = &flags.mem_model {
-        options.hierarchy = match m.as_str() {
-            "flat" => false,
-            "hierarchy" => true,
-            other => {
-                return Err(format!("unknown memory model `{other}` (expected flat or hierarchy)"))
-            }
-        };
-    }
-    if let Some(r) = flags.repeat {
-        if r == 0 {
-            return Err("flag --repeat expects a count of at least 1".to_string());
+/// Every command's stdout goes through here. A consumer that stops
+/// reading early (`| head`, `| grep -q`) is not a failure: once the pipe
+/// is closed the rest of the output is dropped and the command ends
+/// with the exit code it had earned.
+fn emit(text: std::fmt::Arguments<'_>) {
+    if let Err(e) = std::io::stdout().write_fmt(text) {
+        if e.kind() != std::io::ErrorKind::BrokenPipe {
+            eprintln!("gpa: cannot write to stdout: {e}");
+            std::process::exit(1);
         }
-        // Same bound the daemon enforces (each repeat is a full
-        // re-simulation), applied before connecting anywhere.
-        if r > MAX_REPEAT as usize {
-            return Err(format!("flag --repeat exceeds the limit of {MAX_REPEAT}"));
-        }
-        options.repeat = r as u32;
     }
-    Ok(options)
+}
+
+macro_rules! out {
+    ($($arg:tt)*) => { emit(format_args!($($arg)*)) };
 }
 
 fn main() -> ExitCode {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let (pos, flags) = match parse_cmdline(&args) {
-        Ok(parsed) => parsed,
-        Err(msg) => return usage(&msg),
-    };
-    let Some(cmd) = pos.first().map(String::as_str) else { return usage("") };
-    let allowed: &[&str] = match cmd {
-        "analyze" => {
-            &["json", "all", "top", "category", "min-speedup", "schema", "repeat", "mem-model"]
-        }
-        "profile" => &["repeat", "out", "mem-model"],
-        "serve" => &[
-            "addr",
-            "workers",
-            "queue",
-            "store",
-            "persist",
-            "peers",
-            "advertise",
-            "join",
-            "faults",
-            "reactors",
-        ],
-        "request" => {
-            &["addr", "profile", "top", "category", "min-speedup", "schema", "repeat", "mem-model"]
-        }
-        _ => &[],
-    };
-    if let Some(msg) = stray_flag(&flags, allowed) {
-        return usage(&msg);
+    let argv: Vec<String> = std::env::args().skip(1).collect();
+    run(&argv).unwrap_or_else(|msg| usage(&msg))
+}
+
+/// Runs one command line; `Err` is a usage error's message.
+fn run(argv: &[String]) -> Result<ExitCode, String> {
+    let args = Args::parse(argv)?;
+    let Some(cmd) = args.pos.first().map(String::as_str) else { return Err(String::new()) };
+    let op = args.pos.get(1).map(String::as_str).filter(|_| cmd == "request");
+    if cmd == "request" && op.is_none() {
+        return Err(
+            "`request` needs an op: analyze, analyze_profile, status, shutdown, ring, leave"
+                .to_string(),
+        );
     }
+    args.check_scope(cmd, op)?;
     match cmd {
         "list" => {
+            args.at_most(1)?;
             for app in all_apps() {
                 let stages: Vec<&str> = app.stages.iter().map(|s| s.name).collect();
-                println!(
-                    "{:<24} kernel {:<28} stages: {}",
-                    app.name,
-                    app.kernel,
-                    stages.join(", ")
-                );
+                out!("{:<24} kernel {:<28} stages: {}\n", app.name, app.kernel, stages.join(", "));
             }
-            ExitCode::SUCCESS
+            Ok(ExitCode::SUCCESS)
         }
         "analyze" | "profile" | "asm" => {
-            let options = match advice_options(&flags) {
-                Ok(o) => o,
-                Err(msg) => return usage(&msg),
-            };
-            if options.schema != 1 && !flags.json {
-                return usage("flag --schema selects the --json output schema; add --json");
+            let options = args.advice_options()?;
+            let json = args.get("json").is_some();
+            if options.schema != 1 && !json {
+                return Err("flag --schema selects the --json output schema; add --json".into());
             }
-            if flags.all {
-                return analyze_all(flags.json, &options);
+            if args.get("all").is_some() {
+                args.at_most(1)?;
+                return Ok(analyze_all(json, &options));
             }
-            let Some(name) = pos.get(1) else {
-                return usage(&format!("`{cmd}` needs an app name (try `gpa list`)"));
-            };
-            let variant = match parse_variant(pos.get(2)) {
-                Ok(v) => v,
-                Err(msg) => return usage(&msg),
-            };
-            run_local(cmd, name, variant, flags.json, &options, flags.out.as_deref())
+            args.at_most(3)?;
+            let name = args
+                .pos
+                .get(1)
+                .ok_or_else(|| format!("`{cmd}` needs an app name (try `gpa list`)"))?;
+            let variant = parse_variant(args.pos.get(2))?;
+            Ok(run_local(cmd, name, variant, json, &options, args.text("out").as_deref()))
         }
-        "serve" => run_serve(&flags),
-        "request" => run_request(&pos, &flags),
-        _ => usage(&format!("unknown command `{cmd}`")),
+        "serve" => {
+            args.at_most(1)?;
+            run_serve(&args)
+        }
+        "request" => run_request(&args, op.expect("checked above")),
+        _ => Err(format!("unknown command `{cmd}`")),
     }
 }
 
@@ -333,7 +319,7 @@ fn run_local(
     variant: usize,
     json: bool,
     options: &WireOptions,
-    out: Option<&std::path::Path>,
+    out: Option<&str>,
 ) -> ExitCode {
     let mut session = Session::full().with_repeat(options.repeat);
     if options.hierarchy {
@@ -343,7 +329,7 @@ fn run_local(
     if cmd == "asm" {
         return match session.artifacts(&job) {
             Ok(art) => {
-                print!("{}", art.spec.module.write_asm());
+                out!("{}", art.spec.module.write_asm());
                 ExitCode::SUCCESS
             }
             Err(e) => {
@@ -361,13 +347,13 @@ fn run_local(
                 let text = profile.to_json();
                 match out {
                     None => {
-                        println!("{text}");
+                        out!("{text}\n");
                         ExitCode::SUCCESS
                     }
                     Some(path) => match std::fs::write(path, text + "\n") {
                         Ok(()) => ExitCode::SUCCESS,
                         Err(e) => {
-                            eprintln!("gpa profile: cannot write {}: {e}", path.display());
+                            eprintln!("gpa profile: cannot write {path}: {e}");
                             ExitCode::FAILURE
                         }
                     },
@@ -379,12 +365,12 @@ fn run_local(
     match session.run_one_request(&job, &options.request) {
         Ok(outcome) => {
             match cmd {
-                _ if json && options.schema == 2 => println!("{}", outcome.to_json_v2()),
-                _ if json => println!("{}", outcome.to_json()),
+                _ if json && options.schema == 2 => out!("{}\n", outcome.to_json_v2()),
+                _ if json => out!("{}\n", outcome.to_json()),
                 _ => {
                     let top = options.request.top.unwrap_or(5);
-                    print!("{}", report::render(&outcome.report, top));
-                    println!("kernel cycles: {}", outcome.cycles);
+                    out!("{}", report::render(&outcome.report, top));
+                    out!("kernel cycles: {}\n", outcome.cycles);
                 }
             }
             ExitCode::SUCCESS
@@ -397,7 +383,7 @@ fn run_local(
 /// message on stderr otherwise. Either way the exit code is nonzero.
 fn analysis_failure(json: bool, e: &AnalysisError) -> ExitCode {
     if json {
-        println!("{}", e.to_json());
+        out!("{}\n", e.to_json());
     } else {
         eprintln!("analysis failed: {e}");
     }
@@ -434,21 +420,25 @@ fn analyze_all(json: bool, options: &WireOptions) -> ExitCode {
                 .with("wall_ms", total_wall.as_secs_f64() * 1e3)
                 .with("workers", session.workers()),
         );
-        println!("{doc}");
+        out!("{doc}\n");
     } else {
-        println!(
-            "{:<24} {:<28} {:>12} {:>9} {:>10}  top advice",
-            "application", "kernel", "cycles", "samples", "wall"
+        out!(
+            "{:<24} {:<28} {:>12} {:>9} {:>10}  top advice\n",
+            "application",
+            "kernel",
+            "cycles",
+            "samples",
+            "wall"
         );
-        println!("{}", "-".repeat(118));
+        out!("{}\n", "-".repeat(118));
         for result in &results {
             match result {
                 Ok(out) => {
                     let top = out.report.top().map_or("(no advice matched)".to_string(), |i| {
                         format!("{} {:.2}x", i.optimizer(), i.estimated_speedup)
                     });
-                    println!(
-                        "{:<24} {:<28} {:>10}cy {:>9} {:>8.1}ms  {}",
+                    out!(
+                        "{:<24} {:<28} {:>10}cy {:>9} {:>8.1}ms  {}\n",
                         out.job.app,
                         out.kernel,
                         out.cycles,
@@ -457,13 +447,13 @@ fn analyze_all(json: bool, options: &WireOptions) -> ExitCode {
                         top
                     );
                 }
-                Err(e) => println!("{:<24} FAULT: {}", e.job.app, e.message),
+                Err(e) => out!("{:<24} FAULT: {}\n", e.job.app, e.message),
             }
         }
-        println!("{}", "-".repeat(118));
+        out!("{}\n", "-".repeat(118));
         let slowest = results.iter().flatten().max_by_key(|o| o.wall);
-        println!(
-            "{} apps analyzed in {:.1}ms wall ({} workers{})",
+        out!(
+            "{} apps analyzed in {:.1}ms wall ({} workers{})\n",
             results.len(),
             total_wall.as_secs_f64() * 1e3,
             session.workers(),
@@ -474,7 +464,7 @@ fn analyze_all(json: bool, options: &WireOptions) -> ExitCode {
             )),
         );
         if faults > 0 {
-            println!("{faults} app(s) FAULTED");
+            out!("{faults} app(s) FAULTED\n");
         }
     }
     if faults > 0 {
@@ -485,38 +475,35 @@ fn analyze_all(json: bool, options: &WireOptions) -> ExitCode {
 }
 
 /// `gpa serve`: run the daemon until a client sends `shutdown`.
-fn run_serve(flags: &Flags) -> ExitCode {
+fn run_serve(args: &Args) -> Result<ExitCode, String> {
     let defaults = ServerConfig::default();
-    let peers: Vec<String> = flags
-        .peers
-        .as_deref()
-        .map(|list| {
-            list.split(',').map(str::trim).filter(|p| !p.is_empty()).map(str::to_string).collect()
-        })
-        .unwrap_or_default();
-    if flags.peers.is_some() && peers.is_empty() {
-        return usage("flag --peers expects a comma-separated list of addresses");
+    let peers: Vec<String> = args
+        .text("peers")
+        .iter()
+        .flat_map(|list| list.split(','))
+        .map(str::trim)
+        .filter(|p| !p.is_empty())
+        .map(str::to_string)
+        .collect();
+    if args.get("peers").is_some() && peers.is_empty() {
+        return Err("flag --peers expects a comma-separated list of addresses".into());
     }
-    let faults = match flags.faults.as_deref() {
-        None => None,
-        Some(spec) => match FaultPlan::parse(spec) {
-            Ok(plan) => Some(plan),
-            Err(msg) => return usage(&msg),
-        },
-    };
-    if flags.reactors == Some(0) {
-        return usage("flag --reactors expects a count of at least 1 (omit it for the default)");
+    let faults = args.text("faults").map(|spec| FaultPlan::parse(&spec)).transpose()?;
+    if args.count("reactors") == Some(0) {
+        return Err(
+            "flag --reactors expects a count of at least 1 (omit it for the default)".into()
+        );
     }
     let config = ServerConfig {
-        addr: flags.addr.clone().unwrap_or(defaults.addr),
-        workers: flags.workers.unwrap_or(defaults.workers),
-        reactors: flags.reactors.unwrap_or(defaults.reactors),
-        queue: flags.queue.unwrap_or(defaults.queue),
-        store_capacity: flags.store.unwrap_or(defaults.store_capacity),
-        persist_dir: flags.persist.clone(),
+        addr: args.text("addr").unwrap_or(defaults.addr),
+        workers: args.count("workers").unwrap_or(defaults.workers),
+        reactors: args.count("reactors").unwrap_or(defaults.reactors),
+        queue: args.count("queue").unwrap_or(defaults.queue),
+        store_capacity: args.count("store").unwrap_or(defaults.store_capacity),
+        persist_dir: args.text("persist").map(Into::into),
         peers,
-        advertise: flags.advertise.clone(),
-        join: flags.join.clone(),
+        advertise: args.text("advertise"),
+        join: args.text("join"),
         faults,
         ..ServerConfig::default()
     };
@@ -527,127 +514,87 @@ fn run_serve(flags: &Flags) -> ExitCode {
         Ok(handle) => handle,
         Err(e) => {
             eprintln!("gpa serve: {e}");
-            return ExitCode::FAILURE;
+            return Ok(ExitCode::FAILURE);
         }
     };
     // The exact line scripts (and CI) parse to discover an ephemeral
     // port; keep the `listening on <addr>` phrasing stable.
-    println!("gpa-serve listening on {} ({workers} workers, queue {queue})", handle.local_addr());
+    out!("gpa-serve listening on {} ({workers} workers, queue {queue})\n", handle.local_addr());
     // The *effective* count: a request above the cap (or `0` = auto)
     // reports what actually runs, matching `status.reactor.count`.
-    println!("gpa-serve reactors: {} ({} accept)", handle.reactors(), handle.accept_path());
+    out!("gpa-serve reactors: {} ({} accept)\n", handle.reactors(), handle.accept_path());
     if peer_count > 0 {
-        println!("gpa-serve sharding with {peer_count} peer(s)");
+        out!("gpa-serve sharding with {peer_count} peer(s)\n");
     }
     if let Some(seed) = joined {
-        println!("gpa-serve joined the ring via {seed}");
+        out!("gpa-serve joined the ring via {seed}\n");
     }
     let _ = std::io::stdout().flush();
     handle.join();
-    println!("gpa-serve stopped");
-    ExitCode::SUCCESS
+    out!("gpa-serve stopped\n");
+    Ok(ExitCode::SUCCESS)
 }
 
 /// `gpa request <op> ...`: one request against a running daemon.
-fn run_request(pos: &[String], flags: &Flags) -> ExitCode {
-    let Some(op) = pos.get(1).map(String::as_str) else {
-        return usage(
-            "`request` needs an op: analyze, analyze_profile, status, shutdown, ring, leave",
-        );
-    };
-    // Advice options only make sense on the advising ops; anywhere else
-    // they would be silently ignored, which strict parsing forbids.
-    if !matches!(op, "analyze" | "analyze_profile") {
-        for (name, set) in [
-            ("top", flags.top.is_some()),
-            ("category", flags.category.is_some()),
-            ("min-speedup", flags.min_speedup.is_some()),
-            ("schema", flags.schema.is_some()),
-            ("repeat", flags.repeat.is_some()),
-            ("mem-model", flags.mem_model.is_some()),
-        ] {
-            if set {
-                return usage(&format!("flag --{name} is not supported by `request {op}`"));
-            }
-        }
-    }
-    // Repeat profiling happens daemon-side during `analyze`; a submitted
-    // profile is already gathered (and possibly merged) client-side.
-    if op == "analyze_profile" && flags.repeat.is_some() {
-        return usage("flag --repeat is not supported by `request analyze_profile`");
-    }
-    let options = match advice_options(flags) {
-        Ok(o) => o,
-        Err(msg) => return usage(&msg),
-    };
-    // Validate the whole command line (including the profile file)
-    // BEFORE connecting, so usage errors and exit codes do not depend
-    // on whether a daemon happens to be running.
+fn run_request(args: &Args, op: &str) -> Result<ExitCode, String> {
+    let options = args.advice_options()?;
+    // What goes on the wire. The whole command line (including the
+    // profile file) is validated BEFORE connecting, so usage errors and
+    // exit codes do not depend on whether a daemon happens to be running.
     enum Prepared {
-        Status,
-        Shutdown,
-        Ring,
-        Leave { member: Option<String> },
-        Analyze { app: String, variant: usize },
-        AnalyzeProfile { app: String, variant: usize, profile: Json },
+        Typed(Request),
+        Upload { job: AnalysisJob, profile: Json },
     }
-    let prepared = match op {
-        "status" => Prepared::Status,
-        "shutdown" => Prepared::Shutdown,
-        "ring" => Prepared::Ring,
+    let (prepared, positionals) = match op {
+        "status" => (Prepared::Typed(Request::Status), 2),
+        "shutdown" => (Prepared::Typed(Request::Shutdown), 2),
+        "ring" => (Prepared::Typed(Request::RingStatus), 2),
         // `leave` alone drains the daemon at --addr; `leave ADDR` evicts
         // that member from the roster instead.
-        "leave" => Prepared::Leave { member: pos.get(2).cloned() },
+        "leave" => {
+            let addr = args.pos.get(2).cloned();
+            (Prepared::Typed(Request::Leave { addr, meta: PeerMeta::default() }), 3)
+        }
         "analyze" | "analyze_profile" => {
-            let Some(app) = pos.get(2) else {
-                return usage(&format!("`request {op}` needs an app name"));
-            };
-            let variant = match parse_variant(pos.get(3)) {
-                Ok(v) => v,
-                Err(msg) => return usage(&msg),
-            };
+            let app = args.pos.get(2).ok_or_else(|| format!("`request {op}` needs an app name"))?;
+            let job = AnalysisJob::new(app, parse_variant(args.pos.get(3))?);
             if op == "analyze" {
-                Prepared::Analyze { app: app.clone(), variant }
+                (Prepared::Typed(Request::Analyze { job, options: options.clone() }), 4)
             } else {
-                let Some(path) = &flags.profile else {
-                    return usage("`request analyze_profile` needs --profile <file>");
-                };
-                let text = match std::fs::read_to_string(path) {
+                let path = args
+                    .text("profile")
+                    .ok_or("`request analyze_profile` needs --profile <file>")?;
+                let text = match std::fs::read_to_string(&path) {
                     Ok(t) => t,
                     Err(e) => {
-                        eprintln!("gpa request: cannot read {}: {e}", path.display());
-                        return ExitCode::FAILURE;
+                        eprintln!("gpa request: cannot read {path}: {e}");
+                        return Ok(ExitCode::FAILURE);
                     }
                 };
                 match Json::parse(&text) {
-                    Ok(profile) => Prepared::AnalyzeProfile { app: app.clone(), variant, profile },
+                    Ok(profile) => (Prepared::Upload { job, profile }, 4),
                     Err(e) => {
-                        eprintln!("gpa request: {} is not valid JSON: {e}", path.display());
-                        return ExitCode::FAILURE;
+                        eprintln!("gpa request: {path} is not valid JSON: {e}");
+                        return Ok(ExitCode::FAILURE);
                     }
                 }
             }
         }
-        other => return usage(&format!("unknown request op `{other}`")),
+        other => return Err(format!("unknown request op `{other}`")),
     };
-    let addr = flags.addr.clone().unwrap_or_else(|| DEFAULT_ADDR.to_string());
+    args.at_most(positionals)?;
+    let addr = args.text("addr").unwrap_or_else(|| DEFAULT_ADDR.to_string());
     let mut client = match ServeClient::connect(&addr) {
         Ok(c) => c,
         Err(e) => {
             eprintln!("gpa request: cannot connect to {addr}: {e}");
-            return ExitCode::FAILURE;
+            return Ok(ExitCode::FAILURE);
         }
     };
     let sent = match prepared {
-        Prepared::Status => client.status(),
-        Prepared::Shutdown => client.shutdown(),
-        Prepared::Ring => client.request(&Request::RingStatus),
-        Prepared::Leave { member } => {
-            client.request(&Request::Leave { addr: member, meta: PeerMeta::default() })
-        }
-        Prepared::Analyze { app, variant } => client.analyze_with(&app, variant, &options),
-        Prepared::AnalyzeProfile { app, variant, profile } => {
-            client.analyze_profile_with(&app, variant, &profile, &options)
+        Prepared::Typed(request) => client.request(&request),
+        Prepared::Upload { job, profile } => {
+            client.analyze_profile_with(&job.app, job.variant, &profile, &options)
         }
     };
     match sent {
@@ -656,32 +603,67 @@ fn run_request(pos: &[String], flags: &Flags) -> ExitCode {
             let doc = Json::object()
                 .with("ok", ok)
                 .with("cached", response.cached)
-                .with(
-                    "result",
-                    match response.result {
-                        Some(r) => r,
-                        None => Json::Null,
-                    },
-                )
-                .with(
-                    "error",
-                    match response.error {
-                        Some(e) => Json::from(e),
-                        None => Json::Null,
-                    },
-                );
-            // Tolerate a consumer that stops reading early (`| grep -q`,
-            // `| head`): a broken pipe is not a request failure.
-            let _ = writeln!(std::io::stdout(), "{doc}");
-            if ok {
-                ExitCode::SUCCESS
-            } else {
-                ExitCode::FAILURE
-            }
+                .with("result", response.result.unwrap_or(Json::Null))
+                .with("error", response.error.map_or(Json::Null, Json::from));
+            out!("{doc}\n");
+            Ok(if ok { ExitCode::SUCCESS } else { ExitCode::FAILURE })
         }
         Err(e) => {
             eprintln!("gpa request: {e}");
-            ExitCode::FAILURE
+            Ok(ExitCode::FAILURE)
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn args(line: &str) -> Args {
+        let argv: Vec<String> = line.split_whitespace().map(str::to_string).collect();
+        Args::parse(&argv).expect("parses")
+    }
+
+    /// `USAGE` stays prose; this keeps it and the table from drifting.
+    #[test]
+    fn usage_and_the_flag_table_name_the_same_flags() {
+        for flag in &FLAGS {
+            assert!(USAGE.contains(&format!("--{}", flag.name)), "--{} is not in USAGE", flag.name);
+        }
+        for word in USAGE.split(|c: char| !(c.is_ascii_alphanumeric() || c == '-')) {
+            if let Some(name) = word.strip_prefix("--") {
+                assert!(FLAGS.iter().any(|f| f.name == name), "USAGE's --{name} is not a row");
+            }
+        }
+    }
+
+    /// What the CLI builds for an advice row is what the daemon reads
+    /// back off the frame it is sent in: member names, value kinds and
+    /// verdicts are the wire's.
+    #[test]
+    fn advice_rows_build_the_options_their_frame_parses_to() {
+        let samples = "--top 3 --category parallel --min-speedup 1.05 --schema v2 --repeat 2 \
+                       --mem-model hierarchy";
+        let all = args(samples);
+        assert_eq!(
+            all.given.len(),
+            FLAGS.iter().filter(|f| f.member.is_some()).count(),
+            "one sample per advice row"
+        );
+        for line in
+            [samples, "--top 0", "--schema 1", "--min-speedup 2", "--category latency-hiding"]
+        {
+            let options = args(line).advice_options().expect("valid values");
+            let request =
+                Request::Analyze { job: AnalysisJob::new("a", 0), options: options.clone() };
+            match Request::parse(&request.to_wire()).expect("the frame parses") {
+                Request::Analyze { options: parsed, .. } => assert_eq!(parsed, options, "{line}"),
+                other => panic!("wrong parse: {other:?}"),
+            }
+        }
+        let options = all.advice_options().unwrap();
+        assert_eq!((options.schema, options.repeat, options.hierarchy), (2, 2, true));
+        assert_eq!((options.request.top, options.request.min_speedup), (Some(3), 1.05));
+        assert_eq!(options.request.categories.len(), 1);
     }
 }

@@ -161,14 +161,14 @@ fn profile_flags_are_validated_strictly() {
     // --repeat must be a positive count.
     let out = gpa(&["profile", "rodinia/hotspot", "--repeat", "0"]);
     assert_eq!(out.status.code(), Some(2));
-    assert!(stderr(&out).contains("--repeat expects a count of at least 1"), "{}", stderr(&out));
+    assert!(stderr(&out).contains("`repeat` must be at least 1"), "{}", stderr(&out));
     let out = gpa(&["analyze", "rodinia/hotspot", "--repeat", "many"]);
     assert_eq!(out.status.code(), Some(2));
     assert!(stderr(&out).contains("--repeat expects a number"), "{}", stderr(&out));
     // The daemon's compute cap is enforced before connecting anywhere.
     let out = gpa(&["request", "analyze", "rodinia/hotspot", "--repeat", "65"]);
     assert_eq!(out.status.code(), Some(2));
-    assert!(stderr(&out).contains("--repeat exceeds the limit of 64"), "{}", stderr(&out));
+    assert!(stderr(&out).contains("`repeat` exceeds the limit of 64"), "{}", stderr(&out));
     // --out is scoped to `profile`; --json is not a `profile` flag.
     let out = gpa(&["analyze", "rodinia/hotspot", "--out", "x.json"]);
     assert_eq!(out.status.code(), Some(2));
@@ -288,4 +288,381 @@ fn serve_reactors_flag_is_validated_strictly() {
     let out = gpa(&["analyze", "rodinia/hotspot", "--reactors", "2"]);
     assert_eq!(out.status.code(), Some(2));
     assert!(stderr(&out).contains("--reactors is not supported"), "{}", stderr(&out));
+}
+
+// ---------------------------------------------------------------------
+// The recorded front door. The two literals below (`MATRIX`, `PROBES`)
+// were recorded against the parent commit's binary before `main.rs`
+// was made table-driven: copy this file into a checkout of the parent,
+// run `cargo test -p gpa-cli --test cli recorded`, and a test whose
+// literal that binary disagrees with prints what it answers instead, in
+// literal form. A cell whose wording moves on purpose is re-recorded
+// and named in CHANGES.md.
+// ---------------------------------------------------------------------
+
+/// The 20 flags with a sample value each (`""` for a switch), plus one
+/// flag that does not exist.
+const FLAGS: [(&str, &str); 21] = [
+    ("json", ""),
+    ("all", ""),
+    ("addr", "x"),
+    ("workers", "2"),
+    ("queue", "2"),
+    ("store", "2"),
+    ("persist", "/nonexistent/gpa"),
+    ("profile", "/nonexistent/gpa"),
+    ("top", "3"),
+    ("category", "parallel"),
+    ("min-speedup", "1.05"),
+    ("schema", "v1"),
+    ("repeat", "2"),
+    ("mem-model", "flat"),
+    ("out", "/nonexistent/gpa"),
+    ("peers", "127.0.0.1:1"),
+    ("advertise", "127.0.0.1:2"),
+    ("join", "127.0.0.1:1"),
+    ("faults", "deny:*:count=1"),
+    ("reactors", "1"),
+    ("bogus", "1"),
+];
+
+/// The 7 commands (one of them unknown), each with arguments that fail
+/// fast *after* the command line was accepted: an unknown app, an
+/// unbindable `--addr x` (appended unless `--addr` is the flag under
+/// test), a port nothing listens on.
+const COMMANDS: [(&str, &[&str], &[&str]); 7] = [
+    ("list", &["list"], &[]),
+    ("analyze", &["analyze", "no/such-app"], &[]),
+    ("profile", &["profile", "no/such-app"], &[]),
+    ("asm", &["asm", "no/such-app"], &[]),
+    ("serve", &["serve"], &["--addr", "x"]),
+    ("request", &["request", "analyze", "no/such-app"], &["--addr", "127.0.0.1:9"]),
+    ("frobnicate", &["frobnicate"], &[]),
+];
+
+/// "accepted" when the command line got past argument handling (any
+/// exit code but the usage error's 2), else the first stderr line.
+fn verdict(out: &Output) -> String {
+    if out.status.code() == Some(2) {
+        stderr(out).lines().next().unwrap_or_default().to_string()
+    } else {
+        "accepted".to_string()
+    }
+}
+
+fn cell(command: &(&str, &[&str], &[&str]), flag: &str, value: &str) -> String {
+    let (name, base, tail) = *command;
+    let dashed = format!("--{flag}");
+    // `--all` takes no app; every other cell keeps the base positionals.
+    let mut args = if name == "analyze" && flag == "all" { vec![base[0]] } else { base.to_vec() };
+    args.push(&dashed);
+    if !value.is_empty() {
+        args.push(value);
+    }
+    if flag != "addr" {
+        args.extend(tail);
+    }
+    verdict(&gpa(&args))
+}
+
+/// `USAGE` names exactly the table's flags (a unit test in `main.rs`),
+/// so a new flag cannot stay out of the matrix.
+#[test]
+fn the_matrix_covers_every_flag_usage_names() {
+    let usage = stderr(&gpa(&[]));
+    let mut named: Vec<&str> = usage
+        .split(|c: char| !(c.is_ascii_alphanumeric() || c == '-'))
+        .filter_map(|word| word.strip_prefix("--"))
+        .collect();
+    named.sort_unstable();
+    named.dedup();
+    let mut covered: Vec<&str> =
+        FLAGS.iter().map(|(flag, _)| *flag).filter(|f| *f != "bogus").collect();
+    covered.sort_unstable();
+    assert_eq!(named, covered);
+}
+
+/// Every (command, flag) cell that is *not* the default refusal
+/// `gpa: flag --<flag> is not supported by this command`.
+const MATRIX: &[(&str, &str, &str)] = &[
+    ("list", "bogus", "gpa: unknown flag `--bogus` (see usage)"),
+    ("analyze", "json", "accepted"),
+    ("analyze", "all", "accepted"),
+    ("analyze", "top", "accepted"),
+    ("analyze", "category", "accepted"),
+    ("analyze", "min-speedup", "accepted"),
+    ("analyze", "schema", "accepted"),
+    ("analyze", "repeat", "accepted"),
+    ("analyze", "mem-model", "accepted"),
+    ("analyze", "bogus", "gpa: unknown flag `--bogus` (see usage)"),
+    ("profile", "repeat", "accepted"),
+    ("profile", "mem-model", "accepted"),
+    ("profile", "out", "accepted"),
+    ("profile", "bogus", "gpa: unknown flag `--bogus` (see usage)"),
+    ("asm", "bogus", "gpa: unknown flag `--bogus` (see usage)"),
+    ("serve", "addr", "accepted"),
+    ("serve", "workers", "accepted"),
+    ("serve", "queue", "accepted"),
+    ("serve", "store", "accepted"),
+    ("serve", "persist", "accepted"),
+    ("serve", "peers", "accepted"),
+    ("serve", "advertise", "accepted"),
+    ("serve", "join", "accepted"),
+    ("serve", "faults", "accepted"),
+    ("serve", "reactors", "accepted"),
+    ("serve", "bogus", "gpa: unknown flag `--bogus` (see usage)"),
+    ("request", "addr", "accepted"),
+    ("request", "profile", "accepted"),
+    ("request", "top", "accepted"),
+    ("request", "category", "accepted"),
+    ("request", "min-speedup", "accepted"),
+    ("request", "schema", "accepted"),
+    ("request", "repeat", "accepted"),
+    ("request", "mem-model", "accepted"),
+    ("request", "bogus", "gpa: unknown flag `--bogus` (see usage)"),
+    ("frobnicate", "bogus", "gpa: unknown flag `--bogus` (see usage)"),
+];
+
+#[test]
+fn recorded_acceptance_matrix_holds() {
+    let mut observed = Vec::new();
+    for command in &COMMANDS {
+        for (flag, value) in FLAGS {
+            let got = cell(command, flag, value);
+            if got != format!("gpa: flag --{flag} is not supported by this command") {
+                observed.push((command.0, flag, got));
+            }
+        }
+    }
+    let literal: String =
+        observed.iter().map(|(c, f, v)| format!("    ({c:?}, {f:?}, {v:?}),\n")).collect();
+    let same = observed.len() == MATRIX.len()
+        && observed.iter().zip(MATRIX).all(|(o, m)| (o.0, o.1, o.2.as_str()) == *m);
+    assert!(same, "the acceptance matrix moved; this binary answers:\n{literal}");
+}
+
+/// Value errors and command-shape errors: arguments, exit code, first
+/// stderr line.
+const PROBES: &[(&[&str], i32, &str)] = &[
+    (&["analyze", "no/such-app", "--repeat", "0"], 2, "gpa: `repeat` must be at least 1"),
+    (&["analyze", "no/such-app", "--repeat", "65"], 2, "gpa: `repeat` exceeds the limit of 64"),
+    (&["profile", "no/such-app", "--repeat", "0"], 2, "gpa: `repeat` must be at least 1"),
+    (
+        &["request", "analyze", "no/such-app", "--repeat", "65"],
+        2,
+        "gpa: `repeat` exceeds the limit of 64",
+    ),
+    (
+        &["analyze", "no/such-app", "--json", "--schema", "v3"],
+        2,
+        "gpa: unknown schema `v3` (expected v1 or v2)",
+    ),
+    (
+        &["analyze", "no/such-app", "--schema", "v2"],
+        2,
+        "gpa: flag --schema selects the --json output schema; add --json",
+    ),
+    (
+        &["analyze", "no/such-app", "--mem-model", "l2"],
+        2,
+        "gpa: unknown memory model `l2` (expected flat or hierarchy)",
+    ),
+    (
+        &["analyze", "no/such-app", "--category", "foo"],
+        2,
+        "gpa: unknown category `foo` (expected stall-elimination, latency-hiding or parallel)",
+    ),
+    (
+        &["request", "analyze", "no/such-app", "--category", "foo"],
+        2,
+        "gpa: unknown category `foo` (expected stall-elimination, latency-hiding or parallel)",
+    ),
+    (&["analyze", "no/such-app", "--top", "abc"], 2, "gpa: flag --top expects a number, got `abc`"),
+    (
+        &["analyze", "no/such-app", "--min-speedup", "abc"],
+        2,
+        "gpa: flag --min-speedup expects a number, got `abc`",
+    ),
+    (&["analyze", "no/such-app", "--json=1"], 2, "gpa: flag --json takes no value"),
+    (&["analyze", "no/such-app", "--top"], 2, "gpa: flag --top requires a value"),
+    (&["analyze", "-z"], 2, "gpa: unknown flag `-z` (see usage)"),
+    (&["analyze"], 2, "gpa: `analyze` needs an app name (try `gpa list`)"),
+    (&["analyze", "no/such-app", "x"], 2, "gpa: variant `x` is not a number"),
+    (
+        &["request", "status", "--top", "3"],
+        2,
+        "gpa: flag --top is not supported by `request status`",
+    ),
+    (&["request", "status", "--json"], 2, "gpa: flag --json is not supported by this command"),
+    (
+        &["request", "analyze_profile", "x", "--repeat", "2"],
+        2,
+        "gpa: flag --repeat is not supported by `request analyze_profile`",
+    ),
+    (
+        &["request", "analyze_profile", "x"],
+        2,
+        "gpa: `request analyze_profile` needs --profile <file>",
+    ),
+    (
+        &["request"],
+        2,
+        "gpa: `request` needs an op: analyze, analyze_profile, status, shutdown, ring, leave",
+    ),
+    (&["request", "bogus"], 2, "gpa: unknown request op `bogus`"),
+    (&["request", "bogus", "--top", "3"], 2, "gpa: flag --top is not supported by `request bogus`"),
+    (
+        &["serve", "--peers", ","],
+        2,
+        "gpa: flag --peers expects a comma-separated list of addresses",
+    ),
+    (
+        &["serve", "--reactors", "0"],
+        2,
+        "gpa: flag --reactors expects a count of at least 1 (omit it for the default)",
+    ),
+    (
+        &["serve", "--faults", "seed=1"],
+        2,
+        "gpa: fault spec: no rules (expected `action:peer[:params]` parts)",
+    ),
+    (&["frobnicate"], 2, "gpa: unknown command `frobnicate`"),
+    (&[], 2, "usage: gpa <command> [args] [flags]"),
+    (
+        &["analyze", "no/such-app"],
+        1,
+        "analysis failed: no/such-app v0: unknown app (try `gpa list`)",
+    ),
+    (
+        &["asm", "rodinia/hotspot", "99"],
+        1,
+        "rodinia/hotspot v99: variant out of range (app has 0..1)",
+    ),
+    (
+        &["request", "status", "--addr", "127.0.0.1:9"],
+        1,
+        "gpa request: cannot connect to 127.0.0.1:9: Connection refused (os error 111)",
+    ),
+];
+
+#[test]
+fn recorded_value_and_shape_errors_hold() {
+    let observed: Vec<(&[&str], i32, String)> = PROBES
+        .iter()
+        .map(|&(args, ..)| {
+            let out = gpa(args);
+            let line = stderr(&out).lines().next().unwrap_or_default().to_string();
+            (args, out.status.code().expect("exits, not killed"), line)
+        })
+        .collect();
+    let literal: String =
+        observed.iter().map(|(a, c, l)| format!("    (&{a:?}, {c}, {l:?}),\n")).collect();
+    let same = observed.iter().zip(PROBES).all(|(o, p)| (o.0, o.1, o.2.as_str()) == *p);
+    assert!(same, "a recorded probe moved; this binary answers:\n{literal}");
+}
+
+#[test]
+fn inline_values_equal_separate_values() {
+    for (separate, inline) in [
+        (&["analyze", "no/such-app", "--top", "3"][..], &["analyze", "no/such-app", "--top=3"][..]),
+        (&["analyze", "no/such-app", "--top", "abc"], &["analyze", "no/such-app", "--top=abc"]),
+        (&["analyze", "no/such-app", "--schema", "v3"], &["analyze", "no/such-app", "--schema=v3"]),
+        (&["profile", "no/such-app", "--repeat", "0"], &["profile", "no/such-app", "--repeat=0"]),
+        (&["serve", "--addr", "x", "--workers", "2"], &["serve", "--addr=x", "--workers=2"]),
+        (&["list", "--out", "f"], &["list", "--out=f"]),
+    ] {
+        let (a, b) = (gpa(separate), gpa(inline));
+        assert_eq!(a.status.code(), b.status.code(), "{inline:?}");
+        assert_eq!(stderr(&a), stderr(&b), "{inline:?}");
+        assert_eq!(stdout(&a), stdout(&b), "{inline:?}");
+    }
+}
+
+#[test]
+fn a_non_finite_min_speedup_is_refused_locally_and_before_connecting() {
+    for value in ["nan", "inf", "-inf", "1e999"] {
+        for command in [
+            &["analyze", "rodinia/hotspot"][..],
+            &["request", "analyze", "rodinia/hotspot", "--addr", "127.0.0.1:9"],
+        ] {
+            let mut args = command.to_vec();
+            args.extend(["--min-speedup", value]);
+            let out = gpa(&args);
+            assert_eq!(out.status.code(), Some(2), "{args:?}: {}", stderr(&out));
+            assert!(stderr(&out).starts_with("gpa: `min_speedup` must be finite\n"), "{args:?}");
+            assert!(stdout(&out).is_empty(), "{args:?}");
+        }
+    }
+}
+
+#[test]
+fn surplus_positionals_are_usage_errors_naming_the_offender() {
+    for (args, offender) in [
+        (&["analyze", "rodinia/hotspot", "0", "junk", "extra"][..], "junk"),
+        (&["analyze", "--all", "rodinia/bfs"], "rodinia/bfs"),
+        (&["list", "x"], "x"),
+        (&["asm", "rodinia/hotspot", "0", "1"], "1"),
+        (&["serve", "now", "--addr", "x"], "now"),
+        (&["request", "status", "please", "--addr", "127.0.0.1:9"], "please"),
+        (&["request", "leave", "a:1", "b:2", "--addr", "127.0.0.1:9"], "b:2"),
+        (&["request", "analyze", "rodinia/hotspot", "0", "1", "--addr", "127.0.0.1:9"], "1"),
+    ] {
+        let out = gpa(args);
+        assert_eq!(out.status.code(), Some(2), "{args:?}: {}", stderr(&out));
+        let want = format!("gpa: unexpected argument `{offender}`\n");
+        assert!(stderr(&out).starts_with(&want), "{args:?}: {}", stderr(&out));
+    }
+}
+
+#[test]
+fn a_repeated_flag_is_a_usage_error_not_last_wins() {
+    for (args, flag) in [
+        (&["analyze", "rodinia/hotspot", "--top", "1", "--top", "2"][..], "top"),
+        (&["analyze", "rodinia/hotspot", "--json", "--json"], "json"),
+        (&["serve", "--addr", "x", "--addr=y"], "addr"),
+    ] {
+        let out = gpa(args);
+        assert_eq!(out.status.code(), Some(2), "{args:?}: {}", stderr(&out));
+        let want = format!("gpa: flag --{flag} given more than once\n");
+        assert!(stderr(&out).starts_with(&want), "{args:?}: {}", stderr(&out));
+    }
+}
+
+/// A stdout whose reader is already gone: the write end of a pipe whose
+/// only reader (a finished `gpa list` that never read its stdin) has
+/// exited. Every write to it fails with EPIPE — what `| head` does to a
+/// command, without the race on how much `head` reads first.
+fn closed_pipe() -> std::process::Stdio {
+    let mut reader = Command::new(env!("CARGO_BIN_EXE_gpa"))
+        .arg("list")
+        .stdin(std::process::Stdio::piped())
+        .stdout(std::process::Stdio::null())
+        .spawn()
+        .expect("binary runs");
+    let write_end = reader.stdin.take().expect("piped stdin");
+    reader.wait().expect("reader exits");
+    write_end.into()
+}
+
+#[test]
+fn a_closed_stdout_ends_every_command_quietly() {
+    for (args, code) in [
+        (&["list"][..], 0),
+        (&["asm", "rodinia/hotspot"], 0),
+        (&["profile", "rodinia/hotspot"], 0),
+        (&["analyze", "rodinia/hotspot"], 0),
+        (&["analyze", "rodinia/hotspot", "--json"], 0),
+        (&["analyze", "--all"], 0),
+        (&["analyze", "--all", "--json"], 0),
+        // The exit code is what it would have been had the write landed.
+        (&["analyze", "no/such-app", "--json"], 1),
+    ] {
+        let out = Command::new(env!("CARGO_BIN_EXE_gpa"))
+            .args(args)
+            .stdout(closed_pipe())
+            .output()
+            .expect("binary runs");
+        assert_eq!(out.status.code(), Some(code), "{args:?}: {}", stderr(&out));
+        assert!(stderr(&out).is_empty(), "{args:?}: {}", stderr(&out));
+    }
 }

@@ -52,7 +52,7 @@ pub use client::{ClientError, Response, ServeClient};
 pub use faults::{FaultAction, FaultPlan, PeerOp};
 pub use metrics::{Metrics, ReactorStats};
 pub use protocol::{
-    PeerMeta, Request, WireOptions, DEFAULT_ADDR, DEFAULT_SCHEMA, MAX_REPEAT, SCHEMA_VERSIONS,
+    Op, PeerMeta, Request, WireOptions, DEFAULT_ADDR, DEFAULT_SCHEMA, MAX_REPEAT, SCHEMA_VERSIONS,
 };
 pub use ring::{Ring, Roster};
 pub use server::{serve, serve_on, ServerConfig, ServerHandle, MAX_REACTORS};

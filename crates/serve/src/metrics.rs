@@ -3,31 +3,15 @@
 //! Everything is a relaxed atomic — the counters feed the `status` op
 //! and tests, not synchronization.
 
-use crate::Request;
+use crate::{Op, Request};
 use gpa_json::Json;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 /// The daemon's live counters.
 #[derive(Default)]
 pub struct Metrics {
-    /// `analyze` requests received.
-    pub analyze: AtomicU64,
-    /// `analyze_profile` requests received.
-    pub analyze_profile: AtomicU64,
-    /// `profile_begin` requests received (chunked uploads opened).
-    pub profile_begin: AtomicU64,
-    /// `profile_chunk` requests received.
-    pub profile_chunk: AtomicU64,
-    /// `profile_end` requests received (chunked uploads finalized).
-    pub profile_end: AtomicU64,
-    /// `profile_abort` requests received (chunked uploads discarded).
-    pub profile_abort: AtomicU64,
-    /// `status` requests received.
-    pub status: AtomicU64,
-    /// `shutdown` requests received.
-    pub shutdown: AtomicU64,
-    /// `sleep` requests received.
-    pub sleep: AtomicU64,
+    /// Requests received per op, indexed by [`Op`] discriminant.
+    pub ops: [AtomicU64; Op::ALL.len()],
     /// Lines that failed to parse as a request.
     pub protocol_errors: AtomicU64,
     /// Accepted requests whose analysis failed.
@@ -38,10 +22,6 @@ pub struct Metrics {
     pub queue_depth: AtomicU64,
     /// High-water mark of [`Metrics::queue_depth`].
     pub queue_peak: AtomicU64,
-    /// `store_get` peer requests received.
-    pub store_get: AtomicU64,
-    /// `store_put` peer requests received.
-    pub store_put: AtomicU64,
     /// Requests forwarded to their owning shard.
     pub forwards_out: AtomicU64,
     /// Forwarded requests received from a peer shard.
@@ -56,12 +36,6 @@ pub struct Metrics {
     pub replication_dropped: AtomicU64,
     /// Local misses answered by warming the key from the ring successor.
     pub peer_warm_hits: AtomicU64,
-    /// `join` peer requests received.
-    pub join: AtomicU64,
-    /// `leave` peer requests received.
-    pub leave: AtomicU64,
-    /// `ring_status` peer requests received.
-    pub ring_status: AtomicU64,
     /// Forwarded frames rejected because the sender's epoch was stale.
     pub stale_epoch_rejected: AtomicU64,
     /// Roster refreshes adopted from a peer (anti-entropy catches).
@@ -101,23 +75,7 @@ impl Metrics {
 
     /// Counts one received request by op.
     pub fn count_op(&self, request: &Request) {
-        let counter = match request {
-            Request::Analyze { .. } => &self.analyze,
-            Request::AnalyzeProfile { .. } => &self.analyze_profile,
-            Request::ProfileBegin { .. } => &self.profile_begin,
-            Request::ProfileChunk { .. } => &self.profile_chunk,
-            Request::ProfileEnd { .. } => &self.profile_end,
-            Request::ProfileAbort { .. } => &self.profile_abort,
-            Request::Status => &self.status,
-            Request::Shutdown => &self.shutdown,
-            Request::Sleep { .. } => &self.sleep,
-            Request::StoreGet { .. } => &self.store_get,
-            Request::StorePut { .. } => &self.store_put,
-            Request::Join { .. } => &self.join,
-            Request::Leave { .. } => &self.leave,
-            Request::RingStatus => &self.ring_status,
-        };
-        counter.fetch_add(1, Ordering::Relaxed);
+        self.ops[request.op() as usize].fetch_add(1, Ordering::Relaxed);
     }
 
     /// Records one dropped replication/handoff shipment, remembering
@@ -148,21 +106,9 @@ impl Metrics {
 
     /// The per-op counter object used inside `status` responses.
     pub fn ops_json(&self) -> Json {
-        Json::object()
-            .with("analyze", self.analyze.load(Ordering::Relaxed))
-            .with("analyze_profile", self.analyze_profile.load(Ordering::Relaxed))
-            .with("profile_begin", self.profile_begin.load(Ordering::Relaxed))
-            .with("profile_chunk", self.profile_chunk.load(Ordering::Relaxed))
-            .with("profile_end", self.profile_end.load(Ordering::Relaxed))
-            .with("profile_abort", self.profile_abort.load(Ordering::Relaxed))
-            .with("status", self.status.load(Ordering::Relaxed))
-            .with("shutdown", self.shutdown.load(Ordering::Relaxed))
-            .with("sleep", self.sleep.load(Ordering::Relaxed))
-            .with("store_get", self.store_get.load(Ordering::Relaxed))
-            .with("store_put", self.store_put.load(Ordering::Relaxed))
-            .with("join", self.join.load(Ordering::Relaxed))
-            .with("leave", self.leave.load(Ordering::Relaxed))
-            .with("ring_status", self.ring_status.load(Ordering::Relaxed))
+        Op::ALL.iter().fold(Json::object(), |doc, &op| {
+            doc.with(op.name(), self.ops[op as usize].load(Ordering::Relaxed))
+        })
     }
 
     /// The cluster counter object used inside `status` responses.
@@ -233,9 +179,14 @@ mod tests {
         m.count_op(&Request::Status);
         m.count_op(&Request::Status);
         m.count_op(&Request::Sleep { ms: 1 });
-        assert_eq!(m.status.load(Ordering::Relaxed), 2);
-        assert_eq!(m.sleep.load(Ordering::Relaxed), 1);
-        assert_eq!(m.analyze.load(Ordering::Relaxed), 0);
+        assert_eq!(m.ops[Op::Status as usize].load(Ordering::Relaxed), 2);
+        assert_eq!(m.ops[Op::Sleep as usize].load(Ordering::Relaxed), 1);
+        assert_eq!(m.ops[Op::Analyze as usize].load(Ordering::Relaxed), 0);
+        // `status.ops` lists exactly the name table, in its order.
+        let ops = m.ops_json();
+        let keys: Vec<&str> = ops.entries().unwrap().iter().map(|(k, _)| k.as_str()).collect();
+        assert_eq!(keys, Op::ALL.map(Op::name));
+        assert_eq!(ops.field("status").unwrap().as_u64().unwrap(), 2);
     }
 
     #[test]

@@ -138,9 +138,15 @@ impl WireOptions {
         WireOptions { schema: 2, ..WireOptions::default() }
     }
 
-    /// Parses the optional advice-option fields of an
-    /// `analyze`/`analyze_profile` request.
-    fn parse(doc: &Json) -> Result<WireOptions, String> {
+    /// Parses the optional advice-option members of an
+    /// `analyze`/`analyze_profile` frame — the one validator of every
+    /// option value, whether it arrived on the wire or on `gpa`'s
+    /// command line.
+    ///
+    /// # Errors
+    ///
+    /// A human-readable message naming the offending member.
+    pub fn parse(doc: &Json) -> Result<WireOptions, String> {
         let mut options = WireOptions::default();
         if let Some(v) = doc.get("schema") {
             options.schema = parse_schema(v)?;
@@ -180,8 +186,12 @@ impl WireOptions {
         }
         if let Some(v) = doc.get("categories") {
             for s in strings_of(v, "categories")? {
-                let cat = OptimizerCategory::from_slug(&s)
-                    .ok_or_else(|| format!("unknown category `{s}`"))?;
+                let cat = OptimizerCategory::from_slug(&s).ok_or_else(|| {
+                    format!(
+                        "unknown category `{s}` \
+                         (expected stall-elimination, latency-hiding or parallel)"
+                    )
+                })?;
                 request.categories.push(cat);
             }
         }
@@ -360,6 +370,55 @@ impl<'a> Frame<'a> {
     }
 }
 
+/// The wire ops: one row per op, in `status.ops` reporting order. The
+/// row is the only place an op's name is spelled; [`Request::parse`]
+/// matches the enum exhaustively and [`crate::Metrics`] counts by
+/// discriminant, so a new row does not compile until it parses.
+macro_rules! ops {
+    ($($variant:ident = $name:literal,)*) => {
+        /// Which op a request is: the `"op"` member of its frame.
+        #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+        pub enum Op {
+            $($variant,)*
+        }
+
+        impl Op {
+            /// Every op, in `status.ops` reporting order (an op's
+            /// discriminant is its index here).
+            pub const ALL: [Op; [$($name),*].len()] = [$(Op::$variant,)*];
+
+            /// The op as the wire spells it.
+            pub fn name(self) -> &'static str {
+                match self {
+                    $(Op::$variant => $name,)*
+                }
+            }
+
+            /// Inverse of [`Op::name`].
+            pub fn from_name(name: &str) -> Option<Op> {
+                Op::ALL.iter().copied().find(|op| op.name() == name)
+            }
+        }
+    };
+}
+
+ops! {
+    Analyze = "analyze",
+    AnalyzeProfile = "analyze_profile",
+    ProfileBegin = "profile_begin",
+    ProfileChunk = "profile_chunk",
+    ProfileEnd = "profile_end",
+    ProfileAbort = "profile_abort",
+    Status = "status",
+    Shutdown = "shutdown",
+    Sleep = "sleep",
+    StoreGet = "store_get",
+    StorePut = "store_put",
+    Join = "join",
+    Leave = "leave",
+    RingStatus = "ring_status",
+}
+
 /// A parsed client request.
 #[derive(Debug, Clone)]
 pub enum Request {
@@ -490,91 +549,91 @@ impl Request {
     pub fn parse(line: &str) -> Result<Request, String> {
         let Frame { doc, profile, body } =
             Frame::scan(line).map_err(|e| format!("malformed request: {e}"))?;
-        let op = doc
+        let name = doc
             .get("op")
             .ok_or("missing `op` field")?
             .as_str()
             .map_err(|_| "`op` must be a string")?;
-        match op {
-            "analyze" => {
-                Ok(Request::Analyze { job: job_from(&doc)?, options: WireOptions::parse(&doc)? })
+        let op = Op::from_name(name).ok_or_else(|| format!("unknown op `{name}`"))?;
+        Ok(match op {
+            Op::Analyze => {
+                Request::Analyze { job: job_from(&doc)?, options: WireOptions::parse(&doc)? }
             }
-            "analyze_profile" => {
+            Op::AnalyzeProfile => {
                 // Cheap validation (job, options) before the profile
                 // document, which can be megabytes.
                 let job = job_from(&doc)?;
                 let options = no_repeat(WireOptions::parse(&doc)?, op)?;
                 let (profile, text) = profile_from(profile)?;
                 let canon = gpa_json::compact(text).map_err(|e| e.to_string())?;
-                Ok(Request::AnalyzeProfile { job, profile, canon, options })
+                Request::AnalyzeProfile { job, profile, canon, options }
             }
-            "profile_begin" => Ok(Request::ProfileBegin {
+            Op::ProfileBegin => Request::ProfileBegin {
                 job: job_from(&doc)?,
                 options: no_repeat(WireOptions::parse(&doc)?, op)?,
-            }),
-            "profile_chunk" => {
+            },
+            Op::ProfileChunk => {
                 let upload_id = upload_id_from(&doc)?;
-                Ok(Request::ProfileChunk { upload_id, profile: profile_from(profile)?.0 })
+                Request::ProfileChunk { upload_id, profile: profile_from(profile)?.0 }
             }
-            "profile_end" => Ok(Request::ProfileEnd { upload_id: upload_id_from(&doc)? }),
-            "profile_abort" => Ok(Request::ProfileAbort { upload_id: upload_id_from(&doc)? }),
-            "store_get" => Ok(Request::StoreGet { key: key_from(&doc)? }),
-            "store_put" => {
+            Op::ProfileEnd => Request::ProfileEnd { upload_id: upload_id_from(&doc)? },
+            Op::ProfileAbort => Request::ProfileAbort { upload_id: upload_id_from(&doc)? },
+            Op::StoreGet => Request::StoreGet { key: key_from(&doc)? },
+            Op::StorePut => {
                 let key = key_from(&doc)?;
                 // The body is re-rendered compactly; compact JSON
                 // round-trips byte-identically (gpa-json's proptests),
                 // so the admitted replica equals the owner's bytes.
                 let body = gpa_json::compact(body.ok_or("missing `body` field")?)
                     .map_err(|e| e.to_string())?;
-                Ok(Request::StorePut { key, body, meta: PeerMeta::parse(&doc)? })
+                Request::StorePut { key, body, meta: PeerMeta::parse(&doc)? }
             }
-            "join" => {
+            Op::Join => {
                 let addr = doc
                     .get("addr")
                     .ok_or("missing `addr` field")?
                     .as_str()
                     .map_err(|_| "`addr` must be a string")?
                     .to_string();
-                Ok(Request::Join { addr, meta: PeerMeta::parse(&doc)? })
+                Request::Join { addr, meta: PeerMeta::parse(&doc)? }
             }
-            "leave" => {
+            Op::Leave => {
                 let addr = match doc.get("addr") {
                     Some(v) => Some(v.as_str().map_err(|_| "`addr` must be a string")?.to_string()),
                     None => None,
                 };
-                Ok(Request::Leave { addr, meta: PeerMeta::parse(&doc)? })
+                Request::Leave { addr, meta: PeerMeta::parse(&doc)? }
             }
-            "ring_status" => Ok(Request::RingStatus),
-            "status" => Ok(Request::Status),
-            "shutdown" => Ok(Request::Shutdown),
-            "sleep" => {
+            Op::RingStatus => Request::RingStatus,
+            Op::Status => Request::Status,
+            Op::Shutdown => Request::Shutdown,
+            Op::Sleep => {
                 let ms = match doc.get("ms") {
                     Some(v) => v.as_u64().map_err(|_| "`ms` must be an unsigned integer")?,
                     None => 0,
                 };
-                Ok(Request::Sleep { ms: ms.min(MAX_SLEEP_MS) })
+                Request::Sleep { ms: ms.min(MAX_SLEEP_MS) }
             }
-            other => Err(format!("unknown op `{other}`")),
-        }
+        })
     }
 
-    /// The op name (for metrics and logs).
-    pub fn op(&self) -> &'static str {
+    /// Which op this request is (what [`crate::Metrics`] counts it under).
+    pub fn op(&self) -> Op {
         match self {
-            Request::Analyze { .. } => "analyze",
-            Request::AnalyzeProfile { .. } => "analyze_profile",
-            Request::ProfileBegin { .. } => "profile_begin",
-            Request::ProfileChunk { .. } => "profile_chunk",
-            Request::ProfileEnd { .. } => "profile_end",
-            Request::ProfileAbort { .. } => "profile_abort",
-            Request::StoreGet { .. } => "store_get",
-            Request::StorePut { .. } => "store_put",
-            Request::Join { .. } => "join",
-            Request::Leave { .. } => "leave",
-            Request::RingStatus => "ring_status",
-            Request::Status => "status",
-            Request::Shutdown => "shutdown",
-            Request::Sleep { .. } => "sleep",
+            Request::Analyze { .. } => Op::Analyze,
+            Request::AnalyzeProfile { .. } => Op::AnalyzeProfile,
+            Request::ProfileBegin { .. } => Op::ProfileBegin,
+            Request::ProfileChunk { .. } => Op::ProfileChunk,
+            Request::ProfileEnd { .. } => Op::ProfileEnd,
+            Request::ProfileAbort { .. } => Op::ProfileAbort,
+            Request::StoreGet { .. } => Op::StoreGet,
+            Request::StorePut { .. } => Op::StorePut,
+            Request::Join { .. } => Op::Join,
+            Request::Leave { .. } => Op::Leave,
+            Request::RingStatus => Op::RingStatus,
+            Request::Status => Op::Status,
+            Request::Shutdown => Op::Shutdown,
+            Request::Sleep { .. } => Op::Sleep,
         }
     }
 
@@ -643,10 +702,10 @@ impl Request {
     /// client's.
     pub fn to_wire(&self) -> String {
         match self {
-            Request::Analyze { job, options } => options
+            Request::Analyze { job, options } | Request::ProfileBegin { job, options } => options
                 .extend_wire(
                     Json::object()
-                        .with("op", "analyze")
+                        .with("op", self.op().name())
                         .with("app", job.app.clone())
                         .with("variant", job.variant),
                 )
@@ -654,14 +713,6 @@ impl Request {
             Request::AnalyzeProfile { job, canon, options, .. } => {
                 analyze_profile_frame(&job.app, job.variant, canon, options)
             }
-            Request::ProfileBegin { job, options } => options
-                .extend_wire(
-                    Json::object()
-                        .with("op", "profile_begin")
-                        .with("app", job.app.clone())
-                        .with("variant", job.variant),
-                )
-                .compact(),
             Request::ProfileChunk { upload_id, profile } => {
                 profile_chunk_frame(*upload_id, &profile.to_doc().compact())
             }
@@ -735,8 +786,9 @@ pub fn profile_chunk_frame(upload_id: u64, profile_canon: &str) -> String {
 /// part of the content address, accepting it would also split
 /// byte-identical bodies across store entries (breaking the documented
 /// chunked/whole cache sharing).
-fn no_repeat(options: WireOptions, op: &str) -> Result<WireOptions, String> {
+fn no_repeat(options: WireOptions, op: Op) -> Result<WireOptions, String> {
     if options.repeat != 1 {
+        let op = op.name();
         return Err(format!("`repeat` is not supported by `{op}` (use it on `analyze`)"));
     }
     Ok(options)
@@ -888,6 +940,24 @@ fn result_body(
 mod tests {
     use super::*;
     use proptest::prelude::*;
+
+    /// `Metrics::ops` is indexed by discriminant and `status.ops` is
+    /// emitted in `ALL` order: row `i` must be the variant with
+    /// discriminant `i`, and the order is the one `status` has always
+    /// reported.
+    #[test]
+    fn the_op_table_is_indexed_by_discriminant_and_names_round_trip() {
+        for (i, op) in Op::ALL.into_iter().enumerate() {
+            assert_eq!(op as usize, i, "{op:?}");
+            assert_eq!(Op::from_name(op.name()), Some(op));
+        }
+        assert_eq!(Op::from_name("explode"), None);
+        assert_eq!(
+            Op::ALL.map(Op::name).join(" "),
+            "analyze analyze_profile profile_begin profile_chunk profile_end profile_abort \
+             status shutdown sleep store_get store_put join leave ring_status"
+        );
+    }
 
     #[test]
     fn parses_the_documented_ops() {
@@ -1119,7 +1189,7 @@ mod tests {
         let begin = Request::parse(r#"{"op":"profile_begin","app":"a"}"#).unwrap();
         assert!(begin.cache_key().is_none());
         assert!(Request::ProfileEnd { upload_id: 0 }.cache_key().is_none());
-        assert_eq!(begin.op(), "profile_begin");
+        assert_eq!(begin.op(), Op::ProfileBegin);
         assert_eq!(
             profile_chunk_frame(3, "{}"),
             r#"{"op":"profile_chunk","upload_id":3,"profile":{}}"#
@@ -1145,7 +1215,7 @@ mod tests {
         assert_eq!((k2.as_str(), body.as_str()), (key, "{\"v\":1}"));
         assert_eq!(meta, PeerMeta::default(), "no meta on the wire, none parsed");
         assert!(put.cache_key().is_none(), "store ops are not themselves cacheable");
-        assert_eq!(put.op(), "store_put");
+        assert_eq!(put.op(), Op::StorePut);
         for (line, needle) in [
             (r#"{"op":"store_get"}"#, "missing `key`"),
             (r#"{"op":"store_get","key":7}"#, "`key` must be a string"),
