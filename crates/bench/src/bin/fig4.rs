@@ -59,6 +59,7 @@ fn main() {
         occupancy: arch.occupancy(&launch),
         launch,
         sm_stats: vec![],
+        sim_stats: Default::default(),
     };
     let profile = KernelProfile::from_launch("k", "fig4", "volta", 64, &result);
     let structure = ProgramStructure::build(&m);

@@ -233,6 +233,7 @@ pub(crate) mod tests {
             occupancy: arch.occupancy(&launch),
             launch,
             sm_stats: vec![],
+            sim_stats: Default::default(),
         };
         KernelProfile::from_launch("k", "m", "volta", 509, &result)
     }

@@ -587,6 +587,7 @@ mod tests {
             occupancy: arch.occupancy(&launch),
             launch,
             sm_stats: vec![],
+            sim_stats: Default::default(),
         }
     }
 

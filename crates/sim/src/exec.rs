@@ -8,10 +8,12 @@
 //! The executor runs [`Plan`]s — instructions decoded once, when the
 //! program was lowered — and works on 32-lane rows: every arithmetic arm
 //! materialises its sources (`Word::fill`) and applies one closure
-//! across them (`row1`/`row2`/`row3`/`setp`); only the memory ops and
-//! `SHFL` read operands lane by lane. Whether a value is 32 or 64 bits
-//! wide is a type (`Word`), spelled in each arm's closure signature.
-//! Nothing on this path allocates.
+//! across them (`row1`/`row2`/`row3`/`setp`), and the memory ops build
+//! their address, data and result rows the same way. Which lanes execute
+//! is a mask walked by `for_lanes`, whose full-mask case — nearly every
+//! issue — is a `0..32` loop the compiler unrolls and vectorises. Whether
+//! a value is 32 or 64 bits wide is a type (`Word`), spelled in each
+//! arm's closure signature. Nothing on this path allocates.
 //!
 //! No operand can panic the executor or make a debug and a release
 //! build disagree: malformed operands are faults, shift counts act
@@ -22,7 +24,7 @@ use crate::mem::{ConstMem, GlobalMem};
 use crate::program::{CmpOp, Plan, Src};
 use crate::warp::{DivEntry, WarpState, WARP_LANES};
 use crate::{Result, SimError};
-use gpa_isa::{MemRef, MemSpace, Modifier, Opcode, Register, INSTR_BYTES};
+use gpa_isa::{MemSpace, Modifier, Opcode, Register, INSTR_BYTES};
 
 /// Shared-state view handed to the executor for one instruction.
 pub struct ExecCtx<'a> {
@@ -82,10 +84,13 @@ impl MemAccess {
         &self.lane_addrs[..self.lanes]
     }
 
-    /// Appends the next executing lane's address (at most one per lane).
-    fn push(&mut self, addr: u64) {
-        self.lane_addrs[self.lanes] = addr;
-        self.lanes += 1;
+    /// Records the addresses of the lanes in `mask`, in lane order.
+    fn set(&mut self, mask: u32, addrs: &[u64; WARP_LANES]) {
+        self.lanes = 0;
+        for_lanes(mask, |l| {
+            self.lane_addrs[self.lanes] = addrs[l];
+            self.lanes += 1;
+        });
     }
 }
 
@@ -108,130 +113,88 @@ fn fault(pc: u64, message: impl Into<String>) -> SimError {
     SimError::Fault { pc, message: message.into() }
 }
 
-/// Lane indices of a fully active warp.
-const ALL_LANES: [usize; WARP_LANES] = {
-    let mut a = [0usize; WARP_LANES];
-    let mut i = 0;
-    while i < WARP_LANES {
-        a[i] = i;
-        i += 1;
+/// Runs `f` for each lane of `mask`, in lane order. A full mask is the
+/// common case and gets a loop of constant trip count.
+#[inline(always)]
+fn for_lanes(mask: u32, mut f: impl FnMut(usize)) {
+    if mask == u32::MAX {
+        for l in 0..WARP_LANES {
+            f(l);
+        }
+    } else {
+        let mut rest = mask;
+        while rest != 0 {
+            f(rest.trailing_zeros() as usize);
+            rest &= rest - 1;
+        }
     }
-    a
-};
+}
 
 /// The width of a lane value, `u32` or `u64`: what reading a resolved
 /// source and writing a destination do differently for a register and a
 /// register pair. Everything above this trait is generic over it.
 trait Word: Copy + Default {
-    /// Reads a resolved source for one lane.
-    fn get(w: &WarpState, lane: usize, s: Src, ctx: &ExecCtx) -> Self;
-
     /// Materializes a resolved source into per-lane values: one row copy
     /// (or broadcast) per instruction instead of an enum match per lane.
     /// Safe because lane writes are strictly lane-local — no instruction
     /// observes another lane's same-instruction result through the
     /// register file (SHFL snapshots explicitly).
-    fn fill(w: &WarpState, s: Src, ctx: &ExecCtx, out: &mut [Self; WARP_LANES]);
+    fn fill(w: &WarpState, s: Src, ctx: &ExecCtx) -> [Self; WARP_LANES];
 
     /// Writes per-lane results to a destination register — a pair when
-    /// `Self` is 64 bits wide — for the given lanes.
-    fn store(w: &mut WarpState, d: Register, lanes: &[usize], vals: &[Self; WARP_LANES]);
+    /// `Self` is 64 bits wide — for the lanes in `mask`.
+    fn store(w: &mut WarpState, d: Register, mask: u32, vals: &[Self; WARP_LANES]);
 }
 
 impl Word for u32 {
     #[inline]
-    fn get(w: &WarpState, lane: usize, s: Src, ctx: &ExecCtx) -> u32 {
+    fn fill(w: &WarpState, s: Src, ctx: &ExecCtx) -> [u32; WARP_LANES] {
         match s {
-            Src::Val(v) => v,
-            Src::Val64(v) => v as u32,
-            Src::Reg(r) | Src::Pair(r) => w.read_reg(lane, r),
-            Src::SReg(sr) => w.special(lane, sr, ctx.block_id, ctx.grid_blocks, ctx.block_threads),
-            Src::Pred(p) => w.read_pred(lane, p) as u32,
-            Src::CMem { bank, offset } => ctx.consts.read_u32(bank, offset as u32),
+            Src::Val(v) => [v; WARP_LANES],
+            Src::Val64(v) => [v as u32; WARP_LANES],
+            Src::Reg(r) | Src::Pair(r) if r.is_zero() => [0; WARP_LANES],
+            Src::Reg(r) | Src::Pair(r) => w.regs[r.index() as usize],
+            Src::SReg(sr) => std::array::from_fn(|l| {
+                w.special(l, sr, ctx.block_id, ctx.grid_blocks, ctx.block_threads)
+            }),
+            Src::Pred(p) => std::array::from_fn(|l| w.read_pred(l, p) as u32),
+            Src::CMem { bank, offset } => [ctx.consts.read_u32(bank, offset as u32); WARP_LANES],
         }
     }
 
     #[inline]
-    fn fill(w: &WarpState, s: Src, ctx: &ExecCtx, out: &mut [u32; WARP_LANES]) {
-        match s {
-            Src::Val(v) => out.fill(v),
-            Src::Val64(v) => out.fill(v as u32),
-            Src::Reg(r) | Src::Pair(r) => {
-                if r.is_zero() {
-                    out.fill(0);
-                } else {
-                    *out = w.regs[r.index() as usize];
-                }
-            }
-            Src::SReg(sr) => {
-                for (l, slot) in out.iter_mut().enumerate() {
-                    *slot = w.special(l, sr, ctx.block_id, ctx.grid_blocks, ctx.block_threads);
-                }
-            }
-            Src::Pred(p) => {
-                for (l, slot) in out.iter_mut().enumerate() {
-                    *slot = w.read_pred(l, p) as u32;
-                }
-            }
-            Src::CMem { bank, offset } => out.fill(ctx.consts.read_u32(bank, offset as u32)),
-        }
-    }
-
-    #[inline]
-    fn store(w: &mut WarpState, d: Register, lanes: &[usize], vals: &[u32; WARP_LANES]) {
+    fn store(w: &mut WarpState, d: Register, mask: u32, vals: &[u32; WARP_LANES]) {
         if d.is_zero() {
             return;
         }
         let row = &mut w.regs[d.index() as usize];
-        for &l in lanes {
-            row[l] = vals[l];
-        }
+        for_lanes(mask, |l| row[l] = vals[l]);
     }
 }
 
 impl Word for u64 {
     #[inline]
-    fn get(w: &WarpState, lane: usize, s: Src, ctx: &ExecCtx) -> u64 {
+    fn fill(w: &WarpState, s: Src, ctx: &ExecCtx) -> [u64; WARP_LANES] {
         match s {
-            Src::Val64(v) => v,
-            Src::Pair(r) => w.read_pair(lane, r),
-            Src::CMem { bank, offset } => ctx.consts.read_u64(bank, offset as u32),
+            Src::Val64(v) => [v; WARP_LANES],
+            Src::CMem { bank, offset } => [ctx.consts.read_u64(bank, offset as u32); WARP_LANES],
+            // A pair is its two rows; `RZ`'s upper half is `RZ`.
+            Src::Pair(r) => {
+                let lo = u32::fill(w, Src::Reg(r), ctx);
+                let hi = u32::fill(w, Src::Reg(r.pair_hi()), ctx);
+                std::array::from_fn(|l| lo[l] as u64 | (hi[l] as u64) << 32)
+            }
             // Everything else is a 32-bit value, zero-extended.
             Src::Val(_) | Src::Reg(_) | Src::SReg(_) | Src::Pred(_) => {
-                u32::get(w, lane, s, ctx) as u64
+                u32::fill(w, s, ctx).map(u64::from)
             }
         }
     }
 
     #[inline]
-    fn fill(w: &WarpState, s: Src, ctx: &ExecCtx, out: &mut [u64; WARP_LANES]) {
-        match s {
-            Src::Val(v) => out.fill(v as u64),
-            Src::Val64(v) => out.fill(v),
-            Src::Reg(r) => {
-                for (l, slot) in out.iter_mut().enumerate() {
-                    *slot = w.read_reg(l, r) as u64;
-                }
-            }
-            Src::Pair(r) => {
-                for (l, slot) in out.iter_mut().enumerate() {
-                    *slot = w.read_pair(l, r);
-                }
-            }
-            Src::SReg(_) | Src::Pred(_) => {
-                for (l, slot) in out.iter_mut().enumerate() {
-                    *slot = u64::get(w, l, s, ctx);
-                }
-            }
-            Src::CMem { bank, offset } => out.fill(ctx.consts.read_u64(bank, offset as u32)),
-        }
-    }
-
-    #[inline]
-    fn store(w: &mut WarpState, d: Register, lanes: &[usize], vals: &[u64; WARP_LANES]) {
-        for &l in lanes {
-            w.write_pair(l, d, vals[l]);
-        }
+    fn store(w: &mut WarpState, d: Register, mask: u32, vals: &[u64; WARP_LANES]) {
+        u32::store(w, d, mask, &vals.map(|v| v as u32));
+        u32::store(w, d.pair_hi(), mask, &vals.map(|v| (v >> 32) as u32));
     }
 }
 
@@ -240,18 +203,15 @@ impl Word for u64 {
 fn row1<A: Word, O: Word>(
     w: &mut WarpState,
     d: Register,
-    lanes: &[usize],
+    mask: u32,
     [sa, ..]: [Src; 3],
     ctx: &ExecCtx,
     f: impl Fn(A) -> O,
 ) {
-    let mut a = [A::default(); WARP_LANES];
-    A::fill(w, sa, ctx, &mut a);
+    let a = A::fill(w, sa, ctx);
     let mut o = [O::default(); WARP_LANES];
-    for &l in lanes {
-        o[l] = f(a[l]);
-    }
-    O::store(w, d, lanes, &o);
+    for_lanes(mask, |l| o[l] = f(a[l]));
+    O::store(w, d, mask, &o);
 }
 
 /// Binary lane op over the first two sources, each at its own width.
@@ -259,43 +219,75 @@ fn row1<A: Word, O: Word>(
 fn row2<A: Word, B: Word, O: Word>(
     w: &mut WarpState,
     d: Register,
-    lanes: &[usize],
+    mask: u32,
     [sa, sb, _]: [Src; 3],
     ctx: &ExecCtx,
     f: impl Fn(A, B) -> O,
 ) {
-    let mut a = [A::default(); WARP_LANES];
-    let mut b = [B::default(); WARP_LANES];
-    A::fill(w, sa, ctx, &mut a);
-    B::fill(w, sb, ctx, &mut b);
+    let (a, b) = (A::fill(w, sa, ctx), B::fill(w, sb, ctx));
     let mut o = [O::default(); WARP_LANES];
-    for &l in lanes {
-        o[l] = f(a[l], b[l]);
-    }
-    O::store(w, d, lanes, &o);
+    for_lanes(mask, |l| o[l] = f(a[l], b[l]));
+    O::store(w, d, mask, &o);
 }
 
 /// Ternary lane op over materialized sources, each at its own width.
-#[inline]
+/// Always inlined, so that `row3_fma` compiles its own copy.
+#[inline(always)]
 fn row3<A: Word, B: Word, C: Word, O: Word>(
     w: &mut WarpState,
     d: Register,
-    lanes: &[usize],
+    mask: u32,
     [sa, sb, sc]: [Src; 3],
     ctx: &ExecCtx,
     f: impl Fn(A, B, C) -> O,
 ) {
-    let mut a = [A::default(); WARP_LANES];
-    let mut b = [B::default(); WARP_LANES];
-    let mut c = [C::default(); WARP_LANES];
-    A::fill(w, sa, ctx, &mut a);
-    B::fill(w, sb, ctx, &mut b);
-    C::fill(w, sc, ctx, &mut c);
+    let (a, b, c) = (A::fill(w, sa, ctx), B::fill(w, sb, ctx), C::fill(w, sc, ctx));
     let mut o = [O::default(); WARP_LANES];
-    for &l in lanes {
-        o[l] = f(a[l], b[l], c[l]);
+    for_lanes(mask, |l| o[l] = f(a[l], b[l], c[l]));
+    O::store(w, d, mask, &o);
+}
+
+/// [`row3`] compiled with the FMA target feature on, under which a
+/// `mul_add` in `f` is one instruction per vector of lanes instead of a
+/// libm call per lane.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "fma")]
+fn row3_fma<T: Word>(
+    w: &mut WarpState,
+    d: Register,
+    mask: u32,
+    srcs: [Src; 3],
+    ctx: &ExecCtx,
+    f: impl Fn(T, T, T) -> T,
+) {
+    row3(w, d, mask, srcs, ctx, f);
+}
+
+/// `FFMA` / `DFMA`: [`row3`] of a `mul_add`, on the FMA unit where the
+/// running CPU has one. This is the one place the executor keeps two
+/// paths. Building the whole crate with `-C target-feature=+fma` would
+/// die of SIGILL on a CPU without the unit, and a software fused
+/// multiply-add would have to reproduce the hardware's choice among NaN
+/// operands, which `fp32_arithmetic_matches_scalar_std_ops_bit_for_bit`
+/// pins with payload NaNs; so the feature is detected at run time, and
+/// the plain row — the code every CPU ran before — stays as the fallback
+/// and as the oracle the FMA row is tested against.
+#[inline]
+fn fused<T: Word>(
+    w: &mut WarpState,
+    d: Register,
+    mask: u32,
+    srcs: [Src; 3],
+    ctx: &ExecCtx,
+    f: impl Fn(T, T, T) -> T,
+) {
+    #[cfg(target_arch = "x86_64")]
+    if std::arch::is_x86_feature_detected!("fma") {
+        // SAFETY: `row3_fma` is safe code that needs nothing but the FMA
+        // target feature, which the line above found on this CPU.
+        return unsafe { row3_fma(w, d, mask, srcs, ctx, f) };
     }
-    O::store(w, d, lanes, &o);
+    row3(w, d, mask, srcs, ctx, f);
 }
 
 /// Predicate-setting comparison of the first two sources.
@@ -303,17 +295,17 @@ fn row3<A: Word, B: Word, C: Word, O: Word>(
 fn setp<A: Word>(
     w: &mut WarpState,
     p: gpa_isa::PredReg,
-    lanes: &[usize],
+    mask: u32,
     [sa, sb, _]: [Src; 3],
     ctx: &ExecCtx,
     f: impl Fn(A, A) -> bool,
 ) {
-    let mut a = [A::default(); WARP_LANES];
-    let mut b = [A::default(); WARP_LANES];
-    A::fill(w, sa, ctx, &mut a);
-    A::fill(w, sb, ctx, &mut b);
-    for &l in lanes {
-        w.write_pred(l, p, f(a[l], b[l]));
+    let (a, b) = (A::fill(w, sa, ctx), A::fill(w, sb, ctx));
+    let mut holds = 0u32;
+    for_lanes(mask, |l| holds |= (f(a[l], b[l]) as u32) << l);
+    if !p.is_true() {
+        let bits = &mut w.preds[p.index() as usize];
+        *bits = *bits & !mask | holds;
     }
 }
 
@@ -414,24 +406,8 @@ pub fn execute<'m>(
         return Err(fault(pc, message.as_str()));
     }
 
-    // Full warps are the common case: reuse a constant lane list and only
-    // build one for partial masks.
-    let mut lanes_buf = [0usize; WARP_LANES];
-    let lanes: &[usize] = if exec_mask == u32::MAX {
-        &ALL_LANES
-    } else {
-        let mut nlanes = 0;
-        let mut mask = exec_mask;
-        while mask != 0 {
-            lanes_buf[nlanes] = mask.trailing_zeros() as usize;
-            nlanes += 1;
-            mask &= mask - 1;
-        }
-        &lanes_buf[..nlanes]
-    };
-
     use Opcode::*;
-    let (d, p) = (plan.d, plan.p);
+    let (d, p, lanes) = (plan.d, plan.p, exec_mask);
     let srcs = plan.srcs;
     match plan.opcode {
         Mov | Mov32i | I2i if plan.pair => row1(w, d, lanes, srcs, ctx, |a: u64| a),
@@ -516,7 +492,7 @@ pub fn execute<'m>(
         Sel => row3(w, d, lanes, srcs, ctx, |a: u32, b: u32, p: u32| if p != 0 { a } else { b }),
         Fadd => row2(w, d, lanes, srcs, ctx, |a: u32, b: u32| (f32v(a) + f32v(b)).to_bits()),
         Fmul => row2(w, d, lanes, srcs, ctx, |a: u32, b: u32| (f32v(a) * f32v(b)).to_bits()),
-        Ffma => row3(w, d, lanes, srcs, ctx, |a: u32, b: u32, c: u32| {
+        Ffma => fused(w, d, lanes, srcs, ctx, |a: u32, b: u32, c: u32| {
             f32v(a).mul_add(f32v(b), f32v(c)).to_bits()
         }),
         Fmnmx if plan.has(Modifier::Gt) => {
@@ -548,7 +524,7 @@ pub fn execute<'m>(
         }
         Dadd => row2(w, d, lanes, srcs, ctx, |a: u64, b: u64| (f64v(a) + f64v(b)).to_bits()),
         Dmul => row2(w, d, lanes, srcs, ctx, |a: u64, b: u64| (f64v(a) * f64v(b)).to_bits()),
-        Dfma => row3(w, d, lanes, srcs, ctx, |a: u64, b: u64, c: u64| {
+        Dfma => fused(w, d, lanes, srcs, ctx, |a: u64, b: u64, c: u64| {
             f64v(a).mul_add(f64v(b), f64v(c)).to_bits()
         }),
         Dsetp => {
@@ -571,22 +547,16 @@ pub fn execute<'m>(
             row1(w, d, lanes, srcs, ctx, |a: u32| (a as i32 as f64).to_bits());
         }
         I2f => row1(w, d, lanes, srcs, ctx, |a: u32| (a as i32 as f32).to_bits()),
+        // Each lane reads the lane its second source names, of the first
+        // source as it was before any lane wrote (`d` may alias it).
         Shfl => {
-            let [sa, sb, _] = srcs;
-            // Snapshot before writing (source and destination may alias).
-            let mut snapshot = [0u32; WARP_LANES];
-            u32::fill(w, sa, ctx, &mut snapshot);
-            for &l in lanes {
-                let idx = (u32::get(w, l, sb, ctx) as usize) % WARP_LANES;
-                w.write_reg(l, d, snapshot[idx]);
-            }
+            let snapshot = u32::fill(w, srcs[0], ctx);
+            row1(w, d, lanes, [srcs[1]; 3], ctx, |idx: u32| snapshot[idx as usize % WARP_LANES]);
         }
         Vote => {
-            let mut votes = lanes.iter().map(|&l| w.read_pred(l, p));
-            let agg = if plan.has(Modifier::All) { votes.all(|v| v) } else { votes.any(|v| v) };
-            for &l in lanes {
-                w.write_reg(l, d, agg as u32);
-            }
+            let votes = w.pred_mask(Some(gpa_isa::Predicate::pos(p))) & lanes;
+            let agg = if plan.has(Modifier::All) { votes == lanes } else { votes != 0 };
+            u32::store(w, d, lanes, &[agg as u32; WARP_LANES]);
         }
         Prmt => row3(w, d, lanes, srcs, ctx, |a: u32, b: u32, sel: u32| {
             let pool = ((b as u64) << 32) | a as u64;
@@ -611,158 +581,141 @@ pub fn execute<'m>(
     Ok(ExecResult { outcome: Outcome::Next, mem: None })
 }
 
-/// Lane `l`'s address through memory operand `m`, whose base is a
-/// register pair when `wide`.
-#[inline]
-fn lane_addr(w: &WarpState, l: usize, m: MemRef, wide: bool) -> u64 {
-    let base = if wide { w.read_pair(l, m.base) } else { w.read_reg(l, m.base) as u64 };
-    base.wrapping_add(m.offset as i64 as u64)
-}
-
 /// A memory instruction whose access is `N` bytes wide (4 or 8; atomics
-/// are always 4). Loaded and stored values travel zero-extended.
+/// are always 4). Loaded and stored values travel zero-extended. Like
+/// the arithmetic arms it works on rows — every lane's address, then the
+/// data, then one store of what was loaded — which is exact because a
+/// lane reads and writes no registers but its own.
 fn memory_op<const N: usize>(
     w: &mut WarpState,
     plan: &Plan,
-    lanes: &[usize],
+    mask: u32,
     ctx: &mut ExecCtx,
     access: &mut MemAccess,
 ) -> Result<()> {
     use Opcode::*;
-    let pc = w.pc;
-    access.space = plan.opcode.mem_space().expect("memory opcode");
-    access.store = plan.opcode.is_store();
-    access.lanes = 0;
-    let (d, sdata) = (plan.d, plan.srcs[0]);
+    let op = plan.opcode;
+    access.space = op.mem_space().expect("memory opcode");
+    access.store = op.is_store();
     let local = access.space == MemSpace::Local;
-    // Puts a loaded value in lane `l`'s destination (a pair when wide).
-    let put = |w: &mut WarpState, l: usize, v: u64| match N {
-        8 => w.write_pair(l, d, v),
-        _ => w.write_reg(l, d, v as u32),
-    };
-    // Lane `l`'s store data.
-    let data = |w: &WarpState, l: usize, ctx: &ExecCtx| -> [u8; N] {
-        to_le(match N {
-            8 => u64::get(w, l, sdata, ctx),
-            _ => u32::get(w, l, sdata, ctx) as u64,
-        })
-    };
-    // For every opcode that addresses through it, lowering stored a fault
-    // if the memory operand was missing, and `execute` raised it.
-    let mem_operand = || plan.mem.expect("lowering checked the memory operand");
+    let atomic = matches!(op, AtomG | AtomS);
+    // Whether registers hold the value as a pair.
+    let wide = N == 8 && !atomic;
 
-    match plan.opcode {
+    // `c[bank][offset]` is its own address; every other access goes
+    // through the memory operand (lowering stored a fault where an
+    // opcode that needs one lacks it, and `execute` raised it), whose
+    // base is a pair only where addresses have 64 bits.
+    let addrs = match plan.cmem {
+        Some((_, offset)) if op == Ldc => [offset as u64; WARP_LANES],
+        _ => {
+            let m = plan.mem.expect("lowering checked the memory operand");
+            let pair = m.wide && matches!(access.space, MemSpace::Global | MemSpace::Local);
+            let base = if pair { Src::Pair(m.base) } else { Src::Reg(m.base) };
+            u64::fill(w, base, ctx).map(|a| a.wrapping_add(m.offset as i64 as u64))
+        }
+    };
+    access.set(mask, &addrs);
+
+    // What a store or an atomic writes, and what a load or an atomic
+    // leaves in `d`.
+    let data = match (access.store, wide) {
+        (true, true) => u64::fill(w, plan.srcs[0], ctx),
+        (true, false) => u32::fill(w, plan.srcs[0], ctx).map(u64::from),
+        (false, _) => [0; WARP_LANES],
+    };
+    let mut vals = [0u64; WARP_LANES];
+    if matches!(access.space, MemSpace::Shared | MemSpace::Local) {
+        check_scratch(access.addrs(), if atomic { 4 } else { N as u64 }, local, w.pc)?;
+    }
+    match op {
         Ldg => {
-            let m = mem_operand();
             // Page-memoized reads: lanes usually share one or two pages.
             let mut rd = ctx.global.reader();
-            for &l in lanes {
-                let addr = lane_addr(w, l, m, m.wide);
-                access.push(addr);
-                put(w, l, from_le(rd.read::<N>(addr)));
-            }
-        }
-        Ldl | Lds => {
-            let m = mem_operand();
-            for &l in lanes {
-                let addr = lane_addr(w, l, m, m.wide && local);
-                access.push(addr);
-                let v = from_le(*scratch::<N>(w, ctx, local, l, addr, pc)?);
-                put(w, l, v);
-            }
+            for_lanes(mask, |l| vals[l] = from_le(rd.read::<N>(addrs[l])));
         }
         Stg => {
-            let m = mem_operand();
             // Collect the warp's stores and commit them page-run at a
-            // time (stores never feed back into this instruction's
-            // register reads, so deferring them is exact).
-            let mut batch = [(0u64, [0u8; N]); WARP_LANES];
-            for (slot, &l) in batch.iter_mut().zip(lanes) {
-                let addr = lane_addr(w, l, m, m.wide);
-                access.push(addr);
-                *slot = (addr, data(w, l, ctx));
-            }
-            ctx.global.write_batch(&batch[..lanes.len()]);
+            // time.
+            let (mut batch, mut n) = ([(0u64, [0u8; N]); WARP_LANES], 0);
+            for_lanes(mask, |l| {
+                batch[n] = (addrs[l], to_le(data[l]));
+                n += 1;
+            });
+            ctx.global.write_batch(&batch[..n]);
         }
-        Stl | Sts => {
-            let m = mem_operand();
-            for &l in lanes {
-                let addr = lane_addr(w, l, m, m.wide && local);
-                access.push(addr);
-                let v = data(w, l, ctx);
-                *scratch::<N>(w, ctx, local, l, addr, pc)? = v;
-            }
-        }
+        AtomG => for_lanes(mask, |l| {
+            let old = ctx.global.read_u32(addrs[l]);
+            ctx.global.write_u32(addrs[l], old.wrapping_add(data[l] as u32));
+            vals[l] = old as u64;
+        }),
         Ldc => {
-            for &l in lanes {
-                // `c[bank][offset]`, else register-indexed from bank 1.
-                let (bank, addr) = match plan.cmem {
-                    Some((bank, offset)) => (bank, offset as u64),
-                    None => (1, lane_addr(w, l, mem_operand(), false)),
-                };
-                access.push(addr);
-                let v = match N {
-                    8 => ctx.consts.read_u64(bank, addr as u32),
-                    _ => ctx.consts.read_u32(bank, addr as u32) as u64,
-                };
-                put(w, l, v);
+            let read = |bank, addr: u64| match N {
+                8 => ctx.consts.read_u64(bank, addr as u32),
+                _ => ctx.consts.read_u32(bank, addr as u32) as u64,
+            };
+            match plan.cmem {
+                Some((bank, offset)) => vals.fill(read(bank, offset as u64)),
+                // Register-indexed, from bank 1.
+                None => for_lanes(mask, |l| vals[l] = read(1, addrs[l])),
             }
         }
-        AtomG => {
-            let m = mem_operand();
-            for &l in lanes {
-                let addr = lane_addr(w, l, m, m.wide);
-                access.push(addr);
-                let old = ctx.global.read_u32(addr);
-                let v = u32::get(w, l, sdata, ctx);
-                ctx.global.write_u32(addr, old.wrapping_add(v));
-                w.write_reg(l, d, old);
-            }
-        }
-        AtomS => {
-            let m = mem_operand();
-            for &l in lanes {
-                let addr = lane_addr(w, l, m, false);
-                access.push(addr);
-                let v = u32::get(w, l, sdata, ctx);
-                let word = scratch::<4>(w, ctx, false, l, addr, pc)?;
-                let old = u32::from_le_bytes(*word);
-                *word = old.wrapping_add(v).to_le_bytes();
-                w.write_reg(l, d, old);
-            }
-        }
+        Lds | Ldl => for_lanes(mask, |l| {
+            let cell = scratch(w, ctx, local, l, addrs[l], N);
+            vals[l] = from_le::<N>((&*cell).try_into().expect("N bytes"));
+        }),
+        Sts | Stl => for_lanes(mask, |l| {
+            scratch(w, ctx, local, l, addrs[l], N).copy_from_slice(&to_le::<N>(data[l]));
+        }),
+        AtomS => for_lanes(mask, |l| {
+            let cell = scratch(w, ctx, local, l, addrs[l], 4);
+            let old = u32::from_le_bytes((&*cell).try_into().expect("4 bytes"));
+            cell.copy_from_slice(&old.wrapping_add(data[l] as u32).to_le_bytes());
+            vals[l] = old as u64;
+        }),
         _ => unreachable!("non-memory opcode in memory_op"),
     }
-
+    match (op.is_load(), wide) {
+        (true, true) => u64::store(w, plan.d, mask, &vals),
+        (true, false) => u32::store(w, plan.d, mask, &vals.map(|v| v as u32)),
+        (false, _) => {}
+    }
     Ok(())
 }
 
-/// The `N` bytes at `addr` of a lazily grown scratch memory — lane `l`'s
-/// local memory when `local`, else the block's shared memory — grown to
-/// cover them. `addr` comes from a wrapping add of a signed offset, so
-/// the end may not fit a `u64`: it saturates, and faults like any other
-/// end beyond the limit.
+/// Checks one instruction's accesses of a scratch memory — the lanes'
+/// local memories when `local`, else the block's shared memory — against
+/// its size limit. The fault is the first offending lane's, in lane
+/// order, and nothing has been read, written or grown when it is raised.
+/// An address comes from a wrapping add of a signed offset, so its end
+/// may not fit a `u64`: it saturates, and faults like any other end
+/// beyond the limit.
+fn check_scratch(addrs: &[u64], n: u64, local: bool, pc: u64) -> Result<()> {
+    let (kib, name) = if local { (64, "local-memory") } else { (96, "shared-memory") };
+    match addrs.iter().map(|addr| addr.saturating_add(n)).find(|&end| end > kib * 1024) {
+        Some(end) => Err(fault(pc, format!("{name} access at {end:#x} exceeds {kib} KiB"))),
+        None => Ok(()),
+    }
+}
+
+/// The `n` bytes at `addr` of lane `l`'s scratch memory (its local
+/// memory when `local`, else the block's shared memory), which grows
+/// lazily to cover them. [`check_scratch`] has bounded their end.
 #[inline]
-fn scratch<'a, const N: usize>(
+fn scratch<'a>(
     w: &'a mut WarpState,
     ctx: &'a mut ExecCtx,
     local: bool,
     l: usize,
     addr: u64,
-    pc: u64,
-) -> Result<&'a mut [u8; N]> {
-    let (buf, kib, name) = match local {
-        true => (&mut w.local[l], 64, "local-memory"),
-        false => (&mut *ctx.smem, 96, "shared-memory"),
-    };
-    let end = addr.saturating_add(N as u64);
-    if end > kib * 1024 {
-        return Err(fault(pc, format!("{name} access at {end:#x} exceeds {kib} KiB")));
+    n: usize,
+) -> &'a mut [u8] {
+    let buf = if local { &mut w.local[l] } else { &mut *ctx.smem };
+    let (at, end) = (addr as usize, addr as usize + n);
+    if buf.len() < end {
+        buf.resize(end, 0);
     }
-    if buf.len() < end as usize {
-        buf.resize(end as usize, 0);
-    }
-    Ok((&mut buf[addr as usize..end as usize]).try_into().expect("N bytes"))
+    &mut buf[at..end]
 }
 
 /// The value of `N <= 8` little-endian bytes, zero-extended.

@@ -1,5 +1,5 @@
 use super::*;
-use gpa_isa::{Instruction, Operand, PredReg, Predicate, SpecialReg};
+use gpa_isa::{Instruction, MemRef, Operand, PredReg, Predicate, SpecialReg};
 
 /// What a test sees of one executed instruction.
 #[derive(Debug)]
@@ -520,4 +520,132 @@ fn lowering_faults_are_raised_at_issue() {
         let outcome = execute(&mut w, &off, None, &mut cx).unwrap().outcome;
         assert_eq!(outcome, Outcome::Next, "{off}");
     }
+}
+
+/// The row `FFMA`/`DFMA` run where the CPU has FMA (`row3_fma`, through
+/// `fused`) against the row they run everywhere else and ran before —
+/// plain `row3` of the same scalar `mul_add` — on every triple in
+/// `triples`, 32 to a row, under a full mask and three partial ones.
+/// The two leave the whole register file identical, bit for bit; only
+/// where a lane has several distinct NaN operands may the NaN that
+/// survives differ (it is the operand order the compiler picked).
+fn fused_row_matches_the_plain_row<T: Word + PartialEq + std::fmt::Debug>(
+    triples: &[[T; 3]],
+    mul_add: impl Fn(T, T, T) -> T + Copy,
+    is_nan: impl Fn(T) -> bool,
+) {
+    const MASKS: [u32; 4] = [u32::MAX, 0x0000_ffff, 0xa5a5_5a5a, 1 << 31];
+    let (mut g, mut s, c) = (GlobalMem::new(), Vec::new(), ConstMem::new());
+    let cx = ctx(&mut g, &mut s, &c);
+    let srcs = [Src::Pair(r(2)), Src::Pair(r(4)), Src::Pair(r(6))];
+    for row in triples.chunks(WARP_LANES) {
+        let operand = |i: usize| std::array::from_fn(|l| row[l % row.len()][i]);
+        let operands: [[T; WARP_LANES]; 3] = [operand(0), operand(1), operand(2)];
+        for mask in MASKS {
+            let run = |fast: bool| {
+                let mut w = WarpState::new(0, 0, 0, 0, 32, 12);
+                w.regs.iter_mut().flatten().for_each(|v| *v = 0xdead_beef);
+                for (i, operand) in operands.iter().enumerate() {
+                    T::store(&mut w, r(2 + 2 * i as u8), u32::MAX, operand);
+                }
+                match fast {
+                    true => fused(&mut w, r(8), mask, srcs, &cx, mul_add),
+                    false => row3(&mut w, r(8), mask, srcs, &cx, mul_add),
+                }
+                w
+            };
+            let (mut plain, mut fast) = (run(false), run(true));
+            let result = |w: &WarpState| T::fill(w, Src::Pair(r(8)), &cx);
+            let (plain_row, fast_row) = (result(&plain), result(&fast));
+            for l in (0..WARP_LANES).filter(|l| mask & (1 << l) != 0) {
+                let [a, b, c] = [operands[0][l], operands[1][l], operands[2][l]];
+                assert_eq!(plain_row[l], mul_add(a, b, c), "the plain row is the scalar op");
+                let mut nans: Vec<T> = [a, b, c].into_iter().filter(|v| is_nan(*v)).collect();
+                nans.dedup();
+                if nans.len() > 1 {
+                    assert!(is_nan(plain_row[l]) && is_nan(fast_row[l]), "{a:x?} {b:x?} {c:x?}");
+                    for w in [&mut plain, &mut fast] {
+                        (w.regs[8][l], w.regs[9][l]) = (0, 0);
+                    }
+                } else {
+                    assert_eq!(fast_row[l], plain_row[l], "lane {l}: {a:x?} * {b:x?} + {c:x?}");
+                }
+            }
+            assert_eq!(fast.regs, plain.regs, "nothing else moves, under mask {mask:#x}");
+        }
+    }
+}
+
+/// All triples over `specials`, then `random` triples of seeded random
+/// bit patterns (an LCG's high bits).
+fn fma_triples<T: Copy>(specials: &[T; 16], mut random: impl FnMut() -> T) -> Vec<[T; 3]> {
+    let mut triples = Vec::new();
+    for a in specials {
+        for b in specials {
+            triples.extend(specials.iter().map(|c| [*a, *b, *c]));
+        }
+    }
+    triples.extend((0..100_032).map(|_| [random(), random(), random()]));
+    triples
+}
+
+#[test]
+fn the_fma_row_equals_scalar_mul_add_bit_for_bit() {
+    #[cfg(target_arch = "x86_64")]
+    if !std::arch::is_x86_feature_detected!("fma") {
+        println!("no FMA on this CPU: `fused` runs the plain row, which this compares with itself");
+    }
+    // The values `fp32_arithmetic_matches_scalar_std_ops_bit_for_bit`
+    // explains, and their binary64 counterparts.
+    const F32: [u32; 16] = [
+        0x7fc0_1234,
+        0xff80_0001,
+        0x0000_0000,
+        0x8000_0000,
+        0x0000_0001,
+        0x807f_ffff,
+        0x0080_0000,
+        0x7f80_0000,
+        0xff80_0000,
+        0x7f7f_ffff,
+        0x3f80_0000,
+        0xbf80_0000,
+        0x3f80_0001,
+        0x3f80_0002,
+        0x4049_0fdb,
+        0xc2f6_e979,
+    ];
+    const F64: [u64; 16] = [
+        0x7ff8_0000_0000_1234,
+        0xfff0_0000_0000_0001,
+        0x0000_0000_0000_0000,
+        0x8000_0000_0000_0000,
+        0x0000_0000_0000_0001,
+        0x800f_ffff_ffff_ffff,
+        0x0010_0000_0000_0000,
+        0x7ff0_0000_0000_0000,
+        0xfff0_0000_0000_0000,
+        0x7fef_ffff_ffff_ffff,
+        0x3ff0_0000_0000_0000,
+        0xbff0_0000_0000_0000,
+        0x3ff0_0000_0000_0001,
+        0x3ff0_0000_0000_0002,
+        0x4009_21fb_5444_2d18,
+        0xc05e_dd2f_1a9f_be77,
+    ];
+    let mut state = 0x6770_612d_666d_6100u64;
+    let mut draw = move || {
+        state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+        (state >> 32) as u32
+    };
+    fused_row_matches_the_plain_row(
+        &fma_triples(&F32, &mut draw),
+        |a: u32, b: u32, c: u32| f32v(a).mul_add(f32v(b), f32v(c)).to_bits(),
+        |v| f32v(v).is_nan(),
+    );
+    fused_row_matches_the_plain_row(
+        &fma_triples(&F64, || (draw() as u64) << 32 | draw() as u64),
+        |a: u64, b: u64, c: u64| f64v(a).mul_add(f64v(b), f64v(c)).to_bits(),
+        |v| f64v(v).is_nan(),
+    );
 }

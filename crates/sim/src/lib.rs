@@ -80,7 +80,7 @@ pub mod stall;
 pub mod warp;
 
 pub use hier::TimedServer;
-pub use machine::{GpuSim, LaunchResult, RawSample, SimConfig, SmStats};
+pub use machine::{GpuSim, LaunchResult, RawSample, SimConfig, SimStats, SmStats};
 pub use mem::GlobalMem;
 pub use program::CompiledProgram;
 pub use sample::{SampleSet, SampleSink, N_REASONS};

@@ -79,6 +79,33 @@ pub struct SmStats {
     pub blocks: u32,
 }
 
+/// Host-side work of one launch's scheduler: how often the cycle loop
+/// came back and what its scans found. **Core-specific** — the event
+/// core counts what it skips by; the dense oracle steps every cycle and
+/// leaves the three scan counters at zero — and no part of what was
+/// simulated, so it never takes part in a result's identity: any two
+/// values compare equal, and no JSON body carries one.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct SimStats {
+    /// Cycles the loop stepped (the rest were jumped over).
+    pub cycles_stepped: u64,
+    /// Scheduler issue opportunities offered (stepped cycles x SMs x
+    /// schedulers).
+    pub sched_visits: u64,
+    /// Opportunities not skipped by the scheduler's next-ready bound.
+    pub scans: u64,
+    /// Scans that found no warp to issue.
+    pub scan_misses: u64,
+    /// Warp horizons folded by all scans.
+    pub horizon_visits: u64,
+}
+
+impl PartialEq for SimStats {
+    fn eq(&self, _: &SimStats) -> bool {
+        true
+    }
+}
+
 /// Everything a launch produced.
 #[derive(Debug, Clone, PartialEq)]
 pub struct LaunchResult {
@@ -106,6 +133,8 @@ pub struct LaunchResult {
     pub launch: LaunchConfig,
     /// Per-SM counters.
     pub sm_stats: Vec<SmStats>,
+    /// What the scheduler core did on the host (not compared).
+    pub sim_stats: SimStats,
 }
 
 /// The simulated device. Owns global memory and constant banks across
@@ -247,6 +276,17 @@ impl GpuSim {
                 launch.block_threads, self.arch.max_threads_per_block
             )));
         }
+        // The caches shift by their line size (`DirectCache`).
+        let l1_line = match &self.arch.mem {
+            MemModel::Hierarchy(h) => h.l1_line,
+            MemModel::Flat => 1,
+        };
+        let lines = [("icache", self.arch.icache_line), ("l2", self.arch.l2_line), ("l1", l1_line)];
+        if let Some((cache, line)) = lines.into_iter().find(|(_, line)| !line.is_power_of_two()) {
+            return Err(SimError::BadLaunch(format!(
+                "`{cache}_line` is {line}, not a non-zero power of two"
+            )));
+        }
         let occupancy = self.arch.occupancy(launch);
         let wpb = launch.warps_per_block(self.arch.warp_size);
         let mut consts = ConstMem::new();
@@ -265,6 +305,10 @@ impl GpuSim {
             global: &mut self.global,
             consts,
             l2: DirectCache::new(self.arch.l2_size, self.arch.l2_line),
+            icache_slots: {
+                let icache = DirectCache::new(self.arch.icache_size, self.arch.icache_line);
+                prog.pcs.iter().map(|&pc| icache.slot(pc)).collect()
+            },
             next_block: 0,
             blocks_done: 0,
             sink,
@@ -309,10 +353,15 @@ impl IssueCore for EventCore {
     /// without touching its warps — it provably cannot issue. Otherwise
     /// fold its columns' readiness horizons in round-robin order (from
     /// the pointer to the end, then from the start to the pointer); the
-    /// first warp whose horizon has arrived issues. When none has, the
-    /// fold's minimum becomes the scheduler's next-ready bound — the
-    /// cycles in between cannot issue and are never scanned again. Debug
-    /// builds check every cached horizon they read against a recompute.
+    /// first warp whose horizon has arrived issues. The fold does not
+    /// stop there: it goes on until a second warp is ready — the
+    /// scheduler's next-ready bound is then the next cycle — or to the
+    /// end, and the bound is the minimum over everyone but the issuer,
+    /// whose new horizon [`Sm::refresh`] folds in once it has issued. A
+    /// horizon read before the issue stays a lower bound after it (pipe
+    /// and throttle clear times only rise), so the cycles up to the
+    /// bound cannot issue and are never scanned. Debug builds check
+    /// every cached horizon they read against a recompute.
     fn scan<M: MemoryModel>(
         sm: &mut Sm<M>,
         sched: usize,
@@ -325,27 +374,36 @@ impl IssueCore for EventCore {
         let throttle_clear = sm.throttle_clear();
         let cols = sm.sched_cols[sched].clone();
         let rr = cols.start + sm.rr_issue[sched];
-        let mut earliest = u64::MAX;
-        for col in (rr..cols.end).chain(cols.start..rr) {
-            let horizon = sm.horizons[col];
-            debug_assert_eq!(
-                horizon,
-                sm.horizon_of(sm.col_warp[col], prog),
-                "stale horizon: SM {} scheduler {sched} warp {} cycle {cycle}",
-                sm.id,
-                sm.col_warp[col],
-            );
-            let t = sm.ready_at(horizon, throttle_clear);
-            if t <= cycle {
-                sm.rr_issue[sched] = if col + 1 == cols.end { 0 } else { col + 1 - cols.start };
-                // One issue per scheduler per cycle; rescan next cycle.
-                sm.sched_next_ready[sched] = cycle + 1;
-                return Some(sm.col_warp[col]);
+        let (mut issuer, mut earliest, mut visits) = (None, u64::MAX, 0);
+        'fold: for part in [rr..cols.end, cols.start..rr] {
+            for (col, &horizon) in part.clone().zip(&sm.horizons[part]) {
+                debug_assert_eq!(
+                    horizon,
+                    sm.horizon_of(sm.col_warp[col], prog),
+                    "stale horizon: SM {} scheduler {sched} warp {} cycle {cycle}",
+                    sm.id,
+                    sm.col_warp[col],
+                );
+                visits += 1;
+                let t = sm.ready_at(horizon, throttle_clear);
+                if t > cycle {
+                    earliest = earliest.min(t);
+                } else if issuer.is_none() {
+                    issuer = Some(col);
+                } else {
+                    // One issue per scheduler per cycle: this one waits.
+                    earliest = cycle + 1;
+                    break 'fold;
+                }
             }
-            earliest = earliest.min(t);
         }
         sm.sched_next_ready[sched] = earliest;
-        None
+        sm.work.scans += 1;
+        sm.work.scan_misses += issuer.is_none() as u64;
+        sm.work.horizon_visits += visits;
+        let col = issuer?;
+        sm.rr_issue[sched] = if col + 1 == cols.end { 0 } else { col + 1 - cols.start };
+        Some(sm.col_warp[col])
     }
 
     /// Every scheduler carries a lower bound on its next possible issue
@@ -388,6 +446,9 @@ struct LaunchState<'a> {
     global: &'a mut GlobalMem,
     consts: ConstMem,
     l2: DirectCache,
+    /// Every instruction's slot in an SM's i-cache, by program index:
+    /// this launch's geometry (a program's only arch key is a name).
+    icache_slots: Vec<(u32, u64)>,
     next_block: u32,
     blocks_done: u32,
     sink: &'a mut dyn SampleSink,
@@ -422,10 +483,12 @@ impl LaunchState<'_> {
         }
 
         let mut cycle: u64 = 0;
+        let mut cycles_stepped = 0;
         while self.blocks_done < launch.grid_blocks {
             if cycle > self.cfg.max_cycles {
                 return Err(SimError::CycleLimit(self.cfg.max_cycles));
             }
+            cycles_stepped += 1;
             let sample_sched = self.sample_sched(cycle);
             for sm in &mut sms {
                 self.step_sm::<C, M>(sm, cycle, sample_sched)?;
@@ -437,6 +500,16 @@ impl LaunchState<'_> {
         }
 
         let (l2_hits, l2_misses) = self.l2.stats();
+        let mut sim_stats = SimStats {
+            cycles_stepped,
+            sched_visits: cycles_stepped * (sms.len() * self.nsched) as u64,
+            ..SimStats::default()
+        };
+        for sm in &sms {
+            sim_stats.scans += sm.work.scans;
+            sim_stats.scan_misses += sm.work.scan_misses;
+            sim_stats.horizon_visits += sm.work.horizon_visits;
+        }
         Ok(LaunchResult {
             cycles: cycle,
             issued: self.issued_total,
@@ -455,6 +528,7 @@ impl LaunchState<'_> {
             occupancy,
             launch: *launch,
             sm_stats: sms.iter().map(|s| s.stats).collect(),
+            sim_stats,
         })
     }
 
@@ -633,7 +707,8 @@ impl LaunchState<'_> {
                 });
             }
             w.cur_idx = next_idx;
-            if !sm.icache.access(pc) {
+            debug_assert_eq!(prog.pcs[next_idx as usize], pc, "index and pc move together");
+            if !sm.icache.access_slot(self.icache_slots[next_idx as usize]) {
                 // One fill port per SM: concurrent misses queue behind each
                 // other, so i-cache thrash throttles the whole SM.
                 let start = sm.ifetch_fill_free.max(now);

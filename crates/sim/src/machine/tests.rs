@@ -187,6 +187,44 @@ fn unknown_kernel_and_bad_launch() {
     ));
 }
 
+/// A cache line that is zero (it divided by zero when the cache was
+/// built) or not a power of two (the caches shift by it) is a rejected
+/// launch that names the field, under either memory model; a cache
+/// smaller than one line keeps its one set.
+#[test]
+fn cache_lines_must_be_nonzero_powers_of_two() {
+    let m = parse_module(BARRIER).unwrap();
+    let launch = |edit: &dyn Fn(&mut ArchConfig, &mut gpa_arch::HierarchyConfig)| {
+        let (mut arch, mut h) = (ArchConfig::small(1), gpa_arch::HierarchyConfig::default());
+        edit(&mut arch, &mut h);
+        arch.mem = gpa_arch::MemModel::Hierarchy(h);
+        GpuSim::new(arch, SimConfig::default()).launch(
+            &m,
+            "barrier",
+            &LaunchConfig::new(1, 64),
+            &[],
+        )
+    };
+    let bad = |message: &str| Err(SimError::BadLaunch(message.into()));
+    assert_eq!(
+        launch(&|a, _| a.icache_line = 0),
+        bad("`icache_line` is 0, not a non-zero power of two")
+    );
+    assert_eq!(launch(&|a, _| a.l2_line = 48), bad("`l2_line` is 48, not a non-zero power of two"));
+    assert_eq!(launch(&|_, h| h.l1_line = 0), bad("`l1_line` is 0, not a non-zero power of two"));
+    assert!(launch(&|a, h| (a.icache_size, a.l2_size, h.l1_size) = (1, 1, 1)).is_ok());
+    // The flat model has no L1 to validate.
+    let mut flat = ArchConfig::small(1);
+    flat.l2_line = 0;
+    let r = GpuSim::new(flat, SimConfig::default()).launch(
+        &m,
+        "barrier",
+        &LaunchConfig::new(1, 64),
+        &[],
+    );
+    assert_eq!(r, bad("`l2_line` is 0, not a non-zero power of two"));
+}
+
 #[test]
 fn barrier_synchronizes_and_stalls() {
     let m = parse_module(BARRIER).unwrap();

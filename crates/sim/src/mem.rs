@@ -186,31 +186,52 @@ impl GlobalReader<'_> {
 }
 
 /// A direct-mapped cache model keyed by line address; deterministic and
-/// cheap, used for both the device L2 and the per-SM instruction cache.
+/// cheap, used for the device L2, the per-SM instruction cache and the
+/// hierarchy's L1. A line size is a power of two (a launch is rejected
+/// otherwise), so the line of an address is a shift; the set count need
+/// not be — 12 KiB of 256-byte lines are 48 sets — and stays a modulo.
 #[derive(Debug, Clone)]
 pub struct DirectCache {
     tags: Vec<u64>,
-    line: u64,
+    line_shift: u32,
     hits: u64,
     misses: u64,
 }
 
 impl DirectCache {
-    /// A cache of `size` bytes with `line`-byte lines.
+    /// A cache of `size` bytes with `line`-byte lines (at least one).
+    ///
+    /// # Panics
+    ///
+    /// If `line` is not a power of two.
     pub fn new(size: u32, line: u32) -> Self {
+        assert!(line.is_power_of_two(), "a {line}-byte cache line is not a power of two");
         let sets = (size / line).max(1) as usize;
-        DirectCache { tags: vec![u64::MAX; sets], line: line as u64, hits: 0, misses: 0 }
+        DirectCache { tags: vec![u64::MAX; sets], line_shift: line.ilog2(), hits: 0, misses: 0 }
+    }
+
+    /// Where `addr` lives: its set, and the line address the set's tag
+    /// must equal for a hit. A function of the geometry alone, so a
+    /// caller that probes few distinct addresses can compute it ahead.
+    pub fn slot(&self, addr: u64) -> (u32, u64) {
+        let line_addr = addr >> self.line_shift;
+        ((line_addr % self.tags.len() as u64) as u32, line_addr)
     }
 
     /// Accesses `addr`; returns whether it hit, filling the line on a miss.
     pub fn access(&mut self, addr: u64) -> bool {
-        let line_addr = addr / self.line;
-        let set = (line_addr % self.tags.len() as u64) as usize;
-        if self.tags[set] == line_addr {
+        self.access_slot(self.slot(addr))
+    }
+
+    /// [`DirectCache::access`] of an address whose [`DirectCache::slot`]
+    /// (in a cache of this geometry) is already known.
+    pub fn access_slot(&mut self, (set, line_addr): (u32, u64)) -> bool {
+        let tag = &mut self.tags[set as usize];
+        if *tag == line_addr {
             self.hits += 1;
             true
         } else {
-            self.tags[set] = line_addr;
+            *tag = line_addr;
             self.misses += 1;
             false
         }

@@ -40,18 +40,16 @@ pub(crate) trait MemoryModel {
     ) -> (u32, u32, StallReason);
 }
 
-/// The distinct `line`-byte lines a warp's lane addresses touch, in
-/// ascending order (the order the caches are probed in), as a stack
-/// array and its length. Lanes that walk memory in order — the
-/// unit-stride case — arrive sorted and skip the sort. Always inlined:
-/// the flat model's sector size is a constant, and its per-lane division
-/// must fold into a shift rather than share the hierarchy's runtime one.
-#[inline(always)]
-fn coalesce(addrs: &[u64], line: u64) -> ([u64; WARP_LANES], usize) {
+/// The distinct `1 << line_shift`-byte lines a warp's lane addresses
+/// touch, in ascending order (the order the caches are probed in), as a
+/// stack array and its length. Lanes that walk memory in order — the
+/// unit-stride case — arrive sorted and skip the sort.
+#[inline]
+fn coalesce(addrs: &[u64], line_shift: u32) -> ([u64; WARP_LANES], usize) {
     let mut lines = [0u64; WARP_LANES];
     let n = addrs.len().min(WARP_LANES);
     for (slot, a) in lines.iter_mut().zip(addrs) {
-        *slot = a / line;
+        *slot = a >> line_shift;
     }
     if !lines[..n].is_sorted() {
         lines[..n].sort_unstable();
@@ -82,12 +80,12 @@ fn bank_conflicts(addrs: &[u64]) -> u32 {
 #[inline]
 fn global_access(
     addrs: &[u64],
-    line: u64,
+    line_shift: u32,
     arch: &ArchConfig,
     mut line_latency: impl FnMut(u64) -> u32,
 ) -> (u32, u32) {
-    let (lines, n) = coalesce(addrs, line);
-    let worst = lines[..n].iter().fold(0, |worst, &l| worst.max(line_latency(l * line)));
+    let (lines, n) = coalesce(addrs, line_shift);
+    let worst = lines[..n].iter().fold(0, |worst, &l| worst.max(line_latency(l << line_shift)));
     let n = n as u32;
     (worst + n.saturating_sub(1) * arch.lat_per_extra_transaction, n)
 }
@@ -122,7 +120,8 @@ impl MemoryModel for Flat {
     ) -> (u32, u32, StallReason) {
         match mem.space {
             MemSpace::Global => {
-                let (lat, n) = global_access(mem.addrs(), 32, arch, |a| l2_latency(l2, arch, a));
+                // 32-byte sectors.
+                let (lat, n) = global_access(mem.addrs(), 5, arch, |a| l2_latency(l2, arch, a));
                 (lat + atom, n, StallReason::MemoryDependency)
             }
             MemSpace::Local => {
@@ -198,15 +197,15 @@ impl MemoryModel for Hierarchy {
             MemSpace::Global => {
                 let (l1, l1_hit) = (&mut self.l1, self.cfg.lat_l1_hit);
                 let mut misses = 0u32;
-                let (lat, n) =
-                    global_access(mem.addrs(), self.cfg.l1_line.max(1) as u64, arch, |addr| {
-                        if l1.access(addr) {
-                            l1_hit
-                        } else {
-                            misses += 1;
-                            l2_latency(l2, arch, addr)
-                        }
-                    });
+                // A power of two: the launch was rejected otherwise.
+                let (lat, n) = global_access(mem.addrs(), self.cfg.l1_line.ilog2(), arch, |addr| {
+                    if l1.access(addr) {
+                        l1_hit
+                    } else {
+                        misses += 1;
+                        l2_latency(l2, arch, addr)
+                    }
+                });
                 let lat = lat + atom;
                 self.mshr.admit(now + lat as u64, misses);
                 self.l2q.admit(now + lat as u64, misses);
@@ -249,15 +248,15 @@ mod tests {
             let (lines, n) = coalesce(addrs, line);
             lines[..n].to_vec()
         };
-        assert_eq!(distinct(&unit, 32), vec![0x80, 0x81, 0x82, 0x83]);
-        assert_eq!(distinct(&unit, 128), vec![0x20]);
+        assert_eq!(distinct(&unit, 5), vec![0x80, 0x81, 0x82, 0x83]);
+        assert_eq!(distinct(&unit, 7), vec![0x20]);
         assert_eq!(bank_conflicts(&unit), 1);
         // Stride 128: a line per lane, every lane in bank 0.
         let strided: Vec<u64> = (0..32).map(|lane| 128 * lane).collect();
-        assert_eq!(distinct(&strided, 128).len(), 32);
+        assert_eq!(distinct(&strided, 7).len(), 32);
         // Out of order and repeating: sorted, each line once.
-        assert_eq!(distinct(&[0x300, 0x100, 0x304, 0x200, 0x100], 32), vec![8, 16, 24]);
-        assert_eq!(distinct(&[], 32), vec![]);
+        assert_eq!(distinct(&[0x300, 0x100, 0x304, 0x200, 0x100], 5), vec![8, 16, 24]);
+        assert_eq!(distinct(&[], 5), vec![]);
         assert_eq!(bank_conflicts(&strided), 32);
         assert_eq!(bank_conflicts(&[]), 1);
     }

@@ -20,7 +20,7 @@
 //! production scan assert each horizon they read against a recompute.
 
 use crate::hier::TimedServer;
-use crate::machine::SmStats;
+use crate::machine::{SimStats, SmStats};
 use crate::mem::DirectCache;
 use crate::memory::MemoryModel;
 use crate::program::CompiledProgram;
@@ -93,14 +93,19 @@ pub(crate) struct Sm<M> {
     /// Per-scheduler lower bound on the next cycle it could issue: the
     /// event-driven core skips a scheduler's warp scan entirely while its
     /// bound lies in the future, and the main loop jumps the clock to the
-    /// minimum bound. Invalidated (lowered) whenever another warp's issue
-    /// can wake this scheduler's warps: barrier release and block starts.
+    /// minimum bound. A scan writes it — folded over every warp but the
+    /// one it issues — and [`Sm::refresh`] lowers it: for the issuer, and
+    /// whenever another warp's issue wakes this scheduler's warps
+    /// (barrier release, block start).
     pub(crate) sched_next_ready: Vec<u64>,
     pub(crate) ifetch_fill_free: u64,
     pub(crate) pipe_free: Vec<u64>,
     pub(crate) rr_issue: Vec<usize>,
     pub(crate) rr_sample: Vec<usize>,
     pub(crate) stats: SmStats,
+    /// This SM's share of the launch's scan counters (the event core's
+    /// scan writes them; the loop-level two are derived at the end).
+    pub(crate) work: SimStats,
 }
 
 impl<M: MemoryModel> Sm<M> {
@@ -156,6 +161,7 @@ impl<M: MemoryModel> Sm<M> {
             rr_issue: vec![0; nsched],
             rr_sample: vec![0; nsched],
             stats: SmStats::default(),
+            work: SimStats::default(),
         }
     }
 
@@ -331,8 +337,9 @@ impl<M: MemoryModel> Sm<M> {
     /// a barrier releases it, and when a block starts in its slot. The
     /// last two wake a warp from outside its scheduler's scan, so the
     /// bound (computed while the warp looked unwakeable) must drop with
-    /// the horizon; after the warp's own issue the scan has already set
-    /// the bound to the next cycle and the `min` is a no-op.
+    /// the horizon; after the warp's own issue the scan has left a bound
+    /// folded over the scheduler's *other* warps, and the `min` adds the
+    /// issuer's next instruction to it.
     pub(crate) fn refresh(&mut self, wi: usize, prog: &CompiledProgram) {
         let horizon = self.horizon_of(wi, prog);
         self.horizons[self.col_of[wi]] = horizon;
@@ -393,7 +400,7 @@ impl<M: MemoryModel> Sm<M> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::machine::tests::{params_u64, BARRIER, CALL, DIVERGE};
+    use crate::machine::tests::{membound_launch, params_u64, BARRIER, CALL, DIVERGE, MEMBOUND};
     use crate::machine::{EventCore, GpuSim, IssueCore, SimConfig};
     use crate::memory::Flat;
     use gpa_isa::parse_module;
@@ -479,14 +486,17 @@ mod tests {
 
     thread_local! {
         /// What [`Probe`] saw on this thread: warps parked by `EXIT`, warps
-        /// parked by `BAR`, horizons raised to an i-cache fill time.
-        static SEEN: Cell<[u64; 3]> = const { Cell::new([0; 3]) };
+        /// parked by `BAR`, horizons raised to an i-cache fill time,
+        /// schedulers skipped by their bound.
+        static SEEN: Cell<[u64; 4]> = const { Cell::new([0; 4]) };
     }
 
     /// The production core, checking before every scan that *every* warp
     /// of the SM — not only the ones the scan will visit — has the
     /// horizon a from-scratch recompute gives, i.e. that every issue so
-    /// far refreshed everything it changed.
+    /// far refreshed everything it changed; and that a scheduler the scan
+    /// is about to skip has no warp `classify` calls ready, i.e. that no
+    /// bound a scan or a refresh left is too high.
     struct Probe;
 
     impl IssueCore for Probe {
@@ -511,6 +521,19 @@ mod tests {
                     seen[2] += 1;
                 }
             }
+            if sm.sched_next_ready[sched] > cycle {
+                for &wi in &sm.col_warp[sm.sched_cols[sched].clone()] {
+                    assert_ne!(
+                        sm.classify(wi, prog, cycle),
+                        Status::Ready,
+                        "SM {} scheduler {sched} is skipped until {} but warp {wi} is ready at \
+                         cycle {cycle}",
+                        sm.id,
+                        sm.sched_next_ready[sched],
+                    );
+                }
+                seen[3] += 1;
+            }
             SEEN.set(seen);
             EventCore::scan(sm, sched, cycle, prog)
         }
@@ -520,25 +543,40 @@ mod tests {
         }
     }
 
+    /// Mutation note for the skipped-scheduler assert, checked by hand
+    /// when the look-ahead bound was introduced. With the second ready
+    /// warp ignored (`EventCore::scan` folding on instead of setting
+    /// `cycle + 1`) it fires on the first kernel, before any launch can
+    /// diverge or hang: "SM 0 scheduler 0 is skipped until 40 but warp 4
+    /// is ready at cycle 20". With the lowering removed from
+    /// `Sm::refresh` (the horizon stored, the bound left alone), which
+    /// since that change also has to pull the bound down to the issuer's
+    /// own next instruction: "SM 0 scheduler 1 is skipped until 120 but
+    /// warp 61 is ready at cycle 117".
     #[test]
     fn every_issue_leaves_every_cached_horizon_fresh() {
-        let arch = ArchConfig::small(2);
-        let run = |text: &str, entry: &str, launch: LaunchConfig, words: u64| {
+        let run = |arch: &ArchConfig, text: &str, entry: &str, launch: LaunchConfig, bufs: u64| {
             let mut gpu = GpuSim::new(arch.clone(), SimConfig::default());
-            let out = gpu.global_mut().alloc(4 * words);
+            let bufs: Vec<u64> = (0..bufs).map(|_| gpu.global_mut().alloc(4 * 1024)).collect();
             let prog = gpu.compile(&parse_module(text).unwrap(), entry).unwrap();
-            gpu.launch_on::<Probe>(&prog, &launch, &params_u64(&[out]), &mut Vec::new()).unwrap();
+            gpu.launch_on::<Probe>(&prog, &launch, &params_u64(&bufs), &mut Vec::new()).unwrap();
         };
-        // More blocks than slots, so blocks also start mid-launch, at a
-        // non-zero cycle, in slots whose warps have exited.
-        let refilling = LaunchConfig::new(100, 64);
-        assert!(refilling.grid_blocks > arch.occupancy(&refilling).blocks_per_sm * arch.num_sms);
-        run(BARRIER, "barrier", refilling, 0);
-        run(DIVERGE, "diverge", LaunchConfig::new(2, 32), 64);
-        run(CALL, "main", LaunchConfig::new(2, 32), 64);
-        let [exited, at_bar, filling] = SEEN.get();
+        for arch in [ArchConfig::small(2), ArchConfig::small(2).with_hierarchy()] {
+            // More blocks than slots, so blocks also start mid-launch, at
+            // a non-zero cycle, in slots whose warps have exited.
+            let refilling = LaunchConfig::new(100, 64);
+            assert!(
+                refilling.grid_blocks > arch.occupancy(&refilling).blocks_per_sm * arch.num_sms
+            );
+            run(&arch, BARRIER, "barrier", refilling, 0);
+            run(&arch, DIVERGE, "diverge", LaunchConfig::new(2, 32), 1);
+            run(&arch, CALL, "main", LaunchConfig::new(2, 32), 1);
+            run(&arch, MEMBOUND, "membound", membound_launch(8), 2);
+        }
+        let [exited, at_bar, filling, skipped] = SEEN.get();
         assert!(exited > 0, "never saw a warp parked by EXIT");
         assert!(at_bar > 0, "never saw a warp parked at BAR");
         assert!(filling > 0, "never saw a horizon raised to an i-cache fill time");
+        assert!(skipped > 0, "never saw a scheduler skipped by its bound");
     }
 }

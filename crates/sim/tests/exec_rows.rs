@@ -7,11 +7,14 @@
 //! lane-local: lanes that execute hold what a scalar reference computes,
 //! and nothing else moves.
 
-use gpa_isa::{Instruction, Modifier, Opcode, Operand, PredReg, Predicate, Register, SpecialReg};
+use gpa_isa::{
+    Instruction, MemRef, Modifier, Opcode, Operand, PredReg, Predicate, Register, SpecialReg,
+};
 use gpa_sim::exec::{execute, ExecCtx, MemAccess, Outcome};
 use gpa_sim::mem::{ConstMem, GlobalMem};
 use gpa_sim::program::Plan;
 use gpa_sim::warp::{WarpState, WARP_LANES};
+use gpa_sim::SimError;
 
 fn r(n: u8) -> Register {
     Register::from_u8(n)
@@ -353,6 +356,210 @@ fn arithmetic_rows_are_lane_local_and_match_a_scalar_reference() {
                 assert_eq!(got, want, "{instr}: R{n} under mask {mask:#x}");
             }
             assert_eq!(w.preds, want_preds, "{instr}: predicates under mask {mask:#x}");
+        }
+    }
+}
+
+/// One instruction under guard `P0`, run once per mask in `masks` on a
+/// copy of `start`: the register file, the predicates other than the
+/// guard, and the three memories it may have written.
+type Effects = (Vec<[u32; WARP_LANES]>, [u32; 6], Vec<Vec<u8>>, Vec<u8>, Vec<u8>);
+
+fn effects(instr: &Instruction, masks: &[u32], start: &WarpState, c: &ConstMem) -> Effects {
+    let (mut w, mut g, mut smem) = (start.clone(), GlobalMem::new(), vec![0x5a; 256]);
+    g.write_bytes(GLOBAL, &[0xa5; 256]);
+    let mut cx = ExecCtx {
+        global: &mut g,
+        smem: &mut smem,
+        consts: c,
+        block_id: 3,
+        grid_blocks: 8,
+        block_threads: 64,
+    };
+    let plan = Plan::lower(&instr.clone().with_pred(Predicate::pos(PredReg::new(0).unwrap())));
+    for &mask in masks {
+        w.preds[0] = mask;
+        let res =
+            execute(&mut w, &plan, None, &mut cx, &mut MemAccess::new()).map(|res| res.outcome);
+        assert_eq!(res, Ok(Outcome::Next), "{instr}");
+    }
+    let preds = w.preds[1..].try_into().unwrap();
+    (w.regs, preds, w.local, smem, g.read_bytes(GLOBAL, 256))
+}
+
+/// Where the global addresses of [`a_full_mask_equals_two_half_masks`] point.
+const GLOBAL: u64 = 0x20_0000;
+
+/// A full exec mask takes each row helper's constant-trip-count path and
+/// whole-row stores; a partial one walks the set bits. Every arm of
+/// `execute` — the arithmetic ones, `SHFL`, `VOTE` and every memory
+/// opcode — must leave exactly what it leaves when run as two half
+/// masks one after the other: a fast path that reads or writes a lane
+/// the slow one does not, or orders two lanes' atomics differently,
+/// differs in a register, a predicate or a byte of memory. Destinations
+/// alias sources and address registers, or are `RZ`; stores and atomics
+/// collide on their addresses.
+#[test]
+fn a_full_mask_equals_two_half_masks() {
+    let mut rng = Lcg(0x6761_7061_2d68_616c);
+    let p1 = PredReg::new(1).unwrap();
+    let at = |base: u8, offset: i32, wide| Operand::Mem(MemRef { base: r(base), offset, wide });
+    let (reg, pair) = (|n| Operand::Reg(r(n)), |n| Operand::RegPair(r(n)));
+    let new = Instruction::new;
+    use Modifier::{All, Sz64, E};
+    use Opcode::*;
+    // R12 holds distinct word addresses below 256, R13 colliding ones,
+    // R14:R15 colliding global addresses.
+    let mut instrs = vec![
+        new(Shfl, vec![reg(1)], vec![reg(2), reg(3)]),
+        new(Shfl, vec![reg(2)], vec![reg(2), Operand::Imm(7)]),
+        new(Vote, vec![reg(1)], vec![Operand::Pred(p1)]).with_mod(All),
+        new(Vote, vec![reg(1)], vec![Operand::Pred(p1)]),
+        new(Vote, vec![Operand::Reg(Register::ZERO)], vec![Operand::Pred(PredReg::TRUE)]),
+        new(Ldc, vec![reg(1)], vec![Operand::CMem { bank: 0, offset: 8 }]),
+        new(Ldc, vec![pair(2)], vec![Operand::CMem { bank: 0, offset: 4 }]).with_mod(Sz64),
+        new(Ldc, vec![reg(12)], vec![at(12, 4, false)]),
+        new(AtomS, vec![reg(13)], vec![at(13, 0, false), reg(2)]),
+        new(AtomS, vec![Operand::Reg(Register::ZERO)], vec![at(13, 4, false), reg(13)]),
+        new(AtomG, vec![reg(1)], vec![at(14, 0, true), reg(2)]),
+        new(AtomG, vec![reg(14)], vec![at(14, 4, true), reg(14)]),
+    ];
+    for (load, store, base, wide) in
+        [(Lds, Sts, 12, false), (Ldl, Stl, 13, false), (Ldg, Stg, 14, true)]
+    {
+        let global: &[Modifier] = if wide { &[E] } else { &[] };
+        let with = |mut instr: Instruction, mods: &[Modifier]| {
+            for &m in global.iter().chain(mods) {
+                instr = instr.with_mod(m);
+            }
+            instr
+        };
+        instrs.extend([
+            with(new(load, vec![reg(1)], vec![at(base, 0, wide)]), &[]),
+            with(new(load, vec![reg(base)], vec![at(base, 4, wide)]), &[]),
+            with(new(load, vec![pair(2)], vec![at(base, 8, wide)]), &[Sz64]),
+            with(
+                new(load, vec![Operand::RegPair(Register::ZERO)], vec![at(base, 0, wide)]),
+                &[Sz64],
+            ),
+            with(new(store, vec![], vec![at(base, 0, wide), reg(1)]), &[]),
+            with(new(store, vec![], vec![at(base, 4, wide), reg(base)]), &[]),
+            with(new(store, vec![], vec![at(base, 8, wide), pair(2)]), &[Sz64]),
+        ]);
+    }
+    let arms = arms();
+    for _round in 0..24 {
+        let mut c = ConstMem::new();
+        c.set_bank(0, (0..18).flat_map(|_| rng.operand().to_le_bytes()).collect());
+        c.set_bank(1, (0..80).flat_map(|_| rng.operand().to_le_bytes()).collect());
+        let mut start = WarpState::new(0, 0, 0, 0, 32, 16);
+        start.regs.iter_mut().flatten().for_each(|v| *v = rng.operand());
+        for l in 0..WARP_LANES {
+            start.regs[12][l] = 8 * l as u32;
+            start.regs[13][l] = 8 * (rng.next() % 4);
+            (start.regs[14][l], start.regs[15][l]) = (GLOBAL as u32 + 8 * (rng.next() % 4), 0);
+            start.local[l] = vec![l as u8; 16];
+        }
+        start.preds = [0, rng.next(), rng.next(), 0, 0, 0, 0];
+        // The arithmetic arms, spelled over registers: the destination is
+        // one of R0..R10 or `RZ`, and so may be a source.
+        let arithmetic = arms.iter().map(|arm| {
+            let srcs = (arm.srcs.iter())
+                .map(|want| match want {
+                    Want::N if rng.next().is_multiple_of(4) => pair(rng.next() as u8 % 10),
+                    Want::N => reg(rng.next() as u8 % 12),
+                    Want::W if rng.next().is_multiple_of(4) => reg(rng.next() as u8 % 12),
+                    Want::W => pair(rng.next() as u8 % 10),
+                    Want::Sr => Operand::SReg(SpecialReg::LaneId),
+                    Want::Pr => Operand::Pred(p1),
+                    Want::Sh => Operand::Imm((rng.next() % 32) as i64),
+                })
+                .collect();
+            let d = if rng.next().is_multiple_of(8) {
+                Register::ZERO
+            } else {
+                r(rng.next() as u8 % 11)
+            };
+            let dst = match arm.out {
+                Out::R32 | Out::F32 => Operand::Reg(d),
+                Out::R64 | Out::F64 => Operand::RegPair(d),
+                Out::Pred if d.is_zero() => Operand::Pred(PredReg::TRUE),
+                Out::Pred => Operand::Pred(PredReg::new(2).unwrap()),
+            };
+            (arm.mods.iter()).fold(new(arm.opcode, vec![dst], srcs), |instr, &m| instr.with_mod(m))
+        });
+        for instr in arithmetic.collect::<Vec<_>>().iter().chain(&instrs) {
+            let whole = effects(instr, &[u32::MAX], &start, &c);
+            // Lanes that write one address do so in lane order, which
+            // only the first split keeps.
+            let splits = [[0x0000_ffff, 0xffff_0000], [0xaaaa_aaaa, 0x5555_5555]];
+            for halves in &splits[..if instr.opcode.is_store() { 1 } else { 2 }] {
+                assert!(whole == effects(instr, halves, &start, &c), "{instr} as {halves:x?}");
+            }
+        }
+    }
+}
+
+/// When several lanes of a shared- or local-memory access lie beyond
+/// the limit, the fault is the lowest such lane's that executes — the
+/// string names *its* end — and nothing was read, written or grown on
+/// the way to it.
+#[test]
+fn the_lowest_executing_lane_beyond_the_limit_names_the_scratch_fault() {
+    use Opcode::*;
+    let addr = Operand::Mem(MemRef { base: r(1), offset: 0, wide: false });
+    let cases = [
+        (Instruction::new(Lds, vec![Operand::Reg(r(2))], vec![addr]), "shared", 96u64),
+        (Instruction::new(Sts, vec![], vec![addr, Operand::Reg(r(2))]), "shared", 96),
+        (
+            Instruction::new(AtomS, vec![Operand::Reg(r(2))], vec![addr, Operand::Reg(r(3))]),
+            "shared",
+            96,
+        ),
+        (Instruction::new(Ldl, vec![Operand::Reg(r(2))], vec![addr]), "local", 64),
+        (Instruction::new(Stl, vec![], vec![addr, Operand::Reg(r(2))]), "local", 64),
+    ];
+    for (instr, space, kib) in cases {
+        let mut start = WarpState::new(0, 0, 0, 0, 32, 8);
+        start.pc = 0x1230;
+        let (first, second) = (kib as u32 * 1024 + 0x100, kib as u32 * 1024 - 3);
+        start.regs[1] = [64; WARP_LANES];
+        (start.regs[1][9], start.regs[1][20]) = (first, second);
+        let (both, c) = (1 << 9 | 1 << 20, ConstMem::new());
+        for (mask, beyond) in [
+            (u32::MAX, Some(first)),
+            (0x00ff_ff00, Some(first)),
+            (!(1 << 9), Some(second)),
+            (1 << 20, Some(second)),
+            (!both, None),
+            (0x0000_00ff, None),
+        ] {
+            let (mut w, mut g, mut smem) = (start.clone(), GlobalMem::new(), Vec::new());
+            w.preds[0] = mask;
+            let mut cx = ExecCtx {
+                global: &mut g,
+                smem: &mut smem,
+                consts: &c,
+                block_id: 0,
+                grid_blocks: 1,
+                block_threads: 32,
+            };
+            let plan =
+                Plan::lower(&instr.clone().with_pred(Predicate::pos(PredReg::new(0).unwrap())));
+            let res =
+                execute(&mut w, &plan, None, &mut cx, &mut MemAccess::new()).map(|res| res.outcome);
+            let Some(beyond) = beyond else {
+                assert_eq!(res, Ok(Outcome::Next), "{instr} under {mask:#x}");
+                continue;
+            };
+            let message = format!("{space}-memory access at {:#x} exceeds {kib} KiB", beyond + 4);
+            assert_eq!(
+                res,
+                Err(SimError::Fault { pc: 0x1230, message }),
+                "{instr} under {mask:#x}"
+            );
+            assert!(smem.is_empty() && w.local.iter().all(Vec::is_empty), "{instr} grew a memory");
+            assert_eq!(w.regs, start.regs, "{instr} wrote a register");
         }
     }
 }

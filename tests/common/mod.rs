@@ -34,6 +34,7 @@ pub fn profile_of(
         occupancy: arch.occupancy(&launch),
         launch,
         sm_stats: vec![],
+        sim_stats: Default::default(),
     };
     KernelProfile::from_launch(&module.functions[0].name, &module.name, "volta", 509, &result)
 }
