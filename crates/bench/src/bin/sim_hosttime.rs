@@ -9,7 +9,6 @@
 //! docs/simulator.md has the `addr2line` recipe.
 
 use gpa_kernels::{all_apps, runner, Params};
-use gpa_sim::GpuSim;
 use std::time::Instant;
 
 fn main() {
@@ -32,11 +31,9 @@ fn main() {
         let program = gpu.compile(&spec.module, &spec.entry).expect("registry kernels compile");
         let mut best = None;
         for _ in 0..reps.max(1) {
-            let mut replay = GpuSim::new(arch.clone(), runner::sim_config());
-            if let Some(bank) = &spec.const_bank1 {
-                replay.set_const_bank(1, bank.clone());
-            }
-            *replay.global_mut() = gpu.global().clone();
+            let snapshot = gpu.global().clone();
+            let mut replay =
+                runner::rearmed_gpu(&spec, arch.clone(), runner::sim_config(), snapshot);
             sampler::every_us(1000);
             let start = Instant::now();
             let result = replay.launch_compiled(&program, &spec.launch, &host_params);

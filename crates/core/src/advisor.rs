@@ -476,7 +476,7 @@ impl Advisor {
     /// Builds the static analyses from scratch; callers that analyze
     /// many profiles of the same module (the pipeline's [`Session`]
     /// cache) should pre-build them once and use
-    /// [`Advisor::advise_with`] or [`Advisor::advise_request`].
+    /// [`Advisor::advise_request`].
     ///
     /// [`Session`]: https://docs.rs/gpa-pipeline
     pub fn advise(
@@ -487,24 +487,13 @@ impl Advisor {
     ) -> AdviceReport {
         let structure = ProgramStructure::build(module);
         let latency = LatencyTable::for_arch(arch);
-        self.advise_with(module, &structure, &latency, profile, arch)
+        self.advise_request(module, &structure, &latency, profile, arch, &self.defaults)
     }
 
-    /// [`Advisor::advise`] with caller-provided static analyses, so a
+    /// [`Advisor::advise`] with caller-provided static analyses — a
     /// cached `ProgramStructure`/`LatencyTable` is reused across repeated
-    /// runs instead of being rebuilt per profile.
-    pub fn advise_with(
-        &self,
-        module: &Module,
-        structure: &ProgramStructure,
-        latency: &LatencyTable,
-        profile: &KernelProfile,
-        arch: &ArchConfig,
-    ) -> AdviceReport {
-        self.advise_request(module, structure, latency, profile, arch, &self.defaults)
-    }
-
-    /// [`Advisor::advise_with`] scoped by a per-call [`AdviceRequest`].
+    /// runs instead of being rebuilt per profile — scoped by a per-call
+    /// [`AdviceRequest`].
     pub fn advise_request(
         &self,
         module: &Module,

@@ -116,7 +116,8 @@ fn build(variant: usize, p: &Params) -> KernelSpec {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::runner::{arch_for, time_spec};
+    use crate::runner::{arch_for, armed_gpu_with, sim_config};
+    use gpa_arch::ArchConfig;
 
     /// Every variant runs on both memory models, and the timed
     /// hierarchy rewards each fix: coalescing beats the baseline, and
@@ -126,13 +127,17 @@ mod tests {
         let p = Params::test();
         let app = app();
         assert_eq!(app.variants(), 3);
+        let cycles = |v: usize, arch: &ArchConfig| {
+            let spec = (app.build)(v, &p);
+            let (mut gpu, params) = armed_gpu_with(&spec, arch, sim_config());
+            gpu.launch(&spec.module, &spec.entry, &spec.launch, &params).unwrap().cycles
+        };
         let flat = arch_for(&p);
         let hier = arch_for(&p).with_hierarchy();
         let mut timed = Vec::new();
         for v in 0..app.variants() {
-            let cycles = time_spec(&(app.build)(v, &p), &flat).unwrap();
-            assert!(cycles > 0, "variant {v} on the flat model");
-            timed.push(time_spec(&(app.build)(v, &p), &hier).unwrap());
+            assert!(cycles(v, &flat) > 0, "variant {v} on the flat model");
+            timed.push(cycles(v, &hier));
         }
         assert!(timed[0] > timed[1], "coalescing helps: {timed:?}");
         assert!(timed[1] > timed[2], "bank-conflict fix helps: {timed:?}");

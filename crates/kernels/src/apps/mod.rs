@@ -65,7 +65,7 @@ pub fn app_by_name(name: &str) -> Option<App> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::runner::{arch_for, time_spec};
+    use crate::runner::{arch_for, armed_gpu_with, sim_config};
     use crate::Params;
 
     #[test]
@@ -88,9 +88,11 @@ mod tests {
         for app in all_apps() {
             for v in 0..app.variants() {
                 let spec = (app.build)(v, &p);
-                let cycles = time_spec(&spec, &arch)
+                let (mut gpu, params) = armed_gpu_with(&spec, &arch, sim_config());
+                let run = gpu
+                    .launch(&spec.module, &spec.entry, &spec.launch, &params)
                     .unwrap_or_else(|e| panic!("{} variant {v} failed: {e}", app.name));
-                assert!(cycles > 0, "{} variant {v}", app.name);
+                assert!(run.cycles > 0, "{} variant {v}", app.name);
             }
         }
     }

@@ -21,7 +21,6 @@ pub mod dsl;
 pub mod runner;
 
 pub use apps::all_apps;
-pub use runner::{run_spec, RunOutput};
 
 use gpa_arch::LaunchConfig;
 use gpa_isa::Module;

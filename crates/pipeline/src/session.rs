@@ -112,7 +112,7 @@ impl Session {
     /// Sets the session's default profiling-repeat count: every sampling
     /// run replays the kernel this many times with shifted sampling
     /// phases and merges the profiles (replay-style noise reduction, see
-    /// [`gpa_sampling::Profiler::profile_repeat`]). Values below 1 are
+    /// [`gpa_sampling::Profiler::profile_compiled`]). Values below 1 are
     /// clamped to 1 (plain single-launch profiling — the default).
     #[must_use]
     pub fn with_repeat(mut self, repeat: u32) -> Self {
@@ -166,15 +166,24 @@ impl Session {
                 format!("variant out of range (app has 0..{})", app.variants() - 1),
             ));
         }
-        let spec = (app.build)(job.variant, &self.params);
-        let structure = ProgramStructure::build(&spec.module);
-        let program = CompiledProgram::build(&spec.module, &spec.entry, &self.arch)
-            .map(Arc::new)
-            .map_err(|e| AnalysisError::new(job, e.to_string()))?;
-        let built = Arc::new(ModuleArtifacts { spec, structure, program, init: OnceLock::new() });
+        let built = Arc::new(self.build_artifacts(job, (app.build)(job.variant, &self.params))?);
         let mut cache = self.cache.lock().expect("cache lock");
         // Two workers may race to build the same key; keep the first.
         Ok(Arc::clone(cache.entry(key).or_insert(built)))
+    }
+
+    /// Everything derivable from `spec`: the one place [`ModuleArtifacts`]
+    /// are constructed, cached ([`Session::artifacts`]) or not
+    /// ([`Session::analyze_spec`]).
+    fn build_artifacts(
+        &self,
+        job: &AnalysisJob,
+        spec: KernelSpec,
+    ) -> Result<ModuleArtifacts, AnalysisError> {
+        let program = CompiledProgram::build(&spec.module, &spec.entry, &self.arch)
+            .map_err(|e| AnalysisError::new(job, e.to_string()))?;
+        let structure = ProgramStructure::build(&spec.module);
+        Ok(ModuleArtifacts { spec, structure, program: Arc::new(program), init: OnceLock::new() })
     }
 
     /// Number of artifact-cache entries (for tests and diagnostics).
@@ -197,11 +206,7 @@ impl Session {
         });
         let arch = self.arch.clone();
         let arch = if hierarchy { arch.with_hierarchy() } else { arch };
-        let mut gpu = GpuSim::new(arch, self.sim.clone());
-        if let Some(bank) = &spec.const_bank1 {
-            gpu.set_const_bank(1, bank.clone());
-        }
-        *gpu.global_mut() = init.global.clone();
+        let gpu = runner::rearmed_gpu(spec, arch, self.sim.clone(), init.global.clone());
         (gpu, init.params.clone())
     }
 
@@ -219,14 +224,8 @@ impl Session {
         hierarchy: bool,
     ) -> Result<(KernelProfile, u64), AnalysisError> {
         let (gpu, host_params) = self.armed_gpu(artifacts, hierarchy);
-        let mut profiler = Profiler::new(gpu);
-        let (profile, result) = profiler
-            .profile_repeat_compiled(
-                &artifacts.program,
-                &artifacts.spec.launch,
-                &host_params,
-                repeat,
-            )
+        let (profile, result) = Profiler::new(gpu)
+            .profile_compiled(&artifacts.program, &artifacts.spec.launch, &host_params, repeat)
             .map_err(|e| AnalysisError::new(job, e.to_string()))?;
         Ok((profile, result.cycles))
     }
@@ -262,19 +261,8 @@ impl Session {
         &self,
         job: &AnalysisJob,
     ) -> Result<(Arc<ModuleArtifacts>, KernelProfile, u64), AnalysisError> {
-        self.profile_one_repeat(job, self.repeat, false)
-    }
-
-    /// [`Session::profile_one`] with the per-call repeat count and
-    /// memory model of [`Session::run_one_request_repeat`].
-    fn profile_one_repeat(
-        &self,
-        job: &AnalysisJob,
-        repeat: u32,
-        hierarchy: bool,
-    ) -> Result<(Arc<ModuleArtifacts>, KernelProfile, u64), AnalysisError> {
         let artifacts = self.artifacts(job)?;
-        let (profile, cycles) = self.sample_artifacts(job, &artifacts, repeat, hierarchy)?;
+        let (profile, cycles) = self.sample_artifacts(job, &artifacts, self.repeat, false)?;
         Ok((artifacts, profile, cycles))
     }
 
@@ -322,10 +310,25 @@ impl Session {
         hierarchy: bool,
     ) -> Result<AnalysisOutcome, AnalysisError> {
         let t0 = Instant::now();
-        let (artifacts, profile, cycles) = self.profile_one_repeat(job, repeat, hierarchy)?;
+        let artifacts = self.artifacts(job)?;
+        self.analyze_artifacts(t0, job.clone(), artifacts, request, repeat, hierarchy)
+    }
+
+    /// Samples and advises on an artifact's kernel: the one place an
+    /// [`AnalysisOutcome`] is assembled, its wall time counted from `t0`.
+    fn analyze_artifacts(
+        &self,
+        t0: Instant,
+        job: AnalysisJob,
+        artifacts: Arc<ModuleArtifacts>,
+        request: &AdviceRequest,
+        repeat: u32,
+        hierarchy: bool,
+    ) -> Result<AnalysisOutcome, AnalysisError> {
+        let (profile, cycles) = self.sample_artifacts(&job, &artifacts, repeat, hierarchy)?;
         let report = self.advise_artifacts(&artifacts, &profile, request);
         Ok(AnalysisOutcome {
-            job: job.clone(),
+            job,
             kernel: artifacts.spec.entry.clone(),
             profile,
             cycles,
@@ -395,23 +398,8 @@ impl Session {
     pub fn analyze_spec(&self, spec: KernelSpec) -> Result<AnalysisOutcome, AnalysisError> {
         let t0 = Instant::now();
         let job = AnalysisJob::new(spec.module.name.clone(), 0);
-        let structure = ProgramStructure::build(&spec.module);
-        let program = CompiledProgram::build(&spec.module, &spec.entry, &self.arch)
-            .map(Arc::new)
-            .map_err(|e| AnalysisError::new(&job, e.to_string()))?;
-        let artifacts =
-            Arc::new(ModuleArtifacts { spec, structure, program, init: OnceLock::new() });
-        let (profile, cycles) = self.sample_artifacts(&job, &artifacts, self.repeat, false)?;
-        let report = self.advise_artifacts(&artifacts, &profile, self.advisor.defaults());
-        Ok(AnalysisOutcome {
-            job,
-            kernel: artifacts.spec.entry.clone(),
-            profile,
-            cycles,
-            report,
-            wall: t0.elapsed(),
-            artifacts,
-        })
+        let artifacts = Arc::new(self.build_artifacts(&job, spec)?);
+        self.analyze_artifacts(t0, job, artifacts, self.advisor.defaults(), self.repeat, false)
     }
 
     /// Times one job without sampling (ground truth for achieved
@@ -422,11 +410,7 @@ impl Session {
     /// Unknown app/variant, or a simulator fault.
     pub fn time_one(&self, job: &AnalysisJob) -> Result<u64, AnalysisError> {
         let artifacts = self.artifacts(job)?;
-        let (gpu, host_params) = self.armed_gpu(&artifacts, false);
-        let mut profiler = Profiler::new(gpu);
-        profiler
-            .time_only_compiled(&artifacts.program, &artifacts.spec.launch, &host_params)
-            .map_err(|e| AnalysisError::new(job, e.to_string()))
+        time_armed(job, &artifacts.program, &artifacts.spec, self.armed_gpu(&artifacts, false))
     }
 
     /// Times a caller-built [`KernelSpec`] without sampling (e.g. a
@@ -436,11 +420,10 @@ impl Session {
     ///
     /// A simulator fault.
     pub fn time_spec(&self, spec: &KernelSpec) -> Result<u64, AnalysisError> {
-        let (gpu, host_params) = runner::armed_gpu_with(spec, &self.arch, self.sim.clone());
-        let mut profiler = Profiler::new(gpu);
-        profiler.time_only(&spec.module, &spec.entry, &spec.launch, &host_params).map_err(|e| {
-            AnalysisError::new(&AnalysisJob::new(spec.module.name.clone(), 0), e.to_string())
-        })
+        let job = AnalysisJob::new(spec.module.name.clone(), 0);
+        let program = CompiledProgram::build(&spec.module, &spec.entry, &self.arch)
+            .map_err(|e| AnalysisError::new(&job, e.to_string()))?;
+        time_armed(&job, &program, spec, runner::armed_gpu_with(spec, &self.arch, self.sim.clone()))
     }
 
     /// Runs many jobs across the worker pool. Results are returned in
@@ -473,6 +456,20 @@ impl Session {
             .flat_map(|app| (0..app.variants()).map(|v| AnalysisJob::new(app.name, v)))
             .collect()
     }
+}
+
+/// Times `program` on a device armed for `spec`, without sampling: the
+/// one timing path [`Session::time_one`] and [`Session::time_spec`]
+/// share.
+fn time_armed(
+    job: &AnalysisJob,
+    program: &CompiledProgram,
+    spec: &KernelSpec,
+    (gpu, host_params): (GpuSim, Vec<u8>),
+) -> Result<u64, AnalysisError> {
+    Profiler::new(gpu)
+        .time_only_compiled(program, &spec.launch, &host_params)
+        .map_err(|e| AnalysisError::new(job, e.to_string()))
 }
 
 #[cfg(test)]

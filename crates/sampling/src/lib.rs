@@ -24,8 +24,9 @@
 //! nothing retains O(samples) memory; [`KernelProfile::merge`] folds
 //! repeated launches together (associative and commutative, with
 //! [`KernelProfile::empty_like`] as identity) and
-//! [`Profiler::profile_repeat`] drives CUPTI-replay-style noise
-//! reduction on top. See `docs/profiling.md` for the full model.
+//! [`Profiler::profile_compiled`]'s repeat count drives
+//! CUPTI-replay-style noise reduction on top. See `docs/profiling.md`
+//! for the full model.
 
 mod decode;
 #[cfg(test)]
@@ -34,5 +35,5 @@ pub mod profile;
 pub mod profiler;
 
 pub use gpa_sim::{RawSample, SampleSet, SampleSink, StallReason};
-pub use profile::{KernelProfile, MergeError, PcStats, ProfileBuilder};
+pub use profile::{KernelProfile, MergeError, PcStats};
 pub use profiler::Profiler;

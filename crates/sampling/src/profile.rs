@@ -472,67 +472,6 @@ impl fmt::Display for MergeError {
 
 impl std::error::Error for MergeError {}
 
-/// Incrementally folds per-launch profiles into one merged profile —
-/// the accumulation side of replay-style repeat profiling and of the
-/// daemon's chunked uploads. Feed it with [`ProfileBuilder::add`] (an
-/// already-built profile) or [`ProfileBuilder::add_launch`] (straight
-/// from a launch's [`SampleSet`]); only the running merge is retained,
-/// never the individual launches.
-#[derive(Debug, Default)]
-pub struct ProfileBuilder {
-    acc: Option<KernelProfile>,
-    launches: u64,
-}
-
-impl ProfileBuilder {
-    /// An empty builder.
-    pub fn new() -> Self {
-        ProfileBuilder::default()
-    }
-
-    /// Number of profiles folded in so far.
-    pub fn launches(&self) -> u64 {
-        self.launches
-    }
-
-    /// Folds one profile into the running merge.
-    ///
-    /// # Errors
-    ///
-    /// When the profile disagrees with the accumulated kernel
-    /// configuration (see [`KernelProfile::merge_in`]).
-    pub fn add(&mut self, profile: &KernelProfile) -> Result<(), MergeError> {
-        match &mut self.acc {
-            None => self.acc = Some(profile.clone()),
-            Some(acc) => acc.merge_in(profile)?,
-        }
-        self.launches += 1;
-        Ok(())
-    }
-
-    /// Folds one launch's samples in directly (see
-    /// [`KernelProfile::from_launch`]).
-    ///
-    /// # Errors
-    ///
-    /// Same as [`ProfileBuilder::add`].
-    pub fn add_launch(
-        &mut self,
-        kernel: &str,
-        module_name: &str,
-        arch: &str,
-        period: u32,
-        result: &LaunchResult,
-    ) -> Result<(), MergeError> {
-        self.add(&KernelProfile::from_launch(kernel, module_name, arch, period, result))
-    }
-
-    /// The merged profile, or `None` when nothing was added.
-    pub fn build(self) -> Option<KernelProfile> {
-        self.acc
-    }
-}
-
 fn limiter_str(l: OccLimiter) -> &'static str {
     match l {
         OccLimiter::Warps => "Warps",
@@ -789,18 +728,6 @@ mod tests {
     }
 
     #[test]
-    fn builder_folds_launches_incrementally() {
-        let b = ProfileBuilder::new();
-        assert!(b.build().is_none());
-        let mut b = ProfileBuilder::new();
-        b.add(&two_pc_profile()).unwrap();
-        b.add(&two_pc_profile()).unwrap();
-        assert_eq!(b.launches(), 2);
-        let merged = b.build().unwrap();
-        assert_eq!(merged, two_pc_profile().merge(&two_pc_profile()).unwrap());
-    }
-
-    #[test]
     fn split_chunks_round_trips_through_merge() {
         let p = two_pc_profile();
         for n in [1, 2, 5] {
@@ -811,11 +738,11 @@ mod tests {
             for c in &chunks {
                 assert_eq!(KernelProfile::from_json(&c.to_json()).unwrap(), *c);
             }
-            let mut b = ProfileBuilder::new();
-            for c in &chunks {
-                b.add(c).unwrap();
+            let mut merged = chunks[0].clone();
+            for c in &chunks[1..] {
+                merged.merge_in(c).unwrap();
             }
-            assert_eq!(b.build().unwrap(), p, "merging {n} chunks reproduces the profile");
+            assert_eq!(merged, p, "merging {n} chunks reproduces the profile");
         }
     }
 

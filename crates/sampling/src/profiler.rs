@@ -1,9 +1,8 @@
 //! The profiling front end: launch + sample + aggregate in one call,
-//! plus replay-style repeat profiling (merged multi-launch profiles).
+//! with replay-style repeat profiling (merged multi-launch profiles).
 
-use crate::profile::{KernelProfile, ProfileBuilder};
+use crate::profile::KernelProfile;
 use gpa_arch::LaunchConfig;
-use gpa_isa::Module;
 use gpa_sim::{CompiledProgram, GpuSim, LaunchResult, Result};
 
 /// Profiles kernels on a simulated device.
@@ -33,81 +32,24 @@ impl Profiler {
         &mut self.gpu
     }
 
-    /// Launches `entry` and aggregates its PC samples into a profile.
-    ///
-    /// # Errors
-    ///
-    /// Propagates simulator errors (unknown kernel, faults, cycle limit).
-    pub fn profile(
-        &mut self,
-        module: &Module,
-        entry: &str,
-        launch: &LaunchConfig,
-        params: &[u8],
-    ) -> Result<(KernelProfile, LaunchResult)> {
-        let prog = self.gpu.compile(module, entry)?;
-        self.profile_compiled(&prog, launch, params)
-    }
-
-    /// Launches an already-compiled program (see [`GpuSim::compile`]) and
-    /// aggregates its PC samples into a profile — the repeat-launch path:
-    /// the module lowering (instruction cloning, reconvergence analysis)
-    /// is paid once, not per launch.
-    ///
-    /// # Errors
-    ///
-    /// Propagates simulator errors (arch mismatch, faults, cycle limit).
-    pub fn profile_compiled(
-        &mut self,
-        prog: &CompiledProgram,
-        launch: &LaunchConfig,
-        params: &[u8],
-    ) -> Result<(KernelProfile, LaunchResult)> {
-        let result = self.gpu.launch_compiled(prog, launch, params)?;
-        let profile = KernelProfile::from_launch(
-            prog.entry(),
-            prog.module_name(),
-            prog.isa_arch(),
-            self.gpu.config().sampling_period,
-            &result,
-        );
-        Ok((profile, result))
-    }
-
-    /// Profiles `entry` across `repeats` replayed launches and merges the
-    /// per-launch profiles (see [`Profiler::profile_repeat_compiled`]).
-    ///
-    /// # Errors
-    ///
-    /// Propagates simulator errors from any replay.
-    pub fn profile_repeat(
-        &mut self,
-        module: &Module,
-        entry: &str,
-        launch: &LaunchConfig,
-        params: &[u8],
-        repeats: u32,
-    ) -> Result<(KernelProfile, LaunchResult)> {
-        let prog = self.gpu.compile(module, entry)?;
-        self.profile_repeat_compiled(&prog, launch, params, repeats)
-    }
-
-    /// CUPTI-replay-style profiling: launches the kernel `repeats` times,
-    /// restoring device global memory between replays so every launch
-    /// executes identically, while the **sampling phase** shifts per
-    /// replay — each run observes different cycles of the same
-    /// execution, and the merged profile (counters added via
-    /// [`KernelProfile::merge`]) cuts sampling noise the way hardware
-    /// replay does. `repeats == 1` is exactly
-    /// [`Profiler::profile_compiled`].
+    /// Launches an already-compiled program (see [`GpuSim::compile`])
+    /// `repeats` times and aggregates its PC samples into one profile —
+    /// CUPTI-replay-style profiling: device global memory is restored
+    /// between replays so every launch executes identically, while the
+    /// **sampling phase** shifts per replay — each run observes
+    /// different cycles of the same execution, and the merged profile
+    /// (counters added via [`KernelProfile::merge_in`]) cuts sampling
+    /// noise the way hardware replay does. `repeats` below 2 is one
+    /// plain launch, aggregated by [`KernelProfile::from_launch`].
     ///
     /// Returns the merged profile and the first (phase-0) launch's
     /// result — the single-launch ground truth.
     ///
     /// # Errors
     ///
-    /// Propagates simulator errors from any replay.
-    pub fn profile_repeat_compiled(
+    /// Propagates simulator errors (arch mismatch, faults, cycle limit)
+    /// from any replay.
+    pub fn profile_compiled(
         &mut self,
         prog: &CompiledProgram,
         launch: &LaunchConfig,
@@ -115,18 +57,15 @@ impl Profiler {
         repeats: u32,
     ) -> Result<(KernelProfile, LaunchResult)> {
         let repeats = repeats.max(1);
-        if repeats == 1 {
-            return self.profile_compiled(prog, launch, params);
-        }
         let period = self.gpu.config().sampling_period;
         let saved_phase = self.gpu.config().sampling_phase;
-        // Kernels mutate global memory; snapshot it so every replay sees
-        // the launch-time state, not the previous replay's output.
-        let memory = self.gpu.global().clone();
-        let mut builder = ProfileBuilder::new();
-        let mut first: Option<LaunchResult> = None;
+        // Kernels mutate global memory; when a second replay will run,
+        // snapshot it so every replay sees the launch-time state, not
+        // the previous replay's output.
+        let memory = (repeats > 1).then(|| self.gpu.global().clone());
+        let mut merged: Option<(KernelProfile, LaunchResult)> = None;
         for k in 0..repeats {
-            if k > 0 {
+            if let Some(memory) = memory.as_ref().filter(|_| k > 0) {
                 *self.gpu.global_mut() = memory.clone();
             }
             // Spread the first-tick offsets evenly across one period,
@@ -137,38 +76,27 @@ impl Profiler {
             let result = self.gpu.launch_compiled(prog, launch, params);
             self.gpu.config_mut().sampling_phase = saved_phase;
             let result = result?;
-            builder
-                .add_launch(prog.entry(), prog.module_name(), prog.isa_arch(), period, &result)
-                .expect("replays of one launch share a configuration, with cycle-bounded counters");
-            if first.is_none() {
-                first = Some(result);
+            let profile = KernelProfile::from_launch(
+                prog.entry(),
+                prog.module_name(),
+                prog.isa_arch(),
+                period,
+                &result,
+            );
+            match &mut merged {
+                None => merged = Some((profile, result)),
+                Some((acc, _)) => acc.merge_in(&profile).expect(
+                    "replays of one launch share a configuration, with cycle-bounded counters",
+                ),
             }
         }
-        Ok((
-            builder.build().expect("at least one replay ran"),
-            first.expect("at least one replay ran"),
-        ))
+        Ok(merged.expect("at least one replay ran"))
     }
 
-    /// Times a launch without sampling (for achieved-speedup measurements:
+    /// Times an already-compiled program without sampling (for
+    /// achieved-speedup measurements:
     /// sampling overhead never perturbs our simulator, but the real tool
     /// measures optimized variants without instrumentation).
-    ///
-    /// # Errors
-    ///
-    /// Propagates simulator errors.
-    pub fn time_only(
-        &mut self,
-        module: &Module,
-        entry: &str,
-        launch: &LaunchConfig,
-        params: &[u8],
-    ) -> Result<u64> {
-        let prog = self.gpu.compile(module, entry)?;
-        self.time_only_compiled(&prog, launch, params)
-    }
-
-    /// Times an already-compiled program without sampling.
     ///
     /// # Errors
     ///
@@ -193,6 +121,7 @@ mod tests {
     use gpa_arch::ArchConfig;
     use gpa_isa::parse_module;
     use gpa_sim::{SimConfig, StallReason};
+    use std::sync::Arc;
 
     const KERNEL: &str = r#"
 .module p
@@ -209,14 +138,24 @@ mod tests {
 .endfunc
 "#;
 
+    /// A profiler on a one-SM device with `cfg`, the kernel compiled for
+    /// it, and its parameters: one zeroed buffer of `words` words.
+    fn armed(cfg: SimConfig, words: u64) -> (Profiler, Arc<CompiledProgram>, Vec<u8>, u64) {
+        let mut prof = Profiler::new(GpuSim::new(ArchConfig::small(1), cfg));
+        let prog = prof.gpu().compile(&parse_module(KERNEL).unwrap(), "k").unwrap();
+        let buf = prof.gpu_mut().global_mut().alloc(4 * words);
+        (prof, prog, buf.to_le_bytes().to_vec(), buf)
+    }
+
+    fn period(sampling_period: u32) -> SimConfig {
+        SimConfig { sampling_period, ..SimConfig::default() }
+    }
+
     #[test]
     fn profile_collects_memory_dependency_stalls() {
-        let m = parse_module(KERNEL).unwrap();
-        let cfg = SimConfig { sampling_period: 13, ..SimConfig::default() };
-        let mut prof = Profiler::new(GpuSim::new(ArchConfig::small(1), cfg));
-        let buf = prof.gpu_mut().global_mut().alloc(4 * 64);
-        let params: Vec<u8> = buf.to_le_bytes().to_vec();
-        let (profile, result) = prof.profile(&m, "k", &LaunchConfig::new(2, 32), &params).unwrap();
+        let (mut prof, prog, params, buf) = armed(period(13), 64);
+        let (profile, result) =
+            prof.profile_compiled(&prog, &LaunchConfig::new(2, 32), &params, 1).unwrap();
         assert_eq!(profile.cycles, result.cycles);
         assert!(profile.total_samples > 0);
         let hist = profile.stall_histogram();
@@ -227,48 +166,38 @@ mod tests {
 
     #[test]
     fn time_only_leaves_no_samples_and_restores_period() {
-        let m = parse_module(KERNEL).unwrap();
-        let mut prof = Profiler::new(GpuSim::new(ArchConfig::small(1), SimConfig::default()));
-        let buf = prof.gpu_mut().global_mut().alloc(4 * 64);
-        let params: Vec<u8> = buf.to_le_bytes().to_vec();
-        let cycles = prof.time_only(&m, "k", &LaunchConfig::new(1, 32), &params).unwrap();
+        let (mut prof, prog, params, _) = armed(SimConfig::default(), 64);
+        let cycles = prof.time_only_compiled(&prog, &LaunchConfig::new(1, 32), &params).unwrap();
         assert!(cycles > 0);
         assert_eq!(prof.gpu().config().sampling_period, SimConfig::default().sampling_period);
     }
 
+    /// One repeat (and zero, clamped to one) is exactly one plain
+    /// launch aggregated by `KernelProfile::from_launch`.
     #[test]
-    fn profile_repeat_one_equals_profile() {
-        let m = parse_module(KERNEL).unwrap();
-        let run = |repeats: Option<u32>| {
-            let cfg = SimConfig { sampling_period: 13, ..SimConfig::default() };
-            let mut prof = Profiler::new(GpuSim::new(ArchConfig::small(1), cfg));
-            let buf = prof.gpu_mut().global_mut().alloc(4 * 64);
-            let params: Vec<u8> = buf.to_le_bytes().to_vec();
-            let launch = LaunchConfig::new(2, 32);
-            match repeats {
-                None => prof.profile(&m, "k", &launch, &params).unwrap(),
-                Some(n) => prof.profile_repeat(&m, "k", &launch, &params, n).unwrap(),
-            }
-        };
-        let (p, r) = run(None);
-        let (p1, r1) = run(Some(1));
-        assert_eq!(p, p1, "repeat-1 profile is the single-launch profile");
-        assert_eq!(r, r1);
-        assert_eq!(p.to_json(), p1.to_json(), "byte-identical JSON too");
+    fn one_repeat_is_one_plain_launch() {
+        let launch = LaunchConfig::new(2, 32);
+        let (mut plain, prog, params, _) = armed(period(13), 64);
+        let r = plain.gpu_mut().launch_compiled(&prog, &launch, &params).unwrap();
+        let p =
+            KernelProfile::from_launch(prog.entry(), prog.module_name(), prog.isa_arch(), 13, &r);
+        for repeats in [0, 1] {
+            let (mut prof, prog, params, _) = armed(period(13), 64);
+            let (p1, r1) = prof.profile_compiled(&prog, &launch, &params, repeats).unwrap();
+            assert_eq!(p, p1, "repeat-{repeats} profile is the single-launch profile");
+            assert_eq!(r, r1);
+            assert_eq!(p.to_json(), p1.to_json(), "byte-identical JSON too");
+        }
     }
 
     #[test]
     fn profile_repeat_merges_replays_without_perturbing_results() {
-        let m = parse_module(KERNEL).unwrap();
-        let cfg = SimConfig { sampling_period: 13, ..SimConfig::default() };
-        let mut prof = Profiler::new(GpuSim::new(ArchConfig::small(1), cfg));
-        let buf = prof.gpu_mut().global_mut().alloc(4 * 64);
-        let params: Vec<u8> = buf.to_le_bytes().to_vec();
+        let (mut prof, prog, params, buf) = armed(period(13), 64);
         let launch = LaunchConfig::new(2, 32);
-        let (single, single_result) = prof.profile(&m, "k", &launch, &params).unwrap();
+        let (single, single_result) = prof.profile_compiled(&prog, &launch, &params, 1).unwrap();
         // Reset the increment the first run applied before replaying.
         prof.gpu_mut().global_mut().write_u32(buf, 0);
-        let (merged, first) = prof.profile_repeat(&m, "k", &launch, &params, 3).unwrap();
+        let (merged, first) = prof.profile_compiled(&prog, &launch, &params, 3).unwrap();
         assert_eq!(first, single_result, "phase-0 replay is the single launch");
         assert_eq!(merged.cycles, single.cycles, "ground truth untouched by merging");
         assert_eq!(merged.issued, single.issued);
@@ -292,36 +221,24 @@ mod tests {
     #[test]
     fn profile_repeat_respects_a_configured_base_phase() {
         // A caller-configured sampling_phase is the sweep's base: replay
-        // 0 must observe exactly what a plain profile() run would, for
-        // any repeat count.
-        let m = parse_module(KERNEL).unwrap();
-        let run = |repeats: Option<u32>| {
-            let cfg = SimConfig { sampling_period: 13, sampling_phase: 7, ..SimConfig::default() };
-            let mut prof = Profiler::new(GpuSim::new(ArchConfig::small(1), cfg));
-            let buf = prof.gpu_mut().global_mut().alloc(4 * 64);
-            let params: Vec<u8> = buf.to_le_bytes().to_vec();
-            let launch = LaunchConfig::new(2, 32);
-            match repeats {
-                None => prof.profile(&m, "k", &launch, &params).unwrap(),
-                Some(n) => prof.profile_repeat(&m, "k", &launch, &params, n).unwrap(),
-            }
+        // 0 must observe exactly what a single-launch run would, for any
+        // repeat count.
+        let run = |repeats: u32| {
+            let cfg = SimConfig { sampling_phase: 7, ..period(13) };
+            let (mut prof, prog, params, _) = armed(cfg, 64);
+            prof.profile_compiled(&prog, &LaunchConfig::new(2, 32), &params, repeats).unwrap()
         };
-        let (single, single_result) = run(None);
-        let (_, first) = run(Some(3));
+        let (single, single_result) = run(1);
+        let (merged, first) = run(3);
         assert_eq!(first, single_result, "replay 0 keeps the configured phase");
-        let (merged, _) = run(Some(3));
         assert!(merged.total_samples > single.total_samples);
     }
 
     #[test]
     fn sampling_period_changes_sample_count_not_shape() {
-        let m = parse_module(KERNEL).unwrap();
-        let run = |period: u32| {
-            let cfg = SimConfig { sampling_period: period, ..SimConfig::default() };
-            let mut prof = Profiler::new(GpuSim::new(ArchConfig::small(1), cfg));
-            let buf = prof.gpu_mut().global_mut().alloc(4 * 128);
-            let params: Vec<u8> = buf.to_le_bytes().to_vec();
-            prof.profile(&m, "k", &LaunchConfig::new(4, 32), &params).unwrap().0
+        let run = |sampling_period: u32| {
+            let (mut prof, prog, params, _) = armed(period(sampling_period), 128);
+            prof.profile_compiled(&prog, &LaunchConfig::new(4, 32), &params, 1).unwrap().0
         };
         let fine = run(7);
         let coarse = run(29);

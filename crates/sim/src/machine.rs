@@ -287,6 +287,11 @@ impl GpuSim {
                 "`{cache}_line` is {line}, not a non-zero power of two"
             )));
         }
+        if self.user_banks.iter().any(|(bank, _)| *bank == 0) {
+            return Err(SimError::BadLaunch(
+                "constant bank 0 is reserved for kernel parameters".into(),
+            ));
+        }
         let occupancy = self.arch.occupancy(launch);
         let wpb = launch.warps_per_block(self.arch.warp_size);
         let mut consts = ConstMem::new();

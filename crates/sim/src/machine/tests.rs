@@ -225,6 +225,21 @@ fn cache_lines_must_be_nonzero_powers_of_two() {
     assert_eq!(r, bad("`l2_line` is 0, not a non-zero power of two"));
 }
 
+/// Bank 0 holds the kernel parameters: a user bank 0 would replace
+/// them, so a launch on a device that has one is rejected, not run
+/// with the user's bytes as its parameters.
+#[test]
+fn a_user_constant_bank_0_is_rejected() {
+    let m = parse_module(VEC_ADD).unwrap();
+    let mut gpu = sim(1);
+    let bufs: Vec<u64> = (0..3).map(|_| gpu.global_mut().alloc(4 * 32)).collect();
+    gpu.set_const_bank(0, params_u64(&[bufs[1], bufs[0], bufs[2]]));
+    assert_eq!(
+        gpu.launch(&m, "vecadd", &LaunchConfig::new(1, 32), &params_u64(&bufs)),
+        Err(SimError::BadLaunch("constant bank 0 is reserved for kernel parameters".into()))
+    );
+}
+
 #[test]
 fn barrier_synchronizes_and_stalls() {
     let m = parse_module(BARRIER).unwrap();

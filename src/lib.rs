@@ -53,10 +53,11 @@
 //!
 //! let arch = ArchConfig::small(1);
 //! let mut profiler = Profiler::new(GpuSim::new(arch.clone(), SimConfig::default()));
+//! let program = profiler.gpu().compile(&module, "axpy").expect("kernel lowers");
 //! let buf = profiler.gpu_mut().global_mut().alloc(4 * 64);
 //! let params: Vec<u8> = buf.to_le_bytes().to_vec();
 //! let (profile, _) = profiler
-//!     .profile(&module, "axpy", &LaunchConfig::new(2, 32), &params)
+//!     .profile_compiled(&program, &LaunchConfig::new(2, 32), &params, 1)
 //!     .expect("kernel runs");
 //!
 //! let report = Advisor::new().advise(&module, &profile, &arch);

@@ -4,8 +4,8 @@
 use gpa::arch::{ArchConfig, LatencyTable, LaunchConfig};
 use gpa::core::blamer::single_dependency_coverage;
 use gpa::core::{report, Advisor, DetailedReason, ModuleBlame, OptimizerId};
-use gpa::kernels::runner::{arch_for, run_spec, time_spec};
 use gpa::kernels::{apps, Params};
+use gpa::pipeline::Session;
 use gpa::sampling::{Profiler, StallReason};
 use gpa::sim::{GpuSim, SimConfig};
 use gpa::structure::ProgramStructure;
@@ -45,7 +45,8 @@ loop:
     let mut prof = small_profiler(1);
     let buf = prof.gpu_mut().global_mut().alloc(4 * 64 * 256);
     let params: Vec<u8> = buf.to_le_bytes().to_vec();
-    let (profile, _) = prof.profile(&module, "k", &LaunchConfig::new(1, 64), &params).unwrap();
+    let prog = prof.gpu().compile(&module, "k").unwrap();
+    let (profile, _) = prof.profile_compiled(&prog, &LaunchConfig::new(1, 64), &params, 1).unwrap();
     assert!(profile.stall_histogram()[StallReason::MemoryDependency.code() as usize] > 0);
 
     let arch = ArchConfig::small(1);
@@ -69,12 +70,10 @@ loop:
 
 #[test]
 fn advisor_ranks_the_right_optimizer_for_hotspot() {
-    let p = Params::test();
-    let arch = arch_for(&p);
-    let app = apps::hotspot::app();
-    let spec = (app.build)(0, &p);
-    let run = run_spec(&spec, &arch).unwrap();
-    let advice = Advisor::new().advise(&spec.module, &run.profile, &arch);
+    let session = Session::test();
+    let spec = (apps::hotspot::app().build)(0, session.params());
+    let run = session.analyze_spec(spec).unwrap();
+    let advice = Advisor::new().advise(&run.artifacts.spec.module, &run.profile, session.arch());
     let rank = advice.rank_of(OptimizerId::StrengthReduction);
     assert!(rank.is_some_and(|r| r <= 5), "strength reduction in top 5, got {rank:?}");
     let item = advice.item(OptimizerId::StrengthReduction).unwrap();
@@ -89,43 +88,35 @@ fn advisor_ranks_the_right_optimizer_for_hotspot() {
 
 #[test]
 fn thread_increase_suggested_and_real_for_gaussian() {
-    let p = Params::test();
-    let arch = arch_for(&p);
+    let session = Session::test();
     let app = apps::gaussian::app();
-    let base = (app.build)(0, &p);
-    let run = run_spec(&base, &arch).unwrap();
-    let advice = Advisor::new().advise(&base.module, &run.profile, &arch);
+    let run = session.analyze_spec((app.build)(0, session.params())).unwrap();
+    let advice = Advisor::new().advise(&run.artifacts.spec.module, &run.profile, session.arch());
     let item = advice.item(OptimizerId::ThreadIncrease).expect("matches tiny blocks");
     assert!(item.estimated_speedup > 1.2, "got {}", item.estimated_speedup);
-    let opt = (app.build)(1, &p);
-    let opt_cycles = time_spec(&opt, &arch).unwrap();
+    let opt_cycles = session.time_spec(&(app.build)(1, session.params())).unwrap();
     let achieved = run.cycles as f64 / opt_cycles as f64;
     assert!(achieved > 1.2, "bigger blocks actually help: {achieved:.2}");
 }
 
 #[test]
 fn warp_balance_matches_sync_stalls() {
-    let p = Params::test();
-    let arch = arch_for(&p);
-    let app = apps::nw::app();
-    let spec = (app.build)(0, &p);
-    let run = run_spec(&spec, &arch).unwrap();
+    let session = Session::test();
+    let run = session.analyze_spec((apps::nw::app().build)(0, session.params())).unwrap();
     let hist = run.profile.stall_histogram();
     assert!(
         hist[StallReason::Synchronization.code() as usize] > 0,
         "the serial wavefront stalls at barriers"
     );
-    let advice = Advisor::new().advise(&spec.module, &run.profile, &arch);
+    let advice = Advisor::new().advise(&run.artifacts.spec.module, &run.profile, session.arch());
     let rank = advice.rank_of(OptimizerId::WarpBalance);
     assert!(rank.is_some_and(|r| r <= 3), "warp balance ranks high: {rank:?}");
 }
 
 #[test]
 fn profiles_round_trip_through_disk() {
-    let p = Params::test();
-    let arch = arch_for(&p);
-    let spec = (apps::kmeans::app().build)(0, &p);
-    let run = run_spec(&spec, &arch).unwrap();
+    let spec = (apps::kmeans::app().build)(0, &Params::test());
+    let run = Session::test().analyze_spec(spec).unwrap();
     let dir = std::env::temp_dir().join("gpa_test_profile.json");
     run.profile.save(&dir).unwrap();
     let loaded = gpa::sampling::KernelProfile::load(&dir).unwrap();
@@ -137,17 +128,16 @@ fn profiles_round_trip_through_disk() {
 fn table3_smoke_subset() {
     // A fast subset of the Table 3 pipeline: baseline slower than (or
     // equal to) optimized, and the expected optimizer matched.
-    let p = Params::test();
-    let arch = arch_for(&p);
+    let session = Session::test();
+    let p = session.params();
     for app in [apps::cfd::app(), apps::quicksilver::app()] {
         for (k, stage) in app.stages.iter().enumerate() {
-            let base = (app.build)(k, &p);
-            let opt = (app.build)(k + 1, &p);
-            let run = run_spec(&base, &arch).unwrap();
-            let opt_cycles = time_spec(&opt, &arch).unwrap();
+            let run = session.analyze_spec((app.build)(k, p)).unwrap();
+            let opt_cycles = session.time_spec(&(app.build)(k + 1, p)).unwrap();
             let achieved = run.cycles as f64 / opt_cycles as f64;
             assert!(achieved > 0.9, "{} stage {k} must not regress badly: {achieved:.2}", app.name);
-            let advice = Advisor::new().advise(&base.module, &run.profile, &arch);
+            let module = &run.artifacts.spec.module;
+            let advice = Advisor::new().advise(module, &run.profile, session.arch());
             assert!(
                 advice.rank_of_named(stage.optimizer).is_some(),
                 "{} stage {k}: {} should match",

@@ -2,6 +2,8 @@
 //! batch ordering, artifact-cache reuse, and agreement between the batch
 //! and single-run paths.
 
+use gpa::arch::LaunchConfig;
+use gpa::kernels::KernelSpec;
 use gpa::pipeline::{AnalysisJob, Session};
 use std::sync::Arc;
 
@@ -102,4 +104,48 @@ fn outcome_json_is_machine_readable() {
     if let Some(first) = advice.first() {
         assert_eq!(first.field("rank").unwrap().as_u64().unwrap(), 1);
     }
+}
+
+/// Sampling never changes timing: Table 3's "achieved" column divides a
+/// sampled run's cycles by an unsampled one's, so for every registry
+/// variant under both memory models the unsampled timer must equal the
+/// sampled run's ground truth — and the same holds for a hand-written
+/// spec outside the registry.
+#[test]
+fn unsampled_timing_equals_the_sampled_runs_cycles() {
+    for (model, session) in
+        [("flat", Session::test()), ("hierarchy", Session::test().with_hierarchy())]
+    {
+        for job in session.jobs_for_all_variants() {
+            let sampled = session.run_one(&job).expect("registry job runs").cycles;
+            assert_eq!(session.time_one(&job).unwrap(), sampled, "{job} ({model})");
+        }
+    }
+    let spec = || KernelSpec {
+        module: gpa::isa::parse_module(
+            r#"
+.module handwritten
+.kernel k
+  S2R R0, SR_TID.X {W:B0, S:1}
+  MOV R2, c[0][0] {S:1}
+  MOV R3, c[0][4] {S:1}
+  SHL R1, R0, 2 {WT:[B0], S:2}
+  IADD R2:R3, R2:R3, R1 {S:2}
+  LDG.E.32 R4, [R2:R3] {W:B1, S:1}
+  IADD R5, R4, 1 {WT:[B1], S:4}
+  STG.E.32 [R2:R3], R5 {R:B2, S:1}
+  EXIT {WT:[B2], S:1}
+.endfunc
+"#,
+        )
+        .unwrap(),
+        entry: "k".into(),
+        launch: LaunchConfig::new(4, 64),
+        setup: Box::new(|gpu| gpu.global_mut().alloc(4 * 256).to_le_bytes().to_vec()),
+        const_bank1: None,
+    };
+    let session = Session::test();
+    let sampled = session.analyze_spec(spec()).unwrap();
+    assert!(sampled.profile.total_samples > 0, "the spec was sampled");
+    assert_eq!(session.time_spec(&spec()).unwrap(), sampled.cycles);
 }

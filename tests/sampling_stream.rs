@@ -10,11 +10,9 @@
 
 use gpa::arch::{ArchConfig, LaunchConfig, Occupancy};
 use gpa::core::{report, Advisor};
-use gpa::kernels::runner::{
-    arch_for, launch_spec_with, launch_spec_with_sink, profiler_for, sim_config,
-};
+use gpa::kernels::runner::{arch_for, armed_gpu_with, sim_config};
 use gpa::kernels::{all_apps, Params};
-use gpa::sampling::{KernelProfile, PcStats, ProfileBuilder, StallReason};
+use gpa::sampling::{KernelProfile, PcStats, Profiler, StallReason};
 use gpa::sim::{RawSample, SampleSet};
 use proptest::prelude::*;
 use std::collections::BTreeMap;
@@ -31,12 +29,16 @@ fn sink_equals_buffered_path_across_all_apps() {
         let spec = (app.build)(0, &p);
 
         // Default path: samples aggregate at the source.
-        let streamed = launch_spec_with(&spec, &arch, sim_config()).unwrap();
+        let (mut gpu, params) = armed_gpu_with(&spec, &arch, sim_config());
+        let streamed = gpu.launch(&spec.module, &spec.entry, &spec.launch, &params).unwrap();
 
         // Buffered path: collect the raw stream (the pre-refactor
         // layout), then aggregate after the fact.
         let mut raw: Vec<RawSample> = Vec::new();
-        let buffered = launch_spec_with_sink(&spec, &arch, sim_config(), &mut raw).unwrap();
+        let (mut gpu, params) = armed_gpu_with(&spec, &arch, sim_config());
+        let prog = gpu.compile(&spec.module, &spec.entry).unwrap();
+        let buffered =
+            gpu.launch_compiled_with_sink(&prog, &spec.launch, &params, &mut raw).unwrap();
 
         assert!(!raw.is_empty(), "{}: kernel produced samples", app.name);
         assert_eq!(
@@ -83,28 +85,29 @@ fn sink_equals_buffered_path_across_all_apps() {
     }
 }
 
-/// `profile_repeat(1)` must be exactly `profile` — same profile, same
-/// JSON — for a sample of real apps (the full sweep runs in the sim's
-/// own unit tests).
+/// A one-repeat `Profiler::profile_compiled` must be exactly one plain
+/// launch aggregated by `KernelProfile::from_launch` — same profile,
+/// same JSON — for a sample of real apps (the sampling crate's own unit
+/// tests cover zero repeats and the replay sweep).
 #[test]
 fn profile_repeat_one_equals_profile_on_real_apps() {
     let p = Params::test();
     let arch = arch_for(&p);
     for app in all_apps().into_iter().take(4) {
         let spec = (app.build)(0, &p);
-        let run = |repeat: Option<u32>| {
-            let (mut prof, params) = profiler_for(&spec, &arch);
-            match repeat {
-                None => prof.profile(&spec.module, &spec.entry, &spec.launch, &params).unwrap().0,
-                Some(n) => {
-                    prof.profile_repeat(&spec.module, &spec.entry, &spec.launch, &params, n)
-                        .unwrap()
-                        .0
-                }
-            }
-        };
-        let single = run(None);
-        let repeat1 = run(Some(1));
+        let (mut gpu, params) = armed_gpu_with(&spec, &arch, sim_config());
+        let prog = gpu.compile(&spec.module, &spec.entry).unwrap();
+        let plain = gpu.launch_compiled(&prog, &spec.launch, &params).unwrap();
+        let single = KernelProfile::from_launch(
+            &spec.entry,
+            &spec.module.name,
+            &spec.module.arch,
+            sim_config().sampling_period,
+            &plain,
+        );
+        let (gpu, params) = armed_gpu_with(&spec, &arch, sim_config());
+        let repeat1 =
+            Profiler::new(gpu).profile_compiled(&prog, &spec.launch, &params, 1).unwrap().0;
         assert_eq!(single, repeat1, "{}: repeat-1 equals single", app.name);
         assert_eq!(single.to_json(), repeat1.to_json(), "{}: JSON bytes equal", app.name);
     }
@@ -278,16 +281,17 @@ proptest! {
         prop_assert_eq!(empty.merge(&a).unwrap(), a);
     }
 
-    /// Splitting into chunks and folding them back (in any grouping the
-    /// builder chooses) reproduces the original profile.
+    /// Splitting into chunks and folding them back with `merge_in`, as
+    /// the daemon folds an upload, reproduces the original profile.
     #[test]
     fn split_chunks_round_trips(sa in 0u64..1_000_000, n in 1usize..6) {
         let a = gen_profile(sa);
-        let mut builder = ProfileBuilder::new();
-        for chunk in a.split_chunks(n) {
-            builder.add(&chunk).unwrap();
+        let mut chunks = a.split_chunks(n).into_iter();
+        let mut merged = chunks.next().unwrap();
+        for chunk in chunks {
+            merged.merge_in(&chunk).unwrap();
         }
-        prop_assert_eq!(builder.build().unwrap(), a);
+        prop_assert_eq!(merged, a);
     }
 
     /// Generated profiles are themselves valid under the strict JSON

@@ -10,25 +10,30 @@
 //! app in the benchmark registry.
 
 use gpa::arch::ArchConfig;
-use gpa::kernels::runner::{
-    arch_for, armed_gpu_with, launch_spec_with, launch_spec_with_sink, sim_config,
-};
+use gpa::kernels::runner::{arch_for, armed_gpu_with, sim_config};
 use gpa::kernels::{all_apps, KernelSpec, Params};
 use gpa::sampling::KernelProfile;
 use gpa::sim::reference::launch_dense;
 use gpa::sim::{LaunchResult, RawSample, SampleSet, SampleSink, SimConfig};
 
-/// The oracle side of every comparison: arms a device exactly as the
-/// production launch does and hands it to the dense reference core.
-fn launch_oracle(
+/// Arms a device for `spec` and runs it to completion on the chosen
+/// core — the dense oracle or the production event core — streaming
+/// every sample into `sink`.
+fn launch_on(
     spec: &KernelSpec,
     arch: &ArchConfig,
     cfg: SimConfig,
+    dense: bool,
     sink: &mut dyn SampleSink,
 ) -> LaunchResult {
     let (mut gpu, params) = armed_gpu_with(spec, arch, cfg);
     let prog = gpu.compile(&spec.module, &spec.entry).expect("kernel compiles");
-    launch_dense(&mut gpu, &prog, &spec.launch, &params, sink).expect("launch succeeds")
+    let result = if dense {
+        launch_dense(&mut gpu, &prog, &spec.launch, &params, sink)
+    } else {
+        gpu.launch_compiled_with_sink(&prog, &spec.launch, &params, sink)
+    };
+    result.expect("launch succeeds")
 }
 
 /// Runs one spec to completion on the chosen core, buffering the raw
@@ -40,25 +45,17 @@ fn launch_raw(
     dense: bool,
 ) -> (LaunchResult, Vec<RawSample>) {
     let mut raw = Vec::new();
-    let result = if dense {
-        launch_oracle(spec, arch, cfg, &mut raw)
-    } else {
-        launch_spec_with_sink(spec, arch, cfg, &mut raw).expect("launch succeeds")
-    };
+    let result = launch_on(spec, arch, cfg, dense, &mut raw);
     (result, raw)
 }
 
 /// Like [`launch_raw`], but aggregating at the source into the result's
 /// `SampleSet`, as the default sink does.
 fn launch_with(spec: &KernelSpec, arch: &ArchConfig, cfg: SimConfig, dense: bool) -> LaunchResult {
-    if dense {
-        let mut set = SampleSet::new();
-        let mut result = launch_oracle(spec, arch, cfg, &mut set);
-        result.samples = set;
-        result
-    } else {
-        launch_spec_with(spec, arch, cfg).expect("launch succeeds")
-    }
+    let mut set = SampleSet::new();
+    let mut result = launch_on(spec, arch, cfg, dense, &mut set);
+    result.samples = set;
+    result
 }
 
 #[test]
