@@ -1,8 +1,12 @@
 //! Cluster membership: the epoch-versioned roster and the ring derived
 //! from it, the membership ops (`join` / `leave` / `ring_status`), the
-//! stale-epoch gate, store handoff and drain-on-leave, the replicator,
-//! and the background chore thread (refreshes, handoff passes, breaker
-//! probes, heartbeats).
+//! stale-epoch gate, the replicator, and the background chore thread
+//! (refreshes, breaker probes, heartbeats).
+//!
+//! A body moves between shards in two ways only: the owner pushes each
+//! body it computes to the key's [replica holder](Ring::replica), and
+//! an owned miss pulls from that holder before computing. Placement by
+//! key makes those two enough through a kill, leave, restart or join.
 
 use crate::client::ClientError;
 use crate::faults::PeerOp;
@@ -14,12 +18,12 @@ use crate::server::{ServerConfig, Shared};
 use gpa_json::Json;
 use std::io;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{mpsc, Arc, Mutex, RwLock};
+use std::sync::{mpsc, Mutex, RwLock};
 use std::time::{Duration, Instant};
 
-/// Bounded queue between the store's insert hook and the replicator
-/// thread; when full, replications drop (and are counted) rather than
-/// stall an analysis worker.
+/// Bounded queue between [`replicate`] and the replicator thread; when
+/// full, replications drop (and are counted) rather than stall an
+/// analysis worker.
 const REPLICATION_QUEUE: usize = 256;
 
 /// Connect/read/write timeout for shard-to-shard traffic — shorter than
@@ -27,10 +31,10 @@ const REPLICATION_QUEUE: usize = 256;
 /// which the request falls back to local computation.
 const PEER_IO_TIMEOUT: Duration = Duration::from_secs(5);
 
-/// Bounded queue of background cluster chores (roster refreshes,
-/// handoff passes); when full, a chore is dropped — the periodic
-/// anti-entropy tick will get there eventually.
-const CLUSTER_TASKS: usize = 32;
+/// Bounded queue of roster refreshes (the peer to pull from); when
+/// full, a refresh is dropped — the periodic heartbeat will get there
+/// eventually.
+const REFRESH_QUEUE: usize = 32;
 
 /// How often the cluster chore thread wakes with no work queued, to
 /// probe tripped peers (half-open breaker checks double as roster
@@ -50,25 +54,6 @@ const HEARTBEAT_INTERVAL: Duration = Duration::from_millis(1000);
 pub(crate) struct ClusterState {
     pub(crate) roster: Roster,
     pub(crate) ring: Ring,
-    /// This shard's replication target (`None` off the ring or in a
-    /// 1-member ring).
-    pub(crate) successor: Option<String>,
-}
-
-impl ClusterState {
-    fn new(roster: Roster, self_addr: &str) -> ClusterState {
-        let ring = roster.ring();
-        let successor = ring.successor(self_addr).map(str::to_string);
-        ClusterState { roster, ring, successor }
-    }
-}
-
-/// Background cluster chores, run off the request path.
-pub(crate) enum ClusterTask {
-    /// Pull `ring_status` from this member and adopt anything newer.
-    Refresh(String),
-    /// Re-ship store entries the current ring maps to another owner.
-    Handoff,
 }
 
 /// Shard-cluster state: the live roster/ring, this daemon's identity
@@ -81,8 +66,9 @@ pub(crate) struct Cluster {
     /// Sender side of the replication queue; `None` once shutdown has
     /// begun (dropping it lets the replicator thread exit).
     pub(crate) repl_tx: Mutex<Option<mpsc::SyncSender<(String, String)>>>,
-    /// Sender side of the chore queue; `None` once shutdown has begun.
-    pub(crate) task_tx: Mutex<Option<mpsc::SyncSender<ClusterTask>>>,
+    /// Sender side of the refresh queue (peers to pull the roster
+    /// from); `None` once shutdown has begun.
+    pub(crate) refresh_tx: Mutex<Option<mpsc::SyncSender<String>>>,
     /// Set for good by a self-`leave`: the daemon keeps serving (and
     /// forwarding) but is no longer a ring member and re-joins nothing.
     pub(crate) draining: AtomicBool,
@@ -90,7 +76,7 @@ pub(crate) struct Cluster {
 
 /// The receiving ends [`Cluster::new`] hands to the replicator and
 /// chore threads.
-pub(crate) type ClusterQueues = (mpsc::Receiver<(String, String)>, mpsc::Receiver<ClusterTask>);
+pub(crate) type ClusterQueues = (mpsc::Receiver<(String, String)>, mpsc::Receiver<String>);
 
 impl Cluster {
     /// Builds this daemon's cluster state from its config: validates
@@ -112,9 +98,9 @@ impl Cluster {
             )));
         }
         let roster = Roster::new(config.peers.iter().cloned().chain([self_addr.clone()]));
-        let state = ClusterState::new(roster, &self_addr);
+        let state = ClusterState { ring: roster.ring(), roster };
         let (repl_tx, repl_rx) = mpsc::sync_channel(REPLICATION_QUEUE);
-        let (task_tx, task_rx) = mpsc::sync_channel(CLUSTER_TASKS);
+        let (refresh_tx, refresh_rx) = mpsc::sync_channel(REFRESH_QUEUE);
         let cluster = Cluster {
             self_addr,
             state: RwLock::new(state),
@@ -125,10 +111,10 @@ impl Cluster {
                 config.faults.clone(),
             ),
             repl_tx: Mutex::new(Some(repl_tx)),
-            task_tx: Mutex::new(Some(task_tx)),
+            refresh_tx: Mutex::new(Some(refresh_tx)),
             draining: AtomicBool::new(false),
         };
-        Ok((cluster, (repl_rx, task_rx)))
+        Ok((cluster, (repl_rx, refresh_rx)))
     }
 
     pub(crate) fn epoch(&self) -> u64 {
@@ -145,8 +131,11 @@ impl Cluster {
         (state.roster.epoch(), state.roster.members().to_vec())
     }
 
-    pub(crate) fn successor(&self) -> Option<String> {
-        self.state.read().expect("cluster state").successor.clone()
+    /// The member holding `key`'s replica on the current ring; `None`
+    /// on a ring of fewer than two members, or when it is this shard.
+    pub(crate) fn replica(&self, key: &str) -> Option<String> {
+        let state = self.state.read().expect("cluster state");
+        state.ring.replica(key).filter(|holder| *holder != self.self_addr).map(str::to_string)
     }
 
     /// Whether the current ring maps `key` to this shard.
@@ -161,14 +150,12 @@ impl Cluster {
     }
 
     /// Applies a roster mutation; on change, rebuilds the derived ring
-    /// and successor under the same lock. Returns whether anything
-    /// changed.
+    /// under the same lock. Returns whether anything changed.
     fn mutate(&self, f: impl FnOnce(&mut Roster) -> bool) -> bool {
         let mut state = self.state.write().expect("cluster state");
         let changed = f(&mut state.roster);
         if changed {
             state.ring = state.roster.ring();
-            state.successor = state.ring.successor(&self.self_addr).map(str::to_string);
         }
         changed
     }
@@ -203,38 +190,22 @@ impl Cluster {
             Ok(client.request_line(wire)?.trim_end().to_string())
         })
     }
-
-    /// Queues a background chore (best-effort: a full queue drops it,
-    /// and the periodic tick catches up).
-    pub(crate) fn schedule(&self, task: ClusterTask) {
-        if let Some(tx) = self.task_tx.lock().expect("task tx").as_ref() {
-            let _ = tx.try_send(task);
-        }
-    }
 }
 
-/// Queues owned computed bodies for the replicator from the store's
-/// insert hook. Weak: the hook lives inside `Shared`'s own store, so a
-/// strong `Arc` here would be a reference cycle.
-pub(crate) fn install_replication_hook(shared: &Arc<Shared>) {
-    let weak = Arc::downgrade(shared);
-    shared.store.set_insert_hook(move |key, body| {
-        let Some(shared) = weak.upgrade() else { return };
-        let Some(cluster) = &shared.cluster else { return };
-        // Replicate only keys this shard owns: a body computed here as
-        // a forwarding *fallback* belongs to another shard's replica
-        // chain, not ours.
-        if !cluster.owns(key) {
-            return;
-        }
-        let tx = cluster.repl_tx.lock().expect("repl tx").clone();
-        let Some(tx) = tx else { return };
-        if tx.try_send((key.to_string(), body.to_string())).is_ok() {
-            shared.metrics.replication_queued.fetch_add(1, Ordering::Relaxed);
-        } else {
-            shared.metrics.note_replication_drop("replication queue full");
-        }
-    });
+/// Queues a body this shard just computed for the replicator. Only
+/// owned keys replicate: a body computed here as a forwarding
+/// *fallback* belongs to another shard.
+pub(crate) fn replicate(shared: &Shared, key: &str, body: &str) {
+    let Some(cluster) = &shared.cluster else { return };
+    if !cluster.owns(key) {
+        return;
+    }
+    let Some(tx) = cluster.repl_tx.lock().expect("repl tx").clone() else { return };
+    if tx.try_send((key.to_string(), body.to_string())).is_ok() {
+        shared.metrics.replication_queued.fetch_add(1, Ordering::Relaxed);
+    } else {
+        shared.metrics.note_replication_drop("replication queue full");
+    }
 }
 
 /// The roster inside a membership op's ok frame (`join`,
@@ -273,22 +244,20 @@ pub(crate) fn join_cluster(shared: &Shared, seed: &str) -> io::Result<()> {
             changed
         });
     }
-    cluster.schedule(ClusterTask::Handoff);
     Ok(())
 }
 
 /// Reacts to the anti-entropy stamp on a peer frame: a sender that is
-/// *ahead* of this roster knows members we do not, so schedule a
-/// refresh from it. (Behind-sender handling is op-specific; see
-/// [`check_peer_epoch`].)
+/// *ahead* of this roster knows members we do not, so queue a refresh
+/// from it (best-effort: a full queue drops it, and the heartbeat
+/// catches up). Behind-sender handling is op-specific; see
+/// [`check_peer_epoch`].
 pub(crate) fn apply_peer_meta(shared: &Shared, meta: &PeerMeta) {
     let Some(cluster) = &shared.cluster else { return };
-    let Some(sender_epoch) = meta.epoch else { return };
-    if sender_epoch > cluster.epoch() {
-        if let Some(from) = &meta.from {
-            if from != &cluster.self_addr {
-                cluster.schedule(ClusterTask::Refresh(from.clone()));
-            }
+    let (Some(sender_epoch), Some(from)) = (meta.epoch, &meta.from) else { return };
+    if sender_epoch > cluster.epoch() && *from != cluster.self_addr {
+        if let Some(tx) = cluster.refresh_tx.lock().expect("refresh tx").as_ref() {
+            let _ = tx.try_send(from.clone());
         }
     }
 }
@@ -318,7 +287,6 @@ pub(crate) fn ring_status(shared: &Shared) -> String {
         .with("epoch", state.roster.epoch())
         .with("self", cluster.self_addr.clone())
         .with("members", members_json(state.roster.members()))
-        .with("successor", state.successor.clone().map_or(Json::Null, Json::Str))
         .with("draining", cluster.draining.load(Ordering::Relaxed));
     protocol::ok_frame(false, &body.compact())
 }
@@ -337,14 +305,8 @@ pub(crate) fn peer_join(shared: &Shared, addr: &str, meta: &PeerMeta) -> String 
 }
 
 /// Answers a roster edit: whether it changed anything (under `verb`)
-/// and the post-edit roster for the caller to adopt. A change also
-/// schedules a handoff — entries the new ring maps elsewhere (to a
-/// joiner, possibly via other members) get re-shipped in the
-/// background.
+/// and the post-edit roster for the caller to adopt.
 fn roster_edit_reply(cluster: &Cluster, verb: &str, changed: bool) -> String {
-    if changed {
-        cluster.schedule(ClusterTask::Handoff);
-    }
     let (epoch, members) = cluster.snapshot();
     let body = Json::object()
         .with(verb, changed)
@@ -369,10 +331,11 @@ pub(crate) fn leave_inline(shared: &Shared, addr: Option<&str>, meta: &PeerMeta)
     Some(roster_edit_reply(cluster, "removed", cluster.mutate(|roster| roster.leave(target))))
 }
 
-/// Drains this shard out of the ring: leave the roster, ship every
-/// stored entry to its new owner, and announce the departure to the
-/// remaining members. The daemon keeps serving afterwards — local
-/// store, forwarding to the survivors — it just owns nothing.
+/// Takes this shard out of the ring: leave the roster, then announce
+/// the departure to the remaining members. Nothing is shipped: each key
+/// this shard owned passes to the key's replica holder, which already
+/// has the body. The daemon keeps serving afterwards — local store,
+/// forwarding to the survivors — it just owns nothing.
 pub(crate) fn drain_self(shared: &Shared) -> String {
     let Some(cluster) = &shared.cluster else {
         return protocol::error_frame("this daemon is not in cluster mode");
@@ -382,18 +345,6 @@ pub(crate) fn drain_self(shared: &Shared) -> String {
     }
     cluster.mutate(|roster| roster.leave(&cluster.self_addr));
     let (epoch, members) = cluster.snapshot();
-    let mut handed_off = 0u64;
-    let mut failed = 0u64;
-    if !members.is_empty() {
-        let ring = Ring::new(members.iter().cloned());
-        for (key, body) in shared.store.entries() {
-            if ship_entry(shared, cluster, ring.owner(&key), &key, &body) {
-                handed_off += 1;
-            } else {
-                failed += 1;
-            }
-        }
-    }
     // Best-effort departure announce; a member that misses it learns
     // from the next stale-epoch bounce or refresh.
     let announce =
@@ -401,70 +352,46 @@ pub(crate) fn drain_self(shared: &Shared) -> String {
     for member in &members {
         let _ = cluster.ask(member, PeerOp::Membership, &shared.metrics, false, &announce);
     }
-    let body = Json::object()
-        .with("left", true)
-        .with("epoch", epoch)
-        .with("handed_off", handed_off)
-        .with("handoff_failed", failed);
-    protocol::ok_frame(false, &body.compact())
+    protocol::ok_frame(false, &Json::object().with("left", true).with("epoch", epoch).compact())
 }
 
-/// Ships one store entry to `owner` over the hardened peer path
-/// (best-effort: no retry budget is spent on a handoff).
-fn ship_entry(shared: &Shared, cluster: &Cluster, owner: &str, key: &str, body: &str) -> bool {
-    let wire =
-        Request::StorePut { key: key.to_string(), body: body.to_string(), meta: cluster.meta() }
-            .to_wire();
-    match cluster.ask(owner, PeerOp::Store, &shared.metrics, false, &wire) {
-        Ok(_) => {
-            shared.metrics.handoff_shipped.fetch_add(1, Ordering::Relaxed);
-            true
-        }
-        Err(_) => {
-            shared.metrics.handoff_failed.fetch_add(1, Ordering::Relaxed);
-            false
-        }
-    }
-}
-
-/// Ships queued `(key, body)` replications to the ring successor
+/// Ships queued `(key, body)` replications to the key's replica holder
 /// (re-read per item: membership may have changed since the enqueue).
-/// Runs on its own thread so a slow or dead successor never stalls an
+/// Runs on its own thread so a slow or dead holder never stalls an
 /// analysis worker; exits when the sender side is dropped (shutdown).
 pub(crate) fn replicator_loop(shared: &Shared, rx: &mpsc::Receiver<(String, String)>) {
     while let Ok((key, body)) = rx.recv() {
         shared.metrics.replication_queued.fetch_sub(1, Ordering::Relaxed);
         let Some(cluster) = &shared.cluster else { break };
-        // No successor (solo ring, or drained off it): nothing to
+        // No holder (solo ring, or drained off it): nothing to
         // replicate to — not a drop.
-        let Some(successor) = cluster.successor() else { continue };
+        let Some(holder) = cluster.replica(&key) else { continue };
         let wire = Request::StorePut { key, body, meta: cluster.meta() }.to_wire();
-        match cluster.ask(&successor, PeerOp::Store, &shared.metrics, false, &wire) {
+        match cluster.ask(&holder, PeerOp::Store, &shared.metrics, false, &wire) {
             Ok(_) => {
                 shared.metrics.replicated_out.fetch_add(1, Ordering::Relaxed);
             }
             Err(e) => {
-                shared.metrics.note_replication_drop(&format!("to {successor}: {e}"));
+                shared.metrics.note_replication_drop(&format!("to {holder}: {e}"));
             }
         }
     }
 }
 
-/// The cluster chore thread: runs roster refreshes and handoff passes
-/// off the request path; on idle ticks probes tripped peers (the probe
-/// doubles as roster anti-entropy) and, every [`HEARTBEAT_INTERVAL`],
-/// heartbeats the healthy members so a dead peer is discovered — and
-/// its breaker tripped — before the first user call. Exits when the
-/// task sender is dropped (shutdown).
-pub(crate) fn cluster_loop(shared: &Shared, rx: &mpsc::Receiver<ClusterTask>) {
+/// The cluster chore thread: runs roster refreshes off the request
+/// path; on idle ticks probes tripped peers (the probe doubles as
+/// roster anti-entropy) and, every [`HEARTBEAT_INTERVAL`], heartbeats
+/// the healthy members so a dead peer is discovered — and its breaker
+/// tripped — before the first user call. Exits when the refresh sender
+/// is dropped (shutdown).
+pub(crate) fn cluster_loop(shared: &Shared, rx: &mpsc::Receiver<String>) {
     let mut last_heartbeat = Instant::now();
     loop {
         if shared.shutting_down.load(Ordering::Acquire) {
             break;
         }
         match rx.recv_timeout(CLUSTER_TICK) {
-            Ok(ClusterTask::Refresh(addr)) => refresh_from(shared, &addr, PeerOp::Membership),
-            Ok(ClusterTask::Handoff) => run_handoff(shared),
+            Ok(addr) => refresh_from(shared, &addr, PeerOp::Membership),
             Err(mpsc::RecvTimeoutError::Timeout) => {
                 probe_tripped_peers(shared);
                 if last_heartbeat.elapsed() >= HEARTBEAT_INTERVAL {
@@ -510,31 +437,6 @@ fn refresh_from(shared: &Shared, addr: &str, op: PeerOp) {
     let Some((epoch, members)) = reply_roster(&line) else { return };
     if cluster.adopt(epoch, &members) {
         shared.metrics.ring_refreshes.fetch_add(1, Ordering::Relaxed);
-        cluster.schedule(ClusterTask::Handoff);
-    }
-}
-
-/// One bounded handoff pass: scan the memory tier and re-ship every
-/// entry the *current* ring maps to another owner. Runs after epoch
-/// bumps; the scan is bounded by the store's capacity.
-fn run_handoff(shared: &Shared) {
-    let Some(cluster) = &shared.cluster else { return };
-    if cluster.draining.load(Ordering::Acquire) {
-        return;
-    }
-    let members = cluster.members();
-    if members.len() < 2 {
-        return;
-    }
-    let ring = Ring::new(members);
-    for (key, body) in shared.store.entries() {
-        if shared.shutting_down.load(Ordering::Acquire) {
-            return;
-        }
-        let owner = ring.owner(&key);
-        if owner != cluster.self_addr {
-            ship_entry(shared, cluster, owner, &key, &body);
-        }
     }
 }
 

@@ -1,9 +1,9 @@
 //! From a request line to a response frame: inline answers, the
 //! bounded job queue and its admission rules, the worker pool, and —
 //! in cluster mode — routing a job to its owning shard (forward,
-//! stale-epoch re-route, local fallback, warm-from-successor).
+//! stale-epoch re-route, local fallback, warm-from-replica).
 
-use crate::cluster::{self, ClusterTask};
+use crate::cluster;
 use crate::faults::PeerOp;
 use crate::protocol::{self, Request};
 use crate::server::Shared;
@@ -110,18 +110,17 @@ pub(crate) fn handle_line(shared: &Shared, state: &mut Uploads, line: &str) -> H
             return reply(protocol::ok_frame(false, &body));
         }
         Request::StorePut { key, body, meta } => {
-            shared.store.insert_replica(&key, &body);
+            shared.store.insert(&key, &body);
             shared.metrics.replicated_in.fetch_add(1, Ordering::Relaxed);
             cluster::apply_peer_meta(shared, &meta);
             return reply(protocol::ok_frame(false, "{\"stored\":true}"));
         }
-        // Membership ops mutate only the roster (cheap, lock-bounded);
-        // the handoff they may imply runs on the chore thread.
+        // Membership ops mutate only the roster (cheap, lock-bounded).
         Request::RingStatus => return reply(cluster::ring_status(shared)),
         Request::Join { addr, meta } => return reply(cluster::peer_join(shared, &addr, &meta)),
         Request::Leave { addr, meta } => {
             // Removing *another* member is a roster edit; draining
-            // *this* shard ships the whole store and takes a worker.
+            // *this* shard announces to every member and takes a worker.
             return match cluster::leave_inline(shared, addr.as_deref(), &meta) {
                 Some(frame) => reply(frame),
                 None => Handled::Dispatch(Pending {
@@ -300,24 +299,23 @@ fn forward(shared: &Shared, owner: &str, request: &Request) -> Result<Forwarded,
     if let Some((epoch, members)) = protocol::parse_stale_epoch(&line) {
         if cluster.adopt(epoch, &members) {
             shared.metrics.ring_refreshes.fetch_add(1, Ordering::Relaxed);
-            cluster.schedule(ClusterTask::Handoff);
         }
         return Ok(Forwarded::StaleEpoch);
     }
     Ok(Forwarded::Frame(line))
 }
 
-/// Fetches an owned-but-missing key from the ring successor (which
-/// holds this shard's replicas): how a restarted shard warms from its
-/// neighbor instead of recomputing.
-fn warm_from_successor(shared: &Shared, key: &str) -> Option<String> {
+/// Fetches an owned-but-missing key from its replica holder: how a
+/// restarted shard, or a joiner for the keys it took over, warms
+/// instead of recomputing.
+fn warm_from_replica(shared: &Shared, key: &str) -> Option<String> {
     let cluster = shared.cluster.as_ref()?;
-    let successor = cluster.successor()?;
     if !cluster.owns(key) {
         return None;
     }
+    let holder = cluster.replica(key)?;
     let wire = Request::StoreGet { key: key.to_string() }.to_wire();
-    let line = cluster.ask(&successor, PeerOp::Store, &shared.metrics, false, &wire).ok()?;
+    let line = cluster.ask(&holder, PeerOp::Store, &shared.metrics, false, &wire).ok()?;
     let doc = Json::parse(&line).ok()?;
     if !doc.get("ok")?.as_bool().ok()? {
         return None;
@@ -330,17 +328,17 @@ fn warm_from_successor(shared: &Shared, key: &str) -> Option<String> {
     // proptests), so the warmed body equals the replica's bytes.
     let body = result.get("body")?.compact();
     shared.metrics.peer_warm_hits.fetch_add(1, Ordering::Relaxed);
-    shared.store.insert_replica(key, &body);
+    shared.store.insert(key, &body);
     Some(body)
 }
 
 /// Computes one request on the shared session. Successful bodies go
-/// into the report store under the request's content address (which
-/// fires replication in cluster mode).
+/// into the report store under the request's content address and, in
+/// cluster mode, to the replicator.
 fn execute_local(shared: &Shared, request: Request) -> String {
     let key = request.cache_key();
     if let Some(key) = &key {
-        if let Some(body) = warm_from_successor(shared, key) {
+        if let Some(body) = warm_from_replica(shared, key) {
             return protocol::ok_frame(true, &body);
         }
     }
@@ -359,8 +357,8 @@ fn execute_local(shared: &Shared, request: Request) -> String {
             std::thread::sleep(Duration::from_millis(ms));
             return protocol::ok_frame(false, &format!("{{\"slept_ms\":{ms}}}"));
         }
-        // A self-`leave` ships the whole store; it is the one
-        // membership op that takes a worker slot.
+        // A self-`leave` announces itself to every member; it is the
+        // one membership op that takes a worker slot.
         Request::Leave { .. } => return cluster::drain_self(shared),
         // Handled inline by the connection layer; never queued.
         Request::Status
@@ -379,7 +377,9 @@ fn execute_local(shared: &Shared, request: Request) -> String {
     match body {
         Ok(body) => {
             let key = key.expect("analysis requests are cacheable");
-            protocol::ok_frame(false, &shared.store.insert(&key, &body.compact()))
+            let body = shared.store.insert(&key, &body.compact());
+            cluster::replicate(shared, &key, &body);
+            protocol::ok_frame(false, &body)
         }
         Err(e) => {
             shared.metrics.analysis_errors.fetch_add(1, Ordering::Relaxed);

@@ -52,7 +52,7 @@ pub enum FaultAction {
 pub enum PeerOp {
     /// A user request forwarded to its owner.
     Forward,
-    /// `store_get` / `store_put`: replication, handoff, warm-from-successor.
+    /// `store_get` / `store_put`: replication and warm-from-replica.
     Store,
     /// The periodic liveness probe and the tripped-peer cooldown probe.
     Heartbeat,

@@ -25,7 +25,7 @@
 //! reactor threads (per-connection state machines — see
 //! `docs/serving.md`), and with `--peers` several daemons shard the report store over a
 //! consistent-hash [`Ring`], forwarding requests to their owning shard
-//! and replicating computed bodies to each shard's ring successor.
+//! and replicating each computed body to its key's next ring member.
 //!
 //! The wire protocol (ops, schemas, error shapes) is documented in
 //! `docs/protocol.md`.

@@ -28,22 +28,18 @@ pub struct Metrics {
     pub forwards_in: AtomicU64,
     /// Forwards that failed and fell back to local computation.
     pub forward_failures: AtomicU64,
-    /// Store entries replicated out to the ring successor.
+    /// Computed bodies replicated out to their key's replica holder.
     pub replicated_out: AtomicU64,
     /// Replicas accepted from a peer (`store_put` admitted).
     pub replicated_in: AtomicU64,
     /// Replications dropped because the replicator queue was full.
     pub replication_dropped: AtomicU64,
-    /// Local misses answered by warming the key from the ring successor.
+    /// Owned misses answered by warming the key from its replica holder.
     pub peer_warm_hits: AtomicU64,
     /// Forwarded frames rejected because the sender's epoch was stale.
     pub stale_epoch_rejected: AtomicU64,
     /// Roster refreshes adopted from a peer (anti-entropy catches).
     pub ring_refreshes: AtomicU64,
-    /// Store entries handed off to their new owner after an epoch bump.
-    pub handoff_shipped: AtomicU64,
-    /// Handoff shipments that failed (the new owner was unreachable).
-    pub handoff_failed: AtomicU64,
     /// Replications currently queued behind the replicator (gauge).
     pub replication_queued: AtomicU64,
     /// Budgeted peer retries actually spent.
@@ -62,7 +58,7 @@ pub struct Metrics {
     /// tick — a dead peer fails these and trips its breaker before the
     /// first user call would have to.
     pub heartbeats: AtomicU64,
-    /// The most recent replication/handoff shipment error, for
+    /// The most recent replication error, for
     /// `status.cluster.replication.last_error`.
     pub last_replication_error: std::sync::Mutex<Option<String>>,
 }
@@ -78,7 +74,7 @@ impl Metrics {
         self.ops[request.op() as usize].fetch_add(1, Ordering::Relaxed);
     }
 
-    /// Records one dropped replication/handoff shipment, remembering
+    /// Records one dropped replication, remembering
     /// the failure for `status` and warning on the daemon's stderr the
     /// first time — an operator watching logs learns replicas are
     /// degrading before a shard dies and the misses show up.

@@ -1,7 +1,7 @@
 //! The hardened peer path: pooled connections, a circuit breaker, a
 //! retry budget, and deterministic fault injection.
 //!
-//! Every peer call in the daemon — forwarding, replication, handoff,
+//! Every peer call in the daemon — forwarding, replication, warm-ups,
 //! membership announces — goes through [`PeerTable::call`], which
 //! layers, in order:
 //!
@@ -9,8 +9,9 @@
 //!    decided before any real I/O, so chaos runs replay exactly.
 //! 2. **Circuit breaker**: after [`TRIP_THRESHOLD`] consecutive
 //!    failures a peer is *tripped* — calls fail fast (no dial) until a
-//!    cooldown elapses, then exactly one call probes half-open. A
-//!    probe success closes the breaker; a failure re-trips it.
+//!    cooldown elapses, then exactly one call probes half-open while
+//!    the rest keep failing fast. A probe success closes the breaker;
+//!    a failure re-trips it.
 //! 3. **Connection pool**: up to [`POOL_CAP`] idle connections per
 //!    peer. A pooled connection that fails on reuse is *stale*
 //!    ([`ClientError::StaleConnection`]) and retried on a fresh dial
@@ -19,7 +20,7 @@
 //!    failed fresh call may retry once, after a jittered exponential
 //!    backoff, if a token is available — so retries cannot amplify an
 //!    outage into a retry storm. Callers on best-effort paths
-//!    (replication, handoff, probes) pass `retry: false` and never
+//!    (replication, warm-ups, probes) pass `retry: false` and never
 //!    spend budget.
 //!
 //! Everything observable — trips, fast-fails, probes, stale retries,
@@ -62,7 +63,17 @@ struct PeerState {
     /// `Some(when)` while the breaker is open; calls fail fast until
     /// `when`, then one call probes half-open.
     tripped_until: Option<Instant>,
+    /// The half-open probe is in flight; other calls fail fast until
+    /// it records its outcome.
+    probing: bool,
     trips: u64,
+}
+
+impl PeerState {
+    /// Whether calls fail fast: cooling down, or probe in flight.
+    fn open(&self, now: Instant) -> bool {
+        self.probing || self.tripped_until.is_some_and(|until| now < until)
+    }
 }
 
 /// The shared retry-budget token bucket.
@@ -163,10 +174,8 @@ impl PeerTable {
         // Fresh dial, with at most one budgeted, backed-off retry.
         let mut attempt = 0u32;
         loop {
-            match self.dial(addr).and_then(|mut client| match f(&mut client) {
-                Ok(value) => Ok((value, client)),
-                Err(e) => Err(e),
-            }) {
+            let dialed = self.dial(addr).and_then(|mut client| f(&mut client).map(|v| (v, client)));
+            match dialed {
                 Ok((value, client)) => {
                     self.record_success(addr, client);
                     return Ok(value);
@@ -193,13 +202,11 @@ impl PeerTable {
         f: &mut impl FnMut(&mut ServeClient) -> io::Result<T>,
     ) -> Option<Result<T, ClientError>> {
         let mut client = self.checkout(addr)?;
-        match f(&mut client) {
-            Ok(value) => {
-                self.record_success(addr, client);
-                Some(Ok(value))
-            }
-            Err(e) => Some(Err(ClientError::StaleConnection(e))),
+        let outcome = f(&mut client).map_err(ClientError::StaleConnection);
+        if outcome.is_ok() {
+            self.record_success(addr, client);
         }
+        Some(outcome)
     }
 
     fn dial(&self, addr: &str) -> io::Result<ServeClient> {
@@ -209,21 +216,20 @@ impl PeerTable {
     }
 
     /// Fast-fails while `addr`'s breaker is open; lets exactly the
-    /// first post-cooldown call through as the half-open probe.
+    /// first post-cooldown call through as the half-open probe, and
+    /// fast-fails the rest until that probe records its outcome.
     fn breaker_gate(&self, addr: &str, metrics: &Metrics) -> Result<(), ClientError> {
         let mut peers = self.peers.lock().expect("peer table lock");
         let state = peers.entry(addr.to_string()).or_default();
-        if let Some(until) = state.tripped_until {
-            if Instant::now() < until {
-                metrics.breaker_fast_fails.fetch_add(1, Ordering::Relaxed);
-                return Err(ClientError::Io(io::Error::new(
-                    io::ErrorKind::ConnectionRefused,
-                    format!("peer {addr} breaker open"),
-                )));
-            }
-            // Half-open: this call probes. On failure the (still at
-            // threshold) failure count re-trips immediately.
-            state.tripped_until = None;
+        if state.open(Instant::now()) {
+            metrics.breaker_fast_fails.fetch_add(1, Ordering::Relaxed);
+            return Err(ClientError::Io(io::Error::new(
+                io::ErrorKind::ConnectionRefused,
+                format!("peer {addr} breaker open"),
+            )));
+        }
+        if state.tripped_until.is_some() {
+            state.probing = true;
             metrics.peer_probes.fetch_add(1, Ordering::Relaxed);
         }
         Ok(())
@@ -244,17 +250,22 @@ impl PeerTable {
         let state = peers.entry(addr.to_string()).or_default();
         state.consecutive_failures = 0;
         state.tripped_until = None;
+        state.probing = false;
         if state.idle.len() < POOL_CAP {
             state.idle.push(client);
         }
     }
 
+    /// Counts a failure; at the threshold the breaker trips, and a
+    /// failed probe re-trips it.
     fn record_failure(&self, addr: &str, metrics: &Metrics) {
         let mut peers = self.peers.lock().expect("peer table lock");
         let state = peers.entry(addr.to_string()).or_default();
         state.consecutive_failures += 1;
-        if state.consecutive_failures >= TRIP_THRESHOLD && state.tripped_until.is_none() {
+        let closed_or_probing = state.probing || state.tripped_until.is_none();
+        if state.consecutive_failures >= TRIP_THRESHOLD && closed_or_probing {
             state.tripped_until = Some(Instant::now() + self.trip_cooldown);
+            state.probing = false;
             state.trips += 1;
             metrics.breaker_trips.fetch_add(1, Ordering::Relaxed);
         }
@@ -290,22 +301,18 @@ impl PeerTable {
     /// path owns them until they answer again.
     pub(crate) fn is_tripped(&self, addr: &str) -> bool {
         let now = Instant::now();
-        self.peers
-            .lock()
-            .expect("peer table lock")
-            .get(addr)
-            .is_some_and(|state| state.tripped_until.is_some_and(|until| now < until))
+        self.peers.lock().expect("peer table lock").get(addr).is_some_and(|s| s.open(now))
     }
 
-    /// Peers whose breaker cooldown has elapsed — candidates for a
-    /// background probe.
+    /// Peers whose breaker cooldown has elapsed with no probe in
+    /// flight — candidates for a background probe.
     pub(crate) fn ready_to_probe(&self) -> Vec<String> {
         let now = Instant::now();
         self.peers
             .lock()
             .expect("peer table lock")
             .iter()
-            .filter(|(_, state)| state.tripped_until.is_some_and(|until| now >= until))
+            .filter(|(_, state)| state.tripped_until.is_some() && !state.open(now))
             .map(|(addr, _)| addr.clone())
             .collect()
     }
@@ -314,29 +321,19 @@ impl PeerTable {
     /// daemon has talked to.
     pub(crate) fn status_json(&self) -> Json {
         let now = Instant::now();
-        let mut doc = Json::object();
-        let mut peers: Vec<_> = self
-            .peers
-            .lock()
-            .expect("peer table lock")
-            .iter()
-            .map(|(addr, state)| {
-                let tripped = state.tripped_until.is_some_and(|until| now < until);
-                (addr.clone(), tripped, state.consecutive_failures, state.trips, state.idle.len())
-            })
-            .collect();
-        peers.sort_by(|a, b| a.0.cmp(&b.0));
-        for (addr, tripped, failures, trips, pooled) in peers {
-            doc = doc.with(
-                &addr,
+        let peers = self.peers.lock().expect("peer table lock");
+        let mut sorted: Vec<_> = peers.iter().collect();
+        sorted.sort_by_key(|(addr, _)| *addr);
+        sorted.into_iter().fold(Json::object(), |doc, (addr, state)| {
+            doc.with(
+                addr,
                 Json::object()
-                    .with("state", if tripped { "tripped" } else { "ok" })
-                    .with("failures", u64::from(failures))
-                    .with("trips", trips)
-                    .with("pooled", pooled as u64),
-            );
-        }
-        doc
+                    .with("state", if state.open(now) { "tripped" } else { "ok" })
+                    .with("failures", u64::from(state.consecutive_failures))
+                    .with("trips", state.trips)
+                    .with("pooled", state.idle.len() as u64),
+            )
+        })
     }
 
     /// The `status.cluster.retry` object: budget capacity and what is
@@ -383,6 +380,41 @@ mod tests {
         let _ = peers.call(DEAD, PeerOp::Forward, &metrics, false, |_| Ok(()));
         assert_eq!(metrics.peer_probes.load(Ordering::Relaxed), 1);
         assert_eq!(metrics.breaker_trips.load(Ordering::Relaxed), 2);
+    }
+
+    #[test]
+    fn the_half_open_probe_is_exclusive() {
+        // A bound listener that never accepts: a dial completes in the
+        // kernel backlog, then the probe hangs on its read.
+        let blackhole = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = blackhole.local_addr().unwrap().to_string();
+        let metrics = Metrics::default();
+        let plan = FaultPlan::parse(&format!("deny:{addr}:count=3")).unwrap();
+        let peers =
+            PeerTable::new(Duration::from_secs(1), Duration::from_millis(50), 2, Some(plan));
+        for _ in 0..TRIP_THRESHOLD {
+            assert!(peers.call(&addr, PeerOp::Forward, &metrics, false, |_| Ok(())).is_err());
+        }
+        assert_eq!(metrics.breaker_trips.load(Ordering::Relaxed), 1, "tripped with no I/O");
+        std::thread::sleep(Duration::from_millis(80));
+        let ask = |client: &mut ServeClient| client.request_line("{\"op\":\"status\"}").map(drop);
+        let (entered, probe_in_flight) = std::sync::mpsc::channel();
+        std::thread::scope(|scope| {
+            let probe = scope.spawn(|| {
+                peers.call(&addr, PeerOp::Forward, &metrics, false, |client| {
+                    entered.send(()).unwrap();
+                    ask(client)
+                })
+            });
+            // The probe is past the gate and waiting on the blackhole.
+            probe_in_flight.recv().unwrap();
+            let err = peers.call(&addr, PeerOp::Forward, &metrics, false, ask).unwrap_err();
+            assert!(err.as_io().to_string().contains("breaker open"), "{err}");
+            assert_eq!(metrics.breaker_fast_fails.load(Ordering::Relaxed), 1);
+            assert!(probe.join().unwrap().is_err(), "the blackhole never answers the probe");
+        });
+        assert_eq!(metrics.peer_probes.load(Ordering::Relaxed), 1);
+        assert_eq!(metrics.breaker_trips.load(Ordering::Relaxed), 2, "the failed probe re-trips");
     }
 
     #[test]

@@ -480,18 +480,18 @@ pub enum Request {
     },
     /// Cluster-internal: look up a content address in the receiver's
     /// *local* report store (memory or disk tier only — never
-    /// forwarded, never computed). A restarted shard uses this against
-    /// its ring successor to warm owned entries from the replica set
-    /// instead of recomputing.
+    /// forwarded, never computed). An owner that misses a key asks the
+    /// key's replica holder with this before recomputing — how a
+    /// restarted shard or a joiner warms.
     StoreGet {
         /// The canonical content address (a [`Request::cache_key`]).
         key: String,
     },
     /// Cluster-internal: admit a replicated response body into the
-    /// receiver's report store. Sent by a key's owner to its ring
-    /// successor after computing (and by the handoff scan after a
-    /// membership change), so the right shard holds a warm copy.
-    /// Replica admissions never re-replicate (no cascade).
+    /// receiver's report store. Sent by a key's owner to the key's
+    /// replica holder (its next distinct member on the ring) after
+    /// computing, so the shard that inherits the key holds a warm
+    /// copy. Replica admissions never re-replicate (no cascade).
     StorePut {
         /// The canonical content address (a [`Request::cache_key`]).
         key: String,
@@ -513,18 +513,18 @@ pub enum Request {
     },
     /// Membership: remove a member from the roster. Without `addr` (or
     /// naming the receiver itself) this asks the *receiver* to drain:
-    /// it leaves its own roster, hands its store slice off to the new
-    /// owners, announces the departure, and keeps serving as a
-    /// forwarding-only non-member. With a third-party `addr` it merely
-    /// records that member's departure.
+    /// it leaves its own roster, announces the departure, and keeps
+    /// serving as a forwarding-only non-member; its keys' replica
+    /// holders already hold their bodies. With a third-party `addr` it
+    /// merely records that member's departure.
     Leave {
         /// The departing member (`None` = the receiver itself).
         addr: Option<String>,
         /// The sender's epoch/address, for lazy anti-entropy.
         meta: PeerMeta,
     },
-    /// Membership: the receiver's roster view — epoch, members,
-    /// successor, drain state. The anti-entropy refresh call, and an
+    /// Membership: the receiver's roster view — epoch, self, members,
+    /// drain state. The anti-entropy refresh call, and an
     /// operator's ring inspector (`gpa request ring`).
     RingStatus,
     /// Daemon metrics snapshot.

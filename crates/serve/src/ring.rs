@@ -10,14 +10,14 @@
 //! adding a member remaps just the slices it takes over (the classic
 //! consistent-hashing property, pinned by a test below).
 //!
-//! Replication pairs with ownership through [`Ring::successor`]: a
-//! member's hot store entries are copied to the next member of the
-//! canonical (sorted) roster, so a restarted shard can warm its cache
-//! from one well-known neighbor instead of only its disk tier. Roster
-//! order — not point order — keeps the replication graph a single
-//! cycle covering every member (clockwise-from-first-point can strand
-//! a member with no replica source when vnode points interleave
-//! unluckily).
+//! Replication is placed by key, like ownership: [`Ring::replica`] is
+//! the key's next distinct member clockwise (Dynamo's preference list,
+//! cut at two). With two or more members every key has exactly one
+//! replica holder besides its owner, and consistent hashing makes that
+//! holder the right one through every roster change — remove the owner
+//! and the holder *is* the new owner; add a member and, for every key
+//! it takes, the old owner becomes the key's replica. So a body never
+//! has to be shipped because the roster moved.
 
 use crate::store::fingerprint;
 
@@ -98,27 +98,32 @@ impl Ring {
     ///
     /// On an empty ring (a cluster has at least its own shard).
     pub fn owner(&self, key: &str) -> &str {
-        assert!(!self.points.is_empty(), "ownership query on an empty ring");
-        let hash = point(key);
-        let idx = match self.points.binary_search(&(hash, 0)) {
-            Ok(i) => i,
-            Err(i) if i == self.points.len() => 0, // wrap past the top
-            Err(i) => i,
-        };
-        &self.members[self.points[idx].1]
+        &self.members[self.points[self.owning_point(key)].1]
     }
 
-    /// `member`'s replication target: the next member of the canonical
-    /// sorted roster, wrapping at the end — one cycle through every
-    /// member, so each shard has exactly one replica source and one
-    /// target. `None` for unknown members and single-member rings
-    /// (nothing to replicate to).
-    pub fn successor(&self, member: &str) -> Option<&str> {
-        let me = self.members.iter().position(|m| m == member)?;
+    /// Where `key`'s replica lives: the member of the first point after
+    /// the key's owning point that belongs to a different member,
+    /// wrapping. `None` on a ring with fewer than two members.
+    pub fn replica(&self, key: &str) -> Option<&str> {
         if self.members.len() < 2 {
             return None;
         }
-        Some(self.members[(me + 1) % self.members.len()].as_str())
+        let at = self.owning_point(key);
+        let owner = self.points[at].1;
+        let next = (1..self.points.len())
+            .map(|step| self.points[(at + step) % self.points.len()].1)
+            .find(|&member| member != owner)?;
+        Some(&self.members[next])
+    }
+
+    /// Index of the first point at or after `key`'s hash, wrapping past
+    /// the top of the `u64` space.
+    fn owning_point(&self, key: &str) -> usize {
+        assert!(!self.points.is_empty(), "ownership query on an empty ring");
+        match self.points.binary_search(&(point(key), 0)) {
+            Ok(i) => i,
+            Err(i) => i % self.points.len(),
+        }
     }
 }
 
@@ -285,30 +290,22 @@ mod tests {
     }
 
     #[test]
-    fn successor_is_a_distinct_member_and_covers_the_ring() {
+    fn replica_is_a_distinct_member_and_every_member_holds_some() {
         let ring = Ring::new(["a".to_string(), "b".to_string(), "c".to_string()]);
-        for member in ring.members() {
-            let succ = ring.successor(member).expect("multi-member rings have successors");
-            assert_ne!(succ, member);
+        let mut holders = std::collections::HashSet::new();
+        for key in keys(200) {
+            let replica = ring.replica(&key).expect("multi-member rings place replicas");
+            assert_ne!(replica, ring.owner(&key));
+            holders.insert(replica);
         }
-        // Following successors visits every member (the replication
-        // graph is one cycle, so no shard is left without a replica
-        // source).
-        let mut seen = std::collections::HashSet::new();
-        let mut at = "a";
-        for _ in 0..ring.len() {
-            seen.insert(at);
-            at = ring.successor(at).unwrap();
-        }
-        assert_eq!(seen.len(), ring.len());
+        assert_eq!(holders.len(), ring.len(), "every member holds some replica");
     }
 
     #[test]
     fn degenerate_rings() {
         let solo = Ring::new(["only".to_string()]);
         assert_eq!(solo.owner("anything"), "only");
-        assert!(solo.successor("only").is_none(), "nobody to replicate to");
-        assert!(solo.successor("stranger").is_none());
+        assert!(solo.replica("anything").is_none(), "nobody to replicate to");
         assert!(!solo.is_empty());
         assert!(Ring::new(std::iter::empty()).is_empty());
     }
@@ -336,7 +333,7 @@ mod tests {
         for key in keys(50) {
             assert_eq!(ring.owner(&key), "a");
         }
-        assert!(ring.successor("a").is_none(), "a solo survivor has no replication target");
+        assert!(ring.replica("k").is_none(), "a solo survivor has no replication target");
         // Even the last member can drain; the derived ring is empty and
         // ownership queries must be guarded by the caller.
         assert!(roster.leave("a"));
@@ -392,6 +389,34 @@ mod tests {
     }
 
     proptest! {
+        /// Key-placed replicas over random 2–6 member rosters: the
+        /// replica is a member other than the owner, removing the owner
+        /// makes the replica holder the owner, and for every key a
+        /// joining member takes, the old owner becomes the replica — so
+        /// no roster change leaves a body where the ring will not look.
+        #[test]
+        fn replica_placement_survives_every_roster_change(n in 2usize..7, port in 1024u16..60000) {
+            let ring = Ring::new((0..n as u16).map(|i| format!("10.0.0.1:{}", port + 7 * i)));
+            let without: Vec<Ring> = ring
+                .members()
+                .iter()
+                .map(|gone| Ring::new(ring.members().iter().filter(|m| *m != gone).cloned()))
+                .collect();
+            let joiner = format!("10.0.0.2:{port}");
+            let grown = Ring::new(ring.members().iter().cloned().chain([joiner.clone()]));
+            prop_assert!(Ring::new([joiner.clone()]).replica("k").is_none(), "1-member ring");
+            for key in keys(64) {
+                let owner = ring.owner(&key);
+                let replica = ring.replica(&key).expect("two or more members");
+                prop_assert!(replica != owner && ring.members().iter().any(|m| m == replica));
+                let at = ring.members().iter().position(|m| m == owner).expect("a member");
+                prop_assert_eq!(without[at].owner(&key), replica, "the holder inherits the key");
+                if grown.owner(&key) == joiner {
+                    prop_assert_eq!(grown.replica(&key), Some(owner), "the old owner is the replica");
+                }
+            }
+        }
+
         /// Random join/leave churn: the epoch strictly increases on
         /// every change, the member list stays sorted and unique, and
         /// every key has exactly one owner in every epoch (two replicas

@@ -10,9 +10,9 @@
 //! | `server` (here) | [`ServerConfig`], the shared state every thread sees, listener binding and the accept-path choice, thread bring-up, shutdown |
 //! | `event_loop` | one reactor thread: epoll loop, accept, socket reads/writes, idle sweep, buffer pool, per-reactor gauges, shutdown drain |
 //! | `conn` | one connection's framing state machine — bytes in, request lines out, response frames queued and drained — with no socket, clock or daemon state |
-//! | `dispatch` | request line → inline answer or queued job; admission control; the worker pool; forward / fallback / warm-from-successor |
+//! | `dispatch` | request line → inline answer or queued job; admission control; the worker pool; forward / fallback / warm-from-replica |
 //! | `uploads` | chunked profile uploads and their memory budgets |
-//! | `cluster` | roster and ring, membership ops, stale-epoch gate, handoff and drain-on-leave, replicator, heartbeats |
+//! | `cluster` | roster and ring, membership ops, stale-epoch gate, self-leave, replicator, heartbeats |
 //! | `status` | the `status` body, with connection roll-ups derived from the per-reactor counters |
 //!
 //! ## Connections
@@ -41,20 +41,21 @@
 //! hashes to another member are forwarded there (marked `fwd`, stamped
 //! with the sender's epoch) and the owner's response frame is relayed
 //! **verbatim** — computed, cached, forwarded and replicated responses
-//! are byte-identical. Owners replicate computed bodies to their ring
-//! successor (`store_put`), and a restarted shard warms owned keys
-//! from that successor (`store_get`) before recomputing.
+//! are byte-identical. An owner replicates each body it computes to
+//! the key's next distinct member on the ring (`store_put`), and an
+//! owned miss asks that member (`store_get`) before recomputing.
 //!
 //! Membership is live: `join` adds a shard (the seed answers with the
 //! bumped roster and every member catches up lazily — a forward whose
 //! epoch is stale earns a [`stale_epoch_frame`] instead of a
 //! wrong-owner answer, and a sender that is *ahead* triggers a
-//! `ring_status` refresh), `leave` drains one (its entries are shipped
-//! to their new owners before the roster shrinks). After any epoch
-//! bump a background handoff pass re-ships entries the new ring maps
-//! elsewhere. Every peer call rides the hardened path in `peer.rs`:
-//! pooled connections, a circuit breaker per peer, a shared retry
-//! budget, and deterministic fault injection (`--faults`).
+//! `ring_status` refresh), `leave` removes one. No body is shipped
+//! because the roster moved: a departed owner's keys pass to their
+//! replica holders, and a joiner pulls the keys it takes from their
+//! old owner, now their replica. Every peer call rides the hardened
+//! path in `peer.rs`: pooled connections, a circuit breaker per peer,
+//! a shared retry budget, and deterministic fault injection
+//! (`--faults`).
 //!
 //! [`stale_epoch_frame`]: crate::protocol::stale_epoch_frame
 //! [`Roster`]: crate::ring::Roster
@@ -383,13 +384,12 @@ fn serve_listeners(
         upload_pcs: AtomicU64::new(0),
     });
     let mut threads = Vec::new();
-    if let Some((repl_rx, task_rx)) = queues {
-        cluster::install_replication_hook(&shared);
+    if let Some((repl_rx, refresh_rx)) = queues {
         threads.push(spawn(&shared, "gpa-serve-replicator".to_string(), move |sh| {
             cluster::replicator_loop(sh, &repl_rx);
         })?);
         threads.push(spawn(&shared, "gpa-serve-cluster".to_string(), move |sh| {
-            cluster::cluster_loop(sh, &task_rx);
+            cluster::cluster_loop(sh, &refresh_rx);
         })?);
     }
     for i in 0..workers {
@@ -483,7 +483,7 @@ pub(crate) fn trigger_shutdown(shared: &Shared) {
     // the only long-lived senders disconnects their channels.
     if let Some(cluster) = &shared.cluster {
         cluster.repl_tx.lock().expect("repl tx").take();
-        cluster.task_tx.lock().expect("task tx").take();
+        cluster.refresh_tx.lock().expect("refresh tx").take();
     }
     // Pop every reactor out of epoll_wait.
     for reactor in &shared.reactors {

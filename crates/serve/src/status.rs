@@ -72,10 +72,7 @@ pub(crate) fn status_body(shared: &Shared) -> Json {
                 .with("analysis", m.analysis_errors.load(Ordering::Relaxed)),
         );
     if let Some(cluster) = &shared.cluster {
-        let (epoch, members, successor) = {
-            let state = cluster.state.read().expect("cluster state");
-            (state.roster.epoch(), members_json(state.roster.members()), state.successor.clone())
-        };
+        let (epoch, members) = cluster.snapshot();
         let faults = cluster.peers.faults();
         let last_error =
             shared.metrics.last_replication_error.lock().expect("replication error lock").clone();
@@ -85,8 +82,7 @@ pub(crate) fn status_body(shared: &Shared) -> Json {
                 .with("self", cluster.self_addr.clone())
                 .with("epoch", epoch)
                 .with("draining", cluster.draining.load(Ordering::Relaxed))
-                .with("members", members)
-                .with("successor", successor.map_or(Json::Null, Json::Str))
+                .with("members", members_json(&members))
                 .with(
                     "membership",
                     Json::object()
@@ -101,12 +97,6 @@ pub(crate) fn status_body(shared: &Shared) -> Json {
                         .with("shipped", m.replicated_out.load(Ordering::Relaxed))
                         .with("dropped", m.replication_dropped.load(Ordering::Relaxed))
                         .with("last_error", last_error.map_or(Json::Null, Json::Str)),
-                )
-                .with(
-                    "handoff",
-                    Json::object()
-                        .with("shipped", m.handoff_shipped.load(Ordering::Relaxed))
-                        .with("failed", m.handoff_failed.load(Ordering::Relaxed)),
                 )
                 .with("retry", cluster.peers.retry_json(m))
                 .with(

@@ -7,22 +7,16 @@
 //! and are re-admitted to memory on the next request, so a restarted
 //! daemon warms up from its persist directory instead of re-simulating.
 //!
-//! In cluster mode the store is also the replication source: an
-//! [insert hook](ReportStore::set_insert_hook) observes every *computed*
-//! admission so the daemon can copy hot entries to the owning shard's
-//! ring successor, while [`ReportStore::insert_replica`] admits copies
-//! *received* from a peer without re-firing the hook (replicas must not
-//! cascade around the ring).
+//! The store knows nothing of the cluster: computed bodies, replicas
+//! received from a peer and bodies warmed from one all go in through
+//! [`ReportStore::insert`]. The daemon replicates a body when it
+//! computes one, not when the store admits it.
 
 use std::collections::HashMap;
 use std::io;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, OnceLock};
-
-/// Observer of computed-body admissions (`(key, body)`), used to drive
-/// replication to the ring successor.
-pub type InsertHook = Box<dyn Fn(&str, &str) + Send + Sync>;
+use std::sync::{Arc, Mutex};
 
 /// FNV-1a 64-bit over the canonical request key: the content address.
 pub fn fingerprint(key: &str) -> u64 {
@@ -74,9 +68,6 @@ pub struct ReportStore {
     inner: Mutex<Inner>,
     capacity: usize,
     persist_dir: Option<PathBuf>,
-    /// Fires on every computed-body [`ReportStore::insert`] (but never
-    /// on [`ReportStore::insert_replica`]): the replication tap.
-    insert_hook: OnceLock<InsertHook>,
     hits: AtomicU64,
     disk_hits: AtomicU64,
     misses: AtomicU64,
@@ -99,7 +90,6 @@ impl ReportStore {
             inner: Mutex::new(Inner { map: HashMap::new(), tick: 0 }),
             capacity: capacity.max(1),
             persist_dir,
-            insert_hook: OnceLock::new(),
             hits: AtomicU64::new(0),
             disk_hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
@@ -152,34 +142,9 @@ impl ReportStore {
         None
     }
 
-    /// Installs the replication tap: called once at daemon startup
-    /// (before any traffic) in cluster mode. Later calls are ignored.
-    pub fn set_insert_hook(&self, hook: impl Fn(&str, &str) + Send + Sync + 'static) {
-        let _ = self.insert_hook.set(Box::new(hook));
-    }
-
-    /// Inserts a computed body, persisting it when the disk tier is
-    /// enabled and firing the [replication hook]. Returns the stored
-    /// (shared) body.
-    ///
-    /// [replication hook]: ReportStore::set_insert_hook
+    /// Inserts a body, persisting it when the disk tier is enabled.
+    /// Returns the stored (shared) body.
     pub fn insert(&self, key: &str, body: &str) -> Arc<str> {
-        let shared = self.admit_and_persist(key, body);
-        if let Some(hook) = self.insert_hook.get() {
-            hook(key, body);
-        }
-        shared
-    }
-
-    /// Admits a body *replicated from a peer* (or warmed from one):
-    /// identical to [`ReportStore::insert`] — memory and disk tier —
-    /// except the replication hook does not fire, so copies never
-    /// cascade around the ring.
-    pub fn insert_replica(&self, key: &str, body: &str) -> Arc<str> {
-        self.admit_and_persist(key, body)
-    }
-
-    fn admit_and_persist(&self, key: &str, body: &str) -> Arc<str> {
         let hash = fingerprint(key);
         if let Some(path) = self.disk_path(hash) {
             if std::fs::write(&path, format!("{key}\n{body}")).is_err() {
@@ -211,20 +176,6 @@ impl ReportStore {
             self.evictions.fetch_add(1, Ordering::Relaxed);
         }
         shared
-    }
-
-    /// A `(key, body)` snapshot of the memory tier — what a membership
-    /// handoff scans to ship remapped entries to their new owner. The
-    /// bodies are `Arc` clones, so the snapshot is cheap and the lock
-    /// is held only for the copy.
-    pub fn entries(&self) -> Vec<(String, Arc<str>)> {
-        self.inner
-            .lock()
-            .expect("store lock")
-            .map
-            .values()
-            .map(|entry| (entry.key.clone(), Arc::clone(&entry.body)))
-            .collect()
     }
 
     /// Entries currently held in memory.

@@ -643,7 +643,12 @@ fn analyze_wire(app: &str) -> String {
 /// The content address of a default-options `analyze` of `(app, 0)` —
 /// what the daemon's store and the cluster ring hash.
 fn analyze_key(app: &str) -> String {
-    Request::Analyze { job: AnalysisJob::new(app, 0), options: WireOptions::default() }
+    job_key(&AnalysisJob::new(app, 0))
+}
+
+/// The content address of a default-options `analyze` of `job`.
+fn job_key(job: &AnalysisJob) -> String {
+    Request::Analyze { job: job.clone(), options: WireOptions::default() }
         .cache_key()
         .expect("analyze is cacheable")
 }
@@ -973,6 +978,67 @@ fn wait_for_replica(addr: &str, key: &str, deadline: Duration) -> Option<String>
     None
 }
 
+/// Binds a stopped shard's address again (the kernel may hold it
+/// briefly after the old listener closes).
+fn rebind(addr: &str) -> TcpListener {
+    (0..50)
+        .find_map(|_| {
+            TcpListener::bind(addr).ok().or_else(|| {
+                std::thread::sleep(Duration::from_millis(100));
+                None
+            })
+        })
+        .expect("rebind the shard's address")
+}
+
+/// Σ `status.cluster.<field>` over the shards at `addrs`.
+fn cluster_sum(addrs: &[String], field: &str) -> u64 {
+    let read = |addr: &String| {
+        let mut client = ServeClient::connect(addr.as_str()).expect("connect shard");
+        let status = client.status().expect("status").into_result().expect("ok");
+        status.field("cluster").unwrap().field(field).unwrap().as_u64().unwrap()
+    };
+    addrs.iter().map(read).sum()
+}
+
+/// Polls until the shards at `addrs` have admitted `n` replicas between
+/// them (replication is asynchronous).
+fn wait_until_replicated(addrs: &[String], n: u64) {
+    let deadline = std::time::Instant::now() + Duration::from_secs(10);
+    while cluster_sum(addrs, "replicated_in") < n {
+        assert!(std::time::Instant::now() < deadline, "replication never reached {n}");
+        std::thread::sleep(Duration::from_millis(50));
+    }
+    assert_eq!(cluster_sum(addrs, "replicated_in"), n, "one replica per computed body");
+}
+
+/// Polls until every shard at `live` lists exactly `live` as members.
+fn wait_for_roster(live: &[String]) {
+    let mut want = live.to_vec();
+    want.sort();
+    let deadline = std::time::Instant::now() + Duration::from_secs(10);
+    for addr in live {
+        let mut client = ServeClient::connect(addr.as_str()).expect("connect shard");
+        loop {
+            let view =
+                client.request(&Request::RingStatus).expect("ring").into_result().expect("ok");
+            let members = view.field("members").unwrap().as_array().unwrap();
+            if members.iter().map(|m| m.as_str().unwrap()).eq(want.iter().map(String::as_str)) {
+                break;
+            }
+            assert!(std::time::Instant::now() < deadline, "{addr} never converged on {want:?}");
+            std::thread::sleep(Duration::from_millis(50));
+        }
+    }
+}
+
+/// The index of the shard owning the most of `jobs`' keys.
+fn heaviest_owner(addrs: &[String], jobs: &[AnalysisJob]) -> usize {
+    let ring = Ring::new(addrs.iter().cloned());
+    let owned = |addr: &String| jobs.iter().filter(|j| ring.owner(&job_key(j)) == addr).count();
+    (0..addrs.len()).max_by_key(|&i| owned(&addrs[i])).expect("a nonempty cluster")
+}
+
 /// The cluster correctness anchor: whichever shard a client asks, over
 /// all 21 apps, the bytes equal single-node `run_one` — computed,
 /// forwarded, cached and replicated alike — and the second wave is
@@ -1020,14 +1086,13 @@ fn three_shard_cluster_answers_byte_identically_from_any_shard() {
         }
     }
 
-    // Replication: an owned key's bytes appear, verbatim, in the
-    // owner's ring successor's local store.
-    let probe = &jobs[0];
-    let key = analyze_key(&probe.app);
-    let owner = ring.owner(&key).to_string();
-    let successor = ring.successor(&owner).expect("3-member ring").to_string();
-    let replica = wait_for_replica(&successor, &key, Duration::from_secs(5))
-        .expect("replica reaches the successor");
+    // Replication: an owned key's bytes appear, verbatim, in the local
+    // store of the key's replica holder (its next member on the ring).
+    let key = analyze_key(&jobs[0].app);
+    let holder = ring.replica(&key).expect("3-member ring").to_string();
+    assert_ne!(holder, ring.owner(&key));
+    let replica = wait_for_replica(&holder, &key, Duration::from_secs(5))
+        .expect("replica reaches its holder");
     assert_eq!(replica, expected[0], "replicated bytes identical");
 
     for handle in handles {
@@ -1036,9 +1101,9 @@ fn three_shard_cluster_answers_byte_identically_from_any_shard() {
     }
 }
 
-/// A restarted shard warms owned keys from its ring successor instead
-/// of recomputing: the replica flows back over `store_get` and the
-/// response stays byte-identical.
+/// A restarted shard warms owned keys from their replica holder
+/// instead of recomputing: the replica flows back over `store_get` and
+/// the response stays byte-identical.
 #[test]
 fn restarted_shard_warms_from_its_neighbor() {
     let (mut handles, addrs) = test_cluster(2);
@@ -1062,8 +1127,9 @@ fn restarted_shard_warms_from_its_neighbor() {
     assert!(first.ok && !first.cached);
     assert_eq!(first.result.unwrap().compact(), expected);
 
-    // Wait until the replica lands on shard 1 (shard 0's successor in a
-    // 2-member ring), then kill shard 0 — memory store and all.
+    // Wait until the replica lands on shard 1 (in a 2-member ring every
+    // key of shard 0's has its replica there), then kill shard 0 —
+    // memory store and all.
     assert!(
         wait_for_replica(&addrs[1], &key, Duration::from_secs(5)).is_some(),
         "replica reached the neighbor before the restart"
@@ -1073,17 +1139,10 @@ fn restarted_shard_warms_from_its_neighbor() {
     shard0.join();
 
     // Restart shard 0 on the same address with a cold store.
-    let listener = (0..50)
-        .find_map(|_| {
-            TcpListener::bind(addrs[0].as_str()).ok().or_else(|| {
-                std::thread::sleep(Duration::from_millis(100));
-                None
-            })
-        })
-        .expect("rebind the shard's address");
     let config =
         ServerConfig { workers: 2, peers: vec![addrs[1].clone()], ..ServerConfig::ephemeral() };
-    let restarted = serve_on(Arc::new(Session::test()), listener, config).expect("shard restarts");
+    let restarted =
+        serve_on(Arc::new(Session::test()), rebind(&addrs[0]), config).expect("shard restarts");
 
     // The first ask after the restart is answered from the neighbor's
     // replica — cached, byte-identical, and counted as a warm hit.
@@ -1134,8 +1193,9 @@ fn self_addressed_cluster_configs_are_rejected() {
 
 /// Live membership: a third shard joins a running 2-shard cluster via
 /// `--join` — no restarts — the epoch advances past the static
-/// bootstrap, and the background handoff streams the keys the wider
-/// ring moved onto the joiner, so it answers them from its store.
+/// bootstrap, and the joiner answers the keys the wider ring moved onto
+/// it from its store: each one's old owner is now its replica holder,
+/// so the joiner's first ask warms from there and no body is pushed.
 #[test]
 fn join_grows_the_ring_and_handoff_warms_the_new_shard() {
     let (handles, addrs) = test_cluster(2);
@@ -1148,26 +1208,18 @@ fn join_grows_the_ring_and_handoff_warms_the_new_shard() {
     for job in &jobs {
         assert!(client0.analyze(&job.app, job.variant).expect("warm wave").ok);
     }
+    wait_until_replicated(&addrs, jobs.len() as u64);
 
-    // Bind the joiner's address before it starts, so a store entry the
-    // wider ring will assign to it can be planted in the seed's store —
-    // the handoff probe does not depend on where the 21 apps hash.
-    let listener = TcpListener::bind("127.0.0.1:0").expect("bind joiner");
-    let joiner_addr = listener.local_addr().expect("addr").to_string();
-    let new_ring = Ring::new([addrs[0].clone(), addrs[1].clone(), joiner_addr.clone()]);
-    let probe_key = (0..)
-        .map(|i| format!("probe-{i}"))
-        .find(|k| new_ring.owner(k) == joiner_addr)
-        .expect("some key hashes to the joiner");
-    let probe_body = "{\"probe\":true}";
-    let put = client0
-        .request(&Request::StorePut {
-            key: probe_key.clone(),
-            body: probe_body.to_string(),
-            meta: PeerMeta::default(),
-        })
-        .expect("store_put");
-    assert!(put.ok, "{:?}", put.error);
+    // Bind the joiner's address before it starts, keeping one the wider
+    // ring hands at least one of the 21 reports.
+    let (listener, joiner_addr, new_ring) = std::iter::repeat_with(|| {
+        let listener = TcpListener::bind("127.0.0.1:0").expect("bind joiner");
+        let addr = listener.local_addr().expect("addr").to_string();
+        let ring = Ring::new([addrs[0].clone(), addrs[1].clone(), addr.clone()]);
+        (listener, addr, ring)
+    })
+    .find(|(_, addr, ring)| jobs.iter().any(|j| ring.owner(&analyze_key(&j.app)) == *addr))
+    .expect("some joiner address takes a key");
 
     let config =
         ServerConfig { workers: 2, join: Some(addrs[0].clone()), ..ServerConfig::ephemeral() };
@@ -1192,11 +1244,19 @@ fn join_grows_the_ring_and_handoff_warms_the_new_shard() {
     );
     assert!(seed_view.field("epoch").unwrap().as_u64().unwrap() >= 2);
 
-    // The seed's background handoff ships the planted entry to its new
-    // owner without any client asking for it.
-    let replica = wait_for_replica(&joiner_addr, &probe_key, Duration::from_secs(5))
-        .expect("handoff ships the moved entry to the joiner");
-    assert_eq!(replica, probe_body, "handed-off bytes identical");
+    // Every report the wider ring moved onto the joiner is answered
+    // `cached` and byte-identical: warmed from its old owner, which is
+    // now the key's replica holder, with no `store_put` to the joiner.
+    for moved in jobs.iter().filter(|j| new_ring.owner(&analyze_key(&j.app)) == joiner_addr) {
+        let warmed = jc.analyze(&moved.app, moved.variant).expect("moved key via the joiner");
+        assert!(warmed.ok && warmed.cached, "{moved}: the joiner warms its new keys");
+        let bytes = warmed.result.unwrap().compact();
+        assert_eq!(bytes, reference_body(&reference, moved), "{moved}: moved bytes identical");
+    }
+    let status = jc.status().expect("status").into_result().expect("ok");
+    let cluster = status.field("cluster").unwrap();
+    assert!(cluster.field("peer_warm_hits").unwrap().as_u64().unwrap() >= 1);
+    assert_eq!(cluster.field("replicated_in").unwrap().as_u64().unwrap(), 0, "no body pushed");
 
     // Epoch-tagged peer traffic is the anti-entropy channel: shard 1
     // took no part in the join, but one forwarded frame carrying the
@@ -1221,17 +1281,6 @@ fn join_grows_the_ring_and_handoff_warms_the_new_shard() {
         }
         assert!(std::time::Instant::now() < deadline, "shard 1 never refreshed its roster");
         std::thread::sleep(Duration::from_millis(50));
-    }
-
-    // When the hash moved a real report onto the joiner, the handoff
-    // delivered it too and the joiner answers it from its store.
-    if let Some(moved) = jobs.iter().find(|j| new_ring.owner(&analyze_key(&j.app)) == joiner_addr) {
-        let replica =
-            wait_for_replica(&joiner_addr, &analyze_key(&moved.app), Duration::from_secs(5))
-                .expect("handoff reaches the joiner");
-        assert_eq!(replica, reference_body(&reference, moved), "moved bytes identical");
-        let warmed = jc.analyze(&moved.app, moved.variant).expect("moved key via the joiner");
-        assert!(warmed.ok && warmed.cached, "the joiner answers its new keys from the handoff");
     }
 
     joiner.shutdown();
@@ -1302,23 +1351,27 @@ fn owner_down_falls_back_locally_and_trips_the_breaker() {
 
     // Kill the shard that owns the most keys, so the wave is guaranteed
     // to hit the corpse several times.
-    let mut owned = vec![0usize; addrs.len()];
-    for job in &jobs {
-        let owner = ring.owner(&analyze_key(&job.app)).to_string();
-        owned[addrs.iter().position(|a| *a == owner).expect("owner is a member")] += 1;
-    }
-    let dead_idx = owned.iter().enumerate().max_by_key(|&(_, n)| *n).expect("3 shards").0;
+    let dead_idx = heaviest_owner(&addrs, &jobs);
     let dead_addr = addrs[dead_idx].clone();
     let dead = handles.remove(dead_idx);
     dead.shutdown();
     dead.join();
 
-    // Through the survivor whose ring successor is alive: the other one
-    // replicates to the corpse, and those `store_put`s can trip its
-    // breaker before the first forward gets to spend a retry token.
+    // Through the survivor that replicates least to the corpse before
+    // its first forward there: each such `store_put` fails and counts
+    // toward the corpse's breaker, which could trip before the first
+    // forward gets to spend a retry token.
+    let keys: Vec<String> = jobs.iter().map(job_key).collect();
+    let pushes_to_corpse = |via: &String| {
+        keys.iter()
+            .take_while(|k| ring.owner(k) != dead_addr)
+            .filter(|k| ring.owner(k) == via && ring.replica(k) == Some(dead_addr.as_str()))
+            .count()
+    };
     let live = addrs
         .iter()
-        .find(|a| **a != dead_addr && ring.successor(a) != Some(dead_addr.as_str()))
+        .filter(|a| **a != dead_addr)
+        .min_by_key(|a| pushes_to_corpse(a))
         .expect("a survivor");
     let mut client = ServeClient::connect(live.as_str()).expect("connect survivor");
     for job in &jobs {
@@ -1510,10 +1563,10 @@ fn a_seeded_fault_plan_scripts_forward_failures_deterministically() {
     }
 }
 
-/// `leave` drains a shard out of the ring: its store ships to the new
-/// owners, the survivors' rosters shrink (down to a 1-member ring with
-/// no successor), and the drained daemon keeps serving — it just owns
-/// nothing.
+/// `leave` drains a shard out of the ring: the survivors' rosters
+/// shrink (down to a 1-member ring), each of its keys passes to the
+/// survivor already holding the key's replica, and the drained daemon
+/// keeps serving — it just owns nothing.
 #[test]
 fn leave_drains_the_shard_into_the_survivors() {
     let (handles, addrs) = test_cluster(2);
@@ -1533,6 +1586,10 @@ fn leave_drains_the_shard_into_the_survivors() {
     let mut client1 = ServeClient::connect(addrs[1].as_str()).expect("connect shard 1");
     let computed = client1.analyze(&job.app, job.variant).expect("compute on the owner");
     assert!(computed.ok && !computed.cached);
+    // The owner pushed the body to the key's replica holder — in a
+    // 2-member ring, shard 0 — when it computed it.
+    assert_eq!(ring.replica(&key), Some(addrs[0].as_str()));
+    wait_until_replicated(&addrs, 1);
 
     let drained = client1
         .request(&Request::Leave { addr: None, meta: PeerMeta::default() })
@@ -1541,16 +1598,13 @@ fn leave_drains_the_shard_into_the_survivors() {
         .expect("drain ok");
     assert!(drained.field("left").unwrap().as_bool().unwrap());
     assert!(drained.field("epoch").unwrap().as_u64().unwrap() >= 2);
-    assert!(drained.field("handed_off").unwrap().as_u64().unwrap() >= 1, "store shipped out");
-    assert_eq!(drained.field("handoff_failed").unwrap().as_u64().unwrap(), 0);
 
-    // The survivor heard the departure announce: a 1-member ring, no
-    // successor, and the drained shard's entry in its store.
+    // The survivor heard the departure announce: a 1-member ring, and
+    // the drained shard's entry in its store.
     let mut client0 = ServeClient::connect(addrs[0].as_str()).expect("connect shard 0");
     let view = client0.request(&Request::RingStatus).expect("ring").into_result().expect("ok");
     assert_eq!(view.field("members").unwrap().as_array().unwrap().len(), 1);
     assert!(view.field("epoch").unwrap().as_u64().unwrap() >= 2);
-    assert_eq!(view.field("successor").unwrap(), &Json::Null, "1-member ring");
     let replica = wait_for_replica(&addrs[0], &key, Duration::from_secs(5))
         .expect("drained entry reached the survivor");
     assert_eq!(replica, expected, "drained bytes identical");
@@ -1572,7 +1626,7 @@ fn leave_drains_the_shard_into_the_survivors() {
 /// calls, a shard is killed mid-sweep and evicted, a replacement joins
 /// the live ring, and every survivor still answers all 21 apps with
 /// bytes identical to `run_one` — with the churn (epoch bumps, spent
-/// retries, fired faults, handoff) visible in `status`.
+/// retries, fired faults) visible in `status`.
 #[test]
 fn chaos_membership_churn_keeps_bytes_identical() {
     let plan = FaultPlan::parse("seed=42;delay:*:ms=2,count=8").expect("plan parses");
@@ -1607,18 +1661,18 @@ fn chaos_membership_churn_keeps_bytes_identical() {
     dead.join();
 
     // A key the corpse owned, asked through the survivor that does NOT
-    // hold the corpse's replicas: the forward burns a budgeted retry,
-    // then falls back to a local compute — and the bytes do not change.
-    // (The corpse's ring successor would answer from its replica set
-    // instead, which is the other designed degraded path.)
-    let replica_holder = old_ring.successor(&dead_addr).expect("3-member ring").to_string();
-    let degraded_addr =
-        survivors.iter().find(|a| **a != replica_holder).expect("a replica-free survivor").clone();
+    // hold the key's replica: the forward burns a budgeted retry, then
+    // falls back to a local compute — and the bytes do not change. (The
+    // key's replica holder would answer from its store instead, which
+    // is the other designed degraded path.)
     let (lost_idx, lost_job) = jobs
         .iter()
         .enumerate()
         .find(|(_, j)| old_ring.owner(&analyze_key(&j.app)) == dead_addr)
         .expect("some app hashed to the dead shard");
+    let replica_holder = old_ring.replica(&analyze_key(&lost_job.app)).expect("3-member ring");
+    let degraded_addr =
+        survivors.iter().find(|a| *a != replica_holder).expect("a replica-free survivor").clone();
     let mut degraded = ServeClient::connect(degraded_addr.as_str()).expect("connect survivor");
     let r = degraded.analyze(&lost_job.app, lost_job.variant).expect("degraded analyze");
     assert!(r.ok, "{:?}", r.error);
@@ -1651,19 +1705,6 @@ fn chaos_membership_churn_keeps_bytes_identical() {
         ServerConfig { workers: 2, join: Some(addrs[0].clone()), ..ServerConfig::ephemeral() };
     handles.push(serve_on(Arc::new(Session::test()), listener, config).expect("replacement joins"));
 
-    // If the new ring moved one of shard 0's stored keys onto the
-    // replacement, the background handoff delivers it before any
-    // client asks.
-    let new_ring = Ring::new(survivors.iter().cloned().chain(std::iter::once(new_addr.clone())));
-    if let Some((idx, job)) = jobs.iter().enumerate().find(|(_, j)| {
-        let key = analyze_key(&j.app);
-        old_ring.owner(&key) == addrs[0] && new_ring.owner(&key) == new_addr
-    }) {
-        let replica = wait_for_replica(&new_addr, &analyze_key(&job.app), Duration::from_secs(5))
-            .expect("handoff reaches the replacement");
-        assert_eq!(replica, expected[idx], "handed-off bytes identical");
-    }
-
     // Wave 2 through every survivor: the shard that saw the churn, the
     // shard that must catch up lazily, and the brand-new member.
     for addr in survivors.iter().cloned().chain(std::iter::once(new_addr.clone())) {
@@ -1691,6 +1732,163 @@ fn chaos_membership_churn_keeps_bytes_identical() {
         handle.shutdown();
         handle.join();
     }
+}
+
+// ---------------------------------------------------------------------
+// Where a body lives: a membership change recomputes nothing
+// ---------------------------------------------------------------------
+
+/// A settled 3-shard cluster holding all 47 registry variants. Wave 1
+/// went through shard 0, so each body was computed by its key's owner
+/// and pushed once, to the key's replica holder.
+struct Settled {
+    handles: Vec<gpa::serve::ServerHandle>,
+    addrs: Vec<String>,
+    jobs: Vec<AnalysisJob>,
+    wave1: Vec<String>,
+}
+
+fn settled_cluster() -> Settled {
+    let (handles, addrs) = test_cluster(3);
+    let jobs = Session::test().jobs_for_all_variants();
+    assert_eq!(jobs.len(), 47);
+    let mut client = ServeClient::connect(addrs[0].as_str()).expect("connect shard 0");
+    let wave1 = jobs
+        .iter()
+        .map(|job| {
+            let r = client.analyze(&job.app, job.variant).expect("wave 1");
+            assert!(r.ok && !r.cached, "{job}: {:?}", r.error);
+            r.result.unwrap().compact()
+        })
+        .collect();
+    wait_until_replicated(&addrs, jobs.len() as u64);
+    Settled { handles, addrs, jobs, wave1 }
+}
+
+impl Settled {
+    /// Once every shard at `live` lists exactly `live`, asks every
+    /// variant through `via`: each answer must be `cached` — nothing is
+    /// recomputed — and byte-identical to wave 1.
+    fn second_wave(&self, live: &[String], via: &str) {
+        wait_for_roster(live);
+        let mut client = ServeClient::connect(via).expect("connect");
+        for (job, want) in self.jobs.iter().zip(&self.wave1) {
+            let r = client.analyze(&job.app, job.variant).expect("wave 2");
+            assert!(r.ok, "{job}: {:?}", r.error);
+            assert!(r.cached, "{job}: recomputed after the membership change");
+            assert_eq!(&r.result.unwrap().compact(), want, "{job}: wave 2 bytes");
+        }
+    }
+
+    fn shut_down(self) {
+        for handle in self.handles {
+            handle.shutdown();
+            handle.join();
+        }
+    }
+}
+
+/// The heaviest owner dies and is evicted: each of its keys passes to
+/// the member already holding the key's replica, so nothing is pushed,
+/// pulled or recomputed.
+#[test]
+fn a_killed_owner_costs_no_recompute_and_no_body_shipped() {
+    let mut settled = settled_cluster();
+    let dead_idx = heaviest_owner(&settled.addrs, &settled.jobs);
+    let dead_addr = settled.addrs.remove(dead_idx);
+    let live = settled.addrs.clone();
+    let (pushed, pulled) =
+        (cluster_sum(&live, "replicated_in"), cluster_sum(&live, "peer_warm_hits"));
+    let dead = settled.handles.remove(dead_idx);
+    dead.shutdown();
+    dead.join();
+    let mut client = ServeClient::connect(live[0].as_str()).expect("connect survivor");
+    let evicted = client
+        .request(&Request::Leave { addr: Some(dead_addr), meta: PeerMeta::default() })
+        .expect("leave")
+        .into_result()
+        .expect("evict ok");
+    assert!(evicted.field("removed").unwrap().as_bool().unwrap());
+
+    settled.second_wave(&live, &live[1]);
+    assert_eq!(cluster_sum(&live, "replicated_in"), pushed, "no body was pushed");
+    assert_eq!(cluster_sum(&live, "peer_warm_hits"), pulled, "no body was pulled");
+    settled.shut_down();
+}
+
+/// The heaviest owner leaves on its own: the same hand-over as a kill,
+/// with the announce doing the eviction.
+#[test]
+fn a_self_leave_costs_no_recompute_and_no_body_shipped() {
+    let settled = settled_cluster();
+    let leaver = heaviest_owner(&settled.addrs, &settled.jobs);
+    let live: Vec<String> = settled
+        .addrs
+        .iter()
+        .enumerate()
+        .filter(|&(i, _)| i != leaver)
+        .map(|(_, a)| a.clone())
+        .collect();
+    let (pushed, pulled) =
+        (cluster_sum(&live, "replicated_in"), cluster_sum(&live, "peer_warm_hits"));
+    let mut client = ServeClient::connect(settled.addrs[leaver].as_str()).expect("connect leaver");
+    let left = client
+        .request(&Request::Leave { addr: None, meta: PeerMeta::default() })
+        .expect("leave")
+        .into_result()
+        .expect("drain ok");
+    assert!(left.field("left").unwrap().as_bool().unwrap());
+
+    settled.second_wave(&live, &live[0]);
+    assert_eq!(cluster_sum(&live, "replicated_in"), pushed, "no body was pushed");
+    assert_eq!(cluster_sum(&live, "peer_warm_hits"), pulled, "no body was pulled");
+    settled.shut_down();
+}
+
+/// The heaviest owner restarts in place with a cold store: the ring is
+/// unchanged, so its owned misses warm from their replica holders and
+/// nothing is pushed.
+#[test]
+fn a_restart_in_place_costs_no_recompute_and_no_body_shipped() {
+    let mut settled = settled_cluster();
+    let idx = heaviest_owner(&settled.addrs, &settled.jobs);
+    let addr = settled.addrs[idx].clone();
+    let others: Vec<String> = settled.addrs.iter().filter(|a| **a != addr).cloned().collect();
+    let pushed = cluster_sum(&others, "replicated_in");
+    let old = settled.handles.remove(idx);
+    old.shutdown();
+    old.join();
+    let config =
+        ServerConfig { workers: 2, reactors: 2, peers: others, ..ServerConfig::ephemeral() };
+    let restarted = serve_on(Arc::new(Session::test()), rebind(&addr), config).expect("restarts");
+    settled.handles.push(restarted);
+
+    settled.second_wave(&settled.addrs, &addr);
+    assert_eq!(cluster_sum(&settled.addrs, "replicated_in"), pushed, "no body was pushed");
+    settled.shut_down();
+}
+
+/// A 4th shard joins: for every key it takes, the old owner is now the
+/// key's replica holder, so the joiner's owned misses warm from there
+/// and nothing is pushed.
+#[test]
+fn a_join_costs_no_recompute_and_no_body_shipped() {
+    let mut settled = settled_cluster();
+    let pushed = cluster_sum(&settled.addrs, "replicated_in");
+    let listener = TcpListener::bind("127.0.0.1:0").expect("bind joiner");
+    let joiner = listener.local_addr().expect("addr").to_string();
+    let config = ServerConfig {
+        workers: 2,
+        reactors: 2,
+        join: Some(settled.addrs[0].clone()),
+        ..ServerConfig::ephemeral()
+    };
+    settled.handles.push(serve_on(Arc::new(Session::test()), listener, config).expect("joins"));
+    settled.addrs.push(joiner.clone());
+
+    settled.second_wave(&settled.addrs, &joiner);
+    assert_eq!(cluster_sum(&settled.addrs, "replicated_in"), pushed, "no body was pushed");
+    settled.shut_down();
 }
 
 /// Connection-scoped state survives the multi-reactor split: with every
