@@ -53,7 +53,7 @@ const USAGE: &str = "usage: gpa <command> [args] [flags]\n\n  \
      [--reactors N]                             reactor threads (default: CPU count, capped at 8)\n           \
      [--peers A,B,..] [--advertise A]           shard with peer daemons (consistent hashing)\n           \
      [--join A]                                 join a running cluster member at startup\n           \
-     [--faults SPEC]                            seeded peer fault injection (chaos testing)\n  \
+     [--faults SPEC]                            scripted peer fault injection (chaos testing)\n  \
      request analyze <app> [variant] [--addr A]          analyze on the daemon\n  \
      request analyze_profile <app> [variant] --profile F advise on a saved profile\n  \
      request status|shutdown [--addr A]                  daemon control\n  \

@@ -524,7 +524,7 @@ const PROBES: &[(&[&str], i32, &str)] = &[
     (
         &["serve", "--faults", "seed=1"],
         2,
-        "gpa: fault spec: no rules (expected `action:peer[:params]` parts)",
+        "gpa: fault spec: `seed=1` is not `action:peer[:params]`",
     ),
     (&["frobnicate"], 2, "gpa: unknown command `frobnicate`"),
     (&[], 2, "usage: gpa <command> [args] [flags]"),

@@ -15,61 +15,6 @@ use std::time::Duration;
 /// short enough that a wedged daemon cannot hang `gpa request` forever.
 const DEFAULT_IO_TIMEOUT: Duration = Duration::from_secs(30);
 
-/// A typed peer/daemon call failure, so callers can tell a retryable
-/// stale pooled socket from a fatal transport error.
-///
-/// A connection parked in a pool can be closed by the far end at any
-/// time (idle reaping, a restart); the first request on it then fails
-/// even though the peer is healthy. That failure is
-/// [`ClientError::StaleConnection`] — retry on a fresh connection
-/// without spending retry budget. A failure on a *fresh* connection is
-/// [`ClientError::Io`]: the peer (or the path to it) is actually
-/// misbehaving, and retrying costs budget.
-#[derive(Debug)]
-pub enum ClientError {
-    /// A pooled connection failed on reuse; retry on a fresh one.
-    StaleConnection(io::Error),
-    /// A fresh connection failed: dial, write, read, or deadline.
-    Io(io::Error),
-}
-
-impl ClientError {
-    /// Whether retrying (on a fresh connection) is expected to help
-    /// without the peer itself recovering.
-    pub fn is_retryable(&self) -> bool {
-        matches!(self, ClientError::StaleConnection(_))
-    }
-
-    /// The underlying transport error.
-    pub fn as_io(&self) -> &io::Error {
-        match self {
-            ClientError::StaleConnection(e) | ClientError::Io(e) => e,
-        }
-    }
-
-    /// Unwraps into the underlying transport error.
-    pub fn into_io(self) -> io::Error {
-        match self {
-            ClientError::StaleConnection(e) | ClientError::Io(e) => e,
-        }
-    }
-}
-
-impl std::fmt::Display for ClientError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            ClientError::StaleConnection(e) => write!(f, "stale pooled connection: {e}"),
-            ClientError::Io(e) => write!(f, "{e}"),
-        }
-    }
-}
-
-impl std::error::Error for ClientError {
-    fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
-        Some(self.as_io())
-    }
-}
-
 /// A connected daemon client.
 ///
 /// The request and response buffers live on the client and are reused
@@ -384,22 +329,5 @@ impl ServeClient {
     /// I/O failure or a malformed response frame.
     pub fn shutdown(&mut self) -> io::Result<Response> {
         self.request(&Request::Shutdown)
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn client_error_classifies_retryability() {
-        let stale =
-            ClientError::StaleConnection(io::Error::new(io::ErrorKind::UnexpectedEof, "eof"));
-        let fresh = ClientError::Io(io::Error::new(io::ErrorKind::ConnectionRefused, "refused"));
-        assert!(stale.is_retryable());
-        assert!(!fresh.is_retryable());
-        assert!(stale.to_string().contains("stale pooled connection"));
-        assert_eq!(fresh.as_io().kind(), io::ErrorKind::ConnectionRefused);
-        assert_eq!(stale.into_io().kind(), io::ErrorKind::UnexpectedEof);
     }
 }

@@ -1,14 +1,14 @@
 //! Cluster membership: the epoch-versioned roster and the ring derived
 //! from it, the membership ops (`join` / `leave` / `ring_status`), the
 //! stale-epoch gate, the replicator, and the background chore thread
-//! (refreshes, breaker probes, heartbeats).
+//! (refreshes and heartbeats; a heartbeat to a member whose breaker
+//! has cooled down is its half-open probe).
 //!
 //! A body moves between shards in two ways only: the owner pushes each
 //! body it computes to the key's [replica holder](Ring::replica), and
 //! an owned miss pulls from that holder before computing. Placement by
 //! key makes those two enough through a kill, leave, restart or join.
 
-use crate::client::ClientError;
 use crate::faults::PeerOp;
 use crate::metrics::Metrics;
 use crate::peer::PeerTable;
@@ -37,15 +37,15 @@ const PEER_IO_TIMEOUT: Duration = Duration::from_secs(5);
 const REFRESH_QUEUE: usize = 32;
 
 /// How often the cluster chore thread wakes with no work queued, to
-/// probe tripped peers (half-open breaker checks double as roster
-/// anti-entropy).
+/// check whether a heartbeat is due and whether shutdown has begun.
 const CLUSTER_TICK: Duration = Duration::from_millis(250);
 
-/// How often the chore thread heartbeats *healthy* roster members (a
+/// How often the chore thread heartbeats the roster members (a
 /// `ring_status` exchange, so liveness checks double as anti-entropy).
 /// A dead peer fails [`TRIP_THRESHOLD`](crate::peer) consecutive
 /// heartbeats and trips its breaker in a few seconds — before the
-/// first user call has to eat the failure.
+/// first user call has to eat the failure — and once its cooldown
+/// elapses, the next heartbeat is the half-open probe.
 const HEARTBEAT_INTERVAL: Duration = Duration::from_millis(1000);
 
 /// The roster and everything derived from it, swapped atomically under
@@ -61,7 +61,7 @@ pub(crate) struct ClusterState {
 pub(crate) struct Cluster {
     pub(crate) self_addr: String,
     pub(crate) state: RwLock<ClusterState>,
-    /// Pooled + breaker-guarded + budgeted peer connections.
+    /// Pooled, breaker-guarded peer connections.
     pub(crate) peers: PeerTable,
     /// Sender side of the replication queue; `None` once shutdown has
     /// begun (dropping it lets the replicator thread exit).
@@ -107,7 +107,6 @@ impl Cluster {
             peers: PeerTable::new(
                 PEER_IO_TIMEOUT,
                 config.peer_trip_cooldown,
-                config.peer_retry_budget,
                 config.faults.clone(),
             ),
             repl_tx: Mutex::new(Some(repl_tx)),
@@ -176,19 +175,16 @@ impl Cluster {
     }
 
     /// Sends one `op`-class request line to `addr` over the hardened
-    /// peer path and returns the reply line; `retry` lets a failed call
-    /// spend a budget token.
+    /// peer path and returns the reply line.
     pub(crate) fn ask(
         &self,
         addr: &str,
         op: PeerOp,
         metrics: &Metrics,
-        retry: bool,
         wire: &str,
-    ) -> Result<String, ClientError> {
-        self.peers.call(addr, op, metrics, retry, |client| {
-            Ok(client.request_line(wire)?.trim_end().to_string())
-        })
+    ) -> io::Result<String> {
+        self.peers
+            .call(addr, op, metrics, |client| Ok(client.request_line(wire)?.trim_end().to_string()))
     }
 }
 
@@ -223,10 +219,9 @@ fn reply_roster(line: &str) -> Option<(u64, Vec<String>)> {
 pub(crate) fn join_cluster(shared: &Shared, seed: &str) -> io::Result<()> {
     let cluster = shared.cluster.as_ref().expect("join implies cluster mode");
     let wire = Request::Join { addr: cluster.self_addr.clone(), meta: cluster.meta() }.to_wire();
-    let line =
-        cluster.ask(seed, PeerOp::Membership, &shared.metrics, true, &wire).map_err(|e| {
-            io::Error::new(io::ErrorKind::ConnectionRefused, format!("join via {seed}: {e}"))
-        })?;
+    let line = cluster.ask(seed, PeerOp::Membership, &shared.metrics, &wire).map_err(|e| {
+        io::Error::new(io::ErrorKind::ConnectionRefused, format!("join via {seed}: {e}"))
+    })?;
     let (epoch, members) = reply_roster(&line).ok_or_else(|| {
         io::Error::new(io::ErrorKind::InvalidData, format!("join via {seed}: no roster in {line}"))
     })?;
@@ -350,7 +345,7 @@ pub(crate) fn drain_self(shared: &Shared) -> String {
     let announce =
         Request::Leave { addr: Some(cluster.self_addr.clone()), meta: cluster.meta() }.to_wire();
     for member in &members {
-        let _ = cluster.ask(member, PeerOp::Membership, &shared.metrics, false, &announce);
+        let _ = cluster.ask(member, PeerOp::Membership, &shared.metrics, &announce);
     }
     protocol::ok_frame(false, &Json::object().with("left", true).with("epoch", epoch).compact())
 }
@@ -367,7 +362,7 @@ pub(crate) fn replicator_loop(shared: &Shared, rx: &mpsc::Receiver<(String, Stri
         // replicate to — not a drop.
         let Some(holder) = cluster.replica(&key) else { continue };
         let wire = Request::StorePut { key, body, meta: cluster.meta() }.to_wire();
-        match cluster.ask(&holder, PeerOp::Store, &shared.metrics, false, &wire) {
+        match cluster.ask(&holder, PeerOp::Store, &shared.metrics, &wire) {
             Ok(_) => {
                 shared.metrics.replicated_out.fetch_add(1, Ordering::Relaxed);
             }
@@ -379,11 +374,9 @@ pub(crate) fn replicator_loop(shared: &Shared, rx: &mpsc::Receiver<(String, Stri
 }
 
 /// The cluster chore thread: runs roster refreshes off the request
-/// path; on idle ticks probes tripped peers (the probe doubles as
-/// roster anti-entropy) and, every [`HEARTBEAT_INTERVAL`], heartbeats
-/// the healthy members so a dead peer is discovered — and its breaker
-/// tripped — before the first user call. Exits when the refresh sender
-/// is dropped (shutdown).
+/// path and, every [`HEARTBEAT_INTERVAL`], heartbeats the members so a
+/// dead peer is discovered — and its breaker tripped — before the first
+/// user call. Exits when the refresh sender is dropped (shutdown).
 pub(crate) fn cluster_loop(shared: &Shared, rx: &mpsc::Receiver<String>) {
     let mut last_heartbeat = Instant::now();
     loop {
@@ -393,7 +386,6 @@ pub(crate) fn cluster_loop(shared: &Shared, rx: &mpsc::Receiver<String>) {
         match rx.recv_timeout(CLUSTER_TICK) {
             Ok(addr) => refresh_from(shared, &addr, PeerOp::Membership),
             Err(mpsc::RecvTimeoutError::Timeout) => {
-                probe_tripped_peers(shared);
                 if last_heartbeat.elapsed() >= HEARTBEAT_INTERVAL {
                     last_heartbeat = Instant::now();
                     heartbeat_members(shared);
@@ -405,11 +397,12 @@ pub(crate) fn cluster_loop(shared: &Shared, rx: &mpsc::Receiver<String>) {
 }
 
 /// One liveness pass over the roster: a cheap `ring_status` exchange
-/// with every healthy member. Failures are recorded by the peer table
-/// exactly like user-call failures, so three missed heartbeats trip the
-/// member's breaker and user requests fail fast to local computation
-/// instead of eating a connect timeout. Tripped members are skipped —
-/// [`probe_tripped_peers`] owns them until the cooldown probe succeeds.
+/// with every member (doubling as roster anti-entropy). Failures are
+/// recorded by the peer table exactly like user-call failures, so three
+/// missed heartbeats trip the member's breaker and user requests fail
+/// fast to local computation instead of eating a connect timeout. A
+/// member is skipped only while its breaker is open; once the cooldown
+/// elapses, its heartbeat passes the gate as the half-open probe.
 fn heartbeat_members(shared: &Shared) {
     let Some(cluster) = &shared.cluster else { return };
     for addr in cluster.members() {
@@ -433,23 +426,9 @@ fn refresh_from(shared: &Shared, addr: &str, op: PeerOp) {
         return;
     }
     let wire = Request::RingStatus.to_wire();
-    let Ok(line) = cluster.ask(addr, op, &shared.metrics, false, &wire) else { return };
+    let Ok(line) = cluster.ask(addr, op, &shared.metrics, &wire) else { return };
     let Some((epoch, members)) = reply_roster(&line) else { return };
     if cluster.adopt(epoch, &members) {
         shared.metrics.ring_refreshes.fetch_add(1, Ordering::Relaxed);
-    }
-}
-
-/// Sends one `ring_status` probe to every peer whose breaker cooldown
-/// has elapsed: the success closes the breaker, and the answered
-/// roster catches this shard up on anything it missed while the peer
-/// was unreachable.
-fn probe_tripped_peers(shared: &Shared) {
-    let Some(cluster) = &shared.cluster else { return };
-    for addr in cluster.peers.ready_to_probe() {
-        if shared.shutting_down.load(Ordering::Acquire) {
-            return;
-        }
-        refresh_from(shared, &addr, PeerOp::Heartbeat);
     }
 }

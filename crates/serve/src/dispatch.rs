@@ -293,9 +293,7 @@ fn forward(shared: &Shared, owner: &str, request: &Request) -> Result<Forwarded,
         options.meta = cluster.meta();
     }
     let wire = forwarded.to_wire();
-    let line = cluster
-        .ask(owner, PeerOp::Forward, &shared.metrics, true, &wire)
-        .map_err(crate::client::ClientError::into_io)?;
+    let line = cluster.ask(owner, PeerOp::Forward, &shared.metrics, &wire)?;
     if let Some((epoch, members)) = protocol::parse_stale_epoch(&line) {
         if cluster.adopt(epoch, &members) {
             shared.metrics.ring_refreshes.fetch_add(1, Ordering::Relaxed);
@@ -315,7 +313,7 @@ fn warm_from_replica(shared: &Shared, key: &str) -> Option<String> {
     }
     let holder = cluster.replica(key)?;
     let wire = Request::StoreGet { key: key.to_string() }.to_wire();
-    let line = cluster.ask(&holder, PeerOp::Store, &shared.metrics, false, &wire).ok()?;
+    let line = cluster.ask(&holder, PeerOp::Store, &shared.metrics, &wire).ok()?;
     let doc = Json::parse(&line).ok()?;
     if !doc.get("ok")?.as_bool().ok()? {
         return None;

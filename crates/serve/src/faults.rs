@@ -1,16 +1,16 @@
 //! Deterministic fault injection for the peer path.
 //!
-//! A [`FaultPlan`] is a seeded script of failures — drop a call, delay
+//! A [`FaultPlan`] is a script of failures — drop a call, delay
 //! it, or sever a peer's pooled connections — evaluated every time the
 //! daemon dials a peer. Chaos tests (and operators reproducing an
 //! outage) gate it through [`ServerConfig::faults`] (`gpa serve
 //! --faults SPEC`); production runs carry no plan and pay one branch
 //! per peer call.
 //!
-//! The spec grammar is a `;`-separated list of parts:
+//! The spec grammar is a `;`-separated list of rules:
 //!
 //! ```text
-//! seed=42;deny:127.0.0.1:7072:after=3,count=5;delay:*:ms=10;sever:*:count=1
+//! deny:127.0.0.1:7072:after=3,count=5;delay:*:ms=10;sever:*:count=1
 //! ```
 //!
 //! Each rule names an action (`deny`, `delay`, `sever`), a peer
@@ -25,12 +25,10 @@
 //! address/parameter split is positional — the last `:`-segment is
 //! parameters exactly when it contains `=`, so bare `host:port`
 //! addresses need no escaping. Rules are checked in order; the first
-//! one whose window covers the call fires. The `seed` also drives the
-//! retry backoff jitter, so a failing run replays exactly.
+//! one whose window covers the call fires.
 //!
 //! [`ServerConfig::faults`]: crate::server::ServerConfig::faults
 
-use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -54,7 +52,8 @@ pub enum PeerOp {
     Forward,
     /// `store_get` / `store_put`: replication and warm-from-replica.
     Store,
-    /// The periodic liveness probe and the tripped-peer cooldown probe.
+    /// The periodic liveness probe, which is also a tripped peer's
+    /// half-open probe once its cooldown elapses.
     Heartbeat,
     /// `join` / `leave` announcements and roster refreshes.
     Membership,
@@ -96,21 +95,16 @@ impl FaultRule {
     }
 }
 
-/// A seeded, scripted set of peer-path faults.
+/// A scripted set of peer-path faults.
 ///
-/// Cloning shares the rule counters (an [`Arc`]), so the daemon's
-/// threads consume one global window per rule — "fail the first 5
-/// forwards" means 5 across the process, not 5 per thread.
+/// Cloning shares the counters (an [`Arc`]), so the daemon's threads
+/// consume one global window per rule — "fail the first 5 forwards"
+/// means 5 across the process, not 5 per thread.
 #[derive(Debug, Clone)]
 pub struct FaultPlan {
-    seed: u64,
     rules: Arc<[FaultRule]>,
-}
-
-impl fmt::Display for FaultPlan {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "seed={} ({} rule(s))", self.seed, self.rules.len())
-    }
+    /// Calls the plan faulted, however many rules matched each.
+    fired: Arc<AtomicU64>,
 }
 
 impl FaultPlan {
@@ -120,15 +114,8 @@ impl FaultPlan {
     ///
     /// A human-readable message naming the malformed part.
     pub fn parse(spec: &str) -> Result<FaultPlan, String> {
-        let mut seed = 0u64;
         let mut rules = Vec::new();
         for part in spec.split(';').map(str::trim).filter(|p| !p.is_empty()) {
-            if let Some(value) = part.strip_prefix("seed=") {
-                seed = value
-                    .parse()
-                    .map_err(|_| format!("fault spec: seed must be a u64, got `{value}`"))?;
-                continue;
-            }
             let (action_name, rest) = part
                 .split_once(':')
                 .ok_or_else(|| format!("fault spec: `{part}` is not `action:peer[:params]`"))?;
@@ -195,13 +182,7 @@ impl FaultPlan {
         if rules.is_empty() {
             return Err("fault spec: no rules (expected `action:peer[:params]` parts)".to_string());
         }
-        Ok(FaultPlan { seed, rules: rules.into() })
-    }
-
-    /// The plan's seed — shared with the retry backoff jitter so runs
-    /// replay deterministically.
-    pub fn seed(&self) -> u64 {
-        self.seed
+        Ok(FaultPlan { rules: rules.into(), fired: Arc::default() })
     }
 
     /// Evaluates the plan for one `op`-class call to `peer`: the first
@@ -219,24 +200,16 @@ impl FaultPlan {
                 fired = Some(rule.action);
             }
         }
+        if fired.is_some() {
+            self.fired.fetch_add(1, Ordering::Relaxed);
+        }
         fired
     }
 
-    /// Total calls that hit an active rule so far — surfaced in
-    /// `status` so a chaos run can assert its plan actually fired.
+    /// Calls the plan has faulted so far — surfaced in `status` so a
+    /// chaos run can assert its plan actually fired.
     pub fn fired(&self) -> u64 {
-        self.rules
-            .iter()
-            .map(|r| {
-                let seen = r.seen.load(Ordering::Relaxed);
-                let past = seen.saturating_sub(r.after);
-                if r.count == 0 {
-                    past
-                } else {
-                    past.min(r.count)
-                }
-            })
-            .sum()
+        self.fired.load(Ordering::Relaxed)
     }
 }
 
@@ -246,9 +219,7 @@ mod tests {
 
     #[test]
     fn parses_seed_windows_and_wildcards() {
-        let plan =
-            FaultPlan::parse("seed=42;deny:127.0.0.1:7072:after=1,count=2;delay:*:ms=10").unwrap();
-        assert_eq!(plan.seed(), 42);
+        let plan = FaultPlan::parse("deny:127.0.0.1:7072:after=1,count=2;delay:*:ms=10").unwrap();
         // First call to the denied peer is within `after`, so the
         // wildcard delay (unlimited) fires instead.
         assert_eq!(plan.check("127.0.0.1:7072", PeerOp::Forward), Some(FaultAction::Delay(10)));
@@ -260,7 +231,15 @@ mod tests {
         // Other peers only see the wildcard and never burn the deny
         // window.
         assert_eq!(plan.check("127.0.0.1:7073", PeerOp::Forward), Some(FaultAction::Delay(10)));
-        assert!(plan.fired() >= 5);
+        assert_eq!(plan.fired(), 5, "one per faulted call, not one per matching rule");
+
+        // Overlapping windows: the first two calls match both rules, the
+        // last two match neither.
+        let plan = FaultPlan::parse("deny:*:count=2;delay:*:ms=1,count=2").unwrap();
+        for expected in [Some(FaultAction::Deny), Some(FaultAction::Deny), None, None] {
+            assert_eq!(plan.check("a", PeerOp::Forward), expected);
+        }
+        assert_eq!(plan.fired(), 2);
     }
 
     #[test]
@@ -281,7 +260,7 @@ mod tests {
     fn rejects_malformed_specs() {
         for spec in [
             "",
-            "seed=abc",
+            "seed=1", // not action:peer
             "explode:*",
             "deny",
             "delay:*",          // delay needs ms=

@@ -48,7 +48,7 @@ mod status;
 pub mod store;
 mod uploads;
 
-pub use client::{ClientError, Response, ServeClient};
+pub use client::{Response, ServeClient};
 pub use faults::{FaultAction, FaultPlan, PeerOp};
 pub use metrics::{Metrics, ReactorStats};
 pub use protocol::{

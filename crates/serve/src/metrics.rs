@@ -42,11 +42,8 @@ pub struct Metrics {
     pub ring_refreshes: AtomicU64,
     /// Replications currently queued behind the replicator (gauge).
     pub replication_queued: AtomicU64,
-    /// Budgeted peer retries actually spent.
-    pub retries_spent: AtomicU64,
-    /// Peer retries denied because the token bucket was empty.
-    pub retries_denied: AtomicU64,
-    /// Free retries after a stale pooled connection failed on reuse.
+    /// Fresh dials after a stale pooled connection failed on reuse
+    /// (not counted against the peer's breaker).
     pub stale_retries: AtomicU64,
     /// Peer circuit breakers tripped open.
     pub breaker_trips: AtomicU64,
@@ -82,7 +79,7 @@ impl Metrics {
         if self.replication_dropped.fetch_add(1, Ordering::Relaxed) == 0 {
             eprintln!(
                 "gpa-serve: warning: replication dropped ({detail}); \
-                 further drops are counted in status.cluster.replication"
+                 further drops are counted in status.cluster.replication_dropped"
             );
         }
         *self.last_replication_error.lock().expect("replication error lock") =

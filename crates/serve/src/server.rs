@@ -52,10 +52,10 @@
 //! `ring_status` refresh), `leave` removes one. No body is shipped
 //! because the roster moved: a departed owner's keys pass to their
 //! replica holders, and a joiner pulls the keys it takes from their
-//! old owner, now their replica. Every peer call rides the hardened
-//! path in `peer.rs`: pooled connections, a circuit breaker per peer,
-//! a shared retry budget, and deterministic fault injection
-//! (`--faults`).
+//! old owner, now their replica. Every peer call is one attempt on the
+//! hardened path in `peer.rs`: pooled connections, a circuit breaker
+//! per peer, and deterministic fault injection (`--faults`); a failed
+//! call takes its caller's fallback.
 //!
 //! [`stale_epoch_frame`]: crate::protocol::stale_epoch_frame
 //! [`Roster`]: crate::ring::Roster
@@ -120,9 +120,6 @@ pub struct ServerConfig {
     /// Deterministic peer-path fault plan (chaos tests); `None` injects
     /// nothing.
     pub faults: Option<FaultPlan>,
-    /// Retry-budget capacity: the token bucket shared by every
-    /// budgeted peer retry (forwards).
-    pub peer_retry_budget: u32,
     /// How long a tripped peer breaker stays open before one call
     /// probes it half-open.
     pub peer_trip_cooldown: Duration,
@@ -147,7 +144,6 @@ impl Default for ServerConfig {
             advertise: None,
             join: None,
             faults: None,
-            peer_retry_budget: 16,
             peer_trip_cooldown: Duration::from_secs(2),
             idle_timeout: Duration::from_secs(60),
             max_pending_bytes: 64 * 1024 * 1024,

@@ -20,7 +20,6 @@ pub(crate) fn status_body(shared: &Shared) -> Json {
     };
     let mut body = Json::object()
         .with("uptime_ms", shared.started.elapsed().as_millis() as u64)
-        .with("engine", "reactor")
         .with("workers", shared.workers)
         .with(
             "schemas",
@@ -94,11 +93,8 @@ pub(crate) fn status_body(shared: &Shared) -> Json {
                     "replication",
                     Json::object()
                         .with("queued", m.replication_queued.load(Ordering::Relaxed))
-                        .with("shipped", m.replicated_out.load(Ordering::Relaxed))
-                        .with("dropped", m.replication_dropped.load(Ordering::Relaxed))
                         .with("last_error", last_error.map_or(Json::Null, Json::Str)),
                 )
-                .with("retry", cluster.peers.retry_json(m))
                 .with(
                     "breaker",
                     Json::object()

@@ -758,7 +758,6 @@ fn idle_connections_are_reaped_and_counted() {
     let status = client.status().expect("status").into_result().expect("ok");
     let reactor = status.field("reactor").unwrap();
     assert!(reactor.field("idle_reaped").unwrap().as_u64().unwrap() >= 1, "reap counted");
-    assert_eq!(status.field("engine").unwrap().as_str().unwrap(), "reactor");
     handle.shutdown();
     handle.join();
 }
@@ -1336,43 +1335,26 @@ fn stale_epoch_forwards_bounce_with_the_fresh_roster() {
 
 /// Owner-down degradation: with the heaviest-owning shard killed (no
 /// leave, no drain), every answer through a survivor still matches
-/// `run_one` — one budgeted retry per dead forward, then a counted
+/// `run_one` — each dead forward is one failed attempt, then a counted
 /// local fallback — and the dead peer's breaker trips, fast-fails,
-/// and is probed in the background.
+/// and is probed by the background heartbeat.
 #[test]
 fn owner_down_falls_back_locally_and_trips_the_breaker() {
     let (mut handles, addrs) = test_cluster_with(3, |_, config| ServerConfig {
         peer_trip_cooldown: Duration::from_millis(100),
         ..config
     });
-    let ring = Ring::new(addrs.iter().cloned());
     let reference = Session::test();
     let jobs = reference.jobs_for_all_apps();
 
     // Kill the shard that owns the most keys, so the wave is guaranteed
     // to hit the corpse several times.
     let dead_idx = heaviest_owner(&addrs, &jobs);
-    let dead_addr = addrs[dead_idx].clone();
     let dead = handles.remove(dead_idx);
     dead.shutdown();
     dead.join();
 
-    // Through the survivor that replicates least to the corpse before
-    // its first forward there: each such `store_put` fails and counts
-    // toward the corpse's breaker, which could trip before the first
-    // forward gets to spend a retry token.
-    let keys: Vec<String> = jobs.iter().map(job_key).collect();
-    let pushes_to_corpse = |via: &String| {
-        keys.iter()
-            .take_while(|k| ring.owner(k) != dead_addr)
-            .filter(|k| ring.owner(k) == via && ring.replica(k) == Some(dead_addr.as_str()))
-            .count()
-    };
-    let live = addrs
-        .iter()
-        .filter(|a| **a != dead_addr)
-        .min_by_key(|a| pushes_to_corpse(a))
-        .expect("a survivor");
+    let live = &addrs[(dead_idx + 1) % addrs.len()];
     let mut client = ServeClient::connect(live.as_str()).expect("connect survivor");
     for job in &jobs {
         let r = client.analyze(&job.app, job.variant).expect("degraded wave");
@@ -1387,8 +1369,6 @@ fn owner_down_falls_back_locally_and_trips_the_breaker() {
     let status = client.status().expect("status").into_result().expect("ok");
     let cluster = status.field("cluster").unwrap();
     assert!(cluster.field("forward_failures").unwrap().as_u64().unwrap() >= 1);
-    let retry = cluster.field("retry").unwrap();
-    assert!(retry.field("spent").unwrap().as_u64().unwrap() >= 1, "budgeted retries were spent");
     let breaker = cluster.field("breaker").unwrap();
     assert!(breaker.field("trips").unwrap().as_u64().unwrap() >= 1, "dead peer's breaker tripped");
     assert!(
@@ -1398,8 +1378,8 @@ fn owner_down_falls_back_locally_and_trips_the_breaker() {
         "post-trip calls fast-failed or probed"
     );
 
-    // The background chore probes the tripped peer once its cooldown
-    // elapses — visible without any client traffic.
+    // The background heartbeat probes the tripped peer once its
+    // cooldown elapses — visible without any client traffic.
     let deadline = std::time::Instant::now() + Duration::from_secs(3);
     loop {
         let status = client.status().expect("status").into_result().expect("ok");
@@ -1430,11 +1410,11 @@ fn owner_down_falls_back_locally_and_trips_the_breaker() {
 /// heartbeat intervals shard 0's breaker for the corpse trips in the
 /// background. The first real user call then fast-fails straight to a
 /// byte-identical local computation instead of eating a connect
-/// timeout. A seeded delay plan rides along to pin the heartbeat onto
+/// timeout. A delay plan rides along to pin the heartbeat onto
 /// the injected-fault path too (the counter proves it fired there).
 #[test]
 fn heartbeat_trips_a_dead_peers_breaker_before_any_user_call() {
-    let plan = FaultPlan::parse("seed=11;delay:*:ms=1,count=2").expect("plan parses");
+    let plan = FaultPlan::parse("delay:*:ms=1,count=2").expect("plan parses");
     let (mut handles, addrs) = test_cluster_with(2, |i, config| match i {
         0 => ServerConfig {
             faults: Some(plan.clone()),
@@ -1508,13 +1488,13 @@ fn heartbeat_trips_a_dead_peers_breaker_before_any_user_call() {
     }
 }
 
-/// A seeded fault plan scripts the peer path: `deny:*:op=forward,count=2` on
+/// A fault plan scripts the peer path: `deny:*:op=forward,count=2` on
 /// shard 0 kills exactly the first two forwards (each falling back to
 /// a byte-identical local compute) and the third sails through — the
 /// same way on every run.
 #[test]
 fn a_seeded_fault_plan_scripts_forward_failures_deterministically() {
-    let plan = FaultPlan::parse("seed=7;deny:*:op=forward,count=2").expect("plan parses");
+    let plan = FaultPlan::parse("deny:*:op=forward,count=2").expect("plan parses");
     let (handles, addrs) = test_cluster_with(2, |i, config| match i {
         0 => ServerConfig { faults: Some(plan.clone()), ..config },
         _ => config,
@@ -1622,14 +1602,14 @@ fn leave_drains_the_shard_into_the_survivors() {
     }
 }
 
-/// The acceptance chaos run: a seeded fault plan delays shard 0's peer
+/// The acceptance chaos run: a fault plan delays shard 0's peer
 /// calls, a shard is killed mid-sweep and evicted, a replacement joins
 /// the live ring, and every survivor still answers all 21 apps with
-/// bytes identical to `run_one` — with the churn (epoch bumps, spent
-/// retries, fired faults) visible in `status`.
+/// bytes identical to `run_one` — with the churn (epoch bumps, failed
+/// forwards, fired faults) visible in `status`.
 #[test]
 fn chaos_membership_churn_keeps_bytes_identical() {
-    let plan = FaultPlan::parse("seed=42;delay:*:ms=2,count=8").expect("plan parses");
+    let plan = FaultPlan::parse("delay:*:ms=2,count=8").expect("plan parses");
     let (mut handles, addrs) = test_cluster_with(3, |i, config| match i {
         0 => ServerConfig { faults: Some(plan.clone()), ..config },
         _ => config,
@@ -1661,8 +1641,8 @@ fn chaos_membership_churn_keeps_bytes_identical() {
     dead.join();
 
     // A key the corpse owned, asked through the survivor that does NOT
-    // hold the key's replica: the forward burns a budgeted retry, then
-    // falls back to a local compute — and the bytes do not change. (The
+    // hold the key's replica: the forward fails, then falls back to a
+    // local compute — and the bytes do not change. (The
     // key's replica holder would answer from its store instead, which
     // is the other designed degraded path.)
     let (lost_idx, lost_job) = jobs
@@ -1679,17 +1659,8 @@ fn chaos_membership_churn_keeps_bytes_identical() {
     assert_eq!(r.result.unwrap().compact(), expected[lost_idx], "fallback bytes identical");
     let status = degraded.status().expect("status").into_result().expect("ok");
     assert!(
-        status
-            .field("cluster")
-            .unwrap()
-            .field("retry")
-            .unwrap()
-            .field("spent")
-            .unwrap()
-            .as_u64()
-            .unwrap()
-            >= 1,
-        "the dead owner cost a budgeted retry"
+        status.field("cluster").unwrap().field("forward_failures").unwrap().as_u64().unwrap() >= 1,
+        "the dead owner cost a failed forward"
     );
 
     // Evict the corpse, then a replacement joins through shard 0.
@@ -1726,7 +1697,7 @@ fn chaos_membership_churn_keeps_bytes_identical() {
     assert!(members.iter().all(|m| m.as_str().unwrap() != dead_addr));
     let faults = cluster.field("faults").unwrap();
     assert!(faults.field("active").unwrap().as_bool().unwrap());
-    assert!(faults.field("fired").unwrap().as_u64().unwrap() >= 1, "the seeded plan fired");
+    assert!(faults.field("fired").unwrap().as_u64().unwrap() >= 1, "the plan fired");
 
     for handle in handles {
         handle.shutdown();
