@@ -6,8 +6,7 @@
 //! `schema_version`, optional values are explicit `null`s (fields are
 //! never omitted), enums serialize as fixed slugs, and field order is
 //! fixed — so a report round-trips **byte-identically** through
-//! `report_to_json(..).compact()` → [`Json::parse`] →
-//! [`report_from_json`]. `docs/advice-schema.md` specifies the layout
+//! [`report_to_json`] → [`Json::parse`] → [`report_from_json`]. `docs/advice-schema.md` specifies the layout
 //! field by field, the versioning policy, and the v1→v2 mapping.
 
 use crate::advisor::{
@@ -15,113 +14,135 @@ use crate::advisor::{
 };
 use crate::estimators::ParallelParams;
 use crate::optimizers::{Hint, HintKind, OptimizerCategory, OptimizerId};
-use gpa_json::{Json, JsonError};
+use gpa_json::{Compact, Json, JsonError, Writer};
 
 /// The crate's result type for schema decoding.
 pub type Result<T> = std::result::Result<T, JsonError>;
 
-/// Renders a report as its schema-v2 JSON document.
-pub fn report_to_json(report: &AdviceReport) -> Json {
-    Json::object()
-        .with("schema_version", report.schema_version)
-        .with("kernel", report.kernel.clone())
-        .with("total_samples", report.total_samples)
-        .with("active_samples", report.active_samples)
-        .with("latency_samples", report.latency_samples)
-        .with(
-            "stall_histogram",
-            Json::Arr(
-                report
-                    .stall_histogram
-                    .iter()
-                    .map(|(reason, samples)| {
-                        Json::object().with("reason", reason.clone()).with("samples", *samples)
-                    })
-                    .collect(),
-            ),
-        )
-        .with("items", Json::Arr(report.items.iter().map(item_to_json).collect()))
+/// Renders a report as its schema-v2 JSON document (compact text; a
+/// caller that wants the tree takes [`Compact::tree`]).
+pub fn report_to_json(report: &AdviceReport) -> Compact {
+    let mut w = Writer::default();
+    write_report(&mut w, report);
+    w.finish()
 }
 
-fn item_to_json(item: &AdviceItem) -> Json {
-    Json::object()
-        .with("id", item.id.slug())
-        .with("optimizer", item.id.name())
-        .with("category", item.category.slug())
-        .with("matched_ratio", item.matched_ratio)
-        .with("estimated_speedup", item.estimated_speedup)
-        .with("estimator", estimator_to_json(&item.estimator))
-        .with("hints", Json::Arr(item.hints.iter().map(hint_to_json).collect()))
-        .with("hotspots", Json::Arr(item.hotspots.iter().map(hotspot_to_json).collect()))
+/// Writes a report's schema-v2 document as the writer's next value — the
+/// one renderer of the document, whether it stands alone
+/// ([`report_to_json`]) or sits inside a response body.
+pub fn write_report(w: &mut Writer, report: &AdviceReport) {
+    w.object(|w| {
+        w.field("schema_version", report.schema_version)
+            .field("kernel", &report.kernel)
+            .field("total_samples", report.total_samples)
+            .field("active_samples", report.active_samples)
+            .field("latency_samples", report.latency_samples);
+        w.key("stall_histogram").array(&report.stall_histogram, |w, (reason, samples)| {
+            w.object(|w| {
+                w.field("reason", reason).field("samples", samples);
+            });
+        });
+        w.key("items").array(&report.items, write_item);
+    });
 }
 
-fn estimator_to_json(estimator: &EstimatorInputs) -> Json {
-    match estimator {
-        EstimatorInputs::StallElimination { total, matched } => Json::object()
-            .with("kind", "stall-elimination")
-            .with("total", *total)
-            .with("matched", *matched),
-        EstimatorInputs::LatencyHiding { total, active, matched_latency, scopes } => Json::object()
-            .with("kind", "latency-hiding")
-            .with("total", *total)
-            .with("active", *active)
-            .with("matched_latency", *matched_latency)
-            .with("scopes", *scopes),
-        EstimatorInputs::Parallel { issue_ratio, params } => Json::object()
-            .with("kind", "parallel")
-            .with("issue_ratio", *issue_ratio)
-            .with("params", params.as_ref().map_or(Json::Null, params_to_json)),
-        EstimatorInputs::ResidualElimination { total, matched, residual } => Json::object()
-            .with("kind", "residual-elimination")
-            .with("total", *total)
-            .with("matched", *matched)
-            .with("residual", *residual),
-    }
+fn write_item(w: &mut Writer, item: &AdviceItem) {
+    w.object(|w| {
+        w.field("id", item.id.slug())
+            .field("optimizer", item.id.name())
+            .field("category", item.category.slug())
+            .field("matched_ratio", item.matched_ratio)
+            .field("estimated_speedup", item.estimated_speedup);
+        w.key("estimator");
+        write_estimator(w, &item.estimator);
+        w.key("hints").array(&item.hints, |w, hint| {
+            w.object(|w| {
+                w.field("kind", hint.kind.slug()).field("text", &hint.text);
+            });
+        });
+        w.key("hotspots").array(&item.hotspots, write_hotspot);
+    });
 }
 
-fn params_to_json(p: &ParallelParams) -> Json {
-    Json::object()
-        .with("w_old", p.w_old)
-        .with("w_new", p.w_new)
-        .with("busy_sms_old", p.busy_sms_old)
-        .with("busy_sms_new", p.busy_sms_new)
-        .with("lane_eff_old", p.lane_eff_old)
-        .with("lane_eff_new", p.lane_eff_new)
-        .with("factor", p.factor)
+fn write_estimator(w: &mut Writer, estimator: &EstimatorInputs) {
+    w.object(|w| match estimator {
+        EstimatorInputs::StallElimination { total, matched } => {
+            w.field("kind", "stall-elimination").field("total", total).field("matched", matched);
+        }
+        EstimatorInputs::LatencyHiding { total, active, matched_latency, scopes } => {
+            w.field("kind", "latency-hiding")
+                .field("total", total)
+                .field("active", active)
+                .field("matched_latency", matched_latency)
+                .field("scopes", scopes);
+        }
+        EstimatorInputs::Parallel { issue_ratio, params } => {
+            w.field("kind", "parallel").field("issue_ratio", issue_ratio).key("params");
+            match params {
+                Some(p) => write_params(w, p),
+                None => {
+                    w.value(Json::Null);
+                }
+            }
+        }
+        EstimatorInputs::ResidualElimination { total, matched, residual } => {
+            w.field("kind", "residual-elimination")
+                .field("total", total)
+                .field("matched", matched)
+                .field("residual", residual);
+        }
+    });
 }
 
-fn hint_to_json(hint: &Hint) -> Json {
-    Json::object().with("kind", hint.kind.slug()).with("text", hint.text.clone())
+fn write_params(w: &mut Writer, p: &ParallelParams) {
+    w.object(|w| {
+        w.field("w_old", p.w_old)
+            .field("w_new", p.w_new)
+            .field("busy_sms_old", p.busy_sms_old)
+            .field("busy_sms_new", p.busy_sms_new)
+            .field("lane_eff_old", p.lane_eff_old)
+            .field("lane_eff_new", p.lane_eff_new)
+            .field("factor", p.factor);
+    });
 }
 
-fn hotspot_to_json(h: &HotspotReport) -> Json {
-    Json::object()
-        .with("ratio", h.ratio)
-        .with("speedup", h.speedup)
-        .with("distance", h.distance.map_or(Json::Null, Json::from))
-        .with("def", h.def.as_ref().map_or(Json::Null, location_to_json))
-        .with("use", location_to_json(&h.use_))
-        .with("region", region_to_json(&h.region))
+fn write_hotspot(w: &mut Writer, h: &HotspotReport) {
+    w.object(|w| {
+        w.field("ratio", h.ratio).field("speedup", h.speedup).field("distance", h.distance);
+        w.key("def");
+        match &h.def {
+            Some(loc) => write_location(w, loc),
+            None => {
+                w.value(Json::Null);
+            }
+        }
+        w.key("use");
+        write_location(w, &h.use_);
+        w.key("region");
+        write_region(w, &h.region);
+    });
 }
 
-fn location_to_json(loc: &LocationReport) -> Json {
-    Json::object()
-        .with("pc", loc.pc)
-        .with("function", loc.function.clone())
-        .with("file", loc.file.clone().map_or(Json::Null, Json::from))
-        .with("line", loc.line.map_or(Json::Null, Json::from))
-        .with("scope", loc.scope.clone())
+fn write_location(w: &mut Writer, loc: &LocationReport) {
+    w.object(|w| {
+        w.field("pc", loc.pc)
+            .field("function", &loc.function)
+            .field("file", &loc.file)
+            .field("line", loc.line)
+            .field("scope", &loc.scope);
+    });
 }
 
-fn region_to_json(r: &RegionReport) -> Json {
-    Json::object()
-        .with("function", r.function.clone())
-        .with("pc_begin", r.pc_begin)
-        .with("pc_end", r.pc_end)
-        .with("file", r.file.clone().map_or(Json::Null, Json::from))
-        .with("line_begin", r.line_begin.map_or(Json::Null, Json::from))
-        .with("line_end", r.line_end.map_or(Json::Null, Json::from))
-        .with("scope", r.scope.clone())
+fn write_region(w: &mut Writer, r: &RegionReport) {
+    w.object(|w| {
+        w.field("function", &r.function)
+            .field("pc_begin", r.pc_begin)
+            .field("pc_end", r.pc_end)
+            .field("file", &r.file)
+            .field("line_begin", r.line_begin)
+            .field("line_end", r.line_end)
+            .field("scope", &r.scope);
+    });
 }
 
 /// Parses a schema-v2 JSON document back into an [`AdviceReport`].
@@ -389,7 +410,7 @@ mod tests {
     #[test]
     fn rejects_foreign_versions_and_bad_slugs() {
         let report = sample_report();
-        let mut doc = report_to_json(&report);
+        let mut doc = report_to_json(&report).tree();
         if let Json::Obj(entries) = &mut doc {
             entries[0].1 = Json::from(99u64);
         }

@@ -10,6 +10,11 @@
 use std::borrow::Cow;
 use std::fmt;
 
+mod write;
+
+use write::write_escaped;
+pub use write::{Compact, WriteJson, Writer};
+
 /// A JSON number preserving integer precision.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum Num {
@@ -275,8 +280,8 @@ impl Json {
     fn write_compact(&self, out: &mut String) {
         match self {
             Json::Null => out.push_str("null"),
-            Json::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
-            Json::Num(n) => write_num(out, *n),
+            Json::Bool(b) => b.write_json(out),
+            Json::Num(n) => n.write_json(out),
             Json::Str(s) => write_escaped(out, s),
             Json::Arr(items) => {
                 out.push('[');
@@ -306,8 +311,8 @@ impl Json {
     fn write_pretty(&self, out: &mut String, indent: usize) {
         match self {
             Json::Null => out.push_str("null"),
-            Json::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
-            Json::Num(n) => write_num(out, *n),
+            Json::Bool(b) => b.write_json(out),
+            Json::Num(n) => n.write_json(out),
             Json::Str(s) => write_escaped(out, s),
             Json::Arr(items) => {
                 if items.is_empty() {
@@ -357,45 +362,6 @@ fn push_indent(out: &mut String, levels: usize) {
     }
 }
 
-fn write_num(out: &mut String, n: Num) {
-    match n {
-        Num::U(v) => out.push_str(&v.to_string()),
-        Num::I(v) => out.push_str(&v.to_string()),
-        Num::F(v) => {
-            if v.is_finite() {
-                // Keep floats round-trippable; force a decimal point so
-                // they re-parse as floats.
-                let s = format!("{v}");
-                out.push_str(&s);
-                if !s.contains(['.', 'e', 'E']) {
-                    out.push_str(".0");
-                }
-            } else {
-                // JSON has no Inf/NaN; serde_json emits null.
-                out.push_str("null");
-            }
-        }
-    }
-}
-
-fn write_escaped(out: &mut String, s: &str) {
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                out.push_str(&format!("\\u{:04x}", c as u32));
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-}
-
 impl fmt::Display for Json {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.write_str(&self.pretty())
@@ -418,18 +384,40 @@ const MAX_DEPTH: u32 = 128;
 /// ([`value`](Reader::value)), as its validated text
 /// ([`skip`](Reader::skip), which allocates nothing) or, the common
 /// case in a counter table, as a number ([`unsigned`](Reader::unsigned)).
+///
+/// Between [`mark`](Reader::mark) and [`canonical`](Reader::canonical)
+/// the reader also records whether every token it consumed is already
+/// its own compact rendering — how a caller learns, in the pass it makes
+/// anyway, that [`compact`] of that span would return the span itself.
 pub struct Reader<'a> {
     text: &'a str,
     pos: usize,
     depth: u32,
     /// The container just opened has not yielded a member yet.
     fresh: bool,
+    /// A span is marked and nothing in it so far differs from its compact
+    /// rendering (always `false` outside a span).
+    clean: bool,
 }
 
 impl<'a> Reader<'a> {
     /// A reader at the start of `text`.
     pub fn new(text: &'a str) -> Self {
-        Reader { text, pos: 0, depth: 0, fresh: false }
+        Reader { text, pos: 0, depth: 0, fresh: false, clean: false }
+    }
+
+    /// Opens a span at the next unread byte (whitespace included) for
+    /// [`canonical`](Reader::canonical) to judge.
+    pub fn mark(&mut self) {
+        self.clean = true;
+    }
+
+    /// Closes the span [`mark`](Reader::mark) opened: whether the text
+    /// consumed since then is byte for byte its [`compact`] rendering —
+    /// no whitespace, no escape `compact` would not write, no number
+    /// spelled other than `compact` spells it.
+    pub fn canonical(&mut self) -> bool {
+        std::mem::take(&mut self.clean)
     }
 
     fn err(&self, msg: &str) -> JsonError {
@@ -441,8 +429,12 @@ impl<'a> Reader<'a> {
     }
 
     fn skip_ws(&mut self) {
-        while matches!(self.peek(), Some(b' ' | b'\t' | b'\n' | b'\r')) {
-            self.pos += 1;
+        let ws = |r: &Self| matches!(r.peek(), Some(b' ' | b'\t' | b'\n' | b'\r'));
+        if ws(self) {
+            self.clean = false;
+            while ws(self) {
+                self.pos += 1;
+            }
         }
     }
 
@@ -467,9 +459,19 @@ impl<'a> Reader<'a> {
     /// fits `u64`; `None` (nothing consumed) for everything else.
     pub fn unsigned(&mut self) -> Option<u64> {
         self.skip_ws();
-        let digits = self.digits()?;
-        let v = digits.parse().ok()?;
-        self.pos += digits.len();
+        let bytes = &self.text.as_bytes()[self.pos..];
+        let (mut v, mut len) = (0u64, 0);
+        while let Some(&b) = bytes.get(len).filter(|b| b.is_ascii_digit()) {
+            v = v.checked_mul(10)?.checked_add(u64::from(b - b'0'))?;
+            len += 1;
+        }
+        if len == 0 || matches!(bytes.get(len), Some(b'.' | b'e' | b'E')) {
+            return None;
+        }
+        if len > 1 && bytes[0] == b'0' {
+            self.clean = false;
+        }
+        self.pos += len;
         Some(v)
     }
 
@@ -645,9 +647,11 @@ impl<'a> Reader<'a> {
         let mut out = Cow::Borrowed("");
         loop {
             let run = self.pos;
-            while !matches!(self.peek(), None | Some(b'"' | b'\\')) {
-                self.pos += 1;
-            }
+            let rest = &self.text.as_bytes()[run..];
+            self.pos += rest
+                .iter()
+                .position(|&b| b == b'"' || b == b'\\' || b < 0x20)
+                .unwrap_or(rest.len());
             // Up to its first escape a string is its own text (a `str`:
             // the UTF-8 needs no re-checking), and most have none.
             match &mut out {
@@ -655,6 +659,9 @@ impl<'a> Reader<'a> {
                 out => out.to_mut().push_str(&self.text[run..self.pos]),
             }
             let Some(b) = self.peek() else { return Err(self.err("unterminated string")) };
+            if b < 0x20 {
+                return Err(self.err("control character in string"));
+            }
             self.pos += 1;
             if b == b'"' {
                 return Ok(out);
@@ -663,15 +670,18 @@ impl<'a> Reader<'a> {
                 return Err(self.err("unterminated escape"));
             };
             self.pos += 1;
-            out.to_mut().push(match esc {
-                b'"' => '"',
-                b'\\' => '\\',
-                b'/' => '/',
-                b'n' => '\n',
-                b'r' => '\r',
-                b't' => '\t',
-                b'b' => '\u{8}',
-                b'f' => '\u{c}',
+            // `compact` writes `\"`, `\\`, `\n`, `\r`, `\t` and `\u00xx`
+            // (lower-case) for the other control characters; any other
+            // escape is a spelling it would not reproduce.
+            let (c, canonical) = match esc {
+                b'"' => ('"', true),
+                b'\\' => ('\\', true),
+                b'/' => ('/', false),
+                b'n' => ('\n', true),
+                b'r' => ('\r', true),
+                b't' => ('\t', true),
+                b'b' => ('\u{8}', false),
+                b'f' => ('\u{c}', false),
                 b'u' => {
                     let hex = self
                         .text
@@ -684,14 +694,23 @@ impl<'a> Reader<'a> {
                     self.pos += 4;
                     // Surrogate pairs are not needed by our own
                     // output (which never escapes above 0x1F).
-                    char::from_u32(code).ok_or_else(|| self.err("bad \\u code point"))?
+                    let c = char::from_u32(code).ok_or_else(|| self.err("bad \\u code point"))?;
+                    let short = matches!(c, '\n' | '\r' | '\t');
+                    let lower = hex.bytes().all(|b| !b.is_ascii_uppercase());
+                    (c, code < 0x20 && !short && lower && hex.starts_with("00"))
                 }
                 _ => return Err(self.err("unknown escape")),
-            });
+            };
+            self.clean &= canonical;
+            out.to_mut().push(c);
         }
     }
 
     fn number(&mut self) -> Result<Json> {
+        // Counters, most of a profile's numbers, in one step.
+        if let Some(v) = self.unsigned() {
+            return Ok(Json::Num(Num::U(v)));
+        }
         let start = self.pos;
         if self.peek() == Some(b'-') {
             self.pos += 1;
@@ -718,15 +737,47 @@ impl<'a> Reader<'a> {
             }
         }
         let text = &self.text[start..self.pos];
-        if !is_float {
-            if let Ok(v) = text.parse::<u64>() {
-                return Ok(Json::Num(Num::U(v)));
-            }
-            if let Ok(v) = text.parse::<i64>() {
-                return Ok(Json::Num(Num::I(v)));
-            }
+        let integer = (!is_float)
+            .then(|| text.parse().map(Num::U).or_else(|_| text.parse().map(Num::I)).ok())
+            .flatten();
+        let num = match integer {
+            Some(num) => num,
+            None => Num::F(text.parse().map_err(|_| self.err("invalid number"))?),
+        };
+        if self.clean {
+            self.clean = renders_as(num, text);
         }
-        text.parse::<f64>().map(|v| Json::Num(Num::F(v))).map_err(|_| self.err("invalid number"))
+        Ok(Json::Num(num))
+    }
+}
+
+/// Whether `compact` writes `num` as exactly `text`, the number's
+/// spelling in the input. A float's rendering is compared as `write!`
+/// produces it, so the check allocates nothing.
+fn renders_as(num: Num, text: &str) -> bool {
+    /// What remains of the spelling once a rendering prefix matched it.
+    struct Rest<'a>(&'a str);
+    impl fmt::Write for Rest<'_> {
+        fn write_str(&mut self, s: &str) -> fmt::Result {
+            self.0 = self.0.strip_prefix(s).ok_or(fmt::Error)?;
+            Ok(())
+        }
+    }
+    match num {
+        // Digits only (a `-` fails `u64`); `0` aside, no leading zero.
+        Num::U(_) => text == "0" || !text.starts_with('0'),
+        // `-` and digits with no leading zero, which also rules out `-0`.
+        Num::I(_) => !text[1..].starts_with('0'),
+        Num::F(v) => {
+            use fmt::Write as _;
+            let mut rest = Rest(text);
+            if !v.is_finite() || write!(rest, "{v}").is_err() {
+                return false;
+            }
+            let shown = &text[..text.len() - rest.0.len()];
+            let pointed = shown.contains(['.', 'e', 'E']);
+            rest.0 == if pointed { "" } else { ".0" }
+        }
     }
 }
 

@@ -2,7 +2,7 @@
 
 use crate::session::ModuleArtifacts;
 use gpa_core::AdviceReport;
-use gpa_json::Json;
+use gpa_json::{Json, Writer};
 use gpa_sampling::KernelProfile;
 use std::fmt;
 use std::sync::Arc;
@@ -65,50 +65,58 @@ impl fmt::Debug for AnalysisOutcome {
     }
 }
 
-/// The six identity-and-counter fields every rendering of an analysis
-/// opens with, in wire order: the CLI's `--json` documents and the
-/// daemon's result bodies, in both schema versions.
+/// Writes the six identity-and-counter members every rendering of an
+/// analysis opens with, in wire order, into the writer's open object:
+/// the CLI's `--json` documents and the daemon's result bodies, in both
+/// schema versions.
 pub fn outcome_envelope(
+    w: &mut Writer,
     job: &AnalysisJob,
     kernel: &str,
     cycles: u64,
     profile: &KernelProfile,
-) -> Json {
-    Json::object()
-        .with("app", job.app.clone())
-        .with("variant", job.variant)
-        .with("kernel", kernel)
-        .with("cycles", cycles)
-        .with("total_samples", profile.total_samples)
-        .with("issue_ratio", profile.issue_ratio())
+) {
+    w.field("app", &job.app)
+        .field("variant", job.variant)
+        .field("kernel", kernel)
+        .field("cycles", cycles)
+        .field("total_samples", profile.total_samples)
+        .field("issue_ratio", profile.issue_ratio());
 }
 
-/// The flat **v1** advice summary — rank, optimizer, estimated speedup
-/// and matched ratio per item — kept byte-stable: it is what every
-/// request that negotiates no schema gets.
-pub fn advice_v1(report: &AdviceReport) -> Json {
-    let items = report.items.iter().enumerate().map(|(rank, item)| {
-        Json::object()
-            .with("rank", rank + 1)
-            .with("optimizer", item.optimizer())
-            .with("estimated_speedup", item.estimated_speedup)
-            .with("matched_ratio", item.matched_ratio)
+/// Writes the flat **v1** advice summary — rank, optimizer, estimated
+/// speedup and matched ratio per item — as the writer's next value. It
+/// is kept byte-stable: it is what every request that negotiates no
+/// schema gets.
+pub fn advice_v1(w: &mut Writer, report: &AdviceReport) {
+    w.array(report.items.iter().enumerate(), |w, (rank, item)| {
+        w.object(|w| {
+            w.field("rank", rank + 1)
+                .field("optimizer", item.optimizer())
+                .field("estimated_speedup", item.estimated_speedup)
+                .field("matched_ratio", item.matched_ratio);
+        });
     });
-    Json::Arr(items.collect())
 }
 
 impl AnalysisOutcome {
-    /// [`outcome_envelope`] plus this run's wall-clock time.
-    fn envelope(&self) -> Json {
-        outcome_envelope(&self.job, &self.kernel, self.cycles, &self.profile)
-            .with("wall_ms", self.wall.as_secs_f64() * 1e3)
+    /// [`outcome_envelope`] plus this run's wall-clock time, then the
+    /// advice `advice` writes.
+    fn document(&self, advice: impl FnOnce(&mut Writer)) -> Json {
+        let mut w = Writer::default();
+        w.object(|w| {
+            outcome_envelope(w, &self.job, &self.kernel, self.cycles, &self.profile);
+            w.field("wall_ms", self.wall.as_secs_f64() * 1e3);
+            advice(w);
+        });
+        w.finish().tree()
     }
 
     /// A machine-readable summary: identity, counters, and the ranked
     /// advice in the [v1 shape](advice_v1); the full structured report is
     /// [`AnalysisOutcome::to_json_v2`].
     pub fn to_json(&self) -> Json {
-        self.envelope().with("advice", advice_v1(&self.report))
+        self.document(|w| advice_v1(w.key("advice"), &self.report))
     }
 
     /// The outcome with its advice as the full machine-readable **v2**
@@ -116,7 +124,7 @@ impl AnalysisOutcome {
     /// [`AnalysisOutcome::to_json`], plus the versioned `report`
     /// document instead of the flat `advice` summary.
     pub fn to_json_v2(&self) -> Json {
-        self.envelope().with("report", gpa_core::schema::report_to_json(&self.report))
+        self.document(|w| gpa_core::schema::write_report(w.key("report"), &self.report))
     }
 }
 

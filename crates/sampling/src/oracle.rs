@@ -98,7 +98,14 @@ fn verdict(text: &str) -> Result<KernelProfile, String> {
     match (oracle, decoded) {
         (Ok((want, doc)), Ok(got)) => {
             assert_eq!(got, want, "decoded value differs on {text:?}");
-            assert_eq!(gpa_json::compact(text).unwrap(), doc.compact(), "canon of {text:?}");
+            let canon = gpa_json::compact(text).unwrap();
+            assert_eq!(canon, doc.compact(), "canon of {text:?}");
+            // The decoding pass's own verdict: the text is its canon.
+            let mut reader = gpa_json::Reader::new(text);
+            reader.mark();
+            KernelProfile::from_reader(&mut reader).unwrap().unwrap();
+            let canonical = reader.canonical() && reader.offset() == text.len();
+            assert_eq!(canonical, canon == text, "canonical verdict on {text:?}");
             Ok(got)
         }
         (Err(want), Err(got)) => {

@@ -14,9 +14,10 @@
 //! `optimizers`, `min_speedup`, `hotspots`, `evidence`).
 
 use gpa_core::{report, schema, AdviceReport, AdviceRequest, OptimizerCategory, OptimizerId};
-use gpa_json::Json;
+use gpa_json::{Compact, Json, JsonError, Reader, Writer};
 use gpa_pipeline::{advice_v1, outcome_envelope, AnalysisError, AnalysisJob, AnalysisOutcome};
 use gpa_sampling::KernelProfile;
+use std::borrow::Cow;
 
 /// The default daemon address (`gpa serve` / `gpa request` without
 /// `--addr`).
@@ -334,30 +335,38 @@ fn strings_of(v: &Json, field: &str) -> Result<Vec<String>, String> {
 }
 
 /// One request line's top-level members: the control fields as a small
-/// tree, the two bulk payloads (first occurrence) without one — an
-/// uploaded `profile` decoded in the same pass, with its schema verdict
-/// and its text; a replicated `body` as validated text.
+/// tree, the two bulk payloads without one — an uploaded `profile`
+/// decoded in the same pass, with its schema verdict; a replicated
+/// `body` validated — each with its compact rendering.
 struct Frame<'a> {
     doc: Json,
-    profile: Option<(gpa_json::Result<KernelProfile>, &'a str)>,
-    body: Option<&'a str>,
+    profile: Option<(gpa_json::Result<KernelProfile>, Cow<'a, str>)>,
+    body: Option<Cow<'a, str>>,
 }
 
 impl<'a> Frame<'a> {
+    /// Reads the line once. A repeated member is an error, as in the
+    /// profile decoder (keeping either copy could answer a request the
+    /// client did not mean); malformed JSON anywhere in the line wins.
     fn scan(line: &'a str) -> gpa_json::Result<Self> {
-        let mut reader = gpa_json::Reader::new(line);
-        let (mut profile, mut body) = (None, None);
+        let mut reader = Reader::new(line);
+        let (mut profile, mut body, mut repeated) = (None, None, None);
+        let mut fields: Vec<(String, Json)> = Vec::new();
         let doc = if reader.open(b'{')? {
-            let mut fields = Vec::new();
             while let Some(key) = reader.key()? {
                 match &*key {
                     "profile" if profile.is_none() => {
-                        let start = reader.offset();
-                        let decoded = KernelProfile::from_reader(&mut reader)?;
-                        profile = Some((decoded, &line[start..reader.offset()]));
+                        profile = Some(bulk(&mut reader, line, KernelProfile::from_reader)?);
                     }
-                    "body" if body.is_none() => body = Some(reader.skip()?),
-                    "profile" | "body" => drop(reader.skip()?),
+                    "body" if body.is_none() => {
+                        body = Some(bulk(&mut reader, line, Reader::skip)?.1)
+                    }
+                    key if matches!(key, "profile" | "body")
+                        || fields.iter().any(|f| f.0 == key) =>
+                    {
+                        repeated.get_or_insert_with(|| key.to_string());
+                        reader.skip()?;
+                    }
                     _ => fields.push((key.into_owned(), reader.value()?)),
                 }
             }
@@ -366,8 +375,28 @@ impl<'a> Frame<'a> {
             reader.value()?
         };
         reader.finish()?;
-        Ok(Frame { doc, profile, body })
+        match repeated {
+            Some(key) => Err(JsonError::from_msg(format!("duplicate field `{key}` in request"))),
+            None => Ok(Frame { doc, profile, body }),
+        }
     }
+}
+
+/// Reads a bulk member with `read`, and returns it with its compact
+/// rendering: the member's own text when the reader judged it canonical
+/// (what every client sends), [`gpa_json::compact`] of it otherwise —
+/// the same bytes either way.
+fn bulk<'a, T>(
+    reader: &mut Reader<'a>,
+    line: &'a str,
+    read: impl FnOnce(&mut Reader<'a>) -> gpa_json::Result<T>,
+) -> gpa_json::Result<(T, Cow<'a, str>)> {
+    let start = reader.offset();
+    reader.mark();
+    let value = read(reader)?;
+    let text = &line[start..reader.offset()];
+    let canonical = reader.canonical();
+    Ok((value, if canonical { Cow::Borrowed(text) } else { Cow::Owned(gpa_json::compact(text)?) }))
 }
 
 /// The wire ops: one row per op, in `status.ops` reporting order. The
@@ -564,9 +593,8 @@ impl Request {
                 // document, which can be megabytes.
                 let job = job_from(&doc)?;
                 let options = no_repeat(WireOptions::parse(&doc)?, op)?;
-                let (profile, text) = profile_from(profile)?;
-                let canon = gpa_json::compact(text).map_err(|e| e.to_string())?;
-                Request::AnalyzeProfile { job, profile, canon, options }
+                let (profile, canon) = profile_from(profile)?;
+                Request::AnalyzeProfile { job, profile, canon: canon.into_owned(), options }
             }
             Op::ProfileBegin => Request::ProfileBegin {
                 job: job_from(&doc)?,
@@ -581,11 +609,10 @@ impl Request {
             Op::StoreGet => Request::StoreGet { key: key_from(&doc)? },
             Op::StorePut => {
                 let key = key_from(&doc)?;
-                // The body is re-rendered compactly; compact JSON
-                // round-trips byte-identically (gpa-json's proptests),
-                // so the admitted replica equals the owner's bytes.
-                let body = gpa_json::compact(body.ok_or("missing `body` field")?)
-                    .map_err(|e| e.to_string())?;
+                // The body's compact rendering (an owner's body already
+                // is one), so the admitted replica equals the owner's
+                // bytes.
+                let body = body.ok_or("missing `body` field")?.into_owned();
                 Request::StorePut { key, body, meta: PeerMeta::parse(&doc)? }
             }
             Op::Join => {
@@ -794,12 +821,12 @@ fn no_repeat(options: WireOptions, op: Op) -> Result<WireOptions, String> {
     Ok(options)
 }
 
-/// A frame's decoded profile document and its text (for canonicalising).
+/// A frame's decoded profile document and its compact rendering.
 fn profile_from(
-    profile: Option<(gpa_json::Result<KernelProfile>, &str)>,
-) -> Result<(Box<KernelProfile>, &str), String> {
-    let (decoded, text) = profile.ok_or("missing `profile` field")?;
-    Ok((Box::new(decoded.map_err(|e| format!("bad `profile`: {e}"))?), text))
+    profile: Option<(gpa_json::Result<KernelProfile>, Cow<'_, str>)>,
+) -> Result<(Box<KernelProfile>, Cow<'_, str>), String> {
+    let (decoded, canon) = profile.ok_or("missing `profile` field")?;
+    Ok((Box::new(decoded.map_err(|e| format!("bad `profile`: {e}"))?), canon))
 }
 
 fn key_from(doc: &Json) -> Result<String, String> {
@@ -905,7 +932,7 @@ pub fn job_error_frame(err: &AnalysisError) -> String {
 /// The deterministic `analyze` result body in the negotiated schema.
 /// Deliberately excludes wall-clock time so the body is byte-identical
 /// run to run (and hence cacheable by content address).
-pub fn analyze_body(outcome: &AnalysisOutcome, schema: u32) -> Json {
+pub fn analyze_body(outcome: &AnalysisOutcome, schema: u32) -> Compact {
     result_body(&outcome.job, &outcome.kernel, &outcome.profile, &outcome.report, schema)
 }
 
@@ -915,25 +942,31 @@ pub fn profile_body(
     profile: &KernelProfile,
     report: &AdviceReport,
     schema: u32,
-) -> Json {
+) -> Compact {
     result_body(job, &profile.kernel, profile, report, schema)
 }
 
+/// Writes a result body straight to its compact text, in one pass over
+/// the report.
 fn result_body(
     job: &AnalysisJob,
     kernel: &str,
     profile: &KernelProfile,
     advice: &AdviceReport,
     schema: u32,
-) -> Json {
-    let envelope = outcome_envelope(job, kernel, profile.cycles, profile);
-    let body = match schema {
-        // v2: the versioned machine-readable report document.
-        2 => envelope.with("schema", 2u64).with("report", schema::report_to_json(advice)),
-        // v1: the flat advice summary every unversioned frame gets.
-        _ => envelope.with("advice", advice_v1(advice)),
-    };
-    body.with("text", report::render(advice, REPORT_TOP))
+) -> Compact {
+    let mut w = Writer::with_capacity(16 << 10);
+    w.object(|w| {
+        outcome_envelope(w, job, kernel, profile.cycles, profile);
+        match schema {
+            // v2: the versioned machine-readable report document.
+            2 => schema::write_report(w.field("schema", 2u64).key("report"), advice),
+            // v1: the flat advice summary every unversioned frame gets.
+            _ => advice_v1(w.key("advice"), advice),
+        }
+        w.field("text", report::render(advice, REPORT_TOP));
+    });
+    w.finish()
 }
 
 #[cfg(test)]
@@ -1378,6 +1411,64 @@ mod tests {
         ] {
             let err = Request::parse(line).unwrap_err();
             assert!(err.contains(needle), "{line}: {err}");
+        }
+    }
+
+    #[test]
+    fn a_repeated_request_member_is_an_error() {
+        let profile = r#"{"op":"analyze_profile","app":"a","profile":{},"profile":{}}"#;
+        for (line, key) in [
+            (r#"{"op":"analyze","app":"rodinia/hotspot","variant":0,"app":"rodinia/bfs"}"#, "app"),
+            (r#"{"op":"analyze","app":"rodinia/hotspot","variant":0,"top":3,"top":5}"#, "top"),
+            (r#"{"op":"status","op":"shutdown"}"#, "op"),
+            (profile, "profile"),
+            (r#"{"op":"store_put","key":"k","body":{},"body":{"v":1}}"#, "body"),
+        ] {
+            let err = Request::parse(line).unwrap_err();
+            let want = format!("malformed request: json: duplicate field `{key}` in request");
+            assert_eq!(err, want, "{line}");
+        }
+        // Malformed JSON after the repeat still wins.
+        let err = Request::parse(r#"{"op":"status","op":"status","#).unwrap_err();
+        assert!(err.starts_with("malformed request"), "{err}");
+    }
+
+    /// A registry profile's canonical frame and four twins that spell the
+    /// same member differently — a space before the value, a spaced
+    /// `pcs`, a `007` counter, an escaped kernel-name character — share
+    /// one `canon` and one content address: `compact` of the member.
+    #[test]
+    fn a_profile_is_addressed_by_its_compact_rendering_however_it_is_spelled() {
+        let session = gpa_pipeline::Session::test();
+        let job = AnalysisJob::new("rodinia/hotspot", 0);
+        let (_, profile, _) = session.profile_one(&job).expect("registry job");
+        let member = profile.to_doc().compact();
+        let frame = analyze_profile_frame(&job.app, job.variant, &member, &WireOptions::v2());
+        let (name, period) = (&profile.kernel, format!("\"period\":{}", profile.period));
+        let escaped = format!("\\u{:04x}{}", u32::from(name.as_bytes()[0]), &name[1..]);
+        let twins = [
+            frame.replacen("\"profile\":{", "\"profile\": {", 1),
+            frame.replacen("\"pcs\":{", "\"pcs\" : {\n", 1),
+            frame.replacen(&period, &format!("\"period\":00{}", profile.period), 1),
+            frame.replacen(
+                &format!("\"kernel\":\"{name}\""),
+                &format!("\"kernel\":\"{escaped}\""),
+                1,
+            ),
+        ];
+        let canon_of = |line: &str| match Request::parse(line).expect("accepted") {
+            Request::AnalyzeProfile { canon, .. } => canon,
+            other => panic!("parsed as {other:?}"),
+        };
+        let key = Request::parse(&frame).unwrap().cache_key();
+        assert_eq!(canon_of(&frame), member);
+        for twin in &twins {
+            assert_ne!(twin, &frame, "the twin differs from the canonical frame");
+            let start = twin.find("\"profile\":").unwrap() + "\"profile\":".len();
+            let text = &twin[start..twin.len() - 1];
+            assert_eq!(gpa_json::compact(text).unwrap(), member);
+            assert_eq!(canon_of(twin), member);
+            assert_eq!(Request::parse(twin).unwrap().cache_key(), key);
         }
     }
 

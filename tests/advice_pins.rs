@@ -24,6 +24,7 @@ use gpa::core::{schema, AdviceReport, Advisor, OptimizerCategory};
 use gpa::kernels::{apps::membound, Params};
 use gpa::pipeline::Session;
 use gpa::sampling::StallReason;
+use gpa::serve::protocol;
 use gpa::serve::store::fingerprint;
 use proptest::TestRng;
 
@@ -140,6 +141,59 @@ const FULL_PINS: [Pin<'static>; 47] = [
 /// `demo/membound` variants 0–2 on `Session::full().with_hierarchy()`.
 const FULL_MEMBOUND_PINS: [u64; 3] = [0x8a83c9426aeefe59, 0xaf50d8ca6b597643, 0xece44a969322c0a7];
 
+/// `(app, variant, v1 fingerprint, v2 fingerprint)` of the whole
+/// `analyze_profile` result body — envelope, `advice` / `report` and
+/// `text` — on `Session::test()`, flat model, default options.
+const BODY_PINS: [Pin<'static>; 47] = [
+    ("rodinia/backprop", 0, 0x4af1b0978b57cbf8, 0x978b63d9bb5cb219),
+    ("rodinia/backprop", 1, 0x566ce6e8710fc700, 0x12778ba9ba1126f6),
+    ("rodinia/backprop", 2, 0xf0ddc4c65b164f56, 0xa894fb950406ad49),
+    ("rodinia/bfs", 0, 0x9217b39cdfc9c4b1, 0x0df2d9501682616a),
+    ("rodinia/bfs", 1, 0xf4ce24d679307a66, 0x732a5831abf6f1fc),
+    ("rodinia/b+tree", 0, 0x3cdb113577276ee9, 0x585bacc871e0fc2c),
+    ("rodinia/b+tree", 1, 0x7be3e667557ce2cb, 0x2c80a8effba9156e),
+    ("rodinia/cfd", 0, 0x413d53652d9aa893, 0xf9a89d160a193e05),
+    ("rodinia/cfd", 1, 0xe5279dbfafc1f671, 0x6f5d103720bade9e),
+    ("rodinia/gaussian", 0, 0x4856eb2e3a890590, 0x337b9cbc8b97febe),
+    ("rodinia/gaussian", 1, 0xf7ea23af428fb2a4, 0x179cf76c4180ae6d),
+    ("rodinia/heartwall", 0, 0x371182d244a33f3b, 0x6454387dfe0e4b99),
+    ("rodinia/heartwall", 1, 0x12b4695d25e54149, 0x8ffe02222ee4214c),
+    ("rodinia/hotspot", 0, 0x3d5691115643f60e, 0xb9a0f895b5c17df3),
+    ("rodinia/hotspot", 1, 0xa4765c216424c1d2, 0x19f7081e1ddc775b),
+    ("rodinia/huffman", 0, 0x09fe97063bacdba6, 0xa0f0a336e2c3a203),
+    ("rodinia/huffman", 1, 0x073f868a12214703, 0x91df31a6b4f1c978),
+    ("rodinia/kmeans", 0, 0xca38758c978815c4, 0x547dd28fe1dbb31b),
+    ("rodinia/kmeans", 1, 0x3474ec6efd2d7545, 0x3e18086067209552),
+    ("rodinia/lavaMD", 0, 0x1250849a9c5833db, 0x9a3576013bf9d01f),
+    ("rodinia/lavaMD", 1, 0xccf27f1d7f05d4e0, 0xfb60c142ca366fb4),
+    ("rodinia/lud", 0, 0x54365f07b4ed0500, 0x6ab24c466beaa2e5),
+    ("rodinia/lud", 1, 0x90ab16d99ee20cf2, 0x993c433d0657a8df),
+    ("rodinia/myocyte", 0, 0xf0abedcd92574ad1, 0xfdb12e562b4f90c4),
+    ("rodinia/myocyte", 1, 0x33d13ce76d1a61eb, 0xa6fa5052a7f29a8d),
+    ("rodinia/myocyte", 2, 0x2dcd5d4edda35a39, 0xc85d6bb6cc55dc1c),
+    ("rodinia/nw", 0, 0x39f9699b441f7b65, 0xc9063810bc96ba71),
+    ("rodinia/nw", 1, 0x041534bdb9f97477, 0x2f265d2d7ab219d8),
+    ("rodinia/particlefilter", 0, 0xc597fe6fbff2fc1c, 0xac12a22e0f7220f1),
+    ("rodinia/particlefilter", 1, 0x631d643f292d7470, 0xdef587e2cc18d6b5),
+    ("rodinia/streamcluster", 0, 0x2d374458b2fd2c09, 0xee36fda3cf9ec18e),
+    ("rodinia/streamcluster", 1, 0x0851da3499a3df07, 0xa30949f036a5629e),
+    ("rodinia/sradv1", 0, 0x5390c5eaeacb36bb, 0x5238d937ee886ad8),
+    ("rodinia/sradv1", 1, 0x8f2179dfc28d1f95, 0x64cf63a78a32d7de),
+    ("rodinia/pathfinder", 0, 0x8d79557c0f848015, 0xc1f528068e4da74f),
+    ("rodinia/pathfinder", 1, 0x9472971e73e7e816, 0xa36bc62b7bf48ad1),
+    ("Quicksilver", 0, 0x7f456a9f7577af98, 0xe5c85fdf0550fabc),
+    ("Quicksilver", 1, 0x6f80de7f91086d5a, 0xce600577ec0d3f19),
+    ("Quicksilver", 2, 0x35cb2e850fb27e65, 0xb339f7578ee14e88),
+    ("ExaTENSOR", 0, 0x56f2acb84625eea4, 0xc1a901dfbf0028bd),
+    ("ExaTENSOR", 1, 0x40f12ab75cad67ea, 0x352efbb5a12a104a),
+    ("ExaTENSOR", 2, 0xc1287ee1e8ecc1a1, 0x91d7314ad115343f),
+    ("PeleC", 0, 0xb96f480f62d0cef1, 0x9727bc0b61e93400),
+    ("PeleC", 1, 0x685aca8fcf03b588, 0xcf565bfcd041c7b1),
+    ("Minimod", 0, 0x6b5d035506f8b0fb, 0x8779613def88a2c7),
+    ("Minimod", 1, 0x1e458f1892f6bc6a, 0xbe6778ce5f16213f),
+    ("Minimod", 2, 0x4e4572792fa8dd0b, 0x918002a89c089bc5),
+];
+
 fn body_fingerprint(report: &AdviceReport) -> u64 {
     fingerprint(&schema::report_to_json(report).compact())
 }
@@ -202,6 +256,37 @@ fn advice_bytes_match_the_pins_recorded_at_the_parent_commit() {
 #[ignore = "full-scale wave, release only: cargo test --release --test advice_pins -- --include-ignored"]
 fn full_scale_advice_bytes_match_the_pins_recorded_at_the_parent_commit() {
     assert_pins(Params::full(), &FULL_PINS, &FULL_MEMBOUND_PINS);
+}
+
+/// The pins above cover the `report` document only; this covers the rest
+/// of what a client receives: the envelope, the v1 `advice` array and
+/// the rendered `text`, in both schema versions.
+#[test]
+fn result_bodies_match_the_pins_recorded_at_the_parent_commit() {
+    let session = Session::test();
+    let jobs = session.jobs_for_all_variants();
+    let produced: Vec<Pin<'_>> = jobs
+        .iter()
+        .zip(session.run_batch(&jobs))
+        .map(|(job, out)| {
+            let out = out.unwrap_or_else(|e| panic!("{job}: {e}"));
+            let body = |schema| {
+                fingerprint(
+                    &protocol::profile_body(job, &out.profile, &out.report, schema).compact(),
+                )
+            };
+            (job.app.as_str(), job.variant, body(1), body(2))
+        })
+        .collect();
+    if produced != BODY_PINS {
+        let table: String = produced
+            .iter()
+            .map(|(app, variant, v1, v2)| {
+                format!("    ({app:?}, {variant}, {v1:#018x}, {v2:#018x}),\n")
+            })
+            .collect();
+        panic!("result bodies moved against the recorded pins. This build produces:\n{table}");
+    }
 }
 
 /// What every estimator promises about an item, whatever the profile.

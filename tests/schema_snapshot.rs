@@ -24,7 +24,7 @@ fn golden_path() -> PathBuf {
 fn golden_v2_report_has_not_drifted() {
     let session = Session::test();
     let outcome = session.run_one(&AnalysisJob::new("rodinia/hotspot", 0)).expect("analysis runs");
-    let mut produced = schema::report_to_json(&outcome.report).pretty();
+    let mut produced = schema::report_to_json(&outcome.report).tree().pretty();
     produced.push('\n');
 
     let path = golden_path();
