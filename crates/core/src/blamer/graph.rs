@@ -92,7 +92,16 @@ pub fn blame_function(
 ) -> FunctionBlame {
     let f = &module.functions[finfo.index];
     let empty = PcStats::default();
-    let stats_of = |idx: usize| -> &PcStats { profile.pc(f.pc_of(idx)).unwrap_or(&empty) };
+    // The function's rows by instruction index, read in one walk of its
+    // PC range; a row at a PC that names none of its instructions is
+    // skipped.
+    let mut rows = vec![&empty; f.instrs.len()];
+    for (&pc, st) in profile.pcs.range(f.base..f.end()) {
+        if let Some(idx) = f.index_of_pc(pc) {
+            rows[idx] = st;
+        }
+    }
+    let stats_of = |idx: usize| rows[idx];
 
     // Nodes: instructions with attributable stalls.
     let nodes: Vec<usize> = (0..f.instrs.len())

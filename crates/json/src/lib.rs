@@ -12,7 +12,7 @@ use std::fmt;
 
 mod write;
 
-use write::write_escaped;
+use write::{first_escape, write_escaped};
 pub use write::{Compact, WriteJson, Writer};
 
 /// A JSON number preserving integer precision.
@@ -475,6 +475,43 @@ impl<'a> Reader<'a> {
         Some(v)
     }
 
+    /// Consumes the next value, in one step, when it is spelled exactly as
+    /// [`compact`] writes an array of `N` `u64`s: `[`, `N` digit runs
+    /// with no leading zero and no overflow separated by `,`, then `]`,
+    /// with no whitespace anywhere (not even before the `[`). `None`,
+    /// nothing consumed, for anything else — a caller then walks the
+    /// value token by token, which is where errors are worded. Such a
+    /// spelling is its own compact rendering, so it leaves the
+    /// [`canonical`](Reader::canonical) verdict as it was.
+    pub fn counters<const N: usize>(&mut self) -> Option<[u64; N]> {
+        let bytes = self.text.as_bytes();
+        if self.depth >= MAX_DEPTH || bytes.get(self.pos) != Some(&b'[') {
+            return None;
+        }
+        let (mut out, mut at) = ([0u64; N], self.pos + 1);
+        for (i, slot) in out.iter_mut().enumerate() {
+            if i > 0 {
+                if bytes.get(at) != Some(&b',') {
+                    return None;
+                }
+                at += 1;
+            }
+            let start = at;
+            while let Some(&b) = bytes.get(at).filter(|b| b.is_ascii_digit()) {
+                *slot = slot.checked_mul(10)?.checked_add(u64::from(b - b'0'))?;
+                at += 1;
+            }
+            if at == start || (bytes[start] == b'0' && at - start > 1) {
+                return None;
+            }
+        }
+        if bytes.get(at) != Some(&b']') {
+            return None;
+        }
+        self.pos = at + 1;
+        Some(out)
+    }
+
     fn expect(&mut self, b: u8) -> Result<()> {
         if self.peek() == Some(b) {
             self.pos += 1;
@@ -648,10 +685,7 @@ impl<'a> Reader<'a> {
         loop {
             let run = self.pos;
             let rest = &self.text.as_bytes()[run..];
-            self.pos += rest
-                .iter()
-                .position(|&b| b == b'"' || b == b'\\' || b < 0x20)
-                .unwrap_or(rest.len());
+            self.pos += first_escape(rest).unwrap_or(rest.len());
             // Up to its first escape a string is its own text (a `str`:
             // the UTF-8 needs no re-checking), and most have none.
             match &mut out {

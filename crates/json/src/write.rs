@@ -119,6 +119,33 @@ impl WriteJson for Json {
     }
 }
 
+/// The index of the first byte a JSON string cannot hold raw — `"`, `\`
+/// or a control byte below 0x20 — found eight bytes per step.
+///
+/// Each word goes through the classic SWAR masks: `(w - 0x01..) & !w &
+/// 0x80..` flags the zero bytes of `w` (so of `w ^ '"'..` and `w ^
+/// '\\'..`), and `(w - 0x20..) & !w & 0x80..` the bytes below 0x20. A
+/// borrow can flag a byte that is no hit, but only above a true hit, so
+/// the lowest flag — the first byte in memory order, the words being
+/// little-endian — is exact. The tail shorter than a word goes bytewise.
+pub(crate) fn first_escape(bytes: &[u8]) -> Option<usize> {
+    const ONES: u64 = 0x0101_0101_0101_0101;
+    const HIGHS: u64 = ONES << 7;
+    let below = |w: u64, n: u8| w.wrapping_sub(ONES * u64::from(n)) & !w & HIGHS;
+    let mut words = bytes.chunks_exact(8);
+    for (i, word) in words.by_ref().enumerate() {
+        let w = u64::from_le_bytes(word.try_into().expect("eight bytes"));
+        let flags = below(w, 0x20)
+            | below(w ^ (ONES * u64::from(b'"')), 1)
+            | below(w ^ (ONES * u64::from(b'\\')), 1);
+        if flags != 0 {
+            return Some(8 * i + flags.trailing_zeros() as usize / 8);
+        }
+    }
+    let tail = bytes.len() - words.remainder().len();
+    words.remainder().iter().position(|&b| b < 0x20 || b == b'"' || b == b'\\').map(|n| tail + n)
+}
+
 /// Appends `s` as a JSON string literal. Every escaped character is
 /// ASCII, so the text between two of them is copied as one run.
 pub(crate) fn write_escaped(out: &mut String, s: &str) {
@@ -126,7 +153,7 @@ pub(crate) fn write_escaped(out: &mut String, s: &str) {
     let bytes = s.as_bytes();
     out.push('"');
     let mut run = 0;
-    while let Some(n) = bytes[run..].iter().position(|&b| b < 0x20 || b == b'"' || b == b'\\') {
+    while let Some(n) = first_escape(&bytes[run..]) {
         let at = run + n;
         out.push_str(&s[run..at]);
         run = at + 1;

@@ -370,6 +370,128 @@ fn counters_are_read_in_one_step_with_the_old_accept_set() {
     }
 }
 
+proptest! {
+    /// `counters::<13>()` reads a row in one step exactly when the text is
+    /// the compact rendering of 13 `u64`s, and then yields the tree's
+    /// values and stops at the `]`; anything else — spaced, a
+    /// leading-zero element, a trailing comma, 12 or 14 elements, an
+    /// element past `u64`, negative or a float — is `None` with nothing
+    /// consumed, left to the token walk.
+    #[test]
+    fn a_counter_row_is_read_in_one_step_exactly_when_it_is_compact(
+        seed in 0u64..u64::MAX,
+        perturb in 0usize..13,
+        tail in 0usize..4,
+    ) {
+        let mut g = Gen(seed);
+        let values: Vec<u64> = (0..14)
+            .map(|_| match g.next() % 4 {
+                0 => 0,
+                1 => g.next() % 10,
+                2 => g.next() % 100_000,
+                _ => g.next(),
+            })
+            .collect();
+        let row = |n: usize| Json::from(values[..n].to_vec()).compact();
+        let compact = row(13);
+        let rest = &compact[compact.find(',').unwrap()..];
+        let text = match perturb {
+            0 | 1 => compact.clone(),
+            2 => compact.replacen('[', "[ ", 1),
+            3 => compact.replacen(']', " ]", 1),
+            4 => compact.replacen(',', ", ", 1),
+            5 => format!(" {compact}"),
+            6 => compact.replacen('[', "[0", 1),
+            7 => compact.replacen(']', ",]", 1),
+            8 => row(12),
+            9 => row(14),
+            10 => format!("[18446744073709551616{rest}"),
+            11 => format!("[-1{rest}"),
+            _ => format!("[1.0{rest}"),
+        };
+        // The oracle: the tree's reading, when the text is its own compact
+        // rendering of an array of 13 unsigned integers.
+        let want: Option<Vec<u64>> = Json::parse(&text)
+            .ok()
+            .filter(|tree| tree.compact() == text)
+            .and_then(|tree| tree.as_array().ok()?.iter().map(|v| v.as_u64().ok()).collect())
+            .filter(|row: &Vec<u64>| row.len() == 13);
+        prop_assert_eq!(want.is_some(), perturb < 2, "{}", text);
+        let input = text.clone() + ["", ",1", "}", " "][tail];
+        let mut reader = gpa_json::Reader::new(&input);
+        let got = reader.counters::<13>();
+        prop_assert_eq!(got.map(Vec::from), want.clone(), "{}", input);
+        prop_assert_eq!(reader.offset(), if want.is_some() { text.len() } else { 0 }, "{}", input);
+    }
+}
+
+/// A row one level under the nesting cap is read in one step; at the cap
+/// it is left to the token walk, which refuses it as too deep.
+#[test]
+fn a_counter_row_past_the_nesting_cap_is_left_to_the_walk() {
+    for (levels, fits) in [(127, true), (128, false)] {
+        let text = "[".repeat(levels) + "[1,2]" + &"]".repeat(levels);
+        let mut reader = gpa_json::Reader::new(&text);
+        for _ in 0..levels {
+            assert!(reader.open(b'[').unwrap() && reader.element().unwrap());
+        }
+        let at = reader.offset();
+        assert_eq!(reader.counters::<2>(), fits.then_some([1, 2]), "{levels}");
+        if !fits {
+            assert_eq!(reader.offset(), at);
+            assert!(reader.value().unwrap_err().to_string().contains("nesting too deep"));
+        }
+    }
+}
+
+/// A hit for the escaper — `"`, `\` or any control byte — at every byte
+/// position of the first and second word and of the tail, behind ASCII,
+/// 2- and 4-byte UTF-8 and 0x7F, and beside 0x7F: the writer escapes it
+/// as a char-by-char reference does, the reader takes the escaped text
+/// back, and a raw control byte is refused at its own offset.
+#[test]
+fn the_word_at_a_time_scan_finds_every_hit_at_every_position() {
+    let hits = ['"', '\\'].into_iter().chain((0u8..0x20).map(char::from));
+    let fillers = ["a", "é", "µ", "😀", "\u{7f}", "\u{7f}a", "日"];
+    let mut checked = 0;
+    for hit in hits {
+        for filler in fillers {
+            for before in 0..20 {
+                let prefix = filler.repeat(before);
+                for after in ["", "\u{7f}", "b\u{7f}", "xyz\\q", "0123456789abcdef"] {
+                    let s = format!("{prefix}{hit}{after}");
+                    let written = Json::from(s.as_str()).compact();
+                    assert_eq!(written, escaped_char_by_char(&s), "{s:?}");
+                    let mut w = gpa_json::Writer::default();
+                    w.value(s.as_str());
+                    assert_eq!(w.finish().compact(), written, "{s:?}");
+                    assert_eq!(Json::parse(&written).unwrap(), Json::from(s.as_str()), "{s:?}");
+                    if hit < ' ' {
+                        let want = format!(
+                            "json: control character in string at byte {}",
+                            1 + prefix.len()
+                        );
+                        let raw = format!("\"{s}\"");
+                        assert_eq!(Json::parse(&raw).unwrap_err().to_string(), want, "{s:?}");
+                    }
+                    checked += 1;
+                }
+            }
+        }
+    }
+    assert_eq!(checked, 34 * 7 * 20 * 5);
+    // No false hit: strings with nothing to escape, of every length
+    // across two words and a tail, are copied as they are.
+    let plain: String =
+        (0x20u8..0x7f).map(char::from).filter(|c| !matches!(c, '"' | '\\')).collect();
+    for filler in fillers.iter().copied().chain([plain.as_str()]) {
+        for n in 0..24 {
+            let s: String = filler.repeat(n);
+            assert_eq!(Json::from(s.as_str()).compact(), format!("\"{s}\""), "{s:?}");
+        }
+    }
+}
+
 /// The string writer before it learned to copy runs: one `push` per
 /// character — the oracle for the byte-run version.
 fn escaped_char_by_char(s: &str) -> String {

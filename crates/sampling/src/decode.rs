@@ -93,7 +93,13 @@ fn unsigned(reader: &mut Reader) -> Kept<u64> {
     }
 }
 
+/// A row of stall-reason counters: as `compact` writes it, in one step;
+/// any other spelling through the token walk below, which alone words
+/// the errors.
 fn reason_array(reader: &mut Reader) -> Kept<[u64; N_REASONS]> {
+    if let Some(row) = reader.counters() {
+        return Ok(Ok(row));
+    }
     if !reader.open(b'[')? {
         return mistyped(reader, |v| v.as_array().map(drop));
     }

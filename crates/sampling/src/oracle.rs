@@ -341,6 +341,26 @@ fn value_mutants() -> Vec<String> {
         assert!(SMALL.contains(needle), "surgery target {needle}");
         out.push(SMALL.replacen(needle, replacement, 1));
     }
+    // Counter rows the one-step read refuses, so the token walk judges
+    // them: spaced, a leading-zero element, a trailing comma, 12 and 14
+    // elements, an element past `u64`, negative or a float.
+    let row = "[0,0,0,1,0,0,0,0,0,0,0,0,0]";
+    for spelling in [
+        "[ 0,0,0,1,0,0,0,0,0,0,0,0,0]",
+        "[0,0,0,1,0,0,0,0,0,0,0,0,0 ]",
+        "[0, 0,0,1,0,0,0,0,0,0,0,0,0]",
+        "[0,0,0,01,0,0,0,0,0,0,0,0,0]",
+        "[0,0,0,1,0,0,0,0,0,0,0,0,0,]",
+        "[0,0,0,1,0,0,0,0,0,0,0,0]",
+        "[0,0,0,1,0,0,0,0,0,0,0,0,0,0]",
+        "[0,0,0,1,0,0,0,0,0,0,0,0,18446744073709551616]",
+        "[0,0,0,1,0,0,0,0,0,0,0,0,-1]",
+        "[0,0,0,1.0,0,0,0,0,0,0,0,0,0]",
+    ] {
+        for at in SMALL.match_indices(row).map(|(at, _)| at) {
+            out.push(format!("{}{spelling}{}", &SMALL[..at], &SMALL[at + row.len()..]));
+        }
+    }
     let pcs_at = SMALL.find("\"pcs\":").unwrap() + 6;
     let pcs_end = SMALL.find(",\"total_samples\"").unwrap();
     for pcs in ["[]", "null", "{}", "{\"16\":7}", "{\"16\":[]}", "{\"16\":{}}"] {

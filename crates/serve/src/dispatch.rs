@@ -30,9 +30,10 @@ pub(crate) struct ReplyTo {
     pub(crate) token: u64,
 }
 
-/// One queued analysis request and where its frame goes back.
+/// One queued analysis request, its content address and where its frame goes back.
 pub(crate) struct Work {
     request: Request,
+    addr: Option<(u64, String)>,
     reply: ReplyTo,
 }
 
@@ -42,10 +43,11 @@ pub(crate) enum Control {
     Shutdown,
 }
 
-/// A request that needs a worker, plus its upload ticket if it was
-/// synthesized by `profile_end`.
+/// A request that needs a worker, its content address (fingerprint first: hashed once, where it
+/// was judged cacheable) and its upload ticket if `profile_end` synthesized it.
 pub(crate) struct Pending {
     pub(crate) request: Request,
+    pub(crate) addr: Option<(u64, String)>,
     pub(crate) ticket: Option<UploadTicket>,
 }
 
@@ -123,10 +125,10 @@ pub(crate) fn handle_line(shared: &Shared, state: &mut Uploads, line: &str) -> H
             // *this* shard announces to every member and takes a worker.
             return match cluster::leave_inline(shared, addr.as_deref(), &meta) {
                 Some(frame) => reply(frame),
-                None => Handled::Dispatch(Pending {
-                    request: Request::Leave { addr, meta },
-                    ticket: None,
-                }),
+                None => {
+                    let request = Request::Leave { addr, meta };
+                    Handled::Dispatch(Pending { request, addr: None, ticket: None })
+                }
             };
         }
         other => other,
@@ -143,12 +145,11 @@ pub(crate) fn handle_line(shared: &Shared, state: &mut Uploads, line: &str) -> H
             }
         }
     }
-    if let Some(key) = request.cache_key() {
-        if let Some(body) = shared.store.get(&key) {
-            return reply(protocol::ok_frame(true, &body));
-        }
+    let addr = request.cache_key().map(|key| (crate::store::fingerprint(&key), key));
+    if let Some(body) = addr.as_ref().and_then(|(hash, key)| shared.store.get_at(*hash, key)) {
+        return reply(protocol::ok_frame(true, &body));
     }
-    Handled::Dispatch(Pending { request, ticket: None })
+    Handled::Dispatch(Pending { request, addr, ticket: None })
 }
 
 /// Admits a request to the worker queue, or rejects it (shutdown, byte
@@ -158,6 +159,7 @@ pub(crate) fn handle_line(shared: &Shared, state: &mut Uploads, line: &str) -> H
 pub(crate) fn try_enqueue(
     shared: &Shared,
     request: Request,
+    addr: Option<(u64, String)>,
     reply: ReplyTo,
 ) -> Result<(), Box<(Request, String)>> {
     // The byte gate is per reactor: each reactor's own backlog is
@@ -191,7 +193,7 @@ pub(crate) fn try_enqueue(
             )),
         )));
     }
-    queue.push_back(Work { request, reply });
+    queue.push_back(Work { request, addr, reply });
     shared.metrics.note_enqueued();
     shared.available.notify_one();
     Ok(())
@@ -215,7 +217,7 @@ pub(crate) fn worker_loop(shared: &Shared) {
             }
         };
         let Some(work) = work else { break };
-        let frame = execute(shared, work.request);
+        let frame = execute(shared, work.request, work.addr);
         // The connection may already be gone; that only means nobody
         // is waiting for this frame.
         let rs = &shared.reactors[work.reply.reactor];
@@ -236,7 +238,7 @@ enum Forwarded {
 /// Runs one dequeued request: forwarded to its owning shard in cluster
 /// mode, computed locally otherwise (or as the fallback when the owner
 /// is unreachable).
-fn execute(shared: &Shared, request: Request) -> String {
+fn execute(shared: &Shared, request: Request, addr: Option<(u64, String)>) -> String {
     for _hop in 0..MAX_FORWARD_HOPS {
         let Some(owner) = route_away(shared, &request) else { break };
         match forward(shared, &owner, &request) {
@@ -249,16 +251,15 @@ fn execute(shared: &Shared, request: Request) -> String {
                 // The owner is unreachable: answer locally. Check the
                 // store once more first — the frame may have landed as a
                 // replica while we waited on the dead peer.
-                if let Some(key) = request.cache_key() {
-                    if let Some(body) = shared.store.get(&key) {
-                        return protocol::ok_frame(true, &body);
-                    }
+                let stored = addr.as_ref().and_then(|(hash, key)| shared.store.get_at(*hash, key));
+                if let Some(body) = stored {
+                    return protocol::ok_frame(true, &body);
                 }
                 break;
             }
         }
     }
-    execute_local(shared, request)
+    execute_local(shared, request, addr)
 }
 
 /// The shard `request` must be relayed to: `Some(owner)` only in
@@ -306,13 +307,13 @@ fn forward(shared: &Shared, owner: &str, request: &Request) -> Result<Forwarded,
 /// Fetches an owned-but-missing key from its replica holder: how a
 /// restarted shard, or a joiner for the keys it took over, warms
 /// instead of recomputing.
-fn warm_from_replica(shared: &Shared, key: &str) -> Option<String> {
+fn warm_from_replica(shared: &Shared, (hash, key): &(u64, String)) -> Option<String> {
     let cluster = shared.cluster.as_ref()?;
     if !cluster.owns(key) {
         return None;
     }
     let holder = cluster.replica(key)?;
-    let wire = Request::StoreGet { key: key.to_string() }.to_wire();
+    let wire = Request::StoreGet { key: key.clone() }.to_wire();
     let line = cluster.ask(&holder, PeerOp::Store, &shared.metrics, &wire).ok()?;
     let doc = Json::parse(&line).ok()?;
     if !doc.get("ok")?.as_bool().ok()? {
@@ -326,19 +327,16 @@ fn warm_from_replica(shared: &Shared, key: &str) -> Option<String> {
     // proptests), so the warmed body equals the replica's bytes.
     let body = result.get("body")?.compact();
     shared.metrics.peer_warm_hits.fetch_add(1, Ordering::Relaxed);
-    shared.store.insert(key, &body);
+    shared.store.insert_at(*hash, key, &body);
     Some(body)
 }
 
 /// Computes one request on the shared session. Successful bodies go
 /// into the report store under the request's content address and, in
 /// cluster mode, to the replicator.
-fn execute_local(shared: &Shared, request: Request) -> String {
-    let key = request.cache_key();
-    if let Some(key) = &key {
-        if let Some(body) = warm_from_replica(shared, key) {
-            return protocol::ok_frame(true, &body);
-        }
+fn execute_local(shared: &Shared, request: Request, addr: Option<(u64, String)>) -> String {
+    if let Some(body) = addr.as_ref().and_then(|addr| warm_from_replica(shared, addr)) {
+        return protocol::ok_frame(true, &body);
     }
     let body = match request {
         Request::Analyze { job, options } => shared
@@ -374,8 +372,8 @@ fn execute_local(shared: &Shared, request: Request) -> String {
     };
     match body {
         Ok(body) => {
-            let key = key.expect("analysis requests are cacheable");
-            let body = shared.store.insert(&key, &body.compact());
+            let (hash, key) = addr.expect("analysis requests are cacheable");
+            let body = shared.store.insert_at(hash, &key, &body.compact());
             cluster::replicate(shared, &key, &body);
             protocol::ok_frame(false, &body)
         }

@@ -468,7 +468,7 @@ fn pump_frames(shared: &Shared, reply: ReplyTo, slot: &mut Slot) {
                 // The byte gate reads the gauge: count what this turn
                 // has queued so far.
                 publish_backlog(stats, slot);
-                match dispatch::try_enqueue(shared, pending.request, reply) {
+                match dispatch::try_enqueue(shared, pending.request, pending.addr, reply) {
                     Ok(()) => {
                         slot.conn.dispatched();
                         slot.ticket = pending.ticket;

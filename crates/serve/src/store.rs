@@ -107,21 +107,24 @@ impl ReportStore {
     /// whose stored key differs (64-bit fingerprint collision) is a
     /// miss, never a wrong answer.
     pub fn get(&self, key: &str) -> Option<Arc<str>> {
-        let hash = fingerprint(key);
-        {
-            let mut inner = self.inner.lock().expect("store lock");
-            inner.tick += 1;
-            let tick = inner.tick;
-            if let Some(entry) = inner.map.get_mut(&hash) {
-                if entry.key == key {
-                    entry.last_used = tick;
-                    let body = Arc::clone(&entry.body);
-                    drop(inner);
-                    self.hits.fetch_add(1, Ordering::Relaxed);
-                    return Some(body);
-                }
+        self.get_at(fingerprint(key), key)
+    }
+
+    /// [`get`](Self::get) of a key whose [`fingerprint`] is `hash`.
+    pub fn get_at(&self, hash: u64, key: &str) -> Option<Arc<str>> {
+        let mut inner = self.inner.lock().expect("store lock");
+        inner.tick += 1;
+        let tick = inner.tick;
+        if let Some(entry) = inner.map.get_mut(&hash) {
+            if entry.key == key {
+                entry.last_used = tick;
+                let body = Arc::clone(&entry.body);
+                drop(inner);
+                self.hits.fetch_add(1, Ordering::Relaxed);
+                return Some(body);
             }
         }
+        drop(inner);
         if let Some(path) = self.disk_path(hash) {
             if let Ok(text) = std::fs::read_to_string(&path) {
                 // Files hold `key\n body`; trust but verify — a corrupt
@@ -145,7 +148,11 @@ impl ReportStore {
     /// Inserts a body, persisting it when the disk tier is enabled.
     /// Returns the stored (shared) body.
     pub fn insert(&self, key: &str, body: &str) -> Arc<str> {
-        let hash = fingerprint(key);
+        self.insert_at(fingerprint(key), key, body)
+    }
+
+    /// [`insert`](Self::insert) of a key whose [`fingerprint`] is `hash`.
+    pub fn insert_at(&self, hash: u64, key: &str, body: &str) -> Arc<str> {
         if let Some(path) = self.disk_path(hash) {
             if std::fs::write(&path, format!("{key}\n{body}")).is_err() {
                 self.persist_errors.fetch_add(1, Ordering::Relaxed);
@@ -278,5 +285,96 @@ mod tests {
         assert!(s.get("mine").is_none(), "colliding disk key is not served");
         assert_eq!(s.stats().misses, 2);
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// A two-PC profile document, in its compact rendering.
+    const PROFILE: &str = r#"{"kernel":"k","module_name":"m","arch":"volta","period":509,"launch":{"grid_blocks":1,"block_threads":32,"regs_per_thread":32,"smem_per_block":0},"occupancy":{"blocks_per_sm":1,"warps_per_sm":1,"warps_per_scheduler":0.25,"limiter":"GridSize","ratio":0.015625},"cycles":1000,"issued":100,"pcs":{"16":{"total":1,"by_reason":[0,0,0,1,0,0,0,0,0,0,0,0,0],"latency_by_reason":[0,0,0,1,0,0,0,0,0,0,0,0,0]},"32":{"total":1,"by_reason":[1,0,0,0,0,0,0,0,0,0,0,0,0],"latency_by_reason":[0,0,0,0,0,0,0,0,0,0,0,0,0]}},"total_samples":2,"active_samples":1,"latency_samples":1,"mem_transactions":5,"l2_hits":3,"l2_misses":2,"icache_misses":1}"#;
+
+    /// The content address names disk files and places keys on the ring:
+    /// one `analyze` and one `analyze_profile` key's fingerprints, three
+    /// placements on a 3-member ring and a persisted file name, as
+    /// literals that a change to how the address is built or carried
+    /// must leave as they are.
+    #[test]
+    fn content_addresses_names_and_placement_are_pinned() {
+        use crate::protocol::{analyze_profile_frame, Request, WireOptions};
+        let key = |frame: &str| Request::parse(frame).unwrap().cache_key().unwrap();
+        let analyze = key(r#"{"op":"analyze","app":"rodinia/hotspot","variant":1,"schema":2}"#);
+        let upload = key(&analyze_profile_frame("rodinia/bfs", 0, PROFILE, &WireOptions::v2()));
+        assert_eq!(
+            [fingerprint(&analyze), fingerprint(&upload)],
+            [0x0401_c83d_88c8_406b, 0x7e10_6540_587d_7f5c]
+        );
+        let ring = crate::ring::Ring::new(
+            ["10.0.0.1:7070", "10.0.0.2:7070", "10.0.0.3:7070"].map(String::from),
+        );
+        let placed: Vec<(&str, Option<&str>)> = [analyze.as_str(), upload.as_str(), "b"]
+            .into_iter()
+            .map(|key| (ring.owner(key), ring.replica(key)))
+            .collect();
+        let (a, b, c) = ("10.0.0.1:7070", "10.0.0.2:7070", "10.0.0.3:7070");
+        assert_eq!(placed, [(a, Some(b)), (a, Some(c)), (c, Some(a))]);
+        let dir =
+            std::env::temp_dir().join(format!("gpa-store-test-{}-pinned", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        ReportStore::new(1, Some(dir.clone())).unwrap().insert(&upload, "{}");
+        let names: Vec<String> = std::fs::read_dir(&dir)
+            .unwrap()
+            .map(|entry| entry.unwrap().file_name().into_string().unwrap())
+            .collect();
+        let _ = std::fs::remove_dir_all(&dir);
+        assert_eq!(names, ["7e106540587d7f5c.json"]);
+    }
+
+    /// The calls that take a carried fingerprint are the `&str` calls
+    /// with the hash done by the caller: two persisting stores driven
+    /// through the same steps, one each way, hit, miss, evict, answer and
+    /// persist alike, and a cold store over each disk tier reads back
+    /// alike.
+    #[test]
+    fn carried_fingerprints_hit_miss_evict_and_persist_like_keys() {
+        let dirs = ["by-key", "by-hash"].map(|side| {
+            std::env::temp_dir().join(format!("gpa-store-test-{}-{side}", std::process::id()))
+        });
+        for dir in &dirs {
+            let _ = std::fs::remove_dir_all(dir);
+        }
+        let stores = || dirs.clone().map(|dir| ReportStore::new(2, Some(dir)).unwrap());
+        let [by_key, by_hash] = stores();
+        // (key, insert after the lookup): hits, misses, an eviction and a
+        // disk hit that re-admits an evicted entry.
+        let steps =
+            [("a", true), ("b", true), ("a", false), ("c", true), ("b", false), ("d", false)];
+        for (i, (key, insert)) in steps.into_iter().enumerate() {
+            let hash = fingerprint(key);
+            assert_eq!(by_key.get(key), by_hash.get_at(hash, key), "step {i}: get {key}");
+            if insert {
+                let body = format!("{{\"v\":{i}}}");
+                assert_eq!(by_key.insert(key, &body), by_hash.insert_at(hash, key, &body));
+            }
+            assert_eq!(by_key.stats(), by_hash.stats(), "step {i}");
+        }
+        let st = by_hash.stats();
+        assert_eq!((st.hits, st.disk_hits, st.misses, st.evictions), (2, 1, 4, 2));
+        let [cold_key, cold_hash] = stores();
+        for key in ["a", "b", "c", "d"] {
+            assert_eq!(cold_key.get(key), cold_hash.get_at(fingerprint(key), key), "cold {key}");
+        }
+        assert_eq!(cold_key.stats(), cold_hash.stats());
+        let files = |dir: &PathBuf| {
+            let mut files: Vec<(std::ffi::OsString, String)> = std::fs::read_dir(dir)
+                .unwrap()
+                .map(|e| e.unwrap())
+                .map(|e| (e.file_name(), std::fs::read_to_string(e.path()).unwrap()))
+                .collect();
+            files.sort();
+            files
+        };
+        let [key_files, hash_files] = dirs.each_ref().map(files);
+        for dir in &dirs {
+            let _ = std::fs::remove_dir_all(dir);
+        }
+        assert_eq!(key_files.len(), 3);
+        assert_eq!(key_files, hash_files);
     }
 }

@@ -175,14 +175,14 @@ pub(crate) fn upload_end(shared: &Shared, state: &mut Uploads, upload_id: u64) -
     let retained_pcs = profile.pcs.len() as u64;
     let canon = profile.to_doc().compact();
     let request = Request::AnalyzeProfile { job, profile: Box::new(profile), canon, options };
-    if let Some(key) = request.cache_key() {
-        if let Some(body) = shared.store.get(&key) {
-            shared.upload_pcs.fetch_sub(retained_pcs, Ordering::Relaxed);
-            return Handled::Reply(protocol::ok_frame(true, &body), Control::Continue);
-        }
+    let addr = request.cache_key().map(|key| (crate::store::fingerprint(&key), key));
+    if let Some(body) = addr.as_ref().and_then(|(hash, key)| shared.store.get_at(*hash, key)) {
+        shared.upload_pcs.fetch_sub(retained_pcs, Ordering::Relaxed);
+        return Handled::Reply(protocol::ok_frame(true, &body), Control::Continue);
     }
     Handled::Dispatch(Pending {
         request,
+        addr,
         ticket: Some(UploadTicket { upload_id, chunks, retained_pcs }),
     })
 }

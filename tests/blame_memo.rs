@@ -13,10 +13,10 @@ mod common;
 use common::{random_profile, NESTED_CALLS};
 use gpa::arch::{ArchConfig, LatencyTable};
 use gpa::core::ModuleBlame;
-use gpa::isa::Module;
+use gpa::isa::{Module, INSTR_BYTES};
 use gpa::kernels::apps::membound;
 use gpa::pipeline::Session;
-use gpa::sampling::{KernelProfile, StallReason};
+use gpa::sampling::{KernelProfile, PcStats, StallReason};
 use gpa::structure::ProgramStructure;
 use proptest::{Strategy, TestRng};
 
@@ -138,4 +138,45 @@ fn blame_conserves_every_nodes_stalls() {
         }
     }
     assert!(checked > 2_000, "the corpus has stalled nodes ({checked})");
+}
+
+/// A row at a PC that names no instruction — inside one (`base + 8`), in
+/// the alignment gap after a function, past the last instruction, below
+/// the first — is no function's: with such rows, stalled and issuing
+/// under every reason, added to every table of the corpus, blame has the
+/// same nodes, edges and unattributed stalls as without them.
+#[test]
+fn rows_at_pcs_that_name_no_instruction_are_no_functions() {
+    let latency = LatencyTable::for_arch(&ArchConfig::volta_v100());
+    let mut stray = PcStats::default();
+    stray.by_reason.fill(5);
+    stray.latency_by_reason.fill(2);
+    stray.total = stray.by_reason.iter().sum();
+    let (mut strays_seen, mut gaps) = (0, 0);
+    for (name, module, tables) in corpus() {
+        let functions = &module.functions;
+        let names_an_instr = |pc: u64| functions.iter().any(|f| f.index_of_pc(pc).is_some());
+        let first = functions.iter().map(|f| f.base).min().expect("a function");
+        let last = functions.iter().map(|f| f.end()).max().expect("a function");
+        let mut strays = vec![first - INSTR_BYTES, first - 8, last, last + 8, last + 4096];
+        for f in functions {
+            let in_gap = !names_an_instr(f.end());
+            gaps += usize::from(in_gap);
+            strays.extend([f.base + 8, f.end() - 8]);
+            strays.extend(in_gap.then_some(f.end()));
+        }
+        assert!(strays.iter().all(|&pc| !names_an_instr(pc)), "{name}: {strays:x?}");
+        strays_seen += strays.len();
+        let structure = ProgramStructure::build(&module);
+        for (t, table) in tables.iter().enumerate() {
+            let mut noisy = table.clone();
+            noisy.pcs.extend(strays.iter().map(|&pc| (pc, stray.clone())));
+            assert_eq!(
+                ModuleBlame::build(&module, &structure, &noisy, &latency),
+                ModuleBlame::build(&module, &structure, table, &latency),
+                "{name}: table {t} with rows at {strays:x?}"
+            );
+        }
+    }
+    assert!(strays_seen > 300 && gaps > 20, "{strays_seen} stray rows, {gaps} gaps");
 }
