@@ -15,7 +15,6 @@
 
 use crate::latency::LatencyTable;
 use gpa_isa::{Function, Opcode, Slot};
-use std::collections::HashMap;
 
 /// Ensures intra-block fixed-latency dependencies are covered by control-
 /// code stall counts, mutating the function in place.
@@ -59,19 +58,17 @@ pub fn assign_stall_counts(f: &mut Function, lat: &LatencyTable) -> usize {
 
 fn schedule_block(f: &mut Function, lat: &LatencyTable, start: usize, end: usize) -> usize {
     let mut raised = 0;
-    // Issue-time simulation: slot -> cycle at which its value is ready.
-    let mut ready: HashMap<Slot, u64> = HashMap::new();
+    // Issue-time simulation: the cycle at which each register (0..256) and
+    // predicate (256..) value is ready, 0 until the block writes it.
+    let mut ready = [0u64; 256 + 8];
+    let cell = |s: Slot| match s {
+        Slot::Reg(r) => Some(usize::from(r.index())),
+        Slot::Pred(p) => Some(256 + usize::from(p.index())),
+        Slot::Bar(_) => None, // barrier waits handled dynamically
+    };
     let mut now: u64 = 0;
     for i in start..end {
-        let needed = f.instrs[i]
-            .uses()
-            .iter()
-            .filter_map(|s| match s {
-                Slot::Bar(_) => None, // barrier waits handled dynamically
-                other => ready.get(other).copied(),
-            })
-            .max()
-            .unwrap_or(0);
+        let needed = f.instrs[i].uses().filter_map(cell).map(|c| ready[c]).max().unwrap_or(0);
         if needed > now && i > start {
             let deficit = needed - now;
             // Spread the deficit over preceding instructions, each stall
@@ -92,21 +89,11 @@ fn schedule_block(f: &mut Function, lat: &LatencyTable, start: usize, end: usize
         }
         // Issue at `now`; next instruction earliest at now + stall.
         let stall = f.instrs[i].ctrl.stall.max(1) as u64;
-        if let Some(l) = lat.fixed_latency(&f.instrs[i]) {
-            let done = now + l as u64;
-            for d in f.instrs[i].defs() {
-                if !matches!(d, Slot::Bar(_)) {
-                    ready.insert(d, done);
-                }
-            }
-        } else {
-            // Variable latency: consumers must wait on the barrier; mark
-            // the defs as ready immediately for this static pass.
-            for d in f.instrs[i].defs() {
-                if !matches!(d, Slot::Bar(_)) {
-                    ready.insert(d, now + 1);
-                }
-            }
+        // Variable latency: consumers must wait on the barrier; mark the
+        // defs as ready immediately for this static pass.
+        let done = now + lat.fixed_latency(&f.instrs[i]).map_or(1, u64::from);
+        for c in f.instrs[i].defs().filter_map(cell) {
+            ready[c] = done;
         }
         now += stall;
     }

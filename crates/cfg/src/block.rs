@@ -46,6 +46,7 @@ pub struct Cfg {
     succs: Vec<Vec<BlockId>>,
     preds: Vec<Vec<BlockId>>,
     block_of: Vec<BlockId>,
+    rpo: Vec<BlockId>,
     n_instrs: usize,
 }
 
@@ -128,7 +129,8 @@ impl Cfg {
                 preds[t.0].push(b.id);
             }
         }
-        Cfg { blocks, succs, preds, block_of, n_instrs: n }
+        let rpo = reverse_postorder(&succs);
+        Cfg { blocks, succs, preds, block_of, rpo, n_instrs: n }
     }
 
     /// All basic blocks in layout order.
@@ -176,30 +178,38 @@ impl Cfg {
     }
 
     /// Reverse postorder over blocks reachable from the entry.
-    pub fn reverse_postorder(&self) -> Vec<BlockId> {
-        let mut visited = vec![false; self.blocks.len()];
-        let mut order = Vec::with_capacity(self.blocks.len());
-        // Iterative DFS with an explicit "post" marker.
-        let mut stack = vec![(self.entry(), false)];
-        while let Some((b, post)) = stack.pop() {
-            if post {
-                order.push(b);
-                continue;
-            }
-            if visited[b.0] {
-                continue;
-            }
-            visited[b.0] = true;
-            stack.push((b, true));
-            for &s in &self.succs[b.0] {
-                if !visited[s.0] {
-                    stack.push((s, false));
-                }
+    pub fn reverse_postorder(&self) -> &[BlockId] {
+        &self.rpo
+    }
+}
+
+/// Reverse postorder from the entry block over the successor lists.
+fn reverse_postorder(succs: &[Vec<BlockId>]) -> Vec<BlockId> {
+    let mut visited = vec![false; succs.len()];
+    let mut order = Vec::with_capacity(succs.len());
+    if succs.is_empty() {
+        return order; // an empty function has no entry block
+    }
+    // Iterative DFS with an explicit "post" marker.
+    let mut stack = vec![(BlockId(0), false)];
+    while let Some((b, post)) = stack.pop() {
+        if post {
+            order.push(b);
+            continue;
+        }
+        if visited[b.0] {
+            continue;
+        }
+        visited[b.0] = true;
+        stack.push((b, true));
+        for &s in &succs[b.0] {
+            if !visited[s.0] {
+                stack.push((s, false));
             }
         }
-        order.reverse();
-        order
     }
+    order.reverse();
+    order
 }
 
 #[cfg(test)]

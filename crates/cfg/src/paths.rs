@@ -148,10 +148,9 @@ impl Cfg {
         if from == to || avoid == Some(to) {
             return None;
         }
-        let order = self.reverse_postorder();
         let mut dist: Vec<Option<u32>> = vec![None; self.blocks().len()];
         dist[from.0] = Some(0);
-        for &b in &order {
+        for &b in self.reverse_postorder() {
             let Some(d) = dist[b.0] else { continue };
             for &s in self.succs(b) {
                 if dom.dominates(s, b) {
@@ -207,6 +206,42 @@ impl Cfg {
         }
         // k in its own block: k is on every path iff no path avoids bk.
         self.reachable_between(bi, bj, None) && !self.reachable_between(bi, bj, Some(bk))
+    }
+
+    /// Whether some instruction of `ks` (ascending, duplicates allowed)
+    /// lies on every CFG path from `i` to `j`: `ks.iter().any(|&k|
+    /// self.on_every_path(i, k, j))`, deciding each block that holds
+    /// readers once instead of each reader.
+    pub fn any_on_every_path(&self, i: usize, ks: &[usize], j: usize) -> bool {
+        debug_assert!(ks.is_sorted(), "readers must be ascending");
+        let (bi, bj) = (self.block_of(i), self.block_of(j));
+        let mut reach = None;
+        let mut reach = || *reach.get_or_insert_with(|| self.reachable_between(bi, bj, None));
+        let mut rest = ks;
+        while let Some(&k) = rest.first() {
+            let b = self.block(self.block_of(k));
+            let (in_b, tail) = rest.split_at(rest.partition_point(|&k| k < b.end));
+            rest = tail;
+            // The cases of `on_every_path`, in its order, for the readers
+            // of block `b` at once.
+            let hit = if bi == bj && i < j && b.id == bi {
+                // The straight-line path covers exactly the readers
+                // strictly between i and j.
+                in_b.get(in_b.partition_point(|&k| k <= i)).is_some_and(|&k| k < j)
+            } else if b.id == bi || b.id == bj {
+                // In i's block the readers after i count, in j's block
+                // those before j; the rest of the two blocks never does.
+                let after_i = b.id == bi && in_b[in_b.len() - 1] > i;
+                let before_j = b.id == bj && in_b[0] < j;
+                (after_i || before_j) && reach()
+            } else {
+                reach() && !self.reachable_between(bi, bj, Some(b.id))
+            };
+            if hit {
+                return true;
+            }
+        }
+        false
     }
 
     /// Is the start of `to` reachable from the end of `from`, optionally
@@ -324,5 +359,50 @@ top:
         // From MOV(0) to EXIT(6), the whole loop body lies on every path.
         assert!(c.on_every_path(0, 1, 6));
         assert!(c.on_every_path(0, 4, 6));
+    }
+
+    /// A two-block loop body with a skippable arm, and dead code after the
+    /// exit (so some `j` is reachable from no `i`).
+    const ARM_LOOP: &str = r#"
+.kernel k
+  MOV32I R0, 0 {S:1}              # 0
+top:
+  IADD R0, R0, 1 {S:4}            # 1
+  @P1 BRA skip {S:5}              # 2
+  MOV R2, R0 {S:1}                # 3
+skip:
+  ISETP.LT.AND P0, R0, 10 {S:2}   # 4
+  @P0 BRA top {S:5}               # 5
+  EXIT                            # 6
+  MOV R3, R4 {S:1}                # 7
+  EXIT                            # 8
+.endfunc
+"#;
+
+    /// `any_on_every_path` against the per-reader loop for every `(i, j)`
+    /// — forward, loop-carried `i > j` in one block, `i == j`, unreachable
+    /// `j` — and every reader set, also with each reader listed twice.
+    #[test]
+    fn any_on_every_path_equals_the_per_reader_oracle() {
+        for src in [DIAMOND, LOOP, ARM_LOOP] {
+            let c = cfg(src);
+            let n = c.instr_count();
+            for (i, j) in (0..n).flat_map(|i| (0..n).map(move |j| (i, j))) {
+                for mask in 0u32..1 << n {
+                    let ks: Vec<usize> = (0..n).filter(|k| mask >> k & 1 == 1).collect();
+                    let oracle = ks.iter().any(|&k| c.on_every_path(i, k, j));
+                    assert_eq!(c.any_on_every_path(i, &ks, j), oracle, "{i} {ks:?} {j}");
+                    let twice: Vec<usize> = ks.iter().flat_map(|&k| [k, k]).collect();
+                    assert_eq!(c.any_on_every_path(i, &twice, j), oracle, "{i} {twice:?} {j}");
+                }
+            }
+        }
+        // The cases the sweep must have met.
+        let c = cfg(ARM_LOOP);
+        assert!(c.any_on_every_path(5, &[1], 4), "loop-carried, through the header");
+        assert!(!c.any_on_every_path(5, &[3], 4), "the arm is skippable");
+        assert!(c.any_on_every_path(4, &[5], 4), "i == j: once around the loop");
+        assert!(!c.any_on_every_path(0, &[1, 3, 4], 7), "dead code is unreachable");
+        assert!(c.any_on_every_path(0, &[3, 3, 5], 6));
     }
 }

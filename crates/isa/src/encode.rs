@@ -295,11 +295,11 @@ pub fn dissect(instr: &Instruction) -> Vec<(&'static str, String)> {
         .srcs
         .iter()
         .flat_map(|s| {
-            let regs = s.src_regs();
+            let regs: Vec<String> = s.src_regs().map(|r| r.to_string()).collect();
             if regs.is_empty() {
                 vec![s.to_string()]
             } else {
-                regs.into_iter().map(|r| r.to_string()).collect()
+                regs
             }
         })
         .collect();

@@ -124,62 +124,28 @@ impl Instruction {
         self
     }
 
-    /// Storage locations written by this instruction.
+    /// Storage locations written by this instruction, in operand order,
+    /// without allocating.
     ///
     /// Includes destination registers and predicates (except `RZ`/`PT`) and
     /// the virtual barrier registers named by the write/read barrier fields
     /// — *setting* a barrier is modeled as a def, waiting on it as a use.
-    pub fn defs(&self) -> Vec<Slot> {
-        let mut out = Vec::new();
-        for d in &self.dsts {
-            for r in d.dst_regs() {
-                if !r.is_zero() {
-                    out.push(Slot::Reg(r));
-                }
-            }
-            if let Some(p) = d.pred() {
-                if !p.is_true() {
-                    out.push(Slot::Pred(p));
-                }
-            }
-        }
-        if let Some(b) = self.ctrl.write_barrier {
-            out.push(Slot::Bar(b));
-        }
-        if let Some(b) = self.ctrl.read_barrier {
-            out.push(Slot::Bar(b));
-        }
-        out
+    pub fn defs(&self) -> impl Iterator<Item = Slot> + '_ {
+        let dsts = self.dsts.iter().flat_map(|d| operand_slots(d.dst_regs(), d));
+        let barriers = [self.ctrl.write_barrier, self.ctrl.read_barrier];
+        dsts.chain(barriers.into_iter().flatten().map(Slot::Bar))
     }
 
-    /// Storage locations read by this instruction.
+    /// Storage locations read by this instruction, in operand order,
+    /// without allocating.
     ///
     /// Includes the guard predicate, source registers/predicates (except
     /// `RZ`/`PT`), address registers of memory operands, and the virtual
     /// barrier registers named by the wait mask.
-    pub fn uses(&self) -> Vec<Slot> {
-        let mut out = Vec::new();
-        if let Some(p) = self.pred {
-            if !p.reg.is_true() {
-                out.push(Slot::Pred(p.reg));
-            }
-        }
-        for s in &self.srcs {
-            for r in s.src_regs() {
-                if !r.is_zero() {
-                    out.push(Slot::Reg(r));
-                }
-            }
-            if let Some(p) = s.pred() {
-                if !p.is_true() {
-                    out.push(Slot::Pred(p));
-                }
-            }
-        }
-        for b in self.ctrl.waits() {
-            out.push(Slot::Bar(b));
-        }
-        out
+    pub fn uses(&self) -> impl Iterator<Item = Slot> + '_ {
+        let guard = self.pred.map(|p| p.reg).filter(|p| !p.is_true()).map(Slot::Pred);
+        let srcs = self.srcs.iter().flat_map(|s| operand_slots(s.src_regs(), s));
+        guard.into_iter().chain(srcs).chain(self.ctrl.waits().map(Slot::Bar))
     }
 
     /// Registers read to *produce a stored value* (store data operands),
@@ -216,6 +182,13 @@ impl Instruction {
         }
         s
     }
+}
+
+/// An operand's slots: its registers but `RZ`, then its predicate unless
+/// `PT`.
+fn operand_slots(regs: impl Iterator<Item = Register>, op: &Operand) -> impl Iterator<Item = Slot> {
+    let regs = regs.filter(|r| !r.is_zero()).map(Slot::Reg);
+    regs.chain(op.pred().filter(|p| !p.is_true()).map(Slot::Pred))
 }
 
 impl fmt::Display for Instruction {
@@ -264,12 +237,12 @@ mod tests {
     #[test]
     fn table1_defs_and_uses() {
         let i = table1_instruction();
-        let defs = i.defs();
+        let defs: Vec<Slot> = i.defs().collect();
         // R0 plus virtual barriers B0 (write) and B1 (read).
         assert!(defs.contains(&Slot::Reg(r(0))));
         assert!(defs.contains(&Slot::Bar(BarrierReg::new(0).unwrap())));
         assert!(defs.contains(&Slot::Bar(BarrierReg::new(1).unwrap())));
-        let uses = i.uses();
+        let uses: Vec<Slot> = i.uses().collect();
         // Guard P0, the 64-bit address pair R2:R3, wait-mask barriers.
         assert!(uses.contains(&Slot::Pred(PredReg::new(0).unwrap())));
         assert!(uses.contains(&Slot::Reg(r(2))));
@@ -291,8 +264,8 @@ mod tests {
             vec![Operand::Reg(Register::ZERO)],
             vec![Operand::Reg(r(1)), Operand::Reg(Register::ZERO)],
         );
-        assert!(i.defs().is_empty());
-        assert_eq!(i.uses(), vec![Slot::Reg(r(1))]);
+        assert_eq!(i.defs().count(), 0);
+        assert!(i.uses().eq([Slot::Reg(r(1))]));
     }
 
     #[test]

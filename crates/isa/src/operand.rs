@@ -73,22 +73,24 @@ pub enum Operand {
 
 impl Operand {
     /// General-purpose registers read when this operand appears as a source.
-    pub fn src_regs(&self) -> Vec<Register> {
-        match *self {
-            Operand::Reg(r) => vec![r],
-            Operand::RegPair(r) => vec![r, r.pair_hi()],
-            Operand::Mem(m) => m.addr_regs().collect(),
-            _ => Vec::new(),
-        }
+    pub fn src_regs(&self) -> impl Iterator<Item = Register> {
+        let (lo, hi) = match *self {
+            Operand::Reg(r) => (Some(r), None),
+            Operand::RegPair(r) => (Some(r), Some(r.pair_hi())),
+            Operand::Mem(m) => (Some(m.base), m.wide.then(|| m.base.pair_hi())),
+            _ => (None, None),
+        };
+        lo.into_iter().chain(hi)
     }
 
     /// General-purpose registers written when this operand is a destination.
-    pub fn dst_regs(&self) -> Vec<Register> {
-        match *self {
-            Operand::Reg(r) => vec![r],
-            Operand::RegPair(r) => vec![r, r.pair_hi()],
-            _ => Vec::new(),
-        }
+    pub fn dst_regs(&self) -> impl Iterator<Item = Register> {
+        let (lo, hi) = match *self {
+            Operand::Reg(r) => (Some(r), None),
+            Operand::RegPair(r) => (Some(r), Some(r.pair_hi())),
+            _ => (None, None),
+        };
+        lo.into_iter().chain(hi)
     }
 
     /// The predicate register, if this is a predicate operand.
@@ -150,9 +152,9 @@ mod tests {
     #[test]
     fn operand_reg_sets() {
         let pair = Operand::RegPair(Register::from_u8(4));
-        assert_eq!(pair.dst_regs(), vec![Register::from_u8(4), Register::from_u8(5)]);
+        assert!(pair.dst_regs().eq([Register::from_u8(4), Register::from_u8(5)]));
         let imm = Operand::Imm(42);
-        assert!(imm.src_regs().is_empty());
+        assert_eq!(imm.src_regs().count(), 0);
         assert_eq!(imm.to_string(), "42");
         assert_eq!(Operand::Imm(65536).to_string(), "0x10000");
         assert_eq!(Operand::FImm(2.0).to_string(), "2.0");

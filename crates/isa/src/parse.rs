@@ -69,14 +69,7 @@ impl Parser {
     }
 
     fn line(&mut self, ln: usize, raw: &str) -> Result<()> {
-        let mut text = raw;
-        if let Some(i) = text.find('#') {
-            text = &text[..i];
-        }
-        if let Some(i) = text.find("//") {
-            text = &text[..i];
-        }
-        let text = text.trim();
+        let text = strip_comment(raw).trim();
         if text.is_empty() {
             return Ok(());
         }
@@ -203,57 +196,50 @@ impl Parser {
                     .ok_or_else(|| err(ln, format!("unknown modifier `.{m}`")))?,
             );
         }
-        let mut operands: Vec<ParsedOperand> = Vec::new();
+        // The first `dst_count` operands are destinations. Operands hold
+        // no commas in this syntax (`[...]` and `c[..][..]` included), so
+        // splitting on them is safe.
+        let (mut dsts, mut srcs, mut fixups) = (Vec::new(), Vec::new(), Vec::new());
+        // A symbol in a destination slot is reported after every operand
+        // and the control code parsed.
+        let mut symbol_dst = None;
         if !tail.is_empty() {
-            for tok in tail.split(',') {
+            for (i, tok) in tail.split(',').enumerate() {
                 let tok = tok.trim();
                 if tok.is_empty() {
                     return Err(err(ln, "empty operand"));
                 }
-                operands.push(parse_operand(ln, tok)?);
+                match parse_operand(ln, tok)? {
+                    ParsedOperand::Concrete(o) if i < opcode.dst_count() => dsts.push(o),
+                    ParsedOperand::Concrete(o) => srcs.push(o),
+                    ParsedOperand::Symbol(s) if i < opcode.dst_count() => {
+                        symbol_dst.get_or_insert(s);
+                    }
+                    ParsedOperand::Symbol(s) => {
+                        fixups.push((srcs.len(), s));
+                        srcs.push(Operand::Imm(0));
+                    }
+                }
             }
         }
-        // Re-join tokens split inside `[...]` or `c[..][..]`: those contain
-        // no commas in our syntax, so nothing to re-join; the split above is
-        // safe.
         let ctrl = match ctrl {
             Some(c) => parse_ctrl(ln, c)?,
             None => ControlCode::none(),
         };
-        let ndst = opcode.dst_count().min(operands.len());
-        let mut dsts = Vec::new();
-        let mut srcs = Vec::new();
-        let mut fixups = Vec::new();
-        for (i, op) in operands.into_iter().enumerate() {
-            match op {
-                ParsedOperand::Concrete(o) => {
-                    if i < ndst {
-                        dsts.push(o);
-                    } else {
-                        srcs.push(o);
-                    }
-                }
-                ParsedOperand::Symbol(s) => {
-                    if i < ndst {
-                        return Err(err(ln, format!("symbol `{s}` cannot be a destination")));
-                    }
-                    let slot = srcs.len();
-                    srcs.push(Operand::Imm(0));
-                    let target = if opcode == Opcode::Cal {
-                        FixupTarget::Function(s)
-                    } else {
-                        FixupTarget::Label(s)
-                    };
-                    fixups.push((slot, target));
-                }
-            }
+        if let Some(s) = symbol_dst {
+            return Err(err(ln, format!("symbol `{s}` cannot be a destination")));
         }
         let f = self.cur.as_mut().expect("checked above");
         let at = f.instrs.len();
         f.instrs.push(Instruction { pred, opcode, mods, dsts, srcs, ctrl });
         f.lines.push(self.cur_loc);
         f.inline_stacks.push(self.cur_stack.clone());
-        for (slot, target) in fixups {
+        for (slot, s) in fixups {
+            let target = if opcode == Opcode::Cal {
+                FixupTarget::Function(s)
+            } else {
+                FixupTarget::Label(s)
+            };
             self.pending_fixups.push((at, slot, target));
         }
         Ok(())
@@ -271,6 +257,20 @@ impl Parser {
 enum ParsedOperand {
     Concrete(Operand),
     Symbol(String),
+}
+
+/// `raw` up to its first `#` or `//`.
+fn strip_comment(raw: &str) -> &str {
+    let bytes = raw.as_bytes();
+    let mut from = 0;
+    while let Some(at) = bytes[from..].iter().position(|&b| b == b'#' || b == b'/') {
+        let at = from + at;
+        if bytes[at] == b'#' || bytes.get(at + 1) == Some(&b'/') {
+            return &raw[..at];
+        }
+        from = at + 1;
+    }
+    raw
 }
 
 fn is_ident(s: &str) -> bool {
@@ -410,18 +410,22 @@ fn parse_barrier(ln: usize, s: &str) -> Result<BarrierReg> {
 fn parse_ctrl(ln: usize, text: &str) -> Result<ControlCode> {
     let mut c = ControlCode::none();
     // Wait lists contain commas; extract them before splitting.
-    let mut rest = text.to_string();
-    if let Some(i) = rest.find("WT:[") {
-        let close = rest[i..].find(']').ok_or_else(|| err(ln, "unterminated wait list"))? + i;
-        let list = rest[i + 4..close].to_string();
-        for b in list.split(',') {
-            let b = b.trim();
-            if !b.is_empty() {
-                c = c.with_wait(parse_barrier(ln, b)?);
+    let wait_list = text.find("WT:[");
+    let spliced;
+    let rest = match wait_list {
+        Some(i) => {
+            let close = text[i..].find(']').ok_or_else(|| err(ln, "unterminated wait list"))? + i;
+            for b in text[i + 4..close].split(',') {
+                let b = b.trim();
+                if !b.is_empty() {
+                    c = c.with_wait(parse_barrier(ln, b)?);
+                }
             }
+            spliced = [&text[..i], &text[close + 1..]].concat();
+            &spliced
         }
-        rest.replace_range(i..=close, "");
-    }
+        None => text,
+    };
     for item in rest.split(',') {
         let item = item.trim();
         if item.is_empty() {
@@ -491,7 +495,7 @@ top:
         assert_eq!(main.lines[0], Some(SourceLoc { file: 0, line: 10 }));
         assert_eq!(main.lines[3], Some(SourceLoc { file: 0, line: 12 }));
         // Wait masks parse into barrier uses.
-        assert!(main.instrs[5].uses().contains(&Slot::Bar(BarrierReg::new(1).unwrap())));
+        assert!(main.instrs[5].uses().any(|s| s == Slot::Bar(BarrierReg::new(1).unwrap())));
     }
 
     #[test]
@@ -559,4 +563,56 @@ top:
         assert_eq!(f.inline_stacks[1][0].callee, "helper");
         assert!(f.inline_stacks[2].is_empty());
     }
+    /// Comment stripping, control-code splicing and the order in which a
+    /// line's errors are reported, as recorded before the parser stopped
+    /// allocating per operand list and per control code.
+    #[test]
+    fn line_answers_match_the_recorded_ones() {
+        let answers: Vec<String> = PROBES
+            .iter()
+            .map(|line| {
+                match parse_module(&format!(".kernel k\ntop:\n{line}\n  EXIT\n.endfunc\n")) {
+                    Ok(m) => format!("ok {}", m.functions[0].instrs[0]),
+                    Err(e) => e.to_string(),
+                }
+            })
+            .collect();
+        assert_eq!(answers, RECORDED, "{answers:#?}");
+    }
+
+    const PROBES: [&str; 15] = [
+        "  MOV R1, R2 {S:1} # note // more",
+        "  MOV R1, R2 {S:1} // note # more",
+        "  MOV R1, R2 {S:1}/",
+        "  MOV R1, R2 {S:1} / 2",
+        "//  MOV R1, R2 {S:1}",
+        "  IADD R1, R2, 1 {W:B0, WT:[B0,B1], S:4}",
+        "  IADD R1, R2, 1 {S:4, WT:[B0] Y}",
+        "  IADD R1, R2, 1 {S:WT:[B0]4}",
+        "  IADD R1, R2, 1 {WT:[B0}",
+        "  MOV top, R1 {S:1}",
+        "  MOV top, R1 {S:99}",
+        "  MOV top, R1x {S:1}",
+        "  MOV top, [R1 {S:1}",
+        "  BRA top, {S:1}",
+        "  IADD R1, top, bottom {S:1}",
+    ];
+
+    const RECORDED: [&str; 15] = [
+        "ok MOV R1, R2 {S:1}",
+        "ok MOV R1, R2 {S:1}",
+        "ok MOV R1, R2 {S:1}",
+        "ok MOV R1, R2 {S:1}",
+        "ok EXIT {S:1}",
+        "ok IADD R1, R2, 1 {WT:[B0,B1], W:B0, S:4}",
+        "ok IADD R1, R2, 1 {WT:[B0], S:4, Y}",
+        "ok IADD R1, R2, 1 {WT:[B0], S:4}",
+        "parse error at line 3: unterminated wait list",
+        "parse error at line 3: symbol `top` cannot be a destination",
+        "parse error at line 3: stall count must be 0..=15",
+        "parse error at line 3: symbol `top` cannot be a destination",
+        "parse error at line 3: unterminated `[`",
+        "parse error at line 3: empty operand",
+        "unresolved symbol `label `bottom` in `k``",
+    ];
 }

@@ -44,7 +44,10 @@ macro_rules! vocabulary {
 
             /// Parses the assembly spelling.
             pub fn from_name(name: &str) -> Option<Self> {
-                Self::ALL.iter().copied().find(|v| v.name() == name)
+                match name {
+                    $($spelling => Some($name::$variant),)*
+                    _ => None,
+                }
             }
         }
 

@@ -18,16 +18,18 @@ use std::time::Instant;
 /// per `(app, variant)` and shared via [`Arc`] across runs: the linked
 /// module with its setup closure ([`KernelSpec`]), the static analysis
 /// ([`ProgramStructure`], which embeds each function's CFG and loop
-/// forest), and the simulator lowering ([`CompiledProgram`]), so repeat
-/// launches — batch re-runs, daemon traffic — skip re-lowering the
-/// module every time.
+/// forest), and the simulator lowering ([`CompiledProgram`]). The
+/// lowering is built by the first launch, not with the rest: advising on
+/// an uploaded profile never simulates, so it never pays for it, and
+/// repeat launches — batch re-runs, daemon traffic — reuse it.
 pub struct ModuleArtifacts {
     /// The built kernel variant (module, entry, launch, setup).
     pub spec: KernelSpec,
     /// Static analysis of `spec.module`.
     pub structure: ProgramStructure,
-    /// The module lowered for simulation, reused across launches.
-    pub program: Arc<CompiledProgram>,
+    /// The module lowered for simulation, or the lowering's error text:
+    /// filled by the first launch and reused by every later one.
+    program: OnceLock<Result<CompiledProgram, String>>,
     /// Snapshot of device memory and kernel params after the spec's
     /// setup closure ran once: setup closures are deterministic per
     /// variant, so repeat launches clone the initialized pages instead
@@ -40,6 +42,28 @@ pub struct ModuleArtifacts {
 struct MemInit {
     global: gpa_sim::GlobalMem,
     params: Vec<u8>,
+}
+
+impl ModuleArtifacts {
+    fn new(spec: KernelSpec) -> Self {
+        let structure = ProgramStructure::build(&spec.module);
+        ModuleArtifacts { spec, structure, program: OnceLock::new(), init: OnceLock::new() }
+    }
+
+    /// The simulator lowering, built on first use against `arch`.
+    fn program(
+        &self,
+        job: &AnalysisJob,
+        arch: &ArchConfig,
+    ) -> Result<&CompiledProgram, AnalysisError> {
+        self.program
+            .get_or_init(|| {
+                CompiledProgram::build(&self.spec.module, &self.spec.entry, arch)
+                    .map_err(|e| e.to_string())
+            })
+            .as_ref()
+            .map_err(|e| AnalysisError::new(job, e.clone()))
+    }
 }
 
 /// A long-lived analysis context: owns the experiment configuration and
@@ -166,24 +190,10 @@ impl Session {
                 format!("variant out of range (app has 0..{})", app.variants() - 1),
             ));
         }
-        let built = Arc::new(self.build_artifacts(job, (app.build)(job.variant, &self.params))?);
+        let built = Arc::new(ModuleArtifacts::new((app.build)(job.variant, &self.params)));
         let mut cache = self.cache.lock().expect("cache lock");
         // Two workers may race to build the same key; keep the first.
         Ok(Arc::clone(cache.entry(key).or_insert(built)))
-    }
-
-    /// Everything derivable from `spec`: the one place [`ModuleArtifacts`]
-    /// are constructed, cached ([`Session::artifacts`]) or not
-    /// ([`Session::analyze_spec`]).
-    fn build_artifacts(
-        &self,
-        job: &AnalysisJob,
-        spec: KernelSpec,
-    ) -> Result<ModuleArtifacts, AnalysisError> {
-        let program = CompiledProgram::build(&spec.module, &spec.entry, &self.arch)
-            .map_err(|e| AnalysisError::new(job, e.to_string()))?;
-        let structure = ProgramStructure::build(&spec.module);
-        Ok(ModuleArtifacts { spec, structure, program: Arc::new(program), init: OnceLock::new() })
     }
 
     /// Number of artifact-cache entries (for tests and diagnostics).
@@ -211,11 +221,12 @@ impl Session {
     }
 
     /// Runs an artifact's kernel with the profiler attached: the sampling
-    /// primitive every analysis path shares. Uses the artifact's cached
-    /// [`CompiledProgram`] and memory snapshot, so only the launch itself
-    /// is paid per run. `repeat > 1` replays the launch with shifted
-    /// sampling phases and merges the profiles; the returned cycles are
-    /// always the phase-0 (single-launch) ground truth.
+    /// primitive every analysis path shares. Uses the artifact's
+    /// [`CompiledProgram`] (lowered here on first use) and memory
+    /// snapshot, so only the launch itself is paid per run. `repeat > 1`
+    /// replays the launch with shifted sampling phases and merges the
+    /// profiles; the returned cycles are always the phase-0
+    /// (single-launch) ground truth.
     fn sample_artifacts(
         &self,
         job: &AnalysisJob,
@@ -223,9 +234,10 @@ impl Session {
         repeat: u32,
         hierarchy: bool,
     ) -> Result<(KernelProfile, u64), AnalysisError> {
+        let program = artifacts.program(job, &self.arch)?;
         let (gpu, host_params) = self.armed_gpu(artifacts, hierarchy);
         let (profile, result) = Profiler::new(gpu)
-            .profile_compiled(&artifacts.program, &artifacts.spec.launch, &host_params, repeat)
+            .profile_compiled(program, &artifacts.spec.launch, &host_params, repeat)
             .map_err(|e| AnalysisError::new(job, e.to_string()))?;
         Ok((profile, result.cycles))
     }
@@ -398,7 +410,7 @@ impl Session {
     pub fn analyze_spec(&self, spec: KernelSpec) -> Result<AnalysisOutcome, AnalysisError> {
         let t0 = Instant::now();
         let job = AnalysisJob::new(spec.module.name.clone(), 0);
-        let artifacts = Arc::new(self.build_artifacts(&job, spec)?);
+        let artifacts = Arc::new(ModuleArtifacts::new(spec));
         self.analyze_artifacts(t0, job, artifacts, self.advisor.defaults(), self.repeat, false)
     }
 
@@ -410,7 +422,8 @@ impl Session {
     /// Unknown app/variant, or a simulator fault.
     pub fn time_one(&self, job: &AnalysisJob) -> Result<u64, AnalysisError> {
         let artifacts = self.artifacts(job)?;
-        time_armed(job, &artifacts.program, &artifacts.spec, self.armed_gpu(&artifacts, false))
+        let program = artifacts.program(job, &self.arch)?;
+        time_armed(job, program, &artifacts.spec, self.armed_gpu(&artifacts, false))
     }
 
     /// Times a caller-built [`KernelSpec`] without sampling (e.g. a
@@ -513,6 +526,36 @@ mod tests {
         let s = Session::test().with_repeat(3);
         let overridden = s.run_one_request_repeat(&job, s.advisor.defaults(), 1, false).unwrap();
         assert_eq!(overridden.profile, single.profile);
+    }
+
+    #[test]
+    fn advice_on_a_fresh_session_leaves_the_lowering_unbuilt() {
+        let job = AnalysisJob::new("rodinia/hotspot", 0);
+        let (_, profile, _) = Session::test().profile_one(&job).unwrap();
+        let s = Session::test();
+        s.advise_profile(&job, &profile).unwrap();
+        assert!(s.artifacts(&job).unwrap().program.get().is_none());
+    }
+
+    #[test]
+    fn two_launches_share_one_lowering() {
+        let s = Session::test();
+        let job = AnalysisJob::new("rodinia/hotspot", 0);
+        let lowered = |a: &ModuleArtifacts| -> *const CompiledProgram {
+            a.program.get().expect("a launch lowers").as_ref().unwrap()
+        };
+        let first = lowered(&s.run_one(&job).unwrap().artifacts);
+        s.time_one(&job).unwrap();
+        assert_eq!(first, lowered(&s.artifacts(&job).unwrap()));
+    }
+
+    #[test]
+    fn a_missing_entry_fails_its_first_launch_with_the_lowering_error() {
+        let s = Session::test();
+        let mut spec = (app_by_name("rodinia/hotspot").unwrap().build)(0, s.params());
+        spec.entry = "no_such_kernel".into();
+        let Err(err) = s.analyze_spec(spec) else { panic!("no kernel to lower") };
+        assert_eq!(err.to_string(), "hotspot v0: unknown kernel `no_such_kernel`");
     }
 
     #[test]

@@ -434,7 +434,7 @@ impl CompiledProgram {
                     }
                 }
                 for op in instr.srcs.iter().chain(instr.dsts.iter()) {
-                    for r in op.src_regs().into_iter().chain(op.dst_regs()) {
+                    for r in op.src_regs().chain(op.dst_regs()) {
                         if !r.is_zero() {
                             nregs = nregs.max(r.index() as usize + 1);
                         }

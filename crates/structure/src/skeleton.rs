@@ -65,7 +65,7 @@ impl FunctionInfo {
         debug_assert!(f.base == self.base && f.instrs.len() == self.skeleton.uses.len());
         self.skeleton.uses[j].get_or_init(|| {
             let mut by_def: BTreeMap<usize, Vec<Slot>> = BTreeMap::new();
-            let mut slots: Vec<Slot> = f.instrs[j].uses();
+            let mut slots: Vec<Slot> = f.instrs[j].uses().collect();
             slots.sort_unstable();
             slots.dedup();
             for slot in slots {
@@ -104,7 +104,8 @@ impl FunctionInfo {
     }
 
     /// Pruning rule 2: an unpredicated re-reader of one of the edge's
-    /// slots sits on every def→use path.
+    /// slots sits on every def→use path (asked once per block holding
+    /// readers, see [`gpa_cfg::Cfg::any_on_every_path`]).
     pub fn dominated(&self, f: &Function, e: &StaticEdge) -> bool {
         *e.dominated.get_or_init(|| {
             let users = self.skeleton.users.get_or_init(|| {
@@ -119,12 +120,10 @@ impl FunctionInfo {
                 }
                 users
             });
+            // Each list is filled in instruction order, so it is ascending.
             e.slots.iter().any(|s| {
-                users.get(s).is_some_and(|ks| {
-                    ks.iter().any(|&k| {
-                        k != e.def && k != e.use_ && self.cfg.on_every_path(e.def, k, e.use_)
-                    })
-                })
+                let ks = users.get(s).map_or(&[][..], Vec::as_slice);
+                self.cfg.any_on_every_path(e.def, ks, e.use_)
             })
         })
     }

@@ -6,7 +6,7 @@
 //! rule: the search continues until the union `P` of definition guards on
 //! the path *contains* the use's guard `p′`, where `{Pi} ∪ {!Pi} = {_}`.
 
-use gpa_cfg::Cfg;
+use gpa_cfg::{BlockId, Cfg};
 use gpa_isa::{Function, Opcode, Predicate, Slot};
 use std::collections::HashSet;
 
@@ -94,27 +94,11 @@ impl Cover {
     }
 }
 
-fn defines(f: &Function, idx: usize, slot: Slot) -> bool {
-    f.instrs[idx].defs().contains(&slot)
-}
-
-fn predecessors(cfg: &Cfg, idx: usize, out: &mut Vec<usize>) {
-    out.clear();
-    let b = cfg.block_of(idx);
-    if idx > cfg.block(b).start {
-        out.push(idx - 1);
-    } else {
-        for &p in cfg.preds(b) {
-            out.push(cfg.block(p).end - 1);
-        }
-    }
-}
-
 /// Immediate dependency sources of `slot` at `use_idx`: the first
 /// definitions on every backward path, continuing past predicated
 /// definitions until the cover contains the use's guard.
 pub fn immediate_defs(f: &Function, cfg: &Cfg, use_idx: usize, slot: Slot) -> Vec<usize> {
-    search(f, cfg, use_idx, |f, idx| defines(f, idx, slot))
+    search(f, cfg, use_idx, |f, idx| f.instrs[idx].defs().any(|s| s == slot))
 }
 
 /// Immediate synchronization sources: the nearest `BAR.SYNC` on every
@@ -131,30 +115,30 @@ fn search(
 ) -> Vec<usize> {
     let use_guard = f.instrs[use_idx].pred;
     let mut results: Vec<usize> = Vec::new();
-    let mut visited: HashSet<(usize, Cover)> = HashSet::new();
-    let mut stack: Vec<(usize, Cover)> = Vec::new();
-    let mut preds = Vec::new();
-    predecessors(cfg, use_idx, &mut preds);
-    for &p in &preds {
-        stack.push((p, Cover::empty()));
-    }
-    while let Some((idx, mut cover)) = stack.pop() {
-        if !visited.insert((idx, cover)) {
+    // A walk `(block, top, cover)` goes up `block` from instruction
+    // `top - 1`; what it finds depends only on where it starts and with
+    // which cover. Only walks that enter at a block's end can meet again,
+    // so only those are recorded (the first one starts above the use).
+    let mut entered: HashSet<(BlockId, Cover)> = HashSet::new();
+    let mut walks = vec![(cfg.block_of(use_idx), use_idx, Cover::empty())];
+    while let Some((b, top, mut cover)) = walks.pop() {
+        let block = cfg.block(b);
+        if top == block.end && !entered.insert((b, cover)) {
             continue;
         }
-        if is_def(f, idx) {
+        let explained = (block.start..top).rev().any(|idx| {
+            if !is_def(f, idx) {
+                return false;
+            }
             let g = f.instrs[idx].pred;
             if cover.def_is_live(g, use_guard) && !results.contains(&idx) {
                 results.push(idx);
             }
             cover = cover.with_guard(g);
-            if cover.contains(use_guard) {
-                continue; // this path is fully explained
-            }
-        }
-        predecessors(cfg, idx, &mut preds);
-        for &p in &preds {
-            stack.push((p, cover));
+            cover.contains(use_guard) // this path is fully explained
+        });
+        if !explained {
+            walks.extend(cfg.preds(b).iter().map(|&p| (p, cfg.block(p).end, cover)));
         }
     }
     results.sort_unstable();

@@ -13,19 +13,19 @@ mod common;
 use common::{random_profile, NESTED_CALLS};
 use gpa::arch::{ArchConfig, LatencyTable};
 use gpa::core::ModuleBlame;
-use gpa::isa::{Module, INSTR_BYTES};
+use gpa::isa::{Module, Slot, INSTR_BYTES};
 use gpa::kernels::apps::membound;
 use gpa::pipeline::Session;
 use gpa::sampling::{KernelProfile, PcStats, StallReason};
 use gpa::structure::ProgramStructure;
 use proptest::{Strategy, TestRng};
+use std::collections::BTreeMap;
 
 const TABLES_PER_MODULE: usize = 20;
 
 /// The 47 registry variants, the three `demo/membound` specs and the
-/// nested-call module, each with its seeded random sample tables.
-fn corpus() -> Vec<(String, Module, Vec<KernelProfile>)> {
-    let session = Session::test();
+/// nested-call module.
+fn modules(session: &Session) -> Vec<(String, Module)> {
     let mut modules: Vec<(String, Module)> = session
         .jobs_for_all_variants()
         .iter()
@@ -41,6 +41,12 @@ fn corpus() -> Vec<(String, Module, Vec<KernelProfile>)> {
     modules.push(("nested calls".into(), gpa::isa::parse_module(NESTED_CALLS).expect("assembles")));
     assert_eq!(modules.len(), 47 + 3 + 1);
     modules
+}
+
+/// [`modules`], each with its seeded random sample tables.
+fn corpus() -> Vec<(String, Module, Vec<KernelProfile>)> {
+    let session = Session::test();
+    modules(&session)
         .into_iter()
         .map(|(name, module)| {
             let mut rng = TestRng::new(&name);
@@ -93,6 +99,59 @@ fn blame_on_a_reused_structure_equals_blame_on_a_fresh_one() {
         });
     }
     assert!(edges > 500, "the corpus exercises the blamer ({edges} blamed edges)");
+}
+
+/// Rule 2 asked once per block equals rule 2 asked once per reader: for
+/// every def→use edge of every function, against the unpredicated
+/// readers of every slot the function reads; and each edge's memoised
+/// verdict equals the per-reader loop over the edge's own slots.
+#[test]
+fn rule_2_once_per_block_equals_once_per_reader() {
+    let (mut edges, mut dominated) = (0, 0);
+    for (name, module) in modules(&Session::test()) {
+        let structure = ProgramStructure::build(&module);
+        for info in structure.functions() {
+            let f = &module.functions[info.index];
+            let mut readers: BTreeMap<Slot, Vec<usize>> = BTreeMap::new();
+            for (k, instr) in f.instrs.iter().enumerate() {
+                if instr.pred.is_none_or(|p| p.always()) {
+                    for s in instr.uses() {
+                        readers.entry(s).or_default().push(k);
+                    }
+                }
+            }
+            let per_reader = |i: usize, ks: &[usize], j: usize| {
+                ks.iter().any(|&k| k != i && k != j && info.cfg.on_every_path(i, k, j))
+            };
+            for j in 0..f.instrs.len() {
+                for e in info.def_edges(f, j) {
+                    for (slot, ks) in &readers {
+                        assert_eq!(
+                            info.cfg.any_on_every_path(e.def, ks, j),
+                            per_reader(e.def, ks, j),
+                            "{name}: {} {} -> {j}, readers of {slot}",
+                            f.name,
+                            e.def
+                        );
+                    }
+                    let verdict = e
+                        .slots
+                        .iter()
+                        .any(|s| readers.get(s).is_some_and(|ks| per_reader(e.def, ks, j)));
+                    assert_eq!(
+                        info.dominated(f, e),
+                        verdict,
+                        "{name}: {} {} -> {j}",
+                        f.name,
+                        e.def
+                    );
+                    edges += 1;
+                    dominated += usize::from(verdict);
+                }
+            }
+        }
+    }
+    assert!(edges > 4_000 && dominated > 400, "{edges} edges, {dominated} dominated");
 }
 
 /// Per stalled PC and attributable reason, what is blamed on sources plus
