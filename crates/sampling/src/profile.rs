@@ -1,6 +1,6 @@
 //! Aggregated kernel profiles: construction from streamed [`SampleSet`]s,
-//! associative/commutative multi-launch merging, chunked splitting, and
-//! the (strictly validated) JSON schema.
+//! associative/commutative multi-launch merging, and the (strictly
+//! validated) JSON schema.
 
 use gpa_arch::{LaunchConfig, OccLimiter, Occupancy};
 use gpa_json::Json;
@@ -171,8 +171,8 @@ impl KernelProfile {
     /// them untouched while the sample statistics sharpen.
     ///
     /// The operation is associative and commutative, with
-    /// [`KernelProfile::empty_like`] as identity — chunked uploads and
-    /// repeat profiling may fold profiles in any order. Counter
+    /// [`KernelProfile::empty_like`] as identity — repeat profiling may
+    /// fold launches in any order. Counter
     /// additions are overflow-checked: a merge that would wrap `u64`
     /// fails with [`MergeError::CounterOverflow`] instead of producing
     /// an internally inconsistent profile (so a merged profile of
@@ -204,8 +204,7 @@ impl KernelProfile {
         check("launch", &self.launch, &other.launch)?;
         check("occupancy", &self.occupancy, &other.occupancy)?;
         // Validate every addition before mutating anything, so a failed
-        // merge leaves `self` untouched (the daemon keeps a rejected
-        // chunk's upload usable).
+        // merge leaves `self` untouched.
         for (&pc, st) in &other.pcs {
             if let Some(e) = self.pcs.get(&pc) {
                 add("pcs", e.total, st.total)?;
@@ -251,51 +250,6 @@ impl KernelProfile {
         let mut merged = self.clone();
         merged.merge_in(other)?;
         Ok(merged)
-    }
-
-    /// Splits the profile into at most `chunks` internally consistent
-    /// pieces (contiguous PC ranges, kernel totals recomputed per piece;
-    /// ground-truth fields copied, which max-merging restores exactly).
-    /// Merging the pieces in any order reproduces this profile — the
-    /// client side of the daemon's chunked `profile_begin` /
-    /// `profile_chunk` / `profile_end` upload.
-    pub fn split_chunks(&self, chunks: usize) -> Vec<KernelProfile> {
-        let chunks = chunks.max(1);
-        if self.pcs.is_empty() {
-            return vec![self.clone()];
-        }
-        let per = self.pcs.len().div_ceil(chunks);
-        let entries: Vec<(&u64, &PcStats)> = self.pcs.iter().collect();
-        entries
-            .chunks(per)
-            .map(|group| {
-                // Each piece copies only its own PC group (plus the
-                // cheap header), so the whole split is O(total PCs) —
-                // chunking exists for profiles too large to ship whole.
-                let pcs: BTreeMap<u64, PcStats> =
-                    group.iter().map(|(&pc, st)| (pc, (*st).clone())).collect();
-                let total_samples: u64 = pcs.values().map(|s| s.total).sum();
-                let latency_samples: u64 = pcs.values().map(PcStats::latency_total).sum();
-                KernelProfile {
-                    kernel: self.kernel.clone(),
-                    module_name: self.module_name.clone(),
-                    arch: self.arch.clone(),
-                    period: self.period,
-                    launch: self.launch,
-                    occupancy: self.occupancy,
-                    cycles: self.cycles,
-                    issued: self.issued,
-                    pcs,
-                    total_samples,
-                    active_samples: total_samples - latency_samples,
-                    latency_samples,
-                    mem_transactions: self.mem_transactions,
-                    l2_hits: self.l2_hits,
-                    l2_misses: self.l2_misses,
-                    icache_misses: self.icache_misses,
-                }
-            })
-            .collect()
     }
 
     /// Kernel-level stall histogram over all samples.
@@ -725,25 +679,6 @@ mod tests {
         let mut other_period = two_pc_profile();
         other_period.period = 127;
         assert_eq!(a.merge(&other_period).unwrap_err().field(), "period");
-    }
-
-    #[test]
-    fn split_chunks_round_trips_through_merge() {
-        let p = two_pc_profile();
-        for n in [1, 2, 5] {
-            let chunks = p.split_chunks(n);
-            assert!(chunks.len() <= n.max(1));
-            // Every chunk is internally consistent — it parses under the
-            // strict validator.
-            for c in &chunks {
-                assert_eq!(KernelProfile::from_json(&c.to_json()).unwrap(), *c);
-            }
-            let mut merged = chunks[0].clone();
-            for c in &chunks[1..] {
-                merged.merge_in(c).unwrap();
-            }
-            assert_eq!(merged, p, "merging {n} chunks reproduces the profile");
-        }
     }
 
     #[test]

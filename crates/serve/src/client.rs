@@ -215,104 +215,6 @@ impl ServeClient {
         Response::from_frame(line)
     }
 
-    /// `profile_begin`: opens a chunked profile upload for
-    /// `(app, variant)`. Returns the daemon-assigned upload id.
-    ///
-    /// # Errors
-    ///
-    /// I/O failure, a malformed response frame, or a daemon-side error.
-    pub fn profile_begin(
-        &mut self,
-        app: &str,
-        variant: usize,
-        options: &WireOptions,
-    ) -> io::Result<u64> {
-        let response = self.request(&Request::ProfileBegin {
-            job: AnalysisJob::new(app, variant),
-            options: options.clone(),
-        })?;
-        let body = response.into_result()?;
-        let id = body
-            .field("upload_id")
-            .and_then(Json::as_u64)
-            .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e.to_string()))?;
-        Ok(id)
-    }
-
-    /// `profile_chunk`: adds one profile chunk (a `KernelProfile`
-    /// document, typically covering a PC subrange) to an open upload.
-    ///
-    /// # Errors
-    ///
-    /// I/O failure or a malformed response frame.
-    pub fn profile_chunk(&mut self, upload_id: u64, profile: &Json) -> io::Result<Response> {
-        let frame = crate::protocol::profile_chunk_frame(upload_id, &profile.compact());
-        let line = self.request_line(&frame)?;
-        Response::from_frame(line)
-    }
-
-    /// `profile_end`: finalizes an upload — the daemon advises on the
-    /// merged profile and answers exactly like `analyze_profile` of the
-    /// merged document.
-    ///
-    /// # Errors
-    ///
-    /// I/O failure or a malformed response frame.
-    pub fn profile_end(&mut self, upload_id: u64) -> io::Result<Response> {
-        self.request(&Request::ProfileEnd { upload_id })
-    }
-
-    /// `profile_abort`: discards an open upload without analyzing it,
-    /// freeing its per-connection slot.
-    ///
-    /// # Errors
-    ///
-    /// I/O failure or a malformed response frame.
-    pub fn profile_abort(&mut self, upload_id: u64) -> io::Result<Response> {
-        self.request(&Request::ProfileAbort { upload_id })
-    }
-
-    /// Drives a whole chunked upload: `profile_begin`, one
-    /// `profile_chunk` per document, `profile_end`. Any daemon-side
-    /// rejection along the way surfaces as an error — and aborts the
-    /// upload first, so a failed attempt does not hold one of the
-    /// connection's bounded upload slots.
-    ///
-    /// # Errors
-    ///
-    /// I/O failure, a malformed frame, or a rejected begin/chunk/end
-    /// (e.g. an empty `chunks` slice).
-    pub fn analyze_profile_chunked(
-        &mut self,
-        app: &str,
-        variant: usize,
-        chunks: &[Json],
-        options: &WireOptions,
-    ) -> io::Result<Response> {
-        let upload_id = self.profile_begin(app, variant, options)?;
-        for chunk in chunks {
-            let accepted =
-                self.profile_chunk(upload_id, chunk).and_then(|response| response.into_result());
-            if let Err(e) = accepted {
-                let _ = self.profile_abort(upload_id);
-                return Err(e);
-            }
-        }
-        let response = self.profile_end(upload_id)?;
-        if !response.ok {
-            // Backpressure rejections leave the upload alive daemon-side
-            // so a manual retry can work; this helper gives up instead,
-            // so abort (best-effort — for already-consumed ids the abort
-            // is a harmless unknown-id error) and surface the failure as
-            // the error the doc promises, not an ok-false body.
-            let _ = self.profile_abort(upload_id);
-            return Err(io::Error::other(
-                response.error.unwrap_or_else(|| "unspecified error".to_string()),
-            ));
-        }
-        Ok(response)
-    }
-
     /// `status`: the daemon's metrics snapshot.
     ///
     /// # Errors

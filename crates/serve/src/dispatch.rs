@@ -8,7 +8,6 @@ use crate::faults::PeerOp;
 use crate::protocol::{self, Request};
 use crate::server::Shared;
 use crate::status::status_body;
-use crate::uploads::{self, UploadTicket, Uploads};
 use gpa_json::Json;
 use std::io;
 use std::sync::atomic::Ordering;
@@ -43,23 +42,16 @@ pub(crate) enum Control {
     Shutdown,
 }
 
-/// A request that needs a worker, its content address (fingerprint first: hashed once, where it
-/// was judged cacheable) and its upload ticket if `profile_end` synthesized it.
-pub(crate) struct Pending {
-    pub(crate) request: Request,
-    pub(crate) addr: Option<(u64, String)>,
-    pub(crate) ticket: Option<UploadTicket>,
-}
-
-/// What [`handle_line`] decided: answer now, or hand to the worker
-/// pool and park the connection until the frame comes back. The
-/// variants differ in size by the whole `Request`, but the value lives
-/// on the stack for one call only — boxing it would buy nothing but an
-/// allocation per dispatched job.
+/// What [`handle_line`] decided: answer now, or hand the request and
+/// its content address (fingerprint first: hashed once, where it was
+/// judged cacheable) to the worker pool and park the connection until
+/// the frame comes back. The variants differ in size by the whole
+/// `Request`, but the value lives on the stack for one call only —
+/// boxing it would buy nothing but an allocation per dispatched job.
 #[allow(clippy::large_enum_variant)]
 pub(crate) enum Handled {
     Reply(String, Control),
-    Dispatch(Pending),
+    Dispatch(Request, Option<(u64, String)>),
 }
 
 /// An inline answer after which the connection keeps reading.
@@ -68,9 +60,9 @@ fn reply(frame: String) -> Handled {
 }
 
 /// Parses one request line and answers it inline when it can: control
-/// ops, upload bookkeeping, peer store and membership ops, and store
-/// hits. Everything else needs a worker.
-pub(crate) fn handle_line(shared: &Shared, state: &mut Uploads, line: &str) -> Handled {
+/// ops, peer store and membership ops, and store hits. Everything else
+/// needs a worker.
+pub(crate) fn handle_line(shared: &Shared, line: &str) -> Handled {
     let request = match Request::parse(line) {
         Ok(r) => r,
         Err(msg) => {
@@ -87,19 +79,6 @@ pub(crate) fn handle_line(shared: &Shared, state: &mut Uploads, line: &str) -> H
                 Control::Shutdown,
             )
         }
-        // Upload bookkeeping is answered inline; only the finalized
-        // merge consumes a worker slot, as a synthesized
-        // `analyze_profile` request.
-        Request::ProfileBegin { job, options } => {
-            return reply(uploads::upload_begin(shared, state, job, options))
-        }
-        Request::ProfileChunk { upload_id, profile } => {
-            return reply(uploads::upload_chunk(shared, state, upload_id, profile))
-        }
-        Request::ProfileAbort { upload_id } => {
-            return reply(uploads::upload_abort(shared, state, upload_id))
-        }
-        Request::ProfileEnd { upload_id } => return uploads::upload_end(shared, state, upload_id),
         // Peer store ops touch only the *local* store tiers — no
         // forwarding, no computation — so they are answered inline.
         Request::StoreGet { key } => {
@@ -127,7 +106,7 @@ pub(crate) fn handle_line(shared: &Shared, state: &mut Uploads, line: &str) -> H
                 Some(frame) => reply(frame),
                 None => {
                     let request = Request::Leave { addr, meta };
-                    Handled::Dispatch(Pending { request, addr: None, ticket: None })
+                    Handled::Dispatch(request, None)
                 }
             };
         }
@@ -149,19 +128,17 @@ pub(crate) fn handle_line(shared: &Shared, state: &mut Uploads, line: &str) -> H
     if let Some(body) = addr.as_ref().and_then(|(hash, key)| shared.store.get_at(*hash, key)) {
         return reply(protocol::ok_frame(true, &body));
     }
-    Handled::Dispatch(Pending { request, addr, ticket: None })
+    Handled::Dispatch(request, addr)
 }
 
 /// Admits a request to the worker queue, or rejects it (shutdown, byte
-/// budget, queue capacity) handing the request back with the error
-/// frame to send. The rejection is boxed: `Request` is large and the
-/// happy path should not pay for its stack space.
+/// budget, queue capacity) with the error frame to send.
 pub(crate) fn try_enqueue(
     shared: &Shared,
     request: Request,
     addr: Option<(u64, String)>,
     reply: ReplyTo,
-) -> Result<(), Box<(Request, String)>> {
+) -> Result<(), String> {
     // The byte gate is per reactor: each reactor's own backlog is
     // checked against its own share of the daemon budget, so one
     // reactor's slow-client pile-up cannot shed jobs arriving on the
@@ -170,27 +147,22 @@ pub(crate) fn try_enqueue(
     let (pending_bytes, budget) = (rs.stats.pending_bytes.load(Ordering::Relaxed), rs.byte_budget);
     if pending_bytes > budget {
         rs.stats.byte_sheds.fetch_add(1, Ordering::Relaxed);
-        return Err(Box::new((
-            request,
-            protocol::error_frame(&format!(
-                "response backlog over budget ({pending_bytes} pending bytes, budget {budget}); \
-                 retry later"
-            )),
+        return Err(protocol::error_frame(&format!(
+            "response backlog over budget ({pending_bytes} pending bytes, budget {budget}); \
+             retry later"
         )));
     }
     let mut queue = shared.queue.lock().expect("queue lock");
     if shared.shutting_down.load(Ordering::Acquire) {
-        return Err(Box::new((request, protocol::error_frame("server is shutting down"))));
+        return Err(protocol::error_frame("server is shutting down"));
     }
-    if queue.len() >= shared.queue_capacity {
+    let pending = queue.len();
+    if pending >= shared.queue_capacity {
         drop(queue);
         shared.metrics.rejected.fetch_add(1, Ordering::Relaxed);
-        return Err(Box::new((
-            request,
-            protocol::error_frame(&format!(
-                "request queue full ({} pending, capacity {}); retry later",
-                shared.queue_capacity, shared.queue_capacity
-            )),
+        return Err(protocol::error_frame(&format!(
+            "request queue full ({pending} pending, capacity {}); retry later",
+            shared.queue_capacity
         )));
     }
     queue.push_back(Work { request, addr, reply });
@@ -359,10 +331,6 @@ fn execute_local(shared: &Shared, request: Request, addr: Option<(u64, String)>)
         // Handled inline by the connection layer; never queued.
         Request::Status
         | Request::Shutdown
-        | Request::ProfileBegin { .. }
-        | Request::ProfileChunk { .. }
-        | Request::ProfileEnd { .. }
-        | Request::ProfileAbort { .. }
         | Request::StoreGet { .. }
         | Request::StorePut { .. }
         | Request::Join { .. }

@@ -13,7 +13,6 @@ use crate::dispatch::{self, Control, Handled, ReplyTo};
 use crate::metrics::ReactorStats;
 use crate::reactor::{Event, Interest, Poller};
 use crate::server::{trigger_shutdown, AcceptPath, ReactorShared, Shared};
-use crate::uploads::{self, UploadTicket, Uploads};
 use std::collections::HashMap;
 use std::io::{self, Read, Write};
 use std::net::{TcpListener, TcpStream};
@@ -44,14 +43,11 @@ const LISTENER_TOKEN: u64 = 0;
 const WAKER_TOKEN: u64 = 1;
 const FIRST_CONN_TOKEN: u64 = 2;
 
-/// One connection as the reactor sees it: the socket, its framing
-/// state, and the request-level state that rides along.
+/// One connection as the reactor sees it: the socket and its framing
+/// state.
 struct Slot {
     stream: TcpStream,
     conn: Conn,
-    uploads: Uploads,
-    /// `profile_end` bookkeeping for the in-flight job.
-    ticket: Option<UploadTicket>,
     /// This connection's `shutdown` op stops the daemon once its
     /// response frame is on the wire.
     shutdown_when_drained: bool,
@@ -258,8 +254,6 @@ impl Reactor<'_> {
             Slot {
                 stream,
                 conn: Conn::new(self.pool.take(stats), self.pool.take(stats)),
-                uploads: Uploads::default(),
-                ticket: None,
                 shutdown_when_drained: false,
                 last_activity: Instant::now(),
                 interest: Interest::READ,
@@ -316,9 +310,6 @@ impl Reactor<'_> {
             // A missing slot means the client left while its job ran;
             // the body (if cacheable) is in the store regardless.
             let Some(slot) = self.slots.get_mut(&token) else { continue };
-            if let Some(ticket) = slot.ticket.take() {
-                uploads::settle_ticket(self.shared, ticket);
-            }
             slot.conn.complete(&frame);
             self.finish_turn(token);
         }
@@ -342,15 +333,8 @@ impl Reactor<'_> {
     }
 
     fn close(&mut self, token: u64, reason: CloseReason) {
-        let Some(mut slot) = self.slots.remove(&token) else { return };
+        let Some(slot) = self.slots.remove(&token) else { return };
         let _ = self.poller.delete(slot.stream.as_raw_fd());
-        uploads::release_all(self.shared, &slot.uploads);
-        if let Some(ticket) = slot.ticket.take() {
-            // The in-flight job will still finish and (if cacheable)
-            // land in the store; its upload budget share is released
-            // here since no completion handler will.
-            uploads::settle_ticket(self.shared, ticket);
-        }
         let stats = &self.rs.stats;
         stats.pending_bytes.fetch_sub(slot.gauged as u64, Ordering::Relaxed);
         stats.open_connections.fetch_sub(1, Ordering::Relaxed);
@@ -456,7 +440,7 @@ fn pump_frames(shared: &Shared, reply: ReplyTo, slot: &mut Slot) {
             shared.metrics.protocol_errors.fetch_add(1, Ordering::Relaxed);
             break;
         };
-        match dispatch::handle_line(shared, &mut slot.uploads, line) {
+        match dispatch::handle_line(shared, line) {
             Handled::Reply(frame, control) => {
                 slot.conn.push_frame(&frame);
                 if matches!(control, Control::Shutdown) {
@@ -464,22 +448,13 @@ fn pump_frames(shared: &Shared, reply: ReplyTo, slot: &mut Slot) {
                     slot.shutdown_when_drained = true;
                 }
             }
-            Handled::Dispatch(pending) => {
+            Handled::Dispatch(request, addr) => {
                 // The byte gate reads the gauge: count what this turn
                 // has queued so far.
                 publish_backlog(stats, slot);
-                match dispatch::try_enqueue(shared, pending.request, pending.addr, reply) {
-                    Ok(()) => {
-                        slot.conn.dispatched();
-                        slot.ticket = pending.ticket;
-                    }
-                    Err(rejection) => {
-                        let (request, frame) = *rejection;
-                        if let Some(ticket) = pending.ticket {
-                            uploads::restore_upload(&mut slot.uploads, ticket, request);
-                        }
-                        slot.conn.push_frame(&frame);
-                    }
+                match dispatch::try_enqueue(shared, request, addr, reply) {
+                    Ok(()) => slot.conn.dispatched(),
+                    Err(frame) => slot.conn.push_frame(&frame),
                 }
             }
         }

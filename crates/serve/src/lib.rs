@@ -46,7 +46,6 @@ pub mod ring;
 pub mod server;
 mod status;
 pub mod store;
-mod uploads;
 
 pub use client::{Response, ServeClient};
 pub use faults::{FaultAction, FaultPlan, PeerOp};

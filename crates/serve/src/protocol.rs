@@ -434,10 +434,6 @@ macro_rules! ops {
 ops! {
     Analyze = "analyze",
     AnalyzeProfile = "analyze_profile",
-    ProfileBegin = "profile_begin",
-    ProfileChunk = "profile_chunk",
-    ProfileEnd = "profile_end",
-    ProfileAbort = "profile_abort",
     Status = "status",
     Shutdown = "shutdown",
     Sleep = "sleep",
@@ -470,42 +466,6 @@ pub enum Request {
         canon: String,
         /// Negotiated schema version and advisor options.
         options: WireOptions,
-    },
-    /// Opens a chunked profile upload for `(app, variant)`: large
-    /// client profiles stream in as several `profile_chunk` frames
-    /// (each under the request size cap) instead of one giant
-    /// `analyze_profile` frame. Answered with an `upload_id` scoped to
-    /// this connection.
-    ProfileBegin {
-        /// The app/variant whose module artifacts to match against.
-        job: AnalysisJob,
-        /// Negotiated schema version and advisor options for the final
-        /// advice.
-        options: WireOptions,
-    },
-    /// Adds one profile chunk to an open upload. Chunks are full (but
-    /// typically partial-coverage) `KernelProfile` documents; the daemon
-    /// folds them together with `KernelProfile::merge`, so only the
-    /// running merge is retained server-side.
-    ProfileChunk {
-        /// The id `profile_begin` returned.
-        upload_id: u64,
-        /// This chunk's profile document.
-        profile: Box<KernelProfile>,
-    },
-    /// Closes an upload: the merged profile is advised on exactly like
-    /// an `analyze_profile` submission of the merged document — same
-    /// response body, same content-addressed cache entry.
-    ProfileEnd {
-        /// The id `profile_begin` returned.
-        upload_id: u64,
-    },
-    /// Discards an open upload without analyzing it, freeing its
-    /// per-connection slot — the recovery path when a chunk was
-    /// rejected mid-upload.
-    ProfileAbort {
-        /// The id `profile_begin` returned.
-        upload_id: u64,
     },
     /// Cluster-internal: look up a content address in the receiver's
     /// *local* report store (memory or disk tier only — never
@@ -592,20 +552,10 @@ impl Request {
                 // Cheap validation (job, options) before the profile
                 // document, which can be megabytes.
                 let job = job_from(&doc)?;
-                let options = no_repeat(WireOptions::parse(&doc)?, op)?;
+                let options = no_repeat(WireOptions::parse(&doc)?)?;
                 let (profile, canon) = profile_from(profile)?;
                 Request::AnalyzeProfile { job, profile, canon: canon.into_owned(), options }
             }
-            Op::ProfileBegin => Request::ProfileBegin {
-                job: job_from(&doc)?,
-                options: no_repeat(WireOptions::parse(&doc)?, op)?,
-            },
-            Op::ProfileChunk => {
-                let upload_id = upload_id_from(&doc)?;
-                Request::ProfileChunk { upload_id, profile: profile_from(profile)?.0 }
-            }
-            Op::ProfileEnd => Request::ProfileEnd { upload_id: upload_id_from(&doc)? },
-            Op::ProfileAbort => Request::ProfileAbort { upload_id: upload_id_from(&doc)? },
             Op::StoreGet => Request::StoreGet { key: key_from(&doc)? },
             Op::StorePut => {
                 let key = key_from(&doc)?;
@@ -649,10 +599,6 @@ impl Request {
         match self {
             Request::Analyze { .. } => Op::Analyze,
             Request::AnalyzeProfile { .. } => Op::AnalyzeProfile,
-            Request::ProfileBegin { .. } => Op::ProfileBegin,
-            Request::ProfileChunk { .. } => Op::ProfileChunk,
-            Request::ProfileEnd { .. } => Op::ProfileEnd,
-            Request::ProfileAbort { .. } => Op::ProfileAbort,
             Request::StoreGet { .. } => Op::StoreGet,
             Request::StorePut { .. } => Op::StorePut,
             Request::Join { .. } => Op::Join,
@@ -706,13 +652,6 @@ impl Request {
                 job.variant,
                 options.cache_segment()
             )),
-            // Upload ops are connection-stateful; only the *merged*
-            // profile is addressable, and `profile_end` reaches the
-            // store through the synthesized `analyze_profile` request.
-            Request::ProfileBegin { .. }
-            | Request::ProfileChunk { .. }
-            | Request::ProfileEnd { .. }
-            | Request::ProfileAbort { .. } => None,
             // Peer store ops carry a content address as *payload*; they
             // are themselves reads/writes of the store, not cacheable
             // analyses.
@@ -729,25 +668,16 @@ impl Request {
     /// client's.
     pub fn to_wire(&self) -> String {
         match self {
-            Request::Analyze { job, options } | Request::ProfileBegin { job, options } => options
+            Request::Analyze { job, options } => options
                 .extend_wire(
                     Json::object()
-                        .with("op", self.op().name())
+                        .with("op", "analyze")
                         .with("app", job.app.clone())
                         .with("variant", job.variant),
                 )
                 .compact(),
             Request::AnalyzeProfile { job, canon, options, .. } => {
                 analyze_profile_frame(&job.app, job.variant, canon, options)
-            }
-            Request::ProfileChunk { upload_id, profile } => {
-                profile_chunk_frame(*upload_id, &profile.to_doc().compact())
-            }
-            Request::ProfileEnd { upload_id } => {
-                format!("{{\"op\":\"profile_end\",\"upload_id\":{upload_id}}}")
-            }
-            Request::ProfileAbort { upload_id } => {
-                format!("{{\"op\":\"profile_abort\",\"upload_id\":{upload_id}}}")
             }
             Request::StoreGet { key } => {
                 format!("{{\"op\":\"store_get\",\"key\":{}}}", Json::from(key.as_str()).compact())
@@ -801,22 +731,16 @@ pub fn analyze_profile_frame(
     )
 }
 
-/// The `profile_chunk` request frame for a canonically (compact)
-/// rendered chunk document.
-pub fn profile_chunk_frame(upload_id: u64, profile_canon: &str) -> String {
-    format!("{{\"op\":\"profile_chunk\",\"upload_id\":{upload_id},\"profile\":{profile_canon}}}")
-}
-
-/// Rejects a `repeat` option on ops that advise on an already-gathered
-/// profile: repeat profiling happens during `analyze`'s simulation, so
-/// here it could only be silently ignored — and since every option is
-/// part of the content address, accepting it would also split
-/// byte-identical bodies across store entries (breaking the documented
-/// chunked/whole cache sharing).
-fn no_repeat(options: WireOptions, op: Op) -> Result<WireOptions, String> {
+/// Rejects a `repeat` option on `analyze_profile`, which advises on an
+/// already-gathered profile: repeat profiling happens during
+/// `analyze`'s simulation, so here it could only be silently ignored —
+/// and since every option is part of the content address, accepting it
+/// would also split byte-identical bodies across store entries.
+fn no_repeat(options: WireOptions) -> Result<WireOptions, String> {
     if options.repeat != 1 {
-        let op = op.name();
-        return Err(format!("`repeat` is not supported by `{op}` (use it on `analyze`)"));
+        return Err(
+            "`repeat` is not supported by `analyze_profile` (use it on `analyze`)".to_string()
+        );
     }
     Ok(options)
 }
@@ -836,13 +760,6 @@ fn key_from(doc: &Json) -> Result<String, String> {
         .as_str()
         .map_err(|_| "`key` must be a string")?
         .to_string())
-}
-
-fn upload_id_from(doc: &Json) -> Result<u64, String> {
-    doc.get("upload_id")
-        .ok_or("missing `upload_id` field")?
-        .as_u64()
-        .map_err(|_| "`upload_id` must be an unsigned integer".to_string())
 }
 
 fn job_from(doc: &Json) -> Result<AnalysisJob, String> {
@@ -987,8 +904,8 @@ mod tests {
         assert_eq!(Op::from_name("explode"), None);
         assert_eq!(
             Op::ALL.map(Op::name).join(" "),
-            "analyze analyze_profile profile_begin profile_chunk profile_end profile_abort \
-             status shutdown sleep store_get store_put join leave ring_status"
+            "analyze analyze_profile status shutdown sleep store_get store_put join leave \
+             ring_status"
         );
     }
 
@@ -1063,7 +980,7 @@ mod tests {
         // `1e999` is valid JSON that parses to infinity and re-renders as
         // `null`: accepted here, the frame a non-owner forwards would be
         // refused by the owner, and the answer would depend on the shard.
-        for op in ["analyze", "profile_begin"] {
+        for op in ["analyze", "analyze_profile"] {
             for literal in ["1e999", "-1e999"] {
                 let line = format!(r#"{{"op":"{op}","app":"a","min_speedup":{literal}}}"#);
                 assert_eq!(Request::parse(&line).unwrap_err(), "`min_speedup` must be finite");
@@ -1072,6 +989,9 @@ mod tests {
         let largest = r#"{"op":"analyze","app":"a","min_speedup":1.7976931348623157e308}"#;
         assert!(Request::parse(largest).is_ok(), "every finite double is a threshold");
     }
+
+    /// The smallest valid profile document: no sampled PCs.
+    const EMPTY_PROFILE: &str = r#"{"kernel":"k","module_name":"m","arch":"volta","period":509,"launch":{"grid_blocks":1,"block_threads":32,"regs_per_thread":32,"smem_per_block":0},"occupancy":{"blocks_per_sm":1,"warps_per_sm":1,"warps_per_scheduler":0.25,"limiter":"GridSize","ratio":0.015625},"cycles":0,"issued":0,"pcs":{},"total_samples":0,"active_samples":0,"latency_samples":0,"mem_transactions":0,"l2_hits":0,"l2_misses":0,"icache_misses":0}"#;
 
     proptest! {
         /// A shard forwards `to_wire()` of what it parsed, so that frame
@@ -1093,7 +1013,7 @@ mod tests {
                 let picked = slugs.iter().enumerate().filter(|(i, _)| mask & (1 << i) != 0);
                 Json::Arr(picked.map(|(_, s)| Json::from(*s)).collect()).compact()
             };
-            let op = if upload == 1 { "profile_begin" } else { "analyze" };
+            let op = if upload == 1 { "analyze_profile" } else { "analyze" };
             let mut line = format!(r#"{{"op":"{op}","app":"a/b","variant":{small}"#);
             let mut field = |on: bool, text: String| line.push_str(if on { &text } else { "" });
             field(on(0), format!(r#","schema":{}"#, ["1", "2", "\"v1\"", "\"v2\""][small % 4]));
@@ -1108,10 +1028,11 @@ mod tests {
             field(on(7), format!(r#","hotspots":{small}"#));
             field(on(8), format!(r#","evidence":{}"#, small % 3 == 0));
             field(on(9), format!(r#","fwd":true,"epoch":{large},"from":"s:{small}""#));
+            field(upload == 1, format!(r#","profile":{EMPTY_PROFILE}"#));
             line.push('}');
 
             let options = |r: &Request| match r {
-                Request::Analyze { options, .. } | Request::ProfileBegin { options, .. } => {
+                Request::Analyze { options, .. } | Request::AnalyzeProfile { options, .. } => {
                     options.clone()
                 }
                 other => panic!("{line}: parsed as {other:?}"),
@@ -1193,40 +1114,6 @@ mod tests {
             let err = Request::parse(line).unwrap_err();
             assert!(err.contains(needle), "{line}: {err}");
         }
-    }
-
-    #[test]
-    fn parses_the_chunked_upload_ops() {
-        let r =
-            Request::parse(r#"{"op":"profile_begin","app":"a","variant":1,"schema":2}"#).unwrap();
-        let Request::ProfileBegin { job, options } = r else { panic!("wrong parse") };
-        assert_eq!(job, AnalysisJob::new("a", 1));
-        assert_eq!(options.schema, 2);
-        assert!(matches!(
-            Request::parse(r#"{"op":"profile_end","upload_id":7}"#),
-            Ok(Request::ProfileEnd { upload_id: 7 })
-        ));
-        for (line, needle) in [
-            (r#"{"op":"profile_begin"}"#, "missing `app`"),
-            (r#"{"op":"profile_chunk","profile":{}}"#, "missing `upload_id`"),
-            (r#"{"op":"profile_chunk","upload_id":"x","profile":{}}"#, "`upload_id` must be"),
-            (r#"{"op":"profile_chunk","upload_id":0}"#, "missing `profile`"),
-            (r#"{"op":"profile_chunk","upload_id":0,"profile":{}}"#, "bad `profile`"),
-            (r#"{"op":"profile_end"}"#, "missing `upload_id`"),
-        ] {
-            let err = Request::parse(line).unwrap_err();
-            assert!(err.contains(needle), "{line}: {err}");
-        }
-        // Upload ops are never cached directly; the merged result joins
-        // the store through the synthesized analyze_profile.
-        let begin = Request::parse(r#"{"op":"profile_begin","app":"a"}"#).unwrap();
-        assert!(begin.cache_key().is_none());
-        assert!(Request::ProfileEnd { upload_id: 0 }.cache_key().is_none());
-        assert_eq!(begin.op(), Op::ProfileBegin);
-        assert_eq!(
-            profile_chunk_frame(3, "{}"),
-            r#"{"op":"profile_chunk","upload_id":3,"profile":{}}"#
-        );
     }
 
     #[test]
@@ -1386,16 +1273,12 @@ mod tests {
 
     #[test]
     fn repeat_is_rejected_on_profile_submission_ops() {
-        // Repeat profiling happens during `analyze`'s simulation; on the
-        // submission ops it would be silently ignored *and* fragment the
-        // content-addressed store, so the parser refuses it outright.
-        for (line, op) in [
-            (r#"{"op":"analyze_profile","app":"a","repeat":2,"profile":{}}"#, "analyze_profile"),
-            (r#"{"op":"profile_begin","app":"a","repeat":2}"#, "profile_begin"),
-        ] {
-            let err = Request::parse(line).unwrap_err();
-            assert!(err.contains(&format!("`repeat` is not supported by `{op}`")), "{line}: {err}");
-        }
+        // Repeat profiling happens during `analyze`'s simulation; on a
+        // submitted profile it would be silently ignored *and* fragment
+        // the content-addressed store, so the parser refuses it outright.
+        let line = r#"{"op":"analyze_profile","app":"a","repeat":2,"profile":{}}"#;
+        let err = Request::parse(line).unwrap_err();
+        assert!(err.contains("`repeat` is not supported by `analyze_profile`"), "{line}: {err}");
     }
 
     #[test]
@@ -1404,6 +1287,11 @@ mod tests {
             ("not json", "malformed request"),
             ("{}", "missing `op`"),
             (r#"{"op":"frobnicate"}"#, "unknown op"),
+            // A profile upload is one frame: there are no chunked-upload ops.
+            (r#"{"op":"profile_begin","app":"a"}"#, "unknown op `profile_begin`"),
+            (r#"{"op":"profile_chunk","upload_id":0,"profile":{}}"#, "unknown op `profile_chunk`"),
+            (r#"{"op":"profile_end","upload_id":0}"#, "unknown op `profile_end`"),
+            (r#"{"op":"profile_abort","upload_id":0}"#, "unknown op `profile_abort`"),
             (r#"{"op":"analyze"}"#, "missing `app`"),
             (r#"{"op":"analyze","app":7}"#, "`app` must be a string"),
             (r#"{"op":"analyze_profile","app":"x"}"#, "missing `profile`"),

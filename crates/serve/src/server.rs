@@ -11,7 +11,6 @@
 //! | `event_loop` | one reactor thread: epoll loop, accept, socket reads/writes, idle sweep, buffer pool, per-reactor gauges, shutdown drain |
 //! | `conn` | one connection's framing state machine — bytes in, request lines out, response frames queued and drained — with no socket, clock or daemon state |
 //! | `dispatch` | request line → inline answer or queued job; admission control; the worker pool; forward / fallback / warm-from-replica |
-//! | `uploads` | chunked profile uploads and their memory budgets |
 //! | `cluster` | roster and ring, membership ops, stale-epoch gate, self-leave, replicator, heartbeats |
 //! | `status` | the `status` body, with connection roll-ups derived from the per-reactor counters |
 //!
@@ -78,7 +77,7 @@ use std::collections::VecDeque;
 use std::io;
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -239,10 +238,6 @@ pub(crate) struct Shared {
     pub(crate) reactors: Vec<ReactorShared>,
     /// How accepted sockets are distributed across the reactors.
     pub(crate) accept: AcceptPath,
-    /// PC entries currently retained by open uploads, daemon-wide
-    /// (see `uploads`). Approximate accounting — relaxed atomics — is
-    /// fine for a resource budget.
-    pub(crate) upload_pcs: AtomicU64,
 }
 
 /// A running daemon: its address and the threads behind it.
@@ -377,7 +372,6 @@ fn serve_listeners(
         local_addr,
         reactors,
         accept: accept_path,
-        upload_pcs: AtomicU64::new(0),
     });
     let mut threads = Vec::new();
     if let Some((repl_rx, refresh_rx)) = queues {

@@ -6,7 +6,7 @@
 //! same `KernelProfile`, same profile JSON, same advice — and
 //! `KernelProfile::merge` must behave as a proper commutative monoid
 //! (associative, commutative, identity = the empty profile), which is
-//! what makes repeat profiling and chunked uploads order-insensitive.
+//! what makes repeat profiling order-insensitive.
 
 use gpa::arch::{ArchConfig, LaunchConfig, Occupancy};
 use gpa::core::{report, Advisor};
@@ -279,19 +279,6 @@ proptest! {
         let empty = a.empty_like();
         prop_assert_eq!(a.merge(&empty).unwrap(), a.clone());
         prop_assert_eq!(empty.merge(&a).unwrap(), a);
-    }
-
-    /// Splitting into chunks and folding them back with `merge_in`, as
-    /// the daemon folds an upload, reproduces the original profile.
-    #[test]
-    fn split_chunks_round_trips(sa in 0u64..1_000_000, n in 1usize..6) {
-        let a = gen_profile(sa);
-        let mut chunks = a.split_chunks(n).into_iter();
-        let mut merged = chunks.next().unwrap();
-        for chunk in chunks {
-            merged.merge_in(&chunk).unwrap();
-        }
-        prop_assert_eq!(merged, a);
     }
 
     /// Generated profiles are themselves valid under the strict JSON

@@ -10,6 +10,7 @@
 use gpa::core::{schema, Advisor, OptimizerId, OptimizerRegistry};
 use gpa::json::Json;
 use gpa::pipeline::{AnalysisJob, Session};
+use gpa::sampling::PcStats;
 use gpa::serve::{
     protocol, serve, serve_on, FaultPlan, PeerMeta, Request, Ring, ServeClient, ServerConfig,
     WireOptions,
@@ -132,6 +133,18 @@ fn analyze_profile_decouples_profiling_from_advising() {
     let again = client.analyze_profile(&job.app, job.variant, &profile_doc).expect("repeat");
     assert!(again.cached, "identical profile submission hits the store");
     assert_eq!(again.result.unwrap().compact(), expected);
+
+    // A job the registry does not hold is an analysis error, and the
+    // connection stays usable.
+    for (app, variant, needle) in
+        [("no/such-app", 0, "unknown app"), (job.app.as_str(), 99, "variant out of range")]
+    {
+        let r = client.analyze_profile(app, variant, &profile_doc).expect("round-trip");
+        assert!(!r.ok, "{app} v{variant}");
+        assert!(r.error.unwrap().contains(needle), "{app} v{variant}");
+    }
+    let last = client.analyze_profile(&job.app, job.variant, &profile_doc).expect("usable");
+    assert!(last.cached && last.ok);
     handle.shutdown();
     handle.join();
 }
@@ -228,142 +241,42 @@ fn analyze_profile_negotiates_v2() {
     handle.join();
 }
 
-/// The chunked-upload path: a large profile split into pieces streams
-/// in as `profile_begin` / `profile_chunk`* / `profile_end` and must
-/// produce the **same body and the same store entry** as submitting the
-/// whole profile in one `analyze_profile` frame.
+/// A whole profile always fits one `analyze_profile` frame, so no
+/// upload needs splitting. A profile holds at most one row per sampled
+/// instruction; for every registry module, the module's instruction
+/// count times the longest row the writer can render (the module's
+/// last PC, every counter at `u64::MAX`), plus its real profile header,
+/// must stay under a quarter of the frame cap. Recorded: the largest
+/// module is `rodinia/myocyte` v2 at 902 instructions, a worst-case row
+/// is 621 bytes, so the worst profile is ≈ 560 KB — ≈ 15× headroom
+/// under the 8 MiB cap.
 #[test]
-fn chunked_upload_matches_whole_profile_submission() {
-    let handle = test_server(ephemeral());
-    let reference = Session::test();
-    let job = AnalysisJob::new("rodinia/hotspot", 0);
-    let (_, profile, _) = reference.profile_one(&job).expect("local profiling");
-    let chunks: Vec<Json> = profile
-        .split_chunks(3)
-        .iter()
-        .map(|c| Json::parse(&c.to_json()).expect("chunk serializes"))
-        .collect();
-    assert!(chunks.len() > 1, "profile large enough to actually split");
-
-    let mut client = ServeClient::connect(handle.local_addr()).expect("connect");
-    let response = client
-        .analyze_profile_chunked(&job.app, job.variant, &chunks, &WireOptions::default())
-        .expect("chunked upload");
-    assert!(response.ok, "{:?}", response.error);
-    assert!(!response.cached, "first submission computes");
-    let body = response.result.unwrap().compact();
-
-    let report = reference.advise_profile(&job, &profile).expect("local advising");
-    let expected = protocol::profile_body(&job, &profile, &report, 1).compact();
-    assert_eq!(body, expected, "merged upload equals advising on the whole profile");
-
-    // The merged upload joined the content-addressed cache: submitting
-    // the same profile whole is a hit, and vice versa.
-    let profile_doc = Json::parse(&profile.to_json()).expect("profile serializes");
-    let whole = client.analyze_profile(&job.app, job.variant, &profile_doc).expect("request");
-    assert!(whole.cached, "whole-profile submission hits the chunked upload's entry");
-    assert_eq!(whole.result.unwrap().compact(), expected);
-
-    // Upload ops are visible in the metrics.
-    let status = client.status().expect("status").into_result().expect("ok");
-    let ops = status.field("ops").unwrap();
-    assert_eq!(ops.field("profile_begin").unwrap().as_u64().unwrap(), 1);
-    assert_eq!(ops.field("profile_chunk").unwrap().as_u64().unwrap(), chunks.len() as u64);
-    assert_eq!(ops.field("profile_end").unwrap().as_u64().unwrap(), 1);
-    handle.shutdown();
-    handle.join();
-}
-
-#[test]
-fn upload_error_paths_leave_the_connection_usable() {
-    let handle = test_server(ephemeral());
-    let reference = Session::test();
-    let job = AnalysisJob::new("rodinia/hotspot", 0);
-    let (_, profile, _) = reference.profile_one(&job).expect("local profiling");
-    let mut client = ServeClient::connect(handle.local_addr()).expect("connect");
-
-    // A bad job fails at `profile_begin`, before any chunk is streamed.
-    let err = client.profile_begin("no/such-app", 0, &WireOptions::default()).unwrap_err();
-    assert!(err.to_string().contains("unknown app"), "{err}");
-    let err = client.profile_begin(&job.app, 99, &WireOptions::default()).unwrap_err();
-    assert!(err.to_string().contains("variant out of range"), "{err}");
-
-    // Chunks and ends against unknown ids are errors, not hangs.
-    let doc = Json::parse(&profile.to_json()).unwrap();
-    let r = client.profile_chunk(99, &doc).expect("round-trip");
-    assert!(!r.ok);
-    assert!(r.error.unwrap().contains("unknown upload id 99"));
-    let r = client.profile_end(99).expect("round-trip");
-    assert!(!r.ok);
-
-    // Ending an upload with no chunks is an error; the id is consumed.
-    let id = client.profile_begin(&job.app, job.variant, &WireOptions::default()).unwrap();
-    let r = client.profile_end(id).expect("round-trip");
-    assert!(!r.ok);
-    assert!(r.error.unwrap().contains("has no chunks"));
-
-    // A chunk from a *different* kernel configuration is rejected but
-    // the upload keeps its previous state.
-    let id = client.profile_begin(&job.app, job.variant, &WireOptions::default()).unwrap();
-    assert!(client.profile_chunk(id, &doc).expect("first chunk").ok);
-    let (_, other, _) =
-        reference.profile_one(&AnalysisJob::new("rodinia/nw", 0)).expect("other profile");
-    let other_doc = Json::parse(&other.to_json()).unwrap();
-    let r = client.profile_chunk(id, &other_doc).expect("round-trip");
-    assert!(!r.ok);
-    assert!(r.error.unwrap().contains("chunk does not merge"), "merge mismatch is named");
-    let done = client.profile_end(id).expect("finalize");
-    assert!(done.ok, "upload survived the bad chunk: {:?}", done.error);
-
-    // Open uploads are bounded per connection; aborting one frees its
-    // slot without running an analysis.
-    let mut ids = Vec::new();
-    for _ in 0..8 {
-        ids.push(client.profile_begin(&job.app, job.variant, &WireOptions::default()).unwrap());
+fn the_largest_possible_profile_of_every_registry_module_fits_a_quarter_frame() {
+    let (full, test) = (Session::full(), Session::test());
+    for job in test.jobs_for_all_variants() {
+        let artifacts = full.artifacts(&job).expect("registry job");
+        let module = &artifacts.spec.module;
+        let last_pc =
+            module.functions.iter().filter(|f| !f.is_empty()).map(|f| f.pc_of(f.len() - 1));
+        let (instrs, last_pc) = (module.instr_count(), last_pc.max().expect("instructions"));
+        let (_, mut profile, _) = test.profile_one(&job).expect("local profiling");
+        profile.pcs.clear();
+        let header = profile.to_doc().compact().len();
+        let max = [u64::MAX; gpa::sim::N_REASONS];
+        let row = PcStats { total: u64::MAX, by_reason: max, latency_by_reason: max };
+        profile.pcs.insert(last_pc, row);
+        // One row's bytes, plus the comma that separates it from the next.
+        let row_bytes = profile.to_doc().compact().len() - header + 1;
+        let worst = header + instrs * row_bytes;
+        assert!(
+            4 * worst as u64 <= protocol::MAX_REQUEST_BYTES,
+            "{} v{}: {instrs} instructions x {row_bytes}-byte rows + {header}-byte header = \
+             {worst} bytes, over a quarter of the {}-byte frame cap",
+            job.app,
+            job.variant,
+            protocol::MAX_REQUEST_BYTES
+        );
     }
-    let err = client.profile_begin(&job.app, job.variant, &WireOptions::default()).unwrap_err();
-    assert!(err.to_string().contains("too many open uploads"), "{err}");
-    let aborted = client.profile_abort(ids[0]).expect("abort round-trip");
-    assert!(aborted.ok, "{:?}", aborted.error);
-    assert!(client.profile_begin(&job.app, job.variant, &WireOptions::default()).is_ok());
-    let r = client.profile_abort(ids[0]).expect("round-trip");
-    assert!(!r.ok, "double abort is an unknown id");
-    handle.shutdown();
-    handle.join();
-}
-
-/// Uploads bound what the daemon retains: at most 64 chunks per upload
-/// (each chunk can add up to a frame's worth of PC entries to the
-/// running merge, so the count cap is the memory cap).
-#[test]
-fn upload_chunk_count_is_bounded() {
-    let handle = test_server(ephemeral());
-    let reference = Session::test();
-    let job = AnalysisJob::new("rodinia/hotspot", 0);
-    let (_, profile, _) = reference.profile_one(&job).expect("local profiling");
-    // An empty chunk (no PCs, zero totals) is valid and merges with
-    // anything — cheap fuel for hitting the count cap.
-    let empty = Json::parse(&profile.empty_like().to_json()).unwrap();
-    let full = Json::parse(&profile.to_json()).unwrap();
-
-    let mut client = ServeClient::connect(handle.local_addr()).expect("connect");
-    let id = client.profile_begin(&job.app, job.variant, &WireOptions::default()).unwrap();
-    assert!(client.profile_chunk(id, &full).expect("real chunk").ok);
-    for _ in 0..63 {
-        assert!(client.profile_chunk(id, &empty).expect("filler chunk").ok);
-    }
-    let over = client.profile_chunk(id, &empty).expect("round-trip");
-    assert!(!over.ok, "65th chunk must be rejected");
-    assert!(over.error.unwrap().contains("64 chunks"), "limit is named");
-    // The upload is still finalizable, and empty chunks were identity
-    // merges: the result equals advising on the original profile.
-    let done = client.profile_end(id).expect("finalize");
-    assert!(done.ok, "{:?}", done.error);
-    let report = reference.advise_profile(&job, &profile).expect("local advising");
-    let expected = protocol::profile_body(&job, &profile, &report, 1).compact();
-    assert_eq!(done.result.unwrap().compact(), expected);
-    handle.shutdown();
-    handle.join();
 }
 
 /// Daemon-side repeat profiling: `"repeat": n` on `analyze` merges `n`
@@ -457,11 +370,11 @@ fn one_session_answers_both_memory_models() {
     }
 }
 
-/// A backpressure-rejected `profile_end` says "retry later" — and the
-/// retry must actually work: the upload (and its merge) survives the
-/// rejection instead of being discarded.
+/// A backpressure-rejected `analyze_profile` says "retry later" — and
+/// the retry must actually work: the same frame resent on the same
+/// connection is answered with the local `profile_body` bytes.
 #[test]
-fn profile_end_survives_backpressure_rejection() {
+fn analyze_profile_survives_backpressure_rejection() {
     let config = ServerConfig { workers: 1, queue: 1, ..ServerConfig::ephemeral() };
     let handle = test_server(config);
     let addr = handle.local_addr();
@@ -469,10 +382,7 @@ fn profile_end_survives_backpressure_rejection() {
     let job = AnalysisJob::new("rodinia/hotspot", 0);
     let (_, profile, _) = reference.profile_one(&job).expect("local profiling");
     let doc = Json::parse(&profile.to_json()).unwrap();
-
     let mut client = ServeClient::connect(addr).expect("connect");
-    let id = client.profile_begin(&job.app, job.variant, &WireOptions::default()).unwrap();
-    assert!(client.profile_chunk(id, &doc).expect("chunk").ok);
 
     // Occupy the single worker and fill the single queue slot.
     let occupier = std::thread::spawn(move || {
@@ -485,16 +395,16 @@ fn profile_end_survives_backpressure_rejection() {
         c.request(&Request::Sleep { ms: 10 }).expect("queued sleep completes")
     });
     std::thread::sleep(std::time::Duration::from_millis(600));
-    let rejected = client.profile_end(id).expect("round-trip");
-    assert!(!rejected.ok, "profile_end hits backpressure");
-    assert!(rejected.error.unwrap().contains("queue full"));
+    let rejected = client.analyze_profile(&job.app, job.variant, &doc).expect("round-trip");
+    assert!(!rejected.ok, "analyze_profile hits backpressure");
+    let msg = rejected.error.unwrap();
+    assert!(msg.contains("request queue full (1 pending, capacity 1); retry later"), "{msg}");
 
     assert!(occupier.join().unwrap().ok);
     assert!(queued.join().unwrap().ok);
-    // The upload survived the rejection: retrying finalizes the same
-    // merge, byte-identical to a whole-profile submission.
-    let done = client.profile_end(id).expect("retry after drain");
+    let done = client.analyze_profile(&job.app, job.variant, &doc).expect("retry after drain");
     assert!(done.ok, "{:?}", done.error);
+    assert!(!done.cached, "the rejected frame computed nothing");
     let report = reference.advise_profile(&job, &profile).expect("local advising");
     let expected = protocol::profile_body(&job, &profile, &report, 1).compact();
     assert_eq!(done.result.unwrap().compact(), expected);
@@ -1862,11 +1772,10 @@ fn a_join_costs_no_recompute_and_no_body_shipped() {
     settled.shut_down();
 }
 
-/// Connection-scoped state survives the multi-reactor split: with every
-/// shard running two reactors (round-robin accept), chunked uploads —
-/// whose open-upload table lives on the connection — complete with
-/// byte-identical results from connections landing on different
-/// reactors, and membership ops (`join`/`leave`/`ring_status`) behave
+/// The multi-reactor split changes no answer: with every shard running
+/// two reactors (round-robin accept), whole-profile uploads from
+/// connections landing on different reactors answer byte-identical
+/// bodies, and membership ops (`join`/`leave`/`ring_status`) behave
 /// identically no matter which reactor answers.
 #[test]
 fn uploads_and_membership_ops_work_across_reactors() {
@@ -1878,22 +1787,15 @@ fn uploads_and_membership_ops_work_across_reactors() {
     let reference = Session::test();
     let job = AnalysisJob::new("rodinia/hotspot", 0);
     let (_, profile, _) = reference.profile_one(&job).expect("local profiling");
-    let chunks: Vec<Json> = profile
-        .split_chunks(3)
-        .iter()
-        .map(|c| Json::parse(&c.to_json()).expect("chunk serializes"))
-        .collect();
+    let doc = Json::parse(&profile.to_json()).expect("profile serializes");
     let report = reference.advise_profile(&job, &profile).expect("local advising");
     let expected = protocol::profile_body(&job, &profile, &report, 1).compact();
 
     // Four fresh connections, alternating shards: the round-robin
-    // acceptor parks consecutive sockets on different reactors, and
-    // each must hold its own upload state from begin to end.
+    // acceptor parks consecutive sockets on different reactors.
     for i in 0..4 {
         let mut client = ServeClient::connect(addrs[i % 2].as_str()).expect("connect");
-        let r = client
-            .analyze_profile_chunked(&job.app, job.variant, &chunks, &WireOptions::default())
-            .expect("chunked upload");
+        let r = client.analyze_profile(&job.app, job.variant, &doc).expect("upload");
         assert!(r.ok, "upload {i}: {:?}", r.error);
         assert_eq!(r.result.unwrap().compact(), expected, "upload {i} bytes identical");
     }
