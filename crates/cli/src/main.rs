@@ -30,9 +30,7 @@ use gpa_core::report;
 use gpa_json::Json;
 use gpa_kernels::all_apps;
 use gpa_pipeline::{AnalysisError, AnalysisJob, Session};
-use gpa_serve::{
-    serve, FaultPlan, PeerMeta, Request, ServeClient, ServerConfig, WireOptions, DEFAULT_ADDR,
-};
+use gpa_serve::{serve, PeerMeta, Request, ServeClient, ServerConfig, WireOptions, DEFAULT_ADDR};
 use std::io::Write as _;
 use std::process::ExitCode;
 use std::sync::Arc;
@@ -52,8 +50,7 @@ const USAGE: &str = "usage: gpa <command> [args] [flags]\n\n  \
      [--store N] [--persist DIR]\n           \
      [--reactors N]                             reactor threads (default: CPU count, capped at 8)\n           \
      [--peers A,B,..] [--advertise A]           shard with peer daemons (consistent hashing)\n           \
-     [--join A]                                 join a running cluster member at startup\n           \
-     [--faults SPEC]                            scripted peer fault injection (chaos testing)\n  \
+     [--join A]                                 join a running cluster member at startup\n  \
      request analyze <app> [variant] [--addr A]          analyze on the daemon\n  \
      request analyze_profile <app> [variant] --profile F advise on a saved profile\n  \
      request status|shutdown [--addr A]                  daemon control\n  \
@@ -105,7 +102,7 @@ const SIMULATING: &[&str] = &["analyze", "profile", "request analyze", "request 
 const REPLAYING: &[&str] = &["analyze", "profile", "request analyze"];
 
 #[rustfmt::skip]
-const FLAGS: [Flag; 20] = [
+const FLAGS: [Flag; 19] = [
     Flag { name: "json",        takes: Switch, commands: &["analyze"],          member: None },
     Flag { name: "all",         takes: Switch, commands: &["analyze"],          member: None },
     Flag { name: "addr",        takes: Text,   commands: &["serve", "request"], member: None },
@@ -124,7 +121,6 @@ const FLAGS: [Flag; 20] = [
     Flag { name: "peers",       takes: Text,   commands: &["serve"],            member: None },
     Flag { name: "advertise",   takes: Text,   commands: &["serve"],            member: None },
     Flag { name: "join",        takes: Text,   commands: &["serve"],            member: None },
-    Flag { name: "faults",      takes: Text,   commands: &["serve"],            member: None },
     Flag { name: "reactors",    takes: Count,  commands: &["serve"],            member: None },
 ];
 
@@ -488,7 +484,6 @@ fn run_serve(args: &Args) -> Result<ExitCode, String> {
     if args.get("peers").is_some() && peers.is_empty() {
         return Err("flag --peers expects a comma-separated list of addresses".into());
     }
-    let faults = args.text("faults").map(|spec| FaultPlan::parse(&spec)).transpose()?;
     if args.count("reactors") == Some(0) {
         return Err(
             "flag --reactors expects a count of at least 1 (omit it for the default)".into()
@@ -504,7 +499,6 @@ fn run_serve(args: &Args) -> Result<ExitCode, String> {
         peers,
         advertise: args.text("advertise"),
         join: args.text("join"),
-        faults,
         ..ServerConfig::default()
     };
     let (workers, queue) = (config.workers, config.queue);

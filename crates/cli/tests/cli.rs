@@ -300,9 +300,9 @@ fn serve_reactors_flag_is_validated_strictly() {
 // and named in CHANGES.md.
 // ---------------------------------------------------------------------
 
-/// The 20 flags with a sample value each (`""` for a switch), plus one
+/// The 19 flags with a sample value each (`""` for a switch), plus one
 /// flag that does not exist.
-const FLAGS: [(&str, &str); 21] = [
+const FLAGS: [(&str, &str); 20] = [
     ("json", ""),
     ("all", ""),
     ("addr", "x"),
@@ -321,7 +321,6 @@ const FLAGS: [(&str, &str); 21] = [
     ("peers", "127.0.0.1:1"),
     ("advertise", "127.0.0.1:2"),
     ("join", "127.0.0.1:1"),
-    ("faults", "deny:*:count=1"),
     ("reactors", "1"),
     ("bogus", "1"),
 ];
@@ -408,7 +407,6 @@ const MATRIX: &[(&str, &str, &str)] = &[
     ("serve", "peers", "accepted"),
     ("serve", "advertise", "accepted"),
     ("serve", "join", "accepted"),
-    ("serve", "faults", "accepted"),
     ("serve", "reactors", "accepted"),
     ("serve", "bogus", "gpa: unknown flag `--bogus` (see usage)"),
     ("request", "addr", "accepted"),
@@ -521,11 +519,7 @@ const PROBES: &[(&[&str], i32, &str)] = &[
         2,
         "gpa: flag --reactors expects a count of at least 1 (omit it for the default)",
     ),
-    (
-        &["serve", "--faults", "seed=1"],
-        2,
-        "gpa: fault spec: `seed=1` is not `action:peer[:params]`",
-    ),
+    (&["serve", "--faults", "deny:*:count=1"], 2, "gpa: unknown flag `--faults` (see usage)"),
     (&["frobnicate"], 2, "gpa: unknown command `frobnicate`"),
     (&[], 2, "usage: gpa <command> [args] [flags]"),
     (

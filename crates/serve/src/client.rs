@@ -110,8 +110,7 @@ impl ServeClient {
         Ok(ServeClient { reader, writer, out: String::new(), line: String::new() })
     }
 
-    /// Overrides the read/write timeouts ([`None`] blocks forever —
-    /// what a client deliberately waiting out a long `sleep` op wants).
+    /// Overrides the read/write timeouts ([`None`] blocks forever).
     ///
     /// # Errors
     ///

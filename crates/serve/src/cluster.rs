@@ -9,11 +9,11 @@
 //! an owned miss pulls from that holder before computing. Placement by
 //! key makes those two enough through a kill, leave, restart or join.
 
-use crate::faults::PeerOp;
 use crate::metrics::Metrics;
-use crate::peer::PeerTable;
+use crate::peer::{PeerOp, PeerTable};
 use crate::protocol::{self, members_json, PeerMeta, Request};
 use crate::ring::{Ring, Roster};
+use crate::seams::Seams;
 use crate::server::{ServerConfig, Shared};
 use gpa_json::Json;
 use std::io;
@@ -37,16 +37,18 @@ const PEER_IO_TIMEOUT: Duration = Duration::from_secs(5);
 const REFRESH_QUEUE: usize = 32;
 
 /// How often the cluster chore thread wakes with no work queued, to
-/// check whether a heartbeat is due and whether shutdown has begun.
+/// check whether a heartbeat is due and whether shutdown has begun
+/// (real time: the polling cadence, whatever clock decides what is
+/// due).
 const CLUSTER_TICK: Duration = Duration::from_millis(250);
 
-/// How often the chore thread heartbeats the roster members (a
-/// `ring_status` exchange, so liveness checks double as anti-entropy).
-/// A dead peer fails [`TRIP_THRESHOLD`](crate::peer) consecutive
-/// heartbeats and trips its breaker in a few seconds — before the
-/// first user call has to eat the failure — and once its cooldown
-/// elapses, the next heartbeat is the half-open probe.
-const HEARTBEAT_INTERVAL: Duration = Duration::from_millis(1000);
+/// How often, on the daemon's [`Clock`](crate::Clock), the chore
+/// thread heartbeats the roster members (a `ring_status` exchange, so
+/// liveness checks double as anti-entropy). A dead peer fails three
+/// consecutive heartbeats and trips its breaker in a few seconds —
+/// before the first user call has to eat the failure — and once its
+/// cooldown elapses, the next heartbeat is the half-open probe.
+pub const HEARTBEAT_INTERVAL: Duration = Duration::from_millis(1000);
 
 /// The roster and everything derived from it, swapped atomically under
 /// one lock so no reader ever sees an epoch paired with another
@@ -80,11 +82,13 @@ pub(crate) type ClusterQueues = (mpsc::Receiver<(String, String)>, mpsc::Receive
 
 impl Cluster {
     /// Builds this daemon's cluster state from its config: validates
-    /// the identity it will carry on the ring, resolves the fault plan,
-    /// and seeds the roster with `peers ∪ {self}`.
+    /// the identity it will carry on the ring and seeds the roster with
+    /// `peers ∪ {self}`. The peer path reads the seams' clock and fault
+    /// hook.
     pub(crate) fn new(
         config: &ServerConfig,
         self_addr: String,
+        seams: &Seams,
     ) -> io::Result<(Cluster, ClusterQueues)> {
         let invalid = |msg: String| io::Error::new(io::ErrorKind::InvalidInput, msg);
         if config.peers.contains(&self_addr) {
@@ -104,11 +108,7 @@ impl Cluster {
         let cluster = Cluster {
             self_addr,
             state: RwLock::new(state),
-            peers: PeerTable::new(
-                PEER_IO_TIMEOUT,
-                config.peer_trip_cooldown,
-                config.faults.clone(),
-            ),
+            peers: PeerTable::new(PEER_IO_TIMEOUT, seams.clock.clone(), seams.peer_fault.clone()),
             repl_tx: Mutex::new(Some(repl_tx)),
             refresh_tx: Mutex::new(Some(refresh_tx)),
             draining: AtomicBool::new(false),
@@ -374,24 +374,27 @@ pub(crate) fn replicator_loop(shared: &Shared, rx: &mpsc::Receiver<(String, Stri
 }
 
 /// The cluster chore thread: runs roster refreshes off the request
-/// path and, every [`HEARTBEAT_INTERVAL`], heartbeats the members so a
-/// dead peer is discovered — and its breaker tripped — before the first
-/// user call. Exits when the refresh sender is dropped (shutdown).
-pub(crate) fn cluster_loop(shared: &Shared, rx: &mpsc::Receiver<String>) {
-    let mut last_heartbeat = Instant::now();
-    loop {
-        if shared.shutting_down.load(Ordering::Acquire) {
-            break;
-        }
+/// path and, every [`HEARTBEAT_INTERVAL`] on the daemon's clock,
+/// heartbeats the members so a dead peer is discovered — and its
+/// breaker tripped — before the first user call. The due time is
+/// checked after every wake, so a steady stream of refreshes cannot
+/// starve the liveness pass. The first heartbeat is due one interval
+/// after `started`, read before the thread was spawned, so a test's
+/// first clock advance counts however late the thread starts. Exits
+/// when the refresh sender is dropped (shutdown).
+pub(crate) fn cluster_loop(shared: &Shared, rx: &mpsc::Receiver<String>, started: Instant) {
+    let clock = &shared.seams.clock;
+    let mut next_heartbeat = started + HEARTBEAT_INTERVAL;
+    while !shared.shutting_down.load(Ordering::Acquire) {
         match rx.recv_timeout(CLUSTER_TICK) {
             Ok(addr) => refresh_from(shared, &addr, PeerOp::Membership),
-            Err(mpsc::RecvTimeoutError::Timeout) => {
-                if last_heartbeat.elapsed() >= HEARTBEAT_INTERVAL {
-                    last_heartbeat = Instant::now();
-                    heartbeat_members(shared);
-                }
-            }
+            Err(mpsc::RecvTimeoutError::Timeout) => {}
             Err(mpsc::RecvTimeoutError::Disconnected) => break,
+        }
+        let now = clock.now();
+        if now >= next_heartbeat {
+            next_heartbeat = now + HEARTBEAT_INTERVAL;
+            heartbeat_members(shared);
         }
     }
 }

@@ -219,9 +219,9 @@ mod tests {
     }
 
     const PIPELINE: &[u8] =
-        b"{\"op\":\"status\"}\n\r\n{\"op\":\"sleep\",\"ms\":1}\n   \n{\"op\":\"shutdown\"}\n";
+        b"{\"op\":\"status\"}\n\r\n{\"op\":\"ring_status\"}\n   \n{\"op\":\"shutdown\"}\n";
     const PIPELINE_LINES: [&str; 3] =
-        ["{\"op\":\"status\"}", "{\"op\":\"sleep\",\"ms\":1}", "{\"op\":\"shutdown\"}"];
+        ["{\"op\":\"status\"}", "{\"op\":\"ring_status\"}", "{\"op\":\"shutdown\"}"];
 
     #[test]
     fn whole_and_bytewise_delivery_yield_the_same_lines_and_skip_blanks() {

@@ -4,14 +4,13 @@
 //! stale-epoch re-route, local fallback, warm-from-replica).
 
 use crate::cluster;
-use crate::faults::PeerOp;
+use crate::peer::PeerOp;
 use crate::protocol::{self, Request};
 use crate::server::Shared;
 use crate::status::status_body;
 use gpa_json::Json;
 use std::io;
 use std::sync::atomic::Ordering;
-use std::time::Duration;
 
 /// A forward that comes back `stale_epoch` re-routes on the adopted
 /// roster; this bounds how many times one request will chase the ring
@@ -171,7 +170,8 @@ pub(crate) fn try_enqueue(
     Ok(())
 }
 
-/// One pool worker: pops jobs until shutdown drains the queue, and
+/// One pool worker: pops jobs until shutdown drains the queue, runs
+/// each after the [`before_job`](crate::Seams::before_job) hook, and
 /// hands each finished frame to the reactor that owns its connection.
 pub(crate) fn worker_loop(shared: &Shared) {
     loop {
@@ -189,6 +189,9 @@ pub(crate) fn worker_loop(shared: &Shared) {
             }
         };
         let Some(work) = work else { break };
+        if let Some(hook) = &shared.seams.before_job {
+            hook();
+        }
         let frame = execute(shared, work.request, work.addr);
         // The connection may already be gone; that only means nobody
         // is waiting for this frame.
@@ -321,10 +324,6 @@ fn execute_local(shared: &Shared, request: Request, addr: Option<(u64, String)>)
             .session
             .advise_profile_request(&job, &profile, &options.request)
             .map(|report| protocol::profile_body(&job, &profile, &report, options.schema)),
-        Request::Sleep { ms } => {
-            std::thread::sleep(Duration::from_millis(ms));
-            return protocol::ok_frame(false, &format!("{{\"slept_ms\":{ms}}}"));
-        }
         // A self-`leave` announces itself to every member; it is the
         // one membership op that takes a worker slot.
         Request::Leave { .. } => return cluster::drain_self(shared),

@@ -12,6 +12,7 @@ use crate::conn::Conn;
 use crate::dispatch::{self, Control, Handled, ReplyTo};
 use crate::metrics::ReactorStats;
 use crate::reactor::{Event, Interest, Poller};
+use crate::seams::Clock;
 use crate::server::{trigger_shutdown, AcceptPath, ReactorShared, Shared};
 use std::collections::HashMap;
 use std::io::{self, Read, Write};
@@ -23,6 +24,10 @@ use std::time::{Duration, Instant};
 /// Reactor poll tick: the idle sweep and shutdown checks run at least
 /// this often even with no socket events.
 const TICK_MS: i32 = 50;
+
+/// Idle deadline on the daemon's clock: a settled connection with no
+/// bytes in for longer than this is reaped (slow-client guard).
+pub const IDLE_TIMEOUT: Duration = Duration::from_secs(60);
 
 /// Per-reactor recycle pool: at most this many connection buffers are
 /// kept for reuse, so a burst of ten thousand connections does not pin
@@ -36,7 +41,8 @@ const POOL_MAX_BUF_CAPACITY: usize = 256 * 1024;
 
 /// How long the reactor keeps flushing in-flight responses after
 /// shutdown triggers before force-closing (covers a worker finishing
-/// the job whose client asked for the frame).
+/// the job whose client asked for the frame). Wall time, never the
+/// injected clock: a manual clock must not be able to hang a shutdown.
 const DRAIN_DEADLINE: Duration = Duration::from_secs(6);
 
 const LISTENER_TOKEN: u64 = 0;
@@ -51,7 +57,8 @@ struct Slot {
     /// This connection's `shutdown` op stops the daemon once its
     /// response frame is on the wire.
     shutdown_when_drained: bool,
-    /// Last moment bytes arrived (the idle-sweep clock).
+    /// Last moment bytes arrived, on the daemon's clock (what the idle
+    /// sweep reads).
     last_activity: Instant,
     /// Interest currently registered with the poller.
     interest: Interest,
@@ -255,7 +262,7 @@ impl Reactor<'_> {
                 stream,
                 conn: Conn::new(self.pool.take(stats), self.pool.take(stats)),
                 shutdown_when_drained: false,
-                last_activity: Instant::now(),
+                last_activity: self.shared.seams.clock.now(),
                 interest: Interest::READ,
                 gauged: 0,
             },
@@ -266,7 +273,7 @@ impl Reactor<'_> {
     fn socket_ready(&mut self, event: Event, scratch: &mut [u8]) {
         let Some(slot) = self.slots.get_mut(&event.token) else { return };
         let alive = !event.closed
-            && (!event.readable || read_ready(slot, scratch))
+            && (!event.readable || read_ready(slot, scratch, &self.shared.seams.clock))
             && (!event.writable || flush_writes(slot));
         if alive {
             self.finish_turn(event.token);
@@ -319,12 +326,11 @@ impl Reactor<'_> {
     /// worker, nothing left to write): the slow-client guard that keeps
     /// half-open sockets from accumulating forever.
     fn sweep_idle(&mut self) {
-        let now = Instant::now();
-        let idle_timeout = self.shared.idle_timeout;
+        let now = self.shared.seams.clock.now();
         let stale: Vec<u64> = self
             .slots
             .iter()
-            .filter(|(_, s)| s.settled() && now.duration_since(s.last_activity) > idle_timeout)
+            .filter(|(_, s)| s.settled() && now.duration_since(s.last_activity) > IDLE_TIMEOUT)
             .map(|(&token, _)| token)
             .collect();
         for token in stale {
@@ -395,12 +401,12 @@ impl Reactor<'_> {
 
 /// Pulls everything readable into the connection. Returns `false` when
 /// the connection is finished (EOF or a hard error).
-fn read_ready(slot: &mut Slot, scratch: &mut [u8]) -> bool {
+fn read_ready(slot: &mut Slot, scratch: &mut [u8], clock: &Clock) -> bool {
     loop {
         match slot.stream.read(scratch) {
             Ok(0) => return false,
             Ok(n) => {
-                slot.last_activity = Instant::now();
+                slot.last_activity = clock.now();
                 // A full-buffer read may have more behind it; a short
                 // read means the socket is drained (level-triggered, so
                 // a wrong guess only costs one more wakeup).

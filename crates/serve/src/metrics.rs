@@ -171,9 +171,9 @@ mod tests {
         let m = Metrics::new();
         m.count_op(&Request::Status);
         m.count_op(&Request::Status);
-        m.count_op(&Request::Sleep { ms: 1 });
+        m.count_op(&Request::Shutdown);
         assert_eq!(m.ops[Op::Status as usize].load(Ordering::Relaxed), 2);
-        assert_eq!(m.ops[Op::Sleep as usize].load(Ordering::Relaxed), 1);
+        assert_eq!(m.ops[Op::Shutdown as usize].load(Ordering::Relaxed), 1);
         assert_eq!(m.ops[Op::Analyze as usize].load(Ordering::Relaxed), 0);
         // `status.ops` lists exactly the name table, in its order.
         let ops = m.ops_json();

@@ -1,17 +1,17 @@
 //! The hardened peer path: pooled connections, a circuit breaker, and
-//! deterministic fault injection.
+//! an injectable fault hook.
 //!
 //! Every peer call in the daemon — forwarding, replication, warm-ups,
 //! heartbeats, membership announces — is one attempt through
 //! [`PeerTable::call`], which layers, in order:
 //!
-//! 1. **Fault injection** ([`FaultPlan`]): a scripted deny/delay/sever
-//!    decided before any real I/O, so chaos runs replay exactly.
+//! 1. **Fault hook** ([`Seams::peer_fault`]): a test's scripted deny or
+//!    sever, decided before any real I/O; release daemons carry none.
 //! 2. **Circuit breaker**: after [`TRIP_THRESHOLD`] consecutive
-//!    failures a peer is *tripped* — calls fail fast (no dial) until a
-//!    cooldown elapses, then exactly one call probes half-open while
-//!    the rest keep failing fast. A probe success closes the breaker;
-//!    a failure re-trips it.
+//!    failures a peer is *tripped* — calls fail fast (no dial) until
+//!    [`PEER_TRIP_COOLDOWN`] elapses on the daemon's [`Clock`], then
+//!    exactly one call probes half-open while the rest keep failing
+//!    fast. A probe success closes the breaker; a failure re-trips it.
 //! 3. **Connection pool**: up to [`POOL_CAP`] idle connections per
 //!    peer. A pooled connection that fails on reuse was reaped by the
 //!    far end, which says nothing about the peer's health: it counts a
@@ -24,16 +24,48 @@
 //!
 //! Everything observable — trips, fast-fails, probes, stale retries —
 //! lands in [`Metrics`] and surfaces in `status`.
+//!
+//! [`Seams::peer_fault`]: crate::Seams::peer_fault
 
 use crate::client::ServeClient;
-use crate::faults::{FaultAction, FaultPlan, PeerOp};
 use crate::metrics::Metrics;
+use crate::seams::{Clock, PeerFault};
 use gpa_json::Json;
 use std::collections::HashMap;
 use std::io;
 use std::sync::atomic::Ordering;
 use std::sync::Mutex;
 use std::time::{Duration, Instant};
+
+/// What a peer call is for. Every wire line a daemon sends a peer
+/// belongs to exactly one class, so a fault hook can script one kind
+/// of call without counting the background ones.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum PeerOp {
+    /// A user request forwarded to its owner.
+    Forward,
+    /// `store_get` / `store_put`: replication and warm-from-replica.
+    Store,
+    /// The periodic liveness probe, which is also a tripped peer's
+    /// half-open probe once its cooldown elapses.
+    Heartbeat,
+    /// `join` / `leave` announcements and roster refreshes.
+    Membership,
+}
+
+/// What a fault hook does to the current peer call.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum FaultAction {
+    /// Fail the call outright (as a refused connection).
+    Deny,
+    /// Drop the peer's pooled connections and fail the call (as a
+    /// reset connection).
+    Sever,
+}
+
+/// How long a tripped breaker stays open before one call probes the
+/// peer half-open.
+pub const PEER_TRIP_COOLDOWN: Duration = Duration::from_secs(2);
 
 /// Idle pooled connections kept per peer. Forwarding fan-in is bounded
 /// by the worker pool, so a handful of warm connections covers the
@@ -69,31 +101,22 @@ impl PeerState {
 /// All peer-path state for one daemon.
 pub(crate) struct PeerTable {
     peers: Mutex<HashMap<String, PeerState>>,
-    trip_cooldown: Duration,
     io_timeout: Duration,
-    faults: Option<FaultPlan>,
+    clock: Clock,
+    fault: Option<PeerFault>,
 }
 
 impl PeerTable {
-    pub(crate) fn new(
-        io_timeout: Duration,
-        trip_cooldown: Duration,
-        faults: Option<FaultPlan>,
-    ) -> PeerTable {
-        PeerTable { peers: Mutex::new(HashMap::new()), trip_cooldown, io_timeout, faults }
-    }
-
-    /// The active fault plan, if any.
-    pub(crate) fn faults(&self) -> Option<&FaultPlan> {
-        self.faults.as_ref()
+    pub(crate) fn new(io_timeout: Duration, clock: Clock, fault: Option<PeerFault>) -> PeerTable {
+        PeerTable { peers: Mutex::new(HashMap::new()), io_timeout, clock, fault }
     }
 
     /// Runs `f` against a connection to `addr`, through the full
-    /// hardening stack. `op` is the call's class, for the fault plan.
+    /// hardening stack. `op` is the call's class, for the fault hook.
     ///
     /// # Errors
     ///
-    /// The fresh dial's error; the breaker and the fault plan surface
+    /// The fresh dial's error; the breaker and the fault hook surface
     /// as synthetic refusals.
     pub(crate) fn call<T>(
         &self,
@@ -102,7 +125,7 @@ impl PeerTable {
         metrics: &Metrics,
         mut f: impl FnMut(&mut ServeClient) -> io::Result<T>,
     ) -> io::Result<T> {
-        match self.faults.as_ref().and_then(|plan| plan.check(addr, op)) {
+        match self.fault.as_ref().and_then(|fault| fault(addr, op)) {
             Some(FaultAction::Deny) => {
                 self.record_failure(addr, metrics);
                 return Err(io::Error::new(
@@ -110,7 +133,6 @@ impl PeerTable {
                     format!("fault injection denies {addr}"),
                 ));
             }
-            Some(FaultAction::Delay(ms)) => std::thread::sleep(Duration::from_millis(ms)),
             Some(FaultAction::Sever) => {
                 self.drop_pool(addr);
                 self.record_failure(addr, metrics);
@@ -156,7 +178,7 @@ impl PeerTable {
     fn breaker_gate(&self, addr: &str, metrics: &Metrics) -> io::Result<()> {
         let mut peers = self.peers.lock().expect("peer table lock");
         let state = peers.entry(addr.to_string()).or_default();
-        if state.open(Instant::now()) {
+        if state.open(self.clock.now()) {
             metrics.breaker_fast_fails.fetch_add(1, Ordering::Relaxed);
             return Err(io::Error::new(
                 io::ErrorKind::ConnectionRefused,
@@ -199,7 +221,7 @@ impl PeerTable {
         state.consecutive_failures += 1;
         let closed_or_probing = state.probing || state.tripped_until.is_none();
         if state.consecutive_failures >= TRIP_THRESHOLD && closed_or_probing {
-            state.tripped_until = Some(Instant::now() + self.trip_cooldown);
+            state.tripped_until = Some(self.clock.now() + PEER_TRIP_COOLDOWN);
             state.probing = false;
             state.trips += 1;
             metrics.breaker_trips.fetch_add(1, Ordering::Relaxed);
@@ -211,14 +233,14 @@ impl PeerTable {
     /// once the cooldown elapses, its next heartbeat is the half-open
     /// probe.
     pub(crate) fn is_tripped(&self, addr: &str) -> bool {
-        let now = Instant::now();
+        let now = self.clock.now();
         self.peers.lock().expect("peer table lock").get(addr).is_some_and(|s| s.open(now))
     }
 
     /// The `status.cluster.peers` object: one entry per peer the
     /// daemon has talked to.
     pub(crate) fn status_json(&self) -> Json {
-        let now = Instant::now();
+        let now = self.clock.now();
         let peers = self.peers.lock().expect("peer table lock");
         let mut sorted: Vec<_> = peers.iter().collect();
         sorted.sort_by_key(|(addr, _)| *addr);
@@ -238,14 +260,12 @@ impl PeerTable {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::atomic::AtomicU64;
+    use std::sync::Arc;
 
     const IO_TIMEOUT: Duration = Duration::from_millis(200);
 
-    fn table(faults: Option<FaultPlan>) -> PeerTable {
-        PeerTable::new(IO_TIMEOUT, Duration::from_millis(100), faults)
-    }
-
-    /// An address nothing listens on: reserved port 0 never accepts.
+    /// An address nothing listens on: reserved port 1 refuses at once.
     const DEAD: &str = "127.0.0.1:1";
 
     /// A status round trip: against a listener that never accepts, the
@@ -255,23 +275,40 @@ mod tests {
         client.request_line("{\"op\":\"status\"}").map(drop)
     }
 
+    /// A fault hook that denies the first `n` forwards and passes
+    /// every other call.
+    fn deny_forwards(n: u64) -> PeerFault {
+        let seen = AtomicU64::new(0);
+        Arc::new(move |_, op| {
+            let fire = op == PeerOp::Forward && seen.fetch_add(1, Ordering::Relaxed) < n;
+            fire.then_some(FaultAction::Deny)
+        })
+    }
+
     #[test]
     fn breaker_trips_after_consecutive_failures_and_fast_fails() {
-        let metrics = Metrics::default();
-        let peers = table(None);
+        let (clock, metrics) = (Clock::manual(), Metrics::default());
+        let peers = PeerTable::new(IO_TIMEOUT, clock.clone(), None);
         for _ in 0..TRIP_THRESHOLD {
             assert!(peers.call(DEAD, PeerOp::Forward, &metrics, |_| Ok(())).is_err());
         }
         assert_eq!(metrics.breaker_trips.load(Ordering::Relaxed), 1);
+        // One nanosecond short of the cooldown the breaker is still
+        // open: the call fails fast.
+        clock.advance(PEER_TRIP_COOLDOWN - Duration::from_nanos(1));
+        assert!(peers.is_tripped(DEAD));
         let err = peers.call(DEAD, PeerOp::Forward, &metrics, |_| Ok(())).unwrap_err();
         assert!(err.to_string().contains("breaker open"), "{err}");
         assert_eq!(metrics.breaker_fast_fails.load(Ordering::Relaxed), 1);
-        // After the cooldown the next call probes (and fails again,
+        // At the cooldown the next call probes (and fails again,
         // re-tripping).
-        std::thread::sleep(Duration::from_millis(120));
-        let _ = peers.call(DEAD, PeerOp::Forward, &metrics, |_| Ok(()));
+        clock.advance(Duration::from_nanos(1));
+        assert!(!peers.is_tripped(DEAD));
+        let err = peers.call(DEAD, PeerOp::Forward, &metrics, |_| Ok(())).unwrap_err();
+        assert!(!err.to_string().contains("breaker open"), "{err}");
         assert_eq!(metrics.peer_probes.load(Ordering::Relaxed), 1);
         assert_eq!(metrics.breaker_trips.load(Ordering::Relaxed), 2);
+        assert_eq!(metrics.breaker_fast_fails.load(Ordering::Relaxed), 1);
     }
 
     #[test]
@@ -279,7 +316,7 @@ mod tests {
         let blackhole = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
         let addr = blackhole.local_addr().unwrap().to_string();
         let metrics = Metrics::default();
-        let peers = table(None);
+        let peers = PeerTable::new(IO_TIMEOUT, Clock::System, None);
         for _ in 0..TRIP_THRESHOLD {
             let started = Instant::now();
             assert!(peers.call(&addr, PeerOp::Forward, &metrics, ask).is_err());
@@ -298,14 +335,13 @@ mod tests {
     fn the_half_open_probe_is_exclusive() {
         let blackhole = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
         let addr = blackhole.local_addr().unwrap().to_string();
-        let metrics = Metrics::default();
-        let plan = FaultPlan::parse(&format!("deny:{addr}:count=3")).unwrap();
-        let peers = PeerTable::new(Duration::from_secs(1), Duration::from_millis(50), Some(plan));
+        let (clock, metrics) = (Clock::manual(), Metrics::default());
+        let peers = PeerTable::new(Duration::from_secs(1), clock.clone(), Some(deny_forwards(3)));
         for _ in 0..TRIP_THRESHOLD {
             assert!(peers.call(&addr, PeerOp::Forward, &metrics, |_| Ok(())).is_err());
         }
         assert_eq!(metrics.breaker_trips.load(Ordering::Relaxed), 1, "tripped with no I/O");
-        std::thread::sleep(Duration::from_millis(80));
+        clock.advance(PEER_TRIP_COOLDOWN);
         let (entered, probe_in_flight) = std::sync::mpsc::channel();
         std::thread::scope(|scope| {
             let probe = scope.spawn(|| {
@@ -326,18 +362,29 @@ mod tests {
     }
 
     #[test]
-    fn fault_deny_is_deterministic_and_counted() {
+    fn a_fault_hook_fails_its_calls_before_the_breaker_and_any_io() {
         let metrics = Metrics::default();
-        let plan = FaultPlan::parse("deny:*:count=2").unwrap();
-        let peers = table(Some(plan.clone()));
+        let deny = deny_forwards(2);
+        let fault: PeerFault = Arc::new(move |addr, op| match op {
+            PeerOp::Store => Some(FaultAction::Sever),
+            _ => deny(addr, op),
+        });
+        let peers = PeerTable::new(IO_TIMEOUT, Clock::manual(), Some(fault));
         for _ in 0..2 {
             let err = peers.call(DEAD, PeerOp::Forward, &metrics, |_| Ok(())).unwrap_err();
-            assert!(err.to_string().contains("fault injection"), "{err}");
+            assert!(err.to_string().contains("fault injection denies"), "{err}");
         }
-        assert_eq!(plan.fired(), 2);
-        // The window is spent; the next call reaches the (dead) peer
-        // and fails with a real dial error instead.
-        let err = peers.call(DEAD, PeerOp::Forward, &metrics, |_| Ok(())).unwrap_err();
+        // A heartbeat passes the hook, fails its real dial and is the
+        // third failure in a row.
+        let err = peers.call(DEAD, PeerOp::Heartbeat, &metrics, |_| Ok(())).unwrap_err();
         assert!(!err.to_string().contains("fault injection"), "{err}");
+        assert!(peers.is_tripped(DEAD));
+        // The deny window is spent, so the third forward meets the open
+        // breaker; the hook still decides before the breaker does.
+        let err = peers.call(DEAD, PeerOp::Forward, &metrics, |_| Ok(())).unwrap_err();
+        assert!(err.to_string().contains("breaker open"), "{err}");
+        let err = peers.call(DEAD, PeerOp::Store, &metrics, |_| Ok(())).unwrap_err();
+        assert!(err.to_string().contains("fault injection severs"), "{err}");
+        assert_eq!(metrics.breaker_fast_fails.load(Ordering::Relaxed), 1);
     }
 }

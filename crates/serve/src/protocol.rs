@@ -34,13 +34,9 @@ pub const DEFAULT_SCHEMA: u32 = 1;
 /// connection closed: past this point the stream cannot be resynced.
 pub const MAX_REQUEST_BYTES: u64 = 8 * 1024 * 1024;
 
-/// Upper bound on the diagnostic `sleep` op, so a stray request cannot
-/// park a worker indefinitely.
-pub const MAX_SLEEP_MS: u64 = 5_000;
-
 /// Upper bound on `analyze`'s `repeat` option: each repeat is a full
 /// kernel re-simulation, so an uncapped value would let one frame pin a
-/// worker indefinitely (the compute analogue of [`MAX_SLEEP_MS`]).
+/// worker indefinitely.
 /// Sampling phases spread across one period, so repeats beyond the
 /// period add nothing anyway.
 pub const MAX_REPEAT: u32 = 64;
@@ -436,7 +432,6 @@ ops! {
     AnalyzeProfile = "analyze_profile",
     Status = "status",
     Shutdown = "shutdown",
-    Sleep = "sleep",
     StoreGet = "store_get",
     StorePut = "store_put",
     Join = "join",
@@ -520,12 +515,6 @@ pub enum Request {
     Status,
     /// Stop accepting work and exit cleanly.
     Shutdown,
-    /// Diagnostic: occupy a worker for `ms` milliseconds (used by the
-    /// backpressure tests).
-    Sleep {
-        /// Sleep duration in milliseconds (capped at [`MAX_SLEEP_MS`]).
-        ms: u64,
-    },
 }
 
 impl Request {
@@ -584,13 +573,6 @@ impl Request {
             Op::RingStatus => Request::RingStatus,
             Op::Status => Request::Status,
             Op::Shutdown => Request::Shutdown,
-            Op::Sleep => {
-                let ms = match doc.get("ms") {
-                    Some(v) => v.as_u64().map_err(|_| "`ms` must be an unsigned integer")?,
-                    None => 0,
-                };
-                Request::Sleep { ms: ms.min(MAX_SLEEP_MS) }
-            }
         })
     }
 
@@ -606,7 +588,6 @@ impl Request {
             Request::RingStatus => Op::RingStatus,
             Request::Status => Op::Status,
             Request::Shutdown => Op::Shutdown,
-            Request::Sleep { .. } => Op::Sleep,
         }
     }
 
@@ -658,7 +639,7 @@ impl Request {
             Request::StoreGet { .. } | Request::StorePut { .. } => None,
             // Membership ops mutate/inspect live cluster state.
             Request::Join { .. } | Request::Leave { .. } | Request::RingStatus => None,
-            Request::Status | Request::Shutdown | Request::Sleep { .. } => None,
+            Request::Status | Request::Shutdown => None,
         }
     }
 
@@ -704,7 +685,6 @@ impl Request {
             Request::RingStatus => "{\"op\":\"ring_status\"}".to_string(),
             Request::Status => "{\"op\":\"status\"}".to_string(),
             Request::Shutdown => "{\"op\":\"shutdown\"}".to_string(),
-            Request::Sleep { ms } => format!("{{\"op\":\"sleep\",\"ms\":{ms}}}"),
         }
     }
 }
@@ -904,8 +884,7 @@ mod tests {
         assert_eq!(Op::from_name("explode"), None);
         assert_eq!(
             Op::ALL.map(Op::name).join(" "),
-            "analyze analyze_profile status shutdown sleep store_get store_put join leave \
-             ring_status"
+            "analyze analyze_profile status shutdown store_get store_put join leave ring_status"
         );
     }
 
@@ -921,10 +900,11 @@ mod tests {
         }
         assert!(matches!(Request::parse(r#"{"op":"status"}"#), Ok(Request::Status)));
         assert!(matches!(Request::parse(r#"{"op":"shutdown"}"#), Ok(Request::Shutdown)));
-        assert!(matches!(
-            Request::parse(r#"{"op":"sleep","ms":99999}"#),
-            Ok(Request::Sleep { ms: MAX_SLEEP_MS })
-        ));
+        // No wire op holds a worker idle.
+        assert_eq!(
+            Request::parse(r#"{"op":"sleep","ms":99999}"#).unwrap_err(),
+            "unknown op `sleep`"
+        );
     }
 
     #[test]
@@ -1370,7 +1350,7 @@ mod tests {
         let top = Request::parse(r#"{"op":"analyze","app":"a","variant":0,"top":1}"#).unwrap();
         assert_ne!(a.cache_key(), top.cache_key(), "options are part of the address");
         assert!(Request::Status.cache_key().is_none());
-        assert!(Request::Sleep { ms: 1 }.cache_key().is_none());
+        assert!(Request::Shutdown.cache_key().is_none());
 
         // Membership filters are order-insensitive, so permuted or
         // duplicated filter lists share one content address.

@@ -13,6 +13,7 @@
 //! | `dispatch` | request line → inline answer or queued job; admission control; the worker pool; forward / fallback / warm-from-replica |
 //! | `cluster` | roster and ring, membership ops, stale-epoch gate, self-leave, replicator, heartbeats |
 //! | `status` | the `status` body, with connection roll-ups derived from the per-reactor counters |
+//! | `seams` | the test seam: the clock the deadlines read, a peer-fault closure, a hook before each job |
 //!
 //! ## Connections
 //!
@@ -52,9 +53,8 @@
 //! because the roster moved: a departed owner's keys pass to their
 //! replica holders, and a joiner pulls the keys it takes from their
 //! old owner, now their replica. Every peer call is one attempt on the
-//! hardened path in `peer.rs`: pooled connections, a circuit breaker
-//! per peer, and deterministic fault injection (`--faults`); a failed
-//! call takes its caller's fallback.
+//! hardened path in `peer.rs`: pooled connections and a circuit breaker
+//! per peer; a failed call takes its caller's fallback.
 //!
 //! [`stale_epoch_frame`]: crate::protocol::stale_epoch_frame
 //! [`Roster`]: crate::ring::Roster
@@ -67,10 +67,10 @@
 use crate::cluster::{self, Cluster};
 use crate::dispatch::{self, Work};
 use crate::event_loop;
-use crate::faults::FaultPlan;
 use crate::metrics::{Metrics, ReactorStats};
 use crate::protocol::DEFAULT_ADDR;
 use crate::reactor::Waker;
+use crate::seams::Seams;
 use crate::store::ReportStore;
 use gpa_pipeline::Session;
 use std::collections::VecDeque;
@@ -80,14 +80,15 @@ use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 /// Hard cap on reactor threads: accept-path fan-out saturates long
 /// before the worker pool does, and each reactor costs a thread, an
 /// epoll instance and an eventfd.
 pub const MAX_REACTORS: usize = 8;
 
-/// Daemon configuration (CLI flags map onto this 1:1).
+/// Daemon configuration: what `gpa serve`'s flags set, plus
+/// `max_pending_bytes`, which only embedders set.
 #[derive(Debug, Clone)]
 pub struct ServerConfig {
     /// Bind address; port `0` picks an ephemeral port.
@@ -116,15 +117,6 @@ pub struct ServerConfig {
     /// itself there, adopts the answered roster, and enters the ring
     /// without any shard restarting. Implies cluster mode.
     pub join: Option<String>,
-    /// Deterministic peer-path fault plan (chaos tests); `None` injects
-    /// nothing.
-    pub faults: Option<FaultPlan>,
-    /// How long a tripped peer breaker stays open before one call
-    /// probes it half-open.
-    pub peer_trip_cooldown: Duration,
-    /// Idle deadline: connections with no traffic for this long are
-    /// reaped (slow-client guard).
-    pub idle_timeout: Duration,
     /// Daemon-wide budget on buffered-but-unwritten response bytes;
     /// past it, new jobs are shed with a backpressure frame.
     pub max_pending_bytes: u64,
@@ -142,9 +134,6 @@ impl Default for ServerConfig {
             peers: Vec::new(),
             advertise: None,
             join: None,
-            faults: None,
-            peer_trip_cooldown: Duration::from_secs(2),
-            idle_timeout: Duration::from_secs(60),
             max_pending_bytes: 64 * 1024 * 1024,
         }
     }
@@ -230,7 +219,9 @@ pub(crate) struct Shared {
     pub(crate) queue_capacity: usize,
     pub(crate) workers: usize,
     pub(crate) persisted: bool,
-    pub(crate) idle_timeout: Duration,
+    /// The clock and hooks a test injected ([`Seams::default`] in a
+    /// release daemon).
+    pub(crate) seams: Seams,
     pub(crate) cluster: Option<Cluster>,
     pub(crate) shutting_down: AtomicBool,
     local_addr: SocketAddr,
@@ -267,7 +258,8 @@ pub fn serve(session: Arc<Session>, config: ServerConfig) -> io::Result<ServerHa
         // address itself is unusable — in which case the plain bind
         // reports the real error).
         if let Ok(listeners) = bind_reuseport_group(&config.addr, n) {
-            return serve_listeners(session, listeners, AcceptPath::Reuseport, config);
+            let seams = Seams::default();
+            return serve_listeners(session, listeners, AcceptPath::Reuseport, config, seams);
         }
     }
     let listener = TcpListener::bind(&config.addr)?;
@@ -309,6 +301,23 @@ pub fn serve_on(
     listener: TcpListener,
     config: ServerConfig,
 ) -> io::Result<ServerHandle> {
+    serve_on_with(session, listener, config, Seams::default())
+}
+
+/// [`serve_on`] with injected [`Seams`]: the one entry point that
+/// takes a test clock or hooks. A listener bound by
+/// [`reuseport_listener`](crate::reactor::reuseport_listener) still
+/// grows into an `SO_REUSEPORT` group.
+///
+/// # Errors
+///
+/// As [`serve_on`].
+pub fn serve_on_with(
+    session: Arc<Session>,
+    listener: TcpListener,
+    config: ServerConfig,
+    seams: Seams,
+) -> io::Result<ServerHandle> {
     let n = config.effective_reactors();
     if n > 1 {
         if let Ok(local) = listener.local_addr() {
@@ -316,12 +325,18 @@ pub fn serve_on(
                 if let Ok(siblings) = bind_reuseport_group(&local.to_string(), n - 1) {
                     let mut listeners = vec![listener];
                     listeners.extend(siblings);
-                    return serve_listeners(session, listeners, AcceptPath::Reuseport, config);
+                    return serve_listeners(
+                        session,
+                        listeners,
+                        AcceptPath::Reuseport,
+                        config,
+                        seams,
+                    );
                 }
             }
         }
     }
-    serve_listeners(session, vec![listener], AcceptPath::RoundRobin, config)
+    serve_listeners(session, vec![listener], AcceptPath::RoundRobin, config, seams)
 }
 
 /// The common daemon bring-up: `listeners` is one listener per reactor
@@ -331,6 +346,7 @@ fn serve_listeners(
     listeners: Vec<TcpListener>,
     accept_path: AcceptPath,
     config: ServerConfig,
+    seams: Seams,
 ) -> io::Result<ServerHandle> {
     let store = ReportStore::new(config.store_capacity, config.persist_dir.clone())?;
     let local_addr = listeners[0].local_addr()?;
@@ -351,7 +367,7 @@ fn serve_listeners(
         !config.peers.is_empty() || config.advertise.is_some() || config.join.is_some();
     let (cluster, queues) = if cluster_mode {
         let self_addr = config.advertise.clone().unwrap_or_else(|| local_addr.to_string());
-        let (cluster, queues) = Cluster::new(&config, self_addr)?;
+        let (cluster, queues) = Cluster::new(&config, self_addr, &seams)?;
         (Some(cluster), Some(queues))
     } else {
         (None, None)
@@ -366,7 +382,7 @@ fn serve_listeners(
         queue_capacity: config.queue.max(1),
         workers,
         persisted: config.persist_dir.is_some(),
-        idle_timeout: config.idle_timeout,
+        seams,
         cluster,
         shutting_down: AtomicBool::new(false),
         local_addr,
@@ -378,8 +394,9 @@ fn serve_listeners(
         threads.push(spawn(&shared, "gpa-serve-replicator".to_string(), move |sh| {
             cluster::replicator_loop(sh, &repl_rx);
         })?);
+        let started = shared.seams.clock.now();
         threads.push(spawn(&shared, "gpa-serve-cluster".to_string(), move |sh| {
-            cluster::cluster_loop(sh, &refresh_rx);
+            cluster::cluster_loop(sh, &refresh_rx, started);
         })?);
     }
     for i in 0..workers {

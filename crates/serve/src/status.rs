@@ -1,7 +1,6 @@
 //! The `status` op's body: every counter and gauge the daemon exposes,
 //! in the shape `docs/protocol.md` documents.
 
-use crate::faults::FaultPlan;
 use crate::metrics::ReactorStats;
 use crate::protocol::{self, members_json};
 use crate::server::Shared;
@@ -72,7 +71,6 @@ pub(crate) fn status_body(shared: &Shared) -> Json {
         );
     if let Some(cluster) = &shared.cluster {
         let (epoch, members) = cluster.snapshot();
-        let faults = cluster.peers.faults();
         let last_error =
             shared.metrics.last_replication_error.lock().expect("replication error lock").clone();
         body = body.with(
@@ -103,13 +101,7 @@ pub(crate) fn status_body(shared: &Shared) -> Json {
                         .with("probes", m.peer_probes.load(Ordering::Relaxed))
                         .with("stale_retries", m.stale_retries.load(Ordering::Relaxed)),
                 )
-                .with("peers", cluster.peers.status_json())
-                .with(
-                    "faults",
-                    Json::object()
-                        .with("active", faults.is_some())
-                        .with("fired", faults.map_or(0, FaultPlan::fired)),
-                ),
+                .with("peers", cluster.peers.status_json()),
         );
     }
     body

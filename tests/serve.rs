@@ -12,16 +12,86 @@ use gpa::json::Json;
 use gpa::pipeline::{AnalysisJob, Session};
 use gpa::sampling::PcStats;
 use gpa::serve::{
-    protocol, serve, serve_on, FaultPlan, PeerMeta, Request, Ring, ServeClient, ServerConfig,
-    WireOptions,
+    protocol, serve, serve_on, serve_on_with, Clock, FaultAction, PeerFault, PeerMeta, PeerOp,
+    Request, Response, Ring, Seams, ServeClient, ServerConfig, WireOptions, HEARTBEAT_INTERVAL,
+    IDLE_TIMEOUT, PEER_TRIP_COOLDOWN,
 };
 use std::io::{BufRead, BufReader, Read, Write};
-use std::net::{TcpListener, TcpStream};
-use std::sync::Arc;
+use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::{mpsc, Arc, Mutex};
+use std::thread::JoinHandle;
 use std::time::Duration;
 
 fn test_server(config: ServerConfig) -> gpa::serve::ServerHandle {
     serve(Arc::new(Session::test()), config).expect("daemon binds an ephemeral port")
+}
+
+/// A daemon on `listener` with injected seams.
+fn test_server_on(
+    listener: TcpListener,
+    config: ServerConfig,
+    seams: Seams,
+) -> gpa::serve::ServerHandle {
+    serve_on_with(Arc::new(Session::test()), listener, config, seams).expect("daemon starts")
+}
+
+fn loopback() -> TcpListener {
+    TcpListener::bind("127.0.0.1:0").expect("bind an ephemeral port")
+}
+
+/// Seams on a manual clock.
+fn on_clock(clock: &Clock) -> Seams {
+    Seams { clock: clock.clone(), ..Seams::default() }
+}
+
+/// Seams whose `before_job` parks the first dequeued job until the
+/// returned gate is opened (or dropped; a forgotten gate gives up after
+/// 10 s, so a failing test cannot hang the daemon's shutdown).
+/// `entered` fires once that job holds its worker.
+fn hold_first_job() -> (Seams, mpsc::Receiver<()>, mpsc::Sender<()>) {
+    let (entered_tx, entered) = mpsc::channel();
+    let (open, gate) = mpsc::channel::<()>();
+    let (gate, held) = (Mutex::new(gate), AtomicBool::new(false));
+    let before_job = move || {
+        if !held.swap(true, Ordering::SeqCst) {
+            entered_tx.send(()).expect("the test waits for the held job");
+            let _ = gate.lock().unwrap().recv_timeout(Duration::from_secs(10));
+        }
+    };
+    (Seams { before_job: Some(Arc::new(before_job)), ..Seams::default() }, entered, open)
+}
+
+/// `analyze app` on its own connection and thread.
+fn spawn_analyze(addr: SocketAddr, app: &'static str) -> JoinHandle<Response> {
+    std::thread::spawn(move || {
+        let mut client = ServeClient::connect(addr).expect("connect");
+        client.analyze(app, 0).expect("answered")
+    })
+}
+
+/// One `status` body from `addr`.
+fn status_of(addr: impl std::net::ToSocketAddrs) -> Json {
+    let mut client = ServeClient::connect(addr).expect("connect");
+    client.status().expect("status").into_result().expect("ok")
+}
+
+/// Polls `status` on `addr` until `done` holds, for at most 10 s.
+fn wait_for_status(addr: impl std::net::ToSocketAddrs, what: &str, done: impl Fn(&Json) -> bool) {
+    let mut client = ServeClient::connect(addr).expect("connect");
+    let deadline = std::time::Instant::now() + Duration::from_secs(10);
+    loop {
+        let status = client.status().expect("status").into_result().expect("ok");
+        if done(&status) {
+            return;
+        }
+        assert!(std::time::Instant::now() < deadline, "status never showed {what}");
+        std::thread::sleep(Duration::from_millis(5));
+    }
+}
+
+fn queue_depth(status: &Json) -> u64 {
+    status.field("queue").unwrap().field("depth").unwrap().as_u64().unwrap()
 }
 
 fn ephemeral() -> ServerConfig {
@@ -375,8 +445,9 @@ fn one_session_answers_both_memory_models() {
 /// connection is answered with the local `profile_body` bytes.
 #[test]
 fn analyze_profile_survives_backpressure_rejection() {
+    let (seams, entered, open) = hold_first_job();
     let config = ServerConfig { workers: 1, queue: 1, ..ServerConfig::ephemeral() };
-    let handle = test_server(config);
+    let handle = test_server_on(loopback(), config, seams);
     let addr = handle.local_addr();
     let reference = Session::test();
     let job = AnalysisJob::new("rodinia/hotspot", 0);
@@ -384,22 +455,17 @@ fn analyze_profile_survives_backpressure_rejection() {
     let doc = Json::parse(&profile.to_json()).unwrap();
     let mut client = ServeClient::connect(addr).expect("connect");
 
-    // Occupy the single worker and fill the single queue slot.
-    let occupier = std::thread::spawn(move || {
-        let mut c = ServeClient::connect(addr).expect("connect");
-        c.request(&Request::Sleep { ms: 1500 }).expect("sleep completes")
-    });
-    let queued = std::thread::spawn(move || {
-        let mut c = ServeClient::connect(addr).expect("connect");
-        std::thread::sleep(std::time::Duration::from_millis(200));
-        c.request(&Request::Sleep { ms: 10 }).expect("queued sleep completes")
-    });
-    std::thread::sleep(std::time::Duration::from_millis(600));
+    // Hold the single worker, then fill the single queue slot.
+    let occupier = spawn_analyze(addr, "rodinia/nw");
+    entered.recv().expect("the first job holds the worker");
+    let queued = spawn_analyze(addr, "rodinia/bfs");
+    wait_for_status(addr, "a queued job", |status| queue_depth(status) == 1);
     let rejected = client.analyze_profile(&job.app, job.variant, &doc).expect("round-trip");
     assert!(!rejected.ok, "analyze_profile hits backpressure");
     let msg = rejected.error.unwrap();
     assert!(msg.contains("request queue full (1 pending, capacity 1); retry later"), "{msg}");
 
+    open.send(()).expect("the held job waits on the gate");
     assert!(occupier.join().unwrap().ok);
     assert!(queued.join().unwrap().ok);
     let done = client.analyze_profile(&job.app, job.variant, &doc).expect("retry after drain");
@@ -414,26 +480,19 @@ fn analyze_profile_survives_backpressure_rejection() {
 
 #[test]
 fn full_queue_rejects_with_backpressure_error() {
-    // One worker, queue capacity 1: a long sleep occupies the worker,
-    // a second fills the queue, the third must be rejected.
+    // One worker, queue capacity 1: a job held on the gate occupies the
+    // worker, a second fills the queue, the third must be rejected.
+    let (seams, entered, open) = hold_first_job();
     let config = ServerConfig { workers: 1, queue: 1, ..ServerConfig::ephemeral() };
-    let handle = test_server(config);
+    let handle = test_server_on(loopback(), config, seams);
     let addr = handle.local_addr();
 
-    let occupier = std::thread::spawn(move || {
-        let mut c = ServeClient::connect(addr).expect("connect");
-        c.request(&Request::Sleep { ms: 1500 }).expect("sleep completes")
-    });
-    let queued = std::thread::spawn(move || {
-        let mut c = ServeClient::connect(addr).expect("connect");
-        std::thread::sleep(std::time::Duration::from_millis(200));
-        c.request(&Request::Sleep { ms: 10 }).expect("queued sleep completes")
-    });
-    // Give the first request time to reach the worker and the second to
-    // park in the queue.
-    std::thread::sleep(std::time::Duration::from_millis(600));
+    let occupier = spawn_analyze(addr, "rodinia/hotspot");
+    entered.recv().expect("the first job holds the worker");
+    let queued = spawn_analyze(addr, "rodinia/nw");
+    wait_for_status(addr, "a queued job", |status| queue_depth(status) == 1);
     let mut c = ServeClient::connect(addr).expect("connect");
-    let rejected = c.request(&Request::Sleep { ms: 10 }).expect("round-trip");
+    let rejected = c.analyze("rodinia/bfs", 0).expect("round-trip");
     assert!(!rejected.ok, "third request must be rejected");
     let msg = rejected.error.expect("error message");
     assert!(msg.contains("queue full"), "explicit backpressure: {msg}");
@@ -443,6 +502,7 @@ fn full_queue_rejects_with_backpressure_error() {
     assert!(queue.field("rejected").unwrap().as_u64().unwrap() >= 1);
     assert_eq!(queue.field("capacity").unwrap().as_u64().unwrap(), 1);
 
+    open.send(()).expect("the held job waits on the gate");
     assert!(occupier.join().unwrap().ok);
     assert!(queued.join().unwrap().ok);
     handle.shutdown();
@@ -477,6 +537,27 @@ fn protocol_errors_are_reported_not_fatal() {
     let errors = status.field("errors").unwrap();
     assert_eq!(errors.field("protocol").unwrap().as_u64().unwrap(), 3);
     assert_eq!(errors.field("analysis").unwrap().as_u64().unwrap(), 1);
+    handle.shutdown();
+    handle.join();
+}
+
+/// There is no `sleep` op: a daemon answers one inline with the
+/// unknown-op error, so it never occupies a worker, and `status.ops`
+/// has no `sleep` key.
+#[test]
+fn the_sleep_op_is_an_unknown_op() {
+    let handle = test_server(ephemeral());
+    let mut client = ServeClient::connect(handle.local_addr()).expect("connect");
+    let frame = client.request_line("{\"op\":\"sleep\",\"ms\":1}").expect("answered");
+    let doc = Json::parse(frame).expect("error frame is JSON");
+    assert!(!doc.field("ok").unwrap().as_bool().unwrap());
+    assert_eq!(doc.field("error").unwrap().as_str().unwrap(), "unknown op `sleep`");
+    let status = client.status().expect("status").into_result().expect("ok");
+    let queue = status.field("queue").unwrap();
+    assert_eq!(queue.field("depth").unwrap().as_u64().unwrap(), 0);
+    assert_eq!(queue.field("peak").unwrap().as_u64().unwrap(), 0, "no worker was ever asked");
+    assert!(status.field("ops").unwrap().get("sleep").is_none());
+    assert_eq!(status.field("errors").unwrap().field("protocol").unwrap().as_u64().unwrap(), 1);
     handle.shutdown();
     handle.join();
 }
@@ -624,10 +705,10 @@ fn pending_byte_budget_sheds_jobs_with_backpressure() {
     let mut reader = BufReader::new(stream.try_clone().expect("clone"));
 
     // One small write, so every frame lands in the reactor's buffer in
-    // one batch: the statuses queue response bytes, and the sleep job
+    // one batch: the statuses queue response bytes, and the analyze job
     // behind them must be shed before it reaches the worker pool.
-    let sleep_wire = Request::Sleep { ms: 10 }.to_wire();
-    let burst = format!("{0}\n{0}\n{0}\n{1}\n", "{\"op\":\"status\"}", sleep_wire);
+    let job_wire = analyze_wire("rodinia/hotspot");
+    let burst = format!("{0}\n{0}\n{0}\n{1}\n", "{\"op\":\"status\"}", job_wire);
     stream.write_all(burst.as_bytes()).expect("burst write");
     let mut frames = Vec::new();
     for _ in 0..4 {
@@ -650,24 +731,43 @@ fn pending_byte_budget_sheds_jobs_with_backpressure() {
     handle.join();
 }
 
+/// Sends one `status` line on a raw stream and reads its answer: the
+/// connection is then registered, settled, and stamped with the
+/// daemon clock's current instant.
+fn touch(stream: &mut TcpStream) {
+    stream.write_all(b"{\"op\":\"status\"}\n").expect("status write");
+    let mut line = String::new();
+    BufReader::new(&*stream).read_line(&mut line).expect("status answer");
+    assert!(line.starts_with("{\"ok\":true"), "{line}");
+}
+
 /// The slow-client guard: a connection that goes quiet past the idle
 /// deadline is reaped by the reactor's sweep (observed as EOF) and
-/// counted in the metrics.
+/// counted in the metrics — kept at exactly the deadline, reaped one
+/// nanosecond past it.
 #[test]
 fn idle_connections_are_reaped_and_counted() {
-    let config = ServerConfig { idle_timeout: Duration::from_millis(150), ..ephemeral() };
-    let handle = test_server(config);
-    let mut stream = TcpStream::connect(handle.local_addr()).expect("connect");
-    stream.set_read_timeout(Some(Duration::from_secs(5))).expect("timeout");
-    let mut buf = [0u8; 16];
-    // The daemon closes us: read returns 0 well before our own 5s guard.
-    let n = stream.read(&mut buf).expect("daemon closed the idle connection");
+    let clock = Clock::manual();
+    let config = ServerConfig { reactors: 1, ..ephemeral() };
+    let handle = test_server_on(loopback(), config, on_clock(&clock));
+    let mut idle = TcpStream::connect(handle.local_addr()).expect("connect");
+    touch(&mut idle);
+    // The reactor sweeps at the end of every turn, so the second of two
+    // round trips on another connection of the (only) reactor reports
+    // a sweep that ran after the clock moved.
+    let mut probe = ServeClient::connect(handle.local_addr()).expect("connect");
+    let mut reaped = || {
+        probe.status().expect("status");
+        let status = probe.status().expect("status").into_result().expect("ok");
+        status.field("reactor").unwrap().field("idle_reaped").unwrap().as_u64().unwrap()
+    };
+    clock.advance(IDLE_TIMEOUT);
+    assert_eq!(reaped(), 0, "kept at exactly the deadline");
+    clock.advance(Duration::from_nanos(1));
+    assert_eq!(reaped(), 1, "reaped one nanosecond past it");
+    idle.set_read_timeout(Some(Duration::from_secs(5))).expect("timeout");
+    let n = idle.read(&mut [0u8; 16]).expect("daemon closed the idle connection");
     assert_eq!(n, 0, "idle connection saw EOF");
-
-    let mut client = ServeClient::connect(handle.local_addr()).expect("connect");
-    let status = client.status().expect("status").into_result().expect("ok");
-    let reactor = status.field("reactor").unwrap();
-    assert!(reactor.field("idle_reaped").unwrap().as_u64().unwrap() >= 1, "reap counted");
     handle.shutdown();
     handle.join();
 }
@@ -676,17 +776,21 @@ fn idle_connections_are_reaped_and_counted() {
 /// hanging `gpa request` forever.
 #[test]
 fn client_read_timeout_bounds_a_slow_daemon() {
-    let handle = test_server(ephemeral());
+    let (seams, entered, open) = hold_first_job();
+    let handle = test_server_on(loopback(), ephemeral(), seams);
     let mut slow = ServeClient::connect(handle.local_addr()).expect("connect");
     slow.set_timeouts(Some(Duration::from_millis(150))).expect("timeouts");
-    let err = slow.request(&Request::Sleep { ms: 1500 }).expect_err("read must time out");
+    let err = slow.analyze("rodinia/nw", 0).expect_err("read must time out");
     assert!(
         matches!(err.kind(), std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut),
         "timeout, not a hang: {err}"
     );
-    // The daemon itself is healthy; a fresh client still gets answers.
+    entered.recv().expect("the timed-out job holds a worker");
+    // The daemon itself is healthy; a fresh client still gets answers
+    // from the other workers.
     let mut client = ServeClient::connect(handle.local_addr()).expect("connect");
     assert!(client.analyze("rodinia/hotspot", 0).expect("analyze").ok);
+    open.send(()).expect("the held job waits on the gate");
     handle.shutdown();
     handle.join();
 }
@@ -768,9 +872,11 @@ fn reactor_count_is_capped_and_reported_effectively() {
 /// quiet connections.
 #[test]
 fn multi_reactor_pipelines_in_order_and_reaps_idle() {
-    let config =
-        ServerConfig { reactors: 2, idle_timeout: Duration::from_millis(200), ..ephemeral() };
-    let handle = test_server(config);
+    let clock = Clock::manual();
+    let listener = gpa::serve::reactor::reuseport_listener("127.0.0.1:0".parse().unwrap())
+        .expect("bind a reuseport listener");
+    let config = ServerConfig { reactors: 2, ..ephemeral() };
+    let handle = test_server_on(listener, config, on_clock(&clock));
     assert_eq!(handle.reactors(), 2);
     assert_eq!(handle.accept_path(), "reuseport");
     let reference = Session::test();
@@ -809,6 +915,8 @@ fn multi_reactor_pipelines_in_order_and_reaps_idle() {
     // A connection that goes quiet is reaped by whichever reactor owns
     // it (per-reactor sweeps, observed as EOF).
     let mut idle = TcpStream::connect(handle.local_addr()).expect("connect idle");
+    touch(&mut idle);
+    clock.advance(IDLE_TIMEOUT + Duration::from_nanos(1));
     idle.set_read_timeout(Some(Duration::from_secs(5))).expect("timeout");
     let mut buf = [0u8; 16];
     let n = idle.read(&mut buf).expect("daemon closed the idle connection");
@@ -838,15 +946,15 @@ fn multi_reactor_pipelines_in_order_and_reaps_idle() {
 /// then starts one daemon per listener with the full peer roster — the
 /// same bootstrap the CI smoke uses with fixed ports.
 fn test_cluster(n: usize) -> (Vec<gpa::serve::ServerHandle>, Vec<String>) {
-    test_cluster_with(n, |_, config| config)
+    test_cluster_with(n, |_| Seams::default())
 }
 
-/// [`test_cluster`], but each shard's config passes through `tweak`
-/// (indexed by shard) — how the failure tests plant fault plans and
-/// shorten breaker cooldowns on specific members.
+/// [`test_cluster`], but each shard runs the seams `seams` gives for
+/// its index — how the failure tests plant fault hooks on specific
+/// members and drive the cluster's clock.
 fn test_cluster_with(
     n: usize,
-    tweak: impl Fn(usize, ServerConfig) -> ServerConfig,
+    seams: impl Fn(usize) -> Seams,
 ) -> (Vec<gpa::serve::ServerHandle>, Vec<String>) {
     let listeners: Vec<TcpListener> =
         (0..n).map(|_| TcpListener::bind("127.0.0.1:0").expect("bind shard")).collect();
@@ -862,11 +970,10 @@ fn test_cluster_with(
             // chaos run) exercises the multi-reactor daemon on its
             // round-robin accept path (a pre-bound listener cannot grow
             // an SO_REUSEPORT group).
-            let config = tweak(
-                i,
-                ServerConfig { workers: 2, reactors: 2, peers, ..ServerConfig::ephemeral() },
-            );
-            serve_on(Arc::new(Session::test()), listener, config).expect("shard starts")
+            let config =
+                ServerConfig { workers: 2, reactors: 2, peers, ..ServerConfig::ephemeral() };
+            serve_on_with(Arc::new(Session::test()), listener, config, seams(i))
+                .expect("shard starts")
         })
         .collect();
     (handles, addrs)
@@ -946,6 +1053,50 @@ fn heaviest_owner(addrs: &[String], jobs: &[AnalysisJob]) -> usize {
     let ring = Ring::new(addrs.iter().cloned());
     let owned = |addr: &String| jobs.iter().filter(|j| ring.owner(&job_key(j)) == addr).count();
     (0..addrs.len()).max_by_key(|&i| owned(&addrs[i])).expect("a nonempty cluster")
+}
+
+/// An address nothing listens on: dials to it are refused at once.
+const NOWHERE: &str = "127.0.0.1:1";
+
+/// Wakes `addr`'s cluster chore thread now rather than at its next
+/// tick: a frame stamped with a newer epoch queues a roster refresh
+/// from its sender — here an address nothing listens on, so the refresh
+/// fails at once — and the thread checks whether a heartbeat is due
+/// after every wake.
+fn wake_chores(addr: &str) {
+    let meta = PeerMeta { epoch: Some(999), from: Some(NOWHERE.to_string()) };
+    let poke = Request::StorePut { key: "wake".to_string(), body: "{}".to_string(), meta };
+    let mut client = ServeClient::connect(addr).expect("connect shard");
+    assert!(client.request(&poke).expect("store_put").ok);
+}
+
+/// `status.cluster.membership.heartbeats` of one status body.
+fn heartbeats(status: &Json) -> u64 {
+    let membership = status.field("cluster").unwrap().field("membership").unwrap();
+    membership.field("heartbeats").unwrap().as_u64().unwrap()
+}
+
+/// `status.cluster.breaker.<field>` of one status body.
+fn breaker(status: &Json, field: &str) -> u64 {
+    let breaker = status.field("cluster").unwrap().field("breaker").unwrap();
+    breaker.field(field).unwrap().as_u64().unwrap()
+}
+
+/// A fault hook that counts the calls of class `op` it sees and
+/// answers the `n`-th (0-based) with `act(n)`.
+fn count_calls(
+    op: PeerOp,
+    act: impl Fn(u64) -> Option<FaultAction> + Send + Sync + 'static,
+) -> (PeerFault, Arc<AtomicU64>) {
+    let seen = Arc::new(AtomicU64::new(0));
+    let counter = Arc::clone(&seen);
+    let hook: PeerFault = Arc::new(move |_, call| {
+        if call != op {
+            return None;
+        }
+        act(counter.fetch_add(1, Ordering::SeqCst))
+    });
+    (hook, seen)
 }
 
 /// The cluster correctness anchor: whichever shard a client asks, over
@@ -1250,10 +1401,8 @@ fn stale_epoch_forwards_bounce_with_the_fresh_roster() {
 /// and is probed by the background heartbeat.
 #[test]
 fn owner_down_falls_back_locally_and_trips_the_breaker() {
-    let (mut handles, addrs) = test_cluster_with(3, |_, config| ServerConfig {
-        peer_trip_cooldown: Duration::from_millis(100),
-        ..config
-    });
+    let clock = Clock::manual();
+    let (mut handles, addrs) = test_cluster_with(3, |_| on_clock(&clock));
     let reference = Session::test();
     let jobs = reference.jobs_for_all_apps();
 
@@ -1279,35 +1428,15 @@ fn owner_down_falls_back_locally_and_trips_the_breaker() {
     let status = client.status().expect("status").into_result().expect("ok");
     let cluster = status.field("cluster").unwrap();
     assert!(cluster.field("forward_failures").unwrap().as_u64().unwrap() >= 1);
-    let breaker = cluster.field("breaker").unwrap();
-    assert!(breaker.field("trips").unwrap().as_u64().unwrap() >= 1, "dead peer's breaker tripped");
-    assert!(
-        breaker.field("fast_fails").unwrap().as_u64().unwrap()
-            + breaker.field("probes").unwrap().as_u64().unwrap()
-            >= 1,
-        "post-trip calls fast-failed or probed"
-    );
+    assert!(breaker(&status, "trips") >= 1, "dead peer's breaker tripped");
+    assert!(breaker(&status, "fast_fails") >= 1, "post-trip calls fast-failed");
 
     // The background heartbeat probes the tripped peer once its
     // cooldown elapses — visible without any client traffic.
-    let deadline = std::time::Instant::now() + Duration::from_secs(3);
-    loop {
-        let status = client.status().expect("status").into_result().expect("ok");
-        let probes = status
-            .field("cluster")
-            .unwrap()
-            .field("breaker")
-            .unwrap()
-            .field("probes")
-            .unwrap()
-            .as_u64()
-            .unwrap();
-        if probes >= 1 {
-            break;
-        }
-        assert!(std::time::Instant::now() < deadline, "breaker probe never happened");
-        std::thread::sleep(Duration::from_millis(100));
-    }
+    let probes = breaker(&status, "probes");
+    clock.advance(PEER_TRIP_COOLDOWN.max(HEARTBEAT_INTERVAL));
+    wake_chores(live);
+    wait_for_status(live.as_str(), "a heartbeat probe", |s| breaker(s, "probes") > probes);
 
     for handle in handles {
         handle.shutdown();
@@ -1316,24 +1445,21 @@ fn owner_down_falls_back_locally_and_trips_the_breaker() {
 }
 
 /// The liveness heartbeat discovers a dead peer with *no client
-/// traffic at all*: kill shard 1 outright, and within a few 1-second
-/// heartbeat intervals shard 0's breaker for the corpse trips in the
+/// traffic at all*: kill shard 1 outright, and three heartbeat
+/// intervals later shard 0's breaker for the corpse has tripped in the
 /// background. The first real user call then fast-fails straight to a
 /// byte-identical local computation instead of eating a connect
-/// timeout. A delay plan rides along to pin the heartbeat onto
-/// the injected-fault path too (the counter proves it fired there).
+/// timeout. A counting fault hook rides along on shard 0: it sees every
+/// heartbeat, so the peer path the heartbeats take is the one user
+/// calls take.
 #[test]
 fn heartbeat_trips_a_dead_peers_breaker_before_any_user_call() {
-    let plan = FaultPlan::parse("delay:*:ms=1,count=2").expect("plan parses");
-    let (mut handles, addrs) = test_cluster_with(2, |i, config| match i {
-        0 => ServerConfig {
-            faults: Some(plan.clone()),
-            // Long cooldown: once tripped, stays tripped for the whole
-            // test (no half-open probe races the assertions).
-            peer_trip_cooldown: Duration::from_secs(60),
-            ..config
-        },
-        _ => config,
+    let clock = Clock::manual();
+    let (hook, hooked) = count_calls(PeerOp::Heartbeat, |_| None);
+    let (mut handles, addrs) = test_cluster_with(2, |i| Seams {
+        clock: clock.clone(),
+        peer_fault: (i == 0).then(|| hook.clone()),
+        ..Seams::default()
     });
 
     // Kill shard 1 with no leave and no drain — a corpse, not a
@@ -1342,35 +1468,31 @@ fn heartbeat_trips_a_dead_peers_breaker_before_any_user_call() {
     dead.shutdown();
     dead.join();
 
-    // Only the chore thread talks: status is answered inline and never
-    // touches the peer path. Three failed heartbeats trip the breaker.
-    let mut client = ServeClient::connect(addrs[0].as_str()).expect("connect shard 0");
-    let deadline = std::time::Instant::now() + Duration::from_secs(15);
-    loop {
-        let status = client.status().expect("status").into_result().expect("ok");
-        let cluster = status.field("cluster").unwrap();
-        let trips = cluster.field("breaker").unwrap().field("trips").unwrap().as_u64().unwrap();
-        if trips >= 1 {
-            let heartbeats =
-                cluster.field("membership").unwrap().field("heartbeats").unwrap().as_u64().unwrap();
-            assert!(heartbeats >= 3, "the trip came from repeated heartbeats, got {heartbeats}");
-            let peer = cluster.field("peers").unwrap().field(addrs[1].as_str()).unwrap();
-            assert_eq!(peer.field("state").unwrap().as_str().unwrap(), "tripped");
-            let faults = cluster.field("faults").unwrap();
-            assert!(faults.field("active").unwrap().as_bool().unwrap());
-            assert_eq!(
-                faults.field("fired").unwrap().as_u64().unwrap(),
-                2,
-                "the heartbeats burned the scripted delay window"
-            );
-            break;
-        }
-        assert!(
-            std::time::Instant::now() < deadline,
-            "heartbeats never tripped the dead peer's breaker"
-        );
-        std::thread::sleep(Duration::from_millis(100));
+    // Only the chore thread talks to the corpse: status is answered
+    // inline and never touches the peer path. Each heartbeat interval
+    // on the clock is one failed heartbeat; the third trips the
+    // breaker, which stays open (the clock stops short of its
+    // cooldown).
+    for round in 1..=3 {
+        clock.advance(HEARTBEAT_INTERVAL);
+        wake_chores(&addrs[0]);
+        wait_for_status(addrs[0].as_str(), "the next heartbeat", |s| heartbeats(s) == round);
     }
+    let peer_of = |status: &Json| {
+        let peers = status.field("cluster").unwrap().field("peers").unwrap();
+        peers.field(addrs[1].as_str()).unwrap().clone()
+    };
+    wait_for_status(addrs[0].as_str(), "the trip", |s| {
+        peer_of(s).field("trips").unwrap().as_u64().unwrap() == 1
+    });
+    let mut client = ServeClient::connect(addrs[0].as_str()).expect("connect shard 0");
+    let status = client.status().expect("status").into_result().expect("ok");
+    let cluster = status.field("cluster").unwrap();
+    let peer = peer_of(&status);
+    assert_eq!(peer.field("state").unwrap().as_str().unwrap(), "tripped");
+    assert_eq!(peer.field("failures").unwrap().as_u64().unwrap(), 3, "three heartbeats, no more");
+    assert_eq!(hooked.load(Ordering::SeqCst), 3, "the hook saw every heartbeat");
+    assert!(cluster.get("faults").is_none(), "status carries no fault-plan block");
 
     // The FIRST user call that would forward to the dead member finds
     // the breaker already open: it fast-fails and computes locally.
@@ -1386,11 +1508,7 @@ fn heartbeat_trips_a_dead_peers_breaker_before_any_user_call() {
     assert!(!r.cached, "the fallback computes locally");
     assert_eq!(r.result.unwrap().compact(), reference_body(&reference, &job));
     let status = client.status().expect("status").into_result().expect("ok");
-    let cluster = status.field("cluster").unwrap();
-    assert!(
-        cluster.field("breaker").unwrap().field("fast_fails").unwrap().as_u64().unwrap() >= 1,
-        "the user call never waited on the dead peer"
-    );
+    assert!(breaker(&status, "fast_fails") >= 1, "the user call never waited on the dead peer");
 
     for handle in handles {
         handle.shutdown();
@@ -1398,16 +1516,16 @@ fn heartbeat_trips_a_dead_peers_breaker_before_any_user_call() {
     }
 }
 
-/// A fault plan scripts the peer path: `deny:*:op=forward,count=2` on
-/// shard 0 kills exactly the first two forwards (each falling back to
-/// a byte-identical local compute) and the third sails through — the
-/// same way on every run.
+/// A fault hook scripts the peer path: denying shard 0's first two
+/// forwards kills exactly those (each falling back to a byte-identical
+/// local compute) and the third sails through — the same way on every
+/// run, however the background calls interleave.
 #[test]
 fn a_seeded_fault_plan_scripts_forward_failures_deterministically() {
-    let plan = FaultPlan::parse("deny:*:op=forward,count=2").expect("plan parses");
-    let (handles, addrs) = test_cluster_with(2, |i, config| match i {
-        0 => ServerConfig { faults: Some(plan.clone()), ..config },
-        _ => config,
+    let (hook, forwards) = count_calls(PeerOp::Forward, |n| (n < 2).then_some(FaultAction::Deny));
+    let (handles, addrs) = test_cluster_with(2, |i| Seams {
+        peer_fault: (i == 0).then(|| hook.clone()),
+        ..Seams::default()
     });
     let reference = Session::test();
     let ring = Ring::new(addrs.iter().cloned());
@@ -1425,28 +1543,54 @@ fn a_seeded_fault_plan_scripts_forward_failures_deterministically() {
         assert!(!r.cached, "the fallback computes locally");
         assert_eq!(r.result.unwrap().compact(), reference_body(&reference, job));
     }
+    assert_eq!(forwards.load(Ordering::SeqCst), 2, "one hooked call per denied forward");
     let status = client.status().expect("status").into_result().expect("ok");
     let cluster = status.field("cluster").unwrap();
-    let faults = cluster.field("faults").unwrap();
-    assert!(faults.field("active").unwrap().as_bool().unwrap());
-    assert_eq!(
-        faults.field("fired").unwrap().as_u64().unwrap(),
-        2,
-        "the deny window burned exactly its two scripted calls"
-    );
     assert!(cluster.field("forward_failures").unwrap().as_u64().unwrap() >= 2);
+    assert!(cluster.get("faults").is_none(), "status carries no fault-plan block");
 
-    // The window is spent: the next remote key forwards normally and
-    // the plan stays quiet.
+    // The window is spent: the next remote key forwards normally.
     let job = &remote[2];
     let r = client.analyze(&job.app, job.variant).expect("healthy forward");
     assert!(r.ok, "{:?}", r.error);
     assert_eq!(r.result.unwrap().compact(), reference_body(&reference, job));
+    assert_eq!(forwards.load(Ordering::SeqCst), 3);
     let status = client.status().expect("status").into_result().expect("ok");
     let cluster = status.field("cluster").unwrap();
-    assert!(cluster.field("forwards_out").unwrap().as_u64().unwrap() >= 1);
-    assert_eq!(cluster.field("faults").unwrap().field("fired").unwrap().as_u64().unwrap(), 2);
+    assert_eq!(cluster.field("forwards_out").unwrap().as_u64().unwrap(), 3);
+    assert_eq!(cluster.field("forward_failures").unwrap().as_u64().unwrap(), 2);
 
+    for handle in handles {
+        handle.shutdown();
+        handle.join();
+    }
+}
+
+/// A steady stream of roster refreshes cannot starve the liveness
+/// pass: while refreshes arrive faster than the chore thread's tick (so
+/// its queue never times out), a heartbeat still runs once one is due.
+#[test]
+fn queued_refreshes_cannot_starve_the_heartbeat() {
+    let clock = Clock::manual();
+    let (handles, addrs) = test_cluster_with(2, |_| on_clock(&clock));
+    let stop = AtomicBool::new(false);
+    std::thread::scope(|scope| {
+        scope.spawn(|| {
+            // Bounded, so a failed assertion below cannot hang the scope.
+            let deadline = std::time::Instant::now() + Duration::from_secs(15);
+            while !stop.load(Ordering::SeqCst) && std::time::Instant::now() < deadline {
+                wake_chores(&addrs[0]);
+                std::thread::sleep(Duration::from_millis(2));
+            }
+        });
+        wait_for_status(addrs[0].as_str(), "a queued refresh", |s| {
+            s.field("cluster").unwrap().field("replicated_in").unwrap().as_u64().unwrap() >= 3
+        });
+        assert_eq!(heartbeats(&status_of(&addrs[0])), 0, "nothing is due yet");
+        clock.advance(HEARTBEAT_INTERVAL);
+        wait_for_status(addrs[0].as_str(), "a heartbeat", |s| heartbeats(s) >= 1);
+        stop.store(true, Ordering::SeqCst);
+    });
     for handle in handles {
         handle.shutdown();
         handle.join();
@@ -1512,25 +1656,30 @@ fn leave_drains_the_shard_into_the_survivors() {
     }
 }
 
-/// The acceptance chaos run: a fault plan delays shard 0's peer
-/// calls, a shard is killed mid-sweep and evicted, a replacement joins
-/// the live ring, and every survivor still answers all 21 apps with
-/// bytes identical to `run_one` — with the churn (epoch bumps, failed
-/// forwards, fired faults) visible in `status`.
+/// The acceptance chaos run: a fault hook delays shard 0's first
+/// forwards, a shard is killed mid-sweep and evicted, a replacement
+/// joins the live ring, and every survivor still answers all 21 apps
+/// with bytes identical to `run_one` — with the churn (epoch bumps,
+/// failed forwards) visible in `status`.
 #[test]
 fn chaos_membership_churn_keeps_bytes_identical() {
-    let plan = FaultPlan::parse("delay:*:ms=2,count=8").expect("plan parses");
-    let (mut handles, addrs) = test_cluster_with(3, |i, config| match i {
-        0 => ServerConfig { faults: Some(plan.clone()), ..config },
-        _ => config,
+    let (hook, delayed) = count_calls(PeerOp::Forward, |n| {
+        if n < 8 {
+            std::thread::sleep(Duration::from_millis(2));
+        }
+        None
+    });
+    let (mut handles, addrs) = test_cluster_with(3, |i| Seams {
+        peer_fault: (i == 0).then(|| hook.clone()),
+        ..Seams::default()
     });
     let reference = Session::test();
     let jobs = reference.jobs_for_all_apps();
     let expected: Vec<String> = jobs.iter().map(|j| reference_body(&reference, j)).collect();
     let old_ring = Ring::new(addrs.iter().cloned());
 
-    // Wave 1 through shard 0, cluster healthy (the delay faults slow
-    // its forwards without failing them).
+    // Wave 1 through shard 0, cluster healthy (the hook slows its
+    // forwards without failing them).
     let mut client0 = ServeClient::connect(addrs[0].as_str()).expect("connect shard 0");
     for (job, want) in jobs.iter().zip(&expected) {
         let r = client0.analyze(&job.app, job.variant).expect("wave 1");
@@ -1605,9 +1754,7 @@ fn chaos_membership_churn_keeps_bytes_identical() {
     assert_eq!(members.len(), 3);
     assert!(members.iter().any(|m| m.as_str().unwrap() == new_addr));
     assert!(members.iter().all(|m| m.as_str().unwrap() != dead_addr));
-    let faults = cluster.field("faults").unwrap();
-    assert!(faults.field("active").unwrap().as_bool().unwrap());
-    assert!(faults.field("fired").unwrap().as_u64().unwrap() >= 1, "the plan fired");
+    assert!(delayed.load(Ordering::SeqCst) >= 1, "the hook slowed shard 0's forwards");
 
     for handle in handles {
         handle.shutdown();
@@ -1779,7 +1926,8 @@ fn a_join_costs_no_recompute_and_no_body_shipped() {
 /// identically no matter which reactor answers.
 #[test]
 fn uploads_and_membership_ops_work_across_reactors() {
-    let (handles, addrs) = test_cluster(2);
+    let clock = Clock::manual();
+    let (handles, addrs) = test_cluster_with(2, |_| on_clock(&clock));
     for handle in &handles {
         assert_eq!(handle.reactors(), 2, "cluster shards run two reactors");
         assert_eq!(handle.accept_path(), "round_robin");
@@ -1808,7 +1956,8 @@ fn uploads_and_membership_ops_work_across_reactors() {
     }
 
     // A third shard (itself two reactors) joins via shard 0; both
-    // incumbents converge on the 3-member roster.
+    // incumbents converge on the 3-member roster, shard 1 by its next
+    // heartbeat to shard 0.
     let listener = TcpListener::bind("127.0.0.1:0").expect("bind joiner");
     let joiner_addr = listener.local_addr().expect("addr").to_string();
     let config = ServerConfig {
@@ -1819,6 +1968,8 @@ fn uploads_and_membership_ops_work_across_reactors() {
     };
     let joiner = serve_on(Arc::new(Session::test()), listener, config).expect("joiner starts");
     assert_eq!(joiner.reactors(), 2);
+    clock.advance(HEARTBEAT_INTERVAL);
+    wake_chores(&addrs[1]);
     let deadline = std::time::Instant::now() + Duration::from_secs(5);
     for addr in &addrs {
         let mut client = ServeClient::connect(addr.as_str()).expect("connect");
