@@ -2,11 +2,13 @@
 //! `cargo run --release -p gpa-bench --bin sim_hosttime [app] [reps] [flat|hierarchy]`
 //! launches variant 0 of every registry app whose name contains `app`
 //! (all 21 — the `cold_*` wave — by default) on `Params::full()`, `reps`
-//! times (default 5) from a cloned memory snapshot, and prints the best
-//! `launch_compiled` time beside the launch's exact counts and
-//! `SimStats`. On x86-64 Linux a `setitimer(ITIMER_PROF)` sampler runs
-//! during the launches and writes the sampled PCs to `sim_hosttime.prof`;
-//! docs/simulator.md has the `addr2line` recipe.
+//! times (default 5) from a shared copy-on-write memory snapshot, and
+//! prints the best `launch_compiled` time beside the launch's exact
+//! counts and `SimStats` (`pages`: global-memory pages the launch
+//! created or copied on write). On x86-64 Linux a
+//! `setitimer(ITIMER_PROF)` sampler runs during the launches and writes
+//! the sampled PCs to `sim_hosttime.prof`; docs/simulator.md has the
+//! `addr2line` recipe.
 
 use gpa_kernels::{all_apps, runner, Params};
 use std::time::Instant;
@@ -46,7 +48,14 @@ fn main() {
         }
         let (ms, r) = best.expect("at least one repetition");
         let s = r.sim_stats;
-        let counts = [s.cycles_stepped, s.sched_visits, s.scans, s.scan_misses, s.horizon_visits];
+        let counts = [
+            s.cycles_stepped,
+            s.sched_visits,
+            s.scans,
+            s.scan_misses,
+            s.horizon_visits,
+            s.pages_copied,
+        ];
         let row = [r.cycles, r.issued].into_iter().chain(counts).map(|n| n as f64);
         let row: Vec<f64> = std::iter::once(ms).chain(row).collect();
         print_row(app.name, &row);
@@ -57,7 +66,7 @@ fn main() {
 }
 
 /// `SimStats`, in the order printed.
-const COUNTERS: [&str; 5] = ["stepped", "visits", "scans", "misses", "horizons"];
+const COUNTERS: [&str; 6] = ["stepped", "visits", "scans", "misses", "horizons", "pages"];
 
 /// A row of ms, cycles, issues and the counters, with host-ns per issue
 /// and issues per cycle derived in between.

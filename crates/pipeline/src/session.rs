@@ -32,13 +32,15 @@ pub struct ModuleArtifacts {
     program: OnceLock<Result<CompiledProgram, String>>,
     /// Snapshot of device memory and kernel params after the spec's
     /// setup closure ran once: setup closures are deterministic per
-    /// variant, so repeat launches clone the initialized pages instead
+    /// variant, so repeat launches share the initialized pages instead
     /// of replaying element-wise host writes.
     init: OnceLock<MemInit>,
 }
 
 /// The device state a spec's setup closure produced (see
-/// [`ModuleArtifacts::init`]).
+/// [`ModuleArtifacts::init`]). Its pages are copy-on-write: a launch
+/// armed from it shares every page and copies only those it writes, so
+/// the snapshot stays as the setup left it.
 struct MemInit {
     global: gpa_sim::GlobalMem,
     params: Vec<u8>,
@@ -204,8 +206,9 @@ impl Session {
     /// A simulator armed for an artifact's kernel: device built, constant
     /// bank wired, inputs initialized. The first call per artifact runs
     /// the spec's setup closure and snapshots the resulting device
-    /// memory; later calls clone the snapshot instead of replaying the
-    /// element-wise host writes (a large share of repeat-launch cost).
+    /// memory; later calls share the snapshot's pages (a clone copies
+    /// the page table, and a launch copies a page on its first write)
+    /// instead of replaying the element-wise host writes.
     /// `hierarchy` times this device's memory through the hierarchy; the
     /// session's own model applies otherwise.
     fn armed_gpu(&self, artifacts: &ModuleArtifacts, hierarchy: bool) -> (GpuSim, Vec<u8>) {

@@ -61,7 +61,8 @@ impl Profiler {
         let saved_phase = self.gpu.config().sampling_phase;
         // Kernels mutate global memory; when a second replay will run,
         // snapshot it so every replay sees the launch-time state, not
-        // the previous replay's output.
+        // the previous replay's output. Pages are copy-on-write, so the
+        // snapshot and each restore share them until a replay writes.
         let memory = (repeats > 1).then(|| self.gpu.global().clone());
         let mut merged: Option<(KernelProfile, LaunchResult)> = None;
         for k in 0..repeats {

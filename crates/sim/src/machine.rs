@@ -79,12 +79,13 @@ pub struct SmStats {
     pub blocks: u32,
 }
 
-/// Host-side work of one launch's scheduler: how often the cycle loop
-/// came back and what its scans found. **Core-specific** — the event
-/// core counts what it skips by; the dense oracle steps every cycle and
-/// leaves the three scan counters at zero — and no part of what was
-/// simulated, so it never takes part in a result's identity: any two
-/// values compare equal, and no JSON body carries one.
+/// Host-side work of one launch: how often the scheduler's cycle loop
+/// came back, what its scans found, and how many global-memory pages
+/// its stores created or copied. The scan counters are **core-specific**
+/// (the event core counts what it skips by; the dense oracle steps every
+/// cycle and leaves the three at zero). None is part of what was
+/// simulated, so none takes part in a result's identity: any two values
+/// compare equal, and no JSON body carries one.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct SimStats {
     /// Cycles the loop stepped (the rest were jumped over).
@@ -98,6 +99,9 @@ pub struct SimStats {
     pub scan_misses: u64,
     /// Warp horizons folded by all scans.
     pub horizon_visits: u64,
+    /// Global-memory pages the launch created or copied on write (the
+    /// delta of [`GlobalMem::pages_copied`]).
+    pub pages_copied: u64,
 }
 
 impl PartialEq for SimStats {
@@ -474,6 +478,7 @@ impl LaunchState<'_> {
         mem: impl Fn() -> M,
     ) -> Result<LaunchResult> {
         let (prog, launch) = (self.prog, self.launch);
+        let pages_before = self.global.pages_copied();
         let slots = occupancy.blocks_per_sm.max(1) as usize;
         let mut sms: Vec<Sm<M>> = (0..self.arch.num_sms)
             .map(|id| Sm::new(id, slots, self.wpb, launch, prog, self.arch, mem()))
@@ -508,6 +513,7 @@ impl LaunchState<'_> {
         let mut sim_stats = SimStats {
             cycles_stepped,
             sched_visits: cycles_stepped * (sms.len() * self.nsched) as u64,
+            pages_copied: self.global.pages_copied() - pages_before,
             ..SimStats::default()
         };
         for sm in &sms {

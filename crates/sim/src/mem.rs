@@ -1,24 +1,33 @@
 //! Memory spaces and cache models.
 
 use std::collections::HashMap;
+use std::sync::Arc;
 
 const PAGE_SIZE: u64 = 4096;
+
+type Page = [u8; PAGE_SIZE as usize];
 
 /// Paged device (global) memory.
 ///
 /// Reads of unwritten memory return zero, like freshly `cudaMalloc`ed and
 /// zeroed buffers; kernels allocate regions through [`GlobalMem::alloc`].
+///
+/// Pages are copy-on-write: `clone` copies the page table and shares
+/// every page, and either side copies a shared page on its first write
+/// to it. A launch armed from a snapshot thus reads its inputs in place
+/// and pays only for the pages it writes.
 #[derive(Debug, Default, Clone)]
 pub struct GlobalMem {
-    pages: HashMap<u64, Box<[u8]>>,
+    pages: HashMap<u64, Arc<Page>>,
     brk: u64,
+    pages_copied: u64,
 }
 
 impl GlobalMem {
     /// Creates an empty memory with the allocator starting at a non-zero
     /// base (so that address 0 stays an obvious "null").
     pub fn new() -> Self {
-        GlobalMem { pages: HashMap::new(), brk: 0x10_0000 }
+        GlobalMem { pages: HashMap::new(), brk: 0x10_0000, pages_copied: 0 }
     }
 
     /// Bump-allocates `size` bytes, 256-byte aligned (like `cudaMalloc`).
@@ -28,10 +37,22 @@ impl GlobalMem {
         addr
     }
 
-    fn page_mut(&mut self, addr: u64) -> &mut [u8] {
-        self.pages
-            .entry(addr / PAGE_SIZE)
-            .or_insert_with(|| vec![0u8; PAGE_SIZE as usize].into_boxed_slice())
+    /// Pages this memory created or copied on write, over its life (a
+    /// clone inherits the count): the host cost of a launch's stores.
+    pub fn pages_copied(&self) -> u64 {
+        self.pages_copied
+    }
+
+    fn page_mut(&mut self, addr: u64) -> &mut Page {
+        let copies = &mut self.pages_copied;
+        let page = self.pages.entry(addr / PAGE_SIZE).or_insert_with(|| {
+            *copies += 1;
+            Arc::new([0; PAGE_SIZE as usize])
+        });
+        if Arc::strong_count(page) > 1 {
+            *copies += 1;
+        }
+        Arc::make_mut(page)
     }
 
     /// Reads the `N`-byte little-endian word at `addr` (see
@@ -330,6 +351,84 @@ mod tests {
         // Unmapped memory reads zero, across pages, and stays unmapped.
         assert_eq!(fast.read_bytes(100 * page - 2, 5000), vec![0u8; 5000]);
         assert_eq!(fast.pages.len(), 6);
+    }
+
+    /// A memory with pages 1, 2 and 3 filled with distinct bytes, and a
+    /// deep copy of its page table to compare against.
+    fn three_pages() -> (GlobalMem, HashMap<u64, Page>) {
+        let mut m = GlobalMem::new();
+        let bytes: Vec<u8> = (0..3 * PAGE_SIZE).map(|i| (i * 13 + 1) as u8).collect();
+        m.write_bytes(PAGE_SIZE, &bytes);
+        let deep = m.pages.iter().map(|(&id, p)| (id, **p)).collect();
+        (m, deep)
+    }
+
+    fn shares(a: &GlobalMem, b: &GlobalMem, id: u64) -> bool {
+        Arc::ptr_eq(&a.pages[&id], &b.pages[&id])
+    }
+
+    #[test]
+    fn a_clone_shares_every_page_until_one_side_writes() {
+        let (m, _) = three_pages();
+        assert_eq!(m.pages_copied(), 3, "three pages created");
+        let mut c = m.clone();
+        assert!((1..=3).all(|id| shares(&m, &c, id)), "a clone copies no page");
+        assert_eq!(c.pages_copied(), 3, "the count is inherited, not bumped");
+        c.write_u32(2 * PAGE_SIZE + 8, 7);
+        assert!(shares(&m, &c, 1) && shares(&m, &c, 3), "untouched pages stay shared");
+        assert!(!shares(&m, &c, 2), "the written page is the writer's own");
+        assert_eq!((m.pages_copied(), c.pages_copied()), (3, 4));
+    }
+
+    /// Every store path, including a word that straddles pages 1 and 2,
+    /// lands on the writer's side only — whichever side writes.
+    #[test]
+    fn no_store_on_one_side_changes_the_other() {
+        let stores: [fn(&mut GlobalMem); 4] = [
+            |m| m.write(PAGE_SIZE + 4, [9u8; 8]),
+            |m| m.write_batch(&[(PAGE_SIZE, [1u8; 4]), (3 * PAGE_SIZE + 4, [2; 4])]),
+            |m| m.write_bytes(2 * PAGE_SIZE - 10, &[0xee; PAGE_SIZE as usize]),
+            |m| m.write_u64(2 * PAGE_SIZE - 3, u64::MAX),
+        ];
+        for (i, store) in stores.iter().enumerate() {
+            let (m, deep) = three_pages();
+            let intact = |mem: &GlobalMem| mem.pages.iter().all(|(id, p)| **p == deep[id]);
+            let mut c = m.clone();
+            store(&mut c);
+            assert!(intact(&m), "store {i} leaked to the original");
+            let (mut m, _) = three_pages();
+            let c = m.clone();
+            store(&mut m);
+            assert!(intact(&c), "store {i} leaked to the clone");
+        }
+    }
+
+    #[test]
+    fn a_page_is_copied_at_most_once_per_owner() {
+        let (m, _) = three_pages();
+        let (mut a, mut b) = (m.clone(), m.clone());
+        for k in 0..100 {
+            a.write_u32(PAGE_SIZE + 4 * k, k as u32);
+            b.write_u32(PAGE_SIZE + 4 * k, !(k as u32));
+        }
+        assert_eq!((a.pages_copied(), b.pages_copied()), (4, 4), "one copy each");
+        assert!(!shares(&a, &b, 1) && !shares(&m, &a, 1) && !shares(&m, &b, 1));
+        // Once the original is gone, the last sharer writes in place.
+        drop(m);
+        a.write_u32(3 * PAGE_SIZE, 1);
+        b.write_u32(3 * PAGE_SIZE, 2);
+        assert_eq!((a.pages_copied(), b.pages_copied()), (5, 4), "b owns page 3 alone");
+    }
+
+    #[test]
+    fn reading_unmapped_memory_maps_nothing_on_either_side() {
+        let (m, _) = three_pages();
+        let c = m.clone();
+        assert_eq!(c.read_u64(40 * PAGE_SIZE), 0);
+        assert_eq!(c.read_bytes(5 * PAGE_SIZE - 2, 9000), vec![0u8; 9000]);
+        assert_eq!(m.read_u32(PAGE_SIZE - 2), u32::from_le_bytes([0, 0, 1, 14]));
+        assert_eq!((m.pages.len(), c.pages.len()), (3, 3));
+        assert_eq!((m.pages_copied(), c.pages_copied()), (3, 3));
     }
 
     #[test]

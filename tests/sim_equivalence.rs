@@ -7,14 +7,15 @@
 //! raw-buffering sink, since the default aggregate could mask a sample
 //! taken at the wrong cycle by a warp in the same state), per-PC issue
 //! counts, memory/L2/i-cache counters, and per-SM stats — across every
-//! app in the benchmark registry.
+//! app in the benchmark registry. Launches armed from one copy-on-write
+//! memory snapshot must likewise agree, and leave the snapshot intact.
 
 use gpa::arch::ArchConfig;
-use gpa::kernels::runner::{arch_for, armed_gpu_with, sim_config};
+use gpa::kernels::runner::{arch_for, armed_gpu_with, rearmed_gpu, sim_config};
 use gpa::kernels::{all_apps, KernelSpec, Params};
 use gpa::sampling::KernelProfile;
 use gpa::sim::reference::launch_dense;
-use gpa::sim::{LaunchResult, RawSample, SampleSet, SampleSink, SimConfig};
+use gpa::sim::{GlobalMem, LaunchResult, RawSample, SampleSet, SampleSink, SimConfig};
 
 /// Arms a device for `spec` and runs it to completion on the chosen
 /// core — the dense oracle or the production event core — streaming
@@ -156,6 +157,41 @@ fn all_apps_dense_vs_event_driven_identical_at_full_scale() {
     assert_cores_identical(&subjects(&p, false), &arch_for(&p), "at full scale, flat");
     let hier = arch_for(&p).with_hierarchy();
     assert_cores_identical(&subjects(&p, true), &hier, "at full scale, hierarchy");
+}
+
+/// Every byte of a memory's allocated range: from the allocator's base
+/// (where a fresh memory's first `alloc` lands) to its break (where the
+/// next one would), which holds every buffer a setup closure wrote.
+fn deep_copy(mem: &GlobalMem) -> Vec<u8> {
+    let (base, brk) = (GlobalMem::new().alloc(0), mem.clone().alloc(0));
+    mem.read_bytes(base, (brk - base) as usize)
+}
+
+/// What a session does per request: arm once, keep the memory as a
+/// snapshot, and launch from clones of it. Pages are shared
+/// copy-on-write, so two launches from one snapshot must agree, and the
+/// snapshot must hold the bytes it held before either ran.
+#[test]
+fn launches_from_a_snapshot_agree_and_leave_it_intact() {
+    let p = Params::test();
+    for arch in [arch_for(&p), arch_for(&p).with_hierarchy()] {
+        for (name, spec) in subjects(&p, true) {
+            let (gpu, params) = armed_gpu_with(&spec, &arch, sim_config());
+            let prog = gpu.compile(&spec.module, &spec.entry).expect("kernel compiles");
+            let snapshot = gpu.global().clone();
+            let before = deep_copy(&snapshot);
+            let launch = || {
+                let mut gpu = rearmed_gpu(&spec, arch.clone(), sim_config(), snapshot.clone());
+                gpu.launch_compiled(&prog, &spec.launch, &params).expect("launch succeeds")
+            };
+            let (first, second) = (launch(), launch());
+            assert_eq!(first, second, "{name}: a second launch from the snapshot");
+            let pages = (first.sim_stats.pages_copied, second.sim_stats.pages_copied);
+            assert_eq!(pages.0, pages.1, "{name}: pages copied");
+            assert!(pages.0 > 0, "{name}: the launch stored nothing");
+            assert!(deep_copy(&snapshot) == before, "{name}: a launch wrote through the snapshot");
+        }
+    }
 }
 
 #[test]
