@@ -21,13 +21,6 @@ pub enum MemModel {
     Hierarchy(HierarchyConfig),
 }
 
-impl MemModel {
-    /// Whether the hierarchy model is selected.
-    pub fn is_hierarchy(&self) -> bool {
-        matches!(self, MemModel::Hierarchy(_))
-    }
-}
-
 /// Knobs for the timed memory hierarchy ([`MemModel::Hierarchy`]).
 ///
 /// Capacities bound the *standing occupancy* of each level: a full MSHR
@@ -178,7 +171,7 @@ impl ArchConfig {
     }
 
     /// Maximum resident warps per SM.
-    pub fn max_warps_per_sm(&self) -> u32 {
+    pub(crate) fn max_warps_per_sm(&self) -> u32 {
         self.schedulers_per_sm * self.max_warps_per_scheduler
     }
 
@@ -233,7 +226,7 @@ mod tests {
         let flat = ArchConfig::small(2);
         let hier = ArchConfig::small(2).with_hierarchy();
         assert_eq!(flat.mem, MemModel::Flat);
-        assert!(hier.mem.is_hierarchy());
+        assert!(matches!(hier.mem, MemModel::Hierarchy(_)));
         assert_eq!(flat.name, hier.name, "compiled artifacts must stay valid");
     }
 }

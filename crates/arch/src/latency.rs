@@ -15,14 +15,14 @@ use crate::config::ArchConfig;
 use gpa_isa::{Instruction, Modifier, Opcode};
 
 /// Result latency the simulator charges `MUFU`, cycles.
-pub const MUFU_LATENCY: u32 = 20;
+pub(crate) const MUFU_LATENCY: u32 = 20;
 /// Result latency the simulator charges `S2R`, cycles.
-pub const S2R_LATENCY: u32 = 20;
+pub(crate) const S2R_LATENCY: u32 = 20;
 /// Result latency the simulator charges `SHFL`, cycles.
-pub const SHFL_LATENCY: u32 = 25;
+pub(crate) const SHFL_LATENCY: u32 = 25;
 /// Result latency the simulator charges a memory instruction that
 /// accessed nothing (its guard was false on every lane), cycles.
-pub const GUARDED_OFF_MEM_LATENCY: u32 = 8;
+pub(crate) const GUARDED_OFF_MEM_LATENCY: u32 = 8;
 
 /// Fixed latencies and variable-latency upper bounds.
 #[derive(Debug, Clone, PartialEq)]

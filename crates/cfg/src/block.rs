@@ -27,11 +27,6 @@ impl BasicBlock {
     pub fn is_empty(&self) -> bool {
         self.start == self.end
     }
-
-    /// Whether the block contains instruction index `idx`.
-    pub fn contains(&self, idx: usize) -> bool {
-        (self.start..self.end).contains(&idx)
-    }
 }
 
 /// The control-flow graph of one function.
@@ -47,7 +42,6 @@ pub struct Cfg {
     preds: Vec<Vec<BlockId>>,
     block_of: Vec<BlockId>,
     rpo: Vec<BlockId>,
-    n_instrs: usize,
 }
 
 impl Cfg {
@@ -130,7 +124,7 @@ impl Cfg {
             }
         }
         let rpo = reverse_postorder(&succs);
-        Cfg { blocks, succs, preds, block_of, rpo, n_instrs: n }
+        Cfg { blocks, succs, preds, block_of, rpo }
     }
 
     /// All basic blocks in layout order.
@@ -139,17 +133,12 @@ impl Cfg {
     }
 
     /// The entry block.
-    pub fn entry(&self) -> BlockId {
+    pub(crate) fn entry(&self) -> BlockId {
         BlockId(0)
     }
 
-    /// Number of instructions in the underlying function.
-    pub fn instr_count(&self) -> usize {
-        self.n_instrs
-    }
-
     /// Successor blocks.
-    pub fn succs(&self, b: BlockId) -> &[BlockId] {
+    pub(crate) fn succs(&self, b: BlockId) -> &[BlockId] {
         &self.succs[b.0]
     }
 
@@ -173,12 +162,12 @@ impl Cfg {
     }
 
     /// Blocks with no successors (function exits).
-    pub fn exits(&self) -> Vec<BlockId> {
+    pub(crate) fn exits(&self) -> Vec<BlockId> {
         self.blocks.iter().filter(|b| self.succs[b.id.0].is_empty()).map(|b| b.id).collect()
     }
 
     /// Reverse postorder over blocks reachable from the entry.
-    pub fn reverse_postorder(&self) -> &[BlockId] {
+    pub(crate) fn reverse_postorder(&self) -> &[BlockId] {
         &self.rpo
     }
 }

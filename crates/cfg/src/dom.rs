@@ -47,18 +47,8 @@ impl Dominators {
         Dominators { idom, rpo_index }
     }
 
-    /// The immediate dominator of `b` (`None` for the entry block or
-    /// unreachable blocks).
-    pub fn idom(&self, b: BlockId) -> Option<BlockId> {
-        match self.idom[b.0] {
-            Some(d) if d != b => Some(d),
-            Some(_) => None, // entry dominates itself
-            None => None,
-        }
-    }
-
     /// Whether `a` dominates `b` (reflexive).
-    pub fn dominates(&self, a: BlockId, b: BlockId) -> bool {
+    pub(crate) fn dominates(&self, a: BlockId, b: BlockId) -> bool {
         let mut cur = b;
         loop {
             if cur == a {
@@ -234,9 +224,9 @@ join:
         let then_b = cfg.block_of(2);
         let else_b = cfg.block_of(4);
         let join = cfg.block_of(5);
-        assert_eq!(dom.idom(then_b), Some(entry));
-        assert_eq!(dom.idom(else_b), Some(entry));
-        assert_eq!(dom.idom(join), Some(entry));
+        assert_eq!(dom.idom[then_b.0], Some(entry));
+        assert_eq!(dom.idom[else_b.0], Some(entry));
+        assert_eq!(dom.idom[join.0], Some(entry));
         assert!(dom.dominates(entry, join));
         assert!(!dom.dominates(then_b, join));
         assert!(dom.dominates(join, join));
@@ -263,8 +253,8 @@ top:
         let entry = cfg.entry();
         let body = cfg.block_of(1);
         let exit = cfg.block_of(4);
-        assert_eq!(dom.idom(body), Some(entry));
-        assert_eq!(dom.idom(exit), Some(body));
+        assert_eq!(dom.idom[body.0], Some(entry));
+        assert_eq!(dom.idom[exit.0], Some(body));
         assert_eq!(pdom.ipdom(body), Some(exit));
     }
 }

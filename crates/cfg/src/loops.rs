@@ -25,7 +25,7 @@ pub struct Loop {
 
 impl Loop {
     /// Whether the loop contains block `b`.
-    pub fn contains_block(&self, b: BlockId) -> bool {
+    pub(crate) fn contains_block(&self, b: BlockId) -> bool {
         self.blocks.contains(&b)
     }
 }
@@ -148,7 +148,7 @@ impl LoopForest {
     }
 
     /// The innermost loop containing block `b`.
-    pub fn innermost_of_block(&self, b: BlockId) -> Option<LoopId> {
+    pub(crate) fn innermost_of_block(&self, b: BlockId) -> Option<LoopId> {
         self.innermost.get(b.0).copied().flatten()
     }
 
@@ -161,33 +161,6 @@ impl LoopForest {
     /// loops' blocks, which are part of `l` by construction).
     pub fn loop_contains_instr(&self, cfg: &Cfg, l: LoopId, idx: usize) -> bool {
         self.loops[l.0].contains_block(cfg.block_of(idx))
-    }
-
-    /// `l` and every loop nested inside it (the `nested(l)` of Eq. 5).
-    pub fn nested(&self, l: LoopId) -> Vec<LoopId> {
-        let mut out = vec![l];
-        let mut i = 0;
-        while i < out.len() {
-            let cur = out[i];
-            for other in &self.loops {
-                if other.parent == Some(cur) {
-                    out.push(other.id);
-                }
-            }
-            i += 1;
-        }
-        out
-    }
-
-    /// The chain of loops containing instruction `idx`, innermost first.
-    pub fn loop_stack_of_instr(&self, cfg: &Cfg, idx: usize) -> Vec<LoopId> {
-        let mut out = Vec::new();
-        let mut cur = self.innermost_of_instr(cfg, idx);
-        while let Some(l) = cur {
-            out.push(l);
-            cur = self.loops[l.0].parent;
-        }
-        out
     }
 }
 
@@ -221,17 +194,13 @@ inner:
         let forest = LoopForest::build(&cfg);
         assert_eq!(forest.loops().len(), 2);
         let inner = forest.innermost_of_instr(&cfg, 2).expect("inner body in a loop");
-        let stack = forest.loop_stack_of_instr(&cfg, 2);
-        assert_eq!(stack.len(), 2, "IADD R1 is two loops deep");
-        assert_eq!(stack[0], inner);
-        let outer = stack[1];
+        let outer = forest.innermost_of_instr(&cfg, 5).expect("outer body in a loop");
         assert_eq!(forest.get(inner).depth, 2);
         assert_eq!(forest.get(outer).depth, 1);
         assert_eq!(forest.get(inner).parent, Some(outer));
-        // nested(outer) includes both loops.
-        let nested = forest.nested(outer);
-        assert!(nested.contains(&inner) && nested.contains(&outer));
-        assert_eq!(forest.nested(inner), vec![inner]);
+        // The outer loop holds the inner loop's instructions, not the reverse.
+        assert!(forest.loop_contains_instr(&cfg, outer, 2));
+        assert!(!forest.loop_contains_instr(&cfg, inner, 5));
         // The trailing EXIT is in no loop.
         let exit_idx = f.instrs.len() - 1;
         assert_eq!(forest.innermost_of_instr(&cfg, exit_idx), None);

@@ -386,7 +386,7 @@ skip:
     fn any_on_every_path_equals_the_per_reader_oracle() {
         for src in [DIAMOND, LOOP, ARM_LOOP] {
             let c = cfg(src);
-            let n = c.instr_count();
+            let n = c.blocks().last().expect("a block").end;
             for (i, j) in (0..n).flat_map(|i| (0..n).map(move |j| (i, j))) {
                 for mask in 0u32..1 << n {
                     let ks: Vec<usize> = (0..n).filter(|k| mask >> k & 1 == 1).collect();

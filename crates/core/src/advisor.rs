@@ -32,10 +32,10 @@ pub const SCHEMA_VERSION: u32 = 2;
 
 /// Estimated speedups below this default threshold are dropped from the
 /// report (an [`AdviceRequest`] can override it).
-pub const DEFAULT_MIN_SPEEDUP: f64 = 1.001;
+pub(crate) const DEFAULT_MIN_SPEEDUP: f64 = 1.001;
 
 /// Default number of hotspots kept per advice item.
-pub const DEFAULT_HOTSPOTS: usize = 5;
+pub(crate) const DEFAULT_HOTSPOTS: usize = 5;
 
 /// Everything an optimizer may inspect.
 pub struct AnalysisCtx<'a> {
@@ -65,7 +65,7 @@ impl<'a> AnalysisCtx<'a> {
     }
 
     /// All blamed edges as `(function, edge)`.
-    pub fn blamed_edges(&self) -> impl Iterator<Item = (usize, &BlamedEdge)> {
+    pub(crate) fn blamed_edges(&self) -> impl Iterator<Item = (usize, &BlamedEdge)> {
         self.blame.edges()
     }
 
@@ -76,7 +76,7 @@ impl<'a> AnalysisCtx<'a> {
 
     /// Active samples within a scope (Eq. 5's `Σ A`, since a scope's
     /// blocks include all scopes nested inside it).
-    pub fn active_in_scope(&self, scope: Scope) -> f64 {
+    pub(crate) fn active_in_scope(&self, scope: Scope) -> f64 {
         self.profile
             .pcs
             .iter()
@@ -87,7 +87,7 @@ impl<'a> AnalysisCtx<'a> {
 
     /// Whether a PC lies in CUDA-math-library code (by containing function
     /// or inline stack).
-    pub fn is_math_pc(&self, pc: u64) -> bool {
+    pub(crate) fn is_math_pc(&self, pc: u64) -> bool {
         if let Some((f, _)) = self.structure.locate(pc) {
             if f.is_math_function() {
                 return true;
@@ -443,7 +443,7 @@ impl Default for Advisor {
 /// broken by [`OptimizerId`] catalog order. Total (`f64::total_cmp`) and
 /// fully deterministic — equal-speedup items never depend on insertion
 /// order.
-pub fn rank_items(items: &mut [AdviceItem]) {
+pub(crate) fn rank_items(items: &mut [AdviceItem]) {
     items.sort_by(|a, b| {
         b.estimated_speedup.total_cmp(&a.estimated_speedup).then_with(|| a.id.cmp(&b.id))
     });

@@ -13,7 +13,7 @@
 ///
 /// Saturates just below `total` so a pathological full match yields a
 /// large-but-finite estimate.
-pub fn stall_elimination_speedup(total: f64, matched: f64) -> f64 {
+pub(crate) fn stall_elimination_speedup(total: f64, matched: f64) -> f64 {
     if total <= 0.0 || matched <= 0.0 {
         return 1.0;
     }
@@ -28,7 +28,7 @@ pub fn stall_elimination_speedup(total: f64, matched: f64) -> f64 {
 ///
 /// `S = T / (T − (1 − residual) · M)`, so the estimate is always between
 /// 1 and the plain [`stall_elimination_speedup`] of the same match.
-pub fn residual_elimination_speedup(total: f64, matched: f64, residual: f64) -> f64 {
+pub(crate) fn residual_elimination_speedup(total: f64, matched: f64, residual: f64) -> f64 {
     if total <= 0.0 || matched <= 0.0 {
         return 1.0;
     }
@@ -37,21 +37,16 @@ pub fn residual_elimination_speedup(total: f64, matched: f64, residual: f64) -> 
     total / (total - m)
 }
 
-/// Eq. 4 — latency hiding bounded by the kernel's active samples.
-pub fn latency_hiding_speedup(total: f64, active: f64, matched_latency: f64) -> f64 {
-    if total <= 0.0 || matched_latency <= 0.0 {
-        return 1.0;
-    }
-    let reducible = active.min(matched_latency).min(total * 0.999);
-    total / (total - reducible)
-}
-
 /// Eq. 5 — scope-limited latency hiding.
 ///
 /// `scopes` holds `(active samples within the scope, matched latency
 /// samples of the scope)` pairs for disjoint innermost scopes;
 /// `global_active` caps the total (a sample cannot fill two slots).
-pub fn scoped_latency_hiding_speedup(total: f64, global_active: f64, scopes: &[(f64, f64)]) -> f64 {
+pub(crate) fn scoped_latency_hiding_speedup(
+    total: f64,
+    global_active: f64,
+    scopes: &[(f64, f64)],
+) -> f64 {
     if total <= 0.0 {
         return 1.0;
     }
@@ -90,7 +85,7 @@ pub struct ParallelParams {
 /// recovered by inverting Eq. 8, then Eq. 9 predicts the new issue rate.
 /// Device throughput scales with busy SMs × issue rate; per-warp work
 /// scales inversely with lane efficiency.
-pub fn parallel_speedup(issue_ratio: f64, p: &ParallelParams) -> f64 {
+pub(crate) fn parallel_speedup(issue_ratio: f64, p: &ParallelParams) -> f64 {
     let i_old = issue_ratio.clamp(1e-6, 0.999_999);
     let w_old = p.w_old.max(1e-6);
     let w_new = p.w_new.max(1e-6);
@@ -109,6 +104,17 @@ mod tests {
     use super::*;
     use crate::optimizers::{Estimator, OptimizerId};
     use proptest::prelude::*;
+
+    /// Eq. 4 — latency hiding bounded by the kernel's active samples: the
+    /// unscoped oracle that Eq. 5's [`scoped_latency_hiding_speedup`] must
+    /// never exceed.
+    fn latency_hiding_speedup(total: f64, active: f64, matched_latency: f64) -> f64 {
+        if total <= 0.0 || matched_latency <= 0.0 {
+            return 1.0;
+        }
+        let reducible = active.min(matched_latency).min(total * 0.999);
+        total / (total - reducible)
+    }
 
     #[test]
     fn eq2_examples() {

@@ -179,7 +179,7 @@ pub enum HintKind {
 
 impl HintKind {
     /// Whether this is static guidance (vs a dynamic finding).
-    pub fn is_guidance(self) -> bool {
+    pub(crate) fn is_guidance(self) -> bool {
         self == HintKind::Guidance
     }
 
@@ -262,13 +262,13 @@ impl MatchResult {
     /// Sorts hotspots by sample weight and keeps the top `n`. The sort
     /// is a total order (`f64::total_cmp`, stable), so a NaN weight can
     /// never panic and equal weights keep their discovery order.
-    pub fn keep_top_hotspots(&mut self, n: usize) {
+    pub(crate) fn keep_top_hotspots(&mut self, n: usize) {
         self.hotspots.sort_by(|a, b| b.samples.total_cmp(&a.samples));
         self.hotspots.truncate(n);
     }
 
     /// Adds matched latency to a scope bucket.
-    pub fn add_scope(&mut self, scope: Scope, latency: f64) {
+    pub(crate) fn add_scope(&mut self, scope: Scope, latency: f64) {
         if latency <= 0.0 {
             return;
         }
@@ -286,7 +286,7 @@ pub enum Estimator {
     /// Eq. 2 on the matched stalls.
     StallElimination,
     /// Eq. 2 with this fraction of every matched stall surviving the fix
-    /// ([`crate::estimators::residual_elimination_speedup`]): rewriting
+    /// (`estimators::residual_elimination_speedup`): rewriting
     /// an access pattern shrinks its serialization but cannot remove the
     /// access, so the estimate is bounded above by plain Eq. 2 on the
     /// same match — the Theorem-5.1 shape for memory rewrites.
@@ -570,7 +570,7 @@ impl OptimizerRegistry {
     }
 
     /// The registered ids, in catalog order.
-    pub fn ids(&self) -> Vec<OptimizerId> {
+    pub(crate) fn ids(&self) -> Vec<OptimizerId> {
         self.entries.iter().map(|e| e.id).collect()
     }
 

@@ -41,17 +41,6 @@ impl ControlCode {
         }
     }
 
-    /// Builder-style: sets the stall count.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `stall > 15` (the field is 4 bits wide).
-    pub fn with_stall(mut self, stall: u8) -> Self {
-        assert!(stall <= 15, "stall count must fit in 4 bits");
-        self.stall = stall;
-        self
-    }
-
     /// Builder-style: sets the write barrier.
     pub fn with_write_barrier(mut self, b: BarrierReg) -> Self {
         self.write_barrier = Some(b);
@@ -70,26 +59,11 @@ impl ControlCode {
         self
     }
 
-    /// Builder-style: sets the yield flag.
-    pub fn with_yield(mut self) -> Self {
-        self.yield_flag = true;
-        self
-    }
-
     /// Barriers named in the wait mask.
     pub fn waits(&self) -> impl Iterator<Item = BarrierReg> + '_ {
         (0u32..6)
             .filter(move |i| self.wait_mask & (1 << i) != 0)
             .map(|i| BarrierReg::new(i).expect("wait mask spans six barriers"))
-    }
-
-    /// Whether any scheduling constraint beyond default issue is present.
-    pub fn is_trivial(&self) -> bool {
-        self.stall <= 1
-            && !self.yield_flag
-            && self.write_barrier.is_none()
-            && self.read_barrier.is_none()
-            && self.wait_mask == 0
     }
 
     /// Validates field ranges (stall fits 4 bits, wait mask fits 6 bits).
@@ -147,16 +121,14 @@ mod tests {
 
     #[test]
     fn builder_and_display() {
-        let c = ControlCode::none()
-            .with_stall(2)
+        let mut c = ControlCode::none()
             .with_write_barrier(BarrierReg::new(0).unwrap())
             .with_wait(BarrierReg::new(1).unwrap())
-            .with_wait(BarrierReg::new(3).unwrap())
-            .with_yield();
+            .with_wait(BarrierReg::new(3).unwrap());
+        c.stall = 2;
+        c.yield_flag = true;
         assert_eq!(c.to_string(), "{WT:[B1,B3], W:B0, S:2, Y}");
         assert_eq!(c.waits().count(), 2);
-        assert!(!c.is_trivial());
-        assert!(ControlCode::none().is_trivial());
         c.validate().unwrap();
     }
 

@@ -42,7 +42,7 @@ use crate::register::{BarrierReg, PredReg, Predicate, Register, SpecialReg};
 use crate::{IsaError, Result};
 
 /// A 128-bit instruction word in little-endian byte order.
-pub type EncodedInstruction = [u8; 16];
+pub(crate) type EncodedInstruction = [u8; 16];
 
 const OPERAND_START: usize = 54;
 

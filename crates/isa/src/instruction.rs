@@ -148,20 +148,6 @@ impl Instruction {
         guard.into_iter().chain(srcs).chain(self.ctrl.waits().map(Slot::Bar))
     }
 
-    /// Registers read to *produce a stored value* (store data operands),
-    /// used for WAR-dependency classification.
-    pub fn store_data_regs(&self) -> Vec<Register> {
-        if !self.opcode.is_store() {
-            return Vec::new();
-        }
-        self.srcs
-            .iter()
-            .filter(|s| !matches!(s, Operand::Mem(_)))
-            .flat_map(|s| s.src_regs())
-            .filter(|r| !r.is_zero())
-            .collect()
-    }
-
     /// The branch/call target address, if this is a resolved direct branch.
     pub fn branch_target(&self) -> Option<u64> {
         if !matches!(self.opcode, Opcode::Bra | Opcode::Cal | Opcode::Bssy) {
@@ -266,16 +252,6 @@ mod tests {
         );
         assert_eq!(i.defs().count(), 0);
         assert!(i.uses().eq([Slot::Reg(r(1))]));
-    }
-
-    #[test]
-    fn store_data_regs_excludes_address() {
-        let st = Instruction::new(
-            Opcode::Stg,
-            vec![],
-            vec![Operand::Mem(MemRef { base: r(4), offset: 0, wide: true }), Operand::Reg(r(8))],
-        );
-        assert_eq!(st.store_data_regs(), vec![r(8)]);
     }
 
     #[test]

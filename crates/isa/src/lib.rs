@@ -55,11 +55,9 @@ pub mod register;
 mod vocabulary;
 
 pub use control::ControlCode;
-pub use encode::{decode, dissect, encode, EncodedInstruction};
+pub use encode::{decode, dissect, encode};
 pub use instruction::{Instruction, Modifier, Slot};
-pub use module::{
-    FixupTarget, Function, InlineFrame, InstrRef, Module, SourceLoc, Visibility, INSTR_BYTES,
-};
+pub use module::{Function, InlineFrame, Module, SourceLoc, Visibility, INSTR_BYTES};
 pub use opcode::{Access, MemSpace, OpClass, Opcode, Pipe};
 pub use operand::{MemRef, Operand};
 pub use parse::parse_module;

@@ -46,7 +46,7 @@ pub struct InlineFrame {
 
 /// Pending symbolic target recorded by the assembler, resolved at link time.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub enum FixupTarget {
+pub(crate) enum FixupTarget {
     /// A function-local label.
     Label(String),
     /// Another function's entry point.
@@ -146,15 +146,6 @@ impl PartialEq for Function {
     }
 }
 
-/// A reference to one instruction inside a module.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub struct InstrRef {
-    /// Function index in [`Module::functions`].
-    pub func: usize,
-    /// Instruction index within the function.
-    pub idx: usize,
-}
-
 /// A linked or un-linked collection of functions — the unit GPA analyzes.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Module {
@@ -189,7 +180,7 @@ impl Module {
     }
 
     /// Adds `path` to the file table (deduplicating) and returns its index.
-    pub fn add_file(&mut self, path: &str) -> u16 {
+    pub(crate) fn add_file(&mut self, path: &str) -> u16 {
         if let Some(i) = self.files.iter().position(|f| f == path) {
             return i as u16;
         }
@@ -207,7 +198,7 @@ impl Module {
     /// # Errors
     ///
     /// Returns [`IsaError::ModuleError`] on duplicate function names.
-    pub fn add_function(&mut self, f: Function) -> Result<usize> {
+    pub(crate) fn add_function(&mut self, f: Function) -> Result<usize> {
         if self.functions.iter().any(|g| g.name == f.name) {
             return Err(IsaError::ModuleError(format!("duplicate function `{}`", f.name)));
         }
@@ -218,7 +209,13 @@ impl Module {
 
     /// Records a symbolic branch/call target to be resolved by
     /// [`Module::link`]. `src_slot` indexes the instruction's `srcs`.
-    pub fn add_fixup(&mut self, func: usize, instr: usize, src_slot: usize, target: FixupTarget) {
+    pub(crate) fn add_fixup(
+        &mut self,
+        func: usize,
+        instr: usize,
+        src_slot: usize,
+        target: FixupTarget,
+    ) {
         self.fixups.push(Fixup { func, instr, src_slot, target });
         self.linked = false;
     }
@@ -274,14 +271,6 @@ impl Module {
     /// Kernel entry points (functions with global visibility).
     pub fn kernels(&self) -> impl Iterator<Item = &Function> {
         self.functions.iter().filter(|f| f.visibility == Visibility::Global)
-    }
-
-    /// Locates the instruction at an absolute PC.
-    pub fn locate(&self, pc: u64) -> Option<InstrRef> {
-        self.functions
-            .iter()
-            .enumerate()
-            .find_map(|(fi, f)| f.index_of_pc(pc).map(|idx| InstrRef { func: fi, idx }))
     }
 
     /// Total instruction count across all functions.
@@ -402,8 +391,8 @@ mod tests {
         let f = m.function("k").unwrap();
         assert_eq!(f.base, 0x1000);
         assert_eq!(f.instrs[1].branch_target(), Some(0x1000));
-        assert_eq!(m.locate(0x1010), Some(InstrRef { func: 0, idx: 1 }));
-        assert!(m.locate(0x1008).is_none(), "unaligned PC must not resolve");
+        assert_eq!(f.index_of_pc(0x1010), Some(1));
+        assert!(f.index_of_pc(0x1008).is_none(), "unaligned PC must not resolve");
         assert_eq!(m.instr_count(), 3);
     }
 

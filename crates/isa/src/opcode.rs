@@ -246,7 +246,7 @@ impl Opcode {
 
     /// How many leading assembly operands are destinations: one, or none
     /// for stores, control flow, barriers and `NOP`.
-    pub fn dst_count(self) -> usize {
+    pub(crate) fn dst_count(self) -> usize {
         self.facts().dsts
     }
 }

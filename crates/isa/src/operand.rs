@@ -18,14 +18,6 @@ pub struct MemRef {
     pub wide: bool,
 }
 
-impl MemRef {
-    /// Registers read to form the address.
-    pub fn addr_regs(&self) -> impl Iterator<Item = Register> {
-        let hi = if self.wide { Some(self.base.pair_hi()) } else { None };
-        std::iter::once(self.base).chain(hi)
-    }
-}
-
 impl fmt::Display for MemRef {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "[")?;
@@ -139,11 +131,9 @@ mod tests {
     fn memref_display_and_regs() {
         let m = MemRef { base: Register::from_u8(2), offset: 16, wide: true };
         assert_eq!(m.to_string(), "[R2:R3+0x10]");
-        assert_eq!(m.addr_regs().collect::<Vec<_>>().len(), 2);
 
         let n = MemRef { base: Register::from_u8(7), offset: -4, wide: false };
         assert_eq!(n.to_string(), "[R7-0x4]");
-        assert_eq!(n.addr_regs().collect::<Vec<_>>().len(), 1);
 
         let z = MemRef { base: Register::from_u8(9), offset: 0, wide: false };
         assert_eq!(z.to_string(), "[R9]");

@@ -527,7 +527,7 @@ top:
         let st = &m.function("k").unwrap().instrs[0];
         assert!(st.dsts.is_empty());
         assert_eq!(st.srcs.len(), 2);
-        assert_eq!(st.store_data_regs(), vec![Register::from_u8(0)]);
+        assert_eq!(st.srcs[1], Operand::Reg(Register::from_u8(0)));
     }
 
     #[test]

@@ -158,9 +158,6 @@ impl fmt::Display for Predicate {
 pub struct BarrierReg(u8);
 
 impl BarrierReg {
-    /// Number of scoreboard barriers per warp.
-    pub const COUNT: usize = 6;
-
     /// Creates `B{index}`.
     ///
     /// # Errors

@@ -12,7 +12,7 @@ pub fn rng(seed: u64) -> StdRng {
 }
 
 /// `n` uniform floats in `[lo, hi)` as raw little-endian bytes.
-pub fn f32_bytes(rng: &mut StdRng, n: usize, lo: f32, hi: f32) -> Vec<u8> {
+pub(crate) fn f32_bytes(rng: &mut StdRng, n: usize, lo: f32, hi: f32) -> Vec<u8> {
     let mut out = Vec::with_capacity(n * 4);
     for _ in 0..n {
         let v: f32 = rng.gen_range(lo..hi);
@@ -22,7 +22,7 @@ pub fn f32_bytes(rng: &mut StdRng, n: usize, lo: f32, hi: f32) -> Vec<u8> {
 }
 
 /// `n` uniform u32 values in `[lo, hi)` as raw bytes.
-pub fn u32_bytes(rng: &mut StdRng, n: usize, lo: u32, hi: u32) -> Vec<u8> {
+pub(crate) fn u32_bytes(rng: &mut StdRng, n: usize, lo: u32, hi: u32) -> Vec<u8> {
     let mut out = Vec::with_capacity(n * 4);
     for _ in 0..n {
         let v: u32 = rng.gen_range(lo..hi);
@@ -34,7 +34,7 @@ pub fn u32_bytes(rng: &mut StdRng, n: usize, lo: u32, hi: u32) -> Vec<u8> {
 /// A skewed per-thread work distribution (the bfs pattern: most vertices
 /// have tiny degree, a few are hubs): ~90% draw from `[1, small]`, the
 /// rest from `[small, large]`.
-pub fn skewed_degrees(rng: &mut StdRng, n: usize, small: u32, large: u32) -> Vec<u32> {
+pub(crate) fn skewed_degrees(rng: &mut StdRng, n: usize, small: u32, large: u32) -> Vec<u32> {
     (0..n)
         .map(|_| {
             if rng.gen_bool(0.9) {
@@ -47,13 +47,13 @@ pub fn skewed_degrees(rng: &mut StdRng, n: usize, small: u32, large: u32) -> Vec
 }
 
 /// Packs u32 values to bytes.
-pub fn pack_u32(vals: &[u32]) -> Vec<u8> {
+pub(crate) fn pack_u32(vals: &[u32]) -> Vec<u8> {
     vals.iter().flat_map(|v| v.to_le_bytes()).collect()
 }
 
 /// Little-endian parameter block builder (constant bank 0 layout).
 #[derive(Debug, Default, Clone)]
-pub struct ParamBlock {
+pub(crate) struct ParamBlock {
     bytes: Vec<u8>,
 }
 
@@ -64,21 +64,21 @@ impl ParamBlock {
     }
 
     /// Appends a 64-bit pointer, returning its byte offset.
-    pub fn push_u64(&mut self, v: u64) -> u32 {
+    pub(crate) fn push_u64(&mut self, v: u64) -> u32 {
         let off = self.bytes.len() as u32;
         self.bytes.extend_from_slice(&v.to_le_bytes());
         off
     }
 
     /// Appends a 32-bit scalar, returning its byte offset.
-    pub fn push_u32(&mut self, v: u32) -> u32 {
+    pub(crate) fn push_u32(&mut self, v: u32) -> u32 {
         let off = self.bytes.len() as u32;
         self.bytes.extend_from_slice(&v.to_le_bytes());
         off
     }
 
     /// Appends an f32 scalar, returning its byte offset.
-    pub fn push_f32(&mut self, v: f32) -> u32 {
+    pub(crate) fn push_f32(&mut self, v: f32) -> u32 {
         self.push_u32(v.to_bits())
     }
 

@@ -12,7 +12,7 @@ use std::fmt::Write;
 
 /// Incremental assembly text builder.
 #[derive(Debug)]
-pub struct Asm {
+pub(crate) struct Asm {
     text: String,
 }
 
@@ -49,13 +49,13 @@ impl Asm {
     }
 
     /// Emits `.inline push`.
-    pub fn inline_push(&mut self, callee: &str, file: &str, line: u32) -> &mut Self {
+    pub(crate) fn inline_push(&mut self, callee: &str, file: &str, line: u32) -> &mut Self {
         let _ = writeln!(self.text, ".inline push {callee} {file} {line}");
         self
     }
 
     /// Emits `.inline pop`.
-    pub fn inline_pop(&mut self) -> &mut Self {
+    pub(crate) fn inline_pop(&mut self) -> &mut Self {
         let _ = writeln!(self.text, ".inline pop");
         self
     }
@@ -74,7 +74,7 @@ impl Asm {
 
     /// Standard prologue: R0 = global thread id (ctaid*ntid + tid).
     /// Clobbers R2, R3.
-    pub fn global_tid(&mut self) -> &mut Self {
+    pub(crate) fn global_tid(&mut self) -> &mut Self {
         self.i("S2R R0, SR_TID.X {W:B0, S:1}")
             .i("S2R R2, SR_CTAID.X {W:B1, S:1}")
             .i("S2R R3, SR_NTID.X {W:B2, S:1}")
@@ -82,13 +82,13 @@ impl Asm {
     }
 
     /// Loads the 64-bit parameter at byte offset `off` into `Rlo:Rlo+1`.
-    pub fn param_u64(&mut self, rlo: u8, off: u32) -> &mut Self {
+    pub(crate) fn param_u64(&mut self, rlo: u8, off: u32) -> &mut Self {
         self.i(format!("MOV R{rlo}, c[0][{off}] {{S:1}}"));
         self.i(format!("MOV R{}, c[0][{}] {{S:1}}", rlo + 1, off + 4))
     }
 
     /// Loads the 32-bit parameter at byte offset `off` into `R{r}`.
-    pub fn param_u32(&mut self, r: u8, off: u32) -> &mut Self {
+    pub(crate) fn param_u32(&mut self, r: u8, off: u32) -> &mut Self {
         self.i(format!("MOV R{r}, c[0][{off}] {{S:1}}"))
     }
 
@@ -100,11 +100,6 @@ impl Asm {
             rdst + 1,
             rbase + 1
         ))
-    }
-
-    /// The accumulated assembly text.
-    pub fn text(&self) -> &str {
-        &self.text
     }
 
     /// Parses, links, and schedules the module (panics on malformed
@@ -123,7 +118,7 @@ impl Asm {
 /// Emits the ~8-instruction software integer-division sequence
 /// `Rq = Rx / Rd` (the pattern `nvcc` generates, and the ExaTENSOR
 /// strength-reduction target). Clobbers `Rt..Rt+3`.
-pub fn emit_idiv(a: &mut Asm, rq: u8, rx: u8, rd: u8, rt: u8) {
+pub(crate) fn emit_idiv(a: &mut Asm, rq: u8, rx: u8, rd: u8, rt: u8) {
     a.i(format!("I2F.F32 R{rt}, R{rx} {{S:2}}"));
     a.i(format!("I2F.F32 R{}, R{rd} {{S:2}}", rt + 1));
     a.i(format!("MUFU.RCP R{}, R{} {{W:B5, S:1}}", rt + 2, rt + 1));

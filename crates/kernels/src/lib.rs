@@ -17,7 +17,7 @@
 
 pub mod apps;
 pub mod data;
-pub mod dsl;
+mod dsl;
 pub mod runner;
 
 pub use apps::all_apps;
@@ -28,7 +28,7 @@ use gpa_sim::GpuSim;
 
 /// Setup callback: initialize device memory, return the kernel parameters
 /// (constant bank 0 bytes).
-pub type SetupFn = Box<dyn Fn(&mut GpuSim) -> Vec<u8> + Send + Sync>;
+pub(crate) type SetupFn = Box<dyn Fn(&mut GpuSim) -> Vec<u8> + Send + Sync>;
 
 /// One runnable kernel variant.
 pub struct KernelSpec {

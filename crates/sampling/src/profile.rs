@@ -400,15 +400,6 @@ pub enum MergeError {
     },
 }
 
-impl MergeError {
-    /// The profile field the error is about.
-    pub fn field(&self) -> &'static str {
-        match self {
-            MergeError::Mismatch { field, .. } | MergeError::CounterOverflow { field } => field,
-        }
-    }
-}
-
 impl fmt::Display for MergeError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
@@ -674,11 +665,12 @@ mod tests {
         let mut other_kernel = two_pc_profile();
         other_kernel.kernel = "different".into();
         let err = a.merge(&other_kernel).unwrap_err();
-        assert_eq!(err.field(), "kernel");
+        assert!(matches!(err, MergeError::Mismatch { field: "kernel", .. }), "{err:?}");
         assert!(err.to_string().contains("profiles disagree on `kernel`"), "{err}");
         let mut other_period = two_pc_profile();
         other_period.period = 127;
-        assert_eq!(a.merge(&other_period).unwrap_err().field(), "period");
+        let err = a.merge(&other_period).unwrap_err();
+        assert!(matches!(err, MergeError::Mismatch { field: "period", .. }), "{err:?}");
     }
 
     #[test]

@@ -93,7 +93,7 @@ impl ServeClient {
     /// # Errors
     ///
     /// Address resolution failure, or a connection error/timeout.
-    pub fn connect_timeout(addr: impl ToSocketAddrs, timeout: Duration) -> io::Result<Self> {
+    pub(crate) fn connect_timeout(addr: impl ToSocketAddrs, timeout: Duration) -> io::Result<Self> {
         let addr = addr.to_socket_addrs()?.next().ok_or_else(|| {
             io::Error::new(io::ErrorKind::InvalidInput, "address resolves to nothing")
         })?;

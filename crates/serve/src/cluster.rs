@@ -245,12 +245,17 @@ pub(crate) fn join_cluster(shared: &Shared, seed: &str) -> io::Result<()> {
 /// Reacts to the anti-entropy stamp on a peer frame: a sender that is
 /// *ahead* of this roster knows members we do not, so queue a refresh
 /// from it (best-effort: a full queue drops it, and the heartbeat
-/// catches up). Behind-sender handling is op-specific; see
-/// [`check_peer_epoch`].
+/// catches up). Only a member on this roster is dialed: any client can
+/// stamp a frame, and an off-roster `from` would have the chore thread
+/// dial an address of the client's choosing and keep it in the peer
+/// table for good. A sender this roster does not list yet is reached
+/// anyway, once a member that knows it answers a heartbeat.
+/// Behind-sender handling is op-specific; see [`check_peer_epoch`].
 pub(crate) fn apply_peer_meta(shared: &Shared, meta: &PeerMeta) {
     let Some(cluster) = &shared.cluster else { return };
     let (Some(sender_epoch), Some(from)) = (meta.epoch, &meta.from) else { return };
-    if sender_epoch > cluster.epoch() && *from != cluster.self_addr {
+    let (epoch, members) = cluster.snapshot();
+    if sender_epoch > epoch && *from != cluster.self_addr && members.contains(from) {
         if let Some(tx) = cluster.refresh_tx.lock().expect("refresh tx").as_ref() {
             let _ = tx.try_send(from.clone());
         }

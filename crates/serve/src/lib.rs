@@ -37,7 +37,7 @@ mod cluster;
 mod conn;
 mod dispatch;
 mod event_loop;
-pub mod metrics;
+mod metrics;
 mod peer;
 pub mod protocol;
 pub mod reactor;
@@ -50,12 +50,9 @@ pub mod store;
 pub use client::{Response, ServeClient};
 pub use cluster::HEARTBEAT_INTERVAL;
 pub use event_loop::IDLE_TIMEOUT;
-pub use metrics::{Metrics, ReactorStats};
 pub use peer::{FaultAction, PeerOp, PEER_TRIP_COOLDOWN};
-pub use protocol::{
-    Op, PeerMeta, Request, WireOptions, DEFAULT_ADDR, DEFAULT_SCHEMA, MAX_REPEAT, SCHEMA_VERSIONS,
-};
-pub use ring::{Ring, Roster};
+pub use protocol::{Op, PeerMeta, Request, WireOptions, DEFAULT_ADDR};
+pub use ring::Ring;
 pub use seams::{Clock, PeerFault, Seams};
 pub use server::{serve, serve_on, serve_on_with, ServerConfig, ServerHandle, MAX_REACTORS};
-pub use store::{ReportStore, StoreStats};
+pub use store::ReportStore;

@@ -9,7 +9,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 
 /// The daemon's live counters.
 #[derive(Default)]
-pub struct Metrics {
+pub(crate) struct Metrics {
     /// Requests received per op, indexed by [`Op`] discriminant.
     pub ops: [AtomicU64; Op::ALL.len()],
     /// Lines that failed to parse as a request.
@@ -67,7 +67,7 @@ impl Metrics {
     }
 
     /// Counts one received request by op.
-    pub fn count_op(&self, request: &Request) {
+    pub(crate) fn count_op(&self, request: &Request) {
         self.ops[request.op() as usize].fetch_add(1, Ordering::Relaxed);
     }
 
@@ -75,7 +75,7 @@ impl Metrics {
     /// the failure for `status` and warning on the daemon's stderr the
     /// first time — an operator watching logs learns replicas are
     /// degrading before a shard dies and the misses show up.
-    pub fn note_replication_drop(&self, detail: &str) {
+    pub(crate) fn note_replication_drop(&self, detail: &str) {
         if self.replication_dropped.fetch_add(1, Ordering::Relaxed) == 0 {
             eprintln!(
                 "gpa-serve: warning: replication dropped ({detail}); \
@@ -87,25 +87,25 @@ impl Metrics {
     }
 
     /// Records a queue push and keeps the high-water mark current.
-    pub fn note_enqueued(&self) {
+    pub(crate) fn note_enqueued(&self) {
         let depth = self.queue_depth.fetch_add(1, Ordering::Relaxed) + 1;
         self.queue_peak.fetch_max(depth, Ordering::Relaxed);
     }
 
     /// Records a queue pop.
-    pub fn note_dequeued(&self) {
+    pub(crate) fn note_dequeued(&self) {
         self.queue_depth.fetch_sub(1, Ordering::Relaxed);
     }
 
     /// The per-op counter object used inside `status` responses.
-    pub fn ops_json(&self) -> Json {
+    pub(crate) fn ops_json(&self) -> Json {
         Op::ALL.iter().fold(Json::object(), |doc, &op| {
             doc.with(op.name(), self.ops[op as usize].load(Ordering::Relaxed))
         })
     }
 
     /// The cluster counter object used inside `status` responses.
-    pub fn cluster_json(&self) -> Json {
+    pub(crate) fn cluster_json(&self) -> Json {
         Json::object()
             .with("forwards_out", self.forwards_out.load(Ordering::Relaxed))
             .with("forwards_in", self.forwards_in.load(Ordering::Relaxed))
@@ -124,7 +124,7 @@ impl Metrics {
 /// as the gauge the reactor's *own* byte-budget share is enforced
 /// against.
 #[derive(Default)]
-pub struct ReactorStats {
+pub(crate) struct ReactorStats {
     /// Connections this reactor accepted (or was handed) over the
     /// daemon's lifetime.
     pub accepted: AtomicU64,

@@ -24,11 +24,11 @@ use std::borrow::Cow;
 pub const DEFAULT_ADDR: &str = "127.0.0.1:7070";
 
 /// Advice schema versions the daemon can answer with.
-pub const SCHEMA_VERSIONS: [u32; 2] = [1, 2];
+pub(crate) const SCHEMA_VERSIONS: [u32; 2] = [1, 2];
 
 /// The schema version used when a request does not negotiate one —
 /// v1, so pre-v2 clients see unchanged bodies.
-pub const DEFAULT_SCHEMA: u32 = 1;
+pub(crate) const DEFAULT_SCHEMA: u32 = 1;
 
 /// Hard cap on one request line. Anything longer is rejected and the
 /// connection closed: past this point the stream cannot be resynced.
@@ -39,11 +39,11 @@ pub const MAX_REQUEST_BYTES: u64 = 8 * 1024 * 1024;
 /// worker indefinitely.
 /// Sampling phases spread across one period, so repeats beyond the
 /// period add nothing anyway.
-pub const MAX_REPEAT: u32 = 64;
+pub(crate) const MAX_REPEAT: u32 = 64;
 
 /// How many advice items the rendered report text includes (the CLI's
 /// `analyze` default).
-pub const REPORT_TOP: usize = 5;
+pub(crate) const REPORT_TOP: usize = 5;
 
 /// Anti-entropy metadata piggybacked on cluster-internal frames: the
 /// sender's roster epoch (`"epoch"`) and advertised address
@@ -51,9 +51,9 @@ pub const REPORT_TOP: usize = 5;
 /// them — and never part of a content address (they do not shape the
 /// body). A receiver that is *ahead* of the sender answers normally
 /// and rejects nothing; a receiver *behind* the sender schedules a
-/// roster refresh from `from`; a forwarded analyze whose sender is
-/// behind gets a [`stale_epoch_frame`] instead of a wrong-owner
-/// answer.
+/// roster refresh from `from` if its roster lists `from`; a forwarded
+/// analyze whose sender is behind gets a `stale_epoch_frame` instead of
+/// a wrong-owner answer.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct PeerMeta {
     /// The sender's roster epoch.
@@ -576,7 +576,7 @@ impl Request {
         })
     }
 
-    /// Which op this request is (what [`crate::Metrics`] counts it under).
+    /// Which op this request is (what `status.ops` counts it under).
     pub fn op(&self) -> Op {
         match self {
             Request::Analyze { .. } => Op::Analyze,
@@ -594,7 +594,7 @@ impl Request {
     /// Whether a peer shard already routed this request here (the
     /// receiver must answer locally). Ops without a forwarding path
     /// count as forwarded — they are always handled where they arrive.
-    pub fn is_forwarded(&self) -> bool {
+    pub(crate) fn is_forwarded(&self) -> bool {
         match self {
             Request::Analyze { options, .. } | Request::AnalyzeProfile { options, .. } => {
                 options.forwarded
@@ -606,7 +606,7 @@ impl Request {
     /// A copy of this request marked [forwarded](Request::is_forwarded)
     /// — what a shard puts on the wire when relaying to the owner.
     /// Identity for ops that cannot be forwarded.
-    pub fn to_forwarded(&self) -> Request {
+    pub(crate) fn to_forwarded(&self) -> Request {
         let mut request = self.clone();
         match &mut request {
             Request::Analyze { options, .. } | Request::AnalyzeProfile { options, .. } => {
@@ -766,7 +766,7 @@ pub fn ok_frame(cached: bool, body: &str) -> String {
 }
 
 /// An error frame.
-pub fn error_frame(message: &str) -> String {
+pub(crate) fn error_frame(message: &str) -> String {
     Json::object().with("ok", false).with("error", message).compact()
 }
 
@@ -774,7 +774,7 @@ pub fn error_frame(message: &str) -> String {
 /// sender's roster epoch is behind its own. It embeds the receiver's
 /// roster, so the one rejection doubles as the refresh — the sender
 /// adopts it and re-routes instead of serving a wrong-owner answer.
-pub fn stale_epoch_frame(epoch: u64, members: &[String]) -> String {
+pub(crate) fn stale_epoch_frame(epoch: u64, members: &[String]) -> String {
     Json::object()
         .with("ok", false)
         .with("error", format!("stale ring epoch: cluster is at {epoch}"))
@@ -792,7 +792,7 @@ pub(crate) fn members_json(members: &[String]) -> Json {
 /// object carrying it: the `result` of a `join`/`ring_status` reply or
 /// the `ring` of a [`stale_epoch_frame`]. Emitters keep their own field
 /// order; this is the one reader.
-pub fn parse_roster(doc: &Json) -> Option<(u64, Vec<String>)> {
+pub(crate) fn parse_roster(doc: &Json) -> Option<(u64, Vec<String>)> {
     let epoch = doc.get("epoch")?.as_u64().ok()?;
     let members = doc
         .get("members")?
@@ -807,7 +807,7 @@ pub fn parse_roster(doc: &Json) -> Option<(u64, Vec<String>)> {
 /// Recognizes a [`stale_epoch_frame`] response and extracts the
 /// embedded roster. `None` for every other frame (including ordinary
 /// errors).
-pub fn parse_stale_epoch(frame: &str) -> Option<(u64, Vec<String>)> {
+pub(crate) fn parse_stale_epoch(frame: &str) -> Option<(u64, Vec<String>)> {
     let doc = Json::parse(frame).ok()?;
     if !doc.get("stale_epoch")?.as_bool().ok()? {
         return None;
@@ -817,7 +817,7 @@ pub fn parse_stale_epoch(frame: &str) -> Option<(u64, Vec<String>)> {
 
 /// An error frame for a failed analysis, carrying the job identity like
 /// [`AnalysisError::to_json`] does.
-pub fn job_error_frame(err: &AnalysisError) -> String {
+pub(crate) fn job_error_frame(err: &AnalysisError) -> String {
     Json::object()
         .with("ok", false)
         .with("app", err.job.app.clone())

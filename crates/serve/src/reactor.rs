@@ -4,7 +4,7 @@
 //!
 //! The daemon (see `event_loop.rs`) runs one or more reactor threads,
 //! each driving its share of the connections: sockets are registered
-//! here with a `u64` token, [`Poller::wait`] reports
+//! here with a `u64` token, `Poller::wait` reports
 //! which are readable/writable, and the per-connection state machines
 //! advance without ever blocking on I/O. std already links libc on
 //! Unix, so the syscalls are bound directly with `extern "C"` — no new
@@ -186,7 +186,7 @@ pub fn reuseport_listener(addr: SocketAddr) -> io::Result<TcpListener> {
 /// always paired with `EPOLLRDHUP` so a peer half-close surfaces as an
 /// event instead of a silent stall.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Interest {
+pub(crate) struct Interest {
     /// Wake when the fd has bytes to read (or the peer closed).
     pub readable: bool,
     /// Wake when the fd can accept more written bytes.
@@ -195,12 +195,7 @@ pub struct Interest {
 
 impl Interest {
     /// Read-only interest: the idle state of a connection.
-    pub const READ: Interest = Interest { readable: true, writable: false };
-    /// Write-only interest: a connection over its read budget that
-    /// still has queued response bytes.
-    pub const WRITE: Interest = Interest { readable: false, writable: true };
-    /// Both directions: draining a response while staying responsive.
-    pub const BOTH: Interest = Interest { readable: true, writable: true };
+    pub(crate) const READ: Interest = Interest { readable: true, writable: false };
 
     fn mask(self) -> u32 {
         let mut mask = 0;
@@ -216,7 +211,7 @@ impl Interest {
 
 /// One readiness report from [`Poller::wait`].
 #[derive(Debug, Clone, Copy)]
-pub struct Event {
+pub(crate) struct Event {
     /// The token the fd was registered with.
     pub token: u64,
     /// Bytes are available to read.
@@ -229,7 +224,7 @@ pub struct Event {
 }
 
 /// The epoll instance. One per reactor thread; not shared.
-pub struct Poller {
+pub(crate) struct Poller {
     epfd: c_int,
 }
 
@@ -310,7 +305,7 @@ impl Drop for Poller {
 /// Cross-thread wakeup for the reactor: workers call [`Waker::wake`]
 /// after pushing a completion, which makes the eventfd readable and
 /// pops the reactor out of [`Poller::wait`].
-pub struct Waker {
+pub(crate) struct Waker {
     fd: c_int,
 }
 
@@ -323,7 +318,7 @@ impl Waker {
     }
 
     /// The fd to register with the [`Poller`].
-    pub fn fd(&self) -> RawFd {
+    pub(crate) fn fd(&self) -> RawFd {
         self.fd
     }
 
@@ -360,6 +355,16 @@ impl Drop for Waker {
 // lives as long as the Arc).
 unsafe impl Send for Waker {}
 unsafe impl Sync for Waker {}
+
+#[cfg(test)]
+/// The other two states a connection's interest takes, named for the tests.
+impl Interest {
+    /// Write-only interest: a connection over its read budget that
+    /// still has queued response bytes.
+    pub(crate) const WRITE: Interest = Interest { readable: false, writable: true };
+    /// Both directions: draining a response while staying responsive.
+    pub(crate) const BOTH: Interest = Interest { readable: true, writable: true };
+}
 
 #[cfg(test)]
 mod tests {

@@ -1,7 +1,7 @@
 //! Consistent hashing over the cluster's members: which shard owns
 //! which content address.
 //!
-//! Every member is projected onto a `u64` ring at [`VNODES`] points
+//! Every member is projected onto a `u64` ring at `VNODES` points
 //! (virtual nodes smooth the keyspace split); a key belongs to the
 //! member owning the first point at or clockwise-after the key's hash.
 //! All shards build the ring from the same sorted member list, so they
@@ -25,7 +25,7 @@ use crate::store::fingerprint;
 /// ownership share within a small factor for realistic cluster sizes
 /// while the ring stays a few hundred entries — binary-searched, so
 /// lookup cost is irrelevant next to a single request parse.
-pub const VNODES: usize = 64;
+pub(crate) const VNODES: usize = 64;
 
 /// A ring point for `key`: the FNV fingerprint pushed through a
 /// splitmix64-style finalizer. FNV-1a alone barely diffuses its last
@@ -139,7 +139,7 @@ impl Ring {
 /// needs (a shard that lost the tie re-adds itself, bumping the epoch
 /// past the tie).
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Roster {
+pub(crate) struct Roster {
     epoch: u64,
     /// Sorted, deduplicated member addresses.
     members: Vec<String>,
@@ -204,7 +204,7 @@ impl Roster {
     /// The epoch after an adopt is `max(local, remote)` — never
     /// smaller — which keeps [`Roster::epoch`] monotonic on every
     /// shard no matter the gossip order.
-    pub fn adopt(&mut self, epoch: u64, members: &[String]) -> bool {
+    pub(crate) fn adopt(&mut self, epoch: u64, members: &[String]) -> bool {
         let mut theirs: Vec<String> = members.to_vec();
         theirs.sort_unstable();
         theirs.dedup();

@@ -36,7 +36,7 @@
 //! ## Cluster mode
 //!
 //! With `--peers` (or `--join`), every daemon keeps an epoch-versioned
-//! [`Roster`] of members and derives the consistent-hash [`Ring`] from
+//! `Roster` of members and derives the consistent-hash [`Ring`] from
 //! it. `analyze`/`analyze_profile` requests whose content address
 //! hashes to another member are forwarded there (marked `fwd`, stamped
 //! with the sender's epoch) and the owner's response frame is relayed
@@ -47,7 +47,7 @@
 //!
 //! Membership is live: `join` adds a shard (the seed answers with the
 //! bumped roster and every member catches up lazily — a forward whose
-//! epoch is stale earns a [`stale_epoch_frame`] instead of a
+//! epoch is stale earns a `stale_epoch_frame` instead of a
 //! wrong-owner answer, and a sender that is *ahead* triggers a
 //! `ring_status` refresh), `leave` removes one. No body is shipped
 //! because the roster moved: a departed owner's keys pass to their
@@ -56,8 +56,6 @@
 //! hardened path in `peer.rs`: pooled connections and a circuit breaker
 //! per peer; a failed call takes its caller's fallback.
 //!
-//! [`stale_epoch_frame`]: crate::protocol::stale_epoch_frame
-//! [`Roster`]: crate::ring::Roster
 //! [`Ring`]: crate::ring::Ring
 //!
 //! Shutdown (the `shutdown` op, or [`ServerHandle::shutdown`]) is
@@ -148,7 +146,7 @@ impl ServerConfig {
     /// The reactor-thread count this config actually runs: `0` resolves
     /// to `available_parallelism`, and everything is clamped to
     /// `1..=`[`MAX_REACTORS`].
-    pub fn effective_reactors(&self) -> usize {
+    pub(crate) fn effective_reactors(&self) -> usize {
         let requested = if self.reactors == 0 {
             std::thread::available_parallelism().map_or(1, |n| n.get())
         } else {

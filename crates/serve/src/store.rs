@@ -45,7 +45,7 @@ struct Inner {
 /// A snapshot of the store's counters (for `status` responses and
 /// tests).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct StoreStats {
+pub(crate) struct StoreStats {
     /// Entries currently in memory.
     pub entries: usize,
     /// Memory capacity (entries).
@@ -196,7 +196,7 @@ impl ReportStore {
     }
 
     /// A counters snapshot.
-    pub fn stats(&self) -> StoreStats {
+    pub(crate) fn stats(&self) -> StoreStats {
         StoreStats {
             entries: self.len(),
             capacity: self.capacity,

@@ -17,7 +17,7 @@
 /// A bounded pool of in-flight requests, each occupying `n` slots until
 /// a completion time fixed at admission.
 #[derive(Debug, Clone)]
-pub struct TimedServer {
+pub(crate) struct TimedServer {
     /// In-flight entries `(done_at, slots)`, sorted by completion time.
     occ: Vec<(u64, u32)>,
     /// Total occupied slots (sum of the `slots` fields).
@@ -35,11 +35,6 @@ impl TimedServer {
         TimedServer { occ: Vec::new(), count: 0, capacity, next_done: u64::MAX }
     }
 
-    /// Occupied slots.
-    pub fn occupancy(&self) -> u32 {
-        self.count
-    }
-
     /// Whether admission is currently blocked.
     pub fn is_full(&self) -> bool {
         self.count >= self.capacity
@@ -48,7 +43,7 @@ impl TimedServer {
     /// Releases every entry whose completion time has passed. Occupancy
     /// after this call is a pure function of (admission history, `now`),
     /// which is what makes dense and event stepping agree at jump targets.
-    pub fn retire(&mut self, now: u64) {
+    pub(crate) fn retire(&mut self, now: u64) {
         if self.next_done > now {
             return;
         }
@@ -82,7 +77,7 @@ impl TimedServer {
     /// Earliest cycle occupancy drops below capacity assuming no new
     /// admissions (frozen machine): 0 when not full, else the completion
     /// time of the prefix that frees enough slots.
-    pub fn clear_time(&self) -> u64 {
+    pub(crate) fn clear_time(&self) -> u64 {
         if !self.is_full() {
             return 0;
         }
@@ -108,17 +103,17 @@ mod tests {
         assert_eq!(s.clear_time(), 0);
         s.admit(10, 3);
         s.admit(5, 1);
-        assert_eq!(s.occupancy(), 4);
+        assert_eq!(s.count, 4);
         assert!(s.is_full());
         // The earliest completion that frees a slot is cycle 5.
         assert_eq!(s.clear_time(), 5);
         s.retire(4);
         assert!(s.is_full(), "nothing completes before cycle 5");
         s.retire(5);
-        assert_eq!(s.occupancy(), 3);
+        assert_eq!(s.count, 3);
         assert!(!s.is_full());
         s.retire(100);
-        assert_eq!(s.occupancy(), 0);
+        assert_eq!(s.count, 0);
     }
 
     #[test]
@@ -127,7 +122,7 @@ mod tests {
         s.admit(7, 1);
         s.admit(9, 1);
         s.admit(3, 0); // no-op
-        assert_eq!(s.occupancy(), 2);
+        assert_eq!(s.count, 2);
         // Freeing one slot at cycle 7 already drops below capacity.
         assert_eq!(s.clear_time(), 7);
         s.admit(8, 2);
@@ -151,7 +146,7 @@ mod tests {
             dense.retire(c);
         }
         event.retire(15);
-        assert_eq!(dense.occupancy(), event.occupancy());
+        assert_eq!(dense.count, event.count);
         assert_eq!(dense.clear_time(), event.clear_time());
     }
 }

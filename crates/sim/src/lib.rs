@@ -67,19 +67,18 @@
 //! ```
 
 pub mod exec;
-pub mod hier;
+mod hier;
 pub mod machine;
 pub mod mem;
 mod memory;
 pub mod program;
-pub mod reconv;
+mod reconv;
 pub mod reference;
 pub mod sample;
 mod sm;
 pub mod stall;
 pub mod warp;
 
-pub use hier::TimedServer;
 pub use machine::{GpuSim, LaunchResult, RawSample, SimConfig, SimStats, SmStats};
 pub use mem::GlobalMem;
 pub use program::CompiledProgram;

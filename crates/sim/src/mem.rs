@@ -56,7 +56,7 @@ impl GlobalMem {
     }
 
     /// Reads the `N`-byte little-endian word at `addr` (see
-    /// [`GlobalReader::read`]; a fresh cursor costs nothing).
+    /// `GlobalReader::read`; a fresh cursor costs nothing).
     #[inline]
     pub fn read<const N: usize>(&self, addr: u64) -> [u8; N] {
         self.reader().read(addr)
@@ -96,23 +96,13 @@ impl GlobalMem {
         self.write(addr, v.to_le_bytes());
     }
 
-    /// Reads a little-endian `u64`.
-    pub fn read_u64(&self, addr: u64) -> u64 {
-        u64::from_le_bytes(self.read(addr))
-    }
-
-    /// Writes a little-endian `u64`.
-    pub fn write_u64(&mut self, addr: u64, v: u64) {
-        self.write(addr, v.to_le_bytes());
-    }
-
     /// Writes a batch of `N`-byte little-endian words in order — the
     /// warp-wide store path. Words are committed page-run at a time (32
     /// lanes usually span one or two pages, so per-lane hashing is
     /// wasted), with page-straddling words falling back to
     /// [`GlobalMem::write`] in place so write order — and thus
     /// same-address last-lane-wins semantics — is preserved.
-    pub fn write_batch<const N: usize>(&mut self, items: &[(u64, [u8; N])]) {
+    pub(crate) fn write_batch<const N: usize>(&mut self, items: &[(u64, [u8; N])]) {
         let in_page = |addr: u64| (addr % PAGE_SIZE) as usize + N <= PAGE_SIZE as usize;
         let mut i = 0;
         while i < items.len() {
@@ -164,14 +154,14 @@ impl GlobalMem {
 
     /// A read cursor that memoizes the last page lookup — the warp-wide
     /// load path.
-    pub fn reader(&self) -> GlobalReader<'_> {
+    pub(crate) fn reader(&self) -> GlobalReader<'_> {
         GlobalReader { mem: self, page_id: u64::MAX, page: None }
     }
 }
 
 /// Memoizing read cursor over [`GlobalMem`]: consecutive lane addresses
 /// usually share a page, so the page hash is resolved once per run.
-pub struct GlobalReader<'a> {
+pub(crate) struct GlobalReader<'a> {
     mem: &'a GlobalMem,
     page_id: u64,
     page: Option<&'a [u8]>,
@@ -212,7 +202,7 @@ impl GlobalReader<'_> {
 /// otherwise), so the line of an address is a shift; the set count need
 /// not be — 12 KiB of 256-byte lines are 48 sets — and stays a modulo.
 #[derive(Debug, Clone)]
-pub struct DirectCache {
+pub(crate) struct DirectCache {
     tags: Vec<u64>,
     line_shift: u32,
     hits: u64,
@@ -246,7 +236,7 @@ impl DirectCache {
 
     /// [`DirectCache::access`] of an address whose [`DirectCache::slot`]
     /// (in a cache of this geometry) is already known.
-    pub fn access_slot(&mut self, (set, line_addr): (u32, u64)) -> bool {
+    pub(crate) fn access_slot(&mut self, (set, line_addr): (u32, u64)) -> bool {
         let tag = &mut self.tags[set as usize];
         if *tag == line_addr {
             self.hits += 1;
@@ -297,7 +287,7 @@ impl ConstMem {
     }
 
     /// Reads a `u64` from a bank; the upper word's offset wraps.
-    pub fn read_u64(&self, bank: u8, offset: u32) -> u64 {
+    pub(crate) fn read_u64(&self, bank: u8, offset: u32) -> u64 {
         let hi = self.read_u32(bank, offset.wrapping_add(4));
         (self.read_u32(bank, offset) as u64) | ((hi as u64) << 32)
     }
@@ -388,7 +378,7 @@ mod tests {
             |m| m.write(PAGE_SIZE + 4, [9u8; 8]),
             |m| m.write_batch(&[(PAGE_SIZE, [1u8; 4]), (3 * PAGE_SIZE + 4, [2; 4])]),
             |m| m.write_bytes(2 * PAGE_SIZE - 10, &[0xee; PAGE_SIZE as usize]),
-            |m| m.write_u64(2 * PAGE_SIZE - 3, u64::MAX),
+            |m| m.write(2 * PAGE_SIZE - 3, u64::MAX.to_le_bytes()),
         ];
         for (i, store) in stores.iter().enumerate() {
             let (m, deep) = three_pages();
@@ -424,7 +414,7 @@ mod tests {
     fn reading_unmapped_memory_maps_nothing_on_either_side() {
         let (m, _) = three_pages();
         let c = m.clone();
-        assert_eq!(c.read_u64(40 * PAGE_SIZE), 0);
+        assert_eq!(c.read::<8>(40 * PAGE_SIZE), [0; 8]);
         assert_eq!(c.read_bytes(5 * PAGE_SIZE - 2, 9000), vec![0u8; 9000]);
         assert_eq!(m.read_u32(PAGE_SIZE - 2), u32::from_le_bytes([0, 0, 1, 14]));
         assert_eq!((m.pages.len(), c.pages.len()), (3, 3));

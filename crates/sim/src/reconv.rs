@@ -10,7 +10,7 @@ use std::collections::HashMap;
 ///
 /// Branches whose postdominator is the function exit map to `u64::MAX`,
 /// meaning both sides run to completion independently.
-pub fn build_reconvergence(module: &Module) -> HashMap<u64, u64> {
+pub(crate) fn build_reconvergence(module: &Module) -> HashMap<u64, u64> {
     let mut map = HashMap::new();
     for f in &module.functions {
         if f.is_empty() {

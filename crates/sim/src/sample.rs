@@ -110,11 +110,6 @@ impl SampleSet {
         self.total_samples - self.active_samples
     }
 
-    /// Stall samples (everything but `Selected`).
-    pub fn stall_samples(&self) -> u64 {
-        self.total_samples - self.reason_total(StallReason::Selected)
-    }
-
     /// Counters for one PC: `(all samples, latency samples)` by reason.
     pub fn pc(&self, pc: u64) -> Option<(&[u64; N_REASONS], &[u64; N_REASONS])> {
         let i = self.pcs.binary_search(&pc).ok()?;
@@ -127,12 +122,6 @@ impl SampleSet {
             .iter()
             .zip(self.by_reason.iter().zip(self.latency_by_reason.iter()))
             .map(|(&pc, (by, lat))| (pc, by, lat))
-    }
-
-    /// Total samples with the given stall reason, across all PCs.
-    pub fn reason_total(&self, r: StallReason) -> u64 {
-        let code = r.code() as usize;
-        self.by_reason.iter().map(|row| row[code]).sum()
     }
 }
 
@@ -149,6 +138,21 @@ impl SampleSink for SampleSet {
         if sample.scheduler_active {
             self.active_samples += 1;
         }
+    }
+}
+
+#[cfg(test)]
+/// Whole-launch reason totals, which the machine's unit tests assert.
+impl SampleSet {
+    /// Stall samples (everything but `Selected`).
+    pub(crate) fn stall_samples(&self) -> u64 {
+        self.total_samples - self.reason_total(StallReason::Selected)
+    }
+
+    /// Total samples with the given stall reason, across all PCs.
+    pub(crate) fn reason_total(&self, r: StallReason) -> u64 {
+        let code = r.code() as usize;
+        self.by_reason.iter().map(|row| row[code]).sum()
     }
 }
 

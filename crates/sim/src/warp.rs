@@ -1,14 +1,14 @@
 //! Per-warp functional and timing state.
 
 use crate::stall::StallReason;
-use gpa_isa::{PredReg, Register, SpecialReg};
+use gpa_isa::{PredReg, SpecialReg};
 
 /// Number of lanes per warp (fixed at 32, like every NVIDIA part).
 pub const WARP_LANES: usize = 32;
 
 /// One divergence-stack entry (immediate-postdominator reconvergence).
 #[derive(Debug, Clone)]
-pub struct DivEntry {
+pub(crate) struct DivEntry {
     /// PC where both sides reconverge.
     pub reconv: u64,
     /// PC of the not-yet-executed side.
@@ -48,7 +48,7 @@ pub struct WarpState {
     /// Predicate registers as lane masks.
     pub preds: [u32; 7],
     /// Divergence stack.
-    pub div_stack: Vec<DivEntry>,
+    pub(crate) div_stack: Vec<DivEntry>,
     /// Call stack of return addresses (uniform control only).
     pub call_stack: Vec<u64>,
     /// Per-lane local memory (register spill space), lazily grown.
@@ -154,58 +154,14 @@ impl WarpState {
         (*at_barrier, *done, *prev_was_ctrl) = (false, false, false);
     }
 
-    /// Reads a register for one lane (`RZ` reads zero).
-    #[inline]
-    pub fn read_reg(&self, lane: usize, r: Register) -> u32 {
-        if r.is_zero() {
-            0
-        } else {
-            self.regs[r.index() as usize][lane]
-        }
-    }
-
-    /// Writes a register for one lane (`RZ` writes are dropped).
-    #[inline]
-    pub fn write_reg(&mut self, lane: usize, r: Register, v: u32) {
-        if !r.is_zero() {
-            self.regs[r.index() as usize][lane] = v;
-        }
-    }
-
-    /// Reads a 64-bit register pair.
-    #[inline]
-    pub fn read_pair(&self, lane: usize, r: Register) -> u64 {
-        (self.read_reg(lane, r) as u64) | ((self.read_reg(lane, r.pair_hi()) as u64) << 32)
-    }
-
-    /// Writes a 64-bit register pair.
-    #[inline]
-    pub fn write_pair(&mut self, lane: usize, r: Register, v: u64) {
-        self.write_reg(lane, r, v as u32);
-        self.write_reg(lane, r.pair_hi(), (v >> 32) as u32);
-    }
-
     /// Reads a predicate for one lane (`PT` reads true).
     #[inline]
-    pub fn read_pred(&self, lane: usize, p: PredReg) -> bool {
+    pub(crate) fn read_pred(&self, lane: usize, p: PredReg) -> bool {
         p.is_true() || self.preds[p.index() as usize] & (1 << lane) != 0
     }
 
-    /// Writes a predicate for one lane (`PT` writes are dropped).
-    #[inline]
-    pub fn write_pred(&mut self, lane: usize, p: PredReg, v: bool) {
-        if !p.is_true() {
-            let bit = 1u32 << lane;
-            if v {
-                self.preds[p.index() as usize] |= bit;
-            } else {
-                self.preds[p.index() as usize] &= !bit;
-            }
-        }
-    }
-
     /// The lane mask for which a guard predicate holds.
-    pub fn pred_mask(&self, pred: Option<gpa_isa::Predicate>) -> u32 {
+    pub(crate) fn pred_mask(&self, pred: Option<gpa_isa::Predicate>) -> u32 {
         match pred {
             None => u32::MAX,
             Some(p) => {
@@ -249,7 +205,7 @@ impl WarpState {
 
     /// Pops reconvergence points reached at the current PC, switching to
     /// pending else-sides first. Returns true if state changed.
-    pub fn reconverge_if_needed(&mut self) -> bool {
+    pub(crate) fn reconverge_if_needed(&mut self) -> bool {
         let mut changed = false;
         while let Some(top) = self.div_stack.last_mut() {
             if top.reconv != self.pc {
@@ -281,9 +237,53 @@ impl WarpState {
 }
 
 #[cfg(test)]
+/// One lane's registers and predicates: the unit tests' view of a warp
+/// (the executor reads and writes whole rows).
+impl WarpState {
+    /// Reads a register for one lane (`RZ` reads zero).
+    pub(crate) fn read_reg(&self, lane: usize, r: gpa_isa::Register) -> u32 {
+        if r.is_zero() {
+            0
+        } else {
+            self.regs[r.index() as usize][lane]
+        }
+    }
+
+    /// Writes a register for one lane (`RZ` writes are dropped).
+    pub(crate) fn write_reg(&mut self, lane: usize, r: gpa_isa::Register, v: u32) {
+        if !r.is_zero() {
+            self.regs[r.index() as usize][lane] = v;
+        }
+    }
+
+    /// Reads a 64-bit register pair.
+    pub(crate) fn read_pair(&self, lane: usize, r: gpa_isa::Register) -> u64 {
+        (self.read_reg(lane, r) as u64) | ((self.read_reg(lane, r.pair_hi()) as u64) << 32)
+    }
+
+    /// Writes a 64-bit register pair.
+    pub(crate) fn write_pair(&mut self, lane: usize, r: gpa_isa::Register, v: u64) {
+        self.write_reg(lane, r, v as u32);
+        self.write_reg(lane, r.pair_hi(), (v >> 32) as u32);
+    }
+
+    /// Writes a predicate for one lane (`PT` writes are dropped).
+    pub(crate) fn write_pred(&mut self, lane: usize, p: PredReg, v: bool) {
+        if !p.is_true() {
+            let bit = 1u32 << lane;
+            if v {
+                self.preds[p.index() as usize] |= bit;
+            } else {
+                self.preds[p.index() as usize] &= !bit;
+            }
+        }
+    }
+}
+
+#[cfg(test)]
 mod tests {
     use super::*;
-    use gpa_isa::Predicate;
+    use gpa_isa::{Predicate, Register};
 
     #[test]
     fn partial_warp_active_mask() {

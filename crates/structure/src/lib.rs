@@ -132,21 +132,6 @@ impl ProgramStructure {
         }
     }
 
-    /// All scopes containing `pc`, innermost first, ending with the
-    /// function and the kernel.
-    pub fn scope_stack(&self, pc: u64) -> Vec<Scope> {
-        let Some((f, idx)) = self.locate(pc) else { return vec![Scope::Kernel] };
-        let mut out: Vec<Scope> = f
-            .loops
-            .loop_stack_of_instr(&f.cfg, idx)
-            .into_iter()
-            .map(|l| Scope::Loop(f.index, l))
-            .collect();
-        out.push(Scope::Function(f.index));
-        out.push(Scope::Kernel);
-        out
-    }
-
     /// Whether `scope` contains `pc`.
     pub fn scope_contains(&self, scope: Scope, pc: u64) -> bool {
         match scope {
@@ -155,31 +140,6 @@ impl ProgramStructure {
             Scope::Loop(fi, l) => self.locate(pc).is_some_and(|(f, idx)| {
                 f.index == fi && f.loops.loop_contains_instr(&f.cfg, l, idx)
             }),
-        }
-    }
-
-    /// `scope` plus everything nested inside it (Eq. 5's `nested(l)`),
-    /// restricted to loop/function scopes.
-    pub fn nested_scopes(&self, scope: Scope) -> Vec<Scope> {
-        match scope {
-            Scope::Kernel => {
-                let mut out = vec![Scope::Kernel];
-                for f in &self.functions {
-                    out.extend(self.nested_scopes(Scope::Function(f.index)));
-                }
-                out
-            }
-            Scope::Function(fi) => {
-                let f = &self.functions[fi];
-                let mut out = vec![Scope::Function(fi)];
-                for l in f.loops.loops() {
-                    out.push(Scope::Loop(fi, l.id));
-                }
-                out
-            }
-            Scope::Loop(fi, l) => {
-                self.functions[fi].loops.nested(l).into_iter().map(|n| Scope::Loop(fi, n)).collect()
-            }
         }
     }
 
@@ -283,17 +243,14 @@ inner:
         let m = module();
         let s = ProgramStructure::build(&m);
         let f0 = m.function("main").unwrap();
-        // Instruction 2 (inner loop body) is two loops deep.
-        let stack = s.scope_stack(f0.pc_of(2));
-        assert_eq!(stack.len(), 4, "inner loop, outer loop, function, kernel");
-        let inner = stack[0];
-        let outer = stack[1];
-        assert!(matches!(inner, Scope::Loop(0, _)));
+        // Instruction 2 is the inner loop's body, instruction 5 the outer's.
+        let inner = s.scope_of(f0.pc_of(2)).unwrap();
+        let outer = s.scope_of(f0.pc_of(5)).unwrap();
+        assert!(matches!(inner, Scope::Loop(0, _)) && matches!(outer, Scope::Loop(0, _)));
+        assert_ne!(inner, outer);
         assert!(s.scope_contains(outer, f0.pc_of(2)));
         assert!(s.scope_contains(outer, f0.pc_of(5)));
         assert!(!s.scope_contains(inner, f0.pc_of(5)));
-        let nested = s.nested_scopes(outer);
-        assert!(nested.contains(&inner) && nested.contains(&outer));
         // describe_scope names the header line.
         let desc = s.describe_scope(&m, inner);
         assert!(desc.contains("demo.cu:9"), "got {desc}");

@@ -13,18 +13,18 @@ use std::collections::HashSet;
 /// A compact set of guard literals: bits `2i`/`2i+1` are `Pi`/`!Pi`; the
 /// catch-all `_` is represented by covering some pair.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
-pub struct Cover(u16);
+pub(crate) struct Cover(u16);
 
 const FULL_BIT: u16 = 1 << 14;
 
 impl Cover {
     /// The empty cover.
-    pub fn empty() -> Self {
+    pub(crate) fn empty() -> Self {
         Cover(0)
     }
 
     /// Adds a guard literal (`None` is the catch-all `_`).
-    pub fn with_guard(self, guard: Option<Predicate>) -> Self {
+    pub(crate) fn with_guard(self, guard: Option<Predicate>) -> Self {
         match guard {
             None => Cover(self.0 | FULL_BIT),
             Some(p) if p.reg.is_true() => {
@@ -42,7 +42,7 @@ impl Cover {
     }
 
     /// Whether the union covers all executions.
-    pub fn is_full(self) -> bool {
+    pub(crate) fn is_full(self) -> bool {
         if self.0 & FULL_BIT != 0 {
             return true;
         }
@@ -55,7 +55,7 @@ impl Cover {
 
     /// Whether the union contains the use guard `p'` (the search-stop
     /// condition).
-    pub fn contains(self, guard: Option<Predicate>) -> bool {
+    pub(crate) fn contains(self, guard: Option<Predicate>) -> bool {
         if self.is_full() {
             return true;
         }
@@ -72,7 +72,7 @@ impl Cover {
     /// Whether a definition with guard `g` can still reach a use with
     /// guard `use_guard` given this cover (i.e. it is not already killed
     /// and not disjoint from the use's condition).
-    pub fn def_is_live(self, g: Option<Predicate>, use_guard: Option<Predicate>) -> bool {
+    pub(crate) fn def_is_live(self, g: Option<Predicate>, use_guard: Option<Predicate>) -> bool {
         if self.is_full() {
             return false;
         }
@@ -103,7 +103,7 @@ pub fn immediate_defs(f: &Function, cfg: &Cfg, use_idx: usize, slot: Slot) -> Ve
 
 /// Immediate synchronization sources: the nearest `BAR.SYNC` on every
 /// backward path (synchronization stalls are attributed to them).
-pub fn nearest_barriers(f: &Function, cfg: &Cfg, use_idx: usize) -> Vec<usize> {
+pub(crate) fn nearest_barriers(f: &Function, cfg: &Cfg, use_idx: usize) -> Vec<usize> {
     search(f, cfg, use_idx, |f, idx| f.instrs[idx].opcode == Opcode::Bar)
 }
 

@@ -1059,12 +1059,11 @@ fn heaviest_owner(addrs: &[String], jobs: &[AnalysisJob]) -> usize {
 const NOWHERE: &str = "127.0.0.1:1";
 
 /// Wakes `addr`'s cluster chore thread now rather than at its next
-/// tick: a frame stamped with a newer epoch queues a roster refresh
-/// from its sender — here an address nothing listens on, so the refresh
-/// fails at once — and the thread checks whether a heartbeat is due
-/// after every wake.
-fn wake_chores(addr: &str) {
-    let meta = PeerMeta { epoch: Some(999), from: Some(NOWHERE.to_string()) };
+/// tick: a frame stamped with a newer epoch from `member`, a live member
+/// of `addr`'s roster, queues a roster refresh from it, and the thread
+/// checks whether a heartbeat is due after every wake.
+fn wake_chores(addr: &str, member: &str) {
+    let meta = PeerMeta { epoch: Some(999), from: Some(member.to_string()) };
     let poke = Request::StorePut { key: "wake".to_string(), body: "{}".to_string(), meta };
     let mut client = ServeClient::connect(addr).expect("connect shard");
     assert!(client.request(&poke).expect("store_put").ok);
@@ -1435,7 +1434,7 @@ fn owner_down_falls_back_locally_and_trips_the_breaker() {
     // cooldown elapses — visible without any client traffic.
     let probes = breaker(&status, "probes");
     clock.advance(PEER_TRIP_COOLDOWN.max(HEARTBEAT_INTERVAL));
-    wake_chores(live);
+    wake_chores(live, &addrs[(dead_idx + 2) % addrs.len()]);
     wait_for_status(live.as_str(), "a heartbeat probe", |s| breaker(s, "probes") > probes);
 
     for handle in handles {
@@ -1472,10 +1471,10 @@ fn heartbeat_trips_a_dead_peers_breaker_before_any_user_call() {
     // inline and never touches the peer path. Each heartbeat interval
     // on the clock is one failed heartbeat; the third trips the
     // breaker, which stays open (the clock stops short of its
-    // cooldown).
+    // cooldown). No live member is left to stamp a wake-up from, so the
+    // chore thread's own tick finds each heartbeat due.
     for round in 1..=3 {
         clock.advance(HEARTBEAT_INTERVAL);
-        wake_chores(&addrs[0]);
         wait_for_status(addrs[0].as_str(), "the next heartbeat", |s| heartbeats(s) == round);
     }
     let peer_of = |status: &Json| {
@@ -1579,7 +1578,7 @@ fn queued_refreshes_cannot_starve_the_heartbeat() {
             // Bounded, so a failed assertion below cannot hang the scope.
             let deadline = std::time::Instant::now() + Duration::from_secs(15);
             while !stop.load(Ordering::SeqCst) && std::time::Instant::now() < deadline {
-                wake_chores(&addrs[0]);
+                wake_chores(&addrs[0], &addrs[1]);
                 std::thread::sleep(Duration::from_millis(2));
             }
         });
@@ -1591,6 +1590,36 @@ fn queued_refreshes_cannot_starve_the_heartbeat() {
         wait_for_status(addrs[0].as_str(), "a heartbeat", |s| heartbeats(s) >= 1);
         stop.store(true, Ordering::SeqCst);
     });
+    for handle in handles {
+        handle.shutdown();
+        handle.join();
+    }
+}
+
+/// A frame's `from` is a claim, not a member: a plain client's
+/// `store_put` stamped with a newer epoch and an address off the roster
+/// queues no refresh, so the daemon never dials that address and its
+/// peer table never lists it, however often the frame comes.
+#[test]
+fn an_off_roster_from_is_never_dialed() {
+    let clock = Clock::manual();
+    let (handles, addrs) = test_cluster_with(2, |_| on_clock(&clock));
+    let meta = PeerMeta { epoch: Some(999), from: Some(NOWHERE.to_string()) };
+    let mut client = ServeClient::connect(addrs[0].as_str()).expect("connect shard 0");
+    for i in 0..3 {
+        let body = "{}".to_string();
+        let poke = Request::StorePut { key: format!("poke{i}"), body, meta: meta.clone() };
+        assert!(client.request(&poke).expect("store_put").ok);
+    }
+    // The pokes were queued (if at all) before the heartbeat fell due,
+    // and the chore thread takes its queue in order.
+    clock.advance(HEARTBEAT_INTERVAL);
+    wait_for_status(addrs[0].as_str(), "a heartbeat", |s| heartbeats(s) >= 1);
+    let status = status_of(&addrs[0]);
+    let peers = status.field("cluster").unwrap().field("peers").unwrap();
+    assert!(peers.get(NOWHERE).is_none(), "{NOWHERE} was dialed: {}", peers.compact());
+    assert!(peers.get(addrs[1].as_str()).is_some(), "the heartbeat reached the live member");
+    assert_eq!(breaker(&status, "trips"), 0, "no breaker tripped");
     for handle in handles {
         handle.shutdown();
         handle.join();
@@ -1969,7 +1998,7 @@ fn uploads_and_membership_ops_work_across_reactors() {
     let joiner = serve_on(Arc::new(Session::test()), listener, config).expect("joiner starts");
     assert_eq!(joiner.reactors(), 2);
     clock.advance(HEARTBEAT_INTERVAL);
-    wake_chores(&addrs[1]);
+    wake_chores(&addrs[1], &addrs[0]);
     let deadline = std::time::Instant::now() + Duration::from_secs(5);
     for addr in &addrs {
         let mut client = ServeClient::connect(addr.as_str()).expect("connect");
