@@ -3,8 +3,8 @@
 //! opcode, modifiers, destination and source operands).
 
 use gpa_isa::{
-    dissect, encode, BarrierReg, ControlCode, Instruction, MemRef, Modifier, Opcode, Operand,
-    PredReg, Predicate, Register,
+    dissect, BarrierReg, ControlCode, Instruction, MemRef, Modifier, Opcode, Operand, PredReg,
+    Predicate, Register,
 };
 
 fn main() {
@@ -26,6 +26,4 @@ fn main() {
     for (field, value) in dissect(&instr) {
         println!("  {field:<22} {value}");
     }
-    let word = encode(&instr).expect("encodes");
-    println!("\n128-bit word (little endian): {:02x?}", word);
 }

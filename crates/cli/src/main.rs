@@ -339,22 +339,19 @@ fn run_local(
         // merged multi-launch profile; the daemon's `analyze_profile`
         // op (and `request --profile`) accepts it either way.
         return match session.profile_one(&job) {
-            Ok((_, profile, _)) => {
-                let text = profile.to_json();
-                match out {
-                    None => {
-                        out!("{text}\n");
-                        ExitCode::SUCCESS
-                    }
-                    Some(path) => match std::fs::write(path, text + "\n") {
-                        Ok(()) => ExitCode::SUCCESS,
-                        Err(e) => {
-                            eprintln!("gpa profile: cannot write {path}: {e}");
-                            ExitCode::FAILURE
-                        }
-                    },
+            Ok((_, profile, _)) => match out {
+                None => {
+                    out!("{}\n", profile.to_json());
+                    ExitCode::SUCCESS
                 }
-            }
+                Some(path) => match profile.save(path.as_ref()) {
+                    Ok(()) => ExitCode::SUCCESS,
+                    Err(e) => {
+                        eprintln!("gpa profile: cannot write {path}: {e}");
+                        ExitCode::FAILURE
+                    }
+                },
+            },
             Err(e) => analysis_failure(false, &e),
         };
     }

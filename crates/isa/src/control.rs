@@ -10,7 +10,6 @@
 //! may issue.
 
 use crate::register::BarrierReg;
-use crate::{IsaError, Result};
 use std::fmt;
 
 /// The control-code fields of one instruction.
@@ -65,27 +64,6 @@ impl ControlCode {
             .filter(move |i| self.wait_mask & (1 << i) != 0)
             .map(|i| BarrierReg::new(i).expect("wait mask spans six barriers"))
     }
-
-    /// Validates field ranges (stall fits 4 bits, wait mask fits 6 bits).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`IsaError::EncodingOverflow`] when a field is out of range.
-    pub fn validate(&self) -> Result<()> {
-        if self.stall > 15 {
-            return Err(IsaError::EncodingOverflow(format!(
-                "stall count {} exceeds 4 bits",
-                self.stall
-            )));
-        }
-        if self.wait_mask & !0x3f != 0 {
-            return Err(IsaError::EncodingOverflow(format!(
-                "wait mask {:#x} exceeds 6 bits",
-                self.wait_mask
-            )));
-        }
-        Ok(())
-    }
 }
 
 impl Default for ControlCode {
@@ -129,16 +107,5 @@ mod tests {
         c.yield_flag = true;
         assert_eq!(c.to_string(), "{WT:[B1,B3], W:B0, S:2, Y}");
         assert_eq!(c.waits().count(), 2);
-        c.validate().unwrap();
-    }
-
-    #[test]
-    fn validate_rejects_wide_fields() {
-        let mut c = ControlCode::none();
-        c.stall = 16;
-        assert!(c.validate().is_err());
-        let mut c = ControlCode::none();
-        c.wait_mask = 0x40;
-        assert!(c.validate().is_err());
     }
 }

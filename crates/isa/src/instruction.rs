@@ -11,11 +11,10 @@ vocabulary! {
     /// An opcode modifier (`LDG.E.32`, `ISETP.LT.AND`, `MUFU.RCP`, ...).
     ///
     /// Modifiers are **ordered**: `F2F.F32.F64` (demote a 64-bit float to
-    /// 32 bits) differs from `F2F.F64.F32` (promote). Up to four modifiers fit
-    /// in the binary encoding, one 5-bit code each (0 = empty slot), and
-    /// `gpa_sim`'s lowering keeps an instruction's modifier set as one bit
-    /// per discriminant of a `u32`: at most 31 variants, checked below.
-    pub enum Modifier, first code 1 {
+    /// 32 bits) differs from `F2F.F64.F32` (promote). `gpa_sim`'s lowering
+    /// keeps an instruction's modifier set as one bit per discriminant of a
+    /// `u32`: at most 31 variants, checked below.
+    pub enum Modifier {
         Sz32 = "32",
         Sz64 = "64",
         Sz128 = "128",
@@ -192,6 +191,37 @@ impl fmt::Display for Instruction {
     }
 }
 
+/// Dissects an instruction into the field table of the paper's **Table 1**:
+/// wait mask, write barrier, read barrier, predicate, opcode, modifiers,
+/// destination operands and source operands.
+pub fn dissect(instr: &Instruction) -> Vec<(&'static str, String)> {
+    let join = |ops: &[Operand]| ops.iter().map(|o| o.to_string()).collect::<Vec<_>>().join(", ");
+    // Source operands are shown at the register level (the paper lists the
+    // 64-bit address of `[R2]` as the two registers R2, R3).
+    let src_regs: Vec<String> = instr
+        .srcs
+        .iter()
+        .flat_map(|s| {
+            let regs: Vec<String> = s.src_regs().map(|r| r.to_string()).collect();
+            if regs.is_empty() {
+                vec![s.to_string()]
+            } else {
+                regs
+            }
+        })
+        .collect();
+    vec![
+        ("Wait Mask", instr.ctrl.waits().map(|b| b.to_string()).collect::<Vec<_>>().join(", ")),
+        ("Write Barrier", instr.ctrl.write_barrier.map_or(String::new(), |b| b.to_string())),
+        ("Read Barrier", instr.ctrl.read_barrier.map_or(String::new(), |b| b.to_string())),
+        ("Predicate", instr.pred.map_or(String::new(), |p| p.to_string().replace('@', ""))),
+        ("Opcode", instr.opcode.to_string()),
+        ("Modifiers", instr.mods.iter().map(|m| m.to_string()).collect::<Vec<_>>().join(", ")),
+        ("Destination Operands", join(&instr.dsts)),
+        ("Source Operands", src_regs.join(", ")),
+    ]
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -255,11 +285,23 @@ mod tests {
     }
 
     #[test]
-    fn modifier_codes_roundtrip() {
+    fn dissect_matches_paper_table1() {
+        let fields = dissect(&table1_instruction());
+        let get = |k: &str| fields.iter().find(|(n, _)| *n == k).unwrap().1.clone();
+        assert_eq!(get("Wait Mask"), "B0, B1");
+        assert_eq!(get("Write Barrier"), "B0");
+        assert_eq!(get("Read Barrier"), "B1");
+        assert_eq!(get("Predicate"), "P0");
+        assert_eq!(get("Opcode"), "LDG");
+        assert_eq!(get("Modifiers"), "32");
+        assert_eq!(get("Destination Operands"), "R0");
+        assert_eq!(get("Source Operands"), "R2, R3");
+    }
+
+    #[test]
+    fn modifier_names_roundtrip() {
         for m in Modifier::ALL {
-            assert_eq!(Modifier::from_code(m.code()), Some(m));
             assert_eq!(Modifier::from_name(m.name()), Some(m));
         }
-        assert_eq!(Modifier::from_code(0), None);
     }
 }

@@ -8,7 +8,7 @@
 //!   which every static question about an opcode is answered
 //!   ([`opcode`]); [`Modifier`] and [`SpecialReg`] are declared the same
 //!   way, one `Variant = "SPELLING"` line each,
-//! * fixed-length 128-bit instruction words ([`encode`](mod@encode)),
+//! * Table 1's field dissection of one instruction ([`dissect`]),
 //! * **control codes** — stall cycles, yield flag, write/read barrier
 //!   indices and a wait mask over six scoreboard barriers ([`ControlCode`]),
 //! * **predicates** `P0`–`P6` plus the always-true `PT` ([`Predicate`]),
@@ -45,7 +45,6 @@
 //! ```
 
 pub mod control;
-pub mod encode;
 pub mod instruction;
 pub mod module;
 pub mod opcode;
@@ -55,8 +54,7 @@ pub mod register;
 mod vocabulary;
 
 pub use control::ControlCode;
-pub use encode::{decode, dissect, encode};
-pub use instruction::{Instruction, Modifier, Slot};
+pub use instruction::{dissect, Instruction, Modifier, Slot};
 pub use module::{Function, InlineFrame, Module, SourceLoc, Visibility, INSTR_BYTES};
 pub use opcode::{Access, MemSpace, OpClass, Opcode, Pipe};
 pub use operand::{MemRef, Operand};
@@ -65,7 +63,7 @@ pub use register::{BarrierReg, PredReg, Predicate, Register, SpecialReg};
 
 use std::fmt;
 
-/// Errors produced while building, encoding or parsing instructions.
+/// Errors produced while building or parsing instructions.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum IsaError {
     /// A register index was outside `0..=255`.
@@ -74,10 +72,6 @@ pub enum IsaError {
     BadPredicate(u32),
     /// A barrier index was outside `0..=5`.
     BadBarrier(u32),
-    /// The instruction does not fit in the 128-bit encoding.
-    EncodingOverflow(String),
-    /// Malformed binary word.
-    DecodeError(String),
     /// Assembly text could not be parsed. Carries line number and message.
     ParseError { line: usize, message: String },
     /// A label or function referenced by a branch/call does not exist.
@@ -92,8 +86,6 @@ impl fmt::Display for IsaError {
             IsaError::BadRegister(n) => write!(f, "register index {n} out of range"),
             IsaError::BadPredicate(n) => write!(f, "predicate index {n} out of range"),
             IsaError::BadBarrier(n) => write!(f, "barrier index {n} out of range"),
-            IsaError::EncodingOverflow(s) => write!(f, "instruction too large to encode: {s}"),
-            IsaError::DecodeError(s) => write!(f, "malformed instruction word: {s}"),
             IsaError::ParseError { line, message } => {
                 write!(f, "parse error at line {line}: {message}")
             }

@@ -107,7 +107,7 @@ macro_rules! opcodes {
     ) => {
         vocabulary! {
             $(#[$meta])*
-            pub enum Opcode, first code 0 { $($op = $name,)* }
+            pub enum Opcode { $($op = $name,)* }
         }
 
         const FACTS: [Facts; Opcode::ALL.len()] = [$(Facts {
@@ -256,12 +256,10 @@ mod tests {
     use super::*;
 
     #[test]
-    fn codes_roundtrip() {
+    fn names_roundtrip() {
         for op in Opcode::ALL {
-            assert_eq!(Opcode::from_code(op.code()), Some(op));
             assert_eq!(Opcode::from_name(op.name()), Some(op));
         }
-        assert_eq!(Opcode::from_code(200), None);
         assert_eq!(Opcode::from_name("FROB"), None);
     }
 

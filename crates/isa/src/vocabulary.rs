@@ -4,15 +4,11 @@
 //! from that list.
 
 /// Declares `pub enum $name` from `Variant = "SPELLING",` rows and emits
-/// `ALL`, `code` / `from_code` and `name` / `from_name` / `Display`.
-///
-/// **Declaration order is encoding order:** a variant's binary code is
-/// its position in the list counted from `first code`, so a new variant
-/// goes at the end — anywhere else renumbers every word already encoded.
+/// `ALL` and `name` / `from_name` / `Display`.
 macro_rules! vocabulary {
     (
         $(#[$meta:meta])*
-        pub enum $name:ident, first code $first:literal { $($variant:ident = $spelling:literal,)* }
+        pub enum $name:ident { $($variant:ident = $spelling:literal,)* }
     ) => {
         $(#[$meta])*
         #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -22,18 +18,8 @@ macro_rules! vocabulary {
         }
 
         impl $name {
-            /// Every variant, in declaration (= encoding) order.
+            /// Every variant, in declaration order.
             pub const ALL: [$name; [$($spelling),*].len()] = [$($name::$variant,)*];
-
-            /// Stable numeric code used by the binary encoding.
-            pub fn code(self) -> u8 {
-                self as u8 + $first
-            }
-
-            /// Inverse of `code`.
-            pub fn from_code(code: u8) -> Option<Self> {
-                Self::ALL.get(usize::from(code.checked_sub($first)?)).copied()
-            }
 
             /// The assembly spelling.
             pub fn name(self) -> &'static str {

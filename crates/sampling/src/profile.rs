@@ -356,13 +356,13 @@ impl KernelProfile {
         profile
     }
 
-    /// Writes the profile to a file.
+    /// Writes the profile to a file: its JSON and a trailing newline.
     ///
     /// # Errors
     ///
     /// Propagates I/O errors.
     pub fn save(&self, path: &Path) -> io::Result<()> {
-        std::fs::write(path, self.to_json())
+        std::fs::write(path, self.to_json() + "\n")
     }
 
     /// Reads a profile from a file.

@@ -1,13 +1,14 @@
-//! Static analysis of a hand-written kernel: parse assembly, inspect the
-//! 128-bit encoding (the paper's Table 1), recover the CFG and loop nest,
-//! and query def→use distances — the raw material of the blamer.
+//! Static analysis of a hand-written kernel: parse assembly, print it back
+//! and reassemble it, dissect one instruction's fields (the paper's
+//! Table 1), recover the CFG and loop nest, and query def→use distances —
+//! the raw material of the blamer.
 //!
 //! ```sh
 //! cargo run --example custom_kernel_asm
 //! ```
 
 use gpa::cfg::{Cfg, LoopForest};
-use gpa::isa::{decode, dissect, encode, parse_module, Slot};
+use gpa::isa::{dissect, parse_module, Slot};
 use gpa::structure::ProgramStructure;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -38,10 +39,9 @@ top:
     )?;
     let f = module.function("saxpy_strided").unwrap();
 
-    // Binary encoding round-trip and field dissection.
+    // Listing round-trip and field dissection.
+    assert_eq!(parse_module(&module.write_asm())?, module);
     let ldg = &f.instrs[6];
-    let word = encode(ldg)?;
-    assert_eq!(&decode(&word)?, ldg);
     println!("instruction: {ldg}");
     for (field, value) in dissect(ldg) {
         println!("  {field:<22} {value}");

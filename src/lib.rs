@@ -10,7 +10,7 @@
 //!
 //! The crates re-exported here:
 //!
-//! * [`isa`] — instructions, control codes, 128-bit encoding, assembler.
+//! * [`isa`] — instructions, control codes, assembler, Table 1 dissection.
 //! * [`cfg`](mod@cfg) — control-flow graphs, dominators, loop nests, path queries.
 //! * [`arch`] — machine description, latency tables, occupancy.
 //! * [`sim`] — the SIMT simulator with PC-sampling hooks.

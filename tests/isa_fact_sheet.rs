@@ -1,11 +1,11 @@
 //! The ISA's fact sheet, pinned across commits.
 //!
 //! Every per-opcode question the static analyzer, the blamer, the
-//! assembler and the simulator ask — code, mnemonic, pipe, class, memory
+//! assembler and the simulator ask — position, mnemonic, pipe, class, memory
 //! space, load / store / control / sync / variable-latency flags, fixed
 //! latency (narrow and under each widening modifier), latency upper
 //! bound, long-latency-arithmetic flag, destination count, Figure 5
-//! blame class — plus the code and spelling of every modifier and
+//! blame class — plus the position and spelling of every modifier and
 //! special register, rendered as one text and fingerprinted (FNV-1a,
 //! [`gpa::serve::store::fingerprint`]).
 //!
@@ -27,7 +27,7 @@ const FACT_SHEET: u64 = 0xb41d_5c70_c40c_6526;
 fn fact_sheet() -> String {
     let lat = LatencyTable::default();
     let mut sheet = String::new();
-    for op in Opcode::ALL {
+    for (n, op) in Opcode::ALL.into_iter().enumerate() {
         let bare = Instruction::new(op, vec![], vec![]);
         let fixed = |m: Option<Modifier>| {
             let instr = m.map_or(bare.clone(), |m| bare.clone().with_mod(m));
@@ -43,7 +43,7 @@ fn fact_sheet() -> String {
             sheet,
             "{:2} {:7} {:?}/{:?} space={:?} load={} store={} control={} sync={} variable={} \
              lat={}/{}/{}/{} upper={} long={} dsts={} blame={:?}",
-            op.code(),
+            n,
             op.name(),
             op.pipe(),
             op.class(),
@@ -64,11 +64,12 @@ fn fact_sheet() -> String {
         )
         .unwrap();
     }
-    for m in Modifier::ALL {
-        writeln!(sheet, "mod {:2} .{}", m.code(), m.name()).unwrap();
+    // Modifiers count from 1, as they did when the fingerprint was recorded.
+    for (n, m) in (1..).zip(Modifier::ALL) {
+        writeln!(sheet, "mod {n:2} .{}", m.name()).unwrap();
     }
-    for s in SpecialReg::ALL {
-        writeln!(sheet, "sreg {:2} {}", s.code(), s.name()).unwrap();
+    for (n, s) in SpecialReg::ALL.into_iter().enumerate() {
+        writeln!(sheet, "sreg {n:2} {}", s.name()).unwrap();
     }
     sheet
 }

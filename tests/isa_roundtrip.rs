@@ -1,15 +1,13 @@
-//! Registry-wide round trips through the ISA's two serialisations, and
-//! the assembler against hostile text.
+//! Registry-wide round trips through the ISA's one serialisation, the
+//! assembly listing, and the assembler against hostile text.
 //!
 //! `crates/isa`'s own tests round-trip one hand-written module; the
 //! kernels people actually run are the registry's 47 variants. Here
-//! every one of them goes listing → assembler → module and every
-//! instruction goes 128-bit word → decoder, with the two counts
-//! `encode.rs`'s module doc quotes pinned as literals. The last test
+//! every one of them goes listing → assembler → module. The last test
 //! mutates registry listing lines under a fixed seed: whatever the text,
 //! [`parse_module`] returns — it never panics.
 
-use gpa::isa::{decode, encode, parse_module, Instruction, IsaError, Module, Operand};
+use gpa::isa::{parse_module, Module};
 use gpa::kernels::{all_apps, Params};
 use rand::{Rng, SeedableRng, StdRng};
 use std::panic::catch_unwind;
@@ -27,10 +25,6 @@ fn registry() -> Vec<(&'static str, usize, Module)> {
     out
 }
 
-fn instructions(m: &Module) -> impl Iterator<Item = &Instruction> {
-    m.functions.iter().flat_map(|f| &f.instrs)
-}
-
 /// `write_asm` re-inserts labels by whole-line string replacement and
 /// re-derives `.line` / `.inline` directives from per-instruction
 /// tables; the assembler must read back exactly the module that printed
@@ -46,34 +40,6 @@ fn every_registry_listing_reassembles_to_the_module_that_printed_it() {
             panic!("{app} {v}: the listing reassembles to a different module (first in {first:?})");
         }
     }
-}
-
-/// What the 128-bit word holds (see `gpa::isa::encode`'s module doc):
-/// more than half of the registry's instructions do not fit its 74-bit
-/// operand stream, and a float immediate is stored as `f32`.
-#[test]
-fn every_encodable_registry_instruction_decodes_to_itself() {
-    let (mut total, mut overflow, mut lossy) = (0, 0, 0);
-    for (app, v, m) in registry() {
-        for i in instructions(&m) {
-            total += 1;
-            let word = match encode(i) {
-                Ok(word) => word,
-                Err(IsaError::EncodingOverflow(_)) => {
-                    overflow += 1;
-                    continue;
-                }
-                Err(e) => panic!("{app} {v}: `{i}` failed to encode with {e}"),
-            };
-            let back = decode(&word).unwrap_or_else(|e| panic!("{app} {v}: `{i}`: {e}"));
-            if back != *i {
-                let float = i.srcs.iter().any(|o| matches!(o, Operand::FImm(_)));
-                assert!(float, "{app} {v}: `{i}` decoded as `{back}` and has no float immediate");
-                lossy += 1;
-            }
-        }
-    }
-    assert_eq!((total, overflow, lossy), (4494, 2583, 142), "(instructions, overflow, lossy)");
 }
 
 /// One-line mutations of the 21 baseline listings, each assembled on its
