@@ -2,9 +2,10 @@
 //!
 //! The public surface is typed end to end (advice schema v2):
 //!
-//! * [`Advisor`] holds an [`OptimizerRegistry`] (typed catalog) and
-//!   default [`AdviceRequest`] options, built via [`AdvisorBuilder`];
-//! * every `advise*` call can be scoped by a per-call [`AdviceRequest`]
+//! * [`Advisor`] holds the Table 2 catalog, one [`Optimizer`] row per
+//!   [`OptimizerId`] ([`Advisor::with_row`] lets a custom row take over
+//!   its id's slot);
+//! * every `advise*` call is scoped by a per-call [`AdviceRequest`]
 //!   (top-k, category/optimizer filters, minimum speedup, hotspot
 //!   budget, evidence on/off), so one shared advisor serves
 //!   heterogeneous callers;
@@ -19,7 +20,7 @@ use crate::estimators::{
     stall_elimination_speedup, ParallelParams,
 };
 use crate::optimizers::{
-    Estimator, Hint, Hotspot, Optimizer, OptimizerCategory, OptimizerId, OptimizerRegistry,
+    Estimator, Hint, Hotspot, Optimizer, OptimizerCategory, OptimizerId, TABLE2,
 };
 use gpa_arch::{ArchConfig, LatencyTable};
 use gpa_isa::Module;
@@ -29,13 +30,6 @@ use gpa_structure::{ProgramStructure, Scope};
 /// The advice schema version this crate produces (see
 /// `docs/advice-schema.md` for the versioning policy).
 pub const SCHEMA_VERSION: u32 = 2;
-
-/// Estimated speedups below this default threshold are dropped from the
-/// report (an [`AdviceRequest`] can override it).
-pub(crate) const DEFAULT_MIN_SPEEDUP: f64 = 1.001;
-
-/// Default number of hotspots kept per advice item.
-pub(crate) const DEFAULT_HOTSPOTS: usize = 5;
 
 /// Everything an optimizer may inspect.
 pub struct AnalysisCtx<'a> {
@@ -291,7 +285,7 @@ pub struct AdviceRequest {
     pub top: Option<usize>,
     /// Restrict to these optimizer families (empty = all).
     pub categories: Vec<OptimizerCategory>,
-    /// Restrict to these optimizers (empty = all registered).
+    /// Restrict to these optimizers (empty = all).
     pub optimizers: Vec<OptimizerId>,
     /// Drop items whose estimated speedup is below this bound.
     pub min_speedup: f64,
@@ -302,16 +296,20 @@ pub struct AdviceRequest {
     pub evidence: bool,
 }
 
+/// The default request: every optimizer, every item above a 1.001×
+/// estimated speedup, five hotspots each, with evidence.
+static DEFAULT_REQUEST: AdviceRequest = AdviceRequest {
+    top: None,
+    categories: Vec::new(),
+    optimizers: Vec::new(),
+    min_speedup: 1.001,
+    hotspots: 5,
+    evidence: true,
+};
+
 impl Default for AdviceRequest {
     fn default() -> Self {
-        AdviceRequest {
-            top: None,
-            categories: Vec::new(),
-            optimizers: Vec::new(),
-            min_speedup: DEFAULT_MIN_SPEEDUP,
-            hotspots: DEFAULT_HOTSPOTS,
-            evidence: true,
-        }
+        DEFAULT_REQUEST.clone()
     }
 }
 
@@ -365,72 +363,13 @@ impl AdviceRequest {
     }
 }
 
-/// Builds an [`Advisor`]: registry composition plus default request
-/// options.
-///
-/// ```
-/// use gpa_core::advisor::{AdviceRequest, Advisor};
-/// use gpa_core::optimizers::{OptimizerCategory, OptimizerId};
-///
-/// let advisor = Advisor::builder()
-///     .only(&[OptimizerId::LoopUnrolling, OptimizerId::CodeReordering])
-///     .defaults(AdviceRequest::default().with_top(1))
-///     .build();
-/// assert_eq!(advisor.registry().len(), 2);
-/// assert_eq!(advisor.defaults().top, Some(1));
-/// let _ = OptimizerCategory::LatencyHiding;
-/// ```
-#[derive(Default)]
-pub struct AdvisorBuilder {
-    registry: Option<OptimizerRegistry>,
-    defaults: AdviceRequest,
-}
-
-impl AdvisorBuilder {
-    /// Use an explicit registry (replaces any prior composition).
-    #[must_use]
-    pub fn registry(mut self, registry: OptimizerRegistry) -> Self {
-        self.registry = Some(registry);
-        self
-    }
-
-    /// Restrict the registry to the built-in rows for `ids`.
-    #[must_use]
-    pub fn only(mut self, ids: &[OptimizerId]) -> Self {
-        self.registry = Some(OptimizerRegistry::of(ids));
-        self
-    }
-
-    /// Register a row (custom or built-in), replacing the current holder
-    /// of its catalog slot. Starts from the full catalog when no registry
-    /// was set yet.
-    #[must_use]
-    pub fn register(mut self, opt: Optimizer) -> Self {
-        self.registry.get_or_insert_with(OptimizerRegistry::full).insert(opt);
-        self
-    }
-
-    /// Default request options for `advise*` calls without an explicit
-    /// [`AdviceRequest`].
-    #[must_use]
-    pub fn defaults(mut self, defaults: AdviceRequest) -> Self {
-        self.defaults = defaults;
-        self
-    }
-
-    /// Finishes the advisor.
-    pub fn build(self) -> Advisor {
-        Advisor { registry: self.registry.unwrap_or_default(), defaults: self.defaults }
-    }
-}
-
-/// The GPA advisor: a typed optimizer registry plus default request
-/// options. One advisor is shared across threads ([`Optimizer`] rows are
-/// plain data and their rules stateless functions); per-call variation
-/// goes through [`AdviceRequest`].
+/// The GPA advisor: the Table 2 catalog, one row per [`OptimizerId`].
+/// One advisor is shared across threads ([`Optimizer`] rows are plain
+/// data and their rules stateless functions); per-call variation goes
+/// through [`AdviceRequest`].
 pub struct Advisor {
-    registry: OptimizerRegistry,
-    defaults: AdviceRequest,
+    /// Row `i` fills the slot of the id with discriminant `i`.
+    rows: [Optimizer; OptimizerId::ALL.len()],
 }
 
 impl Default for Advisor {
@@ -450,28 +389,26 @@ pub(crate) fn rank_items(items: &mut [AdviceItem]) {
 }
 
 impl Advisor {
-    /// An advisor with the full Table 2 catalog and default options.
+    /// An advisor with the full Table 2 catalog.
     pub fn new() -> Self {
-        Self::builder().build()
+        Advisor { rows: TABLE2 }
     }
 
-    /// Starts composing an advisor.
-    pub fn builder() -> AdvisorBuilder {
-        AdvisorBuilder::default()
+    /// Puts a row (custom or built-in) in its id's catalog slot, replacing
+    /// the row there: the paper's "users can add custom optimizers".
+    #[must_use]
+    pub fn with_row(mut self, row: Optimizer) -> Self {
+        self.rows[row.id as usize] = row;
+        self
     }
 
-    /// The optimizer catalog this advisor consults.
-    pub fn registry(&self) -> &OptimizerRegistry {
-        &self.registry
-    }
-
-    /// The default request options.
+    /// The request [`Advisor::advise`] applies: [`AdviceRequest::default`].
     pub fn defaults(&self) -> &AdviceRequest {
-        &self.defaults
+        &DEFAULT_REQUEST
     }
 
     /// Runs the full dynamic analysis and produces the advice report
-    /// with the advisor's default options.
+    /// with the default request.
     ///
     /// Builds the static analyses from scratch; callers that analyze
     /// many profiles of the same module (the pipeline's [`Session`]
@@ -487,7 +424,7 @@ impl Advisor {
     ) -> AdviceReport {
         let structure = ProgramStructure::build(module);
         let latency = LatencyTable::for_arch(arch);
-        self.advise_request(module, &structure, &latency, profile, arch, &self.defaults)
+        self.advise_request(module, &structure, &latency, profile, arch, self.defaults())
     }
 
     /// [`Advisor::advise`] with caller-provided static analyses — a
@@ -508,7 +445,7 @@ impl Advisor {
         let total = ctx.total_samples();
         let active = profile.active_samples as f64;
         let mut items = Vec::new();
-        for opt in self.registry.iter() {
+        for opt in &self.rows {
             if !request.wants(opt.id) {
                 continue;
             }
@@ -712,20 +649,6 @@ mod tests {
         ];
         rank_items(&mut permuted);
         assert_eq!(permuted, items);
-    }
-
-    /// The paper's "users can add custom optimizers": a struct literal
-    /// with the caller's own rule takes over its catalog slot.
-    #[test]
-    fn a_custom_row_takes_over_its_catalog_slot() {
-        fn never(_: &AnalysisCtx<'_>) -> crate::MatchResult {
-            crate::MatchResult::default()
-        }
-        let custom = Optimizer { name: "MyFastMath", rule: never, ..*OptimizerId::FastMath.row() };
-        let advisor = Advisor::builder().register(custom).build();
-        assert_eq!(advisor.registry().ids(), OptimizerId::ALL.to_vec());
-        let row = advisor.registry().get(OptimizerId::FastMath).expect("slot filled");
-        assert_eq!((row.name, row.slug), ("MyFastMath", "fast-math"));
     }
 
     #[test]

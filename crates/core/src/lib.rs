@@ -31,13 +31,13 @@ pub mod report;
 pub mod schema;
 
 pub use advisor::{
-    AdviceItem, AdviceReport, AdviceRequest, Advisor, AdvisorBuilder, AnalysisCtx, EstimatorInputs,
-    HotspotReport, LocationReport, RegionReport, SCHEMA_VERSION,
+    AdviceItem, AdviceReport, AdviceRequest, Advisor, AnalysisCtx, EstimatorInputs, HotspotReport,
+    LocationReport, RegionReport, SCHEMA_VERSION,
 };
 pub use blamer::{
     BlamedEdge, DepEdge, DepGraph, DetailedReason, FunctionBlame, ModuleBlame, PruneRule,
 };
 pub use optimizers::{
     Estimator, Hint, HintKind, Hotspot, MatchResult, Optimizer, OptimizerCategory, OptimizerId,
-    OptimizerRegistry, TABLE2,
+    TABLE2,
 };

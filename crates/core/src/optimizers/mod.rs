@@ -79,8 +79,8 @@ impl fmt::Display for OptimizerCategory {
 /// Typed identity of a Table 2 optimizer.
 ///
 /// The `Ord` derived from declaration order is the catalog order, which
-/// the advisor uses as the deterministic tie-break for equal estimated
-/// speedups and the [`OptimizerRegistry`] uses as its iteration order.
+/// the advisor uses as its iteration order and as the deterministic
+/// tie-break for equal estimated speedups.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum OptimizerId {
     /// Local-memory dependency stalls (register spills).
@@ -190,15 +190,6 @@ impl HintKind {
             HintKind::Finding => "finding",
         }
     }
-
-    /// Parses a [`HintKind::slug`] back to the kind.
-    pub fn from_slug(s: &str) -> Option<HintKind> {
-        match s {
-            "guidance" => Some(HintKind::Guidance),
-            "finding" => Some(HintKind::Finding),
-            _ => None,
-        }
-    }
 }
 
 /// One structured suggestion in an advice item: static guidance on how
@@ -301,8 +292,8 @@ pub enum Estimator {
 /// inefficiency pattern (`rule`), says how the match becomes a speedup
 /// (`estimator`) and describes the fix (`hints`). Plain `Copy` data — the
 /// paper's "users can add custom optimizers" is a struct literal with the
-/// caller's own `fn`, registered through
-/// [`AdvisorBuilder::register`](crate::AdvisorBuilder::register).
+/// caller's own `fn`, put in its id's slot by
+/// [`Advisor::with_row`](crate::Advisor::with_row).
 #[derive(Debug, Clone, Copy)]
 pub struct Optimizer {
     /// Which catalog slot this row fills.
@@ -311,8 +302,8 @@ pub struct Optimizer {
     pub name: &'static str,
     /// Stable machine-readable name (advice schema v2, CLI filters).
     pub slug: &'static str,
-    /// The Table 2 family. Reports, filters and the schema reader key the
-    /// family on `id`, so a row taking over a built-in slot keeps it.
+    /// The Table 2 family. Reports and filters key the family on `id`, so
+    /// a row taking over a built-in slot keeps it.
     pub category: OptimizerCategory,
     /// The estimator applied to what `rule` matched.
     pub estimator: Estimator,
@@ -502,89 +493,6 @@ pub static TABLE2: [Optimizer; 13] = [
     },
 ];
 
-/// The typed optimizer catalog: at most one row per [`OptimizerId`],
-/// iterated in catalog order regardless of registration order, so the
-/// advisor's output is deterministic for any registry composition.
-/// Callers select, replace, or restrict rows by id, never by position.
-pub struct OptimizerRegistry {
-    /// Kept sorted by `entry.id`; ids are unique.
-    entries: Vec<Optimizer>,
-}
-
-impl fmt::Debug for OptimizerRegistry {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_tuple("OptimizerRegistry").field(&self.ids()).finish()
-    }
-}
-
-impl Default for OptimizerRegistry {
-    fn default() -> Self {
-        Self::full()
-    }
-}
-
-impl OptimizerRegistry {
-    /// An empty registry.
-    pub fn empty() -> Self {
-        OptimizerRegistry { entries: Vec::new() }
-    }
-
-    /// The full Table 2 catalog.
-    pub fn full() -> Self {
-        Self::of(&OptimizerId::ALL)
-    }
-
-    /// A registry of the built-in rows for `ids` (duplicates are
-    /// collapsed).
-    pub fn of(ids: &[OptimizerId]) -> Self {
-        let mut registry = Self::empty();
-        for &id in ids {
-            registry.insert(*id.row());
-        }
-        registry
-    }
-
-    /// Adds a row, replacing any existing row with the same id (the
-    /// paper notes users can add custom optimizers; a custom row takes
-    /// over its catalog slot).
-    pub fn insert(&mut self, opt: Optimizer) {
-        match self.entries.binary_search_by_key(&opt.id, |e| e.id) {
-            Ok(i) => self.entries[i] = opt,
-            Err(i) => self.entries.insert(i, opt),
-        }
-    }
-
-    /// Removes the row for `id`, if present.
-    pub fn remove(&mut self, id: OptimizerId) {
-        self.entries.retain(|e| e.id != id);
-    }
-
-    /// The row registered for `id`.
-    pub fn get(&self, id: OptimizerId) -> Option<&Optimizer> {
-        self.entries.binary_search_by_key(&id, |e| e.id).ok().map(|i| &self.entries[i])
-    }
-
-    /// All rows, in catalog order.
-    pub fn iter(&self) -> impl Iterator<Item = &Optimizer> {
-        self.entries.iter()
-    }
-
-    /// The registered ids, in catalog order.
-    pub(crate) fn ids(&self) -> Vec<OptimizerId> {
-        self.entries.iter().map(|e| e.id).collect()
-    }
-
-    /// Number of registered rows.
-    pub fn len(&self) -> usize {
-        self.entries.len()
-    }
-
-    /// Whether the registry is empty.
-    pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -632,27 +540,6 @@ mod tests {
             assert_eq!(row.category, family, "{}", row.name);
             assert!(!row.hints.is_empty(), "{}: every optimizer ships guidance", row.name);
         }
-    }
-
-    #[test]
-    fn registry_is_catalog_ordered_and_unique() {
-        // Register in reverse: iteration order must still be catalog order.
-        let mut r = OptimizerRegistry::empty();
-        for id in OptimizerId::ALL.iter().rev() {
-            r.insert(*id.row());
-        }
-        assert_eq!(r.ids(), OptimizerId::ALL.to_vec());
-        assert_eq!(r.len(), 13);
-
-        // Replacing a slot keeps the registry unique.
-        r.insert(*OptimizerId::FastMath.row());
-        assert_eq!(r.len(), 13);
-        r.remove(OptimizerId::FastMath);
-        assert!(r.get(OptimizerId::FastMath).is_none());
-        assert_eq!(r.len(), 12);
-
-        let sub = OptimizerRegistry::of(&[OptimizerId::ThreadIncrease, OptimizerId::FastMath]);
-        assert_eq!(sub.ids(), vec![OptimizerId::FastMath, OptimizerId::ThreadIncrease]);
     }
 
     #[test]

@@ -117,13 +117,6 @@ impl Session {
         Session::for_params(Params::test())
     }
 
-    /// Replaces the advisor (e.g. a custom optimizer catalog).
-    #[must_use]
-    pub fn with_advisor(mut self, advisor: Advisor) -> Self {
-        self.advisor = advisor;
-        self
-    }
-
     /// Makes the timed memory hierarchy ([`gpa_arch::MemModel`], default
     /// [`gpa_arch::HierarchyConfig`]) the session's default model. The
     /// model is read only when a launch is timed: artifacts, the latency
@@ -282,14 +275,14 @@ impl Session {
     }
 
     /// Runs one job: simulate with sampling, aggregate the profile, and
-    /// produce the ranked advice report with the advisor's default
-    /// options (see [`gpa_core::AdvisorBuilder::defaults`]).
+    /// produce the ranked advice report for the default
+    /// [`AdviceRequest`].
     ///
     /// # Errors
     ///
     /// Unknown app/variant, or a simulator fault.
     pub fn run_one(&self, job: &AnalysisJob) -> Result<AnalysisOutcome, AnalysisError> {
-        self.run_one_request(job, self.advisor.defaults())
+        self.run_one_request(job, &AdviceRequest::default())
     }
 
     /// [`Session::run_one`] scoped by a per-call [`AdviceRequest`]
@@ -368,7 +361,7 @@ impl Session {
         job: &AnalysisJob,
         profile: &KernelProfile,
     ) -> Result<gpa_core::AdviceReport, AnalysisError> {
-        self.advise_profile_request(job, profile, self.advisor.defaults())
+        self.advise_profile_request(job, profile, &AdviceRequest::default())
     }
 
     /// [`Session::advise_profile`] scoped by a per-call
@@ -414,7 +407,7 @@ impl Session {
         let t0 = Instant::now();
         let job = AnalysisJob::new(spec.module.name.clone(), 0);
         let artifacts = Arc::new(ModuleArtifacts::new(spec));
-        self.analyze_artifacts(t0, job, artifacts, self.advisor.defaults(), self.repeat, false)
+        self.analyze_artifacts(t0, job, artifacts, &AdviceRequest::default(), self.repeat, false)
     }
 
     /// Times one job without sampling (ground truth for achieved
@@ -446,7 +439,7 @@ impl Session {
     /// job order — index `i` of the output always answers `jobs[i]`,
     /// independent of scheduling — so batch output is deterministic.
     pub fn run_batch(&self, jobs: &[AnalysisJob]) -> Vec<Result<AnalysisOutcome, AnalysisError>> {
-        self.run_batch_request(jobs, self.advisor.defaults())
+        self.run_batch_request(jobs, &AdviceRequest::default())
     }
 
     /// [`Session::run_batch`] with one shared per-call [`AdviceRequest`]
@@ -527,7 +520,8 @@ mod tests {
         );
         // Per-request override beats the session default.
         let s = Session::test().with_repeat(3);
-        let overridden = s.run_one_request_repeat(&job, s.advisor.defaults(), 1, false).unwrap();
+        let overridden =
+            s.run_one_request_repeat(&job, &AdviceRequest::default(), 1, false).unwrap();
         assert_eq!(overridden.profile, single.profile);
     }
 

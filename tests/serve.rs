@@ -7,7 +7,7 @@
 //! store (cache hits observable via `status`), a full queue rejects
 //! instead of growing, and shutdown is clean.
 
-use gpa::core::{schema, Advisor, OptimizerId, OptimizerRegistry};
+use gpa::core::{schema, AdviceRequest, OptimizerId};
 use gpa::json::Json;
 use gpa::pipeline::{AnalysisJob, Session};
 use gpa::sampling::PcStats;
@@ -247,9 +247,12 @@ fn daemon_answers_v1_and_v2_clients_for_the_same_request() {
     assert!(v2.ok, "{:?}", v2.error);
     let v2_body = v2.result.unwrap();
     assert_eq!(v2_body.field("schema").unwrap().as_u64().unwrap(), 2);
-    let report = schema::report_from_json(v2_body.field("report").unwrap()).expect("v2 parses");
     let local = reference.run_one(&job).unwrap().report;
-    assert_eq!(report, local, "daemon v2 report equals local advise");
+    assert_eq!(
+        v2_body.field("report").unwrap().compact(),
+        schema::report_to_json(&local).compact(),
+        "daemon v2 report equals local advise"
+    );
     assert_eq!(
         v2_body.field("text").unwrap(),
         v1_body.field("text").unwrap(),
@@ -269,10 +272,12 @@ fn daemon_answers_v1_and_v2_clients_for_the_same_request() {
     top1.request.top = Some(1);
     let top = client.analyze_with(&job.app, job.variant, &top1).expect("top-1");
     assert!(!top.cached, "different options are a different content address");
-    let top_report =
-        schema::report_from_json(top.result.unwrap().field("report").unwrap()).unwrap();
-    assert_eq!(top_report.items.len(), 1);
-    assert_eq!(top_report.items[0], local.items[0]);
+    let local_top = reference.run_one_request(&job, &top1.request).unwrap().report;
+    assert_eq!(local_top.items.len(), 1);
+    assert_eq!(
+        top.result.unwrap().field("report").unwrap().compact(),
+        schema::report_to_json(&local_top).compact()
+    );
 
     // `status` advertises the negotiable versions.
     let status = client.status().unwrap().into_result().unwrap();
@@ -304,9 +309,8 @@ fn analyze_profile_negotiates_v2() {
         .expect("request");
     assert!(response.ok, "{:?}", response.error);
     let body = response.result.unwrap();
-    let report = schema::report_from_json(body.field("report").unwrap()).expect("v2 parses");
     let local = reference.advise_profile(&job, &profile).expect("local advising");
-    assert_eq!(report, local);
+    assert_eq!(body.field("report").unwrap().compact(), schema::report_to_json(&local).compact());
     handle.shutdown();
     handle.join();
 }
@@ -384,30 +388,35 @@ fn analyze_repeat_merges_replays_daemon_side() {
 
 /// One session answers both memory models: `"mem": "hierarchy"` is a
 /// per-request value on the daemon's own session, so it shares that
-/// session's artifacts — and its advisor, which the second session the
-/// daemon used to build for the hierarchy dropped.
+/// session's artifacts, and a request's optimizer filter scopes the
+/// advice under either model.
 #[test]
 fn one_session_answers_both_memory_models() {
     let two = [OptimizerId::ThreadIncrease, OptimizerId::BlockIncrease];
-    let make = |custom: bool| match custom {
-        false => Session::test(),
-        true => Session::test()
-            .with_advisor(Advisor::builder().registry(OptimizerRegistry::of(&two)).build()),
-    };
     let job = AnalysisJob::new("rodinia/gaussian", 0);
-    let hier = WireOptions { hierarchy: true, ..WireOptions::default() };
+    let (flat_ref, hier_ref) = (Session::test(), Session::test().with_hierarchy());
     for custom in [false, true] {
-        let session = Arc::new(make(custom));
+        let request = match custom {
+            false => AdviceRequest::default(),
+            true => AdviceRequest::default().with_optimizers(&two),
+        };
+        let flat_opts = WireOptions { request: request.clone(), ..WireOptions::default() };
+        let hier = WireOptions { hierarchy: true, ..flat_opts.clone() };
+        let reference = |session: &Session| {
+            let outcome = session.run_one_request(&job, &request).expect("reference run");
+            protocol::analyze_body(&outcome, 1).compact()
+        };
+        let session = Arc::new(Session::test());
         let handle = serve(Arc::clone(&session), ephemeral()).expect("daemon binds");
         let mut client = ServeClient::connect(handle.local_addr()).expect("connect");
-        let (flat_ref, hier_ref) = (make(custom), make(custom).with_hierarchy());
 
-        let flat = client.analyze(&job.app, job.variant).expect("flat").into_result().unwrap();
-        assert_eq!(flat.compact(), reference_body(&flat_ref, &job), "custom {custom}: flat");
+        let flat = client.analyze_with(&job.app, job.variant, &flat_opts).expect("flat");
+        let flat = flat.into_result().unwrap();
+        assert_eq!(flat.compact(), reference(&flat_ref), "custom {custom}: flat");
         let timed = client.analyze_with(&job.app, job.variant, &hier).expect("hierarchy");
         assert!(!timed.cached, "the model is part of the content address");
         let timed = timed.into_result().unwrap();
-        assert_eq!(timed.compact(), reference_body(&hier_ref, &job), "custom {custom}: hierarchy");
+        assert_eq!(timed.compact(), reference(&hier_ref), "custom {custom}: hierarchy");
         assert_ne!(timed.compact(), flat.compact(), "the models time gaussian apart");
 
         let (_, profile, _) = hier_ref.profile_one(&job).expect("local hierarchy profile");
@@ -417,7 +426,8 @@ fn one_session_answers_both_memory_models() {
             .expect("hierarchy upload")
             .into_result()
             .unwrap();
-        let report = hier_ref.advise_profile(&job, &profile).expect("local advising");
+        let report =
+            hier_ref.advise_profile_request(&job, &profile, &request).expect("local advising");
         let expected = protocol::profile_body(&job, &profile, &report, 1).compact();
         assert_eq!(advised.compact(), expected, "custom {custom}: hierarchy upload");
 
@@ -428,7 +438,7 @@ fn one_session_answers_both_memory_models() {
                 let name = item.field("optimizer").unwrap().as_str().unwrap();
                 two.iter().any(|id| id.name() == name)
             });
-            assert!(theirs || !custom, "only the embedder's optimizers: {}", body.compact());
+            assert!(theirs || !custom, "only the requested optimizers: {}", body.compact());
         }
 
         let status = client.status().expect("status").into_result().expect("ok");
